@@ -34,7 +34,12 @@ from ..models.split import SplitModel
 from ..nn.tensor import Tensor, inference_mode
 from ..storage.imageformat import preprocess
 from ..storage.photodb import LabelRecord
-from .pipestore import PipeStore, StoredPhoto, StoreUnavailableError
+from .pipestore import (
+    PipeStore,
+    StoredPhoto,
+    StoreUnavailableError,
+    softmax_top1,
+)
 
 __all__ = ["InferenceServer", "IngestDataPlane", "RoundRobinPlacement",
            "RingPlacement"]
@@ -76,12 +81,7 @@ class InferenceServer:
         """
         with inference_mode():
             logits = self.model(Tensor(batch)).data
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        labels = probs.argmax(axis=1)
-        return [(int(label), float(probs[row, label]))
-                for row, label in enumerate(labels)]
+        return softmax_top1(logits)
 
     def classify_batch(self, images: np.ndarray) -> List[Tuple[int, float]]:
         """Preprocess and label a raw batch (N, 3, H, W) in one pass."""

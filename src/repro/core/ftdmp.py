@@ -28,6 +28,26 @@ from ..nn.optim import Adam, Optimizer, SGD
 from ..nn.tensor import Tensor, inference_mode
 
 
+def frozen_front_features(model: SplitModel, split: int, x: np.ndarray,
+                          batch_size: int) -> np.ndarray:
+    """``model.forward_until(x, split)`` run ``batch_size`` rows at a time.
+
+    Forward only (:func:`inference_mode`); each batch lands in one
+    preallocated result array.
+    """
+    features = None
+    with inference_mode():
+        for start in range(0, len(x), batch_size):
+            out = model.forward_until(
+                Tensor(x[start:start + batch_size]), split).data
+            if features is None:
+                features = np.empty((len(x),) + out.shape[1:], out.dtype)
+            features[start:start + len(out)] = out
+    if features is None:
+        raise ValueError("no inputs to extract features from")
+    return features
+
+
 @dataclass
 class EpochRecord:
     """One Tuner-side training epoch within one pipeline run."""
@@ -149,14 +169,10 @@ class FTDMPTrainer:
         """
         was_training = self.model.training
         self.model.eval()
-        outputs = []
-        with inference_mode():
-            for start in range(0, len(x), self.batch_size):
-                batch = Tensor(x[start:start + self.batch_size])
-                outputs.append(
-                    self.model.forward_until(batch, self.split).data)
+        features = frozen_front_features(self.model, self.split, x,
+                                         self.batch_size)
         self.model.train(was_training)
-        return np.concatenate(outputs, axis=0)
+        return features
 
     # -- the Tuner side --------------------------------------------------------
     def train_tail(self, features: np.ndarray, labels: np.ndarray,

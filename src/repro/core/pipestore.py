@@ -29,6 +29,17 @@ from ..storage.imageformat import (
 )
 from ..storage.objectstore import MissingObjectError, ObjectStore
 from . import checknrun
+from .ftdmp import frozen_front_features
+
+
+def softmax_top1(logits: np.ndarray) -> List[Tuple[int, float]]:
+    """Per row of (N, classes) logits: (argmax label, its softmax confidence)."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    labels = probs.argmax(axis=-1)
+    return [(int(label), float(probs[row, label]))
+            for row, label in enumerate(labels)]
 
 
 class StoreUnavailableError(RuntimeError):
@@ -288,14 +299,11 @@ class PipeStore:
         self._require_available()
         self._require_model()
         inputs = self._load_batch(photo_ids)
-        outputs = []
-        with inference_mode():
-            for start in range(0, len(inputs), self.batch_size):
-                batch = Tensor(inputs[start:start + self.batch_size])
-                outputs.append(self.model.forward_until(batch, self.split).data)
+        features = frozen_front_features(self.model, self.split, inputs,
+                                         self.batch_size)
         self._account_compute(len(inputs))
         self._count("_m_extracted", len(inputs))
-        return np.concatenate(outputs, axis=0)
+        return features
 
     def offline_infer(self, photo_ids: Sequence[str]) -> Dict[str, Tuple[int, float]]:
         """Whole-model inference over local photos; returns id -> (label, conf)."""
@@ -308,13 +316,7 @@ class PipeStore:
             with inference_mode():
                 logits = self.model(
                     Tensor(inputs[start:start + self.batch_size])).data
-            shifted = logits - logits.max(axis=-1, keepdims=True)
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=-1, keepdims=True)
-            labels = probs.argmax(axis=-1)
-            for row, pid in enumerate(chunk_ids):
-                label = int(labels[row])
-                results[pid] = (label, float(probs[row, label]))
+            results.update(zip(chunk_ids, softmax_top1(logits)))
         self._account_compute(len(inputs))
         self._count("_m_relabelled", len(inputs))
         return results

@@ -54,7 +54,8 @@ class Bottleneck(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         out = self.conv3(self.conv2(self.conv1(x)))
-        return (out + self.shortcut(x)).relu()
+        out += self.shortcut(x)
+        return out.relu()
 
 
 class InceptionModule(Module):

@@ -14,7 +14,13 @@ from ..fastpath import flags
 from . import functional as F
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor, gelu, grad_enabled
+from .tensor import Tensor, gelu, grad_enabled, reuse
+
+
+#: BatchNorm eval spreads its per-channel vectors only while one spread
+#: vector stays cache-resident (512 KiB of float64); past that the second
+#: stream costs more than the longer inner loop saves.
+_SPREAD_MAX_ELEMS = 1 << 16
 
 
 def _default_rng(rng: Optional[np.random.Generator]) -> np.random.Generator:
@@ -103,13 +109,24 @@ class BatchNorm2d(Module):
         Performs the exact operation sequence of the Tensor path —
         ``(var + eps) ** -0.5`` then ``((x - mean) * inv) * gamma + beta``
         with the same float64 broadcasts — so outputs are bit-identical;
-        it merely skips boxing each intermediate in a Tensor.
+        it skips boxing each intermediate in a Tensor and runs the four
+        passes over one buffer instead of allocating one per pass.
         """
-        rm = self._buffers["running_mean"].reshape(1, -1, 1, 1)
-        rv = self._buffers["running_var"].reshape(1, -1, 1, 1)
+        n, c, h, w = x.shape
+        rm, rv, gamma, beta = (v.reshape(1, c, 1, 1) for v in (
+            self._buffers["running_mean"], self._buffers["running_var"],
+            self.gamma.data, self.beta.data))
         inv = (rv + self.eps) ** -0.5
-        out = ((x.data - rm) * inv) * self.gamma.data.reshape(1, -1, 1, 1)
-        return Tensor(out + self.beta.data.reshape(1, -1, 1, 1))
+        if n >= 8 and c * h * w <= _SPREAD_MAX_ELEMS:
+            # spread each per-channel vector over (1, C, H, W) once, so a
+            # pass runs one C*H*W-long inner loop per image instead of C
+            # loops of H*W (4 or 16 in the late stages) elements
+            rm, inv, gamma, beta = (np.repeat(v, h * w).reshape(1, c, h, w)
+                                    for v in (rm, inv, gamma, beta))
+        out = reuse(np.subtract, x.data, rm) if x._scratch else x.data - rm
+        out = reuse(np.multiply, out, inv)
+        out = reuse(np.multiply, out, gamma)
+        return Tensor(reuse(np.add, out, beta), _scratch=True)
 
 
 class LayerNorm(Module):

@@ -20,6 +20,8 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..fastpath import flags  # fastpath has no nn dep
+
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 _DEFAULT_DTYPE = np.float64
@@ -57,9 +59,21 @@ def inference_mode():
     null context so the historical graph-building behaviour is preserved
     for perf A/B runs.
     """
-    from ..fastpath import flags  # local import: fastpath has no nn dep
-
     return no_grad() if flags().vectorized_autograd else nullcontext()
+
+
+def reuse(ufunc, buf: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """``ufunc(buf, operand)`` computed into ``buf``: same bits, no allocation.
+
+    Ownership rule of the eval forward: ``buf`` must be *scratch* — a
+    temporary the running forward allocated under ``no_grad`` and handed
+    to nobody else (``Tensor._scratch``); never a caller's array, a view
+    of one, a parameter or a module buffer.  ``operand`` must broadcast
+    into ``buf``; when numpy would have produced another dtype than
+    ``buf``'s, the result is allocated as before.
+    """
+    same = buf.dtype == np.result_type(buf, operand)
+    return ufunc(buf, operand, out=buf if same else None)
 
 
 def _as_array(data: ArrayLike) -> np.ndarray:
@@ -88,7 +102,8 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy array with reverse-mode automatic differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "name", "_scratch")
 
     def __init__(
         self,
@@ -97,6 +112,7 @@ class Tensor:
         _parents: Tuple["Tensor", ...] = (),
         _backward=None,
         name: Optional[str] = None,
+        _scratch: bool = False,
     ):
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
@@ -104,6 +120,8 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
         self.name = name
+        # the next no_grad op may overwrite ``data`` (rule: see reuse())
+        self._scratch = _scratch and not grad_enabled()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -200,9 +218,10 @@ class Tensor:
     def _coerce(other: Union["Tensor", ArrayLike]) -> "Tensor":
         return other if isinstance(other, Tensor) else Tensor(other)
 
-    def _make(self, data, parents, backward) -> "Tensor":
+    def _make(self, data, parents, backward, scratch: bool = False) -> "Tensor":
         requires = grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires, _parents=tuple(parents) if requires else ())
+        out = Tensor(data, requires_grad=requires, _scratch=scratch,
+                     _parents=tuple(parents) if requires else ())
         if requires:
             out._backward = backward
         return out
@@ -220,6 +239,14 @@ class Tensor:
         return self._make(out_data, (self, other), backward)
 
     __radd__ = __add__
+
+    def __iadd__(self, other):
+        """``self + other``; accumulates into a scratch buffer under ``no_grad``."""
+        other = self._coerce(other)
+        if not self._scratch or grad_enabled() or other.shape != self.shape:
+            return self + other
+        self.data = reuse(np.add, self.data, other.data)
+        return self
 
     def __neg__(self):
         def backward(grad):
@@ -312,6 +339,10 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     def relu(self):
+        if self._scratch and not grad_enabled():
+            # x * mask as below (so -0.0 and NaN behave alike), in place
+            self.data = reuse(np.multiply, self.data, self.data > 0)
+            return self
         mask = self.data > 0
 
         def backward(grad):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.fastpath import overrides
-from repro.nn.functional import conv2d
+from repro.models.registry import TINY_FACTORIES, tiny_model
+from repro.nn.functional import conv2d, conv_output_size, im2col
 from repro.nn.layers import BatchNorm2d
 from repro.nn.tensor import Tensor, no_grad
 from repro.storage.compression import compress_array, decompress_array, deflate, inflate
@@ -134,6 +135,81 @@ class TestBatchNormEvalFastPath:
         assert bn.beta.grad is not None
 
 
+def _randomize_batchnorm(model, seed):
+    """Non-trivial running stats and affine terms, so eval BN does work."""
+    rng = np.random.default_rng(seed)
+    for module in model.modules():
+        if "running_mean" in module._buffers:
+            c = len(module._buffers["running_mean"])
+            module._buffers["running_mean"] = rng.standard_normal(c) * 0.3
+            module._buffers["running_var"] = rng.uniform(0.3, 2.0, c)
+            module.gamma.data = rng.standard_normal(c)
+            module.beta.data = rng.standard_normal(c) * 0.2
+
+
+class TestEvalForwardMatchesTensorPath:
+    """The memory-lean ``no_grad`` forward (in-place BatchNorm, copy-free
+    1x1 unfold, scratch-reusing ReLU / residual add) against its oracle:
+    the grad-enabled Tensor path, which allocates a node per op."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 64])
+    @pytest.mark.parametrize("name", sorted(TINY_FACTORIES))
+    def test_zoo_model_bit_identical(self, name, batch):
+        model = tiny_model(name).eval()
+        _randomize_batchnorm(model, seed=7)
+        # float32 like decoded photos: the first conv casts back to it,
+        # so the dtype-changing BatchNorm is on the tested path too
+        x = np.random.default_rng(batch).standard_normal(
+            (batch,) + model.input_shape).astype(np.float32)
+        oracle = model(Tensor(x)).data
+        with no_grad():
+            lean = model(Tensor(x)).data
+        assert lean.dtype == oracle.dtype
+        np.testing.assert_array_equal(oracle, lean)
+
+    @pytest.mark.parametrize("shape", [(1, 6, 5, 5), (8, 6, 5, 5),
+                                       (16, 6, 2, 2)])
+    @pytest.mark.parametrize("x_dtype,param_dtype", [
+        (np.float64, np.float64), (np.float32, np.float64),
+        (np.float32, np.float32), (np.float64, np.float32)])
+    def test_batchnorm_dtype_mixes(self, shape, x_dtype, param_dtype):
+        """In place only where numpy would have allocated that dtype anyway:
+        every mix lands the bytes and dtype of the allocate-per-op
+        expression ``((x - mean) * inv) * gamma + beta``."""
+        rng = np.random.default_rng(5)
+        bn = BatchNorm2d(6).eval()
+        _randomize_batchnorm(bn, seed=6)
+        bn.cast(param_dtype)
+        x = rng.standard_normal(shape).astype(x_dtype)
+        rm, rv, gamma, beta = (v.reshape(1, -1, 1, 1) for v in (
+            bn._buffers["running_mean"], bn._buffers["running_var"],
+            bn.gamma.data, bn.beta.data))
+        oracle = ((x - rm) * (rv + bn.eps) ** -0.5) * gamma + beta
+        with no_grad():
+            lean = bn(Tensor(x)).data
+            # a scratch input (what a conv hands BatchNorm) is overwritten
+            # only when that cannot change the result either
+            scratch = bn(Tensor(x.copy(), _scratch=True)).data
+        for got in (lean, scratch):
+            assert got.dtype == oracle.dtype
+            np.testing.assert_array_equal(oracle, got)
+
+
+def _reference_unfold(x, k, stride, padding):
+    """The historic im2col: ``np.pad`` plus one slice copy per kernel offset."""
+    n, c, h, w = x.shape
+    oh = conv_output_size(h, k, stride, padding)
+    ow = conv_output_size(w, k, stride, padding)
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = x[:, :, i:i + stride * oh:stride,
+                                 j:j + stride * ow:stride]
+    return cols.reshape(n, c * k * k, oh * ow)
+
+
 class TestPreprocessBatching:
     def test_batched_equals_per_sample(self):
         rng = np.random.default_rng(7)
@@ -218,4 +294,75 @@ if HAVE_HYPOTHESIS:
         with overrides(vectorized_autograd=True):
             vec = conv2d(Tensor(x), Tensor(w), stride=stride,
                          padding=padding).data
+        np.testing.assert_array_equal(ref, vec)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        c_per_group=st.integers(1, 3),
+        groups=st.integers(1, 3),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        k=st.sampled_from([1, 3, 5, 7]),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+        use_f32=st.booleans(),
+    )
+    def test_unfold_matches_reference_bytes(n, c_per_group, groups, h, w, k,
+                                            stride, padding, seed, use_f32):
+        """Hypothesis: the copy-free / strided unfold lands the reference's
+        bytes — for the whole input and for each group's channel slice (a
+        non-contiguous view, which is what the per-group conv unfolds)."""
+        if h + 2 * padding < k or w + 2 * padding < k:
+            return
+        dtype = np.float32 if use_f32 else np.float64
+        x = np.random.default_rng(seed).standard_normal(
+            (n, c_per_group * groups, h, w)).astype(dtype)
+        keep = x.copy()
+        views = [x] + [x[:, g * c_per_group:(g + 1) * c_per_group]
+                       for g in range(groups)]
+        for view in views:
+            cols, oh, ow = im2col(view, k, k, stride, padding)
+            ref = _reference_unfold(np.ascontiguousarray(view), k, stride,
+                                    padding)
+            assert cols.dtype == ref.dtype and cols.shape == ref.shape
+            assert (oh, ow) == (conv_output_size(h, k, stride, padding),
+                                conv_output_size(w, k, stride, padding))
+            assert cols.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(x, keep)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        c_per_group=st.integers(1, 3),
+        f_per_group=st.integers(1, 3),
+        groups=st.integers(1, 3),
+        hw=st.integers(3, 8),
+        k=st.sampled_from([1, 3, 5, 7]),
+        stride=st.integers(1, 2),
+        padding=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+        use_f32=st.booleans(),
+    )
+    def test_grouped_conv_forward_property(n, c_per_group, f_per_group, groups,
+                                           hw, k, stride, padding, seed,
+                                           use_f32):
+        """Hypothesis: every kernel size / group count agrees exactly across
+        the scalar per-group conv and the batched one, under ``no_grad``."""
+        if hw + 2 * padding < k:
+            return
+        dtype = np.float32 if use_f32 else np.float64
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c_per_group * groups, hw, hw)).astype(dtype)
+        w = rng.standard_normal(
+            (f_per_group * groups, c_per_group, k, k)).astype(dtype)
+        with no_grad():
+            with overrides(vectorized_autograd=False):
+                ref = conv2d(Tensor(x), Tensor(w), stride=stride,
+                             padding=padding, groups=groups).data
+            with overrides(vectorized_autograd=True):
+                vec = conv2d(Tensor(x), Tensor(w), stride=stride,
+                             padding=padding, groups=groups).data
         np.testing.assert_array_equal(ref, vec)
