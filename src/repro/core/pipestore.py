@@ -8,7 +8,7 @@ whole-model offline inference.  Model updates arrive as Check-N-Run deltas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,6 +54,24 @@ class StoredPhoto:
     pixels: np.ndarray  # (3, H, W) floats in [0, 1]
     preprocessed: np.ndarray  # fp32 model input
     train_label: Optional[int] = None  # supervision (user tags), if any
+    #: the encoded forms, produced once per upload: every replica puts
+    #: the same immutable bytes (raw blobs keyed by nominal size)
+    _encoded: Dict[object, bytes] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def raw_blob(self, nominal_bytes: int) -> bytes:
+        """The synthetic JPEG padded to ``nominal_bytes``."""
+        if nominal_bytes not in self._encoded:
+            self._encoded[nominal_bytes] = encode_photo(
+                self.pixels, pad_to_bytes=nominal_bytes)
+        return self._encoded[nominal_bytes]
+
+    def preprocessed_blob(self) -> bytes:
+        """The deflate-compressed preprocessed binary (§5.4)."""
+        if "preprocessed" not in self._encoded:
+            self._encoded["preprocessed"] = deflate(
+                encode_preprocessed(self.preprocessed))
+        return self._encoded["preprocessed"]
 
 
 #: accounted accelerator seconds per image at slowdown 1.0 — the fabric
@@ -160,8 +178,8 @@ class PipeStore:
     def store_photo(self, photo: StoredPhoto) -> int:
         """Persist raw blob + compressed preprocessed binary; returns bytes."""
         self._require_available()
-        raw_blob = encode_photo(photo.pixels, pad_to_bytes=self.nominal_raw_bytes)
-        pre_blob = deflate(encode_preprocessed(photo.preprocessed))
+        raw_blob = photo.raw_blob(self.nominal_raw_bytes)
+        pre_blob = photo.preprocessed_blob()
         self.objects.put(self.objects.raw_key(photo.photo_id), raw_blob)
         self.objects.put(self.objects.preproc_key(photo.photo_id), pre_blob)
         if photo.train_label is not None:

@@ -6,20 +6,24 @@ functions of the cluster's state, so they live here as free functions.
 :meth:`~repro.core.cluster.NDPipeCluster.checkpoint` and
 :meth:`~repro.core.cluster.NDPipeCluster.restore` delegate verbatim —
 the manifest layout (including the ``"cluster"`` section's
-``ingest_counter``/``rr_next``/``replication`` keys) is unchanged, so
-pre-refactor checkpoints restore byte-identically.
+``ingest_counter``/``rr_next``/``replication`` keys) is the
+pre-refactor one; the bytes around it are the v2 frame of
+:mod:`repro.durability.checkpoint` (sealed snapshots verbatim, array
+tables deflated once, identical blobs shared).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..durability.checkpoint import (
+    ArrayReader,
+    BlobTable,
     CheckpointError,
     FinetuneProgress,
-    pack_arrays,
     read_frame,
-    unpack_arrays,
+    tuner_section,
+    tuner_state_from,
     write_frame,
 )
 from ..durability.replication import ReplicaMap
@@ -43,38 +47,18 @@ def build_checkpoint(cluster, ftdmp: Optional[FinetuneProgress] = None,
     version history, the replica map, the upload journal, and — when
     taken mid-fine-tune — the FT-DMP run journal ``ftdmp``.
     """
-    blobs: List[bytes] = []
-
-    def add(blob: bytes) -> int:
-        blobs.append(blob)
-        return len(blobs) - 1
-
-    tuner_state = cluster.tuner.export_training_state()
-    tuner_manifest = {
-        "version": tuner_state["version"],
-        "split": tuner_state["split"],
-        "lr": tuner_state["lr"],
-        "rng": tuner_state["rng"],
-        "model_blob": add(pack_arrays(tuner_state["model"])),
-        "last_distributed_blob": (
-            None if tuner_state["last_distributed"] is None
-            else add(pack_arrays(tuner_state["last_distributed"]))),
-        "optimizer": None,
-    }
-    if tuner_state["optimizer"] is not None:
-        opt = tuner_state["optimizer"]
-        tuner_manifest["optimizer"] = {
-            "t": opt["t"],
-            "m_blob": add(pack_arrays(opt["m"])),
-            "v_blob": add(pack_arrays(opt["v"])),
-        }
+    table = BlobTable()
+    tuner_manifest = tuner_section(
+        cluster.tuner.export_training_state(), table)
     stores_manifest = []
     for store in cluster.stores:
         stores_manifest.append({
             "store_id": store.store_id,
             "model_version": store.model_version,
-            "objects_blob": add(dump_object_store(store.objects)),
-            "model_blob": add(pack_arrays(store.model.state_dict())),
+            # sealed and deflated by its producer: stored verbatim
+            "objects_blob": table.add(dump_object_store(store.objects)),
+            # a store at the Tuner's version lands on the Tuner's blob
+            "model_blob": table.add_arrays(store.model.state_dict()),
             "train_labels": store.train_labels(),
         })
     journal = cluster.control.journal
@@ -83,9 +67,9 @@ def build_checkpoint(cluster, ftdmp: Optional[FinetuneProgress] = None,
         journal_manifest = {
             "labels": {pid: label
                        for pid, (_pixels, label) in journal.items()},
-            "pixels_blob": add(pack_arrays(
+            "pixels_blob": table.add_arrays(
                 {pid: pixels
-                 for pid, (pixels, _label) in journal.items()})),
+                 for pid, (pixels, _label) in journal.items()}),
         }
     manifest = {
         "cluster": {
@@ -95,14 +79,14 @@ def build_checkpoint(cluster, ftdmp: Optional[FinetuneProgress] = None,
         },
         "tuner": tuner_manifest,
         "stores": stores_manifest,
-        "db_blob": add(dump_photo_database(cluster.database)),
+        "db_blob": table.add(dump_photo_database(cluster.database)),
         "replica_map": cluster.replicas.to_dict(),
         "journal": journal_manifest,
         "ftdmp": None if ftdmp is None else ftdmp.to_dict(),
     }
     with cluster.tracer.span("cluster.checkpoint",
                              tuner_version=cluster.tuner.version):
-        return write_frame(manifest, blobs)
+        return write_frame(manifest, table.blobs)
 
 
 def restore_checkpoint(cluster, blob: bytes) -> Optional[FinetuneProgress]:
@@ -129,27 +113,14 @@ def restore_checkpoint(cluster, blob: bytes) -> Optional[FinetuneProgress]:
                 f"checkpoint split {tuner_manifest['split']} does not "
                 f"match this cluster's split {cluster.tuner.split}"
             )
-        last_blob = tuner_manifest["last_distributed_blob"]
-        tuner_state = {
-            "version": tuner_manifest["version"],
-            "rng": tuner_manifest["rng"],
-            "model": unpack_arrays(blobs[tuner_manifest["model_blob"]]),
-            "last_distributed": (
-                None if last_blob is None
-                else unpack_arrays(blobs[last_blob])),
-            "optimizer": None,
-        }
-        if tuner_manifest["optimizer"] is not None:
-            opt = tuner_manifest["optimizer"]
-            tuner_state["optimizer"] = {
-                "t": opt["t"],
-                "m": unpack_arrays(blobs[opt["m_blob"]]),
-                "v": unpack_arrays(blobs[opt["v_blob"]]),
-            }
+        # a shared blob is unpacked per reference, so every store (and
+        # the Tuner) owns its writable arrays
+        arrays = ArrayReader(blobs)
+        tuner_state = tuner_state_from(tuner_manifest, arrays)
         store_states = [
             (load_object_store(blobs[entry["objects_blob"]],
                                name=entry["store_id"]),
-             unpack_arrays(blobs[entry["model_blob"]]),
+             arrays(entry["model_blob"]),
              int(entry["model_version"]),
              dict(entry["train_labels"]))
             for entry in manifest["stores"]
@@ -159,7 +130,7 @@ def restore_checkpoint(cluster, blob: bytes) -> Optional[FinetuneProgress]:
         journal_manifest = manifest["journal"]
         journal = None
         if journal_manifest is not None:
-            pixels = unpack_arrays(blobs[journal_manifest["pixels_blob"]])
+            pixels = arrays(journal_manifest["pixels_blob"])
             journal = {
                 pid: (pixels[pid],
                       None if label is None else int(label))

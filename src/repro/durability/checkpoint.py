@@ -2,7 +2,9 @@
 
 One checkpoint is a single self-describing blob:
 
-``NDCP | version(1B) | deflate(manifest + blob table) | CRC32 trailer``
+``NDCP | 2 | len(4B) | deflate(manifest) | blob table | CRC32 trailer``
+
+where the blob table is ``count(4B)`` then ``len(8B) + bytes`` per blob.
 
 The JSON manifest holds every scalar (tuner version, RNG state, ingest
 counters, the FT-DMP run journal) and points into a table of binary
@@ -21,7 +23,6 @@ format so storage and core never disagree about bytes.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import zlib
@@ -31,9 +32,12 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..storage.compression import deflate, inflate
+from ..storage.persistence import seal
 
 CHECKPOINT_MAGIC = b"NDCP"
-_VERSION = 1
+#: v2: the frame no longer deflates its body (blobs arrive compressed by
+#: their producers) and the blob table is content-deduplicated.  v1 is refused.
+_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -88,60 +92,53 @@ class FinetuneProgress:
 # ---------------------------------------------------------------------------
 def pack_arrays(arrays: Dict[str, np.ndarray]) -> bytes:
     """Serialise named arrays bit-exactly (key, dtype, shape, raw bytes)."""
-    buffer = io.BytesIO()
-    buffer.write(struct.pack(">I", len(arrays)))
+    parts = [struct.pack(">I", len(arrays))]
     for key in sorted(arrays):
         # asarray(order="C"), not ascontiguousarray: the latter silently
         # promotes 0-d arrays to shape (1,), breaking bit-exactness
         arr = np.asarray(arrays[key], order="C")
         key_bytes = key.encode()
         dtype_bytes = arr.dtype.str.encode()
-        buffer.write(struct.pack(">H", len(key_bytes)))
-        buffer.write(key_bytes)
-        buffer.write(struct.pack(">B", len(dtype_bytes)))
-        buffer.write(dtype_bytes)
-        buffer.write(struct.pack(">B", arr.ndim))
-        for dim in arr.shape:
-            buffer.write(struct.pack(">Q", dim))
         raw = arr.tobytes()
-        buffer.write(struct.pack(">Q", len(raw)))
-        buffer.write(raw)
-    return buffer.getvalue()
+        parts += (struct.pack(">H", len(key_bytes)), key_bytes,
+                  struct.pack(">B", len(dtype_bytes)), dtype_bytes,
+                  struct.pack(f">B{arr.ndim + 1}Q", arr.ndim, *arr.shape,
+                              len(raw)),
+                  raw)
+    return b"".join(parts)
 
 
 def unpack_arrays(blob: bytes) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`pack_arrays`."""
+    """Inverse of :func:`pack_arrays`; every array is a fresh writable copy."""
+    view = memoryview(blob)
     try:
         offset = 0
-        (count,) = struct.unpack_from(">I", blob, offset)
+        (count,) = struct.unpack_from(">I", view, offset)
         offset += 4
         arrays: Dict[str, np.ndarray] = {}
         for _ in range(count):
-            (key_len,) = struct.unpack_from(">H", blob, offset)
+            (key_len,) = struct.unpack_from(">H", view, offset)
             offset += 2
-            key = blob[offset:offset + key_len].decode()
+            key = str(view[offset:offset + key_len], "utf-8")
             offset += key_len
-            (dtype_len,) = struct.unpack_from(">B", blob, offset)
+            (dtype_len,) = struct.unpack_from(">B", view, offset)
             offset += 1
-            dtype = np.dtype(blob[offset:offset + dtype_len].decode())
+            dtype = np.dtype(str(view[offset:offset + dtype_len], "utf-8"))
             offset += dtype_len
-            (ndim,) = struct.unpack_from(">B", blob, offset)
-            offset += 1
-            shape = []
-            for _ in range(ndim):
-                (dim,) = struct.unpack_from(">Q", blob, offset)
-                offset += 8
-                shape.append(dim)
-            (raw_len,) = struct.unpack_from(">Q", blob, offset)
-            offset += 8
-            raw = blob[offset:offset + raw_len]
-            if len(raw) != raw_len:
-                raise CheckpointError("array table truncated")
+            (ndim,) = struct.unpack_from(">B", view, offset)
+            *shape, raw_len = struct.unpack_from(f">{ndim + 1}Q", view,
+                                                 offset + 1)
+            offset += 1 + 8 * (ndim + 1)
+            if offset + raw_len > len(view):
+                raise ValueError("array table truncated")
+            # the one payload copy: straight out of the frame's buffer
+            arrays[key] = np.frombuffer(
+                view[offset:offset + raw_len], dtype=dtype,
+            ).reshape(shape).copy()
             offset += raw_len
-            arrays[key] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
         raise CheckpointError(f"corrupt array table: {exc}") from exc
-    if offset != len(blob):
+    if offset != len(view):
         raise CheckpointError("trailing bytes in array table")
     return arrays
 
@@ -149,63 +146,146 @@ def unpack_arrays(blob: bytes) -> Dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # The outer frame
 # ---------------------------------------------------------------------------
+class BlobTable:
+    """A frame's blob table under construction, deduplicated by content:
+    bytes already seen return their existing index, so N stores at the
+    Tuner's version share one model blob.  Sealed snapshots arrive
+    deflated by their producer and are stored verbatim (:meth:`add`);
+    array tables get their one deflate in :meth:`add_arrays`."""
+
+    def __init__(self) -> None:
+        self.blobs: List[bytes] = []
+        self._index: Dict[bytes, int] = {}
+
+    def add(self, blob: bytes, encode=None) -> int:
+        index = self._index.get(blob)
+        if index is None:
+            index = self._index[blob] = len(self.blobs)
+            self.blobs.append(blob if encode is None else encode(blob))
+        return index
+
+    def add_arrays(self, arrays: Dict[str, np.ndarray]) -> int:
+        # float weights shed ~12 %; level 9 costs ~4 % more time than 6 and
+        # keeps every tuner-HA frame at or under its v1 size on the wire
+        return self.add(pack_arrays(arrays),
+                        encode=lambda table: deflate(table, level=9))
+
+
+class ArrayReader:
+    """Inverse of :meth:`BlobTable.add_arrays` over a frame's blobs: a
+    shared blob is inflated once, yet every call unpacks its own copy, so
+    each owner gets private writable arrays."""
+
+    def __init__(self, blobs: List[memoryview]) -> None:
+        self._blobs = blobs
+        self._tables: Dict[int, bytes] = {}
+
+    def __call__(self, index: int) -> Dict[str, np.ndarray]:
+        table = self._tables.get(index)
+        if table is None:
+            try:
+                table = self._tables[index] = inflate(self._blobs[index])
+            except ValueError as exc:
+                raise CheckpointError(f"corrupt array blob: {exc}") from exc
+        return unpack_arrays(table)
+
+
 def write_frame(manifest: Dict[str, Any], blobs: List[bytes]) -> bytes:
-    """Seal a manifest + blob table into one CRC-trailed checkpoint blob."""
-    manifest_bytes = json.dumps(manifest).encode()
-    body = io.BytesIO()
-    body.write(struct.pack(">I", len(manifest_bytes)))
-    body.write(manifest_bytes)
-    body.write(struct.pack(">I", len(blobs)))
+    """Seal a manifest + blob table into one CRC-trailed checkpoint blob.
+    Only the manifest is deflated here; blobs are laid down as given."""
+    packed = deflate(
+        json.dumps(manifest, separators=(",", ":")).encode())
+    parts = [CHECKPOINT_MAGIC, struct.pack(">BI", _VERSION, len(packed)),
+             packed, struct.pack(">I", len(blobs))]
     for blob in blobs:
-        body.write(struct.pack(">Q", len(blob)))
-        body.write(blob)
-    frame = (CHECKPOINT_MAGIC + struct.pack(">B", _VERSION)
-             + deflate(body.getvalue()))
-    return frame + struct.pack(">I", zlib.crc32(frame))
+        parts += (struct.pack(">Q", len(blob)), blob)
+    return seal(parts)
 
 
-def read_frame(blob: bytes) -> Tuple[Dict[str, Any], List[bytes]]:
-    """Verify and unpack a checkpoint frame; loud on any damage."""
-    if len(blob) < len(CHECKPOINT_MAGIC) + 1 + 4:
+def read_frame(blob: bytes) -> Tuple[Dict[str, Any], List[memoryview]]:
+    """Verify and unpack a checkpoint frame; loud on any damage.
+
+    The trailer check reads every byte; after it only the manifest is
+    inflated.  The blobs are read-only views into ``blob``: decode them
+    with :class:`ArrayReader` or the snapshot loaders, which copy."""
+    head = len(CHECKPOINT_MAGIC) + 1
+    if len(blob) < head + 4:
         raise CheckpointError("checkpoint too short")
-    if not blob.startswith(CHECKPOINT_MAGIC):
+    frame = memoryview(blob)[:-4]
+    if frame[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError("not an NDPipe checkpoint (bad magic)")
-    frame, (expected,) = blob[:-4], struct.unpack(">I", blob[-4:])
-    if zlib.crc32(frame) != expected:
+    if zlib.crc32(frame) != struct.unpack_from(">I", blob, len(frame))[0]:
         raise CheckpointError(
             "checkpoint failed its CRC32 trailer check — refusing to "
             "resume from corrupt state"
         )
-    (version,) = struct.unpack_from(">B", frame, len(CHECKPOINT_MAGIC))
+    version = frame[len(CHECKPOINT_MAGIC)]
+    if version == 1:
+        raise CheckpointError(
+            "checkpoint is version 1 (whole-body deflate), which this "
+            "release no longer reads; re-create it with this release"
+        )
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     try:
-        body = inflate(frame[len(CHECKPOINT_MAGIC) + 1:])
-    except ValueError as exc:
-        raise CheckpointError(f"corrupt checkpoint body: {exc}") from exc
-    try:
-        offset = 0
-        (manifest_len,) = struct.unpack_from(">I", body, offset)
+        (manifest_len,) = struct.unpack_from(">I", frame, head)
+        offset = head + 4 + manifest_len
+        manifest = json.loads(inflate(frame[head + 4:offset]))
+        (num_blobs,) = struct.unpack_from(">I", frame, offset)
         offset += 4
-        manifest = json.loads(body[offset:offset + manifest_len].decode())
-        offset += manifest_len
-        (num_blobs,) = struct.unpack_from(">I", body, offset)
-        offset += 4
-        blobs: List[bytes] = []
+        blobs: List[memoryview] = []
         for _ in range(num_blobs):
-            (blob_len,) = struct.unpack_from(">Q", body, offset)
-            offset += 8
-            chunk = body[offset:offset + blob_len]
-            if len(chunk) != blob_len:
-                raise CheckpointError("checkpoint blob table truncated")
-            offset += blob_len
-            blobs.append(chunk)
-    except (struct.error, UnicodeDecodeError,
-            json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint manifest: {exc}") from exc
-    if offset != len(body):
-        raise CheckpointError("trailing bytes in checkpoint body")
+            (blob_len,) = struct.unpack_from(">Q", frame, offset)
+            offset += 8 + blob_len
+            blobs.append(frame[offset - blob_len:offset])
+    except (struct.error, UnicodeDecodeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint frame: {exc}") from exc
+    if offset != len(frame):
+        raise CheckpointError("blob table does not end at the trailer "
+                              "(truncated table or trailing bytes)")
     return manifest, blobs
+
+
+def tuner_section(tuner_state: Dict[str, Any],
+                  table: BlobTable) -> Dict[str, Any]:
+    """The manifest's ``"tuner"`` section; heavy arrays go into ``table``."""
+    opt = tuner_state["optimizer"]
+    return {
+        "version": tuner_state["version"],
+        "split": tuner_state["split"],
+        "lr": tuner_state["lr"],
+        "rng": tuner_state["rng"],
+        "model_blob": table.add_arrays(tuner_state["model"]),
+        "last_distributed_blob": (
+            None if tuner_state["last_distributed"] is None
+            else table.add_arrays(tuner_state["last_distributed"])),
+        "optimizer": None if opt is None else {
+            "t": opt["t"],
+            "m_blob": table.add_arrays(opt["m"]),
+            "v_blob": table.add_arrays(opt["v"]),
+        },
+    }
+
+
+def tuner_state_from(section: Dict[str, Any],
+                     arrays: ArrayReader) -> Dict[str, Any]:
+    """Inverse of :func:`tuner_section` (feeds ``import_training_state``)."""
+    last_blob = section["last_distributed_blob"]
+    opt = section["optimizer"]
+    return {
+        "version": section["version"],
+        "split": section["split"],
+        "lr": section["lr"],
+        "rng": section["rng"],
+        "model": arrays(section["model_blob"]),
+        "last_distributed": (
+            None if last_blob is None else arrays(last_blob)),
+        "optimizer": None if opt is None else {
+            "t": opt["t"],
+            "m": arrays(opt["m_blob"]),
+            "v": arrays(opt["v_blob"]),
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -226,36 +306,14 @@ def pack_tuner_state(tuner_state: Dict[str, Any], epoch: int,
     warm standby can be kept current at run boundaries without shipping
     (or later restoring) store snapshots the standby must not roll back.
     """
-    blobs: List[bytes] = []
-
-    def add(blob: bytes) -> int:
-        blobs.append(blob)
-        return len(blobs) - 1
-
+    table = BlobTable()
     manifest: Dict[str, Any] = {
         "kind": TUNER_FRAME_KIND,
         "epoch": int(epoch),
-        "tuner": {
-            "version": tuner_state["version"],
-            "split": tuner_state["split"],
-            "lr": tuner_state["lr"],
-            "rng": tuner_state["rng"],
-            "model_blob": add(pack_arrays(tuner_state["model"])),
-            "last_distributed_blob": (
-                None if tuner_state["last_distributed"] is None
-                else add(pack_arrays(tuner_state["last_distributed"]))),
-            "optimizer": None,
-        },
+        "tuner": tuner_section(tuner_state, table),
         "ftdmp": None if ftdmp is None else ftdmp.to_dict(),
     }
-    if tuner_state["optimizer"] is not None:
-        opt = tuner_state["optimizer"]
-        manifest["tuner"]["optimizer"] = {
-            "t": opt["t"],
-            "m_blob": add(pack_arrays(opt["m"])),
-            "v_blob": add(pack_arrays(opt["v"])),
-        }
-    return write_frame(manifest, blobs)
+    return write_frame(manifest, table.blobs)
 
 
 def unpack_tuner_state(blob: bytes,
@@ -274,28 +332,10 @@ def unpack_tuner_state(blob: bytes,
                 f"{manifest.get('kind')!r} (a full cluster checkpoint "
                 "cannot be shipped to a standby)"
             )
-        tuner_manifest = manifest["tuner"]
-        last_blob = tuner_manifest["last_distributed_blob"]
-        tuner_state: Dict[str, Any] = {
-            "version": tuner_manifest["version"],
-            "epoch": manifest["epoch"],
-            "split": tuner_manifest["split"],
-            "lr": tuner_manifest["lr"],
-            "rng": tuner_manifest["rng"],
-            "model": unpack_arrays(blobs[tuner_manifest["model_blob"]]),
-            "last_distributed": (
-                None if last_blob is None
-                else unpack_arrays(blobs[last_blob])),
-            "optimizer": None,
-        }
-        if tuner_manifest["optimizer"] is not None:
-            opt = tuner_manifest["optimizer"]
-            tuner_state["optimizer"] = {
-                "t": opt["t"],
-                "m": unpack_arrays(blobs[opt["m_blob"]]),
-                "v": unpack_arrays(blobs[opt["v_blob"]]),
-            }
         epoch = int(manifest["epoch"])
+        tuner_state = tuner_state_from(manifest["tuner"],
+                                       ArrayReader(blobs))
+        tuner_state["epoch"] = epoch
         progress = (None if manifest["ftdmp"] is None
                     else FinetuneProgress.from_dict(manifest["ftdmp"]))
     except (KeyError, IndexError, TypeError) as exc:
@@ -305,7 +345,7 @@ def unpack_tuner_state(blob: bytes,
 
 
 def inspect_checkpoint(blob: bytes) -> Dict[str, Any]:
-    """A cheap summary of a checkpoint (no state is reconstructed)."""
+    """A cheap summary: trailer verified, manifest inflated, no blob read."""
     manifest, blobs = read_frame(blob)
     ftdmp = manifest.get("ftdmp")
     return {

@@ -109,8 +109,10 @@ class ShardedCluster:
                 if reason is not None:
                     rejections.append(reason)
                     continue
-                label, confidence = cluster.inference_server.classify(pixels)
-                preprocessed = cluster.inference_server.preprocess(pixels)
+                server = cluster.inference_server
+                preprocessed = server.preprocess(pixels)
+                label, confidence = server.classify_preprocessed(
+                    preprocessed[None])[0]
                 train_label = (None if train_labels is None
                                else int(train_labels[row]))
                 photo_id = (f"{tenant}/photo-"

@@ -22,14 +22,18 @@ def deflate(data: bytes, level: int = 6) -> bytes:
 
 
 def inflate(blob: bytes) -> bytes:
-    """Decompress a :func:`deflate` frame."""
-    if not blob.startswith(_HEADER):
+    """Decompress a :func:`deflate` frame (any bytes-like object); every
+    undecodable input raises ``ValueError``, never a raw ``zlib.error``."""
+    if blob[:len(_HEADER)] != _HEADER:
         raise ValueError("not a deflate frame (bad magic)")
-    if flags().zero_copy:
-        # slice through a memoryview: no intermediate bytes copy of the
-        # compressed payload before zlib reads it
-        return zlib.decompress(memoryview(blob)[len(_HEADER):])
-    return zlib.decompress(blob[len(_HEADER):])
+    try:
+        if flags().zero_copy:
+            # slice through a memoryview: no intermediate bytes copy of
+            # the compressed payload before zlib reads it
+            return zlib.decompress(memoryview(blob)[len(_HEADER):])
+        return zlib.decompress(blob[len(_HEADER):])
+    except zlib.error as exc:
+        raise ValueError(f"corrupt deflate stream: {exc}") from exc
 
 
 def compression_ratio(raw: bytes, compressed: bytes) -> float:

@@ -87,12 +87,7 @@ class ObjectStore:
     def put(self, key: str, blob: bytes) -> None:
         if not key:
             raise ValueError("empty key")
-        old = self._objects.get(key)
-        delta = len(blob) - (len(old) if old is not None else 0)
-        if delta > 0:
-            self.volume.reserve(delta)
-        elif delta < 0:
-            self.volume.release(-delta)
+        self._rebook(self._objects.get(key), blob)
         self._objects[key] = blob
         self._crcs[key] = zlib.crc32(blob)
         self.bytes_written += len(blob)
@@ -160,19 +155,18 @@ class ObjectStore:
         holds that many bytes) but the write-time checksum is left stale,
         exactly like silent corruption under a filesystem.
         """
-        old = self._lookup(key)
-        delta = len(blob) - len(old)
-        if delta > 0:
-            self.volume.reserve(delta)
-        elif delta < 0:
-            self.volume.release(-delta)
+        self._rebook(self._lookup(key), blob)
         self._objects[key] = blob
 
     def restore_object(self, key: str, blob: bytes, crc: int) -> None:
         """Snapshot-restore seam: reinstate an object with its recorded
         CRC, so corruption that predates a snapshot is still detectable
-        by a scrub after the restore."""
-        self.put(key, blob)
+        by a scrub after the restore.  Not a workload write: only the
+        volume reservation is taken, nothing is hashed or counted."""
+        if not key:
+            raise ValueError("empty key")
+        self._rebook(self._objects.get(key), blob)
+        self._objects[key] = blob
         self._crcs[key] = crc
 
     # -- namespaces -------------------------------------------------------
@@ -202,6 +196,14 @@ class ObjectStore:
         return pre / total
 
     # -- internals ----------------------------------------------------------
+    def _rebook(self, old: Optional[bytes], blob: bytes) -> None:
+        """Move a key's volume reservation from ``old`` (if any) to ``blob``."""
+        delta = len(blob) - (len(old) if old is not None else 0)
+        if delta > 0:
+            self.volume.reserve(delta)
+        elif delta < 0:
+            self.volume.release(-delta)
+
     def _lookup(self, key: str) -> bytes:
         try:
             return self._objects[key]

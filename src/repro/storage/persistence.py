@@ -22,11 +22,10 @@ perturbs workload IO accounting (``bytes_read``).
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import zlib
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from .compression import deflate, inflate
 from .objectstore import ObjectStore, Volume
@@ -43,16 +42,21 @@ class SnapshotError(ValueError):
     """Raised on malformed or incompatible snapshot blobs."""
 
 
-def _seal(frame: bytes) -> bytes:
-    """Append the CRC32 trailer covering the whole frame."""
-    return frame + struct.pack(">I", zlib.crc32(frame))
+def seal(parts: Sequence[bytes]) -> bytes:
+    """Join a frame's parts once, appending the CRC32 over all of them
+    (folded part by part: the join is the frame's only full-size copy)."""
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([*parts, struct.pack(">I", crc)])
 
 
-def _unseal(blob: bytes, what: str) -> bytes:
-    """Verify and strip the CRC32 trailer; raise loudly on any damage."""
+def _unseal(blob: bytes, what: str) -> memoryview:
+    """Verify the CRC32 trailer; return a view of the frame before it."""
     if len(blob) < 4:
         raise SnapshotError(f"{what} snapshot too short for a CRC trailer")
-    frame, (expected,) = blob[:-4], struct.unpack(">I", blob[-4:])
+    frame = memoryview(blob)[:-4]
+    (expected,) = struct.unpack_from(">I", blob, len(frame))
     if zlib.crc32(frame) != expected:
         raise SnapshotError(
             f"{what} snapshot failed its CRC32 trailer check — the blob "
@@ -76,20 +80,19 @@ def _check_version(version: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 def dump_object_store(store: ObjectStore) -> bytes:
     """Serialise a store (keys, blobs, CRCs, volume accounting) to one blob."""
-    buffer = io.BytesIO()
     keys = store.keys()
+    parts = []
     for key in keys:
         key_bytes = key.encode()
         blob = store.peek(key)
-        buffer.write(struct.pack(">H", len(key_bytes)))
-        buffer.write(key_bytes)
-        buffer.write(struct.pack(">II", store.stored_crc(key), len(blob)))
-        buffer.write(blob)
+        parts += (struct.pack(">H", len(key_bytes)), key_bytes,
+                  struct.pack(">II", store.stored_crc(key), len(blob)), blob)
     header = struct.pack(
         ">4sBQI", _STORE_MAGIC, _VERSION, store.volume.capacity_bytes,
         len(keys),
     )
-    return _seal(header + deflate(buffer.getvalue()))
+    # the one deflate these bytes get: a checkpoint stores this verbatim
+    return seal([header, deflate(b"".join(parts))])
 
 
 def load_object_store(blob: bytes, name: str = "restored") -> ObjectStore:
@@ -100,11 +103,10 @@ def load_object_store(blob: bytes, name: str = "restored") -> ObjectStore:
     if blob[:4] != _STORE_MAGIC:
         raise SnapshotError("not an object-store snapshot")
     frame = _unseal(blob, "object-store")
-    _magic, version, capacity, count = struct.unpack(
-        ">4sBQI", frame[:header_size])
+    _magic, version, capacity, count = struct.unpack_from(">4sBQI", frame)
     _check_version(version, "object-store")
     try:
-        body = inflate(frame[header_size:])
+        body = memoryview(inflate(frame[header_size:]))
     except ValueError as exc:
         raise SnapshotError(f"corrupt object-store snapshot: {exc}") from exc
     store = ObjectStore(Volume(capacity_bytes=capacity), name=name)
@@ -113,22 +115,20 @@ def load_object_store(blob: bytes, name: str = "restored") -> ObjectStore:
         for _ in range(count):
             (key_len,) = struct.unpack_from(">H", body, offset)
             offset += 2
-            key = body[offset:offset + key_len].decode()
+            key = str(body[offset:offset + key_len], "utf-8")
             offset += key_len
             crc, blob_len = struct.unpack_from(">II", body, offset)
             offset += 8
             if offset + blob_len > len(body):
                 raise SnapshotError("object-store snapshot body truncated")
-            store.restore_object(key, body[offset:offset + blob_len], crc)
+            store.restore_object(
+                key, bytes(body[offset:offset + blob_len]), crc)
             offset += blob_len
     except (struct.error, UnicodeDecodeError) as exc:
         raise SnapshotError(
             f"corrupt object-store snapshot: {exc}") from exc
     if offset != len(body):
         raise SnapshotError("trailing bytes in object-store snapshot")
-    # restoration IO should not count as workload IO
-    store.bytes_read = 0
-    store.bytes_written = 0
     return store
 
 
@@ -154,16 +154,16 @@ def dump_photo_database(db: PhotoDatabase) -> bytes:
             for photo_id in sorted(db.snapshot_labels())
         },
     }
-    return _seal(_DB_MAGIC + deflate(json.dumps(payload).encode()))
+    return seal([_DB_MAGIC, deflate(json.dumps(payload).encode())])
 
 
 def load_photo_database(blob: bytes) -> PhotoDatabase:
     """Reconstruct a :class:`PhotoDatabase`, replaying version history."""
-    if not blob.startswith(_DB_MAGIC):
+    if blob[:len(_DB_MAGIC)] != _DB_MAGIC:
         raise SnapshotError("not a photo-database snapshot")
     frame = _unseal(blob, "photo-database")
     try:
-        payload = json.loads(inflate(frame[len(_DB_MAGIC):]).decode())
+        payload = json.loads(inflate(frame[len(_DB_MAGIC):]))
     except (ValueError, UnicodeDecodeError) as exc:
         raise SnapshotError(f"corrupt database snapshot: {exc}") from exc
     _check_version(payload.get("version"), "photo-database")

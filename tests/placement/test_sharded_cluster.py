@@ -60,6 +60,27 @@ class TestMultiTenantIngest:
             assert fleet.cluster.database.lookup(pid).location \
                 in fleet.ring.shards
 
+    def test_each_upload_is_preprocessed_once_and_labelled_the_same(
+            self, monkeypatch):
+        """ingest classifies the tensor it stores: one ``preprocess`` per
+        upload, labels bit-identical to ``classify(pixels)``."""
+        from repro.core import dataplane
+
+        calls = []
+        real = dataplane.preprocess
+        monkeypatch.setattr(
+            dataplane, "preprocess",
+            lambda pixels, *a: calls.append(1) or real(pixels, *a))
+        fleet = make_fleet(replication=2)
+        images, labels = images_of(5, fleet)
+        ids, _ = fleet.ingest(images, train_labels=labels)
+        assert len(calls) == 5
+        server = fleet.cluster.inference_server
+        for pid, pixels in zip(ids, images):
+            record = fleet.cluster.database.lookup(pid)
+            assert (record.label, record.confidence) == server.classify(
+                pixels)
+
     def test_quota_rejections_do_not_consume_ids(self):
         images, _ = images_of(4, make_fleet())
         per_image = int(images[0].nbytes)

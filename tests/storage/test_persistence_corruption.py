@@ -103,6 +103,30 @@ class TestObjectStoreSnapshotCorruption:
         with pytest.raises(SnapshotError, match="version 9"):
             load_object_store(resealed)
 
+    def test_resealed_garbage_stream_is_a_snapshot_error(self):
+        """CRC-valid frame whose deflate stream is damaged: the typed
+        error, never a raw ``zlib.error``."""
+        blob = dump_object_store(sample_store())
+        frame = bytearray(blob[:-4])
+        start = struct.calcsize(">4sBQI") + 4 + 2  # past NDPZ + zlib header
+        for pos in range(start, len(frame)):
+            frame[pos] ^= 0xA5
+        resealed = bytes(frame) + struct.pack(
+            ">I", zlib.crc32(bytes(frame)))
+        with pytest.raises(SnapshotError, match="corrupt"):
+            load_object_store(resealed)
+
+    def test_loads_from_a_view_without_counting_io(self):
+        """A checkpoint frame hands the loader a ``memoryview`` slice;
+        restored objects are private ``bytes`` and no write is counted."""
+        store = sample_store()
+        padded = b"pad" + dump_object_store(store) + b"pad"
+        clone = load_object_store(memoryview(padded)[3:-3])
+        assert clone.keys() == store.keys()
+        assert all(type(clone.peek(k)) is bytes for k in clone.keys())
+        assert clone.bytes_written == 0
+        assert clone.volume.used_bytes == store.volume.used_bytes
+
     def test_restored_stale_crc_survives(self):
         """Corruption present before the snapshot must still be
         detectable after restore (the CRC travels with the object)."""
@@ -133,6 +157,16 @@ class TestDatabaseSnapshotCorruption:
         for cut in (0, 2, len(blob) // 2, len(blob) - 1):
             with pytest.raises(SnapshotError):
                 load_photo_database(blob[:cut])
+
+    def test_resealed_garbage_stream_is_a_snapshot_error(self):
+        blob = dump_photo_database(sample_db())
+        frame = bytearray(blob[:-4])
+        for pos in range(4 + 4 + 2, len(frame)):  # past NDPD + NDPZ + zlib
+            frame[pos] ^= 0xA5
+        resealed = bytes(frame) + struct.pack(
+            ">I", zlib.crc32(bytes(frame)))
+        with pytest.raises(SnapshotError, match="corrupt"):
+            load_photo_database(resealed)
 
     def test_v1_payload_is_refused_loudly(self):
         import json

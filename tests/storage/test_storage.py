@@ -1,5 +1,7 @@
 """Storage substrate tests: compression, codec, object store, photo DB."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,21 @@ class TestCompression:
     def test_int_array_roundtrip(self):
         arr = np.arange(10, dtype=np.int64)
         assert np.array_equal(decompress_array(compress_array(arr)), arr)
+
+
+    def test_damaged_stream_raises_value_error(self):
+        """``zlib.error`` is not a ``ValueError``; loaders catch the latter."""
+        blob = bytearray(deflate(b"preprocessed binary " * 50))
+        for pos in range(8, len(blob)):
+            blob[pos] ^= 0x5A
+        with pytest.raises(ValueError, match="corrupt deflate stream"):
+            inflate(bytes(blob))
+        with pytest.raises(ValueError, match="corrupt deflate stream"):
+            inflate(deflate(b"x" * 500)[:-3])
+
+    def test_inflates_a_memoryview(self):
+        raw = b"abc" * 100
+        assert inflate(memoryview(b"__" + deflate(raw))[2:]) == raw
 
 
 class TestPhotoCodec:
@@ -204,6 +221,19 @@ class TestObjectStore:
         store.get("k")
         assert store.bytes_written == 4
         assert store.bytes_read == 8
+
+    def test_restore_object_reinstates_without_workload_accounting(self):
+        store = ObjectStore(Volume(16))
+        store.restore_object("k", b"abcd", crc=123)
+        assert store.peek("k") == b"abcd"
+        assert store.stored_crc("k") == 123 and not store.verify("k")
+        assert (store.bytes_written, store.volume.used_bytes) == (0, 4)
+        store.restore_object("k", b"ab", crc=zlib.crc32(b"ab"))
+        assert store.verify("k") and store.volume.used_bytes == 2
+        with pytest.raises(StorageFullError):
+            store.restore_object("big", b"x" * 15, crc=0)
+        with pytest.raises(ValueError):
+            store.restore_object("", b"x", crc=0)
 
     def test_preprocessed_overhead(self):
         store = ObjectStore()
