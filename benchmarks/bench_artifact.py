@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.core.cluster import NDPipeCluster
+from repro.core.config import ClusterConfig
 from repro.data.datasets import CIFAR100_LIKE
 from repro.models.catalog import model_graph
 from repro.models.registry import tiny_model
@@ -30,7 +31,8 @@ def run_artifact_workflow():
     def factory():
         return tiny_model("ResNet50", num_classes=num_classes, width=8, seed=0)
 
-    cluster = NDPipeCluster(factory, num_stores=2, nominal_raw_bytes=4096)
+    cluster = NDPipeCluster(factory, ClusterConfig(
+        num_stores=2, nominal_raw_bytes=4096))
     x, y = world.sample(240, 0, rng=np.random.default_rng(1))
     cluster.ingest(x, train_labels=y)
 

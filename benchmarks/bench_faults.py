@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.core.cluster import NDPipeCluster
+from repro.core.config import ClusterConfig
 from repro.faults import FaultInjector, StoreCrash
 from repro.models.catalog import model_graph
 from repro.models.registry import tiny_model
@@ -78,7 +79,8 @@ def crashed_cluster_accounting():
     def factory():
         return tiny_model("ResNet50", num_classes=8, width=8, seed=5)
 
-    cluster = NDPipeCluster(factory, num_stores=4, nominal_raw_bytes=2048)
+    cluster = NDPipeCluster(factory, ClusterConfig(
+        num_stores=4, nominal_raw_bytes=2048))
     rng = np.random.default_rng(0)
     x = rng.random((48, 3, 16, 16))
     y = rng.integers(0, 8, size=48)

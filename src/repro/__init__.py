@@ -35,8 +35,6 @@ Subsystem tour:
 * :mod:`repro.analysis` — one driver per paper table/figure.
 """
 
-import warnings as _warnings
-
 __version__ = "1.1.0"
 
 from . import nn  # noqa: F401
@@ -73,30 +71,3 @@ __all__ = [
     "nn",
     "__version__",
 ]
-
-#: renamed/superseded symbols still importable from the top level;
-#: each access warns once and resolves to the current home
-_DEPRECATED_ALIASES = {
-    # the single-upload path predates the serving layer
-    "OnlineInferencePath": ("repro.inference.online", "OnlineInferencePath",
-                            "repro.serving.ServingFrontend"),
-}
-
-
-def __getattr__(name):
-    """PEP 562 hook: serve deprecated aliases with a warning."""
-    try:
-        module_name, attr, replacement = _DEPRECATED_ALIASES[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    _warnings.warn(
-        f"repro.{name} is deprecated; use {replacement} instead",
-        DeprecationWarning, stacklevel=2)
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_DEPRECATED_ALIASES))

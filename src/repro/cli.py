@@ -24,7 +24,7 @@ Commands:
   results, and optionally gate them against the committed baselines
   (``--check``) or re-record the baselines (``--bless``);
 * ``lint``     — run the ndlint invariant rules (intraprocedural
-  ND001..ND005 plus the interprocedural call-graph tier ND006..ND010)
+  ND001..ND005 plus the interprocedural call-graph tier ND006..ND009)
   over the package (or given paths) and exit nonzero on unbaselined
   findings (``--baseline``/``--update-baseline`` manage the ledger).
 
@@ -499,17 +499,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
              else [package_root()])
     if args.update_manifest:
         # collect registrations with the manifest check disabled, rewrite
-        # both manifests, then lint for real against the fresh copies
+        # METRICS.md, then lint for real against the fresh copy
         probe = LintEngine()
         probe.config.manifest_path = None
         probe.run(paths)
         engine.registrations = probe.registrations
         target = engine.write_manifest()
         print(f"wrote {target}", file=sys.stderr)
-        if probe.fastpath_usage:
-            engine.fastpath_usage = probe.fastpath_usage
-            target = engine.write_fastpath_manifest()
-            print(f"wrote {target}", file=sys.stderr)
     findings = engine.run(paths)
     if args.check_manifests:
         drift = _manifest_drift(engine)
@@ -541,18 +537,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _manifest_drift(engine) -> list:
-    """Human-readable drift lines for METRICS.md + the fastpath manifest."""
+    """Human-readable drift lines for METRICS.md."""
     drift = []
     path = engine.config.manifest_path
     if path is not None:
         on_disk = path.read_text() if path.is_file() else ""
         if on_disk != engine.render_manifest():
-            drift.append(f"{path} is stale; regenerate with "
-                         "'repro lint --update-manifest'")
-    path = engine.config.fastpath_manifest_path
-    if path is not None and engine.fastpath_usage:
-        on_disk = path.read_text() if path.is_file() else ""
-        if on_disk != engine.render_fastpath_manifest():
             drift.append(f"{path} is stale; regenerate with "
                          "'repro lint --update-manifest'")
     return drift
@@ -941,8 +931,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="files/directories to lint (default: the "
                            "installed repro package)")
     lint.add_argument("--update-manifest", action="store_true",
-                      help="regenerate obs/METRICS.md and "
-                           "fastpath_equivalence.json before linting")
+                      help="regenerate obs/METRICS.md before linting")
     lint.add_argument("--baseline", metavar="FILE",
                       help="tolerate findings recorded in this "
                            "lint-baseline.json; only new findings fail")
@@ -951,8 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "baseline ledger (--baseline or "
                            "lint-baseline.json) and exit 0")
     lint.add_argument("--check-manifests", action="store_true",
-                      help="fail when obs/METRICS.md or "
-                           "fastpath_equivalence.json is stale")
+                      help="fail when obs/METRICS.md is stale")
     _add_common_flags(lint)
     lint.set_defaults(func=_cmd_lint)
     return parser

@@ -29,7 +29,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..fastpath import flags
 
 # CNR2: entry headers carry the tensor dtype and exact payloads are
 # native-dtype XOR bit diffs (CNR1 shipped float64 arithmetic diffs,
@@ -123,7 +122,7 @@ def apply_delta(old: Dict[str, np.ndarray], blob: bytes) -> Dict[str, np.ndarray
     body = zlib.decompress(compressed)
     # payloads are read through a memoryview so each tensor's bytes are
     # consumed in place instead of slice-copied out of the body first
-    body_view = memoryview(body) if flags().zero_copy else body
+    body_view = memoryview(body)
     new = {k: v.copy() for k, v in old.items()}
     offset = 0
     for _ in range(changed):

@@ -16,15 +16,14 @@ composition root over three planes: the
 :class:`~repro.core.dataplane.IngestDataPlane` (upload landing,
 placement, replication), the :class:`~repro.core.controlplane.
 RecoveryControlPlane` (journal, re-ingest, scrub/repair), and the
-checkpoint codec in :mod:`repro.core.snapshot`.  Every historic method
-keeps working as a delegator; the sharded fleet
+checkpoint codec in :mod:`repro.core.snapshot`.  The flows below
+delegate to the planes; the sharded fleet
 (:class:`repro.placement.fleet.ShardedCluster`) composes the same planes
 with ring placement instead.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -33,7 +32,6 @@ import numpy as np
 from ..durability.checkpoint import FinetuneProgress
 from ..durability.integrity import ClusterScrubReport
 from ..durability.replication import ReplicaMap
-from ..fastpath import flags
 from ..faults.errors import TransientFaultError
 from ..faults.retry import RetryPolicy
 from ..models.split import SplitModel
@@ -86,10 +84,6 @@ class NDPipeCluster:
 
         cluster = NDPipeCluster(factory, ClusterConfig(num_stores=8))
 
-    The pre-config signature — eleven loose keyword parameters
-    (``num_stores=...``, ``lr=...``, ...) — still works through a shim
-    that maps the kwargs onto a config and emits exactly one
-    ``DeprecationWarning``; behaviour is bit-identical either way.
     Collaborator objects (``retry_policy``, ``metrics``, ``tracer``)
     are live dependencies rather than values and stay keyword-only.
     """
@@ -98,26 +92,7 @@ class NDPipeCluster:
                  config: Optional[ClusterConfig] = None, *,
                  retry_policy: Optional[RetryPolicy] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None,
-                 **legacy_kwargs):
-        if legacy_kwargs:
-            unknown = sorted(set(legacy_kwargs) - ClusterConfig.field_names())
-            if unknown:
-                raise TypeError(
-                    f"NDPipeCluster got unexpected keyword arguments "
-                    f"{unknown}; valid config fields: "
-                    f"{sorted(ClusterConfig.field_names())}")
-            if config is not None:
-                raise TypeError(
-                    "pass either a ClusterConfig or legacy keyword "
-                    "arguments, not both")
-            warnings.warn(
-                "constructing NDPipeCluster from loose keyword arguments "
-                "is deprecated; pass NDPipeCluster(model_factory, "
-                f"ClusterConfig({', '.join(sorted(legacy_kwargs))}=...)) "
-                "instead",
-                DeprecationWarning, stacklevel=2)
-            config = ClusterConfig(**legacy_kwargs)
+                 tracer: Optional[Tracer] = None):
         self.config = (config if config is not None
                        else ClusterConfig()).validated()
         self.replication = self.config.replication
@@ -180,51 +155,33 @@ class NDPipeCluster:
     # -- ingest (online inference) flow --------------------------------------
     def ingest(self, images: np.ndarray, train_labels: Optional[Sequence[int]] = None,
                ) -> List[str]:
-        """Upload a batch of photos (N, 3, H, W in [0, 1]); returns ids."""
+        """Upload a batch of photos (N, 3, H, W in [0, 1]); returns ids.
+
+        Uploads are classified in micro-batches of ``config.batch_size``:
+        one preprocess + one forward per chunk.  The stored preprocessed
+        tensors are what a per-photo ``preprocess`` yields (the transform
+        is elementwise); confidences can differ in the last ulps from
+        batch-1 forwards because a batch-N GEMM reduces differently.
+        """
         if images.ndim != 4:
             raise ValueError(f"expected (N, 3, H, W) images, got {images.shape}")
         if train_labels is not None and len(train_labels) != len(images):
             raise ValueError("train_labels length mismatch")
         ids: List[str] = []
-        with self.tracer.span("cluster.ingest", photos=len(images)):
-            if flags().batched_ingest:
-                self._ingest_batched(images, train_labels, ids)
-            else:
-                for row, pixels in enumerate(images):
-                    label, confidence = self.inference_server.classify(pixels)
-                    preprocessed = self.inference_server.preprocess(pixels)
-                    train_label = (None if train_labels is None
-                                   else int(train_labels[row]))
-                    ids.append(self._land_upload(
-                        pixels, preprocessed, label, confidence, train_label))
-        return ids
-
-    def _ingest_batched(self, images: np.ndarray,
-                        train_labels: Optional[Sequence[int]],
-                        ids: List[str]) -> None:
-        """Classify uploads in micro-batches of ``config.batch_size``.
-
-        One preprocess + one forward per chunk instead of two preprocess
-        calls and a batch-1 forward per photo.  The stored preprocessed
-        tensors are bit-identical to the per-photo path (the transform is
-        elementwise); confidences may differ in the last ulps because a
-        batch-N GEMM reduces differently from N batch-1 calls — which is
-        why this rides the separate ``batched_ingest`` flag.
-        """
         chunk_size = self.config.batch_size
-        for start in range(0, len(images), chunk_size):
-            block = images[start:start + chunk_size]
-            if flags().vectorized_preprocess:
+        with self.tracer.span("cluster.ingest", photos=len(images)):
+            for start in range(0, len(images), chunk_size):
+                block = images[start:start + chunk_size]
                 preprocessed = preprocess(block)
-            else:
-                preprocessed = np.stack([preprocess(p) for p in block])
-            results = self.inference_server.classify_preprocessed(preprocessed)
-            for row, (label, confidence) in enumerate(results):
-                train_label = (None if train_labels is None
-                               else int(train_labels[start + row]))
-                ids.append(self._land_upload(
-                    block[row], preprocessed[row], label, confidence,
-                    train_label))
+                results = self.inference_server.classify_preprocessed(
+                    preprocessed)
+                for row, (label, confidence) in enumerate(results):
+                    train_label = (None if train_labels is None
+                                   else int(train_labels[start + row]))
+                    ids.append(self._land_upload(
+                        block[row], preprocessed[row], label, confidence,
+                        train_label))
+        return ids
 
     def _land_upload(self, pixels: np.ndarray, preprocessed: np.ndarray,
                      label: int, confidence: float,
@@ -286,11 +243,6 @@ class NDPipeCluster:
                      ) -> PipeStore:
         """Land one photo on an available store (data-plane delegator)."""
         return self.dataplane.place_photo(photo, kind=kind)
-
-    def _place_replicas(self, photo: StoredPhoto,
-                        exclude: Sequence[str]) -> List[str]:
-        """Land extra replica copies (data-plane delegator)."""
-        return self.dataplane.place_replicas(photo, exclude=exclude)
 
     def _next_available_store(self) -> PipeStore:
         """Round-robin store selection (data-plane delegator)."""
@@ -453,10 +405,6 @@ class NDPipeCluster:
     def journal_size(self) -> int:
         """Entries currently resident in the upload journal."""
         return self.control.journal_size
-
-    def _journal_put(self, photo_id: str, pixels: np.ndarray,
-                     train_label: Optional[int]) -> None:
-        self.control.journal_put(photo_id, pixels, train_label)
 
     def prune_journal(self) -> int:
         """Drop journal entries whose photo is gone from the database.

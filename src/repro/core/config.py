@@ -93,7 +93,3 @@ class ClusterConfig:
                 f"unknown ClusterConfig fields {unknown}; known fields: "
                 f"{sorted(known)}")
         return cls(**data).validated()
-
-    @classmethod
-    def field_names(cls) -> frozenset:
-        return frozenset(f.name for f in fields(cls))

@@ -27,7 +27,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..fastpath import flags
 from ..faults.errors import TransientFaultError
 from ..faults.retry import call_with_retry
 from ..models.split import SplitModel
@@ -82,15 +81,6 @@ class InferenceServer:
         with inference_mode():
             logits = self.model(Tensor(batch)).data
         return softmax_top1(logits)
-
-    def classify_batch(self, images: np.ndarray) -> List[Tuple[int, float]]:
-        """Preprocess and label a raw batch (N, 3, H, W) in one pass."""
-        if flags().vectorized_preprocess:
-            # elementwise transform: one call over the whole batch lands
-            # the exact bytes of the per-photo loop
-            return self.classify_preprocessed(preprocess(images))
-        return self.classify_preprocessed(
-            np.stack([preprocess(pixels) for pixels in images]))
 
     def preprocess(self, pixels: np.ndarray) -> np.ndarray:
         """The offloaded preprocessing step (§5.4 +Offload)."""

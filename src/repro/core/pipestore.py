@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..durability.integrity import ScrubReport
-from ..fastpath import flags
 from ..faults.errors import StaleEpochError
 from ..lint.contracts import fenced_by
 from ..models.split import SplitModel
@@ -352,8 +351,6 @@ class PipeStore:
     def _load_batch(self, photo_ids: Sequence[str]) -> np.ndarray:
         if not photo_ids:
             raise ValueError("no photo ids given")
-        if not flags().batch_decode:
-            return np.stack([self.load_preprocessed(pid) for pid in photo_ids])
         # decode straight into one preallocated (N, C, H, W) array: one
         # payload copy per photo instead of decode + copy + np.stack
         first = self.load_preprocessed(photo_ids[0])

@@ -11,9 +11,9 @@ Two halves, one convention:
   call graph to prove ND006 conservation laws
   (:func:`~repro.lint.contracts.conserves`), ND007 epoch-fence dominance
   (:func:`~repro.lint.contracts.fenced_by`), ND008 blocking-under-lock
-  reachability, ND009 exception-safe accounting, and ND010 fastpath
-  equivalence-manifest coverage.  :mod:`repro.lint.baseline` gives the
-  ruff-style ``--baseline``/``--update-baseline`` adoption workflow; and
+  reachability, and ND009 exception-safe accounting.
+  :mod:`repro.lint.baseline` gives the ruff-style
+  ``--baseline``/``--update-baseline`` adoption workflow; and
 * the :data:`SANITIZER` checks at runtime what the AST cannot: lock
   acquisition-order cycles (annotated with vector-clock happens-before
   verdicts), cross-thread writes to :func:`guarded_by`-declared state,

@@ -1,4 +1,4 @@
-"""Project-wide symbol table and call graph for the ND006-ND010 rules.
+"""Project-wide symbol table and call graph for the ND006-ND009 rules.
 
 The per-module rules (ND001-ND005) see one file at a time; the
 interprocedural tier needs to answer project-wide questions — *which

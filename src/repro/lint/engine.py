@@ -19,7 +19,6 @@ regenerates it deterministically from the registrations it collected.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,10 +29,8 @@ from .findings import Finding
 from .interproc import (
     check_conservation,
     check_exception_accounting,
-    check_fastpath_manifest,
     check_fencing,
     check_lock_blocking,
-    collect_fastpath_usage,
 )
 from .rules import (
     MetricRegistration,
@@ -67,10 +64,8 @@ class LintConfig:
     rule_allow: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     manifest_path: Optional[Path] = None
     manifest_scope: Optional[str] = "repro/"
-    #: run the ND006-ND010 call-graph tier
+    #: run the ND006-ND009 call-graph tier
     interprocedural: bool = True
-    #: the ND010 equivalence-test manifest (None disables the rule)
-    fastpath_manifest_path: Optional[Path] = None
     #: emit ND000 for justified markers whose rule never fires
     flag_unused_markers: bool = True
 
@@ -108,7 +103,6 @@ def default_config() -> LintConfig:
             ),
         },
         manifest_path=root / "obs" / "METRICS.md",
-        fastpath_manifest_path=root / "fastpath_equivalence.json",
     )
 
 
@@ -135,8 +129,6 @@ class LintEngine:
         self._contexts: List[ModuleContext] = []
         #: (path, line, rule) inline suppressions that actually fired
         self._marker_hits: Set[Tuple[str, int, str]] = set()
-        #: flag -> {module -> line} from the last interprocedural run
-        self.fastpath_usage: Dict[str, Dict[str, int]] = {}
 
     # -- discovery ----------------------------------------------------------
     @staticmethod
@@ -156,7 +148,6 @@ class LintEngine:
         self.registrations = []
         self._contexts = []
         self._marker_hits = set()
-        self.fastpath_usage = {}
         for file in files:
             findings.extend(self.lint_file(file))
         manifest_names: Optional[Set[str]] = None
@@ -176,22 +167,15 @@ class LintEngine:
         return sorted(findings)
 
     def _run_interprocedural(self) -> List[Finding]:
-        """The ND006-ND010 tier over every module of this run."""
+        """The ND006-ND009 tier over every module of this run."""
         index = ProjectIndex(self._contexts)
         graph = CallGraph(index)
-        self.fastpath_usage = collect_fastpath_usage(index)
-        manifest: Optional[dict] = None
-        if self.config.fastpath_manifest_path is not None and \
-                self.config.fastpath_manifest_path.is_file():
-            manifest = json.loads(
-                self.config.fastpath_manifest_path.read_text())
         findings: List[Finding] = []
         for rule_findings in (
             check_conservation(index, graph),
             check_fencing(index, graph),
             check_lock_blocking(index, graph),
             check_exception_accounting(index, graph),
-            check_fastpath_manifest(index, manifest),
         ):
             for finding in rule_findings:
                 if not self._suppressed(finding):
@@ -279,48 +263,4 @@ class LintEngine:
         if target is None:
             raise ValueError("no manifest path configured")
         target.write_text(self.render_manifest())
-        return target
-
-    # -- the fastpath equivalence manifest ----------------------------------
-    def render_fastpath_manifest(self) -> str:
-        """fastpath_equivalence.json content from the last run's usage.
-
-        The ``modules`` lists are regenerated from the call-graph scan;
-        the hand-maintained ``tests`` lists (the bit-exactness lockdown
-        for each flag) are carried over from the manifest on disk, so a
-        regeneration can never silently drop a lockdown.
-        """
-        existing: dict = {}
-        if self.config.fastpath_manifest_path is not None and \
-                self.config.fastpath_manifest_path.is_file():
-            existing = json.loads(
-                self.config.fastpath_manifest_path.read_text())
-        flags: Dict[str, dict] = {}
-        for flag, sites in sorted(self.fastpath_usage.items()):
-            previous = existing.get("flags", {}).get(flag, {})
-            flags[flag] = {
-                "modules": sorted(sites),
-                "tests": sorted(previous.get("tests", [])),
-            }
-        payload = {
-            "comment": "fastpath dual-implementation registry; module "
-                       "lists are generated by 'repro lint "
-                       "--update-manifest', the tests lists are the "
-                       "hand-maintained equivalence lockdown ND010 "
-                       "requires to be non-empty.",
-            "version": 1,
-            "flags": flags,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
-    def write_fastpath_manifest(self, path: Optional[Path] = None) -> Path:
-        target = path if path is not None \
-            else self.config.fastpath_manifest_path
-        if target is None:
-            raise ValueError("no fastpath manifest path configured")
-        if not self.fastpath_usage:
-            raise ValueError(
-                "no fastpath usage collected; run the engine over a tree "
-                "containing repro/fastpath.py first")
-        target.write_text(self.render_fastpath_manifest())
         return target

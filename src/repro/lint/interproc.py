@@ -1,4 +1,4 @@
-"""The interprocedural rule tier (ND006-ND010).
+"""The interprocedural rule tier (ND006-ND009).
 
 Built on :mod:`repro.lint.callgraph`, these rules see the whole linted
 tree at once.  A shared bounded **path enumerator** walks every
@@ -29,12 +29,6 @@ then reason about event *order* (ND007 dominance) or event *sums*
   can be skipped by a caught fault mid-group, skewing the books; they
   must move to ``finally``, a context manager, or after the fault
   point.
-* **ND010 fastpath equivalence manifest** — every module reading a
-  :class:`~repro.fastpath.FastPathFlags` field ships a dual
-  implementation and must be listed (with a non-empty equivalence-test
-  set) in ``fastpath_equivalence.json``; the rule only runs when
-  ``fastpath.py`` itself is in the linted file set, so partial-tree
-  lints stay quiet.
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ import ast
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .callgraph import BlockingSite, CallGraph, ClassInfo, FunctionInfo, \
-    ProjectIndex, module_key
+    ProjectIndex
 from .findings import Finding
 from .rules import _collect_imports
 
@@ -52,8 +46,6 @@ __all__ = [
     "check_fencing",
     "check_lock_blocking",
     "check_exception_accounting",
-    "check_fastpath_manifest",
-    "collect_fastpath_usage",
     "PathOverflow",
     "enumerate_paths",
 ]
@@ -595,77 +587,4 @@ def _try_body_findings(index: ProjectIndex,
                         "body with handlers; a caught fault skips it — "
                         "move it to finally or record after the fault "
                         "point"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# ND010 — fastpath equivalence manifest
-# ---------------------------------------------------------------------------
-def _flag_names(index: ProjectIndex) -> Set[str]:
-    info = index.classes.get("FastPathFlags")
-    if info is None or not info.path.endswith("fastpath.py"):
-        return set()
-    names: Set[str] = set()
-    for node in info.node.body:
-        if isinstance(node, ast.AnnAssign) and \
-                isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-    return names
-
-
-def collect_fastpath_usage(index: ProjectIndex,
-                           ) -> Dict[str, Dict[str, int]]:
-    """flag -> {module -> first use line} across the linted tree."""
-    flags = _flag_names(index)
-    usage: Dict[str, Dict[str, int]] = {flag: {} for flag in flags}
-    if not flags:
-        return usage
-    for ctx in index.contexts:
-        module = module_key(ctx.path)
-        if module.endswith("fastpath") or "/lint/" in ctx.path:
-            continue
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Attribute) and node.attr in flags and \
-                    isinstance(node.ctx, ast.Load):
-                sites = usage[node.attr]
-                if module not in sites or node.lineno < sites[module]:
-                    sites[module] = node.lineno
-    return usage
-
-
-def check_fastpath_manifest(index: ProjectIndex,
-                            manifest: Optional[dict],
-                            ) -> List[Finding]:
-    """Every flag-gated dual implementation is manifest-listed + tested."""
-    findings: List[Finding] = []
-    usage = collect_fastpath_usage(index)
-    if not any(usage.values()):
-        return findings  # fastpath.py not in the linted tree
-    entries = (manifest or {}).get("flags", {})
-    path_of: Dict[str, str] = {module_key(c.path): c.path
-                               for c in index.contexts}
-    for flag, sites in sorted(usage.items()):
-        entry = entries.get(flag, {})
-        listed = set(entry.get("modules", ()))
-        tests = entry.get("tests", ())
-        for module, line in sorted(sites.items()):
-            if module not in listed:
-                findings.append(Finding(
-                    path=path_of.get(module, module), line=line, col=1,
-                    rule="ND010",
-                    message=f"fastpath flag '{flag}' gates a dual "
-                            f"implementation in {module} but the module "
-                            "is missing from fastpath_equivalence.json; "
-                            "regenerate with 'repro lint "
-                            "--update-manifest' and add its equivalence "
-                            "test"))
-        if sites and not tests:
-            module, line = sorted(sites.items())[0]
-            findings.append(Finding(
-                path=path_of.get(module, module), line=line, col=1,
-                rule="ND010",
-                message=f"fastpath flag '{flag}' has no equivalence "
-                        "tests recorded in fastpath_equivalence.json; a "
-                        "vectorized path cannot ship without its "
-                        "bit-exactness lockdown"))
     return findings

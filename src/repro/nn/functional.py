@@ -13,7 +13,6 @@ from typing import Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ..fastpath import flags
 from .tensor import Tensor
 
 
@@ -97,71 +96,18 @@ def conv2d(x: Tensor, weight: Tensor, stride: int = 1, padding: int = 0, groups:
 
     if groups == c and f == c and c_per_group == 1:
         return _depthwise_conv2d(x, weight, stride, padding)
-    if flags().vectorized_autograd:
-        return _conv2d_matmul(x, weight, stride, padding, groups)
-    return _conv2d_grouped(x, weight, stride, padding, groups)
-
-
-def _conv2d_grouped(x: Tensor, weight: Tensor, stride: int, padding: int,
-                    groups: int) -> Tensor:
-    """Scalar reference: per-group loop, one im2col and GEMM per group.
-
-    Performs the exact arithmetic of :func:`_conv2d_matmul` group by
-    group (same contraction element order), so the vectorized path is
-    provably bit-identical to this baseline
-    (``tests/nn/test_functional_equivalence.py``).
-    """
-    n, c, h, w = x.shape
-    f, c_per_group, kh, kw = weight.shape
-    f_per_group = f // groups
-    k = c_per_group * kh * kw
-    oh = conv_output_size(h, kh, stride, padding)
-    ow = conv_output_size(w, kw, stride, padding)
-    p = oh * ow
-
-    cols_list = []
-    outs = np.empty((n, f, p), dtype=x.data.dtype)
-    w2 = weight.data.reshape(groups, f_per_group, k)
-    for g in range(groups):
-        xg = x.data[:, g * c_per_group:(g + 1) * c_per_group]
-        cols, _, _ = im2col(xg, kh, kw, stride, padding)
-        cols_list.append(cols)
-        outs[:, g * f_per_group:(g + 1) * f_per_group] = np.matmul(w2[g], cols)
-    out_data = outs.reshape(n, f, oh, ow)
-
-    def backward(grad):
-        grad = grad.reshape(n, f, p)
-        if weight.requires_grad:
-            dw = np.empty_like(weight.data).reshape(groups, f_per_group, k)
-            for g in range(groups):
-                gg = grad[:, g * f_per_group:(g + 1) * f_per_group]
-                gf = gg.transpose(1, 0, 2).reshape(f_per_group, n * p)
-                ck = cols_list[g].transpose(1, 0, 2).reshape(k, n * p)
-                dw[g] = np.matmul(gf, ck.T)
-            weight._accumulate(dw.reshape(weight.shape))
-        if x.requires_grad:
-            dx = np.empty_like(x.data)
-            xg_shape = (n, c_per_group, h, w)
-            for g in range(groups):
-                gg = grad[:, g * f_per_group:(g + 1) * f_per_group]
-                dcols = np.matmul(w2[g].T, gg)
-                dx[:, g * c_per_group:(g + 1) * c_per_group] = col2im(
-                    dcols, xg_shape, kh, kw, stride, padding
-                )
-            x._accumulate(dx)
-
-    return x._make(out_data, (x, weight), backward)
+    return _conv2d_matmul(x, weight, stride, padding, groups)
 
 
 def _conv2d_matmul(x: Tensor, weight: Tensor, stride: int, padding: int,
                    groups: int) -> Tensor:
-    """Vectorized conv: one im2col, one batched GEMM per contraction.
+    """One im2col, one batched GEMM per contraction.
 
     Each per-(sample, group) GEMM sees the same operands in the same
-    element order as the per-group loop of :func:`_conv2d_grouped`, so
-    outputs and gradients are bit-identical to the scalar reference —
-    the win is one unfold and one BLAS dispatch instead of ``groups`` of
-    each.
+    element order as a per-group loop would, so outputs and gradients
+    are bit-identical to the per-group oracle in
+    ``tests/nn/reference_ops.py`` — the win is one unfold and one BLAS
+    dispatch instead of ``groups`` of each.
     """
     n, c, h, w = x.shape
     f, c_per_group, kh, kw = weight.shape
@@ -171,7 +117,7 @@ def _conv2d_matmul(x: Tensor, weight: Tensor, stride: int, padding: int,
     # im2col keeps channels outermost, so group g's columns are the
     # contiguous slice [g*k:(g+1)*k] — one unfold serves every group.
     # The GEMM promotes float32 columns to float64; results are cast back
-    # to the input dtype exactly like the reference's assignment into its
+    # to the input dtype exactly like the oracle's assignment into its
     # input-dtype output buffer.
     cols, oh, ow = im2col(x.data, kh, kw, stride, padding)
     p = oh * ow

@@ -10,7 +10,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..fastpath import flags
 from . import functional as F
 from . import init
 from .module import Module, Parameter
@@ -95,7 +94,7 @@ class BatchNorm2d(Module):
                 (1 - m) * self._buffers["running_var"] + m * var.data.reshape(-1)
             )
         else:
-            if not grad_enabled() and flags().vectorized_autograd:
+            if not grad_enabled():
                 return self._eval_fast(x)
             mean = Tensor(self._buffers["running_mean"].reshape(1, -1, 1, 1))
             var = Tensor(self._buffers["running_var"].reshape(1, -1, 1, 1))

@@ -15,12 +15,10 @@ operands are reduced back to the operand's shape by :func:`_unbroadcast`.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-from ..fastpath import flags  # fastpath has no nn dep
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -51,15 +49,9 @@ def no_grad():
         _GRAD_MODE.enabled = previous
 
 
-def inference_mode():
-    """:func:`no_grad` when the vectorized-autograd fast path is on.
-
-    Forward-only call sites (classify, feature extraction, offline
-    relabel) wrap themselves in this; under ``scalar_mode()`` it is a
-    null context so the historical graph-building behaviour is preserved
-    for perf A/B runs.
-    """
-    return no_grad() if flags().vectorized_autograd else nullcontext()
+#: Forward-only call sites (classify, feature extraction, offline relabel)
+#: say what they are; the mechanism is :func:`no_grad`.
+inference_mode = no_grad
 
 
 def reuse(ufunc, buf: np.ndarray, operand: np.ndarray) -> np.ndarray:

@@ -31,13 +31,10 @@ Module tour:
   composing all of the above over one
   :class:`~repro.core.cluster.NDPipeCluster`.
 
-This package also keeps deprecated aliases for placement-flavoured
-symbols that the cluster decomposition moved into
-:mod:`repro.core.dataplane`; importing them from here warns once and
-resolves to the current home.
+The placement policies themselves (``RingPlacement``,
+``RoundRobinPlacement``) and ``IngestDataPlane`` live in
+:mod:`repro.core.dataplane`, the seam the single-shard cluster also uses.
 """
-
-import warnings as _warnings
 
 from .config import ShardConfig, TenantConfig
 from .fanout import FanoutTree
@@ -70,35 +67,3 @@ __all__ = [
     "UnknownTenantError",
     "split_key",
 ]
-
-#: placement-policy symbols that live in the core data plane (they are
-#: the seam the single-shard cluster also uses); importable from here
-#: for discoverability, with a pointer at the canonical home
-_DEPRECATED_ALIASES = {
-    "RingPlacement": ("repro.core.dataplane", "RingPlacement",
-                      "repro.core.dataplane.RingPlacement"),
-    "RoundRobinPlacement": ("repro.core.dataplane", "RoundRobinPlacement",
-                            "repro.core.dataplane.RoundRobinPlacement"),
-    "IngestDataPlane": ("repro.core.dataplane", "IngestDataPlane",
-                        "repro.core.dataplane.IngestDataPlane"),
-}
-
-
-def __getattr__(name):
-    """PEP 562 hook: serve deprecated aliases with a warning."""
-    try:
-        module_name, attr, replacement = _DEPRECATED_ALIASES[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    _warnings.warn(
-        f"repro.placement.{name} is deprecated; import {replacement} "
-        "instead",
-        DeprecationWarning, stacklevel=2)
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_DEPRECATED_ALIASES))

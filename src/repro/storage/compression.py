@@ -11,8 +11,6 @@ import zlib
 
 import numpy as np
 
-from ..fastpath import flags
-
 _HEADER = b"NDPZ"
 
 
@@ -27,11 +25,9 @@ def inflate(blob: bytes) -> bytes:
     if blob[:len(_HEADER)] != _HEADER:
         raise ValueError("not a deflate frame (bad magic)")
     try:
-        if flags().zero_copy:
-            # slice through a memoryview: no intermediate bytes copy of
-            # the compressed payload before zlib reads it
-            return zlib.decompress(memoryview(blob)[len(_HEADER):])
-        return zlib.decompress(blob[len(_HEADER):])
+        # slice through a memoryview: no intermediate bytes copy of the
+        # compressed payload before zlib reads it
+        return zlib.decompress(memoryview(blob)[len(_HEADER):])
     except zlib.error as exc:
         raise ValueError(f"corrupt deflate stream: {exc}") from exc
 
@@ -55,9 +51,7 @@ def decompress_array(blob: bytes) -> np.ndarray:
     dtype = np.dtype(raw[:dtype_end].decode())
     shape_text = raw[dtype_end + 1:shape_end].decode()
     shape = tuple(int(x) for x in shape_text.split(",")) if shape_text else ()
-    if flags().zero_copy:
-        # frombuffer(offset=...) reads in place; the single .copy() below
-        # (needed for a writable result) is the only payload copy
-        array = np.frombuffer(raw, dtype=dtype, offset=shape_end + 1)
-        return array.reshape(shape).copy()
-    return np.frombuffer(raw[shape_end + 1:], dtype=dtype).reshape(shape).copy()
+    # frombuffer(offset=...) reads in place; the single .copy() below
+    # (needed for a writable result) is the only payload copy
+    array = np.frombuffer(raw, dtype=dtype, offset=shape_end + 1)
+    return array.reshape(shape).copy()

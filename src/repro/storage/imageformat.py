@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fastpath import flags
-
 _MAGIC = b"NDPJ"
 _HEADER_FMT = ">4sBHHHI"  # magic, channels, height, width, pad_kb, payload_len
+_PRE_MAGIC = b"NDPP"
+_PRE_HEADER_FMT = ">4sBHH"  # magic, channels, height, width
 
 
 class CodecError(ValueError):
@@ -57,11 +57,15 @@ def decode_photo(blob: bytes) -> np.ndarray:
     )
     if magic != _MAGIC:
         raise CodecError("bad photo magic")
-    if flags().zero_copy:
-        payload = memoryview(blob)[header_size:header_size + payload_len]
-    else:
-        payload = blob[header_size:header_size + payload_len]
-    raw = zlib.decompress(payload)
+    if len(blob) < header_size + payload_len:
+        raise CodecError(
+            f"photo payload truncated: header promises {payload_len} bytes, "
+            f"{len(blob) - header_size} present")
+    try:
+        raw = zlib.decompress(
+            memoryview(blob)[header_size:header_size + payload_len])
+    except zlib.error as exc:
+        raise CodecError(f"corrupt photo payload: {exc}") from exc
     pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
     expected = c * h * w
     if pixels.size != expected:
@@ -77,40 +81,47 @@ def preprocess(pixels: np.ndarray, mean: float = 0.5, std: float = 0.25) -> np.n
 def encode_preprocessed(tensor: np.ndarray) -> bytes:
     """Serialise a preprocessed fp32 tensor (the 0.59 MB binary)."""
     c, h, w = tensor.shape
-    header = struct.pack(">4sBHH", b"NDPP", c, h, w)
+    header = struct.pack(_PRE_HEADER_FMT, _PRE_MAGIC, c, h, w)
     return header + tensor.astype(np.float32).tobytes()
 
 
-def decode_preprocessed(blob: bytes) -> np.ndarray:
-    header_size = struct.calcsize(">4sBHH")
-    magic, c, h, w = struct.unpack(">4sBHH", blob[:header_size])
-    if magic != b"NDPP":
+def _preprocessed_view(blob: bytes) -> np.ndarray:
+    """Read-only (C, H, W) fp32 view of a preprocessed binary's payload.
+
+    Reads in place (``frombuffer(offset=...)``); anything that is not
+    exactly header + ``4*c*h*w`` payload bytes is a :class:`CodecError`.
+    """
+    header_size = struct.calcsize(_PRE_HEADER_FMT)
+    if len(blob) < header_size:
+        raise CodecError("blob too short for a preprocessed-binary header")
+    magic, c, h, w = struct.unpack_from(_PRE_HEADER_FMT, blob)
+    if magic != _PRE_MAGIC:
         raise CodecError("bad preprocessed-binary magic")
-    if flags().zero_copy:
-        # read the payload in place; the .copy() (for writability) is the
-        # only allocation instead of slice-copy + frombuffer + copy
-        data = np.frombuffer(blob, dtype=np.float32, offset=header_size)
-    else:
-        data = np.frombuffer(blob[header_size:], dtype=np.float32)
-    return data.reshape(c, h, w).copy()
+    if len(blob) - header_size != 4 * c * h * w:
+        raise CodecError(
+            f"preprocessed payload is {len(blob) - header_size} bytes, "
+            f"expected {4 * c * h * w} for shape {(c, h, w)}")
+    data = np.frombuffer(blob, dtype=np.float32, offset=header_size)
+    return data.reshape(c, h, w)
+
+
+def decode_preprocessed(blob: bytes) -> np.ndarray:
+    # the .copy() (for writability) is the only allocation
+    return _preprocessed_view(blob).copy()
 
 
 def decode_preprocessed_into(blob: bytes, out: np.ndarray) -> None:
     """Decode one preprocessed binary directly into a preallocated slot.
 
-    The batch-decode fast path fills rows of one ``(N, C, H, W)`` array
-    with this, skipping the per-photo ``.copy()`` + ``np.stack`` of the
-    scalar path.  Byte-for-byte the same values land in ``out``.
+    PipeStore fills rows of one ``(N, C, H, W)`` array with this, skipping
+    a per-photo ``.copy()`` + ``np.stack``.  Byte-for-byte the values
+    :func:`decode_preprocessed` returns land in ``out``.
     """
-    header_size = struct.calcsize(">4sBHH")
-    magic, c, h, w = struct.unpack(">4sBHH", blob[:header_size])
-    if magic != b"NDPP":
-        raise CodecError("bad preprocessed-binary magic")
-    if out.shape != (c, h, w):
+    data = _preprocessed_view(blob)
+    if out.shape != data.shape:
         raise CodecError(
-            f"output slot {out.shape} does not match payload {(c, h, w)}")
-    data = np.frombuffer(blob, dtype=np.float32, offset=header_size)
-    out[...] = data.reshape(c, h, w)
+            f"output slot {out.shape} does not match payload {data.shape}")
+    out[...] = data
 
 
 @dataclass(frozen=True)

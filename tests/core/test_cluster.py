@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import NDPipeCluster
+from repro.core.config import ClusterConfig
 from repro.core.fabric import NetworkFabric
 from repro.core.pipestore import PipeStore, StoredPhoto
 from repro.models.registry import tiny_model
@@ -17,7 +18,8 @@ def factory():
 
 @pytest.fixture
 def cluster(small_world):
-    return NDPipeCluster(factory, num_stores=3, nominal_raw_bytes=4096)
+    return NDPipeCluster(factory, ClusterConfig(
+        num_stores=3, nominal_raw_bytes=4096))
 
 
 @pytest.fixture
@@ -224,7 +226,7 @@ class TestEvaluation:
 
     def test_cluster_validation(self):
         with pytest.raises(ValueError):
-            NDPipeCluster(factory, num_stores=0)
+            NDPipeCluster(factory, ClusterConfig(num_stores=0))
 
 
 class TestUploadJournal:
@@ -232,9 +234,8 @@ class TestUploadJournal:
     photo's raw pixels stayed resident for the cluster's lifetime."""
 
     def test_journal_capped_bounds_memory(self, small_world):
-        cluster = NDPipeCluster(factory, num_stores=2,
-                                nominal_raw_bytes=4096,
-                                journal_max_entries=16)
+        cluster = NDPipeCluster(factory, ClusterConfig(
+            num_stores=2, nominal_raw_bytes=4096, journal_max_entries=16))
         rng = np.random.default_rng(4)
         for _ in range(3):
             x, y = small_world.sample(20, 0, rng=rng)
@@ -246,8 +247,8 @@ class TestUploadJournal:
         assert cluster.metrics.get("cluster_journal_entries").value() == 16
 
     def test_cap_evicts_oldest_uploads_first(self, small_world):
-        cluster = NDPipeCluster(factory, num_stores=2,
-                                journal_max_entries=5)
+        cluster = NDPipeCluster(factory, ClusterConfig(
+            num_stores=2, journal_max_entries=5))
         x, y = small_world.sample(8, 0, rng=np.random.default_rng(5))
         ids = cluster.ingest(x, train_labels=y)
         assert sorted(cluster._journal) == sorted(ids[-5:])
@@ -273,14 +274,14 @@ class TestUploadJournal:
 
     def test_cap_validation(self):
         with pytest.raises(ValueError):
-            NDPipeCluster(factory, num_stores=1, journal_max_entries=0)
+            NDPipeCluster(factory, ClusterConfig(
+                num_stores=1, journal_max_entries=0))
 
     def test_capped_journal_still_recovers_recent_orphans(self, small_world):
         """The cap trades recovery depth for memory: photos still inside
         the window re-place onto survivors after a crash."""
-        cluster = NDPipeCluster(factory, num_stores=3,
-                                nominal_raw_bytes=4096,
-                                journal_max_entries=64)
+        cluster = NDPipeCluster(factory, ClusterConfig(
+            num_stores=3, nominal_raw_bytes=4096, journal_max_entries=64))
         x, y = small_world.sample(12, 0, rng=np.random.default_rng(6))
         cluster.ingest(x, train_labels=y)
         victim = cluster.stores[0]

@@ -1,8 +1,7 @@
-"""ClusterConfig validation + the legacy-kwargs constructor shim."""
+"""ClusterConfig validation; the removed legacy spellings stay removed."""
 
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.core.cluster import NDPipeCluster
@@ -12,21 +11,6 @@ from repro.models.registry import tiny_model
 
 def _factory():
     return tiny_model("ResNet50", num_classes=8, width=8, seed=7)
-
-
-def _lifecycle_fingerprint(cluster):
-    """Deterministic digest of a short ingest -> finetune pass."""
-    rng = np.random.default_rng(3)
-    x = rng.random((24, 3, 16, 16))
-    y = rng.integers(0, 8, size=24)
-    cluster.ingest(x, train_labels=y)
-    report = cluster.finetune(epochs=1)
-    state = cluster.inference_server.model.state_dict()
-    return (
-        report.images_extracted,
-        report.final_loss,
-        sorted((k, float(v.sum())) for k, v in state.items()),
-    )
 
 
 class TestValidation:
@@ -74,17 +58,16 @@ class TestValidation:
 
 
 class TestLegacyShim:
-    def test_legacy_kwargs_warn_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cluster = NDPipeCluster(_factory, num_stores=3,
-                                    nominal_raw_bytes=2048)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "ClusterConfig" in str(deprecations[0].message)
-        assert cluster.config.num_stores == 3
-        assert cluster.config.nominal_raw_bytes == 2048
+    """The loose-kwargs constructor shim is gone: ``ClusterConfig`` is
+    the only spelling, and the old one fails loudly."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"num_stores": 3, "nominal_raw_bytes": 2048},
+        {"num_stores": 0},  # never reaches config validation either
+    ])
+    def test_legacy_kwargs_are_type_error(self, kwargs):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            NDPipeCluster(_factory, **kwargs)
 
     def test_config_path_does_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -97,39 +80,17 @@ class TestLegacyShim:
             NDPipeCluster(_factory, stores=3)
 
     def test_config_plus_kwargs_is_type_error(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             NDPipeCluster(_factory, ClusterConfig(), num_stores=3)
 
-    def test_legacy_kwargs_still_validate(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="at least one PipeStore"):
-                NDPipeCluster(_factory, num_stores=0)
 
-    def test_legacy_and_config_paths_bit_identical(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = NDPipeCluster(_factory, num_stores=3,
-                                   nominal_raw_bytes=2048, seed=5)
-        modern = NDPipeCluster(_factory, ClusterConfig(
-            num_stores=3, nominal_raw_bytes=2048, seed=5))
-        assert _lifecycle_fingerprint(legacy) == _lifecycle_fingerprint(modern)
-
-
-def test_top_level_deprecated_alias_warns():
+def test_top_level_removed_alias_raises():
     import repro
-    from repro.inference.online import OnlineInferencePath
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        alias = repro.OnlineInferencePath
-    assert alias is OnlineInferencePath
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "ServingFrontend" in str(deprecations[0].message)
 
     with pytest.raises(AttributeError):
+        repro.OnlineInferencePath
+    with pytest.raises(AttributeError):
         repro.NoSuchSymbol
-
-    assert "OnlineInferencePath" in dir(repro)
+    assert "OnlineInferencePath" not in dir(repro)
+    # the class itself is still importable from its home
+    from repro.inference.online import OnlineInferencePath  # noqa: F401

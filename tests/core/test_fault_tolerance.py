@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import NDPipeCluster
+from repro.core.config import ClusterConfig
 from repro.core.pipestore import StoreUnavailableError
 from repro.models.registry import tiny_model
 
@@ -14,7 +15,8 @@ def factory():
 
 @pytest.fixture
 def cluster(small_world):
-    cluster = NDPipeCluster(factory, num_stores=3, nominal_raw_bytes=4096)
+    cluster = NDPipeCluster(factory, ClusterConfig(
+        num_stores=3, nominal_raw_bytes=4096))
     x, y = small_world.sample(90, 0, rng=np.random.default_rng(2))
     cluster.ingest(x, train_labels=y)
     return cluster

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import NDPipeCluster
+from repro.core.config import ClusterConfig
 from repro.durability.checkpoint import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -27,7 +28,7 @@ def fresh_cluster(**kwargs):
     kwargs.setdefault("num_stores", 3)
     kwargs.setdefault("nominal_raw_bytes", 2048)
     kwargs.setdefault("replication", 2)
-    return NDPipeCluster(factory, **kwargs)
+    return NDPipeCluster(factory, ClusterConfig(**kwargs))
 
 
 def loaded_cluster(small_world, seed=3, **kwargs):
@@ -183,7 +184,8 @@ class TestClusterCheckpoint:
     def test_restore_validates_fleet_shape(self, small_world):
         cluster, _ = loaded_cluster(small_world)
         blob = cluster.checkpoint()
-        wrong = NDPipeCluster(factory, num_stores=2, nominal_raw_bytes=2048)
+        wrong = NDPipeCluster(factory, ClusterConfig(
+            num_stores=2, nominal_raw_bytes=2048))
         with pytest.raises(CheckpointError, match="stores"):
             wrong.restore(blob)
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import NDPipeCluster
+from repro.core.config import ClusterConfig
 from repro.faults import FaultInjector, TunerCrash
 from repro.faults.errors import TunerCrashError
 from repro.models.registry import tiny_model
@@ -33,8 +34,8 @@ def factory():
 
 
 def fresh_cluster():
-    return NDPipeCluster(factory, num_stores=3, nominal_raw_bytes=2048,
-                         replication=2, seed=0)
+    return NDPipeCluster(factory, ClusterConfig(
+        num_stores=3, nominal_raw_bytes=2048, replication=2, seed=0))
 
 
 def ingest_world(cluster, small_world, seed):

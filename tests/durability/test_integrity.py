@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import NDPipeCluster
+from repro.core.config import ClusterConfig
 from repro.faults import BitRot, FaultInjector, TornWrite
 from repro.models.registry import tiny_model
 from repro.storage.objectstore import CorruptObjectError, ObjectStore
@@ -17,7 +18,7 @@ def factory():
 def fresh_cluster(**kwargs):
     kwargs.setdefault("num_stores", 3)
     kwargs.setdefault("nominal_raw_bytes", 2048)
-    return NDPipeCluster(factory, **kwargs)
+    return NDPipeCluster(factory, ClusterConfig(**kwargs))
 
 
 class TestObjectStoreCRC:

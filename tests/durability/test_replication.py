@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import NDPipeCluster
+from repro.core.config import ClusterConfig
 from repro.durability.replication import ReplicaMap
 from repro.faults import BitRot, FaultInjector, StoreCrash
 from repro.models.registry import tiny_model
@@ -23,7 +24,7 @@ def fresh_cluster(**kwargs):
     kwargs.setdefault("num_stores", 3)
     kwargs.setdefault("nominal_raw_bytes", 2048)
     kwargs.setdefault("replication", 2)
-    return NDPipeCluster(factory, **kwargs)
+    return NDPipeCluster(factory, ClusterConfig(**kwargs))
 
 
 def loaded_cluster(small_world, seed=3, **kwargs):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import checknrun
 from repro.core.cluster import NDPipeCluster
+from repro.core.config import ClusterConfig
 from repro.faults import (
     DropMessages,
     FaultInjector,
@@ -23,7 +24,8 @@ def factory():
 
 @pytest.fixture
 def loaded(small_world):
-    cluster = NDPipeCluster(factory, num_stores=3, nominal_raw_bytes=2048)
+    cluster = NDPipeCluster(factory, ClusterConfig(
+        num_stores=3, nominal_raw_bytes=2048))
     x, y = small_world.sample(45, 0, rng=np.random.default_rng(2))
     ids = cluster.ingest(x, train_labels=y)
     return cluster, ids
@@ -66,8 +68,8 @@ class TestRetriedDispatch:
         assert all(s.model_version == 1 for s in cluster.stores)
 
     def test_ingest_rides_out_dropped_transfers(self, small_world):
-        cluster = NDPipeCluster(factory, num_stores=3,
-                                nominal_raw_bytes=2048)
+        cluster = NDPipeCluster(factory, ClusterConfig(
+            num_stores=3, nominal_raw_bytes=2048))
         FaultInjector([
             DropMessages(at=3, count=2, kind="ingest"),
         ]).attach(cluster)
@@ -79,7 +81,7 @@ class TestRetriedDispatch:
 
     def test_custom_retry_policy_is_threaded_through(self, small_world):
         policy = RetryPolicy(max_attempts=7, base_delay_s=0.001)
-        cluster = NDPipeCluster(factory, num_stores=2,
+        cluster = NDPipeCluster(factory, ClusterConfig(num_stores=2),
                                 retry_policy=policy)
         assert cluster.tuner.retry is policy
         x, y = small_world.sample(6, 0, rng=np.random.default_rng(1))
@@ -185,8 +187,8 @@ class TestOrphanReingest:
         assert cluster.reingest_orphans("pipestore-0") == []
 
     def test_reingest_without_journal_moves_nothing(self, small_world):
-        cluster = NDPipeCluster(factory, num_stores=3,
-                                journal_uploads=False)
+        cluster = NDPipeCluster(factory, ClusterConfig(
+            num_stores=3, journal_uploads=False))
         x, y = small_world.sample(9, 0, rng=np.random.default_rng(3))
         cluster.ingest(x, train_labels=y)
         cluster.stores[0].fail()

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cluster import NDPipeCluster
+from repro.core.config import ClusterConfig
 from repro.core.pipestore import StoreUnavailableError
 from repro.models.registry import tiny_model
 
@@ -27,8 +28,8 @@ def factory():
 
 @pytest.fixture(scope="module")
 def cluster():
-    return NDPipeCluster(factory, num_stores=NUM_STORES,
-                         nominal_raw_bytes=2048)
+    return NDPipeCluster(factory, ClusterConfig(
+        num_stores=NUM_STORES, nominal_raw_bytes=2048))
 
 
 def all_subsets(ids):
@@ -106,8 +107,8 @@ def test_interleaved_fail_repair_pick_matches_model(ops):
     """Under any interleaving, picks cycle the available stores in ring
     order starting from the rotation cursor — a pure-Python model predicts
     every choice exactly."""
-    cluster = NDPipeCluster(factory, num_stores=NUM_STORES,
-                            nominal_raw_bytes=2048)
+    cluster = NDPipeCluster(factory, ClusterConfig(
+        num_stores=NUM_STORES, nominal_raw_bytes=2048))
     up = [True] * NUM_STORES
     cursor = 0
     for op, arg in ops:

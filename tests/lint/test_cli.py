@@ -55,20 +55,6 @@ def test_manifest_is_current():
     assert manifest.read_text() == engine.render_manifest()
 
 
-def test_fastpath_manifest_is_current():
-    """fastpath_equivalence.json lists every flag-gated module and keeps
-    a non-empty equivalence-test set per flag."""
-    engine = LintEngine()
-    engine.run([package_root()])
-    manifest = engine.config.fastpath_manifest_path
-    assert manifest.is_file()
-    assert manifest.read_text() == engine.render_fastpath_manifest()
-    data = json.loads(manifest.read_text())
-    for flag, entry in data["flags"].items():
-        assert entry["modules"], flag
-        assert entry["tests"], f"flag {flag} has no equivalence tests"
-
-
 def test_check_manifests_gate_passes_on_the_shipped_tree(capsys):
     assert main(["lint", "--check-manifests"]) == 0
     capsys.readouterr()

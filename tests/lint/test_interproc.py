@@ -1,4 +1,4 @@
-"""Interprocedural tier (ND006-ND010): fixtures + gate mutation tests.
+"""Interprocedural tier (ND006-ND009): fixtures + gate mutation tests.
 
 The mutation tests are the acceptance criterion for the whole tier:
 copy a *real* production module, delete one fencing check or one counter
@@ -6,7 +6,6 @@ update, and prove the lint gate goes red — so the invariants cannot be
 silently weakened by a future edit.
 """
 
-import json
 from pathlib import Path
 
 from repro.lint import LintConfig, LintEngine
@@ -89,64 +88,6 @@ def test_nd009_try_body_accounting_exact_sites():
     ]
     assert "conserved counter 'done'" in findings[0].message
     assert ".inc() metric update" in findings[1].message
-
-
-# -- ND010 fastpath equivalence manifest --------------------------------------
-_FASTPATH = (
-    "from dataclasses import dataclass\n"
-    "\n"
-    "@dataclass\n"
-    "class FastPathFlags:\n"
-    "    zero_copy: bool = True\n"
-)
-_USER = (
-    "def encode(flags, blob):\n"
-    "    if flags.zero_copy:\n"
-    "        return memoryview(blob)\n"
-    "    return bytes(blob)\n"
-)
-
-
-def _fastpath_tree(tmp_path, manifest=None):
-    (tmp_path / "fastpath.py").write_text(_FASTPATH)
-    (tmp_path / "user.py").write_text(_USER)
-    config = LintConfig(manifest_path=None)
-    if manifest is not None:
-        manifest_file = tmp_path / "fastpath_equivalence.json"
-        manifest_file.write_text(json.dumps(manifest))
-        config = LintConfig(manifest_path=None,
-                            fastpath_manifest_path=manifest_file)
-    engine = LintEngine(config)
-    return engine.run([tmp_path / "fastpath.py", tmp_path / "user.py"])
-
-
-def test_nd010_unlisted_module_and_missing_tests(tmp_path):
-    findings = _fastpath_tree(tmp_path)  # no manifest at all
-    assert [(f.rule, f.line) for f in findings] == [
-        ("ND010", 2),  # user.py:2 reads the flag, module not listed
-        ("ND010", 2),  # and the flag has no equivalence tests
-    ]
-    assert "missing from fastpath_equivalence.json" in findings[0].message
-    assert "no equivalence tests" in findings[1].message
-
-
-def test_nd010_listed_module_still_needs_tests(tmp_path):
-    manifest = {"flags": {"zero_copy": {"modules": ["user"], "tests": []}}}
-    findings = _fastpath_tree(tmp_path, manifest)
-    assert [f.rule for f in findings] == ["ND010"]
-    assert "no equivalence tests" in findings[0].message
-
-
-def test_nd010_complete_manifest_is_clean(tmp_path):
-    manifest = {"flags": {"zero_copy": {
-        "modules": ["user"],
-        "tests": ["tests/test_equivalence.py::test_zero_copy"]}}}
-    assert _fastpath_tree(tmp_path, manifest) == []
-
-
-def test_nd010_silent_when_fastpath_not_in_linted_set(tmp_path):
-    (tmp_path / "user.py").write_text(_USER)
-    assert lint_paths(tmp_path / "user.py") == []
 
 
 # -- gate mutation tests (the acceptance criterion) ---------------------------

@@ -1,18 +1,19 @@
-"""Bit-exactness of every vectorized hot path against its scalar reference.
+"""Bit-exactness of every hot path against its reference oracle.
 
-The fast paths behind :mod:`repro.fastpath` are only admissible because
-they change *how fast* numbers are produced, never *which* numbers.
-These property tests sweep seeded shape/dtype/stride/padding/group
-grids and demand exact float equality — ``assert_array_equal``, not
-``allclose`` — between the scalar reference implementation and the
-vectorized one, for forward values and for every gradient.
+``src/repro`` ships one implementation of each hot path; the batched
+forms are only admissible because they change *how fast* numbers are
+produced, never *which* numbers.  These property tests sweep seeded
+shape/dtype/stride/padding/group grids and demand exact float equality
+— ``assert_array_equal``, not ``allclose`` — between the shipped code
+and the oracles in :mod:`tests.nn.reference_ops` (called directly on
+identical operands), for forward values and for every gradient.
 """
 
 import numpy as np
 import pytest
 
-from repro.fastpath import overrides
 from repro.models.registry import TINY_FACTORIES, tiny_model
+from repro.nn import functional as F
 from repro.nn.functional import conv2d, conv_output_size, im2col
 from repro.nn.layers import BatchNorm2d
 from repro.nn.tensor import Tensor, no_grad
@@ -25,6 +26,7 @@ from repro.storage.imageformat import (
     encode_preprocessed,
     preprocess,
 )
+from tests.nn.reference_ops import batchnorm_eval, conv2d_grouped
 
 try:
     from hypothesis import given, settings
@@ -44,17 +46,26 @@ def _conv_operands(seed, dtype, groups, with_grad=True):
     return x, w
 
 
-def _run_conv(x, w, stride, padding, groups, vectorized, upstream):
-    with overrides(vectorized_autograd=vectorized):
-        xt = Tensor(x.copy(), requires_grad=True)
-        wt = Tensor(w.copy(), requires_grad=True)
-        out = conv2d(xt, wt, stride=stride, padding=padding, groups=groups)
-        out.backward(upstream(out.shape))
-        return out.data, xt.grad, wt.grad
+def _oracle_conv2d(x, weight, stride=1, padding=0, groups=1):
+    """The per-group oracle, dispatched like ``conv2d``: a depthwise
+    shape has one (offset-loop) body and no GEMM to mirror, so it runs
+    the shipped code on both sides."""
+    c, (f, c_per_group) = x.shape[1], weight.shape[:2]
+    if groups == c and f == c and c_per_group == 1:
+        return conv2d(x, weight, stride, padding, groups)
+    return conv2d_grouped(x, weight, stride, padding, groups)
+
+
+def _run_conv(conv, x, w, stride, padding, groups, upstream):
+    xt = Tensor(x.copy(), requires_grad=True)
+    wt = Tensor(w.copy(), requires_grad=True)
+    out = conv(xt, wt, stride=stride, padding=padding, groups=groups)
+    out.backward(upstream(out.shape))
+    return out.data, xt.grad, wt.grad
 
 
 class TestConvBitIdentical:
-    """The batched-matmul conv == the per-group scalar conv, bit for bit."""
+    """The batched-matmul conv == the per-group oracle conv, bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("groups", [1, 2, 3])
@@ -70,10 +81,10 @@ class TestConvBitIdentical:
                 cache[shape] = g_rng.standard_normal(shape).astype(x.dtype)
             return cache[shape]
 
-        out_s, dx_s, dw_s = _run_conv(x, w, stride, padding, groups,
-                                      vectorized=False, upstream=upstream)
-        out_v, dx_v, dw_v = _run_conv(x, w, stride, padding, groups,
-                                      vectorized=True, upstream=upstream)
+        out_s, dx_s, dw_s = _run_conv(_oracle_conv2d, x, w, stride, padding,
+                                      groups, upstream=upstream)
+        out_v, dx_v, dw_v = _run_conv(conv2d, x, w, stride, padding,
+                                      groups, upstream=upstream)
         np.testing.assert_array_equal(out_s, out_v)
         np.testing.assert_array_equal(dx_s, dx_v)
         np.testing.assert_array_equal(dw_s, dw_v)
@@ -94,12 +105,10 @@ class TestConvBitIdentical:
                 (n, c_per * groups, hw, hw)).astype(dtype)
             w = rng.standard_normal(
                 (f_per * groups, c_per, k, k)).astype(dtype)
-            with overrides(vectorized_autograd=False):
-                ref = conv2d(Tensor(x), Tensor(w), padding=1,
-                             groups=groups).data
-            with overrides(vectorized_autograd=True):
-                vec = conv2d(Tensor(x), Tensor(w), padding=1,
-                             groups=groups).data
+            ref = _oracle_conv2d(Tensor(x), Tensor(w), padding=1,
+                                 groups=groups).data
+            vec = conv2d(Tensor(x), Tensor(w), padding=1,
+                         groups=groups).data
             np.testing.assert_array_equal(ref, vec)
 
 
@@ -114,12 +123,12 @@ class TestBatchNormEvalFastPath:
         bn.beta.data = rng.standard_normal(6)
         bn.eval()
         x = rng.standard_normal((4, 6, 5, 5)).astype(dtype)
+        ref = bn(Tensor(x)).data  # gradients on: the Tensor path
         with no_grad():
-            with overrides(vectorized_autograd=False):
-                ref = bn(Tensor(x)).data
-            with overrides(vectorized_autograd=True):
-                fast = bn(Tensor(x)).data
+            fast = bn(Tensor(x)).data
+            oracle = batchnorm_eval(bn, Tensor(x)).data
         np.testing.assert_array_equal(ref, fast)
+        np.testing.assert_array_equal(oracle, fast)
 
     def test_fast_path_keeps_parameter_gradients(self):
         """The raw-numpy path must not engage while gradients are on —
@@ -128,9 +137,8 @@ class TestBatchNormEvalFastPath:
         bn = BatchNorm2d(3)
         bn.eval()
         x = Tensor(rng.standard_normal((2, 3, 4, 4)))  # requires_grad=False
-        with overrides(vectorized_autograd=True):
-            out = bn(x)
-            out.sum().backward()
+        out = bn(x)
+        out.sum().backward()
         assert bn.gamma.grad is not None
         assert bn.beta.grad is not None
 
@@ -166,6 +174,25 @@ class TestEvalForwardMatchesTensorPath:
             lean = model(Tensor(x)).data
         assert lean.dtype == oracle.dtype
         np.testing.assert_array_equal(oracle, lean)
+
+    @pytest.mark.parametrize("batch", [1, 2, 64])
+    @pytest.mark.parametrize("name", sorted(TINY_FACTORIES))
+    def test_zoo_model_matches_monkeypatched_oracles(self, name, batch,
+                                                     monkeypatch):
+        """The shipped ``no_grad`` forward against the same model run with
+        the per-group conv and the Tensor-path BatchNorm patched in."""
+        model = tiny_model(name).eval()
+        _randomize_batchnorm(model, seed=7)
+        x = np.random.default_rng(batch).standard_normal(
+            (batch,) + model.input_shape).astype(np.float32)
+        with no_grad():
+            shipped = model(Tensor(x)).data
+        monkeypatch.setattr(F, "_conv2d_matmul", conv2d_grouped)
+        monkeypatch.setattr(BatchNorm2d, "_eval_fast", batchnorm_eval)
+        with no_grad():
+            oracle = model(Tensor(x)).data
+        assert shipped.dtype == oracle.dtype
+        np.testing.assert_array_equal(oracle, shipped)
 
     @pytest.mark.parametrize("shape", [(1, 6, 5, 5), (8, 6, 5, 5),
                                        (16, 6, 2, 2)])
@@ -214,10 +241,8 @@ class TestPreprocessBatching:
     def test_batched_equals_per_sample(self):
         rng = np.random.default_rng(7)
         batch = rng.uniform(0, 1, (5, 16, 16, 3)).astype(np.float32)
-        with overrides(vectorized_preprocess=True):
-            whole = preprocess(batch)
-        with overrides(vectorized_preprocess=False):
-            singles = np.stack([preprocess(img) for img in batch])
+        whole = preprocess(batch)
+        singles = np.stack([preprocess(img) for img in batch])
         np.testing.assert_array_equal(whole, singles)
         assert whole.dtype == np.float32
 
@@ -228,21 +253,17 @@ class TestCodecZeroCopy:
         return rng.uniform(0, 1, (16, 16, 3)).astype(np.float32)
 
     def test_decode_photo_identical(self):
-        blob = encode_photo(self._photo())
-        with overrides(zero_copy=False):
-            ref = decode_photo(blob)
-        with overrides(zero_copy=True):
-            fast = decode_photo(blob)
-        np.testing.assert_array_equal(ref, fast)
+        photo = self._photo()
+        quantised = (photo * 255).astype(np.uint8) / 255.0
+        # padding past the payload is not read
+        for blob in (encode_photo(photo), encode_photo(photo, 4096)):
+            np.testing.assert_array_equal(decode_photo(blob), quantised)
 
     def test_decode_preprocessed_identical_and_writable(self):
         tensor = preprocess(self._photo()).transpose(2, 0, 1)
         blob = encode_preprocessed(tensor)
-        with overrides(zero_copy=False):
-            ref = decode_preprocessed(blob)
-        with overrides(zero_copy=True):
-            fast = decode_preprocessed(blob)
-        np.testing.assert_array_equal(ref, fast)
+        fast = decode_preprocessed(blob)
+        np.testing.assert_array_equal(tensor, fast)
         fast[0, 0, 0] = 42.0  # zero-copy decode still hands back owned memory
 
     def test_decode_into_matches_decode(self):
@@ -257,14 +278,10 @@ class TestCodecZeroCopy:
         arr = rng.standard_normal((5, 7)).astype(np.float32)
         blob = compress_array(arr)
         payload = deflate(b"some raw bytes" * 20)
-        with overrides(zero_copy=False):
-            ref_arr = decompress_array(blob)
-            ref_raw = inflate(payload)
-        with overrides(zero_copy=True):
-            fast_arr = decompress_array(blob)
-            fast_raw = inflate(payload)
-        np.testing.assert_array_equal(ref_arr, fast_arr)
-        assert ref_raw == fast_raw
+        fast_arr = decompress_array(blob)
+        np.testing.assert_array_equal(arr, fast_arr)
+        assert fast_arr.dtype == arr.dtype
+        assert inflate(payload) == b"some raw bytes" * 20
         fast_arr[0, 0] = 1.0  # decompressed array is writable
 
 
@@ -283,17 +300,15 @@ if HAVE_HYPOTHESIS:
     )
     def test_conv_forward_property(n, c, f, hw, stride, padding, seed,
                                    use_f32):
-        """Hypothesis: any small conv agrees exactly across both paths."""
+        """Hypothesis: any small conv agrees exactly with the oracle."""
         dtype = np.float32 if use_f32 else np.float64
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, c, hw, hw)).astype(dtype)
         w = rng.standard_normal((f, c, 3, 3)).astype(dtype)
-        with overrides(vectorized_autograd=False):
-            ref = conv2d(Tensor(x), Tensor(w), stride=stride,
-                         padding=padding).data
-        with overrides(vectorized_autograd=True):
-            vec = conv2d(Tensor(x), Tensor(w), stride=stride,
-                         padding=padding).data
+        ref = _oracle_conv2d(Tensor(x), Tensor(w), stride=stride,
+                             padding=padding).data
+        vec = conv2d(Tensor(x), Tensor(w), stride=stride,
+                     padding=padding).data
         np.testing.assert_array_equal(ref, vec)
 
 
@@ -350,7 +365,7 @@ if HAVE_HYPOTHESIS:
                                            hw, k, stride, padding, seed,
                                            use_f32):
         """Hypothesis: every kernel size / group count agrees exactly across
-        the scalar per-group conv and the batched one, under ``no_grad``."""
+        the per-group oracle conv and the batched one, under ``no_grad``."""
         if hw + 2 * padding < k:
             return
         dtype = np.float32 if use_f32 else np.float64
@@ -359,10 +374,8 @@ if HAVE_HYPOTHESIS:
         w = rng.standard_normal(
             (f_per_group * groups, c_per_group, k, k)).astype(dtype)
         with no_grad():
-            with overrides(vectorized_autograd=False):
-                ref = conv2d(Tensor(x), Tensor(w), stride=stride,
-                             padding=padding, groups=groups).data
-            with overrides(vectorized_autograd=True):
-                vec = conv2d(Tensor(x), Tensor(w), stride=stride,
-                             padding=padding, groups=groups).data
+            ref = _oracle_conv2d(Tensor(x), Tensor(w), stride=stride,
+                                 padding=padding, groups=groups).data
+            vec = conv2d(Tensor(x), Tensor(w), stride=stride,
+                         padding=padding, groups=groups).data
         np.testing.assert_array_equal(ref, vec)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import NDPipeCluster
+from repro.core.config import ClusterConfig
 from repro.core.npe import ThreadedPipeline
 from repro.data.drift import DriftingPhotoWorld, WorldConfig
 from repro.faults.events import DropMessages
@@ -31,7 +32,8 @@ def lifecycle():
     world = DriftingPhotoWorld(WorldConfig(
         initial_classes=6, max_classes=8, image_size=16, noise=0.3, seed=0,
     ))
-    cluster = NDPipeCluster(factory, num_stores=2, nominal_raw_bytes=4096)
+    cluster = NDPipeCluster(factory, ClusterConfig(
+        num_stores=2, nominal_raw_bytes=4096))
     injector = FaultInjector([
         DropMessages(at=1, count=2, kind="ingest"),
     ]).attach(cluster)

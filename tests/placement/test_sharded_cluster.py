@@ -5,10 +5,9 @@ distribution, membership) plus the two regressions the ISSUE calls out:
 fresh ingest routes around a store whose link went slow (the
 ``_next_available_store`` queue-depth fix, driven by an ``AddLatency``
 budget pinned to one destination), and the ``repro.placement`` package
-serves deprecated aliases with exactly one warning.
+no longer serves the data-plane aliases it once deprecated.
 """
 
-import warnings
 
 import numpy as np
 import pytest
@@ -257,21 +256,18 @@ class TestFacade:
 
 
 class TestDeprecatedAliases:
+    """The PEP 562 aliases are gone; the data-plane symbols have one home."""
+
     @pytest.mark.parametrize("name", ["RingPlacement",
                                       "RoundRobinPlacement",
                                       "IngestDataPlane"])
-    def test_alias_warns_once_and_resolves(self, name):
+    def test_removed_alias_raises(self, name):
         import repro.core.dataplane as dataplane
         import repro.placement as placement
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            alias = getattr(placement, name)
-        assert alias is getattr(dataplane, name)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.core.dataplane" in str(deprecations[0].message)
+        with pytest.raises(AttributeError, match=name):
+            getattr(placement, name)
+        assert hasattr(dataplane, name)
 
     def test_unknown_attribute_still_raises(self):
         import repro.placement as placement
@@ -279,12 +275,12 @@ class TestDeprecatedAliases:
         with pytest.raises(AttributeError, match="NoSuchThing"):
             placement.NoSuchThing
 
-    def test_dir_lists_curated_api_and_aliases(self):
+    def test_dir_lists_curated_api(self):
         import repro.placement as placement
 
         listing = dir(placement)
         assert "ShardedCluster" in listing
-        assert "RingPlacement" in listing
+        assert "RingPlacement" not in listing
 
     def test_top_level_exports(self):
         import repro

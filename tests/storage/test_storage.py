@@ -18,6 +18,7 @@ from repro.storage.imageformat import (
     PhotoSizes,
     decode_photo,
     decode_preprocessed,
+    decode_preprocessed_into,
     encode_photo,
     encode_preprocessed,
     preprocess,
@@ -125,6 +126,46 @@ class TestPhotoCodec:
     def test_preprocessed_bad_magic(self):
         with pytest.raises(CodecError):
             decode_preprocessed(b"AAAA" + b"0" * 20)
+
+    # every undecodable blob is a CodecError — never struct.error, a bare
+    # numpy ValueError, or a raw zlib.error
+    _PHOTO = encode_photo(np.linspace(0, 1, 48).reshape(3, 4, 4))
+    _PREPROCESSED = encode_preprocessed(
+        preprocess(np.linspace(0, 1, 48).reshape(3, 4, 4)))
+
+    @pytest.mark.parametrize("blob", [
+        pytest.param(_PHOTO[:10], id="short-header"),
+        pytest.param(_PHOTO[:-3], id="truncated"),
+        pytest.param(_PHOTO[:-1] + b"\0", id="damaged-checksum"),
+        pytest.param(_PHOTO[:20] + b"\xff\xff" + _PHOTO[22:],
+                     id="damaged-stream"),
+    ])
+    def test_decode_photo_rejects_with_codec_error(self, blob):
+        with pytest.raises(CodecError) as caught:
+            decode_photo(blob)
+        assert type(caught.value) is CodecError
+
+    _BAD_PREPROCESSED = [
+        pytest.param(_PREPROCESSED[:5], id="short-header"),
+        pytest.param(_PREPROCESSED[:-3], id="truncated"),
+        pytest.param(_PREPROCESSED + b"\0\0\0\0", id="trailing-bytes"),
+        pytest.param(b"NDPP\x03\x00\x04\x00\x05" + _PREPROCESSED[9:],
+                     id="header-payload-mismatch"),
+    ]
+
+    @pytest.mark.parametrize("blob", _BAD_PREPROCESSED)
+    def test_decode_preprocessed_rejects_with_codec_error(self, blob):
+        with pytest.raises(CodecError) as caught:
+            decode_preprocessed(blob)
+        assert type(caught.value) is CodecError
+
+    @pytest.mark.parametrize("blob", _BAD_PREPROCESSED)
+    def test_decode_preprocessed_into_rejects_with_codec_error(self, blob):
+        out = np.full((3, 4, 4), 7.0, dtype=np.float32)
+        with pytest.raises(CodecError) as caught:
+            decode_preprocessed_into(blob, out)
+        assert type(caught.value) is CodecError
+        assert (out == 7.0).all()  # nothing landed
 
     def test_photo_sizes_fraction(self):
         sizes = PhotoSizes()

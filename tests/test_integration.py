@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import NDPipeCluster
+from repro.core.config import ClusterConfig
 from repro.data.drift import DriftingPhotoWorld, WorldConfig
 from repro.data.loader import normalize_images
 from repro.models.registry import tiny_model
@@ -37,8 +38,8 @@ def lifecycle():
         model.load_state_dict(base_state)
         return model
 
-    cluster = NDPipeCluster(trained_factory, num_stores=4,
-                            nominal_raw_bytes=16384, lr=5e-3)
+    cluster = NDPipeCluster(trained_factory, ClusterConfig(
+        num_stores=4, nominal_raw_bytes=16384, lr=5e-3))
 
     # day-0 uploads
     x_up, y_up = world.sample(120, 0, rng=np.random.default_rng(2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cluster import NDPipeCluster
+from repro.core.config import ClusterConfig
 from repro.core.driftdetect import NeverPolicy, ScheduledPolicy
 from repro.data.loader import normalize_images
 from repro.models.registry import tiny_model
@@ -29,8 +30,8 @@ def trained_cluster_factory(small_world=None):
             model.load_state_dict(state)
             return model
 
-        return NDPipeCluster(factory, num_stores=2, nominal_raw_bytes=4096,
-                             lr=5e-3), world
+        return NDPipeCluster(factory, ClusterConfig(
+            num_stores=2, nominal_raw_bytes=4096, lr=5e-3)), world
 
     return make
 
