@@ -21,7 +21,7 @@ from ..models.graph import FEATURE_DTYPE_BYTES
 from ..models.split import SplitModel
 from ..nn.losses import cross_entropy
 from ..nn.optim import Adam
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, inference_mode
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer, wall_clock
 from . import checknrun
@@ -562,8 +562,10 @@ class Tuner:
         was_training = self.model.training
         self.model.eval()
         logits = []
-        for start in range(0, len(x), batch_size):
-            logits.append(self.model(Tensor(x[start:start + batch_size])).data)
+        with inference_mode():
+            for start in range(0, len(x), batch_size):
+                logits.append(
+                    self.model(Tensor(x[start:start + batch_size])).data)
         self.model.train(was_training)
         stacked = np.concatenate(logits, axis=0)
         return accuracy(stacked, y), topk_accuracy(stacked, y, k=5)

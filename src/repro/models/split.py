@@ -9,12 +9,13 @@ that a split forward equals the unsplit forward bit-for-bit.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ..nn.module import Module
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 from .graph import ModelGraph, StageSpec
 
 
@@ -86,8 +87,21 @@ class SplitModel(Module):
     def feature_dim_after(self, split: int, batch: int = 2) -> Tuple[int, ...]:
         """Shape (excluding batch) of activations leaving stage ``split``."""
         probe = Tensor(np.zeros((batch,) + self.input_shape))
-        out = self.forward_until(probe, split)
+        with self._probing():
+            out = self.forward_until(probe, split)
         return out.shape[1:]
+
+    @contextmanager
+    def _probing(self) -> Iterator[None]:
+        """Eval mode under ``no_grad`` for a shape probe, mode restored:
+        a zero-valued probe must not move BatchNorm running statistics."""
+        was_training = self.training
+        self.eval()
+        try:
+            with no_grad():
+                yield
+        finally:
+            self.train(was_training)
 
     # -- analytic graph ------------------------------------------------------
     def to_graph(self, raw_image_bytes: int = 8192) -> ModelGraph:
@@ -103,17 +117,17 @@ class SplitModel(Module):
         stage_flops = count_stage_flops(self)
         probe = Tensor(np.zeros((1,) + self.input_shape))
         specs = []
-        x = probe
-        for i, (name, module) in enumerate(zip(self.stage_names, self._stage_modules)):
-            x = module(x)
-            out_elems = int(np.prod(x.shape[1:]))
-            specs.append(StageSpec(
-                name=name,
-                flops_fwd=max(stage_flops[name], 1.0),
-                params=module.num_parameters(),
-                out_elems=out_elems,
-                trainable=(i == self.num_stages - 1),
-            ))
+        with self._probing():
+            x = probe
+            for i, (name, module) in enumerate(zip(self.stage_names, self._stage_modules)):
+                x = module(x)
+                specs.append(StageSpec(
+                    name=name,
+                    flops_fwd=max(stage_flops[name], 1.0),
+                    params=module.num_parameters(),
+                    out_elems=int(np.prod(x.shape[1:])),
+                    trainable=(i == self.num_stages - 1),
+                ))
         input_elems = int(np.prod(self.input_shape))
         return ModelGraph(self.name, specs, input_elems, raw_image_bytes)
 

@@ -116,9 +116,10 @@ def _conv2d_matmul(x: Tensor, weight: Tensor, stride: int, padding: int,
 
     # im2col keeps channels outermost, so group g's columns are the
     # contiguous slice [g*k:(g+1)*k] — one unfold serves every group.
-    # The GEMM promotes float32 columns to float64; results are cast back
-    # to the input dtype exactly like the oracle's assignment into its
-    # input-dtype output buffer.
+    # The GEMM runs in numpy's result type of columns and weights (single
+    # precision only when both are, as in the frozen eval graph); a
+    # promoted result is cast back to the input dtype exactly like the
+    # oracle's assignment into its input-dtype output buffer.
     cols, oh, ow = im2col(x.data, kh, kw, stride, padding)
     p = oh * ow
     if groups == 1:

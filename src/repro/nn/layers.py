@@ -16,12 +16,6 @@ from .module import Module, Parameter
 from .tensor import Tensor, gelu, grad_enabled, reuse
 
 
-#: BatchNorm eval spreads its per-channel vectors only while one spread
-#: vector stays cache-resident (512 KiB of float64); past that the second
-#: stream costs more than the longer inner loop saves.
-_SPREAD_MAX_ELEMS = 1 << 16
-
-
 def _default_rng(rng: Optional[np.random.Generator]) -> np.random.Generator:
     return rng if rng is not None else np.random.default_rng(0)
 
@@ -83,6 +77,13 @@ class BatchNorm2d(Module):
         self._buffers["running_var"] = np.ones(num_features)
 
     def forward(self, x: Tensor) -> Tensor:
+        if not (self.training or grad_enabled()):
+            scale, shift = (v.reshape(1, -1, 1, 1) for v in self._scale_shift())
+            out = reuse(np.multiply, x.data, scale) if x._scratch else x.data * scale
+            return Tensor(reuse(np.add, out, shift), _scratch=True)
+        # statistics move in training mode and a graph means parameters may
+        # be about to: either way what was derived from them is stale
+        self._derived = None
         if self.training:
             mean = x.mean(axis=(0, 2, 3), keepdims=True)
             var = x.var(axis=(0, 2, 3), keepdims=True)
@@ -94,38 +95,43 @@ class BatchNorm2d(Module):
                 (1 - m) * self._buffers["running_var"] + m * var.data.reshape(-1)
             )
         else:
-            if not grad_enabled():
-                return self._eval_fast(x)
             mean = Tensor(self._buffers["running_mean"].reshape(1, -1, 1, 1))
             var = Tensor(self._buffers["running_var"].reshape(1, -1, 1, 1))
         inv = (var + self.eps) ** -0.5
         normed = (x - mean) * inv
         return normed * self.gamma.reshape(1, -1, 1, 1) + self.beta.reshape(1, -1, 1, 1)
 
-    def _eval_fast(self, x: Tensor) -> Tensor:
-        """Raw-numpy eval normalisation, used only under ``no_grad``.
+    def _scale_shift(self):
+        """Eval-mode normalisation as ``x * scale + shift``: float64 vectors."""
+        scale = self.gamma.data / np.sqrt(self._buffers["running_var"] + self.eps,
+                                          dtype=np.float64)
+        return scale, self.beta.data - self._buffers["running_mean"] * scale
 
-        Performs the exact operation sequence of the Tensor path —
-        ``(var + eps) ** -0.5`` then ``((x - mean) * inv) * gamma + beta``
-        with the same float64 broadcasts — so outputs are bit-identical;
-        it skips boxing each intermediate in a Tensor and runs the four
-        passes over one buffer instead of allocating one per pass.
+    def after(self, conv: Conv2d, x: Tensor) -> Tensor:
+        """``self(conv(x))`` in eval mode under ``no_grad``: one float32 conv.
+
+        The frozen graph's one rounding happens here: ``W * scale`` and the
+        shift (the conv's bias folded in) are computed in float64 from the
+        float64 master state and rounded once; from then on activations
+        stay in that dtype until a float64 operand (the global pool's
+        ``1 / count``, the classifier's weights) promotes them.  The folded pair is shared by both layers' ``_derived`` slot,
+        so dropping either (see :class:`Module`) invalidates it.
         """
-        n, c, h, w = x.shape
-        rm, rv, gamma, beta = (v.reshape(1, c, 1, 1) for v in (
-            self._buffers["running_mean"], self._buffers["running_var"],
-            self.gamma.data, self.beta.data))
-        inv = (rv + self.eps) ** -0.5
-        if n >= 8 and c * h * w <= _SPREAD_MAX_ELEMS:
-            # spread each per-channel vector over (1, C, H, W) once, so a
-            # pass runs one C*H*W-long inner loop per image instead of C
-            # loops of H*W (4 or 16 in the late stages) elements
-            rm, inv, gamma, beta = (np.repeat(v, h * w).reshape(1, c, h, w)
-                                    for v in (rm, inv, gamma, beta))
-        out = reuse(np.subtract, x.data, rm) if x._scratch else x.data - rm
-        out = reuse(np.multiply, out, inv)
-        out = reuse(np.multiply, out, gamma)
-        return Tensor(reuse(np.add, out, beta), _scratch=True)
+        fold = self._derived
+        if fold is None or fold is not conv._derived:
+            scale, shift = self._scale_shift()
+            if conv.bias is not None:
+                shift = shift + conv.bias.data * scale
+            weight, shift = (v.astype(np.float32) for v in (
+                conv.weight.data * scale.reshape(-1, 1, 1, 1),
+                shift.reshape(1, -1, 1, 1)))
+            fold = conv._derived = self._derived = (Tensor(weight), shift)
+        weight, shift = fold
+        if x.dtype != weight.dtype:
+            x = Tensor(x.data.astype(weight.dtype))
+        out = F.conv2d(x, weight, conv.stride, conv.padding, conv.groups)
+        out.data += shift  # into the conv's own (scratch) output
+        return out
 
 
 class LayerNorm(Module):
@@ -218,8 +224,20 @@ class Sequential(Module):
         return self
 
     def forward(self, x: Tensor) -> Tensor:
-        for layer in self._layers:
-            x = layer(x)
+        # the frozen eval graph: under ``no_grad`` a conv and the eval-mode
+        # BatchNorm behind it are one op
+        layers = self._layers
+        fold = not grad_enabled()
+        absorbed = False
+        for layer, following in zip(layers, layers[1:] + [None]):
+            if absorbed:
+                absorbed = False
+            elif (fold and type(layer) is Conv2d
+                    and type(following) is BatchNorm2d and not following.training):
+                x = following.after(layer, x)
+                absorbed = True
+            else:
+                x = layer(x)
         return x
 
 

@@ -24,6 +24,12 @@ class Parameter(Tensor):
 class Module:
     """Base class for neural-network building blocks."""
 
+    #: State a layer derived from its parameters and buffers for the frozen
+    #: eval graph (BatchNorm folded into the preceding conv).  Built by the
+    #: first eval forward, never serialised, and dropped by every sanctioned
+    #: mutation of its sources: ``train(True)``, ``cast``, ``load_state_dict``.
+    _derived = None
+
     def __init__(self):
         self._parameters: Dict[str, Parameter] = {}
         self._buffers: Dict[str, np.ndarray] = {}
@@ -65,6 +71,8 @@ class Module:
     # -- mode ------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
         self.training = mode
+        if mode:
+            self._derived = None
         for child in self._modules.values():
             child.train(mode)
         return self
@@ -81,6 +89,7 @@ class Module:
         for param in self.parameters():
             param.data = param.data.astype(dtype)
         for module in self.modules():
+            module._derived = None
             for name in module._buffers:
                 module._buffers[name] = module._buffers[name].astype(dtype)
         return self
@@ -104,6 +113,8 @@ class Module:
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        for module in self.modules():
+            module._derived = None
         own_params = dict(self.named_parameters())
         own_buffer_holders = self._buffer_holders()
         for key, value in state.items():

@@ -7,8 +7,9 @@ from repro.core.ftdmp import FTDMPTrainer
 from repro.data.loader import normalize_images
 from repro.models.registry import tiny_model
 from repro.nn.losses import accuracy
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, inference_mode
 from repro.train.fulltrain import full_train
+from tests.nn.reference_ops import assert_frozen_graph_close
 
 
 @pytest.fixture
@@ -27,8 +28,12 @@ class TestFeatureExtraction:
         trainer = FTDMPTrainer(model, batch_size=32)
         feats = trainer.extract_features(x)
         model.eval()
-        direct = model.forward_until(Tensor(x), model.num_stages - 1).data
-        assert np.allclose(feats, direct)
+        split = model.num_stages - 1
+        with inference_mode():
+            np.testing.assert_array_equal(
+                feats, model.forward_until(Tensor(x), split).data)
+        assert_frozen_graph_close(
+            model.forward_until(Tensor(x), split).data, feats)
 
     def test_extraction_restores_training_mode(self, trained_setup):
         model, x, _ = trained_setup

@@ -101,6 +101,24 @@ class TestSplitModel:
         assert graph.stages[-1].out_elems == 6
         assert graph.total_params == model.num_parameters()
 
+    @pytest.mark.parametrize("probe", [
+        lambda m: m.feature_dim_after(m.num_stages - 1),
+        lambda m: m.to_graph(),
+    ], ids=["feature_dim_after", "to_graph"])
+    def test_shape_probes_leave_a_training_mode_model_alone(self, probe):
+        """The zero-valued probe of a freshly built (training-mode) model
+        used to run in training mode and overwrite every BatchNorm
+        ``running_mean`` / ``running_var`` with the statistics of zeros."""
+        model = tiny_model("ResNet50", num_classes=4)
+        assert model.training
+        before = {name: buf.tobytes() for name, buf in model.named_buffers()}
+        assert before
+        probe(model)
+        assert model.training
+        assert all(m.training for m in model.modules())
+        after = {name: buf.tobytes() for name, buf in model.named_buffers()}
+        assert after == before
+
     def test_assert_split_consistent_detects_breakage(self, batch):
         model = tiny_model("ResNet50", num_classes=4).eval()
         whole = model(batch)

@@ -1,9 +1,14 @@
 """Reference implementations the shipped hot paths are tested against.
 
 These are test oracles, called directly: ``src/repro`` ships exactly one
-implementation of each hot path, and "equivalent" means "bit-identical
-to the oracle on the same operands".  ``conv2d_grouped`` is the former
-in-tree per-group convolution, moved here verbatim.
+implementation of each hot path.  For a path whose arithmetic is
+unchanged "equivalent" means "bit-identical to the oracle on the same
+operands" (``conv2d_grouped``, the former in-tree per-group convolution,
+moved here verbatim).  The compiled frozen eval graph changes arithmetic
+on purpose (BatchNorm folded into the preceding conv, float32 through the
+GEMM); its oracles stay float64 and unfolded — ``batchnorm_eval``,
+``sequential_unfolded`` and the grad-enabled Tensor path — and the
+contract is :func:`assert_frozen_graph_close`.
 """
 
 import numpy as np
@@ -63,10 +68,37 @@ def conv2d_grouped(x: Tensor, weight: Tensor, stride: int, padding: int,
     return x._make(out_data, (x, weight), backward)
 
 
+#: Frozen-graph deviation bound, relative to the largest reference
+#: magnitude: float32 carries 6e-8 per rounding, the zoo's ~50 layers
+#: measured 1.6e-7 ... 4.6e-7 at batch 256 with randomised statistics.
+FROZEN_GRAPH_RTOL = 2e-6
+
+
+def assert_frozen_graph_close(reference: np.ndarray, got: np.ndarray) -> None:
+    """``|got - reference| <= FROZEN_GRAPH_RTOL * max|reference|`` and, for
+    (N, classes) logits, the same top-1 label on every row."""
+    assert got.shape == reference.shape
+    bound = FROZEN_GRAPH_RTOL * np.abs(reference).max()
+    worst = np.abs(got - reference).max()
+    assert worst <= bound, f"deviation {worst:.3e} over bound {bound:.3e}"
+    if reference.ndim == 2:
+        np.testing.assert_array_equal(got.argmax(axis=1),
+                                      reference.argmax(axis=1))
+
+
+def sequential_unfolded(seq, x: Tensor) -> Tensor:
+    """``Sequential.forward`` as a plain loop: every layer runs on its own,
+    no conv absorbs the BatchNorm behind it.  Monkeypatchable over
+    ``Sequential.forward``."""
+    for layer in seq:
+        x = layer(x)
+    return x
+
+
 def batchnorm_eval(bn, x: Tensor) -> Tensor:
     """Eval-mode BatchNorm2d through Tensor ops, one node per op — the
     expression ``BatchNorm2d.forward`` builds when gradients are on.
-    Monkeypatchable over ``BatchNorm2d._eval_fast``."""
+    Monkeypatchable over ``BatchNorm2d.forward`` (eval-mode models only)."""
     mean = Tensor(bn._buffers["running_mean"].reshape(1, -1, 1, 1))
     var = Tensor(bn._buffers["running_var"].reshape(1, -1, 1, 1))
     normed = (x - mean) * (var + bn.eps) ** -0.5

@@ -1,10 +1,11 @@
-"""Ownership and allocation rules of the memory-lean eval forward.
+"""Ownership and allocation rules of the compiled eval forward.
 
-Under ``no_grad`` BatchNorm, ReLU and the bottleneck's residual add write
-into *scratch* buffers — temporaries the running forward itself
-allocated.  These tests pin the other half of that rule: nothing a
-caller, a parameter or a module buffer owns is ever written or handed
-back, and the forward does not slide back to one allocation per op.
+Under ``no_grad`` the folded BatchNorm shift, ReLU and the bottleneck's
+residual add write into *scratch* buffers — temporaries the running
+forward itself allocated.  These tests pin the other half of that rule:
+nothing a caller, a parameter, a module buffer or a derived (folded)
+array owns is ever written or handed back, and the forward does not slide
+back to one allocation per op or to float64 activations.
 """
 
 import tracemalloc
@@ -12,20 +13,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.models.blocks import Bottleneck, ShuffleUnit
+from repro.models.blocks import Bottleneck, ShuffleUnit, conv_bn_relu
 from repro.models.registry import TINY_FACTORIES, tiny_model
 from repro.nn.layers import BatchNorm2d, ReLU, Sequential
 from repro.nn.tensor import Tensor, no_grad
 
-#: Peak traced bytes of one batch-64 ResNet50-tiny eval forward: 18.94 MB
-#: with an array per BatchNorm pass / ReLU / 1x1 unfold (the parent of the
-#: in-place rewrite), 13.91 MB after it, 19.14 MB if ``reuse`` allocates.
-RESNET_B64_PEAK_BUDGET = 15.5e6
+#: Peak traced bytes of one batch-64 ResNet50-tiny eval forward: 6.96 MB
+#: with BatchNorm folded and float32 activations; 7.38 MB if the folded
+#: shift is added into a fresh array, 13.91 MB with float64 activations and
+#: in-place BatchNorm (the parent), 18.94 MB with an array per op.
+RESNET_B64_PEAK_BUDGET = 7.2e6
 
 
 def _owned_arrays(model):
+    """Parameters, buffers and whatever the eval graph derived from them."""
     arrays = [p.data for p in model.parameters()]
     arrays += [buf for _, buf in model.named_buffers()]
+    for module in model.modules():
+        if isinstance(module, BatchNorm2d) and module._derived is not None:
+            weight, shift = module._derived
+            arrays += [weight.data, shift]
     return arrays
 
 
@@ -56,6 +63,18 @@ class TestCallerBytesSurvive:
         unit = ShuffleUnit(8).eval()
         x = np.random.default_rng(1).standard_normal((4, 8, 6, 6))
         self._assert_forward_leaves_input(unit, x)
+
+    def test_folded_pair_reads_the_callers_float32_array(self):
+        """No cast, so the conv unfolds the caller's own array — and the
+        shift lands in the GEMM's output, not in the columns."""
+        stage = conv_bn_relu(3, 4, 1).eval()  # 1x1: the columns are a view
+        x = np.random.default_rng(6).standard_normal(
+            (4, 3, 5, 5)).astype(np.float32)
+        with no_grad():
+            stage(Tensor(x))  # builds the fold, so the snapshot includes it
+        assert len(_owned_arrays(stage)) == 7  # W, gamma, beta, 2 stats, fold
+        out = self._assert_forward_leaves_input(stage, x)
+        assert not np.shares_memory(out.data, x)
 
     def test_relu_first_in_a_stage(self):
         """A ReLU fed the caller's tensor directly has nothing it may reuse."""
@@ -117,6 +136,8 @@ class TestOutputsAreFresh:
         model = tiny_model(name).eval()
         x = np.random.default_rng(4).standard_normal(
             (2,) + model.input_shape).astype(np.float32)
+        with no_grad():
+            model(Tensor(x))  # derive the folds: they are model state too
         state = _snapshot(model)
         with no_grad():
             for split in range(1, model.num_stages + 1):

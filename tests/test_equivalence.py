@@ -25,10 +25,9 @@ from repro.core.pipestore import PipeStore
 from repro.data.loader import normalize_images
 from repro.models.registry import tiny_model
 from repro.nn import functional as F
-from repro.nn.layers import BatchNorm2d
 from repro.storage.imageformat import preprocess
 from repro.train.fulltrain import full_train
-from tests.nn.reference_ops import batchnorm_eval, conv2d_grouped
+from tests.nn.reference_ops import assert_frozen_graph_close, conv2d_grouped
 
 
 SEED = 21
@@ -68,10 +67,11 @@ def _make_cluster(state, num_stores):
 
 
 def _patch_in_oracles(monkeypatch):
-    """Swap every hot path for its reference form: per-group conv,
-    Tensor-path eval BatchNorm, per-photo preprocess and decode."""
+    """Swap every bit-exact hot path for its reference form: per-group
+    conv, per-photo preprocess and decode.  (The folded BatchNorm is not
+    bit-exact to its oracle; its tolerance contract is tested in
+    ``tests/nn/test_functional_equivalence.py``.)"""
     monkeypatch.setattr(F, "_conv2d_matmul", conv2d_grouped)
-    monkeypatch.setattr(BatchNorm2d, "_eval_fast", batchnorm_eval)
     monkeypatch.setattr(
         cluster_module, "preprocess",
         lambda block: np.stack([preprocess(p) for p in block]))
@@ -219,14 +219,20 @@ class TestDistributedEqualsCentralised:
         store = cluster.stores[0]
         ids = store.photo_ids()[:6]
         feats_store = store.extract_features(ids)
-        # the Tuner's own frozen front computes identical features
-        from repro.nn.tensor import Tensor
+        # the Tuner's own compiled frozen front computes identical features
+        from repro.nn.tensor import Tensor, inference_mode
 
         inputs = np.stack([store.load_preprocessed(p) for p in ids])
-        cluster.tuner.model.eval()
-        feats_tuner = cluster.tuner.model.forward_until(
-            Tensor(inputs), cluster.tuner.split).data
+        tuner = cluster.tuner
+        tuner.model.eval()
+        with inference_mode():
+            feats_tuner = tuner.model.forward_until(
+                Tensor(inputs), tuner.split).data
         np.testing.assert_array_equal(feats_store, feats_tuner)
+        # ... and both within tolerance of the float64 Tensor path
+        assert_frozen_graph_close(
+            tuner.model.forward_until(Tensor(inputs), tuner.split).data,
+            feats_store)
 
 
 def test_scalar_path_env_var_is_inert():
