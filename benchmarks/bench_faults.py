@@ -97,6 +97,10 @@ def test_crashed_cluster_busy_seconds(report):
     busy = {s.store_id: s.busy_seconds for s in cluster.stores}
     retry = cluster.retry
 
+    def features(kind, store_id):
+        return cluster.metrics.get(
+            f"pipestore_feature_{kind}_total").value(store=store_id)
+
     lines = [
         f"fine-tune: extracted={ft.images_extracted} "
         f"repartitioned={ft.photos_repartitioned} "
@@ -105,8 +109,11 @@ def test_crashed_cluster_busy_seconds(report):
         f"deferred={relabel.photos_deferred}",
         f"retry:     calls={retry.calls} retries={retry.retries} "
         f"giveups={retry.giveups} backoff_s={retry.backoff_s:.3f}",
-        "accelerator busy seconds (crashed store does no work):",
-    ] + [f"  {sid}: {seconds:.4f}s" for sid, seconds in sorted(busy.items())]
+        "accelerator busy seconds (crashed store does no work; the relabel "
+        "sweep reads the features the fine-tune round stored):",
+    ] + [f"  {sid}: {seconds:.4f}s  feature hits={features('hits', sid):.0f} "
+         f"misses={features('misses', sid):.0f}"
+         for sid, seconds in sorted(busy.items())]
     report("faults_crashed_cluster", "\n".join(lines))
 
     # the dead store extracted nothing after its crash; survivors absorbed

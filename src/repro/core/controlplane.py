@@ -247,7 +247,8 @@ class RecoveryControlPlane:
         (expected by the replica map but absent).  Both are re-fetched
         from the first healthy holder over the fabric; objects with no
         healthy copy anywhere are reported — and counted — as
-        unrecoverable rather than silently dropped.
+        unrecoverable rather than silently dropped.  A rotted ``feat/``
+        object is repaired by deleting it: it is recomputable.
         """
         cluster = self.cluster
         report = ClusterScrubReport()
@@ -300,6 +301,11 @@ class RecoveryControlPlane:
         """Overwrite one damaged object with a verified replica copy."""
         cluster = self.cluster
         pid = key.split("/", 1)[1] if "/" in key else key
+        if key == target.objects.feature_key(pid):
+            # derived and never replicated: the next near-data job
+            # recomputes it from preproc/, no donor and no fabric bytes
+            target.objects.delete(key)
+            return True
         for holder in cluster.replicas.holders(pid):
             if holder == target.store_id:
                 continue

@@ -4,10 +4,13 @@ A PipeStore stores photos (raw blob + deflate-compressed preprocessed
 binary, §5.4), holds a replica of the weight-freeze model front, and runs
 the two near-data jobs: feature extraction for FT-DMP fine-tuning and
 whole-model offline inference.  Model updates arrive as Check-N-Run deltas.
+The front is frozen, so each photo's split-point feature is kept as a
+third, derived object and the front runs once per (photo, front).
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,7 +29,7 @@ from ..storage.imageformat import (
     encode_photo,
     encode_preprocessed,
 )
-from ..storage.objectstore import MissingObjectError, ObjectStore
+from ..storage.objectstore import CorruptObjectError, MissingObjectError, ObjectStore
 from . import checknrun
 from .ftdmp import frozen_front_features
 
@@ -39,6 +42,33 @@ def softmax_top1(logits: np.ndarray) -> List[Tuple[int, float]]:
     labels = probs.argmax(axis=-1)
     return [(int(label), float(probs[row, label]))
             for row, label in enumerate(labels)]
+
+
+#: ``feat/<id>`` header: what the row was computed from — the front's
+#: digest and the stored CRC32 of the ``preproc/`` blob — then dtype and
+#: ndim; ``ndim`` uint32 dims and the row's raw bytes follow.  Not
+#: deflated: a per-row deflate on every miss and inflate on every hit is
+#: the CPU time the object exists to save
+_FEATURE_HEAD = struct.Struct("<16sI3sB")
+
+
+def _pack_feature(digest: bytes, preproc_crc: int, row: np.ndarray) -> bytes:
+    return b"".join((
+        _FEATURE_HEAD.pack(digest, preproc_crc, row.dtype.str.encode(),
+                           row.ndim),
+        struct.pack(f"<{row.ndim}I", *row.shape), row.tobytes()))
+
+
+def _unpack_feature(blob: bytes, digest: bytes,
+                    preproc_crc: int) -> Optional[np.ndarray]:
+    """The stored row (a read-only view), or ``None`` when it was computed
+    by another front or from another ``preproc/`` blob."""
+    made_by, made_from, dtype, ndim = _FEATURE_HEAD.unpack_from(blob)
+    if (made_by, made_from) != (digest, preproc_crc):
+        return None
+    shape = struct.unpack_from(f"<{ndim}I", blob, _FEATURE_HEAD.size)
+    return np.frombuffer(blob, dtype.decode(),
+                         offset=_FEATURE_HEAD.size + 4 * ndim).reshape(shape)
 
 
 class StoreUnavailableError(RuntimeError):
@@ -129,11 +159,19 @@ class PipeStore:
             label_names=("store",))
         self._m_extracted = metrics.counter(
             "pipestore_features_extracted_total",
-            "images run through the frozen front (FT-DMP Store stage)",
+            "split-point features delivered (FT-DMP Store stage)",
             label_names=("store",))
         self._m_relabelled = metrics.counter(
             "pipestore_photos_relabelled_total",
-            "images run through whole-model offline inference",
+            "images relabelled by whole-model offline inference",
+            label_names=("store",))
+        self._m_feature_hits = metrics.counter(
+            "pipestore_feature_hits_total",
+            "features read back from their stored feat/ object",
+            label_names=("store",))
+        self._m_feature_misses = metrics.counter(
+            "pipestore_feature_misses_total",
+            "features computed by a frozen-front pass and stored",
             label_names=("store",))
         self._m_model_updates = metrics.counter(
             "pipestore_model_updates_total",
@@ -181,6 +219,7 @@ class PipeStore:
         pre_blob = photo.preprocessed_blob()
         self.objects.put(self.objects.raw_key(photo.photo_id), raw_blob)
         self.objects.put(self.objects.preproc_key(photo.photo_id), pre_blob)
+        self._discard(self.objects.feature_key(photo.photo_id))
         if photo.train_label is not None:
             self._train_labels[photo.photo_id] = photo.train_label
         stored = len(raw_blob) + len(pre_blob)
@@ -219,13 +258,18 @@ class PipeStore:
             ) from None
 
     def evict_photo(self, photo_id: str) -> None:
-        """Drop one photo's blobs and label (after re-placement elsewhere)."""
+        """Drop one photo's blobs, derived feature and label (after
+        re-placement elsewhere: the receiver recomputes the feature)."""
         for key in (self.objects.raw_key(photo_id),
-                    self.objects.preproc_key(photo_id)):
-            if self.objects.exists(key):
-                self.objects.delete(key)
+                    self.objects.preproc_key(photo_id),
+                    self.objects.feature_key(photo_id)):
+            self._discard(key)
         self._train_labels.pop(photo_id, None)
         self._count("_m_evicted")
+
+    def _discard(self, key: str) -> None:
+        if self.objects.exists(key):
+            self.objects.delete(key)
 
     # -- durability ----------------------------------------------------------
     def scrub(self) -> ScrubReport:
@@ -312,33 +356,73 @@ class PipeStore:
 
     # -- near-data jobs --------------------------------------------------------
     def extract_features(self, photo_ids: Sequence[str]) -> np.ndarray:
-        """The Store-stage of FT-DMP: frozen-front forward over local data."""
-        self._require_available()
-        self._require_model()
-        inputs = self._load_batch(photo_ids)
-        features = frozen_front_features(self.model, self.split, inputs,
-                                         self.batch_size)
-        self._account_compute(len(inputs))
-        self._count("_m_extracted", len(inputs))
+        """The Store-stage of FT-DMP: split-point features of local data."""
+        features = self._features(photo_ids)
+        self._count("_m_extracted", len(photo_ids))
         return features
 
     def offline_infer(self, photo_ids: Sequence[str]) -> Dict[str, Tuple[int, float]]:
         """Whole-model inference over local photos; returns id -> (label, conf)."""
-        self._require_available()
-        self._require_model()
-        inputs = self._load_batch(photo_ids)
+        features = self._features(photo_ids)
         results: Dict[str, Tuple[int, float]] = {}
-        for start in range(0, len(inputs), self.batch_size):
-            chunk_ids = photo_ids[start:start + self.batch_size]
-            with inference_mode():
-                logits = self.model(
-                    Tensor(inputs[start:start + self.batch_size])).data
-            results.update(zip(chunk_ids, softmax_top1(logits)))
-        self._account_compute(len(inputs))
-        self._count("_m_relabelled", len(inputs))
+        with inference_mode():
+            for start in range(0, len(features), self.batch_size):
+                stop = start + self.batch_size
+                logits = self.model.forward_from(
+                    Tensor(features[start:stop]), self.split).data
+                results.update(zip(photo_ids[start:stop],
+                                   softmax_top1(logits)))
+        self._count("_m_relabelled", len(photo_ids))
         return results
 
     # -- internals ----------------------------------------------------------
+    def _features(self, photo_ids: Sequence[str]) -> np.ndarray:
+        """``forward_until(split)`` of local photos, one row each.
+
+        The front is frozen, so a row is a function of the front and the
+        ``preproc/`` blob: rows whose ``feat/`` header names both are read
+        back; the rest — and only they — run the front, are accounted as
+        compute, and are stored for the next call.
+        """
+        self._require_available()
+        self._require_model()
+        if not photo_ids:
+            raise ValueError("no photo ids given")
+        objects = self.objects
+        digest = self.model.front_digest(self.split)
+        crcs = [objects.stored_crc(objects.preproc_key(pid))
+                for pid in photo_ids]
+        features, misses = None, []
+        for row, (pid, crc) in enumerate(zip(photo_ids, crcs)):
+            try:
+                stored = _unpack_feature(
+                    objects.get(objects.feature_key(pid)), digest, crc)
+            except (MissingObjectError, CorruptObjectError):
+                stored = None  # recomputable: absent or rotted is a miss
+            if stored is None:
+                misses.append(row)
+                continue
+            if features is None:
+                features = np.empty((len(photo_ids),) + stored.shape,
+                                    stored.dtype)
+            features[row] = stored
+        if misses:
+            computed = frozen_front_features(
+                self.model, self.split,
+                self._load_batch([photo_ids[row] for row in misses]),
+                self.batch_size)
+            for row, feature in zip(misses, computed):
+                objects.put(objects.feature_key(photo_ids[row]),
+                            _pack_feature(digest, crcs[row], feature))
+            if features is None:
+                features = computed
+            else:
+                features[misses] = computed
+            self._account_compute(len(misses))
+        self._count("_m_feature_hits", len(photo_ids) - len(misses))
+        self._count("_m_feature_misses", len(misses))
+        return features
+
     def _account_compute(self, num_images: int) -> None:
         seconds = num_images * NOMINAL_SECONDS_PER_IMAGE * self.slowdown
         self.busy_seconds += seconds
@@ -349,8 +433,6 @@ class PipeStore:
             raise RuntimeError(f"{self.store_id}: no model installed")
 
     def _load_batch(self, photo_ids: Sequence[str]) -> np.ndarray:
-        if not photo_ids:
-            raise ValueError("no photo ids given")
         # decode straight into one preallocated (N, C, H, W) array: one
         # payload copy per photo instead of decode + copy + np.stack
         first = self.load_preprocessed(photo_ids[0])

@@ -9,6 +9,7 @@ that a split forward equals the unsplit forward bit-for-bit.
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import contextmanager
 from typing import Iterator, List, Sequence, Tuple
 
@@ -69,6 +70,25 @@ class SplitModel(Module):
         for module in self._stage_modules[split:]:
             x = module(x)
         return x
+
+    def front_digest(self, split: int) -> bytes:
+        """16-byte digest of the frozen front: ``split`` plus every
+        parameter and buffer of the stages ``forward_until`` runs.
+
+        Equal digests mean equal split-point features for equal inputs.
+        Derived state in :attr:`Module._derived` (see there for what
+        drops it); recomputing hashes the front's bytes once.
+        """
+        self._check_split(split)
+        if self._derived is None or self._derived[0] != split:
+            digest = hashlib.blake2b(str(split).encode(), digest_size=16)
+            for index, module in enumerate(self._stage_modules[:split]):
+                for name, array in module.state_dict().items():
+                    digest.update(f"{index}.{name}{array.dtype.str}"
+                                  f"{array.shape}".encode())
+                    digest.update(array)
+            self._derived = (split, digest.digest())
+        return self._derived[1]
 
     def _check_split(self, split: int) -> None:
         if not 0 <= split <= self.num_stages:

@@ -25,9 +25,10 @@ class Module:
     """Base class for neural-network building blocks."""
 
     #: State a layer derived from its parameters and buffers for the frozen
-    #: eval graph (BatchNorm folded into the preceding conv).  Built by the
-    #: first eval forward, never serialised, and dropped by every sanctioned
-    #: mutation of its sources: ``train(True)``, ``cast``, ``load_state_dict``.
+    #: eval graph (BatchNorm folded into the preceding conv; on a SplitModel,
+    #: the digest of its frozen front).  Built on first use, never serialised,
+    #: and dropped by every sanctioned mutation of its sources:
+    #: ``train(True)``, ``cast``, ``load_state_dict``.
     _derived = None
 
     def __init__(self):

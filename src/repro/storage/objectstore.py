@@ -3,7 +3,7 @@
 Each PipeStore owns one :class:`ObjectStore` backed by a capacity-limited
 :class:`Volume`.  Keys are namespaced (``raw/<id>``, ``preproc/<id>``) the
 way the paper stores raw photos next to their compressed preprocessed
-binaries (§5.4).
+binaries (§5.4); ``feat/<id>`` makes the same trade one stage later.
 
 Every blob carries a CRC32 computed at write time and verified on every
 workload read, so silent media corruption (bit rot, torn writes) surfaces
@@ -177,6 +177,12 @@ class ObjectStore:
     @staticmethod
     def preproc_key(photo_id: str) -> str:
         return f"preproc/{photo_id}"
+
+    @staticmethod
+    def feature_key(photo_id: str) -> str:
+        """The split-point feature derived from ``preproc/<id>`` — local
+        and recomputable: never replicated, repaired by deletion."""
+        return f"feat/{photo_id}"
 
     def photo_ids(self) -> List[str]:
         prefix = "raw/"

@@ -91,8 +91,11 @@ def dump_object_store(store: ObjectStore) -> bytes:
         ">4sBQI", _STORE_MAGIC, _VERSION, store.volume.capacity_bytes,
         len(keys),
     )
-    # the one deflate these bytes get: a checkpoint stores this verbatim
-    return seal([header, deflate(b"".join(parts))])
+    # the one deflate these bytes get: a checkpoint stores this verbatim.
+    # Level 1: what squeezes is the raw blobs' zero padding, as well as at
+    # level 6; deflated payloads do not at any level, and float feature
+    # rows give level 6 five points (44 % vs 49 %) for 4.5x the time
+    return seal([header, deflate(b"".join(parts), level=1)])
 
 
 def load_object_store(blob: bytes, name: str = "restored") -> ObjectStore:

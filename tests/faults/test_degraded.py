@@ -9,6 +9,7 @@ from repro.core import checknrun
 from repro.core.cluster import NDPipeCluster
 from repro.core.config import ClusterConfig
 from repro.faults import (
+    BitRot,
     DropMessages,
     FaultInjector,
     RetryPolicy,
@@ -255,15 +256,20 @@ class TestRelabelSkipAccounting:
 
 class TestAccountedCompute:
     def test_slowdown_scales_busy_seconds(self, loaded):
+        """Busy seconds charge the images whose front ran, so healthy and
+        degraded are measured on disjoint cold ids."""
         cluster, _ = loaded
         store = cluster.stores[0]
-        ids = store.photo_ids()[:10]
+        ids = store.photo_ids()
         store.busy_seconds = 0.0
-        store.offline_infer(ids)
+        store.offline_infer(ids[:5])
         healthy = store.busy_seconds
+        assert healthy > 0
         store.slowdown = 3.0
         store.busy_seconds = 0.0
-        store.offline_infer(ids)
+        store.offline_infer(ids[5:10])
+        assert store.busy_seconds == pytest.approx(3.0 * healthy)
+        store.offline_infer(ids[:10])  # warm: no front pass, nothing charged
         assert store.busy_seconds == pytest.approx(3.0 * healthy)
 
     def test_recover_resets_slowdown(self, loaded):
@@ -273,3 +279,52 @@ class TestAccountedCompute:
         store.fail()
         cluster.recover(store)
         assert store.slowdown == 1.0
+
+
+class TestRottedDerivedFeature:
+    """A ``feat/`` object is recomputable: rot costs a front pass, never a
+    donor fetch, an unrecoverable object or a failed job."""
+
+    def _rot_one_feature(self, cluster):
+        store = cluster.stores[0]
+        ids = store.photo_ids()
+        before = store.extract_features(ids)
+        key = store.objects.feature_key(ids[2])
+        injector = FaultInjector([
+            BitRot(at=1, store_id=store.store_id, key=key),
+        ]).attach(cluster)
+        cluster.network.send("a", "b", 1, "tick")
+        injector.detach()
+        assert injector.corrupted == [(store.store_id, key)]
+        assert not store.objects.verify(key)
+        return store, ids, key, before
+
+    def test_scrub_heals_it_by_deletion(self, loaded):
+        cluster, _ = loaded
+        store, ids, key, before = self._rot_one_feature(cluster)
+        traffic = cluster.traffic_summary()
+        report = cluster.scrub_and_repair()
+        assert report.corrupt_found == 1
+        assert report.repaired == [(store.store_id, key)]
+        assert report.unrecoverable == [] and report.restored == []
+        assert cluster.traffic_summary() == traffic  # zero fabric bytes
+        assert not store.objects.exists(key)
+        assert cluster.scrub_and_repair().clean
+        busy = store.busy_seconds
+        np.testing.assert_allclose(store.extract_features(ids), before,
+                                   rtol=0, atol=2e-6 * np.abs(before).max())
+        assert store.busy_seconds - busy == pytest.approx(1e-3)
+        assert store.objects.verify(key)
+        # in the batch it was first computed in, bit for bit
+        for stored in store.objects.keys("feat/"):
+            store.objects.delete(stored)
+        np.testing.assert_array_equal(store.extract_features(ids), before)
+
+    def test_rot_on_the_hit_path_does_not_fail_the_round(self, loaded):
+        cluster, _ = loaded
+        store, _ids, key, _before = self._rot_one_feature(cluster)
+        report = cluster.finetune(epochs=1)
+        assert report.images_extracted == 45
+        assert not report.degraded
+        assert store.objects.verify(key)  # rewritten by the miss
+        assert cluster.scrub_and_repair().clean
