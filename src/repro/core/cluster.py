@@ -157,39 +157,11 @@ class NDPipeCluster:
                ) -> List[str]:
         """Upload a batch of photos (N, 3, H, W in [0, 1]); returns ids.
 
-        Uploads are classified in micro-batches of ``config.batch_size``:
-        one preprocess + one forward per chunk.  The stored preprocessed
-        tensors are what a per-photo ``preprocess`` yields (the transform
-        is elementwise); confidences can differ in the last ulps from
-        batch-1 forwards because a batch-N GEMM reduces differently.
+        The data plane's chunked body (:meth:`~repro.core.dataplane.
+        IngestDataPlane.ingest`) with nothing to admit and no id prefix.
         """
-        if images.ndim != 4:
-            raise ValueError(f"expected (N, 3, H, W) images, got {images.shape}")
-        if train_labels is not None and len(train_labels) != len(images):
-            raise ValueError("train_labels length mismatch")
-        ids: List[str] = []
-        chunk_size = self.config.batch_size
         with self.tracer.span("cluster.ingest", photos=len(images)):
-            for start in range(0, len(images), chunk_size):
-                block = images[start:start + chunk_size]
-                preprocessed = preprocess(block)
-                results = self.inference_server.classify_preprocessed(
-                    preprocessed)
-                for row, (label, confidence) in enumerate(results):
-                    train_label = (None if train_labels is None
-                                   else int(train_labels[start + row]))
-                    ids.append(self._land_upload(
-                        block[row], preprocessed[row], label, confidence,
-                        train_label))
-        return ids
-
-    def _land_upload(self, pixels: np.ndarray, preprocessed: np.ndarray,
-                     label: int, confidence: float,
-                     train_label: Optional[int]) -> str:
-        """Make one classified upload durable (delegates to the data
-        plane): placement, database record, replica copies, journal."""
-        return self.dataplane.land_upload(pixels, preprocessed, label,
-                                          confidence, train_label)
+            return list(self.dataplane.ingest(images, train_labels))
 
     # -- high-throughput serving flow ---------------------------------------
     def make_serving_frontend(self, config=None):
@@ -233,7 +205,7 @@ class NDPipeCluster:
                               offered=report.offered,
                               completed=report.completed):
             for outcome in report.completed_requests:
-                ids.append(self._land_upload(
+                ids.append(self.dataplane.land_upload(
                     outcome.request.pixels, outcome.preprocessed,
                     outcome.label, outcome.confidence,
                     outcome.request.train_label))

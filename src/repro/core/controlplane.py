@@ -23,6 +23,7 @@ import numpy as np
 from ..durability.integrity import ClusterScrubReport
 from ..faults.errors import TransientFaultError
 from ..faults.retry import call_with_retry
+from ..storage.imageformat import preprocess
 from ..storage.objectstore import CorruptObjectError, MissingObjectError
 from ..storage.photodb import LabelRecord
 from .pipestore import PipeStore, StoredPhoto, StoreUnavailableError
@@ -154,7 +155,7 @@ class RecoveryControlPlane:
                 pixels, train_label = self.journal[pid]
                 photo = StoredPhoto(
                     photo_id=pid, pixels=pixels,
-                    preprocessed=cluster.inference_server.preprocess(pixels),
+                    preprocessed=preprocess(pixels),
                     train_label=train_label,
                 )
                 try:

@@ -23,7 +23,8 @@ produces the labels ingest makes durable — it moved here from
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -82,10 +83,6 @@ class InferenceServer:
             logits = self.model(Tensor(batch)).data
         return softmax_top1(logits)
 
-    def preprocess(self, pixels: np.ndarray) -> np.ndarray:
-        """The offloaded preprocessing step (§5.4 +Offload)."""
-        return preprocess(pixels)
-
     def sync_model(self, state: Dict[str, np.ndarray]) -> None:
         self.model.load_state_dict(state)
 
@@ -119,11 +116,13 @@ class RoundRobinPlacement:
 class RingPlacement:
     """Consistent-hash placement with bounded-load routing.
 
-    The first candidate is the ring's load-aware :meth:`~repro.placement.
-    ring.ConsistentHashRing.pick` — a shard whose observed ingest queue
-    (placements plus injected transfer latency) exceeds
-    ``load_factor`` x the fleet mean is skipped for its ring successor.
-    Fallback candidates on write failure are the remaining distinct ring
+    Both orders come from one successor lookup each: the photo's distinct
+    ring successors, clockwise, filtered to the stores that are up.  The
+    first candidate is the bounded-load choice among them (:meth:`~repro.
+    placement.ring.ConsistentHashRing.within_bound`) — a shard whose
+    observed ingest queue (placements plus injected transfer latency)
+    exceeds ``load_factor`` x the fleet mean is skipped for its ring
+    successor.  Fallback candidates on write failure are the remaining
     successors in clockwise order, so retries stay deterministic.
     """
 
@@ -133,17 +132,25 @@ class RingPlacement:
         self.ring = ring
         self.load_factor = load_factor
 
+    def _live_successors(self, photo_id: str) -> List[str]:
+        return [shard for shard
+                in self.ring.replica_set(photo_id, len(self.ring))
+                if self.plane.is_available(shard)]
+
     def candidates(self, photo_id: str) -> Iterator[PipeStore]:
         plane = self.plane
-        first = self.ring.pick(
-            photo_id, load_of=plane.queue_depth,
-            load_factor=self.load_factor, available=plane.is_available)
-        if first != self.ring.primary(photo_id) \
-                and plane.metrics_load_skips is not None:
+        live = self._live_successors(photo_id)
+        if not live:
+            return  # place_photo turns "nobody accepted" into its typed error
+        first = self.ring.within_bound(live, plane.queue_depth,
+                                       self.load_factor)
+        # a skip is the first *available* successor passed over for load;
+        # routing around a down primary is not one
+        if first != live[0] and plane.metrics_load_skips is not None:
             plane.metrics_load_skips.inc()
         yield plane.store_by_id(first)
-        for shard in self.ring.replica_set(photo_id, len(self.ring)):
-            if shard != first and plane.is_available(shard):
+        for shard in live:
+            if shard != first:
                 yield plane.store_by_id(shard)
 
     def replica_candidates(self, photo_id: str,
@@ -155,10 +162,9 @@ class RingPlacement:
         holder set is exactly the ring's desired set and a later
         membership change migrates only the keyspace that actually moved.
         """
-        plane = self.plane
-        for shard in self.ring.replica_set(photo_id, len(self.ring)):
-            if shard not in taken and plane.is_available(shard):
-                yield plane.store_by_id(shard)
+        for shard in self._live_successors(photo_id):
+            if shard not in taken:
+                yield self.plane.store_by_id(shard)
 
 
 class IngestDataPlane:
@@ -206,19 +212,56 @@ class IngestDataPlane:
     def loads(self) -> Dict[str, float]:
         return dict(self._load)
 
+    # -- the ingest body ----------------------------------------------------
+    def ingest(self, images: np.ndarray,
+               train_labels: Optional[Sequence[int]] = None,
+               admit: Optional[Callable[[np.ndarray], bool]] = None,
+               id_prefix: str = "") -> Iterator[str]:
+        """Upload photos (N, 3, H, W in [0, 1]); yields each id as it lands.
+
+        The one ingest body behind both clusters: offer every photo to
+        ``admit`` in order, collect the admitted ones into chunks of
+        ``config.batch_size``, one preprocess + one forward per chunk,
+        land the chunk's rows in order.  The stored tensors are what a
+        per-photo ``preprocess`` yields (the transform is elementwise);
+        confidences can differ in the last ulps from batch-1 forwards
+        because a batch-N GEMM reduces differently.  If landing raises,
+        the ids yielded so far are exactly the photos made durable — a
+        caller that charged for admission settles the rest.
+        """
+        if images.ndim != 4:
+            raise ValueError(f"expected (N, 3, H, W) images, got {images.shape}")
+        if train_labels is not None and len(train_labels) != len(images):
+            raise ValueError("train_labels length mismatch")
+        server = self.cluster.inference_server
+        chunk_size = self.cluster.config.batch_size
+        rows: List[int] = []
+        for row in range(len(images)):
+            if admit is None or admit(images[row]):
+                rows.append(row)
+            if len(rows) < chunk_size and (row + 1 < len(images) or not rows):
+                continue  # chunk still filling, or nothing admitted at the end
+            preprocessed = preprocess(images[rows])
+            results = server.classify_preprocessed(preprocessed)
+            for at, tensor, (label, confidence) in zip(
+                    rows, preprocessed, results):
+                yield self.land_upload(
+                    images[at], tensor, label, confidence,
+                    None if train_labels is None else int(train_labels[at]),
+                    id_prefix)
+            rows = []
+
     # -- upload landing -----------------------------------------------------
     def land_upload(self, pixels: np.ndarray, preprocessed: np.ndarray,
                     label: int, confidence: float,
-                    train_label: Optional[int],
-                    photo_id: Optional[str] = None) -> str:
+                    train_label: Optional[int], id_prefix: str = "") -> str:
         """Make one classified upload durable: placement, database record,
         replica copies, and the recovery journal.  Shared by the
         synchronous ingest path and the batched serving layer, which
         reuses the preprocessed tensor it already produced; the sharded
-        fleet passes a tenant-qualified ``photo_id``."""
+        fleet's ``id_prefix`` qualifies the id with the tenant."""
         cluster = self.cluster
-        if photo_id is None:
-            photo_id = f"photo-{self.ingest_counter:08d}"
+        photo_id = f"{id_prefix}photo-{self.ingest_counter:08d}"
         self.ingest_counter += 1
         photo = StoredPhoto(
             photo_id=photo_id,

@@ -93,35 +93,33 @@ class ShardedCluster:
         Returns ``(photo_ids, rejections)``: one qualified id per admitted
         photo and one quota-reason string per rejected one.
         """
-        if images.ndim != 4:
-            raise ValueError(
-                f"expected (N, 3, H, W) images, got {images.shape}")
-        if train_labels is not None and len(train_labels) != len(images):
-            raise ValueError("train_labels length mismatch")
         cluster = self.cluster
-        plane = cluster.dataplane
         ids: List[str] = []
         rejections: List[str] = []
+        charged: List[int] = []  # bytes per admitted photo, offer order
+
+        def admit(pixels: np.ndarray) -> bool:
+            reason = self.tenants.admit(tenant, int(pixels.nbytes))
+            if reason is None:
+                charged.append(int(pixels.nbytes))
+            else:
+                rejections.append(reason)
+            return reason is None
+
         with cluster.tracer.span("fleet.ingest", tenant=tenant,
                                  photos=len(images)):
-            for row, pixels in enumerate(images):
-                reason = self.tenants.admit(tenant, int(pixels.nbytes))
-                if reason is not None:
-                    rejections.append(reason)
-                    continue
-                server = cluster.inference_server
-                preprocessed = server.preprocess(pixels)
-                label, confidence = server.classify_preprocessed(
-                    preprocessed[None])[0]
-                train_label = (None if train_labels is None
-                               else int(train_labels[row]))
-                photo_id = (f"{tenant}/photo-"
-                            f"{plane.ingest_counter:08d}")
-                ids.append(plane.land_upload(
-                    pixels, preprocessed, label, confidence, train_label,
-                    photo_id=photo_id))
-                self.metrics.placements.inc(
-                    shard=cluster.database.lookup(photo_id).location)
+            try:
+                for photo_id in cluster.dataplane.ingest(
+                        images, train_labels, admit=admit,
+                        id_prefix=f"{tenant}/"):
+                    ids.append(photo_id)
+                    self.metrics.placements.inc(
+                        shard=cluster.database.lookup(photo_id).location)
+            finally:
+                # an upload admitted but never landed (every candidate
+                # store down) holds nothing: give its quota charge back
+                for nbytes in charged[len(ids):]:
+                    self.tenants.release(tenant, nbytes)
         return ids, rejections
 
     # -- fan-out model distribution --------------------------------------------

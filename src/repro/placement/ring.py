@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import bisect
 from hashlib import blake2b
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["ConsistentHashRing", "RingError"]
 
@@ -54,6 +54,10 @@ class ConsistentHashRing:
         #: sorted vnode positions and their owning shard, kept parallel
         self._tokens: List[int] = []
         self._owners: List[str] = []
+        #: per start token, the distinct shards clockwise from it.  Derived
+        #: state of the membership: built on first lookup, dropped by every
+        #: join/leave, one small tuple per token
+        self._orders: Optional[List[Tuple[str, ...]]] = None
         for shard in shards:
             self.add_shard(shard)
 
@@ -73,6 +77,7 @@ class ConsistentHashRing:
         if shard_id in self._shards:
             raise RingError(f"shard {shard_id!r} is already on the ring")
         self._shards.append(shard_id)
+        self._orders = None
         for v in range(self.vnodes):
             token = _hash64(self.seed, "vnode", f"{shard_id}#{v}")
             at = bisect.bisect_left(self._tokens, token)
@@ -89,28 +94,39 @@ class ConsistentHashRing:
         if shard_id not in self._shards:
             raise RingError(f"shard {shard_id!r} is not on the ring")
         self._shards.remove(shard_id)
+        self._orders = None
         keep = [i for i, owner in enumerate(self._owners)
                 if owner != shard_id]
         self._tokens = [self._tokens[i] for i in keep]
         self._owners = [self._owners[i] for i in keep]
 
     # -- placement ----------------------------------------------------------
-    def _successors(self, key: str) -> Iterable[str]:
-        """Distinct shards clockwise from the key's ring position."""
+    def _successors(self, key: str) -> Tuple[str, ...]:
+        """Distinct shards clockwise from the key's ring position: one
+        hash and one bisect into the per-start-token orders."""
         if not self._shards:
             raise RingError("the ring has no shards")
+        if self._orders is None:
+            self._orders = self._successor_orders()
         start = bisect.bisect_right(self._tokens,
                                     _hash64(self.seed, "key", key))
-        seen: set = set()
-        for step in range(len(self._tokens)):
-            owner = self._owners[(start + step) % len(self._tokens)]
-            if owner not in seen:
-                seen.add(owner)
-                yield owner
+        return self._orders[start % len(self._tokens)]
+
+    def _successor_orders(self) -> List[Tuple[str, ...]]:
+        """One backwards pass: the order from token ``i`` is its owner,
+        then the order from token ``i + 1`` without that owner."""
+        order = tuple(dict.fromkeys(self._owners))  # from token 0
+        orders = []
+        for owner in reversed(self._owners):
+            if owner != order[0]:
+                order = (owner,) + tuple(s for s in order if s != owner)
+            orders.append(order)
+        orders.reverse()
+        return orders
 
     def primary(self, key: str) -> str:
         """The shard owning ``key`` (first vnode clockwise)."""
-        return next(iter(self._successors(key)))
+        return self._successors(key)[0]
 
     def replica_set(self, key: str, k: int) -> List[str]:
         """``k`` distinct shards for ``key``: primary first, then the
@@ -120,12 +136,7 @@ class ConsistentHashRing:
         if k > len(self._shards):
             raise RingError(
                 f"cannot place {k} replicas on {len(self._shards)} shards")
-        out: List[str] = []
-        for shard in self._successors(key):
-            out.append(shard)
-            if len(out) == k:
-                break
-        return out
+        return list(self._successors(key)[:k])
 
     def pick(self, key: str,
              load_of: Optional[Callable[[str], float]] = None,
@@ -149,6 +160,15 @@ class ConsistentHashRing:
             raise RingError(f"no available shard for key {key!r}")
         if load_of is None:
             return candidates[0]
+        return self.within_bound(candidates, load_of, load_factor)
+
+    @staticmethod
+    def within_bound(candidates: Sequence[str],
+                     load_of: Callable[[str], float],
+                     load_factor: float) -> str:
+        """The bounded-load choice over an ordered candidate list: the
+        first whose load is within ``load_factor`` x the candidates' mean,
+        else the least loaded."""
         loads = {s: float(load_of(s)) for s in candidates}
         mean = sum(loads.values()) / len(loads)
         bound = load_factor * mean

@@ -152,6 +152,56 @@ class TestBoundedLoadPick:
                                 load_factor=0.5)
 
 
+class TestSuccessorTable:
+    """The per-start-token successor orders are derived state of the
+    membership: no join/leave history may leave a stale one behind."""
+
+    @given(keys=KEYS, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_membership_history_equals_a_fresh_ring(self, keys, data):
+        ring = ring_of(["shard-0", "shard-1"], vnodes=8)
+        loads = {f"shard-{i}": float(7 * i % 5) for i in range(8)}
+        for _ in range(data.draw(st.integers(1, 10))):
+            # read before every change, so the table is warm when it drops
+            for key in keys:
+                ring.replica_set(key, len(ring))
+            leavers = ring.shards if len(ring) > 1 else []
+            joiners = sorted(set(loads) - set(ring.shards))
+            change = data.draw(st.sampled_from(
+                [("leave", s) for s in leavers]
+                + [("join", s) for s in joiners]))
+            if change[0] == "join":
+                ring.add_shard(change[1])
+            else:
+                ring.remove_shard(change[1])
+            fresh = ring_of(ring.shards, vnodes=8)
+            down = data.draw(st.sampled_from(ring.shards))
+
+            def up(shard, down=down):
+                return shard != down or len(ring) == 1
+
+            for key in keys:
+                assert ring.primary(key) == fresh.primary(key)
+                assert ring.replica_set(key, len(ring)) \
+                    == fresh.replica_set(key, len(fresh))
+                assert ring.pick(key, load_of=loads.__getitem__,
+                                 available=up) \
+                    == fresh.pick(key, load_of=loads.__getitem__,
+                                  available=up)
+
+    def test_table_is_one_order_per_token_and_dropped_on_change(self):
+        ring = ring_of([f"s{i}" for i in range(4)], vnodes=4)
+        assert ring._orders is None  # nothing built until somebody asks
+        for i in range(200):
+            ring.primary(f"photo-{i}")
+        assert len(ring._orders) == 16
+        ring.add_shard("s4")
+        assert ring._orders is None
+        ring.primary("photo-0")
+        ring.remove_shard("s4")
+        assert ring._orders is None
+
+
 class TestMembershipErrors:
     def test_duplicate_join_is_loud(self):
         ring = ring_of(["a"])

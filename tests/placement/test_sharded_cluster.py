@@ -12,6 +12,7 @@ no longer serves the data-plane aliases it once deprecated.
 import numpy as np
 import pytest
 
+from repro.core.pipestore import StoreUnavailableError
 from repro.faults import AddLatency, FaultInjector
 from repro.models.registry import tiny_model
 from repro.placement import (
@@ -61,24 +62,94 @@ class TestMultiTenantIngest:
 
     def test_each_upload_is_preprocessed_once_and_labelled_the_same(
             self, monkeypatch):
-        """ingest classifies the tensor it stores: one ``preprocess`` per
-        upload, labels bit-identical to ``classify(pixels)``."""
+        """ingest classifies the tensor it stores: one ``preprocess`` and
+        one forward per ``batch_size`` chunk, labels equal to
+        ``classify(pixels)``, confidences within the batched-vs-single
+        tolerance of ``tests/test_equivalence.py``."""
         from repro.core import dataplane
 
         calls = []
         real = dataplane.preprocess
         monkeypatch.setattr(
             dataplane, "preprocess",
-            lambda pixels, *a: calls.append(1) or real(pixels, *a))
+            lambda pixels, *a: calls.append(len(pixels)) or real(pixels, *a))
         fleet = make_fleet(replication=2)
-        images, labels = images_of(5, fleet)
+        chunk = fleet.cluster.config.batch_size
+        images, labels = images_of(chunk + 5, fleet)
         ids, _ = fleet.ingest(images, train_labels=labels)
-        assert len(calls) == 5
+        assert calls == [chunk, 5]
         server = fleet.cluster.inference_server
         for pid, pixels in zip(ids, images):
             record = fleet.cluster.database.lookup(pid)
-            assert (record.label, record.confidence) == server.classify(
-                pixels)
+            label, confidence = server.classify(pixels)
+            assert record.label == label
+            np.testing.assert_allclose(record.confidence, confidence,
+                                       rtol=1e-9, atol=1e-12)
+            store = fleet.cluster._resolve_store(record.location)
+            np.testing.assert_array_equal(
+                store.load_preprocessed(pid), real(pixels))
+
+    def test_one_call_equals_fifty_one_photo_calls(self):
+        """Chunking is scheduling: against 50 one-photo calls the ids,
+        locations, holders, rejections and every traffic byte agree
+        exactly and only the confidences move (by GEMM reduction order).
+        ``acme``'s byte quota fills in the middle of the chunk."""
+        images, labels = images_of(50, make_fleet())
+        tenants = [TenantConfig(name="acme",
+                                byte_quota=30 * int(images[0].nbytes))]
+        chunked = make_fleet(replication=2, tenants=tenants)
+        ids, rejections = chunked.ingest(images, tenant="acme",
+                                         train_labels=labels)
+        single = make_fleet(replication=2, tenants=tenants)
+        single_ids, single_rejections = [], []
+        for i in range(len(images)):
+            got, refused = single.ingest(images[i:i + 1], tenant="acme",
+                                         train_labels=labels[i:i + 1])
+            single_ids += got
+            single_rejections += refused
+        assert ids == single_ids and len(ids) == 30
+        assert rejections == single_rejections == ["byte-quota"] * 20
+        for pid in ids:
+            a = single.cluster.database.lookup(pid)
+            b = chunked.cluster.database.lookup(pid)
+            assert (a.label, a.location) == (b.label, b.location), pid
+            assert single.cluster.replicas.holders(pid) \
+                == chunked.cluster.replicas.holders(pid), pid
+            np.testing.assert_allclose(a.confidence, b.confidence,
+                                       rtol=1e-9, atol=1e-12)
+        assert single.traffic_summary() == chunked.traffic_summary()
+        assert single.tenants.to_dict() == chunked.tenants.to_dict()
+        assert single.cluster.dataplane.loads() \
+            == chunked.cluster.dataplane.loads()
+
+    def test_failed_landing_releases_the_unlanded_quota_charge(self):
+        """Regression: a photo admitted but never landed stayed charged
+        against its tenant's byte quota with nothing resident."""
+        images, labels = images_of(12, make_fleet())
+        per_image = int(images[0].nbytes)
+        fleet = make_fleet(tenants=[
+            TenantConfig(name="acme", byte_quota=12 * per_image)])
+        plane = fleet.cluster.dataplane
+        land = plane.land_upload
+
+        def land_then_lose_the_fleet(*args, **kwargs):
+            if plane.ingest_counter == 5:  # mid-chunk
+                for store in fleet.cluster.stores:
+                    store.fail()
+            return land(*args, **kwargs)
+
+        plane.land_upload = land_then_lose_the_fleet
+        with pytest.raises(StoreUnavailableError):
+            fleet.ingest(images, tenant="acme", train_labels=labels)
+        books = fleet.tenants.to_dict()["acme"]
+        assert books["admitted"] == 12
+        assert books["charged"] == books["resident"] + books["released"]
+        assert books["resident"] == len(fleet.cluster.database) == 5
+        assert books["resident_bytes"] == 5 * per_image
+        # the freed quota is usable again once a store is back
+        fleet.cluster.stores[0].repair()
+        ids, rejections = fleet.ingest(images[:7], tenant="acme")
+        assert len(ids) == 7 and rejections == []
 
     def test_quota_rejections_do_not_consume_ids(self):
         images, _ = images_of(4, make_fleet())
@@ -199,6 +270,21 @@ class TestLoadAwarePlacement:
         # the diversion is visible in the observed queue depths
         loads = slowed_fleet.cluster.dataplane.loads()
         assert loads[slow] == max(loads.values())
+
+
+    def test_routing_around_a_down_shard_is_not_a_load_skip(self):
+        """Regression: ``shard_load_skips_total`` also counted uploads
+        whose ring primary was merely down."""
+        fleet = make_fleet()
+        # equal loads: nobody is over the bound, so nothing is skipped
+        fleet.cluster.dataplane.queue_depth = lambda store_id: 1.0
+        images, labels = images_of(40, fleet)
+        down = fleet.ring.primary("default/photo-00000000")
+        fleet.cluster._resolve_store(down).fail()
+        ids, _ = fleet.ingest(images, train_labels=labels)
+        assert fleet.placement_summary()[down] == 0
+        assert any(fleet.ring.primary(pid) == down for pid in ids)
+        assert int(fleet.metrics.load_skips.value()) == 0
 
 
 class TestMembershipAccounting:
