@@ -14,16 +14,23 @@ played through both front ends:
 The headline claims recorded in ``results/BENCH_serving_stream.json``:
 the streaming side sheds *zero* requests as ``queue_full`` on an
 offered load that makes the synchronous queue drop (conservation is
-``offered == completed + cancelled + expired``), completes provably out
-of submission order, and scales the replica set up under the flash.
+``offered == completed + cancelled + expired``), completes every request
+with a p99 no worse than the blessed one, and scales the replica set up
+under the flash.  (Out-of-order completion is pinned by
+``tests/serving/test_stream.py::test_out_of_order_completion_across_replicas``;
+with the batch controller steering on service time this trace is served
+by two replicas in large batches and happens to complete in order.)
 """
+
+from pathlib import Path
 
 from repro.analysis.tables import format_table
 from repro.bench.harness import serving_stream_payload
-from repro.obs.benchjson import BenchResult
+from repro.obs.benchjson import BenchResult, load_bench_json
 from repro.serving.bench import run_streaming_bench
 
 SEED = 0
+BLESSED = Path(__file__).parent / "results" / "BENCH_serving_stream.json"
 
 
 def streaming_comparison():
@@ -31,6 +38,9 @@ def streaming_comparison():
 
 
 def test_streaming_vs_sync_frontend(benchmark, report, bench_json):
+    # read before bench_json below overwrites the committed baseline
+    blessed_p99_s = next(r.value for r in load_bench_json(BLESSED)
+                         if r.metric == "stream_p99_latency_s")
     result = benchmark(streaming_comparison)
     s = result["streaming"]
     sync = result["sync"]
@@ -74,8 +84,9 @@ def test_streaming_vs_sync_frontend(benchmark, report, bench_json):
     # ...at an offered load that makes the synchronous queue drop
     assert sync["shed"]["queue_full"] > 0
     assert s["completed"] > sync["completed"]
-    # completion order provably differs from submission order
-    assert s["out_of_order"] > 0
+    # nothing is lost to the flash, and the tail is no worse than blessed
+    assert s["completed"] == s["offered"] == result["num_requests"]
+    assert s["p99_latency_s"] <= blessed_p99_s
     # the flash forces the autoscaler's hand
     assert s["scale_ups"] >= 1
     assert s["peak_replicas"] > result["stream_config"]["min_replicas"]

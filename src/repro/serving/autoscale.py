@@ -1,9 +1,9 @@
 """ElasticityController — replica-set sizing from SLO headroom.
 
-Consumes the same signal the AIMD :class:`~repro.serving.batcher.
-SloController` steers batch size with — the worst request latency of
-each delivered micro-batch — and turns sustained SLO pressure into
-replica-count decisions:
+Consumes the worst request *sojourn* (arrival to answer, queueing and
+credit wait included) of each delivered micro-batch — not the batch
+service time :class:`~repro.serving.batcher.SloController` steers batch
+size on — and turns sustained SLO pressure into replica-count decisions:
 
 * **scale up** (+1) when the windowed *median* worst-batch latency
   exceeds ``slo_s * scale_up_headroom`` — one bad batch is the batch

@@ -1,23 +1,28 @@
 """Adaptive micro-batching under a latency SLO.
 
-Two pieces, both reusing the paper's batching math:
-
 * :func:`slo_batch_size` — the NPE batch-size-enlargement logic of §5.4,
   applied to serving: walk batch sizes through the calibrated
   :func:`~repro.core.npe.npe_task_times` cost model and pick the largest
-  batch whose accelerator service time still fits inside a fraction of
-  the SLO (and whose working set fits device memory, the Fig. 19
-  constraint).  This seeds the controller near its operating point
-  instead of cold-starting at batch 1.
-* :class:`SloController` — an AIMD loop around observed request latency:
-  a batch whose slowest request exceeded the SLO halves the target
-  (multiplicative decrease); latency under ``slo * headroom`` earns an
-  additive increase.  The asymmetry makes SLO violations transient and
-  self-correcting while still climbing back to the throughput-optimal
-  batch when load allows.
+  batch whose accelerator service time still fits the *service budget*
+  ``slo_s * SERVICE_BUDGET_FRACTION`` (and whose working set fits device
+  memory, the Fig. 19 constraint).  This seeds the controller near its
+  operating point instead of cold-starting at batch 1.
+* :class:`SloController` — AIMD on *batch service time* (dispatch to
+  done: what the replica was tied up for) against that same budget:
+  over budget halves the target, under ``budget * headroom`` earns an
+  additive increase.  Request sojourn time is deliberately not the
+  signal — under overload it grows with the pending line, and shrinking
+  the batch then is positive feedback toward batch 1; sojourn steers
+  the replica count (:mod:`~repro.serving.autoscale`) and admission
+  (deadline shedding) instead.
+* :class:`MicroBatcher` — the one batch body behind both front ends.
 """
 
 from __future__ import annotations
+
+from typing import List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 from ..core.npe import NpeConfig, npe_task_times
 from ..models.graph import ModelGraph
@@ -25,12 +30,24 @@ from ..sim.specs import (
     COMPRESSED_PREPROCESSED_BYTES,
     AcceleratorSpec,
 )
+from ..storage.imageformat import preprocess
+from .admission import ServeRequest
+from .cache import TensorCache
+from .config import ServingConfig
+from .dispatcher import ReplicaDispatcher
+from .metrics import ServingMetrics
 
-__all__ = ["slo_batch_size", "SloController"]
+__all__ = ["SERVICE_BUDGET_FRACTION", "slo_batch_size", "SloController",
+           "DeliveredBatch", "MicroBatcher"]
+
+#: share of the SLO one batch's service time may take; the rest is left
+#: for queueing.  The seed and the controller both read it, so the batch
+#: the NPE model picks is one the controller does not shrink.
+SERVICE_BUDGET_FRACTION = 0.5
 
 
 def slo_batch_size(graph: ModelGraph, accelerator: AcceleratorSpec,
-                   slo_s: float, fraction: float = 0.5,
+                   slo_s: float, fraction: float = SERVICE_BUDGET_FRACTION,
                    min_batch: int = 1, max_batch: int = 256) -> int:
     """Largest batch whose accelerator time fits ``fraction * slo_s``.
 
@@ -67,7 +84,8 @@ def slo_batch_size(graph: ModelGraph, accelerator: AcceleratorSpec,
 
 
 class SloController:
-    """AIMD batch-size controller steering p99 latency toward the SLO."""
+    """AIMD batch-size controller steering batch service time toward
+    the service budget ``slo_s * SERVICE_BUDGET_FRACTION``."""
 
     def __init__(self, slo_s: float, min_batch: int, max_batch: int,
                  initial_batch: int, headroom: float = 0.8,
@@ -84,6 +102,7 @@ class SloController:
             raise ValueError(
                 f"additive_step must be >= 1, got {additive_step}")
         self.slo_s = slo_s
+        self.budget_s = slo_s * SERVICE_BUDGET_FRACTION
         self.min_batch = min_batch
         self.max_batch = max_batch
         self.headroom = headroom
@@ -92,22 +111,117 @@ class SloController:
         self.decreases = 0
         self.increases = 0
 
-    def observe(self, worst_latency_s: float) -> int:
-        """Feed back one dispatched batch's slowest request latency.
+    def observe(self, service_s: float) -> int:
+        """Feed back one delivered batch's dispatch-to-done time.
 
         Returns the new batch-size target.
         """
-        if worst_latency_s < 0:
-            raise ValueError(
-                f"latency must be >= 0, got {worst_latency_s}")
-        if worst_latency_s > self.slo_s:
+        if service_s < 0:
+            raise ValueError(f"service time must be >= 0, got {service_s}")
+        if service_s > self.budget_s:
             shrunk = max(self.min_batch, self.batch_size // 2)
             if shrunk < self.batch_size:
                 self.decreases += 1
             self.batch_size = shrunk
-        elif worst_latency_s < self.slo_s * self.headroom:
+        elif service_s < self.budget_s * self.headroom:
             grown = min(self.max_batch, self.batch_size + self.additive_step)
             if grown > self.batch_size:
                 self.increases += 1
             self.batch_size = grown
         return self.batch_size
+
+
+class DeliveredBatch(NamedTuple):
+    """What :meth:`MicroBatcher.run` hands back; row ``i`` of the
+    ``(n, C, H, W)`` ``tensors`` and of ``hits``/``results`` is request
+    ``i``."""
+
+    tensors: np.ndarray
+    hits: List[bool]
+    results: List[Tuple[int, float]]
+    t_start: float
+    t_done: float
+    replica: str
+
+
+class MicroBatcher:
+    """The one batch body: cache, controller and dispatch of a batch."""
+
+    def __init__(self, config: ServingConfig, dispatcher: ReplicaDispatcher,
+                 m: ServingMetrics):
+        self.dispatcher = dispatcher
+        self.m = m
+        self.cache = TensorCache(config.cache_capacity_bytes,
+                                 config.compression_level)
+        initial = config.initial_batch
+        if initial is None:
+            initial = slo_batch_size(
+                dispatcher.graph, dispatcher.accelerator, config.slo_s,
+                min_batch=config.min_batch, max_batch=config.max_batch)
+        self.controller = SloController(
+            slo_s=config.slo_s, min_batch=config.min_batch,
+            max_batch=config.max_batch, initial_batch=initial,
+            headroom=config.slo_headroom,
+            additive_step=config.additive_step)
+        m.batch_target.set(initial)
+        self._cache_families = {
+            "hits": m.cache_hits, "misses": m.cache_misses,
+            "evictions": m.cache_evictions,
+            "rejected_oversize": m.cache_rejected}
+        self._synced = dict.fromkeys(self._cache_families, 0)
+
+    def run(self, ready: Sequence[ServeRequest],
+            t_start: float) -> DeliveredBatch:
+        """Serve ``ready`` as one batch dispatched at ``t_start``.
+
+        A dispatch every retry dropped raises
+        :class:`~repro.faults.TransientFaultError`; the cache probes it
+        made are already counted (a redispatch probes — and hits — again).
+        """
+        tensors = None
+        hits: List[bool] = []
+        hit_bytes = 0
+        payload_bytes = 0
+        for row, request in enumerate(ready):
+            key, tensor, blob_bytes = self.cache.lookup(request.pixels)
+            hits.append(tensor is not None)
+            if tensor is None:
+                tensor = preprocess(request.pixels)
+                blob_bytes = self.cache.insert(key, tensor)
+            else:
+                hit_bytes += blob_bytes
+            payload_bytes += blob_bytes
+            if tensors is None:
+                tensors = np.empty((len(ready),) + tensor.shape, tensor.dtype)
+            tensors[row] = tensor
+        # probes count where they happen, dispatched or not: bring the
+        # cache families level with cache.stats(), which the reports read
+        stats = self.cache.stats()
+        for name, family in self._cache_families.items():
+            fresh = stats[name] - self._synced[name]
+            if fresh:
+                family.inc(fresh)
+                self._synced[name] = stats[name]
+        results, t_done, replica = self.dispatcher.dispatch(
+            tensors, payload_bytes, t_start, hits.count(False), hit_bytes)
+        self.m.batch.observe(len(ready))
+        self.m.batches.inc(replica=replica)
+        return DeliveredBatch(tensors, hits, results, t_start, t_done, replica)
+
+    def close(self, report) -> None:
+        """End of a serve(): the report reads the cache's own books."""
+        stats = self.cache.stats()
+        report.cache_hits = stats["hits"]
+        report.cache_misses = stats["misses"]
+        report.cache_evictions = stats["evictions"]
+        report.cache_rejected_oversize = stats["rejected_oversize"]
+        report.final_batch_target = self.controller.batch_size
+
+    def settle(self, delivered: DeliveredBatch) -> None:
+        """The batch finished: its service time steers the next target."""
+        before = self.controller.batch_size
+        after = self.controller.observe(delivered.t_done - delivered.t_start)
+        if after != before:
+            self.m.batch_target.set(after)
+            self.m.batch_target_changes.inc(
+                direction="up" if after > before else "down")

@@ -17,6 +17,7 @@ against a fixed budget.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
@@ -24,7 +25,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..lint.guards import guarded_by
-from ..storage.compression import compress_array, decompress_array
+from ..storage.compression import compress_array, inflate
 
 __all__ = ["TensorCache", "content_key"]
 
@@ -32,7 +33,8 @@ __all__ = ["TensorCache", "content_key"]
 def content_key(pixels: np.ndarray) -> str:
     """Content address of one photo: hash of bytes, dtype, and shape."""
     digest = hashlib.sha1()
-    digest.update(np.ascontiguousarray(pixels).tobytes())
+    # hashed in place (buffer protocol): contiguous pixels are not copied
+    digest.update(np.ascontiguousarray(pixels))
     digest.update(str(pixels.dtype).encode())
     digest.update(str(pixels.shape).encode())
     return digest.hexdigest()
@@ -54,7 +56,8 @@ class TensorCache:
         self.capacity_bytes = capacity_bytes
         self.compression_level = compression_level
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
+        #: key -> (deflated blob, dtype, shape)
+        self._entries: "OrderedDict[str, tuple]" = OrderedDict()
         self._resident_bytes = 0
         self._hits = 0
         self._misses = 0
@@ -67,17 +70,24 @@ class TensorCache:
 
         Returns ``(key, tensor_or_None, compressed_bytes)``; a hit
         inflates the stored blob (bit-exact fp32 round-trip) and renews
-        the entry's LRU position.
+        the entry's LRU position.  The tensor is a read-only view of the
+        inflated bytes — the batch body copies it once, into its row.
         """
         key = content_key(pixels)
         with self._lock:
-            blob = self._entries.get(key)
-            if blob is None:
+            entry = self._entries.get(key)
+            if entry is None:
                 self._misses += 1
                 return key, None, 0
             self._entries.move_to_end(key)
             self._hits += 1
-        return key, decompress_array(blob), len(blob)
+        blob, dtype, shape = entry
+        raw = inflate(blob)
+        # compress_array frames ``dtype|shape|`` before the payload: the
+        # payload is the tail, read in place (no parse, no copy)
+        offset = len(raw) - math.prod(shape) * dtype.itemsize
+        return (key, np.frombuffer(raw, dtype, offset=offset).reshape(shape),
+                len(blob))
 
     def insert(self, key: str, tensor: np.ndarray) -> int:
         """Store a freshly preprocessed tensor; returns its blob size."""
@@ -90,12 +100,12 @@ class TensorCache:
                 return len(blob)
             old = self._entries.pop(key, None)
             if old is not None:
-                self._resident_bytes -= len(old)
-            self._entries[key] = blob
+                self._resident_bytes -= len(old[0])
+            self._entries[key] = (blob, tensor.dtype, tensor.shape)
             self._resident_bytes += len(blob)
             while self._resident_bytes > self.capacity_bytes:
-                _evicted_key, evicted_blob = self._entries.popitem(last=False)
-                self._resident_bytes -= len(evicted_blob)
+                _evicted_key, evicted = self._entries.popitem(last=False)
+                self._resident_bytes -= len(evicted[0])
                 self._evictions += 1
         return len(blob)
 

@@ -50,7 +50,7 @@ class ServingConfig:
     max_batch: int = 256
     #: starting batch size (None = NPE batch-size enlargement picks it)
     initial_batch: Optional[int] = None
-    #: grow the batch only while latency stays under ``slo_s * headroom``
+    #: grow the batch only while its service time is under budget * headroom
     slo_headroom: float = 0.8
     #: additive-increase step of the AIMD controller
     additive_step: int = 4

@@ -10,11 +10,12 @@ dispatcher:
    admission queue (overflow is shed as ``queue_full``);
 3. the queue yields up to the controller's batch-size target, dropping
    requests that can no longer meet their deadline (``deadline`` sheds);
-4. cache hits inflate their stored tensors, misses are preprocessed and
+4. the shared :class:`~repro.serving.batcher.MicroBatcher` runs it:
+   cache hits inflate their stored tensors, misses are preprocessed and
    cached; the batch moves to the replica over the byte-accounted fabric
    under the retry policy (a dropped batch is shed as
    ``dispatch_failed``) and one forward pass classifies the whole batch;
-5. the batch's slowest request latency feeds the AIMD controller.
+5. the batch's service time (dispatch to done) feeds the AIMD controller.
 
 Identical inputs produce identical reports: arrival times come from the
 traffic trace, service times from the calibrated hardware specs plus
@@ -34,13 +35,12 @@ from ..faults.errors import TransientFaultError
 from ..faults.retry import RetryPolicy
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
-from ..storage.imageformat import preprocess
 from .admission import AdmissionQueue, ServeRequest
-from .batcher import SloController, slo_batch_size
-from .cache import TensorCache
+from .batcher import MicroBatcher
 from .config import ServingConfig
 from .dispatcher import ReplicaDispatcher
 from .metrics import ServingMetrics
+from .protocol import exact_percentile
 
 __all__ = ["ServeOutcome", "ServingReport", "ServingFrontend",
            "SHED_REASONS"]
@@ -101,14 +101,7 @@ class ServingReport:
         return float(np.mean(self.batch_sizes))
 
     def latency_percentile(self, q: float) -> float:
-        """Exact order-statistic percentile of completed-request latency."""
-        if not self.latencies_s:
-            return 0.0
-        if not 0.0 < q <= 100.0:
-            raise ValueError(f"percentile must be in (0, 100], got {q}")
-        ordered = sorted(self.latencies_s)
-        rank = max(1, int(np.ceil(q / 100.0 * len(ordered))))
-        return ordered[rank - 1]
+        return exact_percentile(self.latencies_s, q)
 
     @property
     def p50_latency_s(self) -> float:
@@ -153,25 +146,10 @@ class ServingFrontend:
                         else NetworkFabric(metrics=self.metrics))
         self.dispatcher = ReplicaDispatcher(replicas, self.config,
                                             self.network, self.retry)
-        self.cache = TensorCache(self.config.cache_capacity_bytes,
-                                 self.config.compression_level)
-        initial = self.config.initial_batch
-        if initial is None:
-            initial = max(self.config.min_batch, min(
-                self.config.max_batch,
-                slo_batch_size(self.dispatcher.graph,
-                               self.dispatcher.accelerator,
-                               self.config.slo_s,
-                               min_batch=self.config.min_batch,
-                               max_batch=self.config.max_batch)))
-        self.controller = SloController(
-            slo_s=self.config.slo_s, min_batch=self.config.min_batch,
-            max_batch=self.config.max_batch, initial_batch=initial,
-            headroom=self.config.slo_headroom,
-            additive_step=self.config.additive_step)
         self.m = ServingMetrics(self.metrics)
-        self._evictions_seen = 0
-        self._rejected_seen = 0
+        self.batcher = MicroBatcher(self.config, self.dispatcher, self.m)
+        self.cache = self.batcher.cache
+        self.controller = self.batcher.controller
 
     # -- the deterministic event loop ---------------------------------------
     def serve(self, requests: Sequence[ServeRequest],
@@ -185,7 +163,6 @@ class ServingFrontend:
         min_service_s = self.dispatcher.min_service_s()
         next_arrival = 0
         now_s = 0.0
-        last_done_s = 0.0
         batch_index = 0
         with self.tracer.span("serving.serve", offered=len(arrivals)):
             while next_arrival < len(arrivals) or queue.depth() > 0:
@@ -205,60 +182,29 @@ class ServingFrontend:
                 if not ready:
                     continue
                 batch_index += 1
-                t_done = self._run_batch(ready, t_start, batch_index, report,
-                                         collect_tensors)
-                if t_done is not None:
-                    # replicas finish out of step, so the last completion
-                    # is a max over batches, not the final t_done
-                    last_done_s = max(last_done_s, t_done)
+                self._run_batch(ready, t_start, batch_index, report,
+                                collect_tensors)
                 self.m.queue_depth.set(queue.depth())
-        # the run ends when the last batch *finishes*, not when it starts
-        report.makespan_s = last_done_s
-        stats = self.cache.stats()
-        report.cache_hits = stats["hits"]
-        report.cache_misses = stats["misses"]
-        report.cache_evictions = stats["evictions"]
-        report.cache_rejected_oversize = stats["rejected_oversize"]
-        report.final_batch_target = self.controller.batch_size
+        self.batcher.close(report)
         return report
 
     def _run_batch(self, ready: List[ServeRequest], t_start: float,
                    batch_index: int, report: ServingReport,
-                   collect_tensors: bool) -> Optional[float]:
-        """Serve one batch; returns its ``t_done`` (None when shed)."""
-        tensors: List[np.ndarray] = []
-        hits: List[bool] = []
-        num_misses = 0
-        hit_bytes = 0
-        payload_bytes = 0
-        for request in ready:
-            key, tensor, blob_bytes = self.cache.lookup(request.pixels)
-            if tensor is None:
-                tensor = preprocess(request.pixels)
-                blob_bytes = self.cache.insert(key, tensor)
-                num_misses += 1
-                hits.append(False)
-            else:
-                hit_bytes += blob_bytes
-                hits.append(True)
-            payload_bytes += blob_bytes
-            tensors.append(tensor)
-        batch = np.stack(tensors)
+                   collect_tensors: bool) -> None:
+        """Serve one batch, or shed it when its dispatch fails."""
         try:
-            results, t_done, replica = self.dispatcher.dispatch(
-                batch, payload_bytes, t_start, num_misses, hit_bytes)
+            batch = self.batcher.run(ready, t_start)
         except TransientFaultError:
             for _ in ready:
                 self._shed(report, "dispatch_failed")
-            return None
+            return
         report.batch_sizes.append(len(ready))
-        self.m.batch.observe(len(ready))
-        self.m.batches.inc(replica=replica)
-        worst_latency_s = 0.0
+        # the run ends when the last batch *finishes*; replicas finish out
+        # of step, so that is a max over batches, not the final t_done
+        report.makespan_s = max(report.makespan_s, batch.t_done)
         for row, request in enumerate(ready):
-            label, confidence = results[row]
-            latency_s = t_done - request.arrival_s
-            worst_latency_s = max(worst_latency_s, latency_s)
+            label, confidence = batch.results[row]
+            latency_s = batch.t_done - request.arrival_s
             report.latencies_s.append(latency_s)
             report.completed += 1
             self.m.completed.inc()
@@ -266,25 +212,10 @@ class ServingFrontend:
             report.completed_requests.append(ServeOutcome(
                 request=request, label=label, confidence=confidence,
                 latency_s=latency_s, batch_index=batch_index,
-                batch_size=len(ready), cache_hit=hits[row],
-                replica=replica,
-                preprocessed=tensors[row] if collect_tensors else None))
-        hit_count = sum(hits)
-        if hit_count:
-            self.m.cache_hits.inc(hit_count)
-        if num_misses:
-            self.m.cache_misses.inc(num_misses)
-        stats = self.cache.stats()
-        if stats["evictions"] > self._evictions_seen:
-            self.m.cache_evictions.inc(stats["evictions"]
-                                       - self._evictions_seen)
-            self._evictions_seen = stats["evictions"]
-        if stats["rejected_oversize"] > self._rejected_seen:
-            self.m.cache_rejected.inc(stats["rejected_oversize"]
-                                      - self._rejected_seen)
-            self._rejected_seen = stats["rejected_oversize"]
-        self.controller.observe(worst_latency_s)
-        return t_done
+                batch_size=len(ready), cache_hit=batch.hits[row],
+                replica=batch.replica,
+                preprocessed=batch.tensors[row] if collect_tensors else None))
+        self.batcher.settle(batch)
 
     def _shed(self, report: ServingReport, reason: str) -> None:
         report.shed[reason] += 1

@@ -48,6 +48,13 @@ class ServingMetrics:
             "serving_batches_dispatched_total",
             "micro-batches dispatched per replica",
             label_names=("replica",))
+        self.batch_target = metrics.gauge(
+            "serving_batch_target",
+            "the AIMD controller's current batch-size target")
+        self.batch_target_changes = metrics.counter(
+            "serving_batch_target_changes_total",
+            "batch-size target moves by the AIMD controller",
+            label_names=("direction",))
         # -- preprocessed-tensor cache ----------------------------------
         self.cache_hits = metrics.counter(
             "serving_cache_hits_total", "preprocessed-tensor cache hits")

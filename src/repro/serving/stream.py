@@ -24,10 +24,12 @@ discrete-event simulation on the logical clock:
 * **no shed on dispatch faults** — a batch whose transfer every retry
   drops is re-queued at the front of the pending line (counted as
   ``redispatches``) rather than shed, preserving conservation;
-* **elasticity** — each delivered batch's worst latency feeds both the
-  AIMD :class:`~repro.serving.batcher.SloController` (batch size) and
-  the :class:`~repro.serving.autoscale.ElasticityController`, which
-  grows/shrinks the replica set inside the configured bounds.
+* **three signals, three actuators** — each delivered batch's *service
+  time* (dispatch to done) feeds the AIMD
+  :class:`~repro.serving.batcher.SloController` (batch size); its worst
+  request *sojourn* feeds the :class:`~repro.serving.autoscale.
+  ElasticityController`, which grows/shrinks the replica set inside the
+  configured bounds; the *deadline* drives expiry at batch formation.
 
 Identical traces (arrivals + cancellations) produce identical reports.
 """
@@ -41,18 +43,14 @@ from typing import (
     Tuple, Union,
 )
 
-import numpy as np
-
 from ..core.fabric import NetworkFabric
 from ..faults.errors import TransientFaultError
 from ..faults.retry import RetryPolicy
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
-from ..storage.imageformat import preprocess
 from .admission import ServeRequest
 from .autoscale import ElasticityController
-from .batcher import SloController, slo_batch_size
-from .cache import TensorCache
+from .batcher import MicroBatcher
 from .config import ServingConfig, StreamConfig
 from .dispatcher import ReplicaDispatcher
 from .metrics import ServingMetrics
@@ -103,22 +101,10 @@ class StreamingFrontend:
         replicas = [self._new_replica() for _ in range(initial)]
         self.dispatcher = ReplicaDispatcher(replicas, self.config,
                                             self.network, self.retry)
-        self.cache = TensorCache(self.config.cache_capacity_bytes,
-                                 self.config.compression_level)
-        initial_batch = self.config.initial_batch
-        if initial_batch is None:
-            initial_batch = max(self.config.min_batch, min(
-                self.config.max_batch,
-                slo_batch_size(self.dispatcher.graph,
-                               self.dispatcher.accelerator,
-                               self.config.slo_s,
-                               min_batch=self.config.min_batch,
-                               max_batch=self.config.max_batch)))
-        self.controller = SloController(
-            slo_s=self.config.slo_s, min_batch=self.config.min_batch,
-            max_batch=self.config.max_batch, initial_batch=initial_batch,
-            headroom=self.config.slo_headroom,
-            additive_step=self.config.additive_step)
+        self.m = ServingMetrics(self.metrics)
+        self.batcher = MicroBatcher(self.config, self.dispatcher, self.m)
+        self.cache = self.batcher.cache
+        self.controller = self.batcher.controller
         self.autoscaler = (ElasticityController(
             slo_s=self.config.slo_s,
             min_replicas=self.stream.min_replicas,
@@ -127,9 +113,6 @@ class StreamingFrontend:
             scale_down_headroom=self.stream.scale_down_headroom,
             window=self.stream.window, cooldown=self.stream.cooldown)
             if self.stream.autoscale else None)
-        self.m = ServingMetrics(self.metrics)
-        self._evictions_seen = 0
-        self._rejected_seen = 0
 
     def _new_replica(self):
         replica = self.replica_factory(self._replica_seq)
@@ -149,15 +132,10 @@ class StreamingFrontend:
         run = _StreamRun(self, requests, cancellations)
         with self.tracer.span("serving.stream", offered=run.offered):
             report = run.run()
-        report.final_batch_target = self.controller.batch_size
+        self.batcher.close(report)
         report.final_replicas = self.dispatcher.num_replicas
         report.replica_busy_s = self.dispatcher.busy_s
         report.replica_stalled_s = self.dispatcher.stalled_s
-        stats = self.cache.stats()
-        report.cache_hits = stats["hits"]
-        report.cache_misses = stats["misses"]
-        report.cache_evictions = stats["evictions"]
-        report.cache_rejected_oversize = stats["rejected_oversize"]
         if not report.conserved:
             raise RuntimeError(
                 f"request conservation violated: offered={report.offered} "
@@ -173,6 +151,7 @@ class _StreamRun:
                  requests: Sequence[ServeRequest],
                  cancellations: Optional[Cancellations]):
         self.f = frontend
+        self.m = frontend.m
         self.arrivals = sorted(requests,
                                key=lambda r: (r.arrival_s, r.request_id))
         ids = [r.request_id for r in self.arrivals]
@@ -203,7 +182,6 @@ class _StreamRun:
         for rid, t in sorted(cancels.items(), key=lambda kv: (kv[1], kv[0])):
             self._push(float(t), _CANCEL, rid)
         self.now = 0.0
-        self.last_done = 0.0
         self.batch_index = 0
         self.inflight = 0
         self.max_completed_seq = -1
@@ -240,7 +218,6 @@ class _StreamRun:
                 f"backlog={len(self.backlog)} pending={len(self.pending)} "
                 f"inflight={self.inflight}")
         self.credits.check()
-        self.report.makespan_s = self.last_done
         return self.report
 
     def _on_arrival(self, request: ServeRequest) -> None:
@@ -288,6 +265,9 @@ class _StreamRun:
             ready = self._take_ready()
             if ready and not self._dispatch(ready):
                 break
+        if self.pending:
+            # a replica stalled by a failed dispatch frees with no event
+            self._schedule_wake(self.f.dispatcher.earliest_free_s())
 
     def _take_ready(self) -> List[ServeRequest]:
         """Form a batch like AdmissionQueue.take: pop until the target
@@ -311,56 +291,28 @@ class _StreamRun:
         return ready
 
     def _dispatch(self, ready: List[ServeRequest]) -> bool:
-        tensors: List[np.ndarray] = []
-        hits: List[bool] = []
-        num_misses = 0
-        hit_bytes = 0
-        payload_bytes = 0
-        for request in ready:
-            key, tensor, blob_bytes = self.f.cache.lookup(request.pixels)
-            if tensor is None:
-                tensor = preprocess(request.pixels)
-                blob_bytes = self.f.cache.insert(key, tensor)
-                num_misses += 1
-                hits.append(False)
-            else:
-                hit_bytes += blob_bytes
-                hits.append(True)
-            payload_bytes += blob_bytes
-            tensors.append(tensor)
-        batch = np.stack(tensors)
         try:
-            results, t_done, replica = self.f.dispatcher.dispatch(
-                batch, payload_bytes, self.now, num_misses, hit_bytes)
+            batch = self.f.batcher.run(ready, self.now)
         except TransientFaultError:
             # degrade to delayed, never dropped: back to the front of the
             # line, retried once the stalled replica (or any other) frees
             self.report.redispatches += len(ready)
             self.m.stream_redispatches.inc(len(ready))
             self.pending.extendleft(reversed(ready))
-            self._schedule_wake(self.f.dispatcher.earliest_free_s())
             return False
         self.batch_index += 1
         self.report.batch_sizes.append(len(ready))
-        self.m.batch.observe(len(ready))
-        self.m.batches.inc(replica=replica)
-        hit_count = sum(hits)
-        if hit_count:
-            self.m.cache_hits.inc(hit_count)
-        if num_misses:
-            self.m.cache_misses.inc(num_misses)
-        self._sync_cache_counters()
         for request in ready:
             self.state[request.request_id] = "inflight"
         self.inflight += len(ready)
         self.m.stream_inflight.set(self.inflight)
-        self._push(t_done, _COMPLETE,
-                   (ready, results, hits, t_done, replica, self.batch_index))
+        self._push(batch.t_done, _COMPLETE, (ready, batch, self.batch_index))
         return True
 
     def _on_complete(self, payload) -> None:
-        ready, results, hits, t_done, replica, batch_index = payload
-        self.last_done = max(self.last_done, t_done)
+        ready, batch, batch_index = payload
+        t_done, replica = batch.t_done, batch.replica
+        self.report.makespan_s = max(self.report.makespan_s, t_done)
         self.inflight -= len(ready)
         self.m.stream_inflight.set(self.inflight)
         worst_latency_s = 0.0
@@ -371,7 +323,7 @@ class _StreamRun:
                     rid, CANCELLED, t_done, replica=replica,
                     batch_index=batch_index, batch_size=len(ready)))
             else:
-                label, confidence = results[row]
+                label, confidence = batch.results[row]
                 latency_s = t_done - request.arrival_s
                 worst_latency_s = max(worst_latency_s, latency_s)
                 self.report.latencies_s.append(latency_s)
@@ -386,14 +338,15 @@ class _StreamRun:
                     rid, COMPLETED, t_done, label=label,
                     confidence=confidence, latency_s=latency_s,
                     replica=replica, batch_index=batch_index,
-                    batch_size=len(ready), cache_hit=hits[row]))
+                    batch_size=len(ready), cache_hit=batch.hits[row]))
             self.credits.release()
         self._admit_backlog()
-        if worst_latency_s > 0.0:
-            self.f.controller.observe(worst_latency_s)
-            if self.f.autoscaler is not None:
-                self._apply_scale(self.f.autoscaler.observe(
-                    worst_latency_s, self.f.dispatcher.num_replicas))
+        # the batch ran and cost its service time even if every answer was
+        # discarded; only the autoscaler needs a sojourn sample
+        self.f.batcher.settle(batch)
+        if worst_latency_s > 0.0 and self.f.autoscaler is not None:
+            self._apply_scale(self.f.autoscaler.observe(
+                worst_latency_s, self.f.dispatcher.num_replicas))
         self._maybe_dispatch()
 
     def _apply_scale(self, delta: int) -> None:
@@ -420,18 +373,3 @@ class _StreamRun:
         else:
             self.report.expired += 1
         self.m.stream_requests.inc(status=outcome.status)
-
-    def _sync_cache_counters(self) -> None:
-        stats = self.f.cache.stats()
-        if stats["evictions"] > self.f._evictions_seen:
-            self.m.cache_evictions.inc(stats["evictions"]
-                                       - self.f._evictions_seen)
-            self.f._evictions_seen = stats["evictions"]
-        if stats["rejected_oversize"] > self.f._rejected_seen:
-            self.m.cache_rejected.inc(stats["rejected_oversize"]
-                                      - self.f._rejected_seen)
-            self.f._rejected_seen = stats["rejected_oversize"]
-
-    @property
-    def m(self) -> ServingMetrics:
-        return self.f.m

@@ -282,17 +282,17 @@ class TestHarnessPieces:
         """serving_stream_payload pins the protocol guarantees as exact
         gate metrics — queue_full must stay zero forever."""
         stream_report = {
-            "throughput_rps": 1300.0, "p50_latency_s": 0.1,
-            "p99_latency_s": 0.8, "p99_credit_wait_s": 0.7,
+            "throughput_rps": 1871.0, "p50_latency_s": 0.18,
+            "p99_latency_s": 0.23, "p99_credit_wait_s": 0.18,
             "completed": 3000, "cancelled": 0, "expired": 0,
-            "queue_full": 0, "out_of_order": 79, "redispatches": 0,
-            "scale_ups": 5, "scale_downs": 0, "peak_replicas": 6,
-            "mean_batch": 1.6,
+            "queue_full": 0, "out_of_order": 0, "redispatches": 0,
+            "scale_ups": 1, "scale_downs": 0, "peak_replicas": 2,
+            "mean_batch": 13.0,
         }
         sync_report = {
-            "completed": 1644, "shed": {"queue_full": 1356, "deadline": 0,
+            "completed": 1996, "shed": {"queue_full": 1004, "deadline": 0,
                                         "dispatch_failed": 0},
-            "throughput_rps": 728.0,
+            "throughput_rps": 1318.0,
         }
         result = {
             "seed": 0, "trace": "flash", "latency_budget_s": 1.0,

@@ -116,3 +116,25 @@ def test_oversize_insert_is_rejected_and_counted():
     _, again, _ = cache.lookup(_pixels(0))
     assert again is None
     assert cache.stats()["misses"] == 2
+
+
+def test_content_key_digests_are_pinned():
+    """Keys decide the hit/miss sequence of every trace, so hashing the
+    buffer in place must not move them — contiguous or not."""
+    a = np.arange(60, dtype=np.float64).reshape(3, 4, 5)
+    assert content_key(a) == "5b2a7a310386a787d76ca148d19cc01e57cfc4ab"
+    view = a[:, ::2, :]
+    assert not view.flags.c_contiguous
+    assert content_key(view) == "d4edbd3d4c9b70141a688a9e5973e56908a0f32b"
+    assert content_key(view) == content_key(view.copy())
+    assert content_key(a.T) == "8ca1dadf582c62d0bda537303d30aa018eed1baf"
+
+
+def test_hit_is_a_read_only_view_of_the_inflated_bytes():
+    cache = TensorCache(capacity_bytes=1 << 20)
+    tensor = np.random.default_rng(1).random((3, 8, 8)).astype(np.float32)
+    key, _missed, _ = cache.lookup(_pixels(0))
+    cache.insert(key, tensor)
+    _key, hit, _bytes = cache.lookup(_pixels(0))
+    assert hit.shape == tensor.shape and not hit.flags.writeable
+    assert not hit.flags.owndata      # no payload copy on the hit path
