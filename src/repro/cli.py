@@ -56,6 +56,20 @@ def _add_common_flags(parser: argparse.ArgumentParser,
                         help=f"output format (default {default_format})")
 
 
+def _add_stores_flag(parser: argparse.ArgumentParser,
+                      at_least: int = 1) -> None:
+    """``--stores N``, refused by argparse (one line, exit 2) below the
+    smallest fleet the subcommand can build."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < at_least:
+            raise argparse.ArgumentTypeError(
+                f"need at least {at_least}, got {value}")
+        return value
+
+    parser.add_argument("--stores", type=integer, default=3)
+
+
 def _cmd_plan(args: argparse.Namespace) -> int:
     from .analysis.tables import format_table
     from .core.apo import plan_organization
@@ -771,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.set_defaults(func=_cmd_figures)
 
     demo = sub.add_parser("demo", help="run the tiny-cluster lifecycle")
-    demo.add_argument("--stores", type=int, default=3)
+    _add_stores_flag(demo)
     demo.add_argument("--photos", type=int, default=90)
     _add_common_flags(demo)
     demo.set_defaults(func=_cmd_demo)
@@ -779,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics = sub.add_parser(
         "metrics",
         help="run the lifecycle and export cluster metrics")
-    metrics.add_argument("--stores", type=int, default=3)
+    _add_stores_flag(metrics)
     metrics.add_argument("--photos", type=int, default=48)
     _add_common_flags(metrics, formats=("prometheus", "json"),
                       default_format="prometheus")
@@ -788,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace",
         help="run the lifecycle and export a chrome://tracing JSON")
-    trace.add_argument("--stores", type=int, default=3)
+    _add_stores_flag(trace)
     trace.add_argument("--photos", type=int, default=48)
     _add_common_flags(trace, formats=("json",), default_format="json")
     trace.set_defaults(func=_cmd_trace)
@@ -796,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
     checkpoint = sub.add_parser(
         "checkpoint",
         help="run the lifecycle and write a durable checkpoint blob")
-    checkpoint.add_argument("--stores", type=int, default=3)
+    _add_stores_flag(checkpoint)
     checkpoint.add_argument("--photos", type=int, default=48)
     checkpoint.add_argument("--runs", type=int, default=3)
     checkpoint.add_argument("--replication", type=int, default=1)
@@ -820,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a seeded chaos schedule and check HA invariants")
     nemesis.add_argument("--steps", type=int, default=8,
                          help="lifecycle actions to interleave (default 8)")
-    nemesis.add_argument("--stores", type=int, default=3)
+    _add_stores_flag(nemesis, at_least=2)  # it crashes one and goes on
     nemesis.add_argument("--photos", type=int, default=4,
                          help="photos per ingest/serve step (default 4)")
     _add_common_flags(

@@ -55,7 +55,7 @@ def build_checkpoint(cluster, ftdmp: Optional[FinetuneProgress] = None,
         stores_manifest.append({
             "store_id": store.store_id,
             "model_version": store.model_version,
-            # sealed and deflated by its producer: stored verbatim
+            # sealed by its producer, deflated where that pays: stored verbatim
             "objects_blob": table.add(dump_object_store(store.objects)),
             # a store at the Tuner's version lands on the Tuner's blob
             "model_blob": table.add_arrays(store.model.state_dict()),

@@ -8,11 +8,14 @@ budget pinned to one destination), and the ``repro.placement`` package
 no longer serves the data-plane aliases it once deprecated.
 """
 
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.core.pipestore import StoreUnavailableError
+from repro.durability.checkpoint import read_frame
 from repro.faults import AddLatency, FaultInjector
 from repro.models.registry import tiny_model
 from repro.placement import (
@@ -323,6 +326,49 @@ class TestMembershipAccounting:
         fleet.finetune(epochs=1, num_runs=1)
         newcomer = fleet.cluster._resolve_store(summary["shard"])
         assert newcomer.model_version == fleet.cluster.tuner.version
+
+
+class TestCheckpointRestore:
+    @staticmethod
+    def v2_snapshot_len(objects) -> int:
+        """What the parent's store snapshot of ``objects`` weighed: a
+        ``>4sBQI`` header, one level-1 deflate frame over every object's
+        full nominal bytes, a CRC32 trailer."""
+        body = b"".join(
+            struct.pack(">H", len(key.encode())) + key.encode()
+            + struct.pack(">II", objects.stored_crc(key), len(blob)) + blob
+            for key, blob in objects.iter_items())
+        return 17 + 4 + len(zlib.compress(body, 1)) + 4
+
+    def test_restored_fleet_is_byte_identical_at_the_parents_size(self):
+        fleet = make_fleet(num_shards=4, replication=2,
+                           tenants=[TenantConfig(name="acme")])
+        images, labels = images_of(48, fleet)
+        fleet.ingest(images, tenant="acme", train_labels=labels)
+        fleet.finetune(epochs=1)  # the round leaves feat/ rows behind
+        assert all(s.objects.keys("feat/") for s in fleet.stores)
+        blob = fleet.checkpoint()
+
+        restored = make_fleet(num_shards=4, replication=2,
+                              tenants=[TenantConfig(name="acme")])
+        restored.restore(blob)
+        for source, clone in zip(fleet.stores, restored.stores):
+            assert clone.objects.keys() == source.objects.keys()
+            assert (clone.objects.volume.used_bytes
+                    == source.objects.volume.used_bytes)
+            for key, stored in source.objects.iter_items():
+                assert clone.objects.peek(key) == stored
+                assert (clone.objects.stored_crc(key)
+                        == source.objects.stored_crc(key))
+        assert (restored.database.snapshot_labels()
+                == fleet.database.snapshot_labels())
+        assert restored.checkpoint() == blob
+
+        manifest, blobs = read_frame(blob)
+        now = sum(len(blobs[entry["objects_blob"]])
+                  for entry in manifest["stores"])
+        was = sum(self.v2_snapshot_len(s.objects) for s in fleet.stores)
+        assert len(blob) <= 1.01 * (len(blob) - now + was)
 
 
 class TestFacade:

@@ -11,9 +11,18 @@ from repro.storage.persistence import (
     dump_photo_database,
     load_object_store,
     load_photo_database,
+    _payload_length,
     snapshot_sizes,
 )
 from repro.storage.photodb import LabelRecord, PhotoDatabase
+
+keys = st.builds(str.__add__, st.sampled_from(["raw/", "preproc/", "feat/", ""]),
+                 st.text(alphabet="abcdef/", min_size=1, max_size=12))
+#: zeros inside, at the end, alone, or not at all; b"" included
+zero_tailed_blobs = st.builds(
+    lambda body, zeros: body + bytes(zeros),
+    st.binary(max_size=64) | st.sampled_from([b"", b"\0a\0\0b"]),
+    st.integers(min_value=0, max_value=300))
 
 
 class TestObjectStoreSnapshots:
@@ -46,18 +55,32 @@ class TestObjectStoreSnapshots:
         with pytest.raises(SnapshotError):
             load_object_store(b"NDPS")
 
-    @settings(max_examples=15, deadline=None)
-    @given(payloads=st.dictionaries(
-        st.text(alphabet="abcdef/", min_size=1, max_size=12),
-        st.binary(max_size=64), max_size=8))
-    def test_property_roundtrip(self, payloads):
+    @settings(max_examples=60, deadline=None)
+    @given(payloads=st.dictionaries(keys, zero_tailed_blobs, max_size=8),
+           rot=st.booleans())
+    def test_property_roundtrip(self, payloads, rot):
+        """Every namespace, blobs whose *content* ends in zeros (ReLU
+        feature rows do), empty and all-zero blobs, a rotted object."""
         store = ObjectStore()
         for key, blob in payloads.items():
             store.put(key, blob)
+        rotted = min(payloads) if rot and payloads else None
+        if rotted is not None:
+            store.corrupt_object(rotted, payloads[rotted] + b"\x07\0\0")
         restored = load_object_store(dump_object_store(store))
-        assert len(restored) == len(store)
-        for key, blob in payloads.items():
-            assert restored.get(key) == blob
+        assert restored.keys() == store.keys()
+        assert restored.volume.used_bytes == store.volume.used_bytes
+        for key in store.keys():
+            assert restored.peek(key) == store.peek(key)
+            assert restored.size_of(key) == store.size_of(key)
+            assert restored.stored_crc(key) == store.stored_crc(key)
+            assert restored.verify(key) == (key != rotted)
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=zero_tailed_blobs)
+    def test_payload_length_matches_rstrip(self, blob):
+        """The bisect against the bytewise walk it replaced."""
+        assert _payload_length(blob) == len(blob.rstrip(b"\0"))
 
 
 class TestDatabaseSnapshots:

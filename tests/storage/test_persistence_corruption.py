@@ -1,15 +1,21 @@
 """Snapshot round-trips under injected corruption (satellite of PR 3).
 
-Every byte region of a snapshot frame — magic, header, deflate body,
-CRC trailer — is flipped and the loader must refuse with
+Every byte region of a snapshot frame — magic, header fields, record
+heads, keys, verbatim payloads, the squeezed deflate segment, CRC
+trailer — is flipped and the loader must refuse with
 :class:`SnapshotError` rather than reconstruct silently-wrong state.
+Damage the trailer cannot see (a frame resealed after the tamper) must
+trip a structural check, or — for a payload byte — stay detectable by
+a post-restore scrub through the object's own stored CRC.
 """
 
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
+from repro.core.pipestore import PipeStore
 from repro.storage.objectstore import ObjectStore, Volume
 from repro.storage.persistence import (
     SnapshotError,
@@ -20,12 +26,19 @@ from repro.storage.persistence import (
 )
 from repro.storage.photodb import LabelRecord, PhotoDatabase
 
+#: the v3 store-snapshot layout, written out here on purpose: these tests
+#: pin the bytes, not whatever the module's private structs say today
+HEAD = struct.Struct(">4sBQIQ")  # magic version capacity count verbatim_len
+RECORD = struct.Struct(">HIII")  # key_len crc nominal_len payload_len
+
 
 def sample_store() -> ObjectStore:
     store = ObjectStore(Volume(capacity_bytes=1 << 20), name="src")
-    store.put("raw/a", b"alpha" * 40)
+    store.put("raw/a", b"alpha" * 40 + bytes(312))  # padded to nominal
     store.put("raw/b", b"beta" * 33)
     store.put("preproc/a", b"\x00\x01\x02" * 21)
+    row = np.maximum(np.linspace(1.0, -1.0, 32, dtype=np.float32), 0.0)
+    store.put("feat/a", b"head" + row.tobytes())  # a ReLU row: zero tail
     return store
 
 
@@ -37,14 +50,43 @@ def sample_db() -> PhotoDatabase:
     return db
 
 
-def regions(blob: bytes):
-    """Representative byte offsets in (magic, header, body, trailer)."""
-    header_end = struct.calcsize(">4sBQI")
+def reseal(frame) -> bytes:
+    """A tampered frame with a fresh, valid CRC32 trailer."""
+    return bytes(frame) + struct.pack(">I", zlib.crc32(bytes(frame)))
+
+
+def verbatim_records(blob: bytes) -> dict:
+    """key -> (head offset, payload offset, payload length) of every
+    record in the verbatim segment."""
+    verbatim_len = HEAD.unpack_from(blob)[4]
+    offset, found = HEAD.size, {}
+    while offset < HEAD.size + verbatim_len:
+        key_len, _crc, _nominal, payload_len = RECORD.unpack_from(blob, offset)
+        key_at = offset + RECORD.size
+        key = blob[key_at:key_at + key_len].decode()
+        found[key] = (offset, key_at + key_len, payload_len)
+        offset = key_at + key_len + payload_len
+    assert offset == HEAD.size + verbatim_len
+    return found
+
+
+def regions(blob: bytes) -> dict:
+    """Representative byte offsets in every region of a v3 frame."""
+    records = verbatim_records(blob)
+    head_at, payload_at, payload_len = records["raw/a"]
+    squeezed_at = HEAD.size + HEAD.unpack_from(blob)[4]
     return {
         "magic": [0, 3],
-        "header": [5, header_end - 1],
-        "body": [header_end + 2, (header_end + len(blob) - 4) // 2,
-                 len(blob) - 6],
+        "version": [4],
+        "capacity": [5, 12],
+        "count": [13, 16],
+        "verbatim_len": [17, 24],
+        "record_head": list(range(head_at, head_at + RECORD.size)),
+        "key": [head_at + RECORD.size, payload_at - 1],
+        "payload": [payload_at, payload_at + payload_len // 2,
+                    payload_at + payload_len - 1],
+        "squeezed": [squeezed_at, (squeezed_at + len(blob) - 4) // 2,
+                     len(blob) - 5],
         "trailer": [len(blob) - 4, len(blob) - 1],
     }
 
@@ -60,13 +102,28 @@ class TestObjectStoreSnapshotCorruption:
         assert clone.volume.capacity_bytes == store.volume.capacity_bytes
         assert clone.bytes_read == 0 and clone.bytes_written == 0
 
+    def test_layout_keeps_zero_runs_as_lengths(self):
+        """The bytes on the wire: deflate streams' namespaces verbatim with
+        the padding gone, ``feat/`` only inside the squeezed segment."""
+        store = sample_store()
+        blob = dump_object_store(store)
+        records = verbatim_records(blob)
+        assert sorted(records) == ["preproc/a", "raw/a", "raw/b"]
+        head_at, payload_at, payload_len = records["raw/a"]
+        assert RECORD.unpack_from(blob, head_at) == (
+            5, store.stored_crc("raw/a"), 512, 200)
+        assert blob[payload_at:payload_at + payload_len] == b"alpha" * 40
+        assert b"feat/a" not in blob
+        assert len(blob) < store.volume.used_bytes
+
     def test_snapshot_does_not_count_workload_reads(self):
         store = sample_store()
         before = store.bytes_read
         dump_object_store(store)
         assert store.bytes_read == before
 
-    @pytest.mark.parametrize("region", ["magic", "header", "body", "trailer"])
+    @pytest.mark.parametrize("region", sorted(regions(
+        dump_object_store(sample_store()))))
     def test_flip_in_every_region_is_rejected(self, region):
         blob = dump_object_store(sample_store())
         for pos in regions(blob)[region]:
@@ -78,7 +135,8 @@ class TestObjectStoreSnapshotCorruption:
 
     def test_truncation_is_rejected(self):
         blob = dump_object_store(sample_store())
-        for cut in (0, 3, struct.calcsize(">4sBQI"), len(blob) // 2,
+        _head_at, payload_at, _len = verbatim_records(blob)["raw/b"]
+        for cut in (0, 3, HEAD.size, payload_at + 7, len(blob) // 2,
                     len(blob) - 1):
             with pytest.raises(SnapshotError):
                 load_object_store(blob[:cut])
@@ -86,35 +144,115 @@ class TestObjectStoreSnapshotCorruption:
     def test_v1_snapshot_is_refused_loudly(self):
         """A pre-trailer frame resealed as version 1 must name the
         version problem, not just fail the generic CRC check."""
-        blob = dump_object_store(sample_store())
-        frame = bytearray(blob[:-4])
-        frame[4] = 1  # version byte inside the ">4sBQI" header
-        resealed = bytes(frame) + struct.pack(
-            ">I", zlib.crc32(bytes(frame)))
+        frame = bytearray(dump_object_store(sample_store())[:-4])
+        frame[4] = 1  # version byte of the header
         with pytest.raises(SnapshotError, match="version 1"):
-            load_object_store(resealed)
+            load_object_store(reseal(frame))
+
+    def test_v2_snapshot_is_refused_loudly(self):
+        """The whole-body-deflate format has no reader left; a v2 frame
+        (its real layout: ``>4sBQI`` header + one deflate body) is named."""
+        from repro.storage.compression import deflate
+
+        frame = struct.pack(">4sBQI", b"NDPS", 2, 1 << 20, 0) + deflate(b"")
+        with pytest.raises(SnapshotError, match="version 2.*no longer reads"):
+            load_object_store(reseal(frame))
+        with pytest.raises(SnapshotError, match="version 2"):
+            load_object_store(reseal(frame + bytes(64)))
 
     def test_unknown_version_is_refused(self):
-        blob = dump_object_store(sample_store())
-        frame = bytearray(blob[:-4])
+        frame = bytearray(dump_object_store(sample_store())[:-4])
         frame[4] = 9
-        resealed = bytes(frame) + struct.pack(
-            ">I", zlib.crc32(bytes(frame)))
         with pytest.raises(SnapshotError, match="version 9"):
-            load_object_store(resealed)
+            load_object_store(reseal(frame))
 
     def test_resealed_garbage_stream_is_a_snapshot_error(self):
-        """CRC-valid frame whose deflate stream is damaged: the typed
-        error, never a raw ``zlib.error``."""
+        """CRC-valid frame whose squeezed deflate stream is damaged: the
+        typed error, never a raw ``zlib.error``."""
         blob = dump_object_store(sample_store())
         frame = bytearray(blob[:-4])
-        start = struct.calcsize(">4sBQI") + 4 + 2  # past NDPZ + zlib header
-        for pos in range(start, len(frame)):
+        squeezed_at = HEAD.size + HEAD.unpack_from(blob)[4]
+        for pos in range(squeezed_at + 4 + 2, len(frame)):  # past NDPZ + zlib
             frame[pos] ^= 0xA5
-        resealed = bytes(frame) + struct.pack(
-            ">I", zlib.crc32(bytes(frame)))
         with pytest.raises(SnapshotError, match="corrupt"):
-            load_object_store(resealed)
+            load_object_store(reseal(frame))
+        frame[squeezed_at] ^= 0xFF  # and the segment's own magic
+        with pytest.raises(SnapshotError, match="corrupt"):
+            load_object_store(reseal(frame))
+
+    def test_resealed_payload_longer_than_nominal_is_refused(self):
+        blob = dump_object_store(sample_store())
+        head_at, _payload_at, payload_len = verbatim_records(blob)["raw/a"]
+        frame = bytearray(blob[:-4])
+        struct.pack_into(">I", frame, head_at + 6, payload_len - 1)  # nominal
+        with pytest.raises(SnapshotError, match="nominal"):
+            load_object_store(reseal(frame))
+
+    @pytest.mark.parametrize("shift, message", [
+        (1 << 40, "overruns"),  # ends past the end of the frame
+        (-9, "truncated"),      # ends inside the last record's payload
+        (-151, "corrupt"),      # ends one record early: its head is no NDPZ
+    ])
+    def test_resealed_wrong_verbatim_length_is_refused(self, shift, message):
+        blob = dump_object_store(sample_store())
+        frame = bytearray(blob[:-4])
+        struct.pack_into(">Q", frame, 17, HEAD.unpack_from(blob)[4] + shift)
+        with pytest.raises(SnapshotError, match=message):
+            load_object_store(reseal(frame))
+
+    def test_resealed_record_overrunning_its_segment_is_refused(self):
+        blob = dump_object_store(sample_store())
+        head_at, _payload_at, _len = verbatim_records(blob)["raw/b"]
+        frame = bytearray(blob[:-4])
+        struct.pack_into(">II", frame, head_at + 6, 1 << 20, 1 << 19)
+        with pytest.raises(SnapshotError, match="truncated"):
+            load_object_store(reseal(frame))
+
+    def test_resealed_wrong_count_is_refused(self):
+        frame = bytearray(dump_object_store(sample_store())[:-4])
+        struct.pack_into(">I", frame, 13, 5)
+        with pytest.raises(SnapshotError, match="promises 5"):
+            load_object_store(reseal(frame))
+
+    def test_resealed_small_capacity_is_a_snapshot_error(self):
+        """Not a ``StorageFullError`` escaping the loader."""
+        frame = bytearray(dump_object_store(sample_store())[:-4])
+        struct.pack_into(">Q", frame, 5, 600)  # raw/a alone is 512
+        with pytest.raises(SnapshotError, match="volume full"):
+            load_object_store(reseal(frame))
+
+    def test_resealed_empty_key_is_a_snapshot_error(self):
+        """Not the bare ``ValueError("empty key")`` of the restore seam."""
+        blob = dump_object_store(sample_store())
+        head_at, payload_at, _len = verbatim_records(blob)["raw/b"]
+        frame = bytearray(blob[:-4])
+        struct.pack_into(">H", frame, head_at, 0)
+        del frame[head_at + RECORD.size:payload_at]
+        struct.pack_into(">Q", frame, 17, HEAD.unpack_from(blob)[4] - 5)
+        with pytest.raises(SnapshotError, match="empty key"):
+            load_object_store(reseal(frame))
+
+    def test_resealed_duplicate_key_is_refused(self):
+        """Two records under one key (the header count still matching the
+        records) must not silently overwrite."""
+        blob = dump_object_store(sample_store())
+        head_at, _payload_at, _len = verbatim_records(blob)["raw/b"]
+        frame = bytearray(blob[:-4])
+        frame[head_at + RECORD.size + 4] = ord("a")  # raw/b -> raw/a
+        with pytest.raises(SnapshotError, match="duplicate key 'raw/a'"):
+            load_object_store(reseal(frame))
+
+    def test_resealed_payload_tamper_is_found_by_scrub(self):
+        """The trailer accepts a resealed frame and no structural check
+        can see one changed payload byte — but the stored CRC is restored,
+        never recomputed, so the first scrub after the restore finds it."""
+        blob = dump_object_store(sample_store())
+        _head_at, payload_at, _len = verbatim_records(blob)["raw/a"]
+        frame = bytearray(blob[:-4])
+        frame[payload_at + 11] ^= 0x40
+        restored = PipeStore("s0")
+        restored.objects = load_object_store(reseal(frame), name="s0")
+        assert restored.scrub().corrupt_keys == ["raw/a"]
 
     def test_loads_from_a_view_without_counting_io(self):
         """A checkpoint frame hands the loader a ``memoryview`` slice;
@@ -163,10 +301,8 @@ class TestDatabaseSnapshotCorruption:
         frame = bytearray(blob[:-4])
         for pos in range(4 + 4 + 2, len(frame)):  # past NDPD + NDPZ + zlib
             frame[pos] ^= 0xA5
-        resealed = bytes(frame) + struct.pack(
-            ">I", zlib.crc32(bytes(frame)))
         with pytest.raises(SnapshotError, match="corrupt"):
-            load_photo_database(resealed)
+            load_photo_database(reseal(frame))
 
     def test_v1_payload_is_refused_loudly(self):
         import json
@@ -175,6 +311,5 @@ class TestDatabaseSnapshotCorruption:
 
         payload = {"version": 1, "history": {}}
         frame = b"NDPD" + deflate(json.dumps(payload).encode())
-        sealed = frame + struct.pack(">I", zlib.crc32(frame))
         with pytest.raises(SnapshotError, match="version 1"):
-            load_photo_database(sealed)
+            load_photo_database(reseal(frame))

@@ -14,6 +14,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("command, stores, floor", [
+        ("demo", "0", 1), ("metrics", "0", 1), ("trace", "-2", 1),
+        ("checkpoint", "0", 1), ("nemesis", "1", 2),
+    ])
+    def test_too_few_stores_is_a_usage_error(self, capsys, command, stores,
+                                             floor):
+        """One argparse line and exit code 2, not a ``ClusterConfig``
+        traceback from inside the run."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--stores", stores])
+        assert exit_info.value.code == 2
+        assert (f"argument --stores: need at least {floor}, got {stores}"
+                in capsys.readouterr().err)
+
     def test_plan_defaults(self):
         args = build_parser().parse_args(["plan"])
         assert args.model == "ResNet50"
