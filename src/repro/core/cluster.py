@@ -25,7 +25,8 @@ with ring placement instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .controlplane import RecoveryControlPlane
 from .dataplane import InferenceServer, IngestDataPlane
 from .fabric import NetworkFabric
 from .ftdmp import FinetuneReport
-from .pipestore import PipeStore, StoredPhoto, StoreUnavailableError
+from .pipestore import PipeStore, StoreUnavailableError
 from .snapshot import build_checkpoint, restore_checkpoint
 from .tuner import Tuner
 
@@ -72,6 +73,50 @@ class RelabelStats:
     def degraded(self) -> bool:
         """Did any store fail to take part in this campaign?"""
         return bool(self.stores_skipped or self.photos_deferred)
+
+
+class StoreRoster:
+    """Fleet membership: the PipeStores in join order, indexed by id.
+
+    :class:`NDPipeCluster` owns the one roster; the Tuner, both planes,
+    the shard rebalancer, an attached fault injector and the HA
+    controller read it live, so a store that joins or leaves is seen by
+    all of them at once.  List-like (``roster[i]``, slices, iteration,
+    ``len``; join order is the checkpoint's store order), plus lookup by
+    id: ``roster[store_id]`` (``KeyError`` outside the fleet) or
+    :meth:`get` (``None``).
+    """
+
+    def __init__(self) -> None:
+        self._by_id: Dict[str, PipeStore] = {}  # insertion = join order
+
+    def add(self, store: PipeStore) -> None:
+        if store.store_id in self._by_id:
+            raise ValueError(f"{store.store_id!r} is already in the fleet")
+        self._by_id[store.store_id] = store
+
+    def remove(self, store_id: str) -> None:
+        del self._by_id[store_id]
+
+    def get(self, store_id: str) -> Optional[PipeStore]:
+        return self._by_id.get(store_id)
+
+    def ids(self) -> List[str]:
+        return list(self._by_id)
+
+    def __getitem__(self, key):
+        if isinstance(key, str):
+            store = self._by_id.get(key)
+            if store is None:
+                raise KeyError(f"unknown store {key!r}")
+            return store
+        return list(self._by_id.values())[key]
+
+    def __iter__(self) -> Iterator[PipeStore]:
+        return iter(self._by_id.values())
+
+    def __len__(self) -> int:
+        return len(self._by_id)
 
 
 class NDPipeCluster:
@@ -109,13 +154,11 @@ class NDPipeCluster:
                            seed=self.config.seed,
                            retry_policy=self.retry, metrics=self.metrics,
                            tracer=self.tracer)
-        self.stores: List[PipeStore] = []
+        #: fleet membership, written once: every plane reads this roster
+        self.stores = StoreRoster()
+        self.tuner.adopt_fleet(self.stores)
         for i in range(self.config.num_stores):
-            store = PipeStore(f"pipestore-{i}",
-                              nominal_raw_bytes=self.config.nominal_raw_bytes)
-            store.bind_metrics(self.metrics)
-            self.tuner.register(store, model_factory())
-            self.stores.append(store)
+            self.join_store(f"pipestore-{i}")
         self.inference_server = InferenceServer(model_factory())
         self.inference_server.sync_model(self.tuner.model.state_dict())
         self.database = PhotoDatabase()
@@ -135,22 +178,15 @@ class NDPipeCluster:
         self._m_checkpoint_bytes = self.metrics.gauge(
             "durability_checkpoint_bytes", "size of the latest checkpoint")
 
-    # -- data-plane state (delegated; checkpoints persist these) -------------
-    @property
-    def _ingest_counter(self) -> int:
-        return self.dataplane.ingest_counter
-
-    @_ingest_counter.setter
-    def _ingest_counter(self, value: int) -> None:
-        self.dataplane.ingest_counter = value
-
-    @property
-    def _rr_next(self) -> int:
-        return self.dataplane.rr_next
-
-    @_rr_next.setter
-    def _rr_next(self, value: int) -> None:
-        self.dataplane.rr_next = value
+    # -- membership -----------------------------------------------------------
+    def join_store(self, store_id: str) -> PipeStore:
+        """Enrol a fresh PipeStore: model replica first, then the roster."""
+        store = PipeStore(store_id,
+                          nominal_raw_bytes=self.config.nominal_raw_bytes)
+        store.bind_metrics(self.metrics)
+        self.tuner.install_replica(store, self.model_factory())
+        self.stores.add(store)
+        return store
 
     # -- ingest (online inference) flow --------------------------------------
     def ingest(self, images: np.ndarray, train_labels: Optional[Sequence[int]] = None,
@@ -210,15 +246,6 @@ class NDPipeCluster:
                     outcome.label, outcome.confidence,
                     outcome.request.train_label))
         return report, ids
-
-    def _place_photo(self, photo: StoredPhoto, kind: str = "ingest",
-                     ) -> PipeStore:
-        """Land one photo on an available store (data-plane delegator)."""
-        return self.dataplane.place_photo(photo, kind=kind)
-
-    def _next_available_store(self) -> PipeStore:
-        """Round-robin store selection (data-plane delegator)."""
-        return self.dataplane.next_available_store()
 
     # -- continuous training flow -----------------------------------------
     def finetune(self, epochs: int = 2, num_runs: int = 1,
@@ -365,15 +392,6 @@ class NDPipeCluster:
 
     # -- upload journal (owned by the control plane) ------------------------
     @property
-    def _journal(self) -> Optional[Dict[str, Tuple[np.ndarray, Optional[int]]]]:
-        # kept as a property: chaos tests poke the journal directly
-        return self.control.journal
-
-    @_journal.setter
-    def _journal(self, value) -> None:
-        self.control.journal = value
-
-    @property
     def journal_size(self) -> int:
         """Entries currently resident in the upload journal."""
         return self.control.journal_size
@@ -399,14 +417,6 @@ class NDPipeCluster:
     def reconcile(self, store: Union[str, PipeStore]) -> List[str]:
         """Drop a store's photos whose authoritative location moved away."""
         return self.control.reconcile(store)
-
-    def _resolve_store(self, store: Union[str, PipeStore]) -> PipeStore:
-        if isinstance(store, PipeStore):
-            return store
-        for candidate in self.stores:
-            if candidate.store_id == store:
-                return candidate
-        raise KeyError(f"unknown store {store!r}")
 
     # -- integrity: scrub and replica repair --------------------------------
     def scrub_and_repair(self) -> ClusterScrubReport:

@@ -12,11 +12,16 @@ drives from its failure detector instead of test code.
 The split is a back-reference design: the control plane holds the
 cluster and reaches through it for the fabric, database, replica map and
 store roster, so there is exactly one copy of each piece of state.
+"Which holder gives up its copy" is one donor walk
+(:meth:`RecoveryControlPlane.donors`) and every object copy one transfer
+(:meth:`RecoveryControlPlane.transfer`), shared with the shard
+rebalancer and the nemesis loss check.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -30,6 +35,22 @@ from .pipestore import PipeStore, StoredPhoto, StoreUnavailableError
 
 #: one journalled upload: raw pixels + the user's training tag (if any)
 JournalEntry = Tuple[np.ndarray, Optional[int]]
+#: what a holder vouches with — ``None`` when it cannot (see ``donors``)
+Vouch = Callable[[PipeStore], Any]
+
+
+def raw_copy(pid: str) -> Vouch:
+    """The holder stores ``pid``'s raw blob (unverified: the bar for
+    replica promotion and the nemesis loss check)."""
+    return lambda store: (True if store.objects.exists(
+        store.objects.raw_key(pid)) else None)
+
+
+def verified_copies(keys: Sequence[str]) -> Vouch:
+    """CRC-verified copies of whichever of ``keys`` the holder stores —
+    at least one (the bar for repair, restore and rebalance)."""
+    return lambda store: [(key, store.donate_object(key)) for key in keys
+                          if store.objects.exists(key)] or None
 
 
 class RecoveryControlPlane:
@@ -159,18 +180,13 @@ class RecoveryControlPlane:
                     train_label=train_label,
                 )
                 try:
-                    target = cluster._place_photo(photo, kind="re-ingest")
+                    target = cluster.dataplane.place_photo(
+                        photo, kind="re-ingest").store_id
                 except StoreUnavailableError:
                     continue
-                cluster.database.upsert(LabelRecord(
-                    photo_id=pid, label=record.label,
-                    model_version=record.model_version,
-                    location=target.store_id, confidence=record.confidence,
-                ))
-                old_holders = cluster.replicas.holders(pid)
-                cluster.replicas.place(pid, [target.store_id] + [
-                    h for h in old_holders
-                    if h not in (store_id, target.store_id)
+                cluster.dataplane.write_placement(record, [target] + [
+                    h for h in cluster.replicas.holders(pid)
+                    if h not in (store_id, target)
                 ])
                 moved.append(pid)
         return moved
@@ -183,25 +199,10 @@ class RecoveryControlPlane:
         outage, so on recovery it resumes replica duty (and a scrub
         re-fetches anything that did not survive)."""
         cluster = self.cluster
-        for holder in cluster.replicas.holders(pid):
-            if holder == lost_store_id:
-                continue
-            try:
-                candidate = cluster._resolve_store(holder)
-            except KeyError:
-                continue
-            if not candidate.is_available:
-                continue
-            if not candidate.objects.exists(candidate.objects.raw_key(pid)):
-                continue
-            cluster.database.upsert(LabelRecord(
-                photo_id=pid, label=record.label,
-                model_version=record.model_version,
-                location=holder, confidence=record.confidence,
-            ))
-            holders = cluster.replicas.holders(pid)
-            holders.remove(holder)
-            cluster.replicas.place(pid, [holder] + holders)
+        for donor, _ in self.donors(pid, lost_store_id, raw_copy(pid)):
+            holder = donor.store_id
+            cluster.dataplane.write_placement(record, [holder] + [
+                h for h in cluster.replicas.holders(pid) if h != holder])
             self._m_replicas_promoted.inc()
             return holder
         return None
@@ -211,7 +212,8 @@ class RecoveryControlPlane:
         missed, and evict any photo the cluster re-placed elsewhere while
         it was down (the database location is authoritative)."""
         cluster = self.cluster
-        store = cluster._resolve_store(store)
+        if isinstance(store, str):
+            store = cluster.stores[store]
         with cluster.tracer.span("cluster.recover", store=store.store_id):
             store.repair()
             store.slowdown = 1.0
@@ -225,7 +227,8 @@ class RecoveryControlPlane:
         Replica copies are not orphans: a photo stays if the store is in
         its holder list, even when the database points elsewhere."""
         cluster = self.cluster
-        store = cluster._resolve_store(store)
+        if isinstance(store, str):
+            store = cluster.stores[store]
         evicted = []
         for pid in store.photo_ids():
             if pid in cluster.database:
@@ -287,47 +290,63 @@ class RecoveryControlPlane:
                     report.unrecoverable.append((store.store_id, key))
                     self._m_unrecoverable.inc(store=store.store_id)
             if not store.has_train_label(pid):
-                for holder in cluster.replicas.holders(pid):
-                    if holder == store.store_id:
-                        continue
-                    try:
-                        donor = cluster._resolve_store(holder)
-                    except KeyError:
-                        continue
-                    if donor.is_available and donor.has_train_label(pid):
-                        store.set_train_label(pid, donor.train_label(pid))
-                        break
+                for _donor, label in self.donors(
+                        pid, store.store_id,
+                        lambda donor: donor.train_label(pid)):
+                    store.set_train_label(pid, label)
+                    break
 
     def _repair_object(self, target: PipeStore, key: str) -> bool:
         """Overwrite one damaged object with a verified replica copy."""
-        cluster = self.cluster
         pid = key.split("/", 1)[1] if "/" in key else key
         if key == target.objects.feature_key(pid):
             # derived and never replicated: the next near-data job
             # recomputes it from preproc/, no donor and no fabric bytes
             target.objects.delete(key)
             return True
-        for holder in cluster.replicas.holders(pid):
-            if holder == target.store_id:
+        for donor, blobs in self.donors(pid, target.store_id,
+                                        verified_copies([key])):
+            try:
+                self.transfer(donor, target, blobs, "repair")
+            except TransientFaultError:
+                continue
+            return True
+        return False
+
+    # -- the donor walk and the transfer ------------------------------------
+    def donors(self, pid: str, target: str,
+               vouch: Vouch) -> Iterator[Tuple[PipeStore, Any]]:
+        """The one donor walk: ``pid``'s holders in replica-map order,
+        skipping ``target``, holders gone from the fleet, stores that are
+        down and holders that cannot vouch for their copy — ``vouch``
+        returns ``None`` or raises a missing/corrupt/unavailable error.
+        Yields ``(donor, what it vouched with)``."""
+        roster = self.cluster.stores
+        for holder in self.cluster.replicas.holders(pid):
+            donor = roster.get(holder)
+            if holder == target or donor is None or not donor.is_available:
                 continue
             try:
-                donor = cluster._resolve_store(holder)
-            except KeyError:
-                continue
-            if not donor.is_available:
-                continue
-            try:
-                blob = donor.donate_object(key)
+                payload = vouch(donor)
             except (CorruptObjectError, MissingObjectError,
                     StoreUnavailableError):
                 continue  # this holder cannot vouch for its copy
-            try:
-                call_with_retry(
-                    lambda b=blob, h=holder: cluster.network.send(
-                        h, target.store_id, len(b), "repair"),
-                    cluster.retry)
-            except TransientFaultError:
-                continue
+            if payload is not None:
+                yield donor, payload
+
+    def transfer(self, donor: PipeStore, target: PipeStore,
+                 blobs: List[Tuple[str, bytes]], kind: str) -> int:
+        """The one transfer: ``(key, blob)`` pairs cross the fabric as one
+        retried send of their summed size under ``kind``, then land on
+        ``target`` through ``accept_repair``.  Returns the bytes moved;
+        raises ``TransientFaultError`` (every retry dropped) or
+        ``StoreUnavailableError`` (the target went down)."""
+        cluster = self.cluster
+        nbytes = sum(len(blob) for _key, blob in blobs)
+        call_with_retry(
+            lambda: cluster.network.send(
+                donor.store_id, target.store_id, nbytes, kind),
+            cluster.retry)
+        for key, blob in blobs:
             target.accept_repair(key, blob)
-            return True
-        return False
+        return nbytes

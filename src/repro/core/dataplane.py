@@ -14,7 +14,9 @@ and their checkpoints are unaffected); :class:`RingPlacement` routes
 through a :class:`~repro.placement.ring.ConsistentHashRing` with
 bounded-load awareness, which is how the sharded fleet places and how
 fresh ingest routes around a store whose link has gone slow (the
-``_next_available_store`` queue-depth fix).
+round-robin walk's queue-depth fix).  Every placement outcome — a fresh
+upload, a re-ingest, a promotion, a migration — is recorded by one
+write, :meth:`IngestDataPlane.write_placement`.
 
 The plane also hosts :class:`InferenceServer`, the online front end that
 produces the labels ingest makes durable — it moved here from
@@ -23,6 +25,7 @@ produces the labels ingest makes durable — it moved here from
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -91,9 +94,9 @@ class RoundRobinPlacement:
     """The historic placement: a cursor walk that skips failed servers.
 
     Candidate order, cursor advancement, and failure behaviour are
-    exactly the pre-refactor ``_place_photo``/``_next_available_store``
-    pair, so single-shard checkpoints (which persist the cursor) and the
-    even/odd placement tests stay bit-identical.
+    exactly the pre-refactor cluster-level placement, so single-shard
+    checkpoints (which persist the cursor) and the even/odd placement
+    tests stay bit-identical.
     """
 
     def __init__(self, plane: "IngestDataPlane"):
@@ -133,9 +136,10 @@ class RingPlacement:
         self.load_factor = load_factor
 
     def _live_successors(self, photo_id: str) -> List[str]:
+        stores = self.plane.stores
         return [shard for shard
                 in self.ring.replica_set(photo_id, len(self.ring))
-                if self.plane.is_available(shard)]
+                if stores[shard].is_available]
 
     def candidates(self, photo_id: str) -> Iterator[PipeStore]:
         plane = self.plane
@@ -148,10 +152,10 @@ class RingPlacement:
         # routing around a down primary is not one
         if first != live[0] and plane.metrics_load_skips is not None:
             plane.metrics_load_skips.inc()
-        yield plane.store_by_id(first)
+        yield plane.stores[first]
         for shard in live:
             if shard != first:
-                yield plane.store_by_id(shard)
+                yield plane.stores[shard]
 
     def replica_candidates(self, photo_id: str,
                            taken: Sequence[str]) -> Iterator[PipeStore]:
@@ -164,7 +168,7 @@ class RingPlacement:
         """
         for shard in self._live_successors(photo_id):
             if shard not in taken:
-                yield self.plane.store_by_id(shard)
+                yield self.plane.stores[shard]
 
 
 class IngestDataPlane:
@@ -196,14 +200,8 @@ class IngestDataPlane:
 
     # -- fleet views ---------------------------------------------------------
     @property
-    def stores(self) -> List[PipeStore]:
+    def stores(self):  # the cluster's StoreRoster, live
         return self.cluster.stores
-
-    def store_by_id(self, store_id: str) -> PipeStore:
-        return self.cluster._resolve_store(store_id)
-
-    def is_available(self, store_id: str) -> bool:
-        return self.store_by_id(store_id).is_available
 
     def queue_depth(self, store_id: str) -> float:
         """Observed ingest backlog of one store, in object-equivalents."""
@@ -269,20 +267,27 @@ class IngestDataPlane:
             preprocessed=preprocessed,
             train_label=train_label,
         )
-        store = self.place_photo(photo)
-        cluster.database.upsert(LabelRecord(
+        holders = [self.place_photo(photo).store_id]
+        holders += self.place_replicas(photo, exclude=holders)
+        self.write_placement(LabelRecord(
             photo_id=photo_id, label=label,
             model_version=cluster.tuner.version,
-            location=store.store_id, confidence=confidence,
-        ))
-        holders = [store.store_id]
-        holders += self.place_replicas(photo, exclude=holders)
-        cluster.replicas.place(photo_id, holders)
+            location=holders[0], confidence=confidence,
+        ), holders)
         if len(holders) < cluster.replication:
             self._m_underreplicated.inc()
         cluster.control.journal_put(photo_id, pixels, train_label)
         self._m_ingested.inc()
         return photo_id
+
+    def write_placement(self, record: LabelRecord,
+                        holders: Sequence[str]) -> None:
+        """The one placement write: ``record`` (label, model version,
+        confidence) is stored at ``holders[0]`` and the replica map
+        becomes ``holders``, together."""
+        cluster = self.cluster
+        cluster.database.upsert(replace(record, location=holders[0]))
+        cluster.replicas.place(record.photo_id, holders)
 
     def place_photo(self, photo: StoredPhoto, kind: str = "ingest",
                     ) -> PipeStore:

@@ -16,7 +16,7 @@ at large ``num_runs`` (Fig. 17) is an emergent behaviour, not a formula.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -124,6 +124,30 @@ class FinetuneReport:
         return report
 
 
+def train_tail(model: SplitModel, split: int, optimizer: Optimizer,
+               features: np.ndarray, labels: np.ndarray, epochs: int,
+               batch_size: int, rng: np.random.Generator,
+               run_index: int) -> Iterator[EpochRecord]:
+    """Train the tail past ``split`` on extracted features (the Tuner side).
+
+    The one epoch/batch loop behind both the distributed Tuner and the
+    single-host :class:`FTDMPTrainer`: ``batch_size`` rows at a time,
+    shuffled by ``rng``.  Yields each epoch's record as it completes, so
+    a caller can evaluate between epochs.
+    """
+    for epoch in range(epochs):
+        losses = []
+        for fb, yb in batch_iter(features, labels, batch_size, rng):
+            logits = model.forward_from(Tensor(fb), split)
+            loss = cross_entropy(logits, yb)
+            model.zero_grad()
+            loss.backward()
+            optimizer.step()
+            losses.append(loss.item())
+        yield EpochRecord(run=run_index, epoch=epoch,
+                          loss=float(np.mean(losses)), images=len(features))
+
+
 def _make_optimizer(kind: str, params, lr: float) -> Optimizer:
     if kind == "adam":
         return Adam(params, lr=lr)
@@ -174,35 +198,6 @@ class FTDMPTrainer:
         self.model.train(was_training)
         return features
 
-    # -- the Tuner side --------------------------------------------------------
-    def train_tail(self, features: np.ndarray, labels: np.ndarray,
-                   epochs: int, optimizer: Optimizer,
-                   run_index: int = 0,
-                   report: Optional[FinetuneReport] = None,
-                   eval_fn: Optional[Callable[[], float]] = None) -> float:
-        """Train the trainable tail on extracted features; returns last loss."""
-        last_loss = float("nan")
-        for epoch in range(epochs):
-            losses = []
-            for fb, yb in batch_iter(features, labels, self.batch_size, self._rng):
-                logits = self.model.forward_from(Tensor(fb), self.split)
-                loss = cross_entropy(logits, yb)
-                self.model.zero_grad()
-                loss.backward()
-                optimizer.step()
-                losses.append(loss.item())
-            last_loss = float(np.mean(losses))
-            if report is not None:
-                report.epochs.append(EpochRecord(
-                    run=run_index, epoch=epoch, loss=last_loss,
-                    images=len(features),
-                ))
-                if eval_fn is not None:
-                    report.accuracy_trace.append(
-                        (run_index, epoch, eval_fn())
-                    )
-        return last_loss
-
     # -- the full FT-DMP job -----------------------------------------------
     def finetune(self, x: np.ndarray, y: np.ndarray, epochs: int = 3,
                  num_runs: int = 1,
@@ -225,8 +220,13 @@ class FTDMPTrainer:
             features = self.extract_features(x_run)
             report.images_extracted += len(x_run)
             report.feature_bytes += features.size * FEATURE_DTYPE_BYTES
-            self.train_tail(features, y_run, epochs, optimizer,
-                            run_index=run_index, report=report, eval_fn=eval_fn)
+            for record in train_tail(self.model, self.split, optimizer,
+                                     features, y_run, epochs,
+                                     self.batch_size, self._rng, run_index):
+                report.epochs.append(record)
+                if eval_fn is not None:
+                    report.accuracy_trace.append(
+                        (run_index, record.epoch, eval_fn()))
         self.verify_frozen_unchanged()
         return report
 

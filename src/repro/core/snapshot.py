@@ -73,8 +73,8 @@ def build_checkpoint(cluster, ftdmp: Optional[FinetuneProgress] = None,
         }
     manifest = {
         "cluster": {
-            "ingest_counter": cluster._ingest_counter,
-            "rr_next": cluster._rr_next,
+            "ingest_counter": cluster.dataplane.ingest_counter,
+            "rr_next": cluster.dataplane.rr_next,
             "replication": cluster.replication,
         },
         "tuner": tuner_manifest,
@@ -161,8 +161,9 @@ def restore_checkpoint(cluster, blob: bytes) -> Optional[FinetuneProgress]:
                 store.set_train_label(pid, label)
         cluster.database = database
         cluster.replicas = replicas
-        cluster._ingest_counter = int(cluster_manifest["ingest_counter"])
-        cluster._rr_next = int(cluster_manifest["rr_next"])
+        cluster.dataplane.ingest_counter = int(
+            cluster_manifest["ingest_counter"])
+        cluster.dataplane.rr_next = int(cluster_manifest["rr_next"])
         cluster.replication = replication
         cluster.control.restore_journal(journal)
         # the front end serves whatever model was last distributed

@@ -14,19 +14,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..data.loader import batch_iter
 from ..faults.errors import StaleEpochError, TransientFaultError
 from ..faults.retry import RetryPolicy, call_with_retry
 from ..models.graph import FEATURE_DTYPE_BYTES
 from ..models.split import SplitModel
-from ..nn.losses import cross_entropy
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor, inference_mode
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer, wall_clock
 from . import checknrun
 from .fabric import NetworkFabric
-from .ftdmp import EpochRecord, FinetuneReport
+from .ftdmp import FinetuneReport, train_tail
 from .pipestore import PipeStore, StoreUnavailableError
 
 #: maps a lost store's photo ids to replacement assignments
@@ -96,7 +94,8 @@ class Tuner:
         self.lr = lr
         self.batch_size = batch_size
         self._rng = np.random.default_rng(seed)
-        self._stores: List[PipeStore] = []
+        #: the cluster's StoreRoster once adopted (:meth:`adopt_fleet`)
+        self._stores = ()
         self._optimizer = None
         self._last_distributed: Optional[Dict[str, np.ndarray]] = None
         model.freeze_features()
@@ -153,17 +152,18 @@ class Tuner:
         self._m_fenced = counter
 
     # -- fleet management ---------------------------------------------------
-    def adopt_fleet(self, stores: Sequence[PipeStore]) -> None:
-        """Take over an existing fleet without resending model replicas.
+    def adopt_fleet(self, roster) -> None:
+        """Serve the cluster's live store roster (shared, not copied).
 
-        Used at failover: the standby already holds the primary's exact
-        training state (shipped checkpoints), so the stores' replicas are
-        current — re-registering would waste a full-model send per store.
+        The cluster hands it over at construction; at failover the
+        promoted standby adopts it without resending model replicas (it
+        holds the primary's exact training state, so they are current).
         """
-        self._stores = list(stores)
+        self._stores = roster
 
-    def register(self, store: PipeStore, replica: SplitModel) -> None:
-        """Attach a PipeStore and push it a full model replica."""
+    def install_replica(self, store: PipeStore, replica: SplitModel) -> None:
+        """Push a joining PipeStore a full model replica (membership
+        itself is the roster's: :meth:`NDPipeCluster.join_store`)."""
         state = self.model.state_dict()
         replica.load_state_dict(state)
         replica.freeze_features()
@@ -174,7 +174,6 @@ class Tuner:
             self.retry)
         store.install_model(replica, self.split, self.version,
                             epoch=self.epoch)
-        self._stores.append(store)
         self._last_distributed = state
 
     @property
@@ -208,13 +207,12 @@ class Tuner:
             raise RuntimeError("register stores before distributing updates")
         ordered = self._stores
         if send_order is not None:
-            by_id = {s.store_id: s for s in self._stores}
-            if sorted(send_order) != sorted(by_id):
+            fleet = sorted(self._stores.ids())
+            if sorted(send_order) != fleet:
                 raise ValueError(
                     "send_order must cover every registered store exactly "
-                    f"once; got {sorted(send_order)} for fleet "
-                    f"{sorted(by_id)}")
-            ordered = [by_id[sid] for sid in send_order]
+                    f"once; got {sorted(send_order)} for fleet {fleet}")
+            ordered = [self._stores[sid] for sid in send_order]
         senders = dict(senders or {})
         base_version = self.version
         new_state = self.model.state_dict()
@@ -345,7 +343,6 @@ class Tuner:
         if self._optimizer is None:
             self._optimizer = Adam(self.model.classifier.parameters(), lr=self.lr)
 
-        store_by_id = {s.store_id: s for s in self._stores}
         for run_index in range(start_run, len(run_plan)):
             per_store_ids = run_plan[run_index]
             images_before = report.images_extracted
@@ -353,7 +350,7 @@ class Tuner:
             start = wall_clock()
             with self._span("ftdmp.store_stage", run=run_index):
                 features, labels = self._gather_features(
-                    store_by_id, per_store_ids, report, relocate=relocate
+                    per_store_ids, report, relocate=relocate
                 )
             store_seconds = wall_clock() - start
             if self._metrics is not None:
@@ -365,8 +362,10 @@ class Tuner:
                 start = wall_clock()
                 with self._span("ftdmp.tuner_stage", run=run_index,
                                 images=len(features)):
-                    self._train_tail(features, labels, epochs, run_index,
-                                     report)
+                    report.epochs.extend(train_tail(
+                        self.model, self.split, self._optimizer, features,
+                        labels, epochs, self.batch_size, self._rng,
+                        run_index))
                 if self._metrics is not None:
                     self._m_tuner_stage.observe(wall_clock() - start)
             if on_run_complete is not None:
@@ -387,8 +386,7 @@ class Tuner:
                 runs[k][store_id] = ids[a:b]
         return runs
 
-    def _gather_features(self, store_by_id: Dict[str, PipeStore],
-                         per_store_ids: Dict[str, List[str]],
+    def _gather_features(self, per_store_ids: Dict[str, List[str]],
                          report: FinetuneReport,
                          relocate: Optional[Relocator] = None,
                          ) -> Tuple[np.ndarray, np.ndarray]:
@@ -400,12 +398,12 @@ class Tuner:
             for store_id, ids in per_store_ids.items()
         )
         # bounds relocation ping-pong if stores keep crashing under us
-        relocation_budget = 2 * max(1, len(store_by_id))
+        relocation_budget = 2 * max(1, len(self._stores))
         while pending:
             store_id, ids, was_relocated = pending.popleft()
             if not ids:
                 continue
-            store = store_by_id[store_id]
+            store = self._stores[store_id]
             try:
                 feats = store.extract_features(ids)
                 labels = np.array([store.train_label(pid) for pid in ids])
@@ -446,22 +444,6 @@ class Tuner:
             return np.empty((0,)), np.empty((0,), dtype=np.int64)
         return (np.concatenate(feature_chunks, axis=0),
                 np.concatenate(label_chunks, axis=0))
-
-    def _train_tail(self, features: np.ndarray, labels: np.ndarray,
-                    epochs: int, run_index: int, report: FinetuneReport) -> None:
-        for epoch in range(epochs):
-            losses = []
-            for fb, yb in batch_iter(features, labels, self.batch_size, self._rng):
-                logits = self.model.forward_from(Tensor(fb), self.split)
-                loss = cross_entropy(logits, yb)
-                self.model.zero_grad()
-                loss.backward()
-                self._optimizer.step()
-                losses.append(loss.item())
-            report.epochs.append(EpochRecord(
-                run=run_index, epoch=epoch, loss=float(np.mean(losses)),
-                images=len(features),
-            ))
 
     def catch_up(self, store: PipeStore) -> None:
         """Resynchronise a repaired store that missed delta rounds."""

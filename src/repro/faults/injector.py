@@ -9,7 +9,9 @@ callbacks:
   extra latency;
 * ``ThreadedPipeline.stage_hook`` — every stage item advances the clock
   and may be slowed;
-* registered ``PipeStore`` objects — crash/recover/slow-accelerator
+* the attached cluster's store roster (read live, so a shard that joins
+  after ``attach`` is addressable and one that left is not) and any
+  separately registered ``PipeStore`` — crash/recover/slow-accelerator
   events call ``fail()`` / ``repair()`` / set ``slowdown`` directly.
 
 Because the clock is driven by the workload itself, "crash pipestore-1
@@ -69,7 +71,7 @@ class FaultInjector:
     pipeline stage hooks (NPE worker threads), so all mutable schedule
     state is guarded by one reentrant lock — ``advance`` -> ``_fire_due``
     -> ``_fire`` -> ``_corrupt`` nest inside it.  Attachment wiring
-    (``_stores``/``_fabrics``/``_pipelines``) is setup-time only and
+    (``_rosters``/``_fabrics``/``_pipelines``) is setup-time only and
     stays outside the guard.
     """
 
@@ -77,7 +79,8 @@ class FaultInjector:
         self._lock = threading.RLock()
         self._due = deque(sorted(schedule, key=lambda e: e.at))
         self.clock = 0
-        self._stores: Dict[str, Any] = {}
+        #: attached clusters' live rosters and one-store registrations
+        self._rosters: List[Any] = []
         self._drops: List[_Budget] = []
         self._latencies: List[_Budget] = []
         self.stage_latency: Dict[str, float] = {}
@@ -98,9 +101,8 @@ class FaultInjector:
 
     # -- wiring ------------------------------------------------------------
     def attach(self, cluster: Any) -> "FaultInjector":
-        """Hook the whole runnable cluster (fabric + every PipeStore)."""
-        for store in cluster.stores:
-            self.register_store(store)
+        """Hook the whole runnable cluster (fabric + its store roster)."""
+        self._rosters.append(cluster.stores)
         tuner = getattr(cluster, "tuner", None)
         if tuner is not None:
             self.register_tuner(tuner)
@@ -119,7 +121,7 @@ class FaultInjector:
         return self
 
     def register_store(self, store: Any) -> "FaultInjector":
-        self._stores[store.store_id] = store
+        self._rosters.append((store,))
         return self
 
     def register_tuner(self, tuner: Any) -> "FaultInjector":
@@ -158,14 +160,18 @@ class FaultInjector:
             while self._due and self._due[0].at <= self.clock:
                 self._fire(self._due.popleft())
 
+    def stores(self) -> Dict[str, Any]:
+        """Every store a schedule can name right now, by id."""
+        return {store.store_id: store
+                for roster in self._rosters for store in roster}
+
     def _store(self, store_id: str) -> Any:
-        try:
-            return self._stores[store_id]
-        except KeyError:
+        stores = self.stores()
+        if store_id not in stores:
             raise FaultConfigError(
                 f"schedule names unknown store {store_id!r}; registered: "
-                f"{sorted(self._stores)}"
-            ) from None
+                f"{sorted(stores)}")
+        return stores[store_id]
 
     def _fire(self, event: FaultEvent) -> None:
         with self._lock:
@@ -306,7 +312,7 @@ class FaultInjector:
             return list(self._due)
 
     def crashed_stores(self) -> List[str]:
-        return sorted(sid for sid, store in self._stores.items()
+        return sorted(sid for sid, store in self.stores().items()
                       if not store.is_available)
 
     def describe(self) -> str:

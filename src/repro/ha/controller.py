@@ -3,7 +3,9 @@
 One controller per cluster (built by ``NDPipeCluster.enable_ha``).  Each
 ``poll()`` advances the logical clock one tick (a heartbeat round is
 itself observed work), samples every member's liveness, and reacts to
-detector transitions:
+detector transitions.  The store members are the cluster's roster, read
+live each round: a shard that joins is watched from the round that
+first sees it, one that leaves is no longer probed.
 
 * **store suspected** — its journalled photos are re-placed onto
   survivors (``reingest_orphans``), exactly what test code used to drive
@@ -48,7 +50,7 @@ class HAController:
         self.metrics = HAMetrics(cluster.metrics)
         self.detector = FailureDetector(self.config)
         self._tick = 0
-        #: member id -> {"kind", "liveness"} in registration order
+        #: non-store member id -> {"kind", "liveness"} (see members())
         self._members: Dict[str, Dict[str, Any]] = {}
         self._dispatchers: List[Any] = []
         #: FT-DMP progress recovered by the latest promotion, if any —
@@ -75,10 +77,7 @@ class HAController:
             # run boundary can still be failed over
             self.failover.ship_checkpoint(None)
 
-        for store in cluster.stores:
-            self.register_member(
-                store.store_id,
-                (lambda s: (lambda: s.is_available))(store), kind="store")
+        self._presume_alive()
         self.register_member(PRIMARY_MEMBER, self._primary_alive,
                              kind="tuner")
         if injector is not None:
@@ -101,6 +100,22 @@ class HAController:
         # component that dies before the first poll is still suspectable
         # (the detector needs a last-heard tick to measure silence from)
         self.detector.heartbeat(member_id, self._now())
+
+    def members(self) -> List[Tuple[str, Dict[str, Any]]]:
+        """What one heartbeat round probes: the roster, then the rest."""
+        stores = [(store.store_id,
+                   {"kind": "store",
+                    "liveness": lambda s=store: s.is_available})
+                  for store in self.cluster.stores]
+        return stores + list(self._members.items())
+
+    def _presume_alive(self) -> None:
+        """A store the detector has not heard of yet is presumed alive as
+        of now, as a registered member is when it registers."""
+        now = self._now()
+        for store in self.cluster.stores:
+            if self.detector.last_heard(store.store_id) is None:
+                self.detector.heartbeat(store.store_id, now)
 
     def attach_dispatcher(self, dispatcher: Any) -> None:
         """Drain/undrain this dispatcher's replicas on suspicion."""
@@ -137,6 +152,7 @@ class HAController:
         a heartbeat for every member whose liveness holds, and reacts to
         alive->suspect and suspect->alive transitions.
         """
+        self._presume_alive()  # shards that joined since the last round
         if self.injector is not None:
             self.injector.advance()
             tick = self.injector.clock
@@ -144,7 +160,7 @@ class HAController:
             self._tick += 1
             tick = self._tick
         events: List[Tuple[str, str]] = []
-        for member_id, info in list(self._members.items()):
+        for member_id, info in self.members():
             alive = self._probe(member_id, info)
             if alive:
                 self.metrics.heartbeats.inc(member=member_id)

@@ -5,10 +5,10 @@ shipping tuner-scoped NDCP frames (:func:`pack_tuner_state`) over the
 byte-accounted network at every FT-DMP run boundary.  Promotion is a
 lease/epoch election: the new primary takes ``max(all known epochs)+1``,
 imports the last shipped frame bit-exactly (model, optimizer moments,
-RNG stream), adopts the store fleet *without* resending replicas (their
-models are already current), and stamps its epoch on every subsequent
-update so stores fence the deposed primary if it ever comes back
-(:class:`~repro.faults.errors.StaleEpochError`).
+RNG stream), adopts the cluster's store roster *without* resending
+replicas (their models are already current), and stamps its epoch on
+every subsequent update so stores fence the deposed primary if it ever
+comes back (:class:`~repro.faults.errors.StaleEpochError`).
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class TunerFailoverManager:
                             self.standby.epoch)
         self.standby.import_training_state(state)
         self.standby.epoch = new_epoch
-        self.standby.adopt_fleet(self.primary.stores)
+        self.standby.adopt_fleet(self.cluster.stores)
         old_primary = self.primary
         self.primary, self.standby = self.standby, old_primary
         self.cluster.adopt_tuner(self.primary)

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..core.controlplane import raw_copy
 from ..faults import FaultInjector
 from ..faults.errors import FaultError
 from ..lint.sanitizer import SANITIZER
@@ -276,14 +277,14 @@ class NemesisHarness:
 
     def _check_no_acknowledged_loss(self, step: int) -> None:
         cluster = self.cluster
-        journal = cluster._journal or {}
+        journal = cluster.control.journal or {}
         lost: List[str] = []
         for pid in self.acknowledged:
             if pid not in cluster.database:
                 lost.append(pid)
                 continue
             location = cluster.database.lookup(pid).location
-            store = cluster._resolve_store(location)
+            store = cluster.stores[location]
             if not store.is_available:
                 # an outage, not a loss: the blobs survive on the downed
                 # store's media and recover/scrub restore access
@@ -292,23 +293,14 @@ class NemesisHarness:
                 continue
             if pid in journal:
                 continue  # recoverable: re-ingest will re-place it
-            if any(self._holder_has(pid, holder)
-                   for holder in cluster.replicas.holders(pid)
-                   if holder != location):
+            if next(cluster.control.donors(pid, location, raw_copy(pid)),
+                    None) is not None:
                 continue  # recoverable: scrub re-fetches from the replica
             lost.append(pid)
         if lost:
             raise InvariantViolation(
                 f"step {step}: acknowledged uploads lost with no "
                 f"recoverable copy: {lost[:5]}{'...' if len(lost) > 5 else ''}")
-
-    def _holder_has(self, pid: str, holder: str) -> bool:
-        try:
-            store = self.cluster._resolve_store(holder)
-        except KeyError:
-            return False
-        return (store.is_available
-                and store.objects.exists(store.objects.raw_key(pid)))
 
     def _check_lineage(self, step: int) -> None:
         epoch = self.cluster.tuner.epoch

@@ -8,7 +8,10 @@ of every upload, Check-N-Run distribution over a
 :class:`~repro.placement.fanout.FanoutTree` instead of Tuner unicast,
 and live membership changes (:meth:`ShardedCluster.join_shard` /
 :meth:`ShardedCluster.leave_shard`) settled by the copy-first
-:class:`~repro.placement.rebalance.ShardRebalancer`.
+:class:`~repro.placement.rebalance.ShardRebalancer`.  A join or leave
+is one call on the cluster's store roster plus the ring update: the
+Tuner, both planes, the fault injector and the HA controller all read
+that roster live.
 
 Anything not overridden here delegates to the wrapped cluster, so the
 whole single-fleet lifecycle API (``finetune``, ``offline_relabel``,
@@ -25,7 +28,6 @@ import numpy as np
 from ..core.cluster import NDPipeCluster
 from ..core.config import ClusterConfig
 from ..core.dataplane import RingPlacement
-from ..core.pipestore import PipeStore
 from ..core.tuner import DistributionStats
 from ..faults.retry import RetryPolicy
 from ..models.split import SplitModel
@@ -67,7 +69,7 @@ class ShardedCluster:
         self.ring = ConsistentHashRing(
             vnodes=self.shard_config.vnodes,
             seed=self.shard_config.ring_seed,
-            shards=[s.store_id for s in self.cluster.stores])
+            shards=self.cluster.stores.ids())
         plane = self.cluster.dataplane
         plane.placement = RingPlacement(
             plane, self.ring, load_factor=self.shard_config.load_factor)
@@ -124,7 +126,7 @@ class ShardedCluster:
 
     # -- fan-out model distribution --------------------------------------------
     def _tree(self) -> FanoutTree:
-        return FanoutTree([s.store_id for s in self.cluster.stores],
+        return FanoutTree(self.cluster.stores.ids(),
                           fanout=self.shard_config.fanout)
 
     def distribute(self, fanout: bool = True) -> DistributionStats:
@@ -167,15 +169,10 @@ class ShardedCluster:
         ``photos_moved`` (distinct photos whose holder set changed),
         ``moved_fraction``, and the migration ledger snapshot.
         """
-        cluster = self.cluster
         if store_id is None:
             store_id = f"pipestore-{self._next_shard_index}"
         self._next_shard_index += 1
-        store = PipeStore(
-            store_id, nominal_raw_bytes=cluster.config.nominal_raw_bytes)
-        store.bind_metrics(cluster.metrics)
-        cluster.tuner.register(store, cluster.model_factory())
-        cluster.stores.append(store)
+        self.cluster.join_store(store_id)
         self.ring.add_shard(store_id)
         self.metrics.shard_count.set(len(self.ring))
         return self._settle(store_id, "join")
@@ -187,14 +184,10 @@ class ShardedCluster:
         photo it owned has landed elsewhere; it is removed from the fleet
         afterwards (photos it still holds were evicted by the mover).
         """
-        cluster = self.cluster
         self.ring.remove_shard(store_id)
         self.metrics.shard_count.set(len(self.ring))
         summary = self._settle(store_id, "leave")
-        cluster.stores[:] = [s for s in cluster.stores
-                             if s.store_id != store_id]
-        cluster.tuner.adopt_fleet(
-            [s for s in cluster.tuner.stores if s.store_id != store_id])
+        self.cluster.stores.remove(store_id)
         return summary
 
     def _settle(self, store_id: str, event: str) -> Dict:

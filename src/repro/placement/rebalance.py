@@ -10,10 +10,12 @@ source copy is evicted, so a crash — or a shard evicted mid-rebalance —
 can only ever leave surplus copies behind for
 ``scrub_and_repair``/``reconcile`` to settle, never a data loss.
 
-Transfers reuse the PR 3 repair primitives (``donate_object`` /
-``accept_repair``, retried fabric sends) under a ``"rebalance"`` traffic
-kind, and the books are kept by a :class:`MigrationLedger` whose
-conservation law ND006 proves statically::
+Copies go through the control plane's one donor walk and one transfer
+(``donate_object`` -> retried fabric send -> ``accept_repair``, the
+path scrub repair takes) under a ``"rebalance"`` traffic kind; the
+holder move is the data plane's one placement write; and the books are
+kept by a :class:`MigrationLedger` whose conservation law ND006 proves
+statically::
 
     objects_moved == objects_received + objects_failed + objects_inflight
 
@@ -25,12 +27,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..core.controlplane import verified_copies
 from ..core.pipestore import StoreUnavailableError
 from ..faults.errors import TransientFaultError
-from ..faults.retry import call_with_retry
 from ..lint.contracts import conserves
-from ..storage.objectstore import CorruptObjectError, MissingObjectError
-from ..storage.photodb import LabelRecord
 from .metrics import PlacementMetrics
 from .ring import ConsistentHashRing
 
@@ -161,50 +161,36 @@ class ShardRebalancer:
     def _migrate_photo(self, pid: str, add: List[str], drop: List[str],
                        desired: List[str]) -> bool:
         cluster = self.cluster
-        landed: List[str] = []
         for dst in add:
             if not self._copy_object(pid, dst):
                 # leave the source copies authoritative; a later pass
                 # (or scrub_and_repair once membership settles) retries
                 self.deferred.append(pid)
                 return False
-            landed.append(dst)
         # every destination acknowledged — flip authority, then evict
-        record = cluster.database.lookup(pid)
-        cluster.database.upsert(LabelRecord(
-            photo_id=pid, label=record.label,
-            model_version=record.model_version,
-            location=desired[0], confidence=record.confidence,
-        ))
-        cluster.replicas.place(pid, list(desired))
+        cluster.dataplane.write_placement(cluster.database.lookup(pid),
+                                          desired)
         for src in drop:
-            try:
-                store = cluster._resolve_store(src)
-            except KeyError:
-                continue  # the shard left the fleet entirely
-            if store.is_available:
+            store = cluster.stores.get(src)  # None: it left the fleet
+            if store is not None and store.is_available:
                 store.evict_photo(pid)
         return True
 
     def _copy_object(self, pid: str, dst_id: str) -> bool:
         """Land both blobs + the training label of ``pid`` on ``dst``."""
         cluster = self.cluster
-        dst = cluster._resolve_store(dst_id)
+        dst = cluster.stores[dst_id]
         if not dst.is_available:
             return False
-        donation = self._donate(pid, exclude=dst_id)
+        keys = [dst.objects.raw_key(pid), dst.objects.preproc_key(pid)]
+        donation = next(cluster.control.donors(
+            pid, dst_id, verified_copies(keys)), None)
         if donation is None:
             return False
-        donor_id, blobs, train_label = donation
-        nbytes = sum(len(b) for _key, b in blobs)
+        donor, blobs = donation
         self.ledger.begin()
         try:
-            call_with_retry(
-                lambda: cluster.network.send(
-                    donor_id, dst_id, nbytes, "rebalance"),
-                cluster.retry)
-            for key, blob in blobs:
-                dst.accept_repair(key, blob)
+            nbytes = cluster.control.transfer(donor, dst, blobs, "rebalance")
         except (TransientFaultError, StoreUnavailableError):
             self.ledger.abort()
             if self.metrics is not None:
@@ -212,39 +198,10 @@ class ShardRebalancer:
             return False
         self.ledger.commit()
         self.ledger.bytes_received += nbytes
-        if train_label is not None:
-            dst.set_train_label(pid, train_label)
+        if donor.has_train_label(pid):
+            dst.set_train_label(pid, donor.train_label(pid))
         if self.metrics is not None:
             self.metrics.moved.inc()
             self.metrics.received.inc()
             self.metrics.rebalance_bytes.inc(nbytes)
         return True
-
-    def _donate(self, pid: str, exclude: str,
-                ) -> Optional[Tuple[str, List[Tuple[str, bytes]], Optional[int]]]:
-        """Verified blobs of ``pid`` from the first healthy holder."""
-        cluster = self.cluster
-        for holder in cluster.replicas.holders(pid):
-            if holder == exclude:
-                continue
-            try:
-                donor = cluster._resolve_store(holder)
-            except KeyError:
-                continue
-            if not donor.is_available:
-                continue
-            blobs: List[Tuple[str, bytes]] = []
-            try:
-                for key in (donor.objects.raw_key(pid),
-                            donor.objects.preproc_key(pid)):
-                    if donor.objects.exists(key):
-                        blobs.append((key, donor.donate_object(key)))
-            except (CorruptObjectError, MissingObjectError,
-                    StoreUnavailableError):
-                continue  # this holder cannot vouch for its copy
-            if not blobs:
-                continue
-            label = (donor.train_label(pid)
-                     if donor.has_train_label(pid) else None)
-            return holder, blobs, label
-        return None

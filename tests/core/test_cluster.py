@@ -257,7 +257,7 @@ class TestUploadJournal:
             num_stores=2, journal_max_entries=5))
         x, y = small_world.sample(8, 0, rng=np.random.default_rng(5))
         ids = cluster.ingest(x, train_labels=y)
-        assert sorted(cluster._journal) == sorted(ids[-5:])
+        assert sorted(cluster.control.journal) == sorted(ids[-5:])
 
     def test_uncapped_journal_tracks_every_upload(self, loaded_cluster):
         cluster, ids, _ = loaded_cluster
@@ -265,18 +265,18 @@ class TestUploadJournal:
 
     def test_prune_drops_entries_departed_from_database(self, loaded_cluster):
         cluster, _, _ = loaded_cluster
-        cluster._journal["ghost-upload"] = (np.zeros((3, 16, 16)), None)
+        cluster.control.journal["ghost-upload"] = (np.zeros((3, 16, 16)), None)
         assert cluster.prune_journal() == 1
-        assert "ghost-upload" not in cluster._journal
+        assert "ghost-upload" not in cluster.control.journal
         assert cluster.prune_journal() == 0
         pruned = cluster.metrics.get("cluster_journal_pruned_total")
         assert pruned.value(reason="departed") == 1
 
     def test_reconcile_prunes_the_journal(self, loaded_cluster):
         cluster, _, _ = loaded_cluster
-        cluster._journal["ghost-upload"] = (np.zeros((3, 16, 16)), None)
+        cluster.control.journal["ghost-upload"] = (np.zeros((3, 16, 16)), None)
         cluster.reconcile(cluster.stores[0])
-        assert "ghost-upload" not in cluster._journal
+        assert "ghost-upload" not in cluster.control.journal
 
     def test_cap_validation(self):
         with pytest.raises(ValueError):

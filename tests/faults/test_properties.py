@@ -1,9 +1,9 @@
 """Property-style tests for ingest placement under arbitrary failures.
 
 The central claim: for *every* subset of failed stores,
-``_next_available_store`` either returns an available store or raises
-``StoreUnavailableError`` — and it raises only when the whole fleet is
-down.  With 4 stores the subset space is tiny, so the test enumerates it
+``IngestDataPlane.next_available_store`` either returns an available
+store or raises ``StoreUnavailableError`` — and it raises only when the
+whole fleet is down.  With 4 stores the subset space is tiny, so the test enumerates it
 exhaustively rather than sampling; a hypothesis sweep then drives random
 fail/repair/place interleavings against a model of round-robin fairness.
 """
@@ -44,12 +44,12 @@ class TestEverySubsetOfFailures:
                 store.repair() if i not in failed else store.fail()
             if len(failed) == NUM_STORES:
                 with pytest.raises(StoreUnavailableError):
-                    cluster._next_available_store()
+                    cluster.dataplane.next_available_store()
             else:
                 for _ in range(2 * NUM_STORES):  # any rotation offset
-                    chosen = cluster._next_available_store()
+                    chosen = cluster.dataplane.next_available_store()
                     assert chosen.is_available
-                    assert cluster.stores.index(chosen) not in failed
+                    assert list(cluster.stores).index(chosen) not in failed
         for store in cluster.stores:
             store.repair()
 
@@ -59,10 +59,10 @@ class TestEverySubsetOfFailures:
             store.fail()
         for _ in range(3):
             with pytest.raises(StoreUnavailableError):
-                cluster._next_available_store()
+                cluster.dataplane.next_available_store()
         for store in cluster.stores:
             store.repair()
-        picks = {cluster._next_available_store().store_id
+        picks = {cluster.dataplane.next_available_store().store_id
                  for _ in range(NUM_STORES)}
         assert len(picks) == NUM_STORES
 
@@ -77,7 +77,7 @@ class TestRoundRobinFairness:
             survivors = NUM_STORES - len(failed)
             counts = {s.store_id: 0 for s in cluster.stores}
             for _ in range(3 * survivors):
-                counts[cluster._next_available_store().store_id] += 1
+                counts[cluster.dataplane.next_available_store().store_id] += 1
             live = [c for i, (sid, c) in enumerate(sorted(counts.items()))
                     if i not in failed]
             assert all(c == 3 for c in live), (failed, counts)
@@ -87,9 +87,9 @@ class TestRoundRobinFairness:
     def test_recovered_store_rejoins_rotation(self, cluster):
         cluster.stores[1].fail()
         for _ in range(6):
-            cluster._next_available_store()
+            cluster.dataplane.next_available_store()
         cluster.stores[1].repair()
-        picks = [cluster._next_available_store().store_id
+        picks = [cluster.dataplane.next_available_store().store_id
                  for _ in range(2 * NUM_STORES)]
         assert picks.count("pipestore-1") == 2
 
@@ -121,7 +121,7 @@ def test_interleaved_fail_repair_pick_matches_model(ops):
         else:
             if not any(up):
                 with pytest.raises(StoreUnavailableError):
-                    cluster._next_available_store()
+                    cluster.dataplane.next_available_store()
                 # model: cursor wraps all the way around
                 cursor = (cursor + NUM_STORES) % NUM_STORES
                 continue
@@ -134,5 +134,5 @@ def test_interleaved_fail_repair_pick_matches_model(ops):
                     expected = candidate
                     break
             cursor = probe
-            chosen = cluster._next_available_store()
+            chosen = cluster.dataplane.next_available_store()
             assert chosen is cluster.stores[expected]

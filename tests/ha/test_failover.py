@@ -86,8 +86,7 @@ class TestFailover:
         assert len(ids) == NUM_PHOTOS
         for pid in ids:
             assert pid in cluster.database
-            store = cluster._resolve_store(
-                cluster.database.lookup(pid).location)
+            store = cluster.stores[cluster.database.lookup(pid).location]
             assert store.objects.exists(store.objects.raw_key(pid))
 
     def test_resume_is_pending_from_the_last_shipped_boundary(self):

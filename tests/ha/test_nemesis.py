@@ -49,8 +49,8 @@ def test_acknowledged_loss_is_loud():
     for store in harness.cluster.stores:
         if store.objects.exists(store.objects.raw_key(pid)):
             store.evict_photo(pid)
-    if harness.cluster._journal is not None:
-        harness.cluster._journal.pop(pid, None)
+    if harness.cluster.control.journal is not None:
+        harness.cluster.control.journal.pop(pid, None)
     with pytest.raises(InvariantViolation, match="lost"):
         harness.check_invariants(99)
 

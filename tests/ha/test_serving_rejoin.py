@@ -62,7 +62,7 @@ class TestServeUploadsAcrossRecovery:
         assert len(landed) == len(set(landed))
         for pid in landed:  # ...and none were dropped by the recovery
             record = cluster.database.lookup(pid)
-            store = cluster._resolve_store(record.location)
+            store = cluster.stores[record.location]
             assert store.is_available
             assert store.objects.exists(store.objects.raw_key(pid))
             primary = cluster.replicas.primary(pid)

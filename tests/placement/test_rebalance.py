@@ -122,13 +122,7 @@ class TestDeferral:
         fleet, ids = make_fleet()
         # stage the join by hand so the newcomer can be crashed before
         # the rebalance pass runs
-        from repro.core.pipestore import PipeStore
-        store = PipeStore(
-            "pipestore-late",
-            nominal_raw_bytes=fleet.cluster.config.nominal_raw_bytes)
-        store.bind_metrics(fleet.cluster.metrics)
-        fleet.cluster.tuner.register(store, factory())
-        fleet.cluster.stores.append(store)
+        store = fleet.cluster.join_store("pipestore-late")
         fleet.ring.add_shard("pipestore-late")
         store.fail()
         fleet.rebalancer.rebalance()
@@ -180,7 +174,7 @@ class TestNemesis:
         assert ledger.objects_inflight == 0
         ledger.check()
         injector.detach()
-        fleet.cluster._resolve_store(victim).repair()
+        fleet.cluster.stores[victim].repair()
         fleet.rebalancer.rebalance()
         assert fleet.rebalancer.plan().photos_affected == 0
         scrub = fleet.scrub_and_repair()

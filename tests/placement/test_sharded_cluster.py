@@ -88,7 +88,7 @@ class TestMultiTenantIngest:
             assert record.label == label
             np.testing.assert_allclose(record.confidence, confidence,
                                        rtol=1e-9, atol=1e-12)
-            store = fleet.cluster._resolve_store(record.location)
+            store = fleet.cluster.stores[record.location]
             np.testing.assert_array_equal(
                 store.load_preprocessed(pid), real(pixels))
 
@@ -283,7 +283,7 @@ class TestLoadAwarePlacement:
         fleet.cluster.dataplane.queue_depth = lambda store_id: 1.0
         images, labels = images_of(40, fleet)
         down = fleet.ring.primary("default/photo-00000000")
-        fleet.cluster._resolve_store(down).fail()
+        fleet.cluster.stores[down].fail()
         ids, _ = fleet.ingest(images, train_labels=labels)
         assert fleet.placement_summary()[down] == 0
         assert any(fleet.ring.primary(pid) == down for pid in ids)
@@ -324,7 +324,7 @@ class TestMembershipAccounting:
         fleet.ingest(images, train_labels=labels)
         summary = fleet.join_shard()
         fleet.finetune(epochs=1, num_runs=1)
-        newcomer = fleet.cluster._resolve_store(summary["shard"])
+        newcomer = fleet.cluster.stores[summary["shard"]]
         assert newcomer.model_version == fleet.cluster.tuner.version
 
 
