@@ -18,8 +18,10 @@ offered load that makes the synchronous queue drop (conservation is
 with a p99 no worse than the blessed one, and scales the replica set up
 under the flash.  (Out-of-order completion is pinned by
 ``tests/serving/test_stream.py::test_out_of_order_completion_across_replicas``;
-with the batch controller steering on service time this trace is served
-by two replicas in large batches and happens to complete in order.)
+here it shows up once the second replica joins: a batch's service time
+now depends on how many of its rows miss (a hit pays only the classifier
+tail), so a later batch on one replica can finish before an earlier
+batch on the other.)
 """
 
 from pathlib import Path

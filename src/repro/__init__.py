@@ -23,8 +23,8 @@ Subsystem tour:
 * :mod:`repro.core` — the contribution: FT-DMP, pipelined training, APO,
   NPE, Check-N-Run, PipeStore/Tuner cluster.
 * :mod:`repro.serving` — the high-throughput online upload path:
-  admission control, adaptive micro-batching, tensor cache, replica
-  dispatch.
+  admission control, adaptive micro-batching, split-point feature-row
+  cache, replica dispatch.
 * :mod:`repro.faults` — deterministic fault injection and retry.
 * :mod:`repro.ha` — control-plane robustness: heartbeat failure
   detection, Tuner warm-standby failover with epoch fencing, automatic

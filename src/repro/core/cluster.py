@@ -230,9 +230,12 @@ class NDPipeCluster:
         Admission control may shed requests (bounded queue, per-request
         deadlines, failed dispatch); everything that completes is made
         durable through the same placement/journal path as
-        :meth:`ingest`, reusing the preprocessed tensor the serving
-        cache already produced.  Returns ``(report, photo_ids)`` where
-        ``photo_ids[i]`` corresponds to ``report.completed_requests[i]``.
+        :meth:`ingest`.  A miss lands the preprocessed tensor its batch
+        already produced; a cache hit (served from its feature row) is
+        preprocessed once here — the transform is elementwise, so its
+        ``preproc/`` blob is the one a miss would land.  Returns
+        ``(report, photo_ids)`` where ``photo_ids[i]`` corresponds to
+        ``report.completed_requests[i]``.
         """
         frontend = self.make_serving_frontend(config)
         report = frontend.serve(requests, collect_tensors=True)
@@ -241,8 +244,10 @@ class NDPipeCluster:
                               offered=report.offered,
                               completed=report.completed):
             for outcome in report.completed_requests:
+                pixels = outcome.request.pixels
+                tensor = outcome.preprocessed
                 ids.append(self.dataplane.land_upload(
-                    outcome.request.pixels, outcome.preprocessed,
+                    pixels, preprocess(pixels) if tensor is None else tensor,
                     outcome.label, outcome.confidence,
                     outcome.request.train_label))
         return report, ids

@@ -78,13 +78,45 @@ class InferenceServer:
                               ) -> List[Tuple[int, float]]:
         """Label a batch of already-preprocessed inputs (N, 3, H, W).
 
-        One forward pass for the whole micro-batch — the serving layer's
-        adaptive batcher feeds coalesced uploads through here instead of
-        N single-image :meth:`classify` calls.
+        One whole-model forward pass for the batch — ingest feeds its
+        chunks through here instead of N single-image :meth:`classify`
+        calls; the serving layer serves from the split point instead
+        (:meth:`classify_split`).
         """
         with inference_mode():
             logits = self.model(Tensor(batch)).data
         return softmax_top1(logits)
+
+    # -- serving from the split point ----------------------------------------
+    @property
+    def split(self) -> int:
+        """The serving cut: every stage before the classifier, the cut
+        :class:`~repro.core.ftdmp.FTDMPTrainer` defaults to."""
+        return self.model.num_stages - 1
+
+    def front_digest(self) -> bytes:
+        """What feature rows at the serving cut are keyed on."""
+        return self.model.front_digest(self.split)
+
+    def classify_split(self, misses: Optional[np.ndarray], rows: Sequence,
+                       ) -> Tuple[List[Tuple[int, float]], Optional[np.ndarray]]:
+        """Label a batch from the serving cut.
+
+        ``misses`` stacks the preprocessed inputs (M, 3, H, W) whose
+        feature rows are not cached (``None`` when every row is);
+        ``rows[i]`` is request ``i``'s cached row, or the index of its
+        input in ``misses``.  The front runs on the misses only, then one
+        tail pass labels every row in request order.  Returns
+        ``(answers, fresh)`` where ``fresh[j]`` is ``misses[j]``'s row.
+        """
+        split = self.split
+        with inference_mode():
+            fresh = (None if misses is None else
+                     self.model.forward_until(Tensor(misses), split).data)
+            features = np.stack([fresh[row] if isinstance(row, int) else row
+                                 for row in rows])
+            logits = self.model.forward_from(Tensor(features), split).data
+        return softmax_top1(logits), fresh
 
     def sync_model(self, state: Dict[str, np.ndarray]) -> None:
         self.model.load_state_dict(state)

@@ -4,9 +4,10 @@ The request-level front end in front of replica
 :class:`~repro.core.cluster.InferenceServer`\\ s: a bounded admission
 queue with load shedding and per-request deadlines, an adaptive
 micro-batcher steered by a latency-SLO controller seeded from the NPE
-batch-size-enlargement model, a content-addressed cache of
-deflate-compressed preprocessed tensors, and a multi-replica dispatcher
-riding the cluster's fault-injectable fabric and retry policy.
+batch-size-enlargement model, a content-addressed cache of split-point
+feature rows (a hit runs only the classifier tail), and a multi-replica
+dispatcher riding the cluster's fault-injectable fabric and retry
+policy.
 
 On top of the synchronous front end sits the streaming protocol
 (:mod:`~repro.serving.stream`): request-id'd out-of-order completion,

@@ -15,12 +15,15 @@
   the batch then is positive feedback toward batch 1; sojourn steers
   the replica count (:mod:`~repro.serving.autoscale`) and admission
   (deadline shedding) instead.
-* :class:`MicroBatcher` — the one batch body behind both front ends.
+* :class:`MicroBatcher` — the one batch body behind both front ends:
+  cache hits bring their split-point feature row, misses are
+  preprocessed and run the replica's front, and one classifier tail
+  labels the whole batch.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,11 +135,12 @@ class SloController:
 
 
 class DeliveredBatch(NamedTuple):
-    """What :meth:`MicroBatcher.run` hands back; row ``i`` of the
-    ``(n, C, H, W)`` ``tensors`` and of ``hits``/``results`` is request
-    ``i``."""
+    """What :meth:`MicroBatcher.run` hands back; entry ``i`` of every
+    list is request ``i``.  ``preprocessed[i]`` is the request's
+    preprocessed tensor when the batch computed one (a view into the
+    stacked misses), ``None`` when its feature row came from the cache."""
 
-    tensors: np.ndarray
+    preprocessed: List[Optional[np.ndarray]]
     hits: List[bool]
     results: List[Tuple[int, float]]
     t_start: float
@@ -151,8 +155,7 @@ class MicroBatcher:
                  m: ServingMetrics):
         self.dispatcher = dispatcher
         self.m = m
-        self.cache = TensorCache(config.cache_capacity_bytes,
-                                 config.compression_level)
+        self.cache = TensorCache(config.cache_capacity_bytes)
         initial = config.initial_batch
         if initial is None:
             initial = slo_batch_size(
@@ -174,39 +177,51 @@ class MicroBatcher:
             t_start: float) -> DeliveredBatch:
         """Serve ``ready`` as one batch dispatched at ``t_start``.
 
-        A dispatch every retry dropped raises
-        :class:`~repro.faults.TransientFaultError`; the cache probes it
-        made are already counted (a redispatch probes — and hits — again).
+        The replica is picked first and the cache probed under its front
+        digest.  The distinct misses are preprocessed and stacked; the
+        replica runs its front on them only, then one classifier tail
+        over every row in request order.  The misses' fresh rows enter
+        the cache only after the dispatch succeeded: a dispatch every
+        retry dropped raises :class:`~repro.faults.TransientFaultError`
+        and leaves the cache's entries untouched — its probes are counted,
+        and a redispatch probes, and misses, again.
         """
-        tensors = None
+        index = self.dispatcher.pick_replica()
+        keys, rows = self.cache.lookup(
+            [request.pixels for request in ready],
+            self.dispatcher.replicas[index].front_digest())
         hits: List[bool] = []
-        hit_bytes = 0
-        payload_bytes = 0
-        for row, request in enumerate(ready):
-            key, tensor, blob_bytes = self.cache.lookup(request.pixels)
-            hits.append(tensor is not None)
-            if tensor is None:
-                tensor = preprocess(request.pixels)
-                blob_bytes = self.cache.insert(key, tensor)
-            else:
-                hit_bytes += blob_bytes
-            payload_bytes += blob_bytes
-            if tensors is None:
-                tensors = np.empty((len(ready),) + tensor.shape, tensor.dtype)
-            tensors[row] = tensor
-        # probes count where they happen, dispatched or not: bring the
-        # cache families level with cache.stats(), which the reports read
-        stats = self.cache.stats()
-        for name, family in self._cache_families.items():
-            fresh = stats[name] - self._synced[name]
-            if fresh:
-                family.inc(fresh)
-                self._synced[name] = stats[name]
-        results, t_done, replica = self.dispatcher.dispatch(
-            tensors, payload_bytes, t_start, hits.count(False), hit_bytes)
+        firsts: List[int] = []  # the request that brings each distinct miss
+        for at, row in enumerate(rows):
+            first = isinstance(row, int) and row == len(firsts)
+            if first:
+                firsts.append(at)
+            hits.append(not first)
+        misses = (preprocess(np.stack([ready[at].pixels for at in firsts]))
+                  if firsts else None)
+        try:
+            results, fresh, t_done, replica = self.dispatcher.dispatch(
+                index, misses, rows, t_start)
+            if fresh is not None:
+                self.cache.insert([keys[at] for at in firsts], fresh)
+        finally:
+            # probes count where they happen, dispatched or not: bring the
+            # cache families level with cache.stats(), which reports read
+            self._sync_cache_families()
         self.m.batch.observe(len(ready))
         self.m.batches.inc(replica=replica)
-        return DeliveredBatch(tensors, hits, results, t_start, t_done, replica)
+        preprocessed = [misses[row] if isinstance(row, int) else None
+                        for row in rows]
+        return DeliveredBatch(preprocessed, hits, results, t_start, t_done,
+                              replica)
+
+    def _sync_cache_families(self) -> None:
+        stats = self.cache.stats()
+        for name, family in self._cache_families.items():
+            delta = stats[name] - self._synced[name]
+            if delta:
+                family.inc(delta)
+                self._synced[name] = stats[name]
 
     def close(self, report) -> None:
         """End of a serve(): the report reads the cache's own books."""

@@ -3,7 +3,7 @@
 One traffic trace, two front ends under the same p99 latency budget:
 
 * **adaptive** — the full serving layer (NPE-seeded batch controller,
-  tensor cache, replica dispatch);
+  feature-row cache, replica dispatch);
 * **baseline** — the same machinery pinned to synchronous batch=1, i.e.
   the pre-serving ``InferenceServer.classify`` path with admission
   control bolted on so shedding (and therefore the latency budget) is

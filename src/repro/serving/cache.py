@@ -1,33 +1,40 @@
-"""Content-addressed preprocessed-tensor cache (§5.4 reused online).
+"""Content-addressed cache of split-point feature rows (§5.3–§5.4, one
+stage later).
 
-The paper's +Offload/+Comp artifacts — preprocessed fp32 binaries,
-deflate-compressed — exist because preprocessing is the expensive CPU
-step and the compressed binary is the cheap one to move and keep.  The
-online path gets the same artifact here: the first upload of a given
-photo pays the preprocess cost and leaves a compressed tensor behind;
-every re-upload of identical content (retries, shared photos, thumbnail
-refreshes) is a cache hit that only pays a deflate inflate.
+The paper keeps preprocessed binaries so the expensive per-photo CPU
+step runs once.  Serving pushes that one stage further, as the PipeStore
+``feat/`` rows already do: an entry is the photo's row at the serving
+cut — ``forward_until(split)`` with ``split = model.num_stages - 1``,
+everything before the classifier — so a hit skips the preprocess *and*
+the frozen front, and its request costs only the classifier tail.
 
-Keys are content hashes of the raw pixels (bytes + dtype + shape), so
-hits are deterministic across arrival orders and seeds: identical pixels
-always map to the same entry.  Eviction is LRU by compressed bytes
-against a fixed budget.
+A key is the photo's content hash (bytes + dtype + shape) together with
+the serving replica's ``SplitModel.front_digest(split)``: identical
+pixels through an identical front always map to the same entry, whatever
+the arrival order, and anything that changes the front (a full resync,
+``sync_model`` with new front weights, a split move) moves the digest,
+so every old entry misses.  A classifier-only delta leaves the digest —
+and every entry — valid.
+
+Rows are held as plain read-only arrays, nothing is deflated; eviction
+is LRU by row bytes against a fixed budget.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..lint.guards import guarded_by
-from ..storage.compression import compress_array, inflate
 
 __all__ = ["TensorCache", "content_key"]
+
+#: an entry's key: (content hash of the pixels, front digest)
+CacheKey = Tuple[str, bytes]
 
 
 def content_key(pixels: np.ndarray) -> str:
@@ -43,73 +50,74 @@ def content_key(pixels: np.ndarray) -> str:
 @guarded_by("_lock", "_entries", "_resident_bytes", "_hits", "_misses",
             "_evictions", "_rejected_oversize")
 class TensorCache:
-    """LRU cache of deflate-compressed preprocessed tensors."""
+    """LRU cache of split-point feature rows under a byte budget."""
 
-    def __init__(self, capacity_bytes: int, compression_level: int = 6):
+    def __init__(self, capacity_bytes: int):
         if capacity_bytes < 0:
             raise ValueError(
                 f"capacity_bytes must be >= 0, got {capacity_bytes}")
-        if not 0 <= compression_level <= 9:
-            raise ValueError(
-                f"compression_level must be in [0, 9], got "
-                f"{compression_level}")
         self.capacity_bytes = capacity_bytes
-        self.compression_level = compression_level
         self._lock = threading.Lock()
-        #: key -> (deflated blob, dtype, shape)
-        self._entries: "OrderedDict[str, tuple]" = OrderedDict()
+        #: key -> read-only feature row
+        self._entries: "OrderedDict[CacheKey, np.ndarray]" = OrderedDict()
         self._resident_bytes = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
         self._rejected_oversize = 0
 
-    def lookup(self, pixels: np.ndarray,
-               ) -> Tuple[str, Optional[np.ndarray], int]:
-        """Probe for a photo's preprocessed tensor.
+    def lookup(self, photos: Sequence[np.ndarray], digest: bytes,
+               ) -> Tuple[List[CacheKey], List[Union[np.ndarray, int]]]:
+        """Probe one batch of photos against the front named by ``digest``.
 
-        Returns ``(key, tensor_or_None, compressed_bytes)``; a hit
-        inflates the stored blob (bit-exact fp32 round-trip) and renews
-        the entry's LRU position.  The tensor is a read-only view of the
-        inflated bytes — the batch body copies it once, into its row.
+        Returns ``(keys, rows)``: ``rows[i]`` is photo ``i``'s cached row
+        (a read-only array; the hit renews its LRU position) or, on a
+        miss, the index of its row among the batch's distinct misses.
+        Every photo is one probe.  A photo repeating a key that missed
+        earlier in the same batch gets that miss's index and counts as a
+        hit — the batch computes the row once and the repeat reuses it.
         """
-        key = content_key(pixels)
+        keys = [(content_key(pixels), digest) for pixels in photos]
+        rows: List[Union[np.ndarray, int]] = []
+        missed: Dict[CacheKey, int] = {}
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return key, None, 0
-            self._entries.move_to_end(key)
-            self._hits += 1
-        blob, dtype, shape = entry
-        raw = inflate(blob)
-        # compress_array frames ``dtype|shape|`` before the payload: the
-        # payload is the tail, read in place (no parse, no copy)
-        offset = len(raw) - math.prod(shape) * dtype.itemsize
-        return (key, np.frombuffer(raw, dtype, offset=offset).reshape(shape),
-                len(blob))
+            for key in keys:
+                row = self._entries.get(key)
+                if row is not None:
+                    self._entries.move_to_end(key)
+                    self._hits += 1
+                elif key in missed:
+                    row = missed[key]
+                    self._hits += 1
+                else:
+                    row = missed[key] = len(missed)
+                    self._misses += 1
+                rows.append(row)
+        return keys, rows
 
-    def insert(self, key: str, tensor: np.ndarray) -> int:
-        """Store a freshly preprocessed tensor; returns its blob size."""
-        blob = compress_array(tensor, level=self.compression_level)
+    def insert(self, keys: Sequence[CacheKey], rows: np.ndarray) -> None:
+        """Keep freshly computed rows, ``rows[i]`` under ``keys[i]``."""
         with self._lock:
-            if len(blob) > self.capacity_bytes:
-                # would evict everything and still not fit; count it so a
-                # never-cacheable photo re-preprocessed forever is visible
-                self._rejected_oversize += 1
-                return len(blob)
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._resident_bytes -= len(old[0])
-            self._entries[key] = (blob, tensor.dtype, tensor.shape)
-            self._resident_bytes += len(blob)
-            while self._resident_bytes > self.capacity_bytes:
-                _evicted_key, evicted = self._entries.popitem(last=False)
-                self._resident_bytes -= len(evicted[0])
-                self._evictions += 1
-        return len(blob)
+            for key, row in zip(keys, rows):
+                if row.nbytes > self.capacity_bytes:
+                    # would evict everything and still not fit; count it so
+                    # a never-cacheable photo recomputed forever is visible
+                    self._rejected_oversize += 1
+                    continue
+                # a copy, not a view: a resident row must not pin its batch
+                row = row.copy()
+                row.flags.writeable = False
+                old = self._entries.pop(key, None)
+                if old is not None:
+                    self._resident_bytes -= old.nbytes
+                self._entries[key] = row
+                self._resident_bytes += row.nbytes
+                while self._resident_bytes > self.capacity_bytes:
+                    _evicted_key, evicted = self._entries.popitem(last=False)
+                    self._resident_bytes -= evicted.nbytes
+                    self._evictions += 1
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: CacheKey) -> bool:
         with self._lock:
             return key in self._entries
 

@@ -54,14 +54,10 @@ class ServingConfig:
     slo_headroom: float = 0.8
     #: additive-increase step of the AIMD controller
     additive_step: int = 4
-    #: preprocessed-tensor cache budget (compressed bytes resident)
+    #: feature-row cache budget (row bytes resident)
     cache_capacity_bytes: int = 32 * 1024 * 1024
-    #: deflate level for cached tensors (§5.4 +Comp)
-    compression_level: int = 6
     #: host cores preprocessing cache misses (JPEG decode+normalise)
     preprocess_cores: int = 32
-    #: host cores inflating cache hits
-    decompress_cores: int = 8
     #: label-database upsert cost per request
     db_update_s: float = 0.0002
     #: replica InferenceServers behind the dispatcher
@@ -117,12 +113,9 @@ class ServingConfig:
             raise ValueError(
                 f"cache_capacity_bytes must be >= 0, got "
                 f"{self.cache_capacity_bytes}")
-        if not 0 <= self.compression_level <= 9:
+        if self.preprocess_cores < 1:
             raise ValueError(
-                f"compression_level must be in [0, 9], got "
-                f"{self.compression_level}")
-        if self.preprocess_cores < 1 or self.decompress_cores < 1:
-            raise ValueError("preprocess/decompress core counts must be >= 1")
+                f"preprocess_cores must be >= 1, got {self.preprocess_cores}")
         if self.db_update_s < 0:
             raise ValueError(
                 f"db_update_s must be >= 0, got {self.db_update_s}")

@@ -3,9 +3,11 @@
 The dispatcher owns the replica fleet's timeline on the deterministic
 clock: each replica has a ``free_at`` time, batches go to the
 earliest-free replica, and the batch's modelled service time (CPU
-preprocess for cache misses, inflate for hits, wire transfer, the
-calibrated accelerator batch time, and per-request database upserts)
-advances that replica's clock.  Transfers ride the cluster's
+preprocess and the accelerator's frozen front for cache misses, the
+classifier tail for every row, wire transfer, and per-request database
+upserts) advances that replica's clock.  The replica is picked before
+the batch probes the cache, because the cache is keyed on that
+replica's front.  Transfers ride the cluster's
 byte-accounted fabric inside the shared
 :class:`~repro.faults.retry.RetryPolicy`, so injected drops surface as
 shed batches and injected latency is charged to the requests it
@@ -53,6 +55,13 @@ class ReplicaDispatcher:
         self.retry = retry_policy
         self.graph = model_graph(config.model)
         self.accelerator = config.accelerator_spec()
+        # per-image accelerator seconds either side of the serving cut,
+        # the cut before the classifier that replicas serve at
+        cut = self.graph.partition_point(len(self.graph.stages) - 1)
+        self._front_s = 1.0 / self.accelerator.flops_ips(
+            self.graph.name, cut.front_flops)
+        self._tail_s = 1.0 / self.accelerator.flops_ips(
+            self.graph.name, self.graph.total_flops - cut.front_flops)
         self._free_at = [0.0] * len(self.replicas)
         #: replica names a failure detector has drained: no new batches
         #: land on them until :meth:`undrain` (membership, not removal —
@@ -71,7 +80,8 @@ class ReplicaDispatcher:
     def earliest_free_s(self) -> float:
         return min(self._free_at)
 
-    def _pick_replica(self) -> int:
+    def pick_replica(self) -> int:
+        """Index of the replica the next :meth:`dispatch` should use."""
         candidates = [i for i in range(len(self._free_at))
                       if self.replicas[i].name not in self._drained]
         if not candidates:
@@ -134,42 +144,47 @@ class ReplicaDispatcher:
         even if served alone next; including the miss-preprocess cost
         keeps completed batch=1 requests inside the deadline too.
         """
-        return self.service_s(num_requests=1, num_misses=1, hit_bytes=0)
+        return self.service_s(num_requests=1, num_misses=1)
 
-    def service_s(self, num_requests: int, num_misses: int,
-                  hit_bytes: int) -> float:
+    def service_s(self, num_requests: int, num_misses: int) -> float:
         """Modelled seconds to serve one micro-batch.
 
-        Misses pay host preprocessing, hits pay deflate inflation of
-        their cached blob, everyone shares the accelerator forward pass
-        (the Fig. 19 launch-overhead curve) and a database upsert.
+        Misses pay host preprocessing and the accelerator front (the
+        FLOPs before the serving cut); every row pays the classifier
+        tail; the batch pays one launch overhead (the Fig. 19 curve) and
+        each request a database upsert.  An all-miss batch costs the
+        whole-model forward.
         """
         cpu: CpuSpec = self.config.cpu_spec()
         preprocess_s = (num_misses
                         / cpu.preprocess_ips(self.config.preprocess_cores))
-        decompress_rate = (cpu.decompress_mbps_per_core * 1e6
-                           * min(self.config.decompress_cores, cpu.cores))
-        decompress_s = hit_bytes / decompress_rate
-        inference_s = (num_requests
-                       / self.accelerator.inference_ips(self.graph,
-                                                        num_requests))
+        accelerator_s = (num_misses * self._front_s
+                         + num_requests * self._tail_s
+                         + self.accelerator.batch_overhead_s)
         db_s = num_requests * self.config.db_update_s
-        return preprocess_s + decompress_s + inference_s + db_s
+        return preprocess_s + accelerator_s + db_s
 
     # -- dispatch -----------------------------------------------------------
-    def dispatch(self, batch: np.ndarray, payload_bytes: int,
-                 t_start: float, num_misses: int, hit_bytes: int,
-                 ) -> Tuple[List[Tuple[int, float]], float, str]:
-        """Serve one micro-batch on the earliest-free replica.
+    def dispatch(self, index: int, misses: Optional[np.ndarray],
+                 rows: Sequence, t_start: float,
+                 ) -> Tuple[List[Tuple[int, float]], Optional[np.ndarray],
+                            float, str]:
+        """Serve one micro-batch on replica ``index`` (see
+        :meth:`pick_replica`).
 
-        Returns ``(results, t_done, replica_name)``.  The wire transfer
-        to the replica runs under the retry policy; a transfer that every
+        ``misses`` and ``rows`` are what :meth:`~repro.core.dataplane.
+        InferenceServer.classify_split` takes: the wire carries the miss
+        inputs plus every cached row.  Returns ``(results, fresh,
+        t_done, replica_name)``, ``fresh`` being the misses' new rows.
+        The transfer runs under the retry policy; a transfer that every
         retry drops raises :class:`~repro.faults.TransientFaultError`
         after charging the replica for the wasted retry/backoff time
-        (the batch is then shed by the caller).
+        (the batch is then shed or re-queued by the caller).
         """
-        index = self._pick_replica()
         replica = self.replicas[index]
+        num_misses = 0 if misses is None else len(misses)
+        payload_bytes = (0 if misses is None else misses.nbytes) + sum(
+            row.nbytes for row in rows if not isinstance(row, int))
         self.batches_attempted += 1
         backoff_before = self.retry.backoff_s
         injected_before = self.network.injected_latency_s
@@ -191,12 +206,12 @@ class ReplicaDispatcher:
         injected_s = self.network.injected_latency_s - injected_before
         backoff_s = self.retry.backoff_s - backoff_before
         wire_s = payload_bytes / self.network.spec.bytes_per_s
-        work_s = self.service_s(len(batch), num_misses, hit_bytes) + wire_s
+        work_s = self.service_s(len(rows), num_misses) + wire_s
         stall_s = injected_s + backoff_s
-        results = replica.classify_preprocessed(batch)
+        results, fresh = replica.classify_split(misses, rows)
         t_done = t_start + work_s + stall_s
         self._free_at[index] = t_done
         self.batches_dispatched += 1
         self.busy_s += work_s
         self.stalled_s += stall_s
-        return results, t_done, replica.name
+        return results, fresh, t_done, replica.name

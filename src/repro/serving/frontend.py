@@ -2,7 +2,7 @@
 
 A deterministic discrete-event loop (no wall clock, no threads) that
 plays an open-loop arrival trace through admission control, the
-preprocessed-tensor cache, the adaptive micro-batcher, and the replica
+feature-row cache, the adaptive micro-batcher, and the replica
 dispatcher:
 
 1. the earliest-free replica sets the batch-formation time ``t_start``;
@@ -11,10 +11,12 @@ dispatcher:
 3. the queue yields up to the controller's batch-size target, dropping
    requests that can no longer meet their deadline (``deadline`` sheds);
 4. the shared :class:`~repro.serving.batcher.MicroBatcher` runs it:
-   cache hits inflate their stored tensors, misses are preprocessed and
-   cached; the batch moves to the replica over the byte-accounted fabric
-   under the retry policy (a dropped batch is shed as
-   ``dispatch_failed``) and one forward pass classifies the whole batch;
+   cache hits bring their split-point feature rows, misses are
+   preprocessed; the batch moves to the replica over the byte-accounted
+   fabric under the retry policy (a dropped batch is shed as
+   ``dispatch_failed``), the replica runs its frozen front on the misses
+   only and one classifier tail over the whole batch, and the misses'
+   rows are cached;
 5. the batch's service time (dispatch to done) feeds the AIMD controller.
 
 Identical inputs produce identical reports: arrival times come from the
@@ -62,6 +64,7 @@ class ServeOutcome:
     cache_hit: bool
     replica: str
     #: the preprocessed tensor, kept only when the caller lands uploads
+    #: and the batch computed it (``None`` for a row served from cache)
     preprocessed: Optional[np.ndarray] = None
 
 
@@ -214,7 +217,8 @@ class ServingFrontend:
                 latency_s=latency_s, batch_index=batch_index,
                 batch_size=len(ready), cache_hit=batch.hits[row],
                 replica=batch.replica,
-                preprocessed=batch.tensors[row] if collect_tensors else None))
+                preprocessed=(batch.preprocessed[row] if collect_tensors
+                              else None)))
         self.batcher.settle(batch)
 
     def _shed(self, report: ServingReport, reason: str) -> None:

@@ -55,19 +55,22 @@ class ServingMetrics:
             "serving_batch_target_changes_total",
             "batch-size target moves by the AIMD controller",
             label_names=("direction",))
-        # -- preprocessed-tensor cache ----------------------------------
+        # -- split-point feature-row cache ------------------------------
         self.cache_hits = metrics.counter(
-            "serving_cache_hits_total", "preprocessed-tensor cache hits")
+            "serving_cache_hits_total",
+            "requests served from a cached split-point feature row "
+            "(classifier tail only)")
         self.cache_misses = metrics.counter(
             "serving_cache_misses_total",
-            "cache misses paying host preprocessing")
+            "feature-row cache misses paying host preprocessing and the "
+            "frozen front")
         self.cache_evictions = metrics.counter(
             "serving_cache_evictions_total",
             "cache entries evicted by the LRU byte budget")
         self.cache_rejected = metrics.counter(
             "serving_cache_rejected_total",
-            "cache inserts rejected because one blob exceeds the whole "
-            "byte budget")
+            "cache inserts rejected because one feature row exceeds the "
+            "whole byte budget")
         # -- streaming protocol -----------------------------------------
         self.stream_requests = metrics.counter(
             "serving_stream_requests_total",

@@ -23,7 +23,13 @@ discrete-event simulation on the logical clock:
   meet their deadline expire at batch-formation time;
 * **no shed on dispatch faults** — a batch whose transfer every retry
   drops is re-queued at the front of the pending line (counted as
-  ``redispatches``) rather than shed, preserving conservation;
+  ``redispatches``) rather than shed, preserving conservation; the
+  dropped batch cached nothing, so its misses miss again;
+* **hits from the split point** — batches run through the shared
+  :class:`~repro.serving.batcher.MicroBatcher`: a request whose feature
+  row the serving replica's front already produced runs only the
+  classifier tail, which is what makes batch service times (and so
+  completion order across replicas) depend on each batch's hit mix;
 * **three signals, three actuators** — each delivered batch's *service
   time* (dispatch to done) feeds the AIMD
   :class:`~repro.serving.batcher.SloController` (batch size); its worst

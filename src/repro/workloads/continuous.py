@@ -72,7 +72,7 @@ def open_loop_requests(num_requests: int, rate_rps: float, seed: int = 0,
     ``pool_size`` distinct images with a Zipf-like popularity skew
     (probability of rank ``r`` proportional to ``1 / r**skew``), the way
     a photo service sees repeated uploads of popular content — and what
-    gives the preprocessed-tensor cache hits to work with.
+    gives the serving feature-row cache hits to work with.
 
     The pool is generated from ``pool_seed``, *separately* from the
     arrival-process ``seed``: two traces with different seeds offer the

@@ -100,14 +100,14 @@ class TestDispatcherDrain:
         disp = make_dispatcher()
         disp._free_at = [0.0, 5.0]  # replica-0 would win on free time
         disp.drain("replica-0")
-        assert disp._pick_replica() == 1
+        assert disp.pick_replica() == 1
 
     def test_all_drained_degrades_to_full_fleet(self):
         disp = make_dispatcher()
         disp._free_at = [3.0, 5.0]
         disp.drain("replica-0")
         disp.drain("replica-1")
-        assert disp._pick_replica() == 0  # serve anyway, earliest free
+        assert disp.pick_replica() == 0  # serve anyway, earliest free
 
     def test_retired_replica_leaves_the_drained_set(self):
         disp = make_dispatcher()

@@ -1,17 +1,21 @@
 """The one batch body behind both front ends (MicroBatcher).
 
 What both serving loops share is tested once here: row assembly, the
-answers, where cache probes are counted, what the batch controller is
-fed, and that a flash crowd no longer collapses the target to batch 1.
+answers, where cache probes are counted, that a failed dispatch caches
+nothing, what the batch controller is fed, and that a flash crowd no
+longer collapses the target to batch 1.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cluster import InferenceServer
 from repro.faults import DropMessages, FaultInjector
+from repro.faults.errors import TransientFaultError
 from repro.models.registry import tiny_model
+from repro.nn.tensor import Tensor, inference_mode
 from repro.serving import (
     ServingConfig,
     ServingFrontend,
@@ -20,6 +24,7 @@ from repro.serving import (
 )
 from repro.serving.admission import ServeRequest
 from repro.serving.bench import STREAM_BENCH_DEFAULTS, run_streaming_bench
+from repro.serving.cache import content_key
 from repro.serving.stream import _StreamRun
 from repro.storage.imageformat import preprocess
 from repro.workloads.continuous import open_loop_requests
@@ -54,24 +59,46 @@ def _metric(frontend, name, **labels):
 
 
 # -- assembly and answers -----------------------------------------------------
-def test_rows_are_the_preprocessed_tensors_hit_or_miss():
-    """Rows land straight in one (n, C, H, W) float32 array; a hit's
-    inflated row is bit-equal to the miss that cached it."""
+def test_rows_are_split_point_features_hit_or_miss():
+    """A miss brings its preprocessed tensor and leaves its split-point
+    row in the cache; a repeat (later in the batch, or a later batch) is
+    a hit that brings nothing to preprocess, and the tail over cached
+    rows answers bit for bit what the tail over fresh rows did."""
     frontend = _sync()
     trace = _trace(num_requests=12, pool_size=4)
     cold = frontend.batcher.run(trace, 0.0)
     warm = frontend.batcher.run(trace, 1.0)
-    assert cold.tensors.shape == (12, 3, 16, 16)
-    assert cold.tensors.dtype == np.float32
-    assert not any(cold.hits[:1]) and all(warm.hits)
-    expected = np.stack([preprocess(r.pixels) for r in trace])
-    np.testing.assert_array_equal(cold.tensors, expected)
-    np.testing.assert_array_equal(warm.tensors, expected)
+    keys = [content_key(r.pixels) for r in trace]
+    firsts = [keys.index(key) == at for at, key in enumerate(keys)]
+    assert cold.hits == [not first for first in firsts]
+    assert all(warm.hits) and warm.preprocessed == [None] * 12
+    for request, tensor in zip(trace, cold.preprocessed):
+        np.testing.assert_array_equal(tensor, preprocess(request.pixels))
+    assert warm.results == cold.results
+
+    replica = frontend.dispatcher.replicas[0]
+    distinct = [r.pixels for r, first in zip(trace, firsts) if first]
+    with inference_mode():
+        want = replica.model.forward_until(
+            Tensor(preprocess(np.stack(distinct))), replica.split).data
+    _keys, rows = frontend.cache.lookup(distinct, replica.front_digest())
+    np.testing.assert_array_equal(np.stack(rows), want)
+    assert frontend.cache.resident_bytes == want.nbytes
+
+
+def _mixed_batches(outcomes):
+    """Batch indices holding both cache hits and misses."""
+    kinds = {}
+    for batch_index, hit in outcomes:
+        kinds.setdefault(batch_index, set()).add(hit)
+    return [index for index, seen in kinds.items() if len(seen) == 2]
 
 
 def test_answers_equal_single_photo_classify_on_both_front_ends():
-    """Labels per request equal ``classify(pixels)``; confidences inside
-    the batched-vs-single tolerance tests/test_equivalence.py states."""
+    """Labels per request equal a cold ``classify(pixels)`` whether the
+    request ran the front or only the tail over its cached row, in
+    batches mixing both; confidences inside the batched-vs-single
+    tolerance tests/test_equivalence.py states."""
     trace = _trace(num_requests=150, rate_rps=4000.0, pool_size=24)
     pixels = {r.request_id: r.pixels for r in trace}
     oracle = _replica(ServingConfig())
@@ -79,18 +106,60 @@ def test_answers_equal_single_photo_classify_on_both_front_ends():
     answers = [(o.request.request_id, o.label, o.confidence)
                for o in sync.completed_requests]
     for outcome in sync.completed_requests:
-        np.testing.assert_array_equal(outcome.preprocessed,
-                                      preprocess(outcome.request.pixels))
+        if not outcome.cache_hit:
+            np.testing.assert_array_equal(outcome.preprocessed,
+                                          preprocess(outcome.request.pixels))
+    assert _mixed_batches((o.batch_index, o.cache_hit)
+                          for o in sync.completed_requests)
     stream = _stream().serve(trace)
-    answers += [(o.request_id, o.label, o.confidence)
-                for o in stream.outcomes if o.label is not None]
+    done = [o for o in stream.outcomes if o.label is not None]
+    answers += [(o.request_id, o.label, o.confidence) for o in done]
+    assert _mixed_batches((o.batch_index, o.cache_hit) for o in done)
     assert len(answers) == sync.completed + stream.completed
     assert max(sync.batch_sizes + stream.batch_sizes) > 1
+    assert sync.cache_hits > 0 and stream.cache_hits > 0
     for rid, label, confidence in answers:
         want_label, want_confidence = oracle.classify(pixels[rid])
         assert label == want_label, rid
         np.testing.assert_allclose(confidence, want_confidence,
                                    rtol=1e-9, atol=1e-12)
+
+
+# -- a failed dispatch teaches the cache nothing ------------------------------
+def test_failed_dispatch_leaves_the_cache_unchanged():
+    """Rows enter the cache only after their batch was served: a batch
+    every retry dropped leaves the entries as they were (its probes are
+    counted), and its redispatch misses again."""
+    frontend = _sync()
+    trace = _trace(num_requests=10, pool_size=4)
+    warmup = trace[:2]
+    frontend.batcher.run(warmup, 0.0)
+    entries = frontend.cache.stats()
+    keys_before = list(frontend.cache._entries)
+    FaultInjector([DropMessages(
+        at=1, count=frontend.retry.max_attempts, kind="serve")]) \
+        .attach_fabric(frontend.network)
+    with pytest.raises(TransientFaultError):
+        frontend.batcher.run(trace, 1.0)
+    after = frontend.cache.stats()
+    assert list(frontend.cache._entries) == keys_before
+    for name in ("entries", "resident_bytes", "evictions",
+                 "rejected_oversize"):
+        assert after[name] == entries[name], name
+    assert after["hits"] + after["misses"] == (
+        entries["hits"] + entries["misses"] + len(trace))
+
+    redo = frontend.batcher.run(trace, 2.0)
+    warm = {content_key(r.pixels) for r in warmup}
+    seen = set()
+    for request, hit in zip(trace, redo.hits):
+        key = content_key(request.pixels)
+        assert hit == (key in warm or key in seen)
+        seen.add(key)
+    assert len(frontend.cache) == len(seen | warm)
+    # the families a scrape reads match the cache's own books
+    assert (_metric(frontend, "serving_cache_misses_total")
+            == frontend.cache.stats()["misses"])
 
 
 # -- cache families vs the report when a dispatch fails -----------------------
@@ -117,10 +186,11 @@ def test_stream_cache_families_match_report_when_a_dispatch_fails():
             == report.cache_hits)
     assert (_metric(frontend, "serving_cache_misses_total")
             == report.cache_misses)
-    # a redispatched request probes again, and that second probe is a hit
+    # a redispatched request probes again; the dropped batch cached
+    # nothing, so its misses miss a second time
     assert (report.cache_hits + report.cache_misses
             == report.completed + report.redispatches)
-    assert report.cache_misses == 16
+    assert report.cache_misses > 16 and len(frontend.cache) == 16
 
 
 # -- what the controller is fed -----------------------------------------------

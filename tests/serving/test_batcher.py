@@ -153,16 +153,22 @@ def test_seed_and_controller_agree_by_construction():
     assert costed_s <= ctl.budget_s
     assert ctl.observe(costed_s) >= seed and ctl.decreases == 0
 
-    # The dispatcher's service_s adds what FE&Cl leaves out (inflate or
-    # preprocess, 0.2 ms of database upsert per request), so the seed's
-    # first *real* full batch — 256 cache hits, ~92 ms — is over the
-    # 50 ms budget and halves once to 128 (~47 ms), which then holds.
+    # The dispatcher's service_s adds what FE&Cl leaves out (0.2 ms of
+    # database upsert per request), so the seed's first *real* full
+    # batch — 256 cache hits, tail only, ~54 ms — is over the 50 ms
+    # budget and halves once to 128 (~29 ms), which is under budget *
+    # headroom and grows again.
     config = ServingConfig()
     dispatcher = ReplicaDispatcher(
         [InferenceServer(tiny_model(config.model, seed=0), name="r0")],
         config, NetworkFabric(), RetryPolicy())
     assert seed == 256
-    full = dispatcher.service_s(seed, num_misses=0, hit_bytes=seed * 2800)
+    full = dispatcher.service_s(seed, num_misses=0)
     assert ctl.observe(full) == 128 and ctl.decreases == 1
-    half = dispatcher.service_s(128, num_misses=0, hit_bytes=128 * 2800)
-    assert ctl.observe(half) == 128
+    half = dispatcher.service_s(128, num_misses=0)
+    assert ctl.observe(half) == 132
+    # an all-miss batch pays the whole-model forward, a hit only the tail
+    assert dispatcher.service_s(1, num_misses=1) == pytest.approx(
+        dispatcher.min_service_s())
+    assert (dispatcher.service_s(128, num_misses=128)
+            > 10 * dispatcher.service_s(128, num_misses=0))

@@ -1,4 +1,4 @@
-"""Content-addressed tensor cache: hits, LRU eviction, determinism."""
+"""Content-addressed feature-row cache: hits, LRU eviction, determinism."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,20 @@ import pytest
 from repro.serving.cache import TensorCache, content_key
 
 
+DIGEST = b"front-a"
+
+
 def _pixels(seed, shape=(3, 8, 8)):
     return np.random.default_rng(seed).random(shape).astype(np.float64)
+
+
+def _row(seed, width=64):
+    """A split-point feature row: (width,) float64, width * 8 bytes."""
+    return np.random.default_rng(seed).random(width)
+
+
+def _key(seed, digest=DIGEST):
+    return (content_key(_pixels(seed)), digest)
 
 
 def test_content_key_depends_on_bytes_dtype_shape():
@@ -24,76 +36,98 @@ def test_content_key_depends_on_bytes_dtype_shape():
 def test_hit_round_trip_is_bit_exact():
     cache = TensorCache(capacity_bytes=1 << 20)
     pixels = _pixels(0)
-    tensor = np.random.default_rng(1).random((3, 8, 8)).astype(np.float32)
-    key, missed, blob_bytes = cache.lookup(pixels)
-    assert missed is None and blob_bytes == 0
-    inserted_bytes = cache.insert(key, tensor)
-    assert inserted_bytes > 0 and key in cache
-    key2, hit, hit_bytes = cache.lookup(pixels)
-    assert key2 == key and hit_bytes == inserted_bytes
-    np.testing.assert_array_equal(hit, tensor)
-    assert hit.dtype == tensor.dtype
+    row = _row(1)
+    keys, missed = cache.lookup([pixels], DIGEST)
+    assert missed == [0] and keys == [_key(0)]
+    cache.insert(keys, row[None])
+    assert keys[0] in cache
+    keys2, hit = cache.lookup([pixels], DIGEST)
+    assert keys2 == keys
+    np.testing.assert_array_equal(hit[0], row)
+    assert hit[0].dtype == row.dtype
     stats = cache.stats()
     assert stats["hits"] == 1 and stats["misses"] == 1
-    assert stats["resident_bytes"] == inserted_bytes
+    assert stats["resident_bytes"] == row.nbytes
+
+
+def test_key_is_content_plus_front_digest():
+    """The same pixels under another front are a different entry."""
+    cache = TensorCache(capacity_bytes=1 << 20)
+    keys, _ = cache.lookup([_pixels(0)], DIGEST)
+    cache.insert(keys, _row(0)[None])
+    _, other_front = cache.lookup([_pixels(0)], b"front-b")
+    assert other_front == [0]
+    _, same_front = cache.lookup([_pixels(0)], DIGEST)
+    np.testing.assert_array_equal(same_front[0], _row(0))
+    assert cache.stats()["misses"] == 2 and cache.stats()["hits"] == 1
+
+
+def test_repeat_of_a_miss_in_one_batch_is_one_miss():
+    """Every photo is one probe; a repeat of a key that missed earlier
+    in the batch shares that miss's index and is a hit (the batch
+    computes that row once)."""
+    cache = TensorCache(capacity_bytes=1 << 20)
+    photos = [_pixels(0), _pixels(1), _pixels(0), _pixels(0)]
+    keys, rows = cache.lookup(photos, DIGEST)
+    assert rows == [0, 1, 0, 0] and keys[0] == keys[2] == keys[3]
+    assert cache.stats()["misses"] == 2 and cache.stats()["hits"] == 2
 
 
 def test_lru_evicts_oldest_first():
-    tensors = {i: np.random.default_rng(i).random((3, 8, 8))
-               .astype(np.float32) for i in range(3)}
-    keys = {}
-    probe = TensorCache(capacity_bytes=1 << 20)
-    for i, t in tensors.items():
-        keys[i] = content_key(_pixels(i))
-        probe.insert(keys[i], t)
-    blob_size = probe.resident_bytes // 3
-
-    cache = TensorCache(capacity_bytes=2 * blob_size + blob_size // 2)
-    cache.insert(keys[0], tensors[0])
-    cache.insert(keys[1], tensors[1])
-    cache.insert(keys[2], tensors[2])  # evicts 0, the oldest
-    assert keys[0] not in cache
-    assert keys[1] in cache and keys[2] in cache
-    assert cache.stats()["evictions"] == 1
+    size = _row(0).nbytes
+    cache = TensorCache(capacity_bytes=2 * size + size // 2)
+    for i in range(3):
+        cache.insert([_key(i)], _row(i)[None])  # the third evicts 0
+    assert _key(0) not in cache
+    assert _key(1) in cache and _key(2) in cache
+    stats = cache.stats()
+    assert stats["evictions"] == 1
+    assert stats["resident_bytes"] == 2 * size == cache.resident_bytes
 
 
 def test_hit_renews_lru_position():
-    tensors = {i: np.random.default_rng(i).random((3, 8, 8))
-               .astype(np.float32) for i in range(3)}
-    probe = TensorCache(capacity_bytes=1 << 20)
-    for i, t in tensors.items():
-        probe.insert(content_key(_pixels(i)), t)
-    blob_size = probe.resident_bytes // 3
+    size = _row(0).nbytes
+    cache = TensorCache(capacity_bytes=2 * size + size // 2)
+    cache.insert([_key(0), _key(1)], np.stack([_row(0), _row(1)]))
+    cache.lookup([_pixels(0)], DIGEST)  # renew 0; now 1 is the LRU victim
+    cache.insert([_key(2)], _row(2)[None])
+    assert _key(0) in cache
+    assert _key(1) not in cache
 
-    cache = TensorCache(capacity_bytes=2 * blob_size + blob_size // 2)
-    cache.insert(content_key(_pixels(0)), tensors[0])
-    cache.insert(content_key(_pixels(1)), tensors[1])
-    cache.lookup(_pixels(0))  # renew 0; now 1 is the LRU victim
-    cache.insert(content_key(_pixels(2)), tensors[2])
-    assert content_key(_pixels(0)) in cache
-    assert content_key(_pixels(1)) not in cache
+
+def test_byte_budget_balances_against_row_bytes():
+    """Resident bytes are the sum of the resident rows' bytes, whatever
+    mix of inserts, renewals and evictions got them there."""
+    rng = np.random.default_rng(5)
+    cache = TensorCache(capacity_bytes=10 * _row(0).nbytes)
+    for step in range(200):
+        seeds = rng.integers(0, 30, size=rng.integers(1, 6))
+        keys, _rows = cache.lookup([_pixels(int(s)) for s in seeds], DIGEST)
+        cache.insert(keys, np.stack([_row(int(s)) for s in seeds]))
+        stats = cache.stats()
+        assert stats["resident_bytes"] == stats["entries"] * _row(0).nbytes
+        assert stats["resident_bytes"] <= cache.capacity_bytes
+    stats = cache.stats()
+    assert stats["hits"] + stats["misses"] > 0
+    assert stats["entries"] == 10 and stats["evictions"] > 0
 
 
 def test_oversized_blob_is_not_inserted():
     cache = TensorCache(capacity_bytes=8)
-    tensor = np.random.default_rng(0).random((3, 8, 8)).astype(np.float32)
-    blob_bytes = cache.insert("key", tensor)
-    assert blob_bytes > 8
+    cache.insert(["key"], _row(0)[None])
     assert "key" not in cache and len(cache) == 0
     assert cache.resident_bytes == 0
 
 
 def test_reinsert_same_key_does_not_double_count():
     cache = TensorCache(capacity_bytes=1 << 20)
-    tensor = np.random.default_rng(0).random((3, 8, 8)).astype(np.float32)
-    size = cache.insert("key", tensor)
-    assert cache.insert("key", tensor) == size
-    assert cache.resident_bytes == size and len(cache) == 1
+    cache.insert(["key"], _row(0)[None])
+    cache.insert(["key"], _row(0)[None])
+    assert cache.resident_bytes == _row(0).nbytes and len(cache) == 1
 
 
 @pytest.mark.parametrize("kwargs", [
     {"capacity_bytes": -1},
-    {"capacity_bytes": 10, "compression_level": 10},
 ])
 def test_constructor_validation(kwargs):
     with pytest.raises(ValueError):
@@ -102,19 +136,17 @@ def test_constructor_validation(kwargs):
 
 def test_oversize_insert_is_rejected_and_counted():
     cache = TensorCache(capacity_bytes=8)
-    tensor = np.random.default_rng(1).random((3, 8, 8)).astype(np.float32)
-    key, missed, _ = cache.lookup(_pixels(0))
-    assert missed is None
-    blob_bytes = cache.insert(key, tensor)
-    assert blob_bytes > 8       # the caller still learns the wire size
-    assert key not in cache     # ...but nothing was cached
+    keys, missed = cache.lookup([_pixels(0)], DIGEST)
+    assert missed == [0]
+    cache.insert(keys, _row(1)[None])
+    assert keys[0] not in cache     # nothing was cached
     stats = cache.stats()
     assert stats["rejected_oversize"] == 1
     assert stats["entries"] == 0 and stats["resident_bytes"] == 0
     assert stats["evictions"] == 0  # rejection never evicts residents
     # the next lookup of the same pixels is an honest miss again
-    _, again, _ = cache.lookup(_pixels(0))
-    assert again is None
+    _, again = cache.lookup([_pixels(0)], DIGEST)
+    assert again == [0]
     assert cache.stats()["misses"] == 2
 
 
@@ -130,11 +162,16 @@ def test_content_key_digests_are_pinned():
     assert content_key(a.T) == "8ca1dadf582c62d0bda537303d30aa018eed1baf"
 
 
-def test_hit_is_a_read_only_view_of_the_inflated_bytes():
+def test_hit_is_a_read_only_copy_of_the_inserted_row():
+    """The cache keeps its own copy (a resident row must not pin the
+    batch it came from) and hands it out read-only, without copying."""
     cache = TensorCache(capacity_bytes=1 << 20)
-    tensor = np.random.default_rng(1).random((3, 8, 8)).astype(np.float32)
-    key, _missed, _ = cache.lookup(_pixels(0))
-    cache.insert(key, tensor)
-    _key, hit, _bytes = cache.lookup(_pixels(0))
-    assert hit.shape == tensor.shape and not hit.flags.writeable
-    assert not hit.flags.owndata      # no payload copy on the hit path
+    batch = np.stack([_row(1), _row(2)])
+    keys, _ = cache.lookup([_pixels(0), _pixels(1)], DIGEST)
+    cache.insert(keys, batch)
+    _, first = cache.lookup([_pixels(0)], DIGEST)
+    _, again = cache.lookup([_pixels(0)], DIGEST)
+    assert first[0].base is None and not first[0].flags.writeable
+    assert again[0] is first[0]
+    batch[0] = 0.0
+    np.testing.assert_array_equal(first[0], _row(1))

@@ -30,9 +30,9 @@ def _ledger(disp):
 def test_successful_dispatch_settles_the_ledger():
     disp = make_dispatcher()
     batch = np.random.default_rng(0).random((2, 3, 16, 16))
-    results, t_done, replica = disp.dispatch(
-        batch, payload_bytes=1024, t_start=0.0, num_misses=2, hit_bytes=0)
-    assert len(results) == 2 and t_done > 0.0
+    results, fresh, t_done, replica = disp.dispatch(
+        disp.pick_replica(), batch, [0, 1], t_start=0.0)
+    assert len(results) == 2 and len(fresh) == 2 and t_done > 0.0
     assert _ledger(disp) == (1, 1, 0)
 
 
@@ -43,8 +43,7 @@ def test_failed_dispatch_still_settles_the_ledger():
     disp = make_dispatcher(NetworkFabric(fault_filter=drop_everything))
     batch = np.random.default_rng(0).random((2, 3, 16, 16))
     with pytest.raises(TransientFaultError):
-        disp.dispatch(batch, payload_bytes=1024, t_start=0.0,
-                      num_misses=2, hit_bytes=0)
+        disp.dispatch(disp.pick_replica(), batch, [0, 1], t_start=0.0)
     assert _ledger(disp) == (1, 0, 1)
     assert disp.stalled_s > 0.0
 
@@ -60,12 +59,14 @@ def test_ledger_conserves_across_mixed_outcomes():
         return 0.0
 
     disp = make_dispatcher(NetworkFabric(fault_filter=flaky))
-    batch = np.random.default_rng(1).random((2, 3, 16, 16))
+    batch = np.random.default_rng(1).random((1, 3, 16, 16))
+    replica = disp.replicas[0]
+    cached = np.zeros(replica.model.feature_dim_after(replica.split))
     for i in range(6):
         dropping["on"] = i % 3 == 0
         try:
-            disp.dispatch(batch, payload_bytes=512, t_start=float(i),
-                          num_misses=1, hit_bytes=64)
+            disp.dispatch(disp.pick_replica(), batch, [0, cached],
+                          t_start=float(i))
         except TransientFaultError:
             pass
         attempted, dispatched, failed = _ledger(disp)

@@ -213,14 +213,23 @@ def test_failed_dispatch_time_is_stalled_not_busy():
 
 
 def test_frontend_surfaces_cache_rejections():
-    # a capacity below any compressed blob rejects every insert: the
-    # cache stays empty, every request is a miss, and the rejection
-    # counter mirrors into serving_cache_rejected_total
+    # a capacity below any feature row rejects every insert: the cache
+    # stays empty, every photo misses once per batch it appears in (a
+    # repeat inside the batch shares the row), and the rejection counter
+    # mirrors into serving_cache_rejected_total
+    from repro.serving.cache import content_key
+
     frontend = _frontend(ServingConfig(replicas=1,
                                        cache_capacity_bytes=64))
     report = frontend.serve(_trace(num_requests=50, pool_size=8))
-    assert report.cache_hits == 0
-    assert report.cache_misses == report.completed
+    per_batch = {}
+    for outcome in report.completed_requests:
+        per_batch.setdefault(outcome.batch_index, set()).add(
+            content_key(outcome.request.pixels))
+    assert len(frontend.cache) == 0
+    assert report.cache_misses == sum(len(keys)
+                                      for keys in per_batch.values())
+    assert report.cache_hits == report.completed - report.cache_misses
     assert report.cache_rejected_oversize == report.cache_misses > 0
     assert (frontend.metrics.get("serving_cache_rejected_total").value()
             == report.cache_rejected_oversize)

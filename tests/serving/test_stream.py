@@ -230,7 +230,9 @@ def test_makespan_is_last_completion_time():
 
 
 def test_streaming_beats_sync_shedding_on_the_same_trace():
-    result = run_streaming_bench(seed=0, num_requests=1500)
+    # the whole recorded trace: with hits served from their feature rows
+    # one replica absorbs a shorter burst without overflowing its queue
+    result = run_streaming_bench(seed=0)
     s, sync = result["streaming"], result["sync"]
     assert s["queue_full"] == 0 and s["conserved"]
     assert sync["shed"]["queue_full"] > 0
