@@ -110,6 +110,15 @@ def encode_delta(old: Dict[str, np.ndarray], new: Dict[str, np.ndarray],
 
 def apply_delta(old: Dict[str, np.ndarray], blob: bytes) -> Dict[str, np.ndarray]:
     """Reconstruct the new state dict from the old one plus a delta blob."""
+    new = {k: v.copy() for k, v in old.items()}
+    new.update(changed_tensors(old, blob))
+    return new
+
+
+def changed_tensors(old: Dict[str, np.ndarray],
+                    blob: bytes) -> Dict[str, np.ndarray]:
+    """Only the tensors a delta blob rewrites, rebuilt against ``old``;
+    every other tensor of the new state is ``old``'s, unchanged."""
     if not blob.startswith(_MAGIC):
         raise DeltaError("bad delta magic")
     if len(blob) < 12:
@@ -123,28 +132,29 @@ def apply_delta(old: Dict[str, np.ndarray], blob: bytes) -> Dict[str, np.ndarray
     # payloads are read through a memoryview so each tensor's bytes are
     # consumed in place instead of slice-copied out of the body first
     body_view = memoryview(body)
-    new = {k: v.copy() for k, v in old.items()}
+    new: Dict[str, np.ndarray] = {}
     offset = 0
     for _ in range(changed):
         key, shape, dtype, meta, payload_len, offset = _read_entry_header(
             body, offset)
         payload = body_view[offset:offset + payload_len]
         offset += payload_len
-        if key not in new:
+        if key not in old:
             raise DeltaError(f"delta names unknown tensor {key!r}")
-        if new[key].shape != tuple(shape):
+        base = new.get(key, old[key])
+        if base.shape != tuple(shape):
             raise DeltaError(f"shape mismatch applying delta to {key}")
-        if new[key].dtype != dtype:
+        if base.dtype != dtype:
             raise DeltaError(
                 f"dtype mismatch applying delta to {key}: base is "
-                f"{new[key].dtype}, delta encoded {dtype}"
+                f"{base.dtype}, delta encoded {dtype}"
             )
         bits, low, step = meta
         if bits:
             diff = _dequantize(payload, bits, low, step, shape)
-            new[key] = (new[key].astype(np.float64) + diff).astype(dtype)
+            new[key] = (base.astype(np.float64) + diff).astype(dtype)
         else:
-            new[key] = _apply_xor_payload(new[key], payload, dtype, shape)
+            new[key] = _apply_xor_payload(base, payload, dtype, shape)
     if offset != len(body):
         raise DeltaError("trailing bytes in delta body")
     return new

@@ -44,8 +44,8 @@ from .pipestore import (
     softmax_top1,
 )
 
-__all__ = ["InferenceServer", "IngestDataPlane", "RoundRobinPlacement",
-           "RingPlacement"]
+__all__ = ["InferenceServer", "PendingAnswers", "PendingRow",
+           "IngestDataPlane", "RoundRobinPlacement", "RingPlacement"]
 
 
 class InferenceServer:
@@ -56,6 +56,11 @@ class InferenceServer:
         self.model = model
         self.model.eval()
         self._failed = False
+        #: serving work taken but not yet computed (see :meth:`submit`)
+        self._pool: Optional[_FrontPool] = None
+        self._owed: List[PendingAnswers] = []
+        #: (front digest, bytes of one feature row at the serving cut)
+        self._row_probe: Optional[Tuple[bytes, int]] = None
 
     # -- fault injection ----------------------------------------------------
     @property
@@ -81,7 +86,7 @@ class InferenceServer:
         One whole-model forward pass for the batch — ingest feeds its
         chunks through here instead of N single-image :meth:`classify`
         calls; the serving layer serves from the split point instead
-        (:meth:`classify_split`).
+        (:meth:`submit`).
         """
         with inference_mode():
             logits = self.model(Tensor(batch)).data
@@ -98,28 +103,164 @@ class InferenceServer:
         """What feature rows at the serving cut are keyed on."""
         return self.model.front_digest(self.split)
 
-    def classify_split(self, misses: Optional[np.ndarray], rows: Sequence,
-                       ) -> Tuple[List[Tuple[int, float]], Optional[np.ndarray]]:
-        """Label a batch from the serving cut.
+    def submit(self, misses: Optional[np.ndarray], rows: Sequence,
+               flush_at: int,
+               ) -> Tuple["PendingAnswers", Optional[List["PendingRow"]]]:
+        """Take one logical batch as pending work.
 
         ``misses`` stacks the preprocessed inputs (M, 3, H, W) whose
         feature rows are not cached (``None`` when every row is);
-        ``rows[i]`` is request ``i``'s cached row, or the index of its
-        input in ``misses``.  The front runs on the misses only, then one
-        tail pass labels every row in request order.  Returns
-        ``(answers, fresh)`` where ``fresh[j]`` is ``misses[j]``'s row.
+        ``rows[i]`` is request ``i``'s cached row (an array, or a
+        :class:`PendingRow` some replica still owes) or the index of its
+        input in ``misses``.  The misses join this replica's front pool;
+        once the pool holds ``flush_at`` inputs the replica resolves
+        (:meth:`resolve`), with one ``forward_until`` per ``flush_at``
+        pooled inputs.  Returns ``(answers, fresh)``: the batch's answers
+        and ``fresh[j]``, the row ``misses[j]`` will have — its ``nbytes``
+        known now from a shape probe, its values once the pool runs.
         """
-        split = self.split
+        fresh = None
+        if misses is not None:
+            if self._pool is None or self._pool.ran:
+                self._pool = _FrontPool(self, flush_at)
+            fresh = self._pool.add(misses)
+        answers = PendingAnswers(self, [
+            fresh[row] if isinstance(row, int) else row for row in rows])
+        self._owed.append(answers)
+        if self._pool is not None and self._pool.size >= flush_at:
+            self.resolve()
+        return answers, fresh
+
+    def resolve(self) -> None:
+        """Settle every pending batch: the pooled front, then one
+        classifier tail per logical batch, over exactly the rows that
+        batch stacks — front rows are batch-invariant bit for bit, tail
+        rows are not, so the answers are those of a per-batch forward."""
+        if self._pool is not None:
+            self._pool.run()
+            self._pool = None
+        owed, self._owed = self._owed, []
         with inference_mode():
-            fresh = (None if misses is None else
-                     self.model.forward_until(Tensor(misses), split).data)
-            features = np.stack([fresh[row] if isinstance(row, int) else row
-                                 for row in rows])
-            logits = self.model.forward_from(Tensor(features), split).data
-        return softmax_top1(logits), fresh
+            for answers in owed:
+                features = np.stack([
+                    row if isinstance(row, np.ndarray) else row.value()
+                    for row in answers.rows])
+                answers.settle(softmax_top1(self.model.forward_from(
+                    Tensor(features), self.split).data))
+
+    def row_nbytes(self) -> int:
+        """Bytes of one feature row at the serving cut: a shape probe,
+        kept until the front's digest moves."""
+        digest = self.front_digest()
+        if self._row_probe is None or self._row_probe[0] != digest:
+            probe = np.zeros((1,) + tuple(self.model.input_shape), np.float32)
+            with inference_mode():
+                row = self.model.forward_until(Tensor(probe), self.split).data
+            self._row_probe = (digest, row[0].nbytes)
+        return self._row_probe[1]
 
     def sync_model(self, state: Dict[str, np.ndarray]) -> None:
+        """Load new weights; work dispatched before answers with the old."""
+        self.resolve()
         self.model.load_state_dict(state)
+
+
+class PendingRow:
+    """A feature row a replica's pooled front still owes.
+
+    ``nbytes`` is known at once (what the wire and the serving cache
+    charge); :meth:`value` runs the owing pool if it has not run yet and
+    returns the row, read-only, as the cache would have kept it.
+    """
+
+    __slots__ = ("_pool", "_value", "nbytes")
+
+    def __init__(self, pool: "_FrontPool", nbytes: int):
+        self._pool = pool
+        self._value: Optional[np.ndarray] = None
+        self.nbytes = nbytes
+
+    def computed(self) -> Optional[np.ndarray]:
+        """The row if its pool has run, else ``None`` (never runs it)."""
+        return self._value
+
+    def value(self) -> np.ndarray:
+        if self._value is None:
+            self._pool.run()
+        return self._value
+
+
+class _FrontPool:
+    """Misses pooled on one replica for its frozen front, across logical
+    batches; run once, one ``forward_until`` per ``limit`` inputs."""
+
+    def __init__(self, server: InferenceServer, limit: int):
+        self.server = server
+        self.limit = limit
+        self.digest = server.front_digest()
+        self.nbytes = server.row_nbytes()
+        self.inputs: List[np.ndarray] = []
+        self.promised: List[PendingRow] = []
+        self.ran = False
+
+    @property
+    def size(self) -> int:
+        return len(self.promised)
+
+    def add(self, misses: np.ndarray) -> List[PendingRow]:
+        self._check_front()
+        self.inputs.append(misses)
+        fresh = [PendingRow(self, self.nbytes) for _ in range(len(misses))]
+        self.promised += fresh
+        return fresh
+
+    def _check_front(self) -> None:
+        if self.server.front_digest() != self.digest:
+            raise RuntimeError(
+                f"{self.server.name}: front weights changed while "
+                f"{self.size} pooled misses were pending; their rows would "
+                f"come from another front than the one they were keyed on")
+
+    def run(self) -> None:
+        if self.ran:
+            return
+        self._check_front()
+        inputs = np.concatenate(self.inputs)
+        with inference_mode():
+            for start in range(0, len(inputs), self.limit):
+                rows = self.server.model.forward_until(
+                    Tensor(inputs[start:start + self.limit]),
+                    self.server.split).data
+                for promise, row in zip(self.promised[start:], rows):
+                    # a copy, not a view: a cached row must not pin its chunk
+                    promise._value = row.copy()
+                    promise._value.flags.writeable = False
+                    promise._pool = None
+        self.inputs, self.promised, self.ran = [], [], True
+
+
+class PendingAnswers:
+    """One logical batch's ``(label, confidence)`` per request, owed by
+    its replica until that replica resolves; reading them resolves it."""
+
+    __slots__ = ("_server", "rows", "_results")
+
+    def __init__(self, server: InferenceServer, rows: List):
+        self._server = server
+        #: the batch's feature rows in request order (arrays or promises)
+        self.rows = rows
+        self._results: Optional[List[Tuple[int, float]]] = None
+
+    def settle(self, results: List[Tuple[int, float]]) -> None:
+        self._results, self.rows = results, []
+
+    def results(self) -> List[Tuple[int, float]]:
+        if self._results is None:
+            self._server.resolve()
+        return self._results
+
+    def __len__(self) -> int:
+        return len(self.rows) if self._results is None else len(self._results)
 
 
 class RoundRobinPlacement:

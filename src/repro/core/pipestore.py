@@ -339,7 +339,13 @@ class PipeStore:
 
     def apply_model_delta(self, blob: bytes, version: int,
                           epoch: int = 0) -> None:
-        """Apply a Check-N-Run delta to the local replica."""
+        """Apply a Check-N-Run delta to the local replica.
+
+        Only the tensors the delta changes are loaded, so derived state
+        of the rest survives — after a classifier-only delta the frozen
+        front keeps its folds and its digest, and ``feat/`` rows hit
+        without re-hashing the front.
+        """
         if self.model is None:
             raise RuntimeError(f"{self.store_id}: no model installed yet")
         self._fence(epoch)
@@ -348,8 +354,8 @@ class PipeStore:
                 f"{self.store_id}: delta v{version} not newer than "
                 f"v{self.model_version}"
             )
-        new_state = checknrun.apply_delta(self.model.state_dict(), blob)
-        self.model.load_state_dict(new_state)
+        self.model.load_state_dict(
+            checknrun.changed_tensors(self.model.state_dict(), blob))
         self.model_version = version
         if self._metrics is not None:
             self._m_model_updates.inc(store=self.store_id, mechanism="delta")

@@ -90,6 +90,16 @@ class SplitModel(Module):
             self._derived = (split, digest.digest())
         return self._derived[1]
 
+    def load_state_dict(self, state) -> None:
+        """As :meth:`Module.load_state_dict`; the front digest is dropped
+        only when a key of a stage it covers is replaced."""
+        if self._derived is not None:
+            split = self._derived[0]
+            front = {f"stage_{name}" for name in self.stage_names[:split]}
+            if any(key.split(".", 1)[0] in front for key in state):
+                self._derived = None
+        super().load_state_dict(state)
+
     def _check_split(self, split: int) -> None:
         if not 0 <= split <= self.num_stages:
             raise ValueError(

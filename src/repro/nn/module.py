@@ -28,7 +28,9 @@ class Module:
     #: eval graph (BatchNorm folded into the preceding conv; on a SplitModel,
     #: the digest of its frozen front).  Built on first use, never serialised,
     #: and dropped by every sanctioned mutation of its sources:
-    #: ``train(True)``, ``cast``, ``load_state_dict``.
+    #: ``train(True)``, ``cast``, and ``load_state_dict`` — the last only on
+    #: the modules owning a key it replaces, so a classifier-only load
+    #: keeps every fold of the front (and a SplitModel its front digest).
     _derived = None
 
     def __init__(self):
@@ -114,28 +116,34 @@ class Module:
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        for module in self.modules():
-            module._derived = None
-        own_params = dict(self.named_parameters())
-        own_buffer_holders = self._buffer_holders()
+        """Replace the arrays ``state`` names (a subset is fine).
+
+        Derived state is dropped exactly where a source moved: on each
+        module that owns a replaced parameter or buffer.
+        """
+        holders = self._holders()
         for key, value in state.items():
-            if key in own_params:
-                if own_params[key].shape != value.shape:
+            if key not in holders:
+                raise KeyError(f"unexpected key in state dict: {key}")
+            holder, name = holders[key]
+            param = holder._parameters.get(name)
+            if param is not None:
+                if param.shape != value.shape:
                     raise ValueError(
                         f"shape mismatch for {key}: "
-                        f"{own_params[key].shape} vs {value.shape}"
+                        f"{param.shape} vs {value.shape}"
                     )
-                own_params[key].data = value.copy()
-            elif key in own_buffer_holders:
-                holder, name = own_buffer_holders[key]
-                holder._buffers[name] = value.copy()
+                param.data = value.copy()
             else:
-                raise KeyError(f"unexpected key in state dict: {key}")
+                holder._buffers[name] = value.copy()
+            holder._derived = None
 
-    def _buffer_holders(self, prefix: str = "") -> Dict[str, Tuple["Module", str]]:
-        holders = {prefix + name: (self, name) for name in self._buffers}
+    def _holders(self, prefix: str = "") -> Dict[str, Tuple["Module", str]]:
+        """State-dict key -> (the module owning it, its local name)."""
+        holders = {prefix + name: (self, name)
+                   for name in (*self._parameters, *self._buffers)}
         for name, module in self._modules.items():
-            holders.update(module._buffer_holders(prefix + name + "."))
+            holders.update(module._holders(prefix + name + "."))
         return holders
 
     # -- call ------------------------------------------------------------

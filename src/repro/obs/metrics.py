@@ -78,12 +78,17 @@ class _Instrument:
         self._lock = threading.Lock()
 
     def _key(self, labels: Dict[str, str]) -> LabelValues:
-        if set(labels) != set(self.label_names):
-            raise ValueError(
-                f"{self.name} expects labels {self.label_names}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[k]) for k in self.label_names)
+        # keyword names are distinct, so equal counts plus every declared
+        # name present is set equality; no sets are built on the hot path
+        if len(labels) == len(self.label_names):
+            try:
+                return tuple([str(labels[k]) for k in self.label_names])
+            except KeyError:
+                pass
+        raise ValueError(
+            f"{self.name} expects labels {self.label_names}, "
+            f"got {tuple(sorted(labels))}"
+        )
 
 
 @guarded_by("_lock", "_values")

@@ -17,13 +17,18 @@
   (deadline shedding) instead.
 * :class:`MicroBatcher` — the one batch body behind both front ends:
   cache hits bring their split-point feature row, misses are
-  preprocessed and run the replica's front, and one classifier tail
-  labels the whole batch.
+  preprocessed and join the replica's front pool, and one classifier
+  tail labels the whole batch.  The *logical* batch — who rides it, its
+  cache books, its wire bytes, its service time and ``t_done`` — is
+  fixed at dispatch; the *host* batch is the replica's: one front
+  forward per ``max_batch`` pooled misses, one tail per logical batch,
+  run when the pool fills or the serve ends (DESIGN §11).
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -39,6 +44,9 @@ from .cache import TensorCache
 from .config import ServingConfig
 from .dispatcher import ReplicaDispatcher
 from .metrics import ServingMetrics
+
+if TYPE_CHECKING:
+    from ..core.dataplane import PendingAnswers
 
 __all__ = ["SERVICE_BUDGET_FRACTION", "slo_batch_size", "SloController",
            "DeliveredBatch", "MicroBatcher"]
@@ -138,18 +146,31 @@ class DeliveredBatch(NamedTuple):
     """What :meth:`MicroBatcher.run` hands back; entry ``i`` of every
     list is request ``i``.  ``preprocessed[i]`` is the request's
     preprocessed tensor when the batch computed one (a view into the
-    stacked misses), ``None`` when its feature row came from the cache."""
+    stacked misses), ``None`` when its feature row came from the cache.
+    ``answers`` are owed by the replica until it resolves; everything
+    else is the logical batch, known at dispatch."""
 
     preprocessed: List[Optional[np.ndarray]]
     hits: List[bool]
-    results: List[Tuple[int, float]]
+    answers: PendingAnswers
     t_start: float
     t_done: float
     replica: str
 
+    @property
+    def results(self) -> List[Tuple[int, float]]:
+        """``(label, confidence)`` per request; resolves the replica."""
+        return self.answers.results()
+
 
 class MicroBatcher:
-    """The one batch body: cache, controller and dispatch of a batch."""
+    """The one batch body: cache, controller and dispatch of a batch.
+
+    A batch is settled on the logical clock when :meth:`run` returns;
+    its arithmetic is the replica's pending work.  :meth:`owe` records
+    which outcome a row's answer belongs to, and :meth:`close` — the end
+    of every ``serve()`` — resolves all of it and fills those outcomes.
+    """
 
     def __init__(self, config: ServingConfig, dispatcher: ReplicaDispatcher,
                  m: ServingMetrics):
@@ -172,6 +193,10 @@ class MicroBatcher:
             "evictions": m.cache_evictions,
             "rejected_oversize": m.cache_rejected}
         self._synced = dict.fromkeys(self._cache_families, 0)
+        #: answers of the batches delivered since the last close, and the
+        #: outcomes waiting on them: (outcome, answers, row)
+        self._delivered: List[PendingAnswers] = []
+        self._owed: List[Tuple[object, PendingAnswers, int]] = []
 
     def run(self, ready: Sequence[ServeRequest],
             t_start: float) -> DeliveredBatch:
@@ -179,12 +204,13 @@ class MicroBatcher:
 
         The replica is picked first and the cache probed under its front
         digest.  The distinct misses are preprocessed and stacked; the
-        replica runs its front on them only, then one classifier tail
-        over every row in request order.  The misses' fresh rows enter
-        the cache only after the dispatch succeeded: a dispatch every
-        retry dropped raises :class:`~repro.faults.TransientFaultError`
-        and leaves the cache's entries untouched — its probes are counted,
-        and a redispatch probes, and misses, again.
+        replica takes them into its front pool, and owes one classifier
+        tail over every row in request order.  The misses' rows — still
+        promises — enter the cache only after the dispatch succeeded: a
+        dispatch every retry dropped raises
+        :class:`~repro.faults.TransientFaultError` and leaves the cache's
+        entries untouched — its probes are counted, and a redispatch
+        probes, and misses, again.
         """
         index = self.dispatcher.pick_replica()
         keys, rows = self.cache.lookup(
@@ -200,7 +226,7 @@ class MicroBatcher:
         misses = (preprocess(np.stack([ready[at].pixels for at in firsts]))
                   if firsts else None)
         try:
-            results, fresh, t_done, replica = self.dispatcher.dispatch(
+            answers, fresh, t_done, replica = self.dispatcher.dispatch(
                 index, misses, rows, t_start)
             if fresh is not None:
                 self.cache.insert([keys[at] for at in firsts], fresh)
@@ -208,12 +234,18 @@ class MicroBatcher:
             # probes count where they happen, dispatched or not: bring the
             # cache families level with cache.stats(), which reports read
             self._sync_cache_families()
+        self._delivered.append(answers)
         self.m.batch.observe(len(ready))
         self.m.batches.inc(replica=replica)
         preprocessed = [misses[row] if isinstance(row, int) else None
                         for row in rows]
-        return DeliveredBatch(preprocessed, hits, results, t_start, t_done,
+        return DeliveredBatch(preprocessed, hits, answers, t_start, t_done,
                               replica)
+
+    def owe(self, outcome, batch: DeliveredBatch, row: int) -> None:
+        """``outcome`` (anything with ``label`` and ``confidence``) gets
+        request ``row``'s answer of ``batch`` when :meth:`close` runs."""
+        self._owed.append((outcome, batch.answers, row))
 
     def _sync_cache_families(self) -> None:
         stats = self.cache.stats()
@@ -224,7 +256,15 @@ class MicroBatcher:
                 self._synced[name] = stats[name]
 
     def close(self, report) -> None:
-        """End of a serve(): the report reads the cache's own books."""
+        """End of a serve(): every delivered batch is resolved — replicas
+        since retired included — owed outcomes get their answers, and the
+        report reads the cache's own books."""
+        delivered, self._delivered = self._delivered, []
+        for answers in delivered:
+            answers.results()
+        owed, self._owed = self._owed, []
+        for outcome, answers, row in owed:
+            outcome.label, outcome.confidence = answers.results()[row]
         stats = self.cache.stats()
         report.cache_hits = stats["hits"]
         report.cache_misses = stats["misses"]

@@ -17,7 +17,10 @@ so every old entry misses.  A classifier-only delta leaves the digest —
 and every entry — valid.
 
 Rows are held as plain read-only arrays, nothing is deflated; eviction
-is LRU by row bytes against a fixed budget.
+is LRU by row bytes against a fixed budget.  A row a replica's pooled
+front has not computed yet is held as its promise
+(:class:`~repro.core.dataplane.PendingRow`), charged the probed row
+size, so the books move exactly as if the row were there.
 """
 
 from __future__ import annotations
@@ -25,11 +28,14 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..lint.guards import guarded_by
+
+if TYPE_CHECKING:
+    from ..core.dataplane import PendingRow
 
 __all__ = ["TensorCache", "content_key"]
 
@@ -58,7 +64,7 @@ class TensorCache:
                 f"capacity_bytes must be >= 0, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
         self._lock = threading.Lock()
-        #: key -> read-only feature row
+        #: key -> read-only feature row (or a front's promise of one)
         self._entries: "OrderedDict[CacheKey, np.ndarray]" = OrderedDict()
         self._resident_bytes = 0
         self._hits = 0
@@ -71,19 +77,24 @@ class TensorCache:
         """Probe one batch of photos against the front named by ``digest``.
 
         Returns ``(keys, rows)``: ``rows[i]`` is photo ``i``'s cached row
-        (a read-only array; the hit renews its LRU position) or, on a
-        miss, the index of its row among the batch's distinct misses.
+        (a read-only array, or the promise of one a front still owes; the
+        hit renews its LRU position) or, on a miss, the index of its row
+        among the batch's distinct misses.
         Every photo is one probe.  A photo repeating a key that missed
         earlier in the same batch gets that miss's index and counts as a
         hit — the batch computes the row once and the repeat reuses it.
         """
         keys = [(content_key(pixels), digest) for pixels in photos]
-        rows: List[Union[np.ndarray, int]] = []
+        rows: List[Union[np.ndarray, "PendingRow", int]] = []
         missed: Dict[CacheKey, int] = {}
         with self._lock:
             for key in keys:
                 row = self._entries.get(key)
                 if row is not None:
+                    if not isinstance(row, np.ndarray) and (
+                            row.computed() is not None):
+                        # a promise whose front has run is its row now
+                        row = self._entries[key] = row.computed()
                     self._entries.move_to_end(key)
                     self._hits += 1
                 elif key in missed:
@@ -95,8 +106,15 @@ class TensorCache:
                 rows.append(row)
         return keys, rows
 
-    def insert(self, keys: Sequence[CacheKey], rows: np.ndarray) -> None:
-        """Keep freshly computed rows, ``rows[i]`` under ``keys[i]``."""
+    def insert(self, keys: Sequence[CacheKey],
+               rows: Sequence[Union[np.ndarray, "PendingRow"]]) -> None:
+        """Keep fresh rows, ``rows[i]`` under ``keys[i]``.
+
+        A row is an array or a :class:`~repro.core.dataplane.PendingRow`
+        its replica's pooled front still owes: the entry is charged the
+        promise's ``nbytes`` now, and becomes the row itself on the first
+        hit after the front ran.
+        """
         with self._lock:
             for key, row in zip(keys, rows):
                 if row.nbytes > self.capacity_bytes:
@@ -104,9 +122,11 @@ class TensorCache:
                     # a never-cacheable photo recomputed forever is visible
                     self._rejected_oversize += 1
                     continue
-                # a copy, not a view: a resident row must not pin its batch
-                row = row.copy()
-                row.flags.writeable = False
+                if isinstance(row, np.ndarray):
+                    # a copy, not a view: a resident row must not pin its
+                    # batch
+                    row = row.copy()
+                    row.flags.writeable = False
                 old = self._entries.pop(key, None)
                 if old is not None:
                     self._resident_bytes -= old.nbytes

@@ -2,10 +2,15 @@
 
 The dispatcher owns the replica fleet's timeline on the deterministic
 clock: each replica has a ``free_at`` time, batches go to the
-earliest-free replica, and the batch's modelled service time (CPU
+earliest-free undrained replica (the start time and the pick read one
+candidate set), and the batch's modelled service time (CPU
 preprocess and the accelerator's frozen front for cache misses, the
 classifier tail for every row, wire transfer, and per-request database
-upserts) advances that replica's clock.  The replica is picked before
+upserts) advances that replica's clock.  That clock is the *logical*
+batch's; the host arithmetic is not tied to it — the replica pools
+misses across batches for its front and computes each batch's tail
+later (:meth:`~repro.core.dataplane.InferenceServer.submit`).  The
+replica is picked before
 the batch probes the cache, because the cache is keyed on that
 replica's front.  Transfers ride the cluster's
 byte-accounted fabric inside the shared
@@ -16,7 +21,7 @@ delayed — chaos tests cover the serving path like every other flow.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +32,9 @@ from ..lint.contracts import conserves
 from ..models.catalog import model_graph
 from ..sim.specs import CpuSpec
 from .config import ServingConfig
+
+if TYPE_CHECKING:
+    from ..core.dataplane import PendingAnswers, PendingRow
 
 __all__ = ["ReplicaDispatcher", "FRONTEND_NODE"]
 
@@ -77,18 +85,22 @@ class ReplicaDispatcher:
         self.stalled_s = 0.0
 
     # -- timeline -----------------------------------------------------------
+    def _candidates(self) -> List[int]:
+        """Indices a new batch may land on: the undrained replicas, or —
+        every replica drained — the full fleet rather than none (serving
+        a suspect replica beats serving nobody)."""
+        live = [i for i, replica in enumerate(self.replicas)
+                if replica.name not in self._drained]
+        return live or list(range(len(self.replicas)))
+
     def earliest_free_s(self) -> float:
-        return min(self._free_at)
+        """When the replica :meth:`pick_replica` names is free: the same
+        candidate set, so a batch never starts before its replica is."""
+        return self._free_at[self.pick_replica()]
 
     def pick_replica(self) -> int:
         """Index of the replica the next :meth:`dispatch` should use."""
-        candidates = [i for i in range(len(self._free_at))
-                      if self.replicas[i].name not in self._drained]
-        if not candidates:
-            # every replica drained: degrade to the full fleet rather
-            # than erroring — serving a suspect replica beats serving none
-            candidates = list(range(len(self._free_at)))
-        return min(candidates, key=self._free_at.__getitem__)
+        return min(self._candidates(), key=self._free_at.__getitem__)
 
     # -- membership (driven by the HA failure detector) ---------------------
     def drain(self, name: str) -> bool:
@@ -167,19 +179,24 @@ class ReplicaDispatcher:
     # -- dispatch -----------------------------------------------------------
     def dispatch(self, index: int, misses: Optional[np.ndarray],
                  rows: Sequence, t_start: float,
-                 ) -> Tuple[List[Tuple[int, float]], Optional[np.ndarray],
+                 ) -> Tuple[PendingAnswers, Optional[List[PendingRow]],
                             float, str]:
         """Serve one micro-batch on replica ``index`` (see
         :meth:`pick_replica`).
 
         ``misses`` and ``rows`` are what :meth:`~repro.core.dataplane.
-        InferenceServer.classify_split` takes: the wire carries the miss
-        inputs plus every cached row.  Returns ``(results, fresh,
-        t_done, replica_name)``, ``fresh`` being the misses' new rows.
-        The transfer runs under the retry policy; a transfer that every
-        retry drops raises :class:`~repro.faults.TransientFaultError`
-        after charging the replica for the wasted retry/backoff time
-        (the batch is then shed or re-queued by the caller).
+        InferenceServer.submit` takes: the wire carries the miss inputs
+        plus every cached row (a row the front still owes is charged its
+        probed size).  The clock is charged here, in full: wire bytes,
+        :meth:`service_s`, retries and ``t_done``.  The arithmetic is
+        not — the replica takes the batch as pending work and pools its
+        misses for the front (flushing at ``config.max_batch``).
+        Returns ``(answers, fresh, t_done, replica_name)``, ``fresh``
+        being the rows the misses will have.  The transfer runs under
+        the retry policy; a transfer that every retry drops raises
+        :class:`~repro.faults.TransientFaultError` after charging the
+        replica for the wasted retry/backoff time (the batch is then shed
+        or re-queued by the caller, and the replica holds nothing of it).
         """
         replica = self.replicas[index]
         num_misses = 0 if misses is None else len(misses)
@@ -208,10 +225,10 @@ class ReplicaDispatcher:
         wire_s = payload_bytes / self.network.spec.bytes_per_s
         work_s = self.service_s(len(rows), num_misses) + wire_s
         stall_s = injected_s + backoff_s
-        results, fresh = replica.classify_split(misses, rows)
+        answers, fresh = replica.submit(misses, rows, self.config.max_batch)
         t_done = t_start + work_s + stall_s
         self._free_at[index] = t_done
         self.batches_dispatched += 1
         self.busy_s += work_s
         self.stalled_s += stall_s
-        return results, fresh, t_done, replica.name
+        return answers, fresh, t_done, replica.name

@@ -5,7 +5,8 @@ plays an open-loop arrival trace through admission control, the
 feature-row cache, the adaptive micro-batcher, and the replica
 dispatcher:
 
-1. the earliest-free replica sets the batch-formation time ``t_start``;
+1. the earliest-free undrained replica — the one the batch will land
+   on — sets the batch-formation time ``t_start``;
 2. every arrival at or before ``t_start`` is offered to the bounded
    admission queue (overflow is shed as ``queue_full``);
 3. the queue yields up to the controller's batch-size target, dropping
@@ -14,10 +15,16 @@ dispatcher:
    cache hits bring their split-point feature rows, misses are
    preprocessed; the batch moves to the replica over the byte-accounted
    fabric under the retry policy (a dropped batch is shed as
-   ``dispatch_failed``), the replica runs its frozen front on the misses
-   only and one classifier tail over the whole batch, and the misses'
-   rows are cached;
+   ``dispatch_failed``), the replica takes its misses into its front
+   pool and owes one classifier tail over the whole batch, and the
+   misses' rows (promises until the front runs) are cached;
 5. the batch's service time (dispatch to done) feeds the AIMD controller.
+
+Every step above is the *logical* batch, settled on the clock at
+dispatch.  The arithmetic runs on the replicas' own schedule — a front
+forward per ``max_batch`` pooled misses, a tail per logical batch — and
+all of it before :meth:`ServingFrontend.serve` returns, which is when
+each :class:`ServeOutcome` gets its label and confidence.
 
 Identical inputs produce identical reports: arrival times come from the
 traffic trace, service times from the calibrated hardware specs plus
@@ -53,11 +60,12 @@ SHED_REASONS = ("queue_full", "deadline", "dispatch_failed")
 
 @dataclass
 class ServeOutcome:
-    """One completed request: its answer and how long it took."""
+    """One completed request: its answer and how long it took.  The
+    answer is filled in when the serve ends and the replicas resolve."""
 
     request: ServeRequest
-    label: int
-    confidence: float
+    label: Optional[int]
+    confidence: Optional[float]
     latency_s: float
     batch_index: int
     batch_size: int
@@ -206,19 +214,20 @@ class ServingFrontend:
         # of step, so that is a max over batches, not the final t_done
         report.makespan_s = max(report.makespan_s, batch.t_done)
         for row, request in enumerate(ready):
-            label, confidence = batch.results[row]
             latency_s = batch.t_done - request.arrival_s
             report.latencies_s.append(latency_s)
             report.completed += 1
             self.m.completed.inc()
             self.m.latency.observe(latency_s)
-            report.completed_requests.append(ServeOutcome(
-                request=request, label=label, confidence=confidence,
+            outcome = ServeOutcome(
+                request=request, label=None, confidence=None,
                 latency_s=latency_s, batch_index=batch_index,
                 batch_size=len(ready), cache_hit=batch.hits[row],
                 replica=batch.replica,
                 preprocessed=(batch.preprocessed[row] if collect_tensors
-                              else None)))
+                              else None))
+            report.completed_requests.append(outcome)
+            self.batcher.owe(outcome, batch, row)
         self.batcher.settle(batch)
 
     def _shed(self, report: ServingReport, reason: str) -> None:

@@ -30,6 +30,13 @@ discrete-event simulation on the logical clock:
   row the serving replica's front already produced runs only the
   classifier tail, which is what makes batch service times (and so
   completion order across replicas) depend on each batch's hit mix;
+* **logical completion, pooled arithmetic** — a completion event is the
+  logical batch finishing on the clock; the replica computes lazily
+  (one front forward per ``max_batch`` pooled misses, one tail per
+  logical batch), so a completed :class:`~repro.serving.protocol.
+  StreamOutcome` gets its label and confidence when :meth:`serve`
+  returns — a replica retired by a scale-down still answers what it
+  took, and a cancel-latched answer is still discarded;
 * **three signals, three actuators** — each delivered batch's *service
   time* (dispatch to done) feeds the AIMD
   :class:`~repro.serving.batcher.SloController` (batch size); its worst
@@ -329,7 +336,6 @@ class _StreamRun:
                     rid, CANCELLED, t_done, replica=replica,
                     batch_index=batch_index, batch_size=len(ready)))
             else:
-                label, confidence = batch.results[row]
                 latency_s = t_done - request.arrival_s
                 worst_latency_s = max(worst_latency_s, latency_s)
                 self.report.latencies_s.append(latency_s)
@@ -340,11 +346,12 @@ class _StreamRun:
                 else:
                     self.max_completed_seq = seq
                 self.report.completion_order.append(rid)
-                self._resolve(StreamOutcome(
-                    rid, COMPLETED, t_done, label=label,
-                    confidence=confidence, latency_s=latency_s,
+                outcome = StreamOutcome(
+                    rid, COMPLETED, t_done, latency_s=latency_s,
                     replica=replica, batch_index=batch_index,
-                    batch_size=len(ready), cache_hit=batch.hits[row]))
+                    batch_size=len(ready), cache_hit=batch.hits[row])
+                self._resolve(outcome)
+                self.f.batcher.owe(outcome, batch, row)
             self.credits.release()
         self._admit_backlog()
         # the batch ran and cost its service time even if every answer was
