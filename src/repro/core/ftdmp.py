@@ -21,7 +21,6 @@ from typing import Callable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..data.loader import batch_iter, split_rounds
-from ..models.graph import FEATURE_DTYPE_BYTES
 from ..models.split import SplitModel
 from ..nn.losses import cross_entropy
 from ..nn.optim import Adam, Optimizer, SGD
@@ -219,7 +218,7 @@ class FTDMPTrainer:
         for run_index, (x_run, y_run) in enumerate(split_rounds(x, y, num_runs)):
             features = self.extract_features(x_run)
             report.images_extracted += len(x_run)
-            report.feature_bytes += features.size * FEATURE_DTYPE_BYTES
+            report.feature_bytes += features.nbytes
             for record in train_tail(self.model, self.split, optimizer,
                                      features, y_run, epochs,
                                      self.batch_size, self._rng, run_index):

@@ -16,7 +16,6 @@ import numpy as np
 
 from ..faults.errors import StaleEpochError, TransientFaultError
 from ..faults.retry import RetryPolicy, call_with_retry
-from ..models.graph import FEATURE_DTYPE_BYTES
 from ..models.split import SplitModel
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor, inference_mode
@@ -424,7 +423,7 @@ class Tuner:
                     # provides and record the gap for a rerun after repair
                     report.photos_deferred += len(ids)
                 continue
-            num_bytes = feats.size * FEATURE_DTYPE_BYTES
+            num_bytes = feats.nbytes
             try:
                 call_with_retry(
                     lambda: self.network.send(store_id, self.name, num_bytes,

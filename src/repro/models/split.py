@@ -108,10 +108,15 @@ class SplitModel(Module):
 
     # -- fine-tuning setup -------------------------------------------------
     def freeze_features(self) -> "SplitModel":
-        """Freeze everything except the classifier (fine-tuning mode B)."""
+        """Freeze everything except the classifier (fine-tuning mode B):
+        the front's master state becomes float32, the classifier's stays
+        float64 (see :meth:`Module.freeze`)."""
         for module in self._stage_modules[:-1]:
             module.freeze()
         self.classifier.unfreeze()
+        # a stage's cast does not reach this model's own slot, and the
+        # front digest hashes dtypes
+        self._derived = None
         return self
 
     def feature_dim_after(self, split: int, batch: int = 2) -> Tuple[int, ...]:

@@ -82,7 +82,8 @@ class PatchEmbedding(Module):
         x = x.reshape(n, c, gh, p, gw, p).transpose(0, 2, 4, 1, 3, 5)
         x = x.reshape(n, gh * gw, c * p * p)
         tokens = self.proj(x)  # (n, patches, dim)
-        cls = Tensor(np.zeros((n, 1, tokens.shape[-1]))) + self.cls_token
+        cls = Tensor(np.zeros((n, 1, tokens.shape[-1]),
+                              self.cls_token.dtype)) + self.cls_token
         from .tensor import concat
 
         out = concat([cls, tokens], axis=1)

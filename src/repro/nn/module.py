@@ -28,7 +28,8 @@ class Module:
     #: eval graph (BatchNorm folded into the preceding conv; on a SplitModel,
     #: the digest of its frozen front).  Built on first use, never serialised,
     #: and dropped by every sanctioned mutation of its sources:
-    #: ``train(True)``, ``cast``, and ``load_state_dict`` — the last only on
+    #: ``train(True)``, ``cast`` (and so ``freeze``/``unfreeze``) where an
+    #: array changed dtype, and ``load_state_dict`` — the last only on
     #: the modules owning a key it replaces, so a classifier-only load
     #: keeps every fold of the front (and a SplitModel its front digest).
     _derived = None
@@ -88,25 +89,43 @@ class Module:
             param.zero_grad()
 
     def cast(self, dtype) -> "Module":
-        """Cast all parameters and buffers to ``dtype`` (e.g. np.float32)."""
-        for param in self.parameters():
-            param.data = param.data.astype(dtype)
+        """Cast all parameters and buffers to ``dtype`` (e.g. np.float32).
+
+        Arrays already at ``dtype`` are kept; derived state is dropped on
+        each module whose arrays moved, and on ``self`` if any did.
+        """
+        dtype = np.dtype(dtype)
+        moved = False
         for module in self.modules():
-            module._derived = None
-            for name in module._buffers:
-                module._buffers[name] = module._buffers[name].astype(dtype)
+            stale = False
+            for param in module._parameters.values():
+                if param.data.dtype != dtype:
+                    param.data = param.data.astype(dtype)
+                    stale = True
+            for name, buf in module._buffers.items():
+                if buf.dtype != dtype:
+                    module._buffers[name] = buf.astype(dtype)
+                    stale = True
+            if stale:
+                module._derived = None
+                moved = True
+        if moved:
+            self._derived = None
         return self
 
     def freeze(self) -> "Module":
-        """Mark every parameter as non-trainable (weight-freeze layers)."""
+        """Weight-freeze this module: no parameter trains, and the master
+        state is float32 (trainable means float64, frozen means float32 —
+        a frozen stage ships, rests and runs at half width)."""
         for param in self.parameters():
             param.requires_grad = False
-        return self
+        return self.cast(np.float32)
 
     def unfreeze(self) -> "Module":
+        """Make every parameter trainable again, at float64."""
         for param in self.parameters():
             param.requires_grad = True
-        return self
+        return self.cast(np.float64)
 
     # -- state -----------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:

@@ -69,10 +69,11 @@ def reuse(ufunc, buf: np.ndarray, operand: np.ndarray) -> np.ndarray:
 
 
 def _as_array(data: ArrayLike) -> np.ndarray:
-    if isinstance(data, np.ndarray):
+    if isinstance(data, (np.ndarray, np.generic)):
+        # a float array or numpy scalar (a 0-d op's result) keeps its dtype
         if data.dtype.kind in "fc":
-            return data
-        return data.astype(_DEFAULT_DTYPE)
+            return np.asarray(data)
+        return np.asarray(data, dtype=_DEFAULT_DTYPE)
     return np.asarray(data, dtype=_DEFAULT_DTYPE)
 
 
@@ -207,8 +208,17 @@ class Tensor:
     # Primitive ops
     # ------------------------------------------------------------------
     @staticmethod
-    def _coerce(other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
+    def _coerce(other: Union["Tensor", ArrayLike],
+                like: Optional["Tensor"] = None) -> "Tensor":
+        """``other`` as a Tensor.  A bare scalar operand of ``like`` takes
+        ``like``'s dtype (numpy's weak-scalar rule, extended to numpy
+        scalars), so ``x * 0.5`` or ``x.mean()`` keep a float32 activation
+        float32 and leave a float64 one exactly as before."""
+        if isinstance(other, Tensor):
+            return other
+        if like is not None and isinstance(other, (int, float, np.number)):
+            return Tensor(np.asarray(other, dtype=like.data.dtype))
+        return Tensor(other)
 
     def _make(self, data, parents, backward, scratch: bool = False) -> "Tensor":
         requires = grad_enabled() and any(p.requires_grad for p in parents)
@@ -219,7 +229,7 @@ class Tensor:
         return out
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self._coerce(other, self)
         out_data = self.data + other.data
 
         def backward(grad):
@@ -234,7 +244,7 @@ class Tensor:
 
     def __iadd__(self, other):
         """``self + other``; accumulates into a scratch buffer under ``no_grad``."""
-        other = self._coerce(other)
+        other = self._coerce(other, self)
         if not self._scratch or grad_enabled() or other.shape != self.shape:
             return self + other
         self.data = reuse(np.add, self.data, other.data)
@@ -248,13 +258,13 @@ class Tensor:
         return self._make(-self.data, (self,), backward)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-self._coerce(other, self))
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other, self) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = self._coerce(other, self)
         out_data = self.data * other.data
 
         def backward(grad):
@@ -268,11 +278,11 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = self._coerce(other, self)
         return self * other ** -1.0
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self ** -1.0
+        return self._coerce(other, self) * self ** -1.0
 
     def __pow__(self, exponent: float):
         if not isinstance(exponent, (int, float)):
@@ -286,7 +296,7 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     def __matmul__(self, other):
-        other = self._coerce(other)
+        other = self._coerce(other, self)
         out_data = self.data @ other.data
 
         def backward(grad):
@@ -379,6 +389,8 @@ class Tensor:
         else:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             count = int(np.prod([self.shape[a % self.ndim] for a in axes]))
+        # a bare scalar: ``1 / count`` takes the sum's dtype, so the global
+        # pool hands a float32 front's rows on at float32
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def var(self, axis=None, keepdims: bool = False):

@@ -18,6 +18,7 @@ reports from worker threads while the Tuner reports from the caller.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import threading
@@ -199,15 +200,20 @@ class Histogram(_Instrument):
         self._states: Dict[LabelValues, _HistogramState] = {}
 
     def observe(self, value: float, **labels: str) -> None:
+        """Count ``value`` in the first bucket whose bound is >= it.
+
+        NaN is refused: it would raise ``_count`` and poison ``_sum``
+        while landing in no bucket, so ``le="+Inf"`` would stop equalling
+        ``_count``.
+        """
+        if math.isnan(value):
+            raise ValueError(f"{self.name}: cannot observe NaN")
         key = self._key(labels)
         with self._lock:
             state = self._states.get(key)
             if state is None:
                 state = self._states[key] = _HistogramState(len(self.buckets))
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    state.bucket_counts[i] += 1
-                    break
+            state.bucket_counts[bisect.bisect_left(self.buckets, value)] += 1
             state.count += 1
             state.sum += value
 

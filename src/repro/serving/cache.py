@@ -25,6 +25,7 @@ size, so the books move exactly as if the row were there.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 from collections import OrderedDict
@@ -43,13 +44,19 @@ __all__ = ["TensorCache", "content_key"]
 CacheKey = Tuple[str, bytes]
 
 
+@functools.lru_cache(maxsize=64)
+def _key_suffix(dtype: np.dtype, shape: Tuple[int, ...]) -> bytes:
+    """``str(dtype) + str(shape)``, encoded once per (dtype, shape):
+    numpy's ``str(dtype)`` is Python-level and cost half a key."""
+    return f"{dtype}{shape}".encode()
+
+
 def content_key(pixels: np.ndarray) -> str:
     """Content address of one photo: hash of bytes, dtype, and shape."""
     digest = hashlib.sha1()
     # hashed in place (buffer protocol): contiguous pixels are not copied
     digest.update(np.ascontiguousarray(pixels))
-    digest.update(str(pixels.dtype).encode())
-    digest.update(str(pixels.shape).encode())
+    digest.update(_key_suffix(pixels.dtype, pixels.shape))
     return digest.hexdigest()
 
 

@@ -132,7 +132,14 @@ class TestColdEqualsAlwaysRecompute:
         assert store.offline_infer(ids) == always_infer(store, ids)
 
     def test_lifecycle_accounting_equals_the_parent_numbers(self, small_world):
-        """Pinned on the parent commit (every call ran the front)."""
+        """Pinned on the parent commit (every call ran the front).
+
+        Re-pinned when the frozen front went half width: ``model-full``
+        850 035 -> 442 899 B (float32 front masters); ``model-delta``
+        21 246 -> 21 249 B (the same two classifier tensors, trained on
+        features of the once-rounded front); ``features`` stays 12 288 B
+        — the float64 rows were billed at 4 B an element, float32 rows
+        are 4 B an element."""
         cluster = NDPipeCluster(factory, ClusterConfig(
             num_stores=3, nominal_raw_bytes=2048))
         x, y = small_world.sample(24, 0, rng=np.random.default_rng(3))
@@ -145,8 +152,8 @@ class TestColdEqualsAlwaysRecompute:
         assert stats.photos_processed == 24
         assert [s.busy_seconds for s in cluster.stores] == busy
         assert cluster.traffic_summary() == {
-            "model-full": 850035, "ingest": 117790, "features": 12288,
-            "model-delta": 21246, "inference-request": 192, "labels": 384}
+            "model-full": 442899, "ingest": 117790, "features": 12288,
+            "model-delta": 21249, "inference-request": 192, "labels": 384}
 
 
 class TestWarm:

@@ -57,7 +57,10 @@ class TestFinetune:
         assert report.epochs[-1].loss < report.epochs[0].loss
 
     def test_frozen_layers_untouched(self, trained_setup):
+        """Snapshot after freezing: freezing itself rounds the front's
+        masters to float32 once; training must not move them after."""
         model, x, y = trained_setup
+        model.freeze_features()
         before = {
             name: param.data.copy()
             for i in range(model.num_stages - 1)

@@ -291,11 +291,14 @@ class TestTunerFrameOnTheWire:
         # seed frame holds an untrained fixed state and is byte-stable; the
         # later ones hold a classifier trained on the compiled (float32)
         # front's features, re-pinned when the frozen graph landed
-        # (265_627 and 515_430 / 516_210 / 516_569 before it)
-        assert seed == 250_912 <= self.V1_SEED_FRAME
-        assert final == 265_616 <= self.V1_FINAL_FRAME
+        # (265_627 and 515_430 / 516_210 / 516_569 before it).  The frozen
+        # front's masters are float32 since the half-width front landed:
+        # seed 250_912 -> 126_861, final 265_616 -> 141_560, mid-run
+        # (515_440, 516_213, 516_561) -> (267_334, 268_102, 268_454)
+        assert seed == 126_861 <= self.V1_SEED_FRAME
+        assert final == 141_560 <= self.V1_FINAL_FRAME
         # mid-run the two differ; per-blob deflate still undercuts v1
-        assert tuple(mid) == (515_440, 516_213, 516_561)
+        assert tuple(mid) == (267_334, 268_102, 268_454)
         assert all(now <= was
                    for now, was in zip(mid, self.V1_MID_RUN_FRAMES))
 

@@ -1,9 +1,11 @@
 """Tests for the MetricsRegistry: instruments, labels, exports."""
 
 import json
+import math
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.obs.metrics import (
     Counter,
@@ -110,6 +112,39 @@ class TestHistogram:
     def test_empty_buckets_rejected(self):
         with pytest.raises(ValueError):
             Histogram("h", buckets=())
+
+    def test_nan_is_refused_and_leaves_the_state_alone(self):
+        h = Histogram("lat", buckets=(0.1, 1.0))
+        h.observe(0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            h.observe(math.nan)
+        samples = dict(h.samples())
+        assert samples['lat_bucket{le="+Inf"}'] == samples["lat_count"] == 1
+        assert samples["lat_sum"] == 0.5
+
+    def test_a_value_on_a_bound_lands_in_that_bucket(self):
+        h = Histogram("lat", buckets=(0.1, 1.0))
+        for v in (0.1, 1.0, -math.inf, math.inf):
+            h.observe(v)
+        assert h.as_dict()["values"][0]["bucket_counts"] == [2, 1, 1]
+
+    @given(bounds=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
+           values=st.lists(st.floats(allow_nan=False), max_size=40))
+    def test_inf_bucket_equals_count_for_any_finite_sequence(self, bounds,
+                                                             values):
+        """The exposition law: ``le="+Inf"`` == ``_count``, and each
+        value sits in the first bucket whose bound is >= it."""
+        h = Histogram("lat", buckets=bounds)
+        for v in values:
+            h.observe(v)
+        samples = dict(h.samples())
+        assert samples.get('lat_bucket{le="+Inf"}', 0) == h.count() \
+            == len(values)
+        counts = [0] * len(h.buckets)
+        for v in values:
+            counts[next(i for i, b in enumerate(h.buckets) if v <= b)] += 1
+        if values:
+            assert h.as_dict()["values"][0]["bucket_counts"] == counts
 
 
 class TestRegistry:
