@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.tables import format_table
-from repro.storage.compression import deflate, inflate
+from repro.storage.compression import Codec, deflate, inflate
 from repro.storage.imageformat import encode_preprocessed
 
 
@@ -49,7 +49,7 @@ def run_sweep():
     rows = []
     for level in (1, 3, 6, 9):
         start = time.perf_counter()
-        compressed = [deflate(b, level=level) for b in blobs]
+        compressed = [deflate(b, Codec(level)) for b in blobs]
         compress_s = time.perf_counter() - start
         start = time.perf_counter()
         for blob in compressed:

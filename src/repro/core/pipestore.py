@@ -22,7 +22,7 @@ from ..lint.contracts import fenced_by
 from ..models.split import SplitModel
 from ..nn.tensor import Tensor, inference_mode
 from ..obs.metrics import MetricsRegistry
-from ..storage.compression import deflate, inflate
+from ..storage.compression import PIXELS, deflate, inflate
 from ..storage.imageformat import (
     decode_preprocessed,
     decode_preprocessed_into,
@@ -99,7 +99,7 @@ class StoredPhoto:
         """The deflate-compressed preprocessed binary (§5.4)."""
         if "preprocessed" not in self._encoded:
             self._encoded["preprocessed"] = deflate(
-                encode_preprocessed(self.preprocessed))
+                encode_preprocessed(self.preprocessed), PIXELS)
         return self._encoded["preprocessed"]
 
 

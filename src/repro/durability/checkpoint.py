@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..storage.compression import deflate, inflate
+from ..storage.compression import WEIGHTS, deflate, inflate
 from ..storage.persistence import seal
 
 CHECKPOINT_MAGIC = b"NDCP"
@@ -165,10 +165,10 @@ class BlobTable:
         return index
 
     def add_arrays(self, arrays: Dict[str, np.ndarray]) -> int:
-        # float weights shed ~12 %; level 9 costs ~4 % more time than 6 and
-        # keeps every tuner-HA frame at or under its v1 size on the wire
+        # model weights, Adam moments and the journal's pixel table alike;
+        # WEIGHTS says why the pixel table is not deflated as PIXELS
         return self.add(pack_arrays(arrays),
-                        encode=lambda table: deflate(table, level=9))
+                        encode=lambda table: deflate(table, WEIGHTS))
 
 
 class ArrayReader:

@@ -2,10 +2,13 @@
 
 The paper's workload is 2.7 MB JPEGs plus 0.59 MB preprocessed fp32
 binaries.  We cannot ship real photos, so this codec produces byte-accurate
-stand-ins: a quantised, deflate-compressed pixel payload ("the JPEG") padded
-to a configurable nominal size, and raw fp32 tensors ("the preprocessed
-binary").  Decoding really decompresses and dequantises, so CPU work and
-byte counts are genuine, just scaled to tiny images.
+stand-ins: a quantised pixel payload in a stored zlib stream ("the JPEG")
+padded to a configurable nominal size, and raw fp32 tensors ("the
+preprocessed binary").  Byte counts are genuine, just scaled to tiny
+images.  The system stores and moves the JPEG stand-in but never decodes
+it — inference reads the preprocessed binary — so :func:`decode_photo`
+exists for tests and tools; the pixel payload is quantised noise, which
+no deflate level shrinks (see :data:`~repro.storage.compression.NOISE`).
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
+
+from .compression import NOISE
 
 _MAGIC = b"NDPJ"
 _HEADER_FMT = ">4sBHHHI"  # magic, channels, height, width, pad_kb, payload_len
@@ -26,8 +31,7 @@ class CodecError(ValueError):
     """Raised when a blob does not parse as a synthetic photo."""
 
 
-def encode_photo(pixels: np.ndarray, pad_to_bytes: int = 0,
-                 quality_level: int = 6) -> bytes:
+def encode_photo(pixels: np.ndarray, pad_to_bytes: int = 0) -> bytes:
     """Encode float pixels in [0, 1] (C, H, W) into a synthetic JPEG.
 
     ``pad_to_bytes`` inflates the blob to the nominal photo size (the
@@ -38,8 +42,7 @@ def encode_photo(pixels: np.ndarray, pad_to_bytes: int = 0,
         raise CodecError(f"expected (C, H, W) pixels, got shape {pixels.shape}")
     c, h, w = pixels.shape
     quantised = np.clip(pixels, 0.0, 1.0)
-    payload = zlib.compress((quantised * 255).astype(np.uint8).tobytes(),
-                            quality_level)
+    payload = NOISE.compress((quantised * 255).astype(np.uint8).tobytes())
     header = struct.pack(_HEADER_FMT, _MAGIC, c, h, w, 0, len(payload))
     blob = header + payload
     if pad_to_bytes > len(blob):

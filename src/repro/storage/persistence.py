@@ -30,7 +30,7 @@ import struct
 import zlib
 from typing import Sequence, Tuple
 
-from .compression import deflate, inflate
+from .compression import FEATURE_ROWS, deflate, inflate
 from .objectstore import ObjectStore, StorageFullError, Volume
 from .photodb import LabelRecord, PhotoDatabase
 
@@ -138,9 +138,9 @@ def dump_object_store(store: ObjectStore) -> bytes:
     # deflate only what squeezes; a checkpoint stores the result verbatim.
     # Level-1 ratios measured per namespace on a 256-photo store with the
     # zero runs already out: raw/ payloads 0.98 and preproc/ frames 1.00
-    # (both are deflate streams, and re-deflating them was most of a v2
+    # (both are zlib streams, and re-deflating them was most of a v2
     # dump's time), feat/ float rows 0.49 (level 6: 0.44 for 4.5x the time)
-    return seal([head, body, deflate(b"".join(squeezed), level=1)])
+    return seal([head, body, deflate(b"".join(squeezed), FEATURE_ROWS)])
 
 
 def _restore_records(store: ObjectStore, records: memoryview) -> None:

@@ -95,18 +95,26 @@ class TestReplicatedIngest:
                 assert all(h.objects.verify(key) for h in holders)
 
     def test_counters_equal_the_encode_per_replica_numbers(self, small_world):
-        """Pinned on the parent commit (every replica encoded afresh)."""
+        """Pinned on the parent commit (every replica encoded afresh).
+
+        Re-pinned when pixel tensors went run-length (``Z_RLE``) and the
+        stand-in JPEG payload went stored: ``preproc/`` blobs are 7.4 B
+        smaller on average here, so ingest/replicate (58 882, 117 764) ->
+        (58 793, 117 586), bytes written [44 152, 44 159, 44 169,
+        44 166] -> [44 084, 44 090, 44 102, 44 103] and the all-objects
+        CRC 4 147 498 943 -> 962 799 794; the raw blobs keep their
+        length, one zlib header byte changes."""
         cluster, _ = replicated_cluster(small_world)
         traffic = cluster.traffic_summary()
-        assert (traffic["ingest"], traffic["replicate"]) == (58882, 117764)
-        written = [44152, 44159, 44169, 44166]
+        assert (traffic["ingest"], traffic["replicate"]) == (58793, 117586)
+        written = [44084, 44090, 44102, 44103]
         assert [s.objects.bytes_written for s in cluster.stores] == written
         assert [s.objects.volume.used_bytes
                 for s in cluster.stores] == written
         # every stored byte, in store/key order
         assert zlib.crc32(b"".join(
             s.objects.peek(key) for s in cluster.stores
-            for key in s.objects.keys())) == 4147498943
+            for key in s.objects.keys())) == 962799794
 
     def test_rot_on_one_replica_is_healed_from_a_donor(self, small_world):
         cluster, ids = replicated_cluster(small_world)

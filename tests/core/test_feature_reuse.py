@@ -139,7 +139,9 @@ class TestColdEqualsAlwaysRecompute:
         21 246 -> 21 249 B (the same two classifier tensors, trained on
         features of the once-rounded front); ``features`` stays 12 288 B
         — the float64 rows were billed at 4 B an element, float32 rows
-        are 4 B an element."""
+        are 4 B an element.  Re-pinned when pixel tensors went
+        run-length (``Z_RLE``): ``ingest`` 117 790 -> 117 612 B (the
+        ``preproc/`` blobs)."""
         cluster = NDPipeCluster(factory, ClusterConfig(
             num_stores=3, nominal_raw_bytes=2048))
         x, y = small_world.sample(24, 0, rng=np.random.default_rng(3))
@@ -152,7 +154,7 @@ class TestColdEqualsAlwaysRecompute:
         assert stats.photos_processed == 24
         assert [s.busy_seconds for s in cluster.stores] == busy
         assert cluster.traffic_summary() == {
-            "model-full": 442899, "ingest": 117790, "features": 12288,
+            "model-full": 442899, "ingest": 117612, "features": 12288,
             "model-delta": 21249, "inference-request": 192, "labels": 384}
 
 

@@ -67,6 +67,15 @@ class TestCompression:
         arr = np.arange(10, dtype=np.int64)
         assert np.array_equal(decompress_array(compress_array(arr)), arr)
 
+    @pytest.mark.parametrize("dtype", ["u1", "i1", "?", "S4"])
+    def test_byte_order_free_dtypes_roundtrip(self, dtype):
+        """Their ``dtype.str`` opens with ``|``, the header's separator."""
+        arr = np.arange(12).reshape(3, 4).astype(dtype)
+        assert arr.dtype.str.startswith("|")
+        out = decompress_array(compress_array(arr))
+        assert out.dtype == arr.dtype
+        assert np.array_equal(out, arr)
+
 
     def test_damaged_stream_raises_value_error(self):
         """``zlib.error`` is not a ``ValueError``; loaders catch the latter."""
