@@ -1,8 +1,8 @@
 """``repro.core`` — the paper's contribution.
 
 FT-DMP training strategy, pipelined training, the APO organisation tool,
-the near-data processing engine, Check-N-Run delta distribution, and the
-runnable PipeStore/Tuner/cluster system.
+the near-data processing engine's cost model, Check-N-Run delta
+distribution, and the runnable PipeStore/Tuner/cluster system.
 """
 
 from .apo import OrganizationCandidate, OrganizationPlan, plan_organization

@@ -1,15 +1,13 @@
 """NPE — the near-data processing engine inside a PipeStore (§5.4).
 
-Two faces:
-
-* :class:`ThreadedPipeline` — a real 3-stage pipeline (data loading ->
-  CPU preprocessing/decompression -> accelerator FE/classify) built on
-  worker threads and bounded queues.  PipeStores run their offline
-  inference and feature extraction through it; zlib releases the GIL, so
-  the overlap is genuine.
-* :func:`npe_task_times` — the calibrated per-task cost model behind the
-  Fig. 12 ablation (Naive -> +Offload -> +Comp -> +Batch), expressed as
-  per-image milliseconds for each subtask on one PipeStore.
+* :func:`npe_task_times` — the NPE model the system uses: calibrated
+  per-image milliseconds for each PipeStore subtask at every Fig. 12
+  optimisation level (Naive -> +Offload -> +Comp -> +Batch).  It drives
+  fig12 and fig19 and seeds the serving layer's ``slo_batch_size``.
+* :class:`ThreadedPipeline` — a probe-only thread pipeline.  No PipeStore
+  runs through it; it exists so the end-to-end benchmark's ``npe.*`` probe
+  can measure what overlapping read, decode and infer on worker threads
+  buys over running them serially (under the GIL, close to nothing).
 """
 
 from __future__ import annotations
@@ -17,11 +15,10 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Sequence, Union
 
 from ..lint.guards import guarded_by
 from ..models.graph import ModelGraph
-from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import wall_clock
 from ..sim.specs import (
     COMPRESSED_PREPROCESSED_BYTES,
@@ -40,9 +37,12 @@ ABLATION_LEVELS = ("Naive", "+Offload", "+Comp", "+Batch")
 
 
 # ---------------------------------------------------------------------------
-# The runnable 3-stage pipeline
+# The probe's thread pipeline
 # ---------------------------------------------------------------------------
 _SENTINEL = object()
+
+#: items each inter-stage queue holds before its producer blocks
+QUEUE_DEPTH = 8
 
 
 @dataclass
@@ -52,81 +52,39 @@ class StageStats:
     busy_seconds: float = 0.0
 
 
-@guarded_by("_stats_lock", "stats", "cumulative_stats", "aborted_stats")
+@guarded_by("_stats_lock", "stats")
 class ThreadedPipeline:
     """A bounded-queue, one-thread-per-stage pipeline over real callables.
 
-    ``stages`` maps stage names to functions item -> item.  Items flow in
-    submission order; output order is preserved.  Per-stage busy time is
-    recorded so callers can identify the bottleneck stage, mirroring how
-    the paper profiles its NPE.
+    ``stages`` is a sequence of ``(name, fn)`` pairs, each ``fn`` mapping
+    item -> item.  Items flow in submission order and output order is
+    preserved.  ``stats`` holds each stage's items and busy seconds for
+    the latest ``run()`` only.
 
     A stage exception aborts the whole run: the feeder stops submitting,
     every stage drains its input until the sentinel arrives (so no thread
     ever blocks on a full queue), all threads are joined, and the first
     error is re-raised to the caller.
-
-    ``stage_hook(stage_name, item)`` is the fault-injection seam: when
-    set, it is invoked before each stage function and may sleep (slow
-    accelerator) or raise (injected stage failure); its time is charged
-    to the stage's busy seconds.
-
-    ``stats`` describes the **latest** ``run()`` only, so ``bottleneck()``
-    on a reused pipeline never mixes runs (it used to accumulate across
-    runs and report stale totals).  ``cumulative_stats`` keeps the
-    lifetime view, and with ``metrics`` set the same totals land in the
-    shared registry (``npe_stage_items_total`` /
-    ``npe_stage_busy_seconds_total``, labelled by pipeline and stage).
-
-    Only *completed* runs fold into ``cumulative_stats`` and the metric
-    counters: an aborted run discards its results, so its partial work
-    would double-count every item the caller retries.  That partial work
-    is tracked separately in ``aborted_stats`` (it used to leak into the
-    cumulative view).
     """
 
-    def __init__(self, stages: Sequence, queue_depth: int = 8,
-                 stage_hook: Optional[Callable[[str, object], None]] = None,
-                 name: str = "npe",
-                 metrics: Optional[MetricsRegistry] = None):
+    def __init__(self, stages: Sequence):
         if not stages:
             raise ValueError("need at least one stage")
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
         self._stages: List = list(stages)
-        self._queue_depth = queue_depth
-        self.stage_hook = stage_hook
-        self.name = name
         self._stats_lock = threading.Lock()
         self.stats = [StageStats(name) for name, _ in self._stages]
-        self.cumulative_stats = [StageStats(name) for name, _ in self._stages]
-        self.aborted_stats = [StageStats(name) for name, _ in self._stages]
-        self._metrics: Optional[MetricsRegistry] = None
-        if metrics is not None:
-            self.bind_metrics(metrics)
-
-    def bind_metrics(self, metrics: MetricsRegistry) -> None:
-        """Accumulate per-stage items/busy time in a shared registry."""
-        self._metrics = metrics
-        self._m_items = metrics.counter(
-            "npe_stage_items_total", "items processed per pipeline stage",
-            label_names=("pipeline", "stage"))
-        self._m_busy = metrics.counter(
-            "npe_stage_busy_seconds_total", "busy seconds per pipeline stage",
-            label_names=("pipeline", "stage"))
 
     def run(self, items: Iterable) -> List:
         """Push every item through all stages; returns outputs in order."""
-        # per-run view: a reused pipeline must not report stale totals
         with self._stats_lock:
             self.stats = [StageStats(name) for name, _ in self._stages]
-        queues = [queue.Queue(maxsize=self._queue_depth)
+        queues = [queue.Queue(maxsize=QUEUE_DEPTH)
                   for _ in range(len(self._stages) + 1)]
         results: List = []
         errors: List[BaseException] = []
         abort = threading.Event()
 
-        def worker(index: int, name: str, fn: Callable):
+        def worker(index: int, fn: Callable):
             with self._stats_lock:
                 stats = self.stats[index]
             while True:
@@ -140,8 +98,6 @@ class ThreadedPipeline:
                     continue
                 try:
                     start = wall_clock()
-                    if self.stage_hook is not None:
-                        self.stage_hook(name, item)
                     out = fn(item)
                     stats.busy_seconds += wall_clock() - start
                     stats.items += 1
@@ -152,8 +108,8 @@ class ThreadedPipeline:
                 queues[index + 1].put(out)
 
         threads = [
-            threading.Thread(target=worker, args=(i, name, fn), daemon=True)
-            for i, (name, fn) in enumerate(self._stages)
+            threading.Thread(target=worker, args=(i, fn), daemon=True)
+            for i, (_, fn) in enumerate(self._stages)
         ]
         for thread in threads:
             thread.start()
@@ -181,41 +137,11 @@ class ThreadedPipeline:
         feed_thread.join()
         for thread in threads:
             thread.join()
-        if errors or feeder_error:
-            # the run's results are discarded, so its partial work must
-            # not fold into the completed-work views: a retry would then
-            # count every successfully retried item twice
-            self._absorb_aborted_stats()
-            if errors:
-                raise errors[0]
+        if errors:
+            raise errors[0]
+        if feeder_error:
             raise feeder_error[0]
-        self._absorb_run_stats()
         return results
-
-    def _absorb_run_stats(self) -> None:
-        """Fold the finished run into the cumulative and metric views."""
-        with self._stats_lock:
-            pairs = list(zip(self.stats, self.cumulative_stats))
-        for run_stats, lifetime in pairs:
-            lifetime.items += run_stats.items
-            lifetime.busy_seconds += run_stats.busy_seconds
-            if self._metrics is not None and run_stats.items:
-                self._m_items.inc(run_stats.items, pipeline=self.name,
-                                  stage=run_stats.name)
-                self._m_busy.inc(run_stats.busy_seconds, pipeline=self.name,
-                                 stage=run_stats.name)
-
-    def _absorb_aborted_stats(self) -> None:
-        """Bank an aborted run's partial work in the discarded-work view."""
-        with self._stats_lock:
-            pairs = list(zip(self.stats, self.aborted_stats))
-        for run_stats, discarded in pairs:
-            discarded.items += run_stats.items
-            discarded.busy_seconds += run_stats.busy_seconds
-
-    def bottleneck(self) -> StageStats:
-        with self._stats_lock:
-            return max(self.stats, key=lambda s: s.busy_seconds)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ The fleet half of the NDPipe story (§4, Fig. 7) only matters if it
 survives the fleet misbehaving.  This package provides the *injection*
 side — a seedable :class:`FaultInjector` replaying scheduled crashes,
 message drops, latency, accelerator slowdowns, silent storage corruption
-(bit rot, torn writes), and Tuner crashes through hooks in the fabric,
-the PipeStores, and the NPE pipeline — while the *tolerance* side
+(bit rot, torn writes), and Tuner crashes through hooks in the fabric and
+the PipeStores — while the *tolerance* side
 (retry-with-backoff dispatch, degraded-mode FT-DMP, orphan re-ingest,
 scrub-and-repair, checkpoint/resume) lives in :mod:`repro.core` and
 :mod:`repro.durability`.  The chaos suites under ``tests/faults/`` and
@@ -26,7 +26,6 @@ from .events import (
     DropMessages,
     FaultEvent,
     SlowAccelerator,
-    SlowStage,
     StoreCrash,
     StoreRecover,
     TornWrite,
@@ -40,7 +39,7 @@ __all__ = [
     "FaultError", "FaultConfigError", "TransientFaultError",
     "MessageDroppedError", "TunerCrashError", "StaleEpochError",
     "FaultEvent", "StoreCrash", "StoreRecover", "DropMessages",
-    "AddLatency", "SlowAccelerator", "SlowStage",
+    "AddLatency", "SlowAccelerator",
     "BitRot", "TornWrite", "TunerCrash", "TunerRecover",
     "RetryPolicy", "call_with_retry",
     "FaultInjector",

@@ -1,10 +1,10 @@
 """The fault vocabulary: scheduled events the injector can fire.
 
 Events are pinned to a *logical tick*: the injector's clock advances once
-per observed operation (every fabric transfer, every pipeline stage item),
-so a schedule is deterministic regardless of wall-clock timing — the same
-schedule against the same workload always crashes the same store between
-the same two messages.
+per fabric transfer, so a schedule is deterministic regardless of
+wall-clock timing — the same schedule against the same workload always
+crashes the same store between the same two messages.  No event spends
+wall-clock time.
 """
 
 from __future__ import annotations
@@ -85,17 +85,6 @@ class SlowAccelerator(FaultEvent):
 
     def describe(self) -> str:
         return f"t={self.at} slow {self.store_id} x{self.factor:g}"
-
-
-@dataclass(frozen=True)
-class SlowStage(FaultEvent):
-    """Add per-item seconds to one named :class:`ThreadedPipeline` stage."""
-
-    stage: str = ""
-    seconds: float = 0.0
-
-    def describe(self) -> str:
-        return f"t={self.at} stage {self.stage} +{self.seconds:g}s/item"
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,7 @@ callbacks:
 
 * ``NetworkFabric.fault_filter`` — every transfer advances the clock one
   tick, then may be dropped (:class:`MessageDroppedError`) or charged
-  extra latency;
-* ``ThreadedPipeline.stage_hook`` — every stage item advances the clock
-  and may be slowed;
+  extra latency (accounted, never slept);
 * the attached cluster's store roster (read live, so a shard that joins
   after ``attach`` is addressable and one that left is not) and any
   separately registered ``PipeStore`` — crash/recover/slow-accelerator
@@ -22,7 +20,6 @@ what lets the chaos suite assert exact accounting under failure.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -36,7 +33,6 @@ from .events import (
     DropMessages,
     FaultEvent,
     SlowAccelerator,
-    SlowStage,
     StoreCrash,
     StoreRecover,
     TornWrite,
@@ -61,18 +57,17 @@ class _Budget:
                 and (self.dst is None or self.dst == dst))
 
 
-@guarded_by("_lock", "clock", "_due", "_drops", "_latencies", "stage_latency",
-            "fired", "dropped", "corrupted", "_tuner_crashed",
-            "_crashed_tuners", "injected_latency_s")
+@guarded_by("_lock", "clock", "_due", "_drops", "_latencies", "fired",
+            "dropped", "corrupted", "_tuner_crashed", "_crashed_tuners",
+            "injected_latency_s")
 class FaultInjector:
     """Replays a fault schedule against an attached cluster.
 
-    The clock is advanced from the fabric (caller thread) *and* from
-    pipeline stage hooks (NPE worker threads), so all mutable schedule
+    The clock is advanced by fabric transfers.  All mutable schedule
     state is guarded by one reentrant lock — ``advance`` -> ``_fire_due``
     -> ``_fire`` -> ``_corrupt`` nest inside it.  Attachment wiring
-    (``_rosters``/``_fabrics``/``_pipelines``) is setup-time only and
-    stays outside the guard.
+    (``_rosters``/``_fabrics``) is setup-time only and stays outside the
+    guard.
     """
 
     def __init__(self, schedule: Sequence[FaultEvent] = ()):
@@ -83,7 +78,6 @@ class FaultInjector:
         self._rosters: List[Any] = []
         self._drops: List[_Budget] = []
         self._latencies: List[_Budget] = []
-        self.stage_latency: Dict[str, float] = {}
         #: events that have fired, in firing order
         self.fired: List[FaultEvent] = []
         #: transfers swallowed by drop budgets (TransferRecord objects)
@@ -96,7 +90,6 @@ class FaultInjector:
         self._crashed_tuners: set = set()
         self.injected_latency_s = 0.0
         self._fabrics: List[Any] = []
-        self._pipelines: List[Any] = []
         self._tuners: Dict[str, Any] = {}
 
     # -- wiring ------------------------------------------------------------
@@ -115,11 +108,6 @@ class FaultInjector:
         self._fire_due()
         return self
 
-    def attach_pipeline(self, pipeline: Any) -> "FaultInjector":
-        pipeline.stage_hook = self.on_stage_item
-        self._pipelines.append(pipeline)
-        return self
-
     def register_store(self, store: Any) -> "FaultInjector":
         self._rosters.append((store,))
         return self
@@ -135,11 +123,7 @@ class FaultInjector:
             # == not `is`: each attribute access builds a fresh bound method
             if fabric.fault_filter == self.on_message:
                 fabric.fault_filter = None
-        for pipeline in self._pipelines:
-            if pipeline.stage_hook == self.on_stage_item:
-                pipeline.stage_hook = None
         self._fabrics.clear()
-        self._pipelines.clear()
         with self._lock:
             self._due.clear()
             self._drops.clear()
@@ -187,8 +171,6 @@ class FaultInjector:
                 self._latencies.append(
                     _Budget(event.kind, event.count, event.seconds,
                             dst=event.dst))
-            elif isinstance(event, SlowStage):
-                self.stage_latency[event.stage] = event.seconds
             elif isinstance(event, (BitRot, TornWrite)):
                 self._corrupt(event)
             elif isinstance(event, TunerCrash):
@@ -272,19 +254,6 @@ class FaultInjector:
                     delay += budget.seconds
             self.injected_latency_s += delay
         return delay
-
-    def on_stage_item(self, stage: str, item: Any) -> None:
-        """ThreadedPipeline hook: slow a named stage per item."""
-        self.advance()
-        self._check_tuner_alive()
-        with self._lock:
-            delay = self.stage_latency.get(stage, 0.0)
-        if delay > 0:
-            # sleep outside the lock: a slowed stage must not stall the
-            # fabric's clock advances on other threads
-            time.sleep(delay)
-            with self._lock:
-                self.injected_latency_s += delay
 
     def _check_tuner_alive(self) -> None:
         with self._lock:

@@ -3,10 +3,10 @@
 The Tuner wraps every per-store dispatch (offline-inference triggers,
 Check-N-Run delta sends) in :func:`call_with_retry` so a dropped message
 or a store that recovers between attempts does not abort a whole
-campaign.  Backoff is *accounted*, not slept, by default: the repro's
-fabric models time as byte counts, so the policy records how many seconds
-of backoff a real deployment would have spent instead of stalling the
-test suite.  Pass ``sleep=time.sleep`` for wall-clock behaviour.
+campaign.  Backoff is *accounted*, never slept: the repro's fabric
+models time as byte counts, so the policy records how many seconds of
+backoff a real deployment would have spent (``backoff_s`` and
+``retry_backoff_seconds_total``).
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ class RetryPolicy:
     base_delay_s: float = 0.01
     multiplier: float = 2.0
     max_delay_s: float = 1.0
-    #: real sleeper (e.g. ``time.sleep``); None = account only
-    sleep: Optional[Callable[[float], None]] = None
 
     # cumulative accounting across every call made under this policy
     calls: int = field(default=0, init=False)
@@ -82,20 +80,15 @@ class RetryPolicy:
         delay = self.delay_for(retry_index)
         self.backoff_s += delay
         self._record("_m_backoff", delay)
-        if self.sleep is not None:
-            self.sleep(delay)
 
 
 def call_with_retry(fn: Callable[[], T], policy: RetryPolicy,
                     retryable: Tuple[Type[BaseException], ...] = (
-                        TransientFaultError,),
-                    on_retry: Optional[Callable[[int, BaseException], None]]
-                    = None) -> T:
+                        TransientFaultError,)) -> T:
     """Call ``fn`` under ``policy``; re-raise the last error on give-up.
 
     Only ``retryable`` exceptions trigger another attempt; anything else
-    propagates immediately.  ``on_retry(attempt_index, error)`` is invoked
-    before each backoff, letting callers log degraded operation.
+    propagates immediately.
     """
     policy.calls += 1
     last: Optional[BaseException] = None
@@ -108,8 +101,6 @@ def call_with_retry(fn: Callable[[], T], policy: RetryPolicy,
             last = exc
             if attempt == policy.max_attempts:
                 break
-            if on_retry is not None:
-                on_retry(attempt, exc)
             policy.retries += 1
             policy._record("_m_retries")
             policy._backoff(attempt)

@@ -10,8 +10,7 @@ class HAConfig:
     """Failure-detection and failover policy knobs.
 
     All timings are **logical ticks** of the faults clock (one tick per
-    observed fabric transfer / pipeline stage item, plus one per
-    controller poll), so suspicion thresholds replay deterministically
+    observed fabric transfer, plus one per controller poll), so suspicion thresholds replay deterministically
     with the workload — the same property the fault schedule itself has.
     """
 

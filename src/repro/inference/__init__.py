@@ -8,7 +8,6 @@ from .offline import (
 )
 from .online import (
     OnlineBatchLatencyModel,
-    OnlineInferencePath,
     OnlineLatencyModel,
     batched_online_latency,
     online_latency,
@@ -17,6 +16,6 @@ from .online import (
 __all__ = [
     "CampaignEstimate", "ndpipe_campaign", "srv_campaign",
     "campaign_comparison",
-    "OnlineInferencePath", "OnlineLatencyModel", "online_latency",
+    "OnlineLatencyModel", "online_latency",
     "OnlineBatchLatencyModel", "batched_online_latency",
 ]

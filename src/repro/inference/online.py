@@ -1,30 +1,22 @@
-"""Online inference path: label a photo at upload time (§3.1 flow 1-3).
+"""Online inference latency: label a photo at upload time (§3.1 flow 1-3).
 
-Wraps the runnable :class:`repro.core.cluster.InferenceServer` with a
-latency model so ingestion workloads can reason about end-to-end upload
-latency (preprocess + single-image inference + database update).
+An analytic model of end-to-end upload latency (preprocess +
+single-image inference + database update) for ingestion workloads.
 
 :func:`batched_online_latency` extends the model to the serving layer's
 adaptive micro-batching: the NPE batch-size-enlargement logic picks the
 batch, and the per-request latency becomes accumulation (waiting for the
-batch to fill at the offered rate) plus the batched forward pass.
-:class:`OnlineInferencePath` predates :class:`repro.serving.ServingFrontend`
-and survives for single-upload callers; new request-level code should go
-through the serving layer.
+batch to fill at the offered rate) plus the batched forward pass.  The
+runnable upload path is the serving layer (:mod:`repro.serving`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
-import numpy as np
-
-from ..core.cluster import InferenceServer
 from ..models.graph import ModelGraph
 from ..serving.batcher import slo_batch_size
 from ..sim.specs import AcceleratorSpec, TESLA_V100
-from ..storage.photodb import LabelRecord, PhotoDatabase
 
 
 @dataclass(frozen=True)
@@ -94,24 +86,3 @@ def batched_online_latency(graph: ModelGraph,
                                                       batch_size=batch),
     )
 
-
-class OnlineInferencePath:
-    """Runnable upload path: classify, record, return the label."""
-
-    def __init__(self, server: InferenceServer, database: PhotoDatabase,
-                 model_version: int = 0):
-        self.server = server
-        self.database = database
-        self.model_version = model_version
-        self.uploads = 0
-
-    def upload(self, photo_id: str, pixels: np.ndarray,
-               location: str) -> Tuple[int, float]:
-        """Label one upload and index it; returns (label, confidence)."""
-        label, confidence = self.server.classify(pixels)
-        self.database.upsert(LabelRecord(
-            photo_id=photo_id, label=label, model_version=self.model_version,
-            location=location, confidence=confidence,
-        ))
-        self.uploads += 1
-        return label, confidence

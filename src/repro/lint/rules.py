@@ -4,12 +4,13 @@ Every rule consumes a parsed :class:`ModuleContext` and yields
 :class:`~repro.lint.findings.Finding` records; the engine applies module
 allowlists and inline ``# ndlint: allow[...]`` markers afterwards.
 
-* **ND001 determinism** — no wall-clock or entropy reads
-  (``time.time``/``perf_counter``/``monotonic``, stdlib ``random``,
-  ``os.urandom``, argless ``datetime.now``, unseeded ``default_rng()``)
-  outside the obs/tracing allowlist: simulation code must run on the
-  fault injector's logical tick or the sanctioned
-  :func:`repro.obs.tracing.wall_clock` seam.
+* **ND001 determinism** — no wall-clock read or sleep, and no entropy
+  read (``time.time``/``perf_counter``/``monotonic``/``sleep``, stdlib
+  ``random``, ``os.urandom``, argless ``datetime.now``, unseeded
+  ``default_rng()``) outside the obs/tracing allowlist: simulation code
+  spends logical time, on the fault injector's tick, and reads the wall
+  clock only through the sanctioned :func:`repro.obs.tracing.wall_clock`
+  seam.
 * **ND002 accounting** — ``ObjectStore.peek`` / ``iter_items`` are
   maintenance reads that bypass workload IO accounting; only maintenance
   modules (durability, checkpoint/persistence, scrub, fault injection)
@@ -50,9 +51,9 @@ __all__ = [
     "SNAKE_CASE",
 ]
 
-#: wall-clock reads on the ``time`` module
+#: wall-clock reads and sleeps on the ``time`` module
 _BANNED_TIME = {"time", "perf_counter", "monotonic",
-                "time_ns", "perf_counter_ns", "monotonic_ns"}
+                "time_ns", "perf_counter_ns", "monotonic_ns", "sleep"}
 #: argless datetime-class constructors of "now"
 _BANNED_NOW = {"now", "utcnow", "today"}
 #: registry registration methods (ND004)
@@ -161,8 +162,9 @@ def check_determinism(ctx: ModuleContext) -> List[Finding]:
         if module == "time" and symbol in _BANNED_TIME:
             findings.append(_finding(
                 ctx, node, "ND001",
-                f"wall-clock read time.{symbol}(); simulation code must use "
-                "the injector tick or repro.obs.tracing.wall_clock()"))
+                f"wall-clock read or sleep time.{symbol}(); simulation code "
+                "must use the injector tick or "
+                "repro.obs.tracing.wall_clock()"))
         elif module == "os" and symbol == "urandom":
             findings.append(_finding(
                 ctx, node, "ND001",

@@ -12,8 +12,9 @@ views:
 * :meth:`MetricsRegistry.export_json` — a nested dict for the bench
   trajectory and tests.
 
-All instruments are thread-safe: the NPE's :class:`ThreadedPipeline`
-reports from worker threads while the Tuner reports from the caller.
+All instruments are thread-safe, so stage code running on a
+:class:`~repro.core.npe.ThreadedPipeline` worker thread may report into
+the same registry as the caller.
 """
 
 from __future__ import annotations

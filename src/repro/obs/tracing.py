@@ -1,7 +1,7 @@
 """Span-based tracer exporting Chrome ``trace_event`` JSON.
 
 Spans are nested timed regions (``tracer.span("cluster.finetune")``)
-recorded on two clocks at once: the wall clock (``time.perf_counter``)
+recorded on two clocks at once: the wall clock (:func:`wall_clock`)
 and, when a ``tick_source`` is wired (the fault injector's logical
 clock), the logical tick the span started and ended on.  The export is
 the Chrome/Perfetto ``trace_event`` format — load the JSON at
@@ -62,14 +62,12 @@ class Tracer:
     """Collects nested spans; thread-safe, per-thread nesting depth."""
 
     def __init__(self, tick_source: Optional[Callable[[], int]] = None,
-                 max_spans: int = 100_000,
-                 clock: Callable[[], float] = time.perf_counter):
+                 max_spans: int = 100_000):
         if max_spans < 1:
             raise ValueError("max_spans must be >= 1")
         self.tick_source = tick_source
         self.max_spans = max_spans
-        self._clock = clock
-        self._epoch = clock()
+        self._epoch = wall_clock()
         self._lock = threading.Lock()
         self._local = threading.local()
         self.spans: List[Span] = []
@@ -86,7 +84,7 @@ class Tracer:
         record = Span(
             name=name,
             category=category,
-            start_s=self._clock() - self._epoch,
+            start_s=wall_clock() - self._epoch,
             duration_s=0.0,
             depth=depth,
             thread_id=threading.get_ident(),
@@ -96,7 +94,7 @@ class Tracer:
         try:
             yield record
         finally:
-            record.duration_s = (self._clock() - self._epoch) - record.start_s
+            record.duration_s = (wall_clock() - self._epoch) - record.start_s
             record.tick_end = self._tick()
             self._local.depth = depth
             with self._lock:

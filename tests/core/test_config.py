@@ -92,5 +92,3 @@ def test_top_level_removed_alias_raises():
     with pytest.raises(AttributeError):
         repro.NoSuchSymbol
     assert "OnlineInferencePath" not in dir(repro)
-    # the class itself is still importable from its home
-    from repro.inference.online import OnlineInferencePath  # noqa: F401

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.fabric import NetworkFabric
-from repro.core.npe import ThreadedPipeline
 from repro.core.pipestore import PipeStore
 from repro.faults import (
     AddLatency,
@@ -12,7 +11,6 @@ from repro.faults import (
     FaultInjector,
     MessageDroppedError,
     SlowAccelerator,
-    SlowStage,
     StoreCrash,
     StoreRecover,
     TunerCrash,
@@ -129,29 +127,6 @@ class TestFabricHook:
         fabric.send("a", "b", 10, "x")  # no drop, no tick
         assert injector.clock == 0
         assert fabric.fault_filter is None
-
-
-class TestPipelineHook:
-    def test_stage_hook_ticks_per_item(self):
-        pipe = ThreadedPipeline([("noop", lambda x: x)])
-        injector = FaultInjector([]).attach_pipeline(pipe)
-        pipe.run(range(5))
-        assert injector.clock == 5
-
-    def test_slow_stage_adds_wall_time(self):
-        import time
-
-        pipe = ThreadedPipeline([("work", lambda x: x)])
-        FaultInjector([
-            SlowStage(at=1, stage="work", seconds=0.02)]
-        ).attach_pipeline(pipe)
-        start = time.perf_counter()
-        pipe.run(range(5))
-        elapsed = time.perf_counter() - start
-        # first item ticks the clock to 1 and arms the slowdown; at least
-        # the remaining 4 items pay 20ms each
-        assert elapsed >= 0.95 * 4 * 0.02
-        assert pipe.stats[0].busy_seconds >= 0.95 * 4 * 0.02
 
 
 class TestTunerEvents:

@@ -52,13 +52,6 @@ class TestRetryPolicy:
         assert time.perf_counter() - start < 1.0
         assert policy.backoff_s == pytest.approx(10.0 + 20.0)
 
-    def test_sleep_callable_used_when_given(self):
-        slept = []
-        policy = RetryPolicy(max_attempts=2, base_delay_s=0.25,
-                             sleep=slept.append)
-        call_with_retry(Flaky(1), policy)
-        assert slept == [0.25]
-
 
 class TestCallWithRetry:
     def test_succeeds_after_transient_failures(self):
@@ -90,14 +83,6 @@ class TestCallWithRetry:
         flaky = Flaky(1, error=TimeoutError)
         assert call_with_retry(flaky, policy,
                                retryable=(TimeoutError,)) == "ok"
-
-    def test_on_retry_callback_sees_each_failure(self):
-        policy = RetryPolicy(max_attempts=4)
-        seen = []
-        call_with_retry(Flaky(2), policy,
-                        on_retry=lambda k, e: seen.append((k, str(e))))
-        assert [k for k, _ in seen] == [1, 2]
-        assert "failed" in seen[0][1]
 
     def test_single_attempt_policy_never_retries(self):
         policy = RetryPolicy(max_attempts=1)

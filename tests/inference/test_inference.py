@@ -1,20 +1,14 @@
-"""Tests for online/offline inference paths and campaign estimates."""
+"""Tests for the online latency model and offline campaign estimates."""
 
 import pytest
 
-from repro.core.cluster import InferenceServer
 from repro.inference.offline import (
     campaign_comparison,
     ndpipe_campaign,
     srv_campaign,
 )
-from repro.inference.online import (
-    OnlineInferencePath,
-    online_latency,
-)
+from repro.inference.online import online_latency
 from repro.models.catalog import model_graph
-from repro.models.registry import tiny_model
-from repro.storage.photodb import PhotoDatabase
 
 
 @pytest.fixture(scope="module")
@@ -59,15 +53,3 @@ class TestOnlineLatency:
         model = online_latency(resnet)
         assert model.preprocess_s > model.inference_s
 
-
-class TestOnlinePath:
-    def test_upload_indexes_label(self, rng):
-        server = InferenceServer(tiny_model("ResNet50", num_classes=6,
-                                            width=8, seed=2))
-        db = PhotoDatabase()
-        path = OnlineInferencePath(server, db, model_version=3)
-        label, conf = path.upload("p1", rng.random((3, 16, 16)), "s0")
-        assert 0 <= label < 6
-        assert 0.0 < conf <= 1.0
-        assert db.lookup("p1").model_version == 3
-        assert path.uploads == 1

@@ -1,4 +1,4 @@
-"""ND001 fixture: direct wall-clock and entropy reads."""
+"""ND001 fixture: direct wall-clock reads, sleeps and entropy reads."""
 
 import os
 import random
@@ -15,3 +15,7 @@ def jitter():
 
 def token():
     return os.urandom(8)
+
+
+def pause():
+    time.sleep(0.01)

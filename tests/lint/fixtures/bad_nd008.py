@@ -11,7 +11,7 @@ class BadCritical:
 
     def direct(self):
         with self._lock:
-            time.sleep(0.1)  # blocking primitive under the lock
+            time.sleep(0.1)  # ndlint: allow[ND001] -- blocking primitive under the lock
 
     def transitive(self):
         with self._lock:
@@ -21,5 +21,5 @@ class BadCritical:
         self._flush()  # fine: no lock held
 
     def _flush(self):
-        time.sleep(0.2)
+        time.sleep(0.2)  # ndlint: allow[ND001] -- the blocking call ND008 traces
         self.flushed += 1

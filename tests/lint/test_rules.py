@@ -18,6 +18,7 @@ def test_nd001_determinism_exact_sites():
         ("ND001", 9),   # time.time()
         ("ND001", 13),  # random.random()
         ("ND001", 17),  # os.urandom()
+        ("ND001", 21),  # time.sleep()
     ]
 
 

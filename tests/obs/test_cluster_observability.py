@@ -1,10 +1,9 @@
 """End-to-end observability: one cluster lifecycle, one metrics registry.
 
 Runs ingest -> finetune -> offline relabel on a real NDPipeCluster (with
-injected message drops so the retry path is exercised) plus a
-metrics-bound NPE pipeline, then asserts that the shared registry and
-tracer report the whole story: fabric bytes by kind, retry/backoff
-totals, per-run FT-DMP stage times, per-stage NPE busy time, and a
+injected message drops so the retry path is exercised), then asserts
+that the shared registry and tracer report the whole story: fabric bytes
+by kind, retry/backoff totals, per-run FT-DMP stage times, and a
 loadable Chrome trace.
 """
 
@@ -15,7 +14,6 @@ import pytest
 
 from repro.core.cluster import NDPipeCluster
 from repro.core.config import ClusterConfig
-from repro.core.npe import ThreadedPipeline
 from repro.data.drift import DriftingPhotoWorld, WorldConfig
 from repro.faults.events import DropMessages
 from repro.faults.injector import FaultInjector
@@ -42,20 +40,12 @@ def lifecycle():
     cluster.ingest(x, train_labels=y)
     cluster.finetune(epochs=1, num_runs=2)
     cluster.offline_relabel()
-
-    # the NPE pipeline reports into the same registry as the cluster
-    pipeline = ThreadedPipeline(
-        [("read", lambda i: i), ("cpu", lambda i: i * 2),
-         ("accelerator", lambda i: i + 1)],
-        name="npe", metrics=cluster.metrics,
-    )
-    pipeline.run(range(16))
-    return cluster, injector, pipeline
+    return cluster, injector
 
 
 class TestMetricsAfterLifecycle:
     def test_fabric_bytes_reported_by_kind(self, lifecycle):
-        cluster, _, _ = lifecycle
+        cluster, _ = lifecycle
         bytes_total = cluster.metrics.get("fabric_bytes_total")
         # every byte the fabric accounted is in the registry
         assert bytes_total.total() == cluster.network.total_bytes
@@ -65,13 +55,13 @@ class TestMetricsAfterLifecycle:
             assert transfers.value(kind=kind) > 0
 
     def test_injected_drops_counted(self, lifecycle):
-        cluster, injector, _ = lifecycle
+        cluster, injector = lifecycle
         assert len(injector.dropped) == 2
         dropped = cluster.metrics.get("fabric_dropped_total")
         assert dropped.value(kind="ingest") == 2
 
     def test_retry_and_backoff_totals(self, lifecycle):
-        cluster, _, _ = lifecycle
+        cluster, _ = lifecycle
         reg = cluster.metrics
         # two drops -> two retried attempts with accounted backoff
         assert reg.get("retry_retries_total").value() == 2
@@ -82,7 +72,7 @@ class TestMetricsAfterLifecycle:
         assert reg.get("retry_giveups_total").value() == 0
 
     def test_ftdmp_per_run_stage_times(self, lifecycle):
-        cluster, _, _ = lifecycle
+        cluster, _ = lifecycle
         reg = cluster.metrics
         # num_runs=2 -> one Store-stage and one Tuner-stage sample per run
         assert reg.get("ftdmp_store_stage_seconds").count() == 2
@@ -90,16 +80,8 @@ class TestMetricsAfterLifecycle:
         assert reg.get("ftdmp_store_stage_seconds").sum() > 0
         assert reg.get("ftdmp_runs_total").value() == 2
 
-    def test_npe_per_stage_busy_time(self, lifecycle):
-        cluster, _, pipeline = lifecycle
-        items = cluster.metrics.get("npe_stage_items_total")
-        busy = cluster.metrics.get("npe_stage_busy_seconds_total")
-        for stage in ("read", "cpu", "accelerator"):
-            assert items.value(pipeline="npe", stage=stage) == 16
-            assert busy.value(pipeline="npe", stage=stage) > 0
-
     def test_pipestore_and_cluster_counters(self, lifecycle):
-        cluster, _, _ = lifecycle
+        cluster, _ = lifecycle
         reg = cluster.metrics
         assert reg.get("cluster_photos_ingested_total").value() == 12
         assert reg.get("pipestore_photos_stored_total").total() == 12
@@ -110,16 +92,15 @@ class TestMetricsAfterLifecycle:
         assert mechanisms.value(mechanism="delta") == len(cluster.stores)
 
     def test_prometheus_export_carries_the_acceptance_families(self, lifecycle):
-        cluster, _, _ = lifecycle
+        cluster, _ = lifecycle
         text = cluster.metrics.export_prometheus()
         assert 'fabric_bytes_total{kind="ingest"' in text
-        assert 'npe_stage_busy_seconds_total{pipeline="npe",stage="cpu"}' in text
         assert "retry_backoff_seconds_total" in text
         assert 'ftdmp_store_stage_seconds_bucket{le="+Inf"}' in text
         assert "# TYPE ftdmp_store_stage_seconds histogram" in text
 
     def test_json_export_parses(self, lifecycle):
-        cluster, _, _ = lifecycle
+        cluster, _ = lifecycle
         payload = json.loads(cluster.metrics.export_json())
         assert payload["fabric_bytes_total"]["type"] == "counter"
         assert payload["ftdmp_store_stage_seconds"]["type"] == "histogram"
@@ -127,7 +108,7 @@ class TestMetricsAfterLifecycle:
 
 class TestTraceAfterLifecycle:
     def test_flow_spans_recorded(self, lifecycle):
-        cluster, _, _ = lifecycle
+        cluster, _ = lifecycle
         names = {s.name for s in cluster.tracer.spans}
         assert {"cluster.ingest", "cluster.finetune",
                 "cluster.offline_relabel", "ftdmp.store_stage",
@@ -137,7 +118,7 @@ class TestTraceAfterLifecycle:
         assert len(cluster.tracer.find("ftdmp.tuner_stage")) == 2
 
     def test_stage_spans_nest_inside_finetune(self, lifecycle):
-        cluster, _, _ = lifecycle
+        cluster, _ = lifecycle
         finetune = cluster.tracer.find("cluster.finetune")[0]
         for span in cluster.tracer.find("ftdmp.store_stage"):
             assert span.depth > finetune.depth
@@ -145,7 +126,7 @@ class TestTraceAfterLifecycle:
             assert span.end_s <= finetune.end_s
 
     def test_chrome_trace_loads(self, lifecycle):
-        cluster, _, _ = lifecycle
+        cluster, _ = lifecycle
         payload = json.loads(cluster.tracer.export_chrome_trace())
         events = payload["traceEvents"]
         assert all(e["ph"] in ("X", "M") for e in events)

@@ -5,23 +5,25 @@ import threading
 
 import pytest
 
+from repro.obs import tracing
 from repro.obs.tracing import Tracer
 
 
-def fake_clock():
-    """A deterministic clock advancing 1s per call."""
+@pytest.fixture
+def fake_clock(monkeypatch):
+    """Route ``wall_clock()`` through a clock advancing 1s per call."""
     state = {"t": 0.0}
 
     def _tick():
         state["t"] += 1.0
         return state["t"]
 
-    return _tick
+    monkeypatch.setattr(tracing, "wall_clock", _tick)
 
 
 class TestSpans:
-    def test_span_records_duration(self):
-        tracer = Tracer(clock=fake_clock())
+    def test_span_records_duration(self, fake_clock):
+        tracer = Tracer()
         with tracer.span("work"):
             pass
         (span,) = tracer.find("work")
@@ -57,8 +59,8 @@ class TestSpans:
         assert span.tick_start == 10
         assert span.tick_end == 17
 
-    def test_total_seconds_and_summary(self):
-        tracer = Tracer(clock=fake_clock())
+    def test_total_seconds_and_summary(self, fake_clock):
+        tracer = Tracer()
         for _ in range(3):
             with tracer.span("step"):
                 pass
@@ -101,9 +103,9 @@ class TestSpans:
 
 
 class TestChromeTraceExport:
-    def test_export_is_loadable_chrome_trace_json(self):
+    def test_export_is_loadable_chrome_trace_json(self, fake_clock):
         """The export must satisfy the chrome://tracing JSON object format."""
-        tracer = Tracer(clock=fake_clock())
+        tracer = Tracer()
         with tracer.span("cluster.finetune", epochs=1):
             with tracer.span("ftdmp.store_stage", category="ftdmp"):
                 pass
