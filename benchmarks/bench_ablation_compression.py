@@ -5,16 +5,32 @@ The paper stores preprocessed binaries deflate-compressed to cut the
 preprocessed tensors (smooth image statistics, fp32) and reports the
 ratio / speed trade-off across compression levels, plus the storage
 overhead with and without compression.
+
+A second table puts the pixel codecs side by side — level 6, run-length
+``Z_RLE`` over the interleaved float bytes, and the byte-plane
+:data:`~repro.storage.compression.PIXELS` codec the landing path uses —
+on those uint8-derived tensors and on the world's own preprocessed
+pixels, which are free-floating fp32.  Only the former repeat byte
+patterns LZ77 can match; the world's only redundancy sits in the
+sign/exponent plane.
 """
 
 import time
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.analysis.tables import format_table
-from repro.storage.compression import Codec, deflate, inflate
-from repro.storage.imageformat import encode_preprocessed
+from repro.data import DriftingPhotoWorld, WorldConfig
+from repro.storage.compression import PIXELS, Codec, deflate, inflate
+from repro.storage.imageformat import encode_preprocessed, preprocess
+
+PIXEL_CODECS = {
+    "level 6": Codec(6),
+    "Z_RLE": Codec(6, zlib.Z_RLE),
+    "byte planes": PIXELS,
+}
 
 
 def make_preprocessed_binary(seed: int = 0, size: int = 96) -> bytes:
@@ -43,30 +59,44 @@ def make_preprocessed_binary(seed: int = 0, size: int = 96) -> bytes:
     return encode_preprocessed(preprocessed)
 
 
+def world_binaries(count: int = 256) -> list:
+    """The preprocessed binaries the landing path writes for world photos."""
+    x, _ = DriftingPhotoWorld(WorldConfig()).sample(
+        count, 0, rng=np.random.default_rng(0))
+    return [encode_preprocessed(preprocess(p)) for p in x]
+
+
+def measure(blobs, codec):
+    raw_bytes = sum(len(b) for b in blobs)
+    start = time.perf_counter()
+    compressed = [deflate(b, codec) for b in blobs]
+    compress_s = time.perf_counter() - start
+    start = time.perf_counter()
+    for blob, raw in zip(compressed, blobs):
+        assert inflate(blob) == raw
+    decompress_s = time.perf_counter() - start
+    comp_bytes = sum(len(b) for b in compressed)
+    return {
+        "ratio": raw_bytes / comp_bytes,
+        "compress_mbps": raw_bytes / 1e6 / compress_s,
+        "decompress_mbps": comp_bytes / 1e6 / decompress_s,
+    }
+
+
 def run_sweep():
     blobs = [make_preprocessed_binary(seed) for seed in range(8)]
-    raw_bytes = sum(len(b) for b in blobs)
-    rows = []
-    for level in (1, 3, 6, 9):
-        start = time.perf_counter()
-        compressed = [deflate(b, Codec(level)) for b in blobs]
-        compress_s = time.perf_counter() - start
-        start = time.perf_counter()
-        for blob in compressed:
-            inflate(blob)
-        decompress_s = time.perf_counter() - start
-        comp_bytes = sum(len(b) for b in compressed)
-        rows.append({
-            "level": level,
-            "ratio": raw_bytes / comp_bytes,
-            "compress_mbps": raw_bytes / 1e6 / compress_s,
-            "decompress_mbps": comp_bytes / 1e6 / decompress_s,
-        })
-    return rows, raw_bytes
+    rows = [{"level": level, **measure(blobs, Codec(level))}
+            for level in (1, 3, 6, 9)]
+    payloads = {"uint8-derived": blobs, "world pixels": world_binaries()}
+    codec_rows = [{"payload": payload, "codec": name,
+                   **measure(items, codec)}
+                  for payload, items in payloads.items()
+                  for name, codec in PIXEL_CODECS.items()]
+    return rows, codec_rows
 
 
 def test_ablation_compression(benchmark, report):
-    rows, raw_bytes = benchmark.pedantic(run_sweep, iterations=1, rounds=1)
+    rows, codec_rows = benchmark.pedantic(run_sweep, iterations=1, rounds=1)
 
     table = format_table(
         ["deflate level", "compression ratio", "compress MB/s",
@@ -84,6 +114,13 @@ def test_ablation_compression(benchmark, report):
     table += (f"\nstorage overhead of preprocessed binaries: "
               f"{uncompressed_overhead * 100:.1f}% raw (paper: 17.5%), "
               f"{compressed_overhead * 100:.1f}% deflated")
+    table += "\n\n" + format_table(
+        ["payload", "codec", "compression ratio", "compress MB/s",
+         "decompress MB/s (compressed)"],
+        [[r["payload"], r["codec"], r["ratio"], r["compress_mbps"],
+          r["decompress_mbps"]] for r in codec_rows],
+        title="Pixel codecs: uint8-derived tensors against world pixels",
+    )
     report("ablation_compression", table)
 
     ratios = [r["ratio"] for r in rows]
@@ -98,3 +135,11 @@ def test_ablation_compression(benchmark, report):
     # decompression is far cheaper than compression (why PipeStores can
     # afford it with two cores)
     assert all(r["decompress_mbps"] > r["compress_mbps"] for r in rows[2:])
+
+    ratio = {(r["payload"], r["codec"]): r["ratio"] for r in codec_rows}
+    # decoded-JPEG binaries repeat byte patterns: LZ77 wins by far there
+    assert ratio["uint8-derived", "level 6"] > 2 * ratio[
+        "uint8-derived", "byte planes"]
+    # free-floating fp32 pixels: the byte planes never lose
+    assert ratio["world pixels", "byte planes"] > max(
+        ratio["world pixels", "Z_RLE"], ratio["world pixels", "level 6"])

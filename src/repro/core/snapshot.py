@@ -7,14 +7,19 @@ functions of the cluster's state, so they live here as free functions.
 :meth:`~repro.core.cluster.NDPipeCluster.restore` delegate verbatim —
 the manifest layout (including the ``"cluster"`` section's
 ``ingest_counter``/``rr_next``/``replication`` keys) is the
-pre-refactor one; the bytes around it are the v2 frame of
+pre-refactor one; the bytes around it are the v3 frame of
 :mod:`repro.durability.checkpoint` (sealed snapshots verbatim, array
-tables deflated once, identical blobs shared).
+tables deflated once, identical blobs shared).  The upload journal's
+pixels go in as one stacked ``(N, C, H, W)`` array, in the order of the
+manifest's ``labels`` keys, through the byte-plane
+:data:`~repro.storage.compression.PIXELS` codec.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
+
+import numpy as np
 
 from ..durability.checkpoint import (
     ArrayReader,
@@ -27,6 +32,7 @@ from ..durability.checkpoint import (
     write_frame,
 )
 from ..durability.replication import ReplicaMap
+from ..storage.compression import compress_array, decompress_array
 from ..storage.persistence import (
     dump_object_store,
     dump_photo_database,
@@ -67,9 +73,7 @@ def build_checkpoint(cluster, ftdmp: Optional[FinetuneProgress] = None,
         journal_manifest = {
             "labels": {pid: label
                        for pid, (_pixels, label) in journal.items()},
-            "pixels_blob": table.add_arrays(
-                {pid: pixels
-                 for pid, (pixels, _label) in journal.items()}),
+            "pixels_blob": table.add(compress_array(_stack_journal(journal))),
         }
     manifest = {
         "cluster": {
@@ -130,11 +134,22 @@ def restore_checkpoint(cluster, blob: bytes) -> Optional[FinetuneProgress]:
         journal_manifest = manifest["journal"]
         journal = None
         if journal_manifest is not None:
-            pixels = arrays(journal_manifest["pixels_blob"])
+            labels = journal_manifest["labels"]
+            try:
+                pixels = decompress_array(
+                    blobs[journal_manifest["pixels_blob"]])
+            except ValueError as exc:
+                raise CheckpointError(
+                    f"corrupt journal pixel table: {exc}") from exc
+            if len(pixels) != len(labels):
+                raise CheckpointError(
+                    f"journal pixel table holds {len(pixels)} entries, "
+                    f"its labels {len(labels)}")
+            # rows of the one stacked array, each at its entry's dtype
+            # and shape
             journal = {
-                pid: (pixels[pid],
-                      None if label is None else int(label))
-                for pid, label in journal_manifest["labels"].items()
+                pid: (row, None if label is None else int(label))
+                for (pid, label), row in zip(labels.items(), pixels)
             }
         cluster_manifest = manifest["cluster"]
         replication = int(cluster_manifest["replication"])
@@ -172,3 +187,18 @@ def restore_checkpoint(cluster, blob: bytes) -> Optional[FinetuneProgress]:
             state = cluster.tuner.model.state_dict()
         cluster.inference_server.sync_model(state)
     return progress
+
+
+def _stack_journal(journal: Dict[str, tuple]) -> np.ndarray:
+    """The journal's pixels as one ``(N, ...)`` array in journal order.
+
+    Every entry must share one dtype and shape (the world and every
+    ingest caller produce float32 of one shape); anything else is
+    refused, since stacking would silently promote a dtype."""
+    pixels = [entry[0] for entry in journal.values()]
+    kinds = sorted({(p.dtype.str, p.shape) for p in pixels})
+    if len(kinds) > 1:
+        raise CheckpointError(
+            f"journal pixels mix dtypes or shapes {kinds}; a checkpoint "
+            "stacks them into one array")
+    return np.stack(pixels) if pixels else np.empty(0, np.float32)

@@ -2,7 +2,7 @@
 
 One checkpoint is a single self-describing blob:
 
-``NDCP | 2 | len(4B) | deflate(manifest) | blob table | CRC32 trailer``
+``NDCP | 3 | len(4B) | deflate(manifest) | blob table | CRC32 trailer``
 
 where the blob table is ``count(4B)`` then ``len(8B) + bytes`` per blob.
 
@@ -36,8 +36,11 @@ from ..storage.persistence import seal
 
 CHECKPOINT_MAGIC = b"NDCP"
 #: v2: the frame no longer deflates its body (blobs arrive compressed by
-#: their producers) and the blob table is content-deduplicated.  v1 is refused.
-_VERSION = 2
+#: their producers) and the blob table is content-deduplicated.  v3: the
+#: journal's pixels are one stacked array in byte planes.
+_VERSION = 3
+#: versions refused by name: what each laid out differently
+_RETIRED = {1: "whole-body deflate", 2: "per-entry journal pixel table"}
 
 
 class CheckpointError(ValueError):
@@ -165,8 +168,8 @@ class BlobTable:
         return index
 
     def add_arrays(self, arrays: Dict[str, np.ndarray]) -> int:
-        # model weights, Adam moments and the journal's pixel table alike;
-        # WEIGHTS says why the pixel table is not deflated as PIXELS
+        # model weights and Adam moments; WEIGHTS says why their tables are
+        # not deflated as PIXELS
         return self.add(pack_arrays(arrays),
                         encode=lambda table: deflate(table, WEIGHTS))
 
@@ -220,10 +223,10 @@ def read_frame(blob: bytes) -> Tuple[Dict[str, Any], List[memoryview]]:
             "resume from corrupt state"
         )
     version = frame[len(CHECKPOINT_MAGIC)]
-    if version == 1:
+    if version in _RETIRED:
         raise CheckpointError(
-            "checkpoint is version 1 (whole-body deflate), which this "
-            "release no longer reads; re-create it with this release"
+            f"checkpoint is version {version} ({_RETIRED[version]}), which "
+            "this release no longer reads; re-create it with this release"
         )
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")

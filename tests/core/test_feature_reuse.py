@@ -141,7 +141,8 @@ class TestColdEqualsAlwaysRecompute:
         — the float64 rows were billed at 4 B an element, float32 rows
         are 4 B an element.  Re-pinned when pixel tensors went
         run-length (``Z_RLE``): ``ingest`` 117 790 -> 117 612 B (the
-        ``preproc/`` blobs)."""
+        ``preproc/`` blobs), and again when they went to byte planes:
+        117 612 -> 111 139 B."""
         cluster = NDPipeCluster(factory, ClusterConfig(
             num_stores=3, nominal_raw_bytes=2048))
         x, y = small_world.sample(24, 0, rng=np.random.default_rng(3))
@@ -154,7 +155,7 @@ class TestColdEqualsAlwaysRecompute:
         assert stats.photos_processed == 24
         assert [s.busy_seconds for s in cluster.stores] == busy
         assert cluster.traffic_summary() == {
-            "model-full": 442899, "ingest": 117612, "features": 12288,
+            "model-full": 442899, "ingest": 111139, "features": 12288,
             "model-delta": 21249, "inference-request": 192, "labels": 384}
 
 

@@ -1,6 +1,6 @@
-"""The v2 NDCP frame: compress once, deduplicate blobs, manifest-only inspect.
+"""The NDCP frame: compress once, deduplicate blobs, manifest-only inspect.
 
-``NDCP | 2 | len | deflate(manifest) | blob table | CRC32`` — the frame
+``NDCP | 3 | len | deflate(manifest) | blob table | CRC32`` — the frame
 seals, it does not compress: blobs are laid down as their producers made
 them, identical blobs share one table slot, and readers slice views out
 of the verified frame without inflating anything but the manifest.
@@ -89,7 +89,7 @@ class TestLayout:
         assert FRAME[PAYLOAD:PAYLOAD + len(BLOBS[0])] == BLOBS[0]
 
     def test_layout_is_the_documented_one(self):
-        assert FRAME[:HEAD] == CHECKPOINT_MAGIC + b"\x02"
+        assert FRAME[:HEAD] == CHECKPOINT_MAGIC + b"\x03"
         assert struct.unpack_from(">I", FRAME, TABLE) == (len(BLOBS),)
         assert struct.unpack_from(">Q", FRAME, TABLE + 4) == (len(BLOBS[0]),)
         assert FRAME[-4:] == struct.pack(">I", zlib.crc32(FRAME[:-4]))
@@ -103,6 +103,16 @@ class TestLayout:
         for reader in (read_frame, inspect_checkpoint, unpack_tuner_state):
             with pytest.raises(CheckpointError, match="version 1"):
                 reader(v1)
+
+    def test_v2_frame_is_refused_by_name(self):
+        """The per-entry journal pixel table this release replaced: the
+        v2 layout is the v3 one, so only the version byte tells them
+        apart."""
+        v2 = bytearray(FRAME[:-4])
+        v2[len(CHECKPOINT_MAGIC)] = 2
+        for reader in (read_frame, inspect_checkpoint, unpack_tuner_state):
+            with pytest.raises(CheckpointError, match="version 2"):
+                reader(reseal(bytes(v2)))
 
     def test_unknown_version_is_refused(self):
         frame = bytearray(FRAME[:-4])
@@ -170,10 +180,10 @@ class TestInspect:
         manifest is inflated, even when the blobs are deflate frames."""
         frame = write_frame(MANIFEST, [deflate(b"a" * 999), deflate(b"b")])
         inflated = []
-        real = zlib.decompress
+        real = zlib.decompressobj
         monkeypatch.setattr(
-            "repro.storage.compression.zlib.decompress",
-            lambda data, *a: inflated.append(len(data)) or real(data, *a))
+            "repro.storage.compression.zlib.decompressobj",
+            lambda *a: inflated.append(a) or real(*a))
         info = inspect_checkpoint(frame)
         assert len(inflated) == 1
         assert info["blob_bytes"] == len(deflate(b"a" * 999)) + len(

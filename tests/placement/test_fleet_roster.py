@@ -278,7 +278,11 @@ def test_join_fail_reingest_recover_scrub_is_pinned():
     blobs since pixel tensors went run-length (``Z_RLE``): ledger
     ``bytes_received`` and ``rebalance`` 198 783 -> 198 636, ``ingest``
     353 369 -> 353 125, ``replicate`` 706 738 -> 706 250, ``re-ingest``
-    22 084 -> 22 073, ``repair`` 35 625 -> 35 615."""
+    22 084 -> 22 073, ``repair`` 35 625 -> 35 615; and again since they
+    went to byte planes: ``bytes_received`` and ``rebalance`` 198 636 ->
+    193 619, ``ingest`` 353 125 -> 344 243, ``replicate`` 706 250 ->
+    688 486, ``re-ingest`` 22 073 -> 21 522, ``repair`` 35 615 ->
+    35 342."""
     fleet, ids = make_fleet(num_shards=4, replication=3, photos=32)
     summary = fleet.join_shard()
     cluster = fleet.cluster
@@ -309,14 +313,14 @@ def test_join_fail_reingest_recover_scrub_is_pinned():
 
     assert len(stranded) == 5
     assert moved == [f"default/photo-{i:08d}" for i in (2, 6, 12, 13, 17)]
-    ledger = {"bytes_received": 198636, "objects_failed": 0,
+    ledger = {"bytes_received": 193619, "objects_failed": 0,
               "objects_inflight": 0, "objects_moved": 18,
               "objects_received": 18}
     assert summary["copies"] == ledger
     assert fleet.ledger().to_dict() == ledger
     assert cluster.network.kinds() == {
-        "ingest": 353125, "model-full": 738165, "re-ingest": 22073,
-        "rebalance": 198636, "repair": 35615, "replicate": 706250}
+        "ingest": 344243, "model-full": 738165, "re-ingest": 21522,
+        "rebalance": 193619, "repair": 35342, "replicate": 688486}
     assert scrub.repaired == [("pipestore-4", "raw/default/photo-00000012")]
     assert scrub.restored == [
         ("pipestore-2", "raw/default/photo-00000006"),

@@ -67,7 +67,7 @@ class TestCompression:
         arr = np.arange(10, dtype=np.int64)
         assert np.array_equal(decompress_array(compress_array(arr)), arr)
 
-    @pytest.mark.parametrize("dtype", ["u1", "i1", "?", "S4"])
+    @pytest.mark.parametrize("dtype", ["u1", "i1", "?", "S4", "S300"])
     def test_byte_order_free_dtypes_roundtrip(self, dtype):
         """Their ``dtype.str`` opens with ``|``, the header's separator."""
         arr = np.arange(12).reshape(3, 4).astype(dtype)
