@@ -75,10 +75,13 @@ class RecoveryControlPlane:
         self._journal_max_entries = config.journal_max_entries
         metrics = cluster.metrics
         self._m_journal = metrics.gauge(
-            "cluster_journal_entries", "upload-journal entries resident")
-        self._m_journal_pruned = metrics.counter(
+            "cluster_journal_entries",
+            "upload-journal entries resident").labels()
+        pruned = metrics.counter(
             "cluster_journal_pruned_total", "journal entries pruned",
             label_names=("reason",))
+        self._m_pruned_capacity = pruned.labels(reason="capacity")
+        self._m_pruned_departed = pruned.labels(reason="departed")
         self._m_replicas_promoted = metrics.counter(
             "durability_replicas_promoted_total",
             "replicas promoted to primary after losing the primary's store")
@@ -112,7 +115,7 @@ class RecoveryControlPlane:
             overflow = len(self.journal) - cap
             for pid in list(self.journal)[:overflow]:
                 del self.journal[pid]
-            self._m_journal_pruned.inc(overflow, reason="capacity")
+            self._m_pruned_capacity.inc(overflow)
         self._m_journal.set(len(self.journal))
 
     def prune_journal(self) -> int:
@@ -130,7 +133,7 @@ class RecoveryControlPlane:
         for pid in stale:
             del self.journal[pid]
         if stale:
-            self._m_journal_pruned.inc(len(stale), reason="departed")
+            self._m_pruned_departed.inc(len(stale))
         self._m_journal.set(len(self.journal))
         return len(stale)
 

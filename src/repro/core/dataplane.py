@@ -363,10 +363,13 @@ class IngestDataPlane:
         self.metrics_load_skips = None
         metrics = cluster.metrics
         self._m_ingested = metrics.counter(
-            "cluster_photos_ingested_total", "photos accepted by ingest")
+            "cluster_photos_ingested_total",
+            "photos accepted by ingest").labels()
+        # one child per store, bound on its first replica
         self._m_replicas_placed = metrics.counter(
             "durability_replicas_placed_total",
-            "replica copies landed per store", label_names=("store",))
+            "replica copies landed per store",
+            label_names=("store",)).by_labels()
         self._m_underreplicated = metrics.counter(
             "durability_underreplicated_total",
             "ingests that could not reach the configured replica count")
@@ -532,7 +535,7 @@ class IngestDataPlane:
                 continue
             placed.append(store.store_id)
             taken.add(store.store_id)
-            self._m_replicas_placed.inc(store=store.store_id)
+            self._m_replicas_placed[store.store_id].inc()
         return placed
 
     def next_available_store(self) -> PipeStore:

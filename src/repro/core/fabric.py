@@ -70,6 +70,9 @@ class NetworkFabric:
         self._m_dropped_bytes = metrics.counter(
             "fabric_dropped_bytes_total", "bytes lost to dropped transfers",
             label_names=("kind",))
+        # bound children, validated once per edge / kind
+        self._m_edge_bytes = self._m_bytes.by_labels()
+        self._m_kind_transfers = self._m_transfers.by_labels()
 
     def send(self, src: str, dst: str, num_bytes: int, kind: str,
              payload: Any = None) -> Any:
@@ -103,8 +106,8 @@ class NetworkFabric:
         self.total_bytes += num_bytes
         self.transfer_count += 1
         if self._metrics is not None:
-            self._m_bytes.inc(num_bytes, kind=kind, src=src, dst=dst)
-            self._m_transfers.inc(kind=kind)
+            self._m_edge_bytes[kind, src, dst].inc(num_bytes)
+            self._m_kind_transfers[kind].inc()
         return payload
 
     def bytes_between(self, src: str, dst: str) -> int:

@@ -144,55 +144,60 @@ class PipeStore:
         self._metrics: Optional[MetricsRegistry] = None
 
     def bind_metrics(self, metrics: MetricsRegistry) -> None:
-        """Report storage and near-data-job activity into a registry."""
+        """Report storage and near-data-job activity into a registry,
+        every family bound to this store once, here."""
         self._metrics = metrics
         self._m_stored = metrics.counter(
             "pipestore_photos_stored_total", "photos ingested per store",
-            label_names=("store",))
+            label_names=("store",)).labels(store=self.store_id)
         self._m_stored_bytes = metrics.counter(
             "pipestore_bytes_stored_total",
             "raw + preprocessed bytes persisted per store",
-            label_names=("store",))
+            label_names=("store",)).labels(store=self.store_id)
         self._m_evicted = metrics.counter(
             "pipestore_photos_evicted_total",
             "photos dropped after re-placement elsewhere",
-            label_names=("store",))
+            label_names=("store",)).labels(store=self.store_id)
         self._m_extracted = metrics.counter(
             "pipestore_features_extracted_total",
             "split-point features delivered (FT-DMP Store stage)",
-            label_names=("store",))
+            label_names=("store",)).labels(store=self.store_id)
         self._m_relabelled = metrics.counter(
             "pipestore_photos_relabelled_total",
             "images relabelled by whole-model offline inference",
-            label_names=("store",))
+            label_names=("store",)).labels(store=self.store_id)
         self._m_feature_hits = metrics.counter(
             "pipestore_feature_hits_total",
             "features read back from their stored feat/ object",
-            label_names=("store",))
+            label_names=("store",)).labels(store=self.store_id)
         self._m_feature_misses = metrics.counter(
             "pipestore_feature_misses_total",
             "features computed by a frozen-front pass and stored",
-            label_names=("store",))
-        self._m_model_updates = metrics.counter(
+            label_names=("store",)).labels(store=self.store_id)
+        updates = metrics.counter(
             "pipestore_model_updates_total",
             "model replica updates applied, by mechanism",
             label_names=("store", "mechanism"))
+        self._m_full_updates = updates.labels(store=self.store_id,
+                                              mechanism="full")
+        self._m_delta_updates = updates.labels(store=self.store_id,
+                                               mechanism="delta")
         self._m_busy = metrics.counter(
             "pipestore_busy_seconds_total",
             "accounted accelerator seconds per store",
-            label_names=("store",))
+            label_names=("store",)).labels(store=self.store_id)
         self._m_scrubbed = metrics.counter(
             "pipestore_objects_scrubbed_total",
             "objects CRC-checked by scrub passes",
-            label_names=("store",))
+            label_names=("store",)).labels(store=self.store_id)
         self._m_corrupt = metrics.counter(
             "pipestore_corrupt_objects_total",
             "objects a scrub found failing their CRC32",
-            label_names=("store",))
+            label_names=("store",)).labels(store=self.store_id)
 
     def _count(self, counter_name: str, amount: float = 1.0) -> None:
         if self._metrics is not None:
-            getattr(self, counter_name).inc(amount, store=self.store_id)
+            getattr(self, counter_name).inc(amount)
 
     # -- fault injection ----------------------------------------------------
     @property
@@ -325,7 +330,7 @@ class PipeStore:
         self.model_version = version
         self.model.eval()
         if self._metrics is not None:
-            self._m_model_updates.inc(store=self.store_id, mechanism="full")
+            self._m_full_updates.inc()
 
     def apply_full_state(self, state: Dict[str, np.ndarray],
                          version: int, epoch: int = 0) -> None:
@@ -335,7 +340,7 @@ class PipeStore:
         self.model.load_state_dict(state)
         self.model_version = version
         if self._metrics is not None:
-            self._m_model_updates.inc(store=self.store_id, mechanism="full")
+            self._m_full_updates.inc()
 
     def apply_model_delta(self, blob: bytes, version: int,
                           epoch: int = 0) -> None:
@@ -358,7 +363,7 @@ class PipeStore:
             checknrun.changed_tensors(self.model.state_dict(), blob))
         self.model_version = version
         if self._metrics is not None:
-            self._m_model_updates.inc(store=self.store_id, mechanism="delta")
+            self._m_delta_updates.inc()
 
     # -- near-data jobs --------------------------------------------------------
     def extract_features(self, photo_ids: Sequence[str]) -> np.ndarray:

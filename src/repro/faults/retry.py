@@ -49,13 +49,17 @@ class RetryPolicy:
         """Mirror retry accounting into ``metrics`` (a MetricsRegistry)."""
         self._metrics = metrics
         self._m_attempts = metrics.counter(
-            "retry_attempts_total", "dispatch attempts under the policy")
+            "retry_attempts_total",
+            "dispatch attempts under the policy").labels()
         self._m_retries = metrics.counter(
-            "retry_retries_total", "attempts that were retried after a fault")
+            "retry_retries_total",
+            "attempts that were retried after a fault").labels()
         self._m_giveups = metrics.counter(
-            "retry_giveups_total", "dispatches abandoned after max attempts")
+            "retry_giveups_total",
+            "dispatches abandoned after max attempts").labels()
         self._m_backoff = metrics.counter(
-            "retry_backoff_seconds_total", "accounted exponential backoff")
+            "retry_backoff_seconds_total",
+            "accounted exponential backoff").labels()
 
     def _record(self, counter_name: str, amount: float = 1.0) -> None:
         if self._metrics is not None:

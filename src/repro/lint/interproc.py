@@ -25,7 +25,8 @@ then reason about event *order* (ND007 dominance) or event *sums*
   checkpoint/file IO may be reachable, *transitively* through the call
   graph; the finding renders the offending call chain.
 * **ND009 exception-safe accounting** — conserved-counter mutations and
-  metric ``.inc()/.observe()`` calls inside a ``try`` body with handlers
+  metric ``.inc()/.dec()/.set()/.observe()`` calls (through a metrics
+  handle, a bound child or a child map) inside a ``try`` body with handlers
   can be skipped by a caught fault mid-group, skewing the books; they
   must move to ``finally``, a context manager, or after the fault
   point.
@@ -56,9 +57,12 @@ _MUTATING_CALLS = {
     "apply_full_state", "apply_model_delta", "install_model",
 }
 #: metric instrument methods whose loss skews books (ND009)
-_INSTRUMENT_CALLS = {"inc", "observe"}
+_INSTRUMENT_CALLS = {"inc", "dec", "set", "observe"}
 #: receivers that look like a metrics handle (ND009)
 _METRIC_ROOTS = {"m", "metrics", "_metrics", "_m"}
+#: name prefixes of bound children and child maps (ND009):
+#: ``self._m_stored.inc()``, ``m_bytes[kind].inc(n)``
+_METRIC_PREFIXES = ("_m_", "m_")
 
 _MAX_PATHS = 128
 
@@ -531,17 +535,22 @@ def check_lock_blocking(index: ProjectIndex,
 # ---------------------------------------------------------------------------
 # ND009 — exception-safe accounting
 # ---------------------------------------------------------------------------
+def _is_metric_name(name: str) -> bool:
+    return name in _METRIC_ROOTS or name.startswith(_METRIC_PREFIXES)
+
+
 def _is_instrument_call(node: ast.Call) -> bool:
     if not (isinstance(node.func, ast.Attribute) and
             node.func.attr in _INSTRUMENT_CALLS):
         return False
-    # receiver chain must pass through a metrics-ish name: self.m.x.inc()
+    # receiver chain must pass through a metrics-ish name: self.m.x.inc(),
+    # self._m_edges[kind, src, dst].inc()
     expr = node.func.value
-    while isinstance(expr, ast.Attribute):
-        if expr.attr in _METRIC_ROOTS:
+    while isinstance(expr, (ast.Attribute, ast.Subscript)):
+        if isinstance(expr, ast.Attribute) and _is_metric_name(expr.attr):
             return True
         expr = expr.value
-    return isinstance(expr, ast.Name) and expr.id in _METRIC_ROOTS
+    return isinstance(expr, ast.Name) and _is_metric_name(expr.id)
 
 
 def check_exception_accounting(index: ProjectIndex,

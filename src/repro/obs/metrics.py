@@ -12,22 +12,30 @@ views:
 * :meth:`MetricsRegistry.export_json` — a nested dict for the bench
   trajectory and tests.
 
-All instruments are thread-safe, so stage code running on a
-:class:`~repro.core.npe.ThreadedPipeline` worker thread may report into
-the same registry as the caller.
+Each label set of a family is a *child* that holds its own value.  A
+family validates a label set once, in :meth:`~_Instrument.labels`, and
+returns the child; hot paths bind their children up front, so a report
+is one check plus one slot update.  ``family.inc/set/dec/observe(**labels)``
+stay as one-line delegates for cold sites.
+
+Instruments are single-owner: a report from a thread other than the one
+that created the family raises :class:`RuntimeError` and changes nothing.
+Only the registry's family table keeps a lock.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
+import re
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from threading import get_ident
+from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
 from ..lint.guards import guarded_by
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
+__all__ = ["Counter", "Gauge", "Histogram", "ChildMap", "MetricsRegistry",
            "DEFAULT_BUCKETS"]
 
 #: default histogram buckets (seconds-flavoured, like Prometheus defaults)
@@ -37,11 +45,24 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 LabelValues = Tuple[str, ...]
 
+# the Prometheus exposition grammar (ASCII only)
+_METRIC_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
+_LABEL_NAME = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
+
 
 def _validate_name(name: str) -> str:
-    if not name or not all(c.isalnum() or c in "_:" for c in name):
+    if not _METRIC_NAME.fullmatch(name):
         raise ValueError(f"invalid metric name {name!r}")
     return name
+
+
+def _validate_label_names(label_names: Sequence[str],
+                          reserved: Tuple[str, ...]) -> Tuple[str, ...]:
+    for label in label_names:
+        if (not _LABEL_NAME.fullmatch(label) or label.startswith("__")
+                or label in reserved):
+            raise ValueError(f"invalid label name {label!r}")
+    return tuple(label_names)
 
 
 def _format_labels(label_names: Sequence[str], values: LabelValues) -> str:
@@ -67,21 +88,128 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
+class _Child:
+    """One label set's value.  ``_seen`` flips on the first report: a
+    child that was bound but never reported exports nothing."""
+
+    __slots__ = ("_family", "_owner", "_seen")
+
+    def __init__(self, family: "_Instrument"):
+        self._family = family
+        self._owner = family._owner
+        self._seen = False
+
+
+class _CounterChild(_Child):
+    __slots__ = ("_value",)
+
+    def __init__(self, family: "_Instrument"):
+        super().__init__(family)
+        self._value = 0.0
+
+    def inc(self, amount: float = 1.0) -> None:
+        # one comparison refuses both a negative amount and NaN
+        if not amount >= 0 or get_ident() != self._owner:
+            self._family._refuse("count", amount)
+        self._value += amount
+        self._seen = True
+
+    def value(self) -> float:
+        return self._value
+
+
+class _GaugeChild(_CounterChild):
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        if get_ident() != self._owner:
+            self._family._refuse("set", value)
+        self._value = float(value)
+        self._seen = True
+
+    def inc(self, amount: float = 1.0) -> None:
+        if get_ident() != self._owner:
+            self._family._refuse("inc", amount)
+        self._value += amount
+        self._seen = True
+
+    def dec(self, amount: float = 1.0) -> None:
+        self.inc(-amount)
+
+
+class _HistogramChild(_Child):
+    __slots__ = ("_bounds", "_buckets", "_count", "_sum")
+
+    def __init__(self, family: "Histogram"):
+        super().__init__(family)
+        self._bounds = family.buckets
+        self._buckets = [0] * len(family.buckets)
+        self._count = 0
+        self._sum = 0.0
+
+    def observe(self, value: float) -> None:
+        """Count ``value`` in the first bucket whose bound is >= it.
+
+        NaN is refused: it would raise ``_count`` and poison ``_sum``
+        while landing in no bucket, so ``le="+Inf"`` would stop equalling
+        ``_count``.
+        """
+        if value != value or get_ident() != self._owner:
+            self._family._refuse("observe", value)
+        self._buckets[bisect_left(self._bounds, value)] += 1
+        self._count += 1
+        self._sum += value
+        self._seen = True
+
+    def count(self) -> int:
+        return self._count
+
+    def sum(self) -> float:
+        return self._sum
+
+
+class ChildMap(dict):
+    """Label values -> bound child of one family; a miss binds once.
+
+    Keys are the label values in declared order, or the bare value when
+    the family has one label: ``fabric_bytes[kind, src, dst]``,
+    ``placements[shard]``.
+    """
+
+    __slots__ = ("_family",)
+
+    def __init__(self, family: "_Instrument"):
+        super().__init__()
+        self._family = family
+
+    def __missing__(self, key):
+        names = self._family.label_names
+        values = (key,) if len(names) == 1 else key
+        child = self[key] = self._family.labels(**dict(zip(names, values)))
+        return child
+
+
 class _Instrument:
     """Common label handling for one metric family."""
 
     kind = "untyped"
+    _child_type: type
+    #: label names the exposition format keeps for itself
+    _reserved: Tuple[str, ...] = ()
 
     def __init__(self, name: str, help: str = "",
                  label_names: Sequence[str] = ()):
         self.name = _validate_name(name)
         self.help = help
-        self.label_names = tuple(label_names)
-        self._lock = threading.Lock()
+        self.label_names = _validate_label_names(label_names, self._reserved)
+        self._owner = get_ident()
+        self._children: Dict[LabelValues, _Child] = {}
+        self._by_labels: Optional[ChildMap] = None
+        self._solo = None if self.label_names else self._bind(())
 
     def _key(self, labels: Dict[str, str]) -> LabelValues:
         # keyword names are distinct, so equal counts plus every declared
-        # name present is set equality; no sets are built on the hot path
+        # name present is set equality
         if len(labels) == len(self.label_names):
             try:
                 return tuple([str(labels[k]) for k in self.label_names])
@@ -92,177 +220,155 @@ class _Instrument:
             f"got {tuple(sorted(labels))}"
         )
 
+    def _bind(self, key: LabelValues) -> _Child:
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = self._child_type(self)
+        return child
 
-@guarded_by("_lock", "_values")
-class Counter(_Instrument):
-    """A monotonically increasing sum, optionally per label set."""
+    def labels(self, **labels: str):
+        """The child for one label set, validated here and only here.
 
-    kind = "counter"
+        Bind it once and report through it; an unlabelled family hands
+        out its single child without building a key.
+        """
+        if self._solo is not None and not labels:
+            return self._solo
+        return self._bind(self._key(labels))
 
-    def __init__(self, name: str, help: str = "",
-                 label_names: Sequence[str] = ()):
-        super().__init__(name, help, label_names)
-        self._values: Dict[LabelValues, float] = {}
+    def by_labels(self) -> ChildMap:
+        """This family's shared label-values -> child cache."""
+        if self._by_labels is None:
+            self._by_labels = ChildMap(self)
+        return self._by_labels
+
+    def _reported(self) -> List[Tuple[LabelValues, _Child]]:
+        return sorted((key, child) for key, child in self._children.items()
+                      if child._seen)
+
+    def _refuse(self, verb: str, value: float) -> NoReturn:
+        if get_ident() != self._owner:
+            raise RuntimeError(
+                f"{self.name}: reported from thread {get_ident()}, but "
+                f"its instruments belong to thread {self._owner}")
+        if value != value:
+            raise ValueError(f"{self.name}: cannot {verb} NaN")
+        raise ValueError(f"{self.name}: counters only go up")
+
+
+class _Scalar(_Instrument):
+    """Reads and exports shared by counters and gauges."""
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+        self.labels(**labels).inc(amount)
 
     def value(self, **labels: str) -> float:
-        key = self._key(labels)
-        with self._lock:
-            return self._values.get(key, 0.0)
+        child = self._children.get(self._key(labels))
+        return 0.0 if child is None else child._value
 
     def total(self) -> float:
         """Sum across every label set."""
-        with self._lock:
-            return sum(self._values.values())
+        return sum(child._value for _, child in self._reported())
 
     def samples(self) -> List[Tuple[str, float]]:
-        with self._lock:
-            return [
-                (self.name + _format_labels(self.label_names, key), value)
-                for key, value in sorted(self._values.items())
-            ]
+        return [
+            (self.name + _format_labels(self.label_names, key), child._value)
+            for key, child in self._reported()
+        ]
 
     def as_dict(self) -> Dict:
-        with self._lock:
-            if not self.label_names:
-                return {"value": self._values.get((), 0.0)}
-            return {
-                "labels": list(self.label_names),
-                "values": [
-                    {"labels": list(key), "value": value}
-                    for key, value in sorted(self._values.items())
-                ],
-            }
+        if not self.label_names:
+            return {"value": self._solo._value}
+        return {
+            "labels": list(self.label_names),
+            "values": [
+                {"labels": list(key), "value": child._value}
+                for key, child in self._reported()
+            ],
+        }
 
 
-@guarded_by("_lock", "_values")
-class Gauge(_Instrument):
+class Counter(_Scalar):
+    """A monotonically increasing sum, optionally per label set."""
+
+    kind = "counter"
+    _child_type = _CounterChild
+
+
+class Gauge(_Scalar):
     """A value that can go up and down (journal size, fleet health)."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = "",
-                 label_names: Sequence[str] = ()):
-        super().__init__(name, help, label_names)
-        self._values: Dict[LabelValues, float] = {}
+    _child_type = _GaugeChild
 
     def set(self, value: float, **labels: str) -> None:
-        with self._lock:
-            self._values[self._key(labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+        self.labels(**labels).set(value)
 
     def dec(self, amount: float = 1.0, **labels: str) -> None:
-        self.inc(-amount, **labels)
-
-    def value(self, **labels: str) -> float:
-        key = self._key(labels)
-        with self._lock:
-            return self._values.get(key, 0.0)
-
-    samples = Counter.samples
-    as_dict = Counter.as_dict
+        self.labels(**labels).dec(amount)
 
 
-class _HistogramState:
-    __slots__ = ("bucket_counts", "count", "sum")
-
-    def __init__(self, num_buckets: int):
-        self.bucket_counts = [0] * num_buckets
-        self.count = 0
-        self.sum = 0.0
-
-
-@guarded_by("_lock", "_states")
 class Histogram(_Instrument):
     """Cumulative-bucket histogram (Prometheus semantics)."""
 
     kind = "histogram"
+    _child_type = _HistogramChild
+    _reserved = ("le",)
 
     def __init__(self, name: str, help: str = "",
                  label_names: Sequence[str] = (),
                  buckets: Sequence[float] = DEFAULT_BUCKETS):
-        super().__init__(name, help, label_names)
         bounds = sorted(float(b) for b in buckets)
         if not bounds:
             raise ValueError("need at least one bucket bound")
         if bounds[-1] != math.inf:
             bounds.append(math.inf)
+        # set before the base binds an unlabelled family's child
         self.buckets = tuple(bounds)
-        self._states: Dict[LabelValues, _HistogramState] = {}
+        super().__init__(name, help, label_names)
 
     def observe(self, value: float, **labels: str) -> None:
-        """Count ``value`` in the first bucket whose bound is >= it.
-
-        NaN is refused: it would raise ``_count`` and poison ``_sum``
-        while landing in no bucket, so ``le="+Inf"`` would stop equalling
-        ``_count``.
-        """
-        if math.isnan(value):
-            raise ValueError(f"{self.name}: cannot observe NaN")
-        key = self._key(labels)
-        with self._lock:
-            state = self._states.get(key)
-            if state is None:
-                state = self._states[key] = _HistogramState(len(self.buckets))
-            state.bucket_counts[bisect.bisect_left(self.buckets, value)] += 1
-            state.count += 1
-            state.sum += value
+        self.labels(**labels).observe(value)
 
     def count(self, **labels: str) -> int:
-        key = self._key(labels)
-        with self._lock:
-            state = self._states.get(key)
-            return 0 if state is None else state.count
+        child = self._children.get(self._key(labels))
+        return 0 if child is None else child._count
 
     def sum(self, **labels: str) -> float:
-        key = self._key(labels)
-        with self._lock:
-            state = self._states.get(key)
-            return 0.0 if state is None else state.sum
+        child = self._children.get(self._key(labels))
+        return 0.0 if child is None else child._sum
 
     def samples(self) -> List[Tuple[str, float]]:
         out: List[Tuple[str, float]] = []
-        with self._lock:
-            for key, state in sorted(self._states.items()):
-                cumulative = 0
-                for bound, in_bucket in zip(self.buckets, state.bucket_counts):
-                    cumulative += in_bucket
-                    names = self.label_names + ("le",)
-                    values = key + (_format_value(bound),)
-                    out.append((
-                        f"{self.name}_bucket" + _format_labels(names, values),
-                        float(cumulative),
-                    ))
-                suffix = _format_labels(self.label_names, key)
-                out.append((f"{self.name}_sum{suffix}", state.sum))
-                out.append((f"{self.name}_count{suffix}", float(state.count)))
+        names = self.label_names + ("le",)
+        for key, child in self._reported():
+            cumulative = 0
+            for bound, in_bucket in zip(self.buckets, child._buckets):
+                cumulative += in_bucket
+                values = key + (_format_value(bound),)
+                out.append((
+                    f"{self.name}_bucket" + _format_labels(names, values),
+                    float(cumulative),
+                ))
+            suffix = _format_labels(self.label_names, key)
+            out.append((f"{self.name}_sum{suffix}", child._sum))
+            out.append((f"{self.name}_count{suffix}", float(child._count)))
         return out
 
     def as_dict(self) -> Dict:
-        with self._lock:
-            return {
-                "labels": list(self.label_names),
-                "buckets": [_format_value(b) for b in self.buckets],
-                "values": [
-                    {
-                        "labels": list(key),
-                        "count": state.count,
-                        "sum": state.sum,
-                        "bucket_counts": list(state.bucket_counts),
-                    }
-                    for key, state in sorted(self._states.items())
-                ],
-            }
+        return {
+            "labels": list(self.label_names),
+            "buckets": [_format_value(b) for b in self.buckets],
+            "values": [
+                {
+                    "labels": list(key),
+                    "count": child._count,
+                    "sum": child._sum,
+                    "bucket_counts": list(child._buckets),
+                }
+                for key, child in self._reported()
+            ],
+        }
 
 
 @guarded_by("_lock", "_families")

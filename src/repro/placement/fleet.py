@@ -115,8 +115,8 @@ class ShardedCluster:
                         images, train_labels, admit=admit,
                         id_prefix=f"{tenant}/"):
                     ids.append(photo_id)
-                    self.metrics.placements.inc(
-                        shard=cluster.database.lookup(photo_id).location)
+                    self.metrics.placed_on[
+                        cluster.database.lookup(photo_id).location].inc()
             finally:
                 # an upload admitted but never landed (every candidate
                 # store down) holds nothing: give its quota charge back

@@ -73,3 +73,10 @@ class PlacementMetrics:
         self.fanout_rounds = metrics.counter(
             "fanout_rounds_total",
             "distribution rounds routed through the fan-out tree")
+        # -- bound children for the per-photo paths ---------------------
+        #: ``placed_on[shard]``, ``admitted[tenant]``,
+        #: ``rejected[tenant, reason]``, ``resident[tenant]``
+        self.placed_on = self.placements.by_labels()
+        self.admitted = self.tenant_admitted.by_labels()
+        self.rejected = self.tenant_rejected.by_labels()
+        self.resident = self.tenant_bytes.by_labels()

@@ -198,12 +198,11 @@ class TenantRegistry:
         reason = namespace.ledger.offer(nbytes)
         if self.metrics is not None:
             if reason is None:
-                self.metrics.tenant_admitted.inc(tenant=tenant)
+                self.metrics.admitted[tenant].inc()
             else:
-                self.metrics.tenant_rejected.inc(
-                    tenant=tenant, reason=reason)
-            self.metrics.tenant_bytes.set(
-                namespace.ledger.resident_bytes, tenant=tenant)
+                self.metrics.rejected[tenant, reason].inc()
+            self.metrics.resident[tenant].set(
+                namespace.ledger.resident_bytes)
         return reason
 
     def release(self, tenant: str, nbytes: int) -> None:
@@ -211,8 +210,8 @@ class TenantRegistry:
         namespace = self.get(tenant)
         namespace.ledger.release(nbytes)
         if self.metrics is not None:
-            self.metrics.tenant_bytes.set(
-                namespace.ledger.resident_bytes, tenant=tenant)
+            self.metrics.resident[tenant].set(
+                namespace.ledger.resident_bytes)
 
     def check(self) -> None:
         for namespace in self._namespaces.values():

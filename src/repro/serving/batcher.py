@@ -188,11 +188,11 @@ class MicroBatcher:
             headroom=config.slo_headroom,
             additive_step=config.additive_step)
         m.batch_target.set(initial)
-        self._cache_families = {
+        self._m_cache = {
             "hits": m.cache_hits, "misses": m.cache_misses,
             "evictions": m.cache_evictions,
             "rejected_oversize": m.cache_rejected}
-        self._synced = dict.fromkeys(self._cache_families, 0)
+        self._synced = dict.fromkeys(self._m_cache, 0)
         #: answers of the batches delivered since the last close, and the
         #: outcomes waiting on them: (outcome, answers, row)
         self._delivered: List[PendingAnswers] = []
@@ -236,7 +236,7 @@ class MicroBatcher:
             self._sync_cache_families()
         self._delivered.append(answers)
         self.m.batch.observe(len(ready))
-        self.m.batches.inc(replica=replica)
+        self.m.batches[replica].inc()
         preprocessed = [misses[row] if isinstance(row, int) else None
                         for row in rows]
         return DeliveredBatch(preprocessed, hits, answers, t_start, t_done,
@@ -249,10 +249,10 @@ class MicroBatcher:
 
     def _sync_cache_families(self) -> None:
         stats = self.cache.stats()
-        for name, family in self._cache_families.items():
+        for name, child in self._m_cache.items():
             delta = stats[name] - self._synced[name]
             if delta:
-                family.inc(delta)
+                child.inc(delta)
                 self._synced[name] = stats[name]
 
     def close(self, report) -> None:
@@ -278,5 +278,5 @@ class MicroBatcher:
         after = self.controller.observe(delivered.t_done - delivered.t_start)
         if after != before:
             self.m.batch_target.set(after)
-            self.m.batch_target_changes.inc(
-                direction="up" if after > before else "down")
+            self.m.batch_target_changes[
+                "up" if after > before else "down"].inc()

@@ -232,4 +232,4 @@ class ServingFrontend:
 
     def _shed(self, report: ServingReport, reason: str) -> None:
         report.shed[reason] += 1
-        self.m.shed.inc(reason=reason)
+        self.m.shed[reason].inc()

@@ -366,11 +366,11 @@ class _StreamRun:
         if delta > 0:
             self.f.dispatcher.add_replica(self.f._new_replica(), self.now)
             self.report.scale_ups += 1
-            self.m.scale_events.inc(direction="up")
+            self.m.scale_events["up"].inc()
         elif delta < 0:
             if self.f.dispatcher.remove_idle_replica(self.now) is not None:
                 self.report.scale_downs += 1
-                self.m.scale_events.inc(direction="down")
+                self.m.scale_events["down"].inc()
         count = self.f.dispatcher.num_replicas
         self.report.peak_replicas = max(self.report.peak_replicas, count)
         self.m.replica_count.set(count)
@@ -385,4 +385,4 @@ class _StreamRun:
             self.report.cancelled += 1
         else:
             self.report.expired += 1
-        self.m.stream_requests.inc(status=outcome.status)
+        self.m.stream_requests[outcome.status].inc()

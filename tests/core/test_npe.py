@@ -181,6 +181,35 @@ class TestBenchmarkProbe:
         ]
         assert all(math.isfinite(v) and v > 0 for v in out.values())
 
+    def test_probe_stages_report_nothing(self, monkeypatch):
+        """The probe's read -> decode -> forward stages, run on pipeline
+        worker threads, leave the cluster's metrics untouched.  Metric
+        instruments are single-owner (DESIGN section 8): a report from a
+        worker thread would raise, not race."""
+        e2e = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+        monkeypatch.syspath_prepend(str(e2e))
+        from ndpipe_e2e import probes
+
+        clusters, snapshots = [], []
+
+        class Recorded(probes.NDPipeCluster):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                clusters.append(self)
+
+        class Snapshotting(ThreadedPipeline):
+            def run(self, items):
+                snapshots.append(clusters[0].metrics.to_dict())
+                out = super().run(items)
+                snapshots.append(clusters[0].metrics.to_dict())
+                return out
+
+        monkeypatch.setattr(probes, "NDPipeCluster", Recorded)
+        monkeypatch.setattr(probes, "ThreadedPipeline", Snapshotting)
+        probes._npe_probe(photos=32)
+        assert len(clusters) == 1 and len(snapshots) == 2
+        assert snapshots[0] == snapshots[1]
+
 
 class TestAblationModel:
     @pytest.fixture(scope="class")

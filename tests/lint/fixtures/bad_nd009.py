@@ -17,3 +17,14 @@ class FragileBooks:
             self.m.settled.inc()  # metric update inside try: flagged
         except RuntimeError:
             self.failed += 1      # handler, not try body: fine
+
+    def settle_bound(self, work, m_latency):
+        try:
+            work()
+            self._m_done.inc()                # bound child inside try: flagged
+            self.m.by_status["ok"].inc()      # cached child map: flagged
+            self._m_edges["ingest", "a"].inc(8)  # keyed child map: flagged
+            m_latency.observe(0.1)            # child bound to a local: flagged
+            self._m_inflight.set(0)           # gauge child: flagged
+        except RuntimeError:
+            self._m_failed.inc()              # handler, not try body: fine

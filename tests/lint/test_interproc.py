@@ -85,9 +85,16 @@ def test_nd009_try_body_accounting_exact_sites():
     assert [(f.rule, f.line) for f in findings] == [
         ("ND009", 16),  # conserved counter inside the try body
         ("ND009", 17),  # metric .inc() inside the try body
+        ("ND009", 24),  # bound child
+        ("ND009", 25),  # cached child map
+        ("ND009", 26),  # child map keyed by a label-value tuple
+        ("ND009", 27),  # child bound to a local name
+        ("ND009", 28),  # gauge child .set()
     ]
     assert "conserved counter 'done'" in findings[0].message
     assert ".inc() metric update" in findings[1].message
+    assert ".observe() metric update" in findings[5].message
+    assert ".set() metric update" in findings[6].message
 
 
 # -- gate mutation tests (the acceptance criterion) ---------------------------
