@@ -360,17 +360,9 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_nemesis(args: argparse.Namespace) -> int:
-    import os
-
     from .analysis.tables import format_table
     from .ha import InvariantViolation, NemesisHarness
-    from .lint.sanitizer import SANITIZER
 
-    if os.environ.get("NDPIPE_SANITIZE"):
-        # mirror the test suite's conftest: guarded classes wrap their
-        # locks, the fabric cross-checks ND008, and the harness drains
-        # violations after every step
-        SANITIZER.enable(mode="record")
     harness = NemesisHarness(seed=args.seed, steps=args.steps,
                              num_stores=args.stores,
                              photos_per_step=args.photos)

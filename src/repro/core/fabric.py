@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from ..faults.errors import MessageDroppedError
-from ..lint.sanitizer import SANITIZER
 from ..obs.metrics import MetricsRegistry
 from ..sim.specs import NetworkSpec, TEN_GBE
 
@@ -83,12 +82,6 @@ class NetworkFabric:
             # local handoff: no network traffic — this is the whole point
             # of near-data processing
             return payload
-        if SANITIZER.enabled:
-            # runtime cross-check of the static ND008 verdict: a wire
-            # transfer issued while a tracked lock is held stalls every
-            # thread contending for that lock
-            SANITIZER.check_blocking(
-                f"fabric send {src} -> {dst} ({kind}, {num_bytes}B)")
         if self.fault_filter is not None:
             record = TransferRecord(src=src, dst=dst, kind=kind,
                                     num_bytes=num_bytes)

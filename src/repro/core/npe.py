@@ -17,7 +17,6 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Sequence, Union
 
-from ..lint.guards import guarded_by
 from ..models.graph import ModelGraph
 from ..obs.tracing import wall_clock
 from ..sim.specs import (
@@ -52,14 +51,15 @@ class StageStats:
     busy_seconds: float = 0.0
 
 
-@guarded_by("_stats_lock", "stats")
 class ThreadedPipeline:
     """A bounded-queue, one-thread-per-stage pipeline over real callables.
 
     ``stages`` is a sequence of ``(name, fn)`` pairs, each ``fn`` mapping
     item -> item.  Items flow in submission order and output order is
     preserved.  ``stats`` holds each stage's items and busy seconds for
-    the latest ``run()`` only.
+    the latest ``run()`` only.  It needs no lock: ``run()`` builds it
+    before any thread starts, each worker writes only its own
+    :class:`StageStats`, and the caller reads them after every join.
 
     A stage exception aborts the whole run: the feeder stops submitting,
     every stage drains its input until the sentinel arrives (so no thread
@@ -71,13 +71,11 @@ class ThreadedPipeline:
         if not stages:
             raise ValueError("need at least one stage")
         self._stages: List = list(stages)
-        self._stats_lock = threading.Lock()
         self.stats = [StageStats(name) for name, _ in self._stages]
 
     def run(self, items: Iterable) -> List:
         """Push every item through all stages; returns outputs in order."""
-        with self._stats_lock:
-            self.stats = [StageStats(name) for name, _ in self._stages]
+        self.stats = [StageStats(name) for name, _ in self._stages]
         queues = [queue.Queue(maxsize=QUEUE_DEPTH)
                   for _ in range(len(self._stages) + 1)]
         results: List = []
@@ -85,8 +83,7 @@ class ThreadedPipeline:
         abort = threading.Event()
 
         def worker(index: int, fn: Callable):
-            with self._stats_lock:
-                stats = self.stats[index]
+            stats = self.stats[index]
             while True:
                 item = queues[index].get()
                 if item is _SENTINEL:

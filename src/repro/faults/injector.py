@@ -19,13 +19,11 @@ what lets the chaos suite assert exact accounting under failure.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..lint.guards import guarded_by
 from .errors import FaultConfigError, MessageDroppedError, TunerCrashError
 from .events import (
     AddLatency,
@@ -57,21 +55,14 @@ class _Budget:
                 and (self.dst is None or self.dst == dst))
 
 
-@guarded_by("_lock", "clock", "_due", "_drops", "_latencies", "fired",
-            "dropped", "corrupted", "_tuner_crashed", "_crashed_tuners",
-            "injected_latency_s")
 class FaultInjector:
     """Replays a fault schedule against an attached cluster.
 
-    The clock is advanced by fabric transfers.  All mutable schedule
-    state is guarded by one reentrant lock — ``advance`` -> ``_fire_due``
-    -> ``_fire`` -> ``_corrupt`` nest inside it.  Attachment wiring
-    (``_rosters``/``_fabrics``) is setup-time only and stays outside the
-    guard.
+    The clock is advanced by fabric transfers, on the thread that drives
+    the cluster; nothing else touches the schedule state.
     """
 
     def __init__(self, schedule: Sequence[FaultEvent] = ()):
-        self._lock = threading.RLock()
         self._due = deque(sorted(schedule, key=lambda e: e.at))
         self.clock = 0
         #: attached clusters' live rosters and one-store registrations
@@ -124,25 +115,22 @@ class FaultInjector:
             if fabric.fault_filter == self.on_message:
                 fabric.fault_filter = None
         self._fabrics.clear()
-        with self._lock:
-            self._due.clear()
-            self._drops.clear()
-            self._latencies.clear()
-            self._tuner_crashed = False
-            self._crashed_tuners.clear()
+        self._due.clear()
+        self._drops.clear()
+        self._latencies.clear()
+        self._tuner_crashed = False
+        self._crashed_tuners.clear()
 
     # -- the logical clock -------------------------------------------------
     def advance(self, ticks: int = 1) -> None:
         """Move the clock forward, firing every event that comes due."""
-        with self._lock:
-            for _ in range(ticks):
-                self.clock += 1
-                self._fire_due()
+        for _ in range(ticks):
+            self.clock += 1
+            self._fire_due()
 
     def _fire_due(self) -> None:
-        with self._lock:
-            while self._due and self._due[0].at <= self.clock:
-                self._fire(self._due.popleft())
+        while self._due and self._due[0].at <= self.clock:
+            self._fire(self._due.popleft())
 
     def stores(self) -> Dict[str, Any]:
         """Every store a schedule can name right now, by id."""
@@ -158,41 +146,40 @@ class FaultInjector:
         return stores[store_id]
 
     def _fire(self, event: FaultEvent) -> None:
-        with self._lock:
-            if isinstance(event, StoreCrash):
-                self._store(event.store_id).fail()
-            elif isinstance(event, StoreRecover):
-                self._store(event.store_id).repair()
-            elif isinstance(event, SlowAccelerator):
-                self._store(event.store_id).slowdown = event.factor
-            elif isinstance(event, DropMessages):
-                self._drops.append(_Budget(event.kind, event.count))
-            elif isinstance(event, AddLatency):
-                self._latencies.append(
-                    _Budget(event.kind, event.count, event.seconds,
-                            dst=event.dst))
-            elif isinstance(event, (BitRot, TornWrite)):
-                self._corrupt(event)
-            elif isinstance(event, TunerCrash):
-                if event.tuner_id is None:
-                    # legacy global crash: every observed operation raises
-                    self._tuner_crashed = True
-                else:
-                    self._crashed_tuners.add(event.tuner_id)
-                    tuner = self._tuners.get(event.tuner_id)
-                    if tuner is not None:
-                        tuner.fail()
-            elif isinstance(event, TunerRecover):
-                if event.tuner_id is None:
-                    self._tuner_crashed = False
-                else:
-                    self._crashed_tuners.discard(event.tuner_id)
-                    tuner = self._tuners.get(event.tuner_id)
-                    if tuner is not None:
-                        tuner.repair()
+        if isinstance(event, StoreCrash):
+            self._store(event.store_id).fail()
+        elif isinstance(event, StoreRecover):
+            self._store(event.store_id).repair()
+        elif isinstance(event, SlowAccelerator):
+            self._store(event.store_id).slowdown = event.factor
+        elif isinstance(event, DropMessages):
+            self._drops.append(_Budget(event.kind, event.count))
+        elif isinstance(event, AddLatency):
+            self._latencies.append(
+                _Budget(event.kind, event.count, event.seconds,
+                        dst=event.dst))
+        elif isinstance(event, (BitRot, TornWrite)):
+            self._corrupt(event)
+        elif isinstance(event, TunerCrash):
+            if event.tuner_id is None:
+                # legacy global crash: every observed operation raises
+                self._tuner_crashed = True
             else:
-                raise FaultConfigError(f"unknown fault event {event!r}")
-            self.fired.append(event)
+                self._crashed_tuners.add(event.tuner_id)
+                tuner = self._tuners.get(event.tuner_id)
+                if tuner is not None:
+                    tuner.fail()
+        elif isinstance(event, TunerRecover):
+            if event.tuner_id is None:
+                self._tuner_crashed = False
+            else:
+                self._crashed_tuners.discard(event.tuner_id)
+                tuner = self._tuners.get(event.tuner_id)
+                if tuner is not None:
+                    tuner.repair()
+        else:
+            raise FaultConfigError(f"unknown fault event {event!r}")
+        self.fired.append(event)
 
     def _corrupt(self, event) -> None:
         """Damage stored objects on one store without touching their CRCs."""
@@ -224,41 +211,37 @@ class FaultInjector:
             else:  # TornWrite
                 blob = blob[:int(len(blob) * event.keep_fraction)]
             objects.corrupt_object(key, bytes(blob))
-            with self._lock:
-                self.corrupted.append((event.store_id, key))
+            self.corrupted.append((event.store_id, key))
 
     # -- hooks the system calls --------------------------------------------
     def on_message(self, record: Any) -> float:
         """Fabric filter: returns extra latency seconds or raises a drop."""
         self.advance()
         self._check_tuner_alive()
-        with self._lock:
-            if self._crashed_tuners and (record.src in self._crashed_tuners
-                                         or record.dst in self._crashed_tuners):
-                raise TunerCrashError(
-                    f"injected tuner crash: {record.src} -> {record.dst} "
-                    f"touches a downed tuner node"
+        if self._crashed_tuners and (record.src in self._crashed_tuners
+                                     or record.dst in self._crashed_tuners):
+            raise TunerCrashError(
+                f"injected tuner crash: {record.src} -> {record.dst} "
+                f"touches a downed tuner node"
+            )
+        for budget in self._drops:
+            if budget.matches(record.kind):
+                budget.remaining -= 1
+                self.dropped.append(record)
+                raise MessageDroppedError(
+                    f"injected drop: {record.src} -> {record.dst} "
+                    f"({record.kind}, {record.num_bytes} B)"
                 )
-            for budget in self._drops:
-                if budget.matches(record.kind):
-                    budget.remaining -= 1
-                    self.dropped.append(record)
-                    raise MessageDroppedError(
-                        f"injected drop: {record.src} -> {record.dst} "
-                        f"({record.kind}, {record.num_bytes} B)"
-                    )
-            delay = 0.0
-            for budget in self._latencies:
-                if budget.matches(record.kind, record.dst):
-                    budget.remaining -= 1
-                    delay += budget.seconds
-            self.injected_latency_s += delay
+        delay = 0.0
+        for budget in self._latencies:
+            if budget.matches(record.kind, record.dst):
+                budget.remaining -= 1
+                delay += budget.seconds
+        self.injected_latency_s += delay
         return delay
 
     def _check_tuner_alive(self) -> None:
-        with self._lock:
-            crashed = self._tuner_crashed
-        if crashed:
+        if self._tuner_crashed:
             raise TunerCrashError(
                 "injected tuner crash: the process is gone until the "
                 "operator restores from a checkpoint"
@@ -267,27 +250,23 @@ class FaultInjector:
     # -- introspection -----------------------------------------------------
     @property
     def tuner_crashed(self) -> bool:
-        with self._lock:
-            return self._tuner_crashed
+        return self._tuner_crashed
 
     def crashed_tuners(self) -> List[str]:
         """Tuner node names currently downed by targeted crashes."""
-        with self._lock:
-            return sorted(self._crashed_tuners)
+        return sorted(self._crashed_tuners)
 
     @property
     def pending(self) -> List[FaultEvent]:
-        with self._lock:
-            return list(self._due)
+        return list(self._due)
 
     def crashed_stores(self) -> List[str]:
         return sorted(sid for sid, store in self.stores().items()
                       if not store.is_available)
 
     def describe(self) -> str:
-        with self._lock:
-            lines = [e.describe() for e in self.fired]
-            lines += [f"(pending) {e.describe()}" for e in self._due]
+        lines = [e.describe() for e in self.fired]
+        lines += [f"(pending) {e.describe()}" for e in self._due]
         return "\n".join(lines) if lines else "(empty schedule)"
 
     # -- schedule generation -----------------------------------------------

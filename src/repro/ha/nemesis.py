@@ -39,7 +39,6 @@ import numpy as np
 from ..core.controlplane import raw_copy
 from ..faults import FaultInjector
 from ..faults.errors import FaultError
-from ..lint.sanitizer import SANITIZER
 from .config import HAConfig
 
 #: the primary Tuner's fabric node name targeted by tuner crash events
@@ -253,27 +252,7 @@ class NemesisHarness:
         self._check_no_acknowledged_loss(step)
         self._check_lineage(step)
         self._check_placement(step)
-        self._checks += 3 + self._check_sanitizer(step)
-
-    def _check_sanitizer(self, step: int) -> int:
-        """Surface runtime concurrency violations as nemesis failures.
-
-        When the suite runs under ``NDPIPE_SANITIZE``, every fabric send
-        and lock acquisition feeds the global sanitizer; draining it
-        after each step cross-validates the static ND008
-        blocking-under-lock verdicts (and the lock-order graph) against
-        what the chaos interleaving actually executed.  Returns how many
-        checks this contributed (0 when the sanitizer is off).
-        """
-        if not SANITIZER.enabled:
-            return 0
-        violations = SANITIZER.drain()
-        if violations:
-            details = "; ".join(f"{v.kind}: {v.detail}" for v in violations)
-            raise InvariantViolation(
-                f"step {step}: runtime sanitizer flagged "
-                f"{len(violations)} concurrency violation(s): {details}")
-        return 1
+        self._checks += 3
 
     def _check_no_acknowledged_loss(self, step: int) -> None:
         cluster = self.cluster

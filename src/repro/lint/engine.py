@@ -1,7 +1,7 @@
 """The ndlint engine: file discovery, allowlists, and the rule driver.
 
 ``LintEngine`` walks a set of paths, parses each ``*.py`` file once, runs
-the per-module rules (ND001/ND002/ND003/ND005), then the cross-module
+the per-module rules (ND001/ND002/ND005), then the cross-module
 metrics pass (ND004) over every registration collected along the way.
 Suppression happens in two layers:
 
@@ -24,20 +24,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .callgraph import CallGraph, ProjectIndex
+from .callgraph import ProjectIndex
 from .findings import Finding
 from .interproc import (
     check_conservation,
     check_exception_accounting,
     check_fencing,
-    check_lock_blocking,
 )
 from .rules import (
     MetricRegistration,
     ModuleContext,
     check_accounting,
     check_determinism,
-    check_guarded_by,
     check_metric_hygiene,
     check_retry_discipline,
     collect_metric_registrations,
@@ -64,7 +62,7 @@ class LintConfig:
     rule_allow: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     manifest_path: Optional[Path] = None
     manifest_scope: Optional[str] = "repro/"
-    #: run the ND006-ND009 call-graph tier
+    #: run the interprocedural ND006/ND007/ND009 tier
     interprocedural: bool = True
     #: emit ND000 for justified markers whose rule never fires
     flag_unused_markers: bool = True
@@ -167,15 +165,13 @@ class LintEngine:
         return sorted(findings)
 
     def _run_interprocedural(self) -> List[Finding]:
-        """The ND006-ND009 tier over every module of this run."""
+        """The ND006/ND007/ND009 tier over every module of this run."""
         index = ProjectIndex(self._contexts)
-        graph = CallGraph(index)
         findings: List[Finding] = []
         for rule_findings in (
-            check_conservation(index, graph),
-            check_fencing(index, graph),
-            check_lock_blocking(index, graph),
-            check_exception_accounting(index, graph),
+            check_conservation(index),
+            check_fencing(index),
+            check_exception_accounting(index),
         ):
             for finding in rule_findings:
                 if not self._suppressed(finding):
@@ -223,7 +219,6 @@ class LintEngine:
         for rule_findings in (
             check_determinism(ctx),
             check_accounting(ctx),
-            check_guarded_by(ctx),
             check_retry_discipline(ctx),
         ):
             for finding in rule_findings:

@@ -1,7 +1,7 @@
-"""The interprocedural rule tier (ND006-ND009).
+"""The interprocedural rule tier (ND006, ND007, ND009).
 
-Built on :mod:`repro.lint.callgraph`, these rules see the whole linted
-tree at once.  A shared bounded **path enumerator** walks every
+Built on the :mod:`repro.lint.callgraph` symbol table, these rules see
+the whole linted tree at once.  A shared bounded **path enumerator** walks every
 branch/early-return/exception path of a function body and hands each
 non-compound statement to a rule-specific event extractor; the rules
 then reason about event *order* (ND007 dominance) or event *sums*
@@ -20,10 +20,6 @@ then reason about event *order* (ND007 dominance) or event *sums*
   a stale-epoch frame can never slip past the
   :class:`~repro.faults.errors.StaleEpochError` raise.  ``__init__`` and
   the fence method itself are exempt.
-* **ND008 blocking-under-lock** — inside a ``with self.<lock>:`` region
-  no fabric ``send``, ``call_with_retry``, ``time.sleep`` or
-  checkpoint/file IO may be reachable, *transitively* through the call
-  graph; the finding renders the offending call chain.
 * **ND009 exception-safe accounting** — conserved-counter mutations and
   metric ``.inc()/.dec()/.set()/.observe()`` calls (through a metrics
   handle, a bound child or a child map) inside a ``try`` body with handlers
@@ -37,15 +33,12 @@ from __future__ import annotations
 import ast
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .callgraph import BlockingSite, CallGraph, ClassInfo, FunctionInfo, \
-    ProjectIndex
+from .callgraph import ClassInfo, FunctionInfo, ProjectIndex
 from .findings import Finding
-from .rules import _collect_imports
 
 __all__ = [
     "check_conservation",
     "check_fencing",
-    "check_lock_blocking",
     "check_exception_accounting",
     "PathOverflow",
     "enumerate_paths",
@@ -267,8 +260,7 @@ def _conservation_events(index: ProjectIndex, func: FunctionInfo,
     return events
 
 
-def check_conservation(index: ProjectIndex,
-                       graph: CallGraph) -> List[Finding]:
+def check_conservation(index: ProjectIndex) -> List[Finding]:
     findings: List[Finding] = []
     laws = _laws(index)
     if not laws:
@@ -412,7 +404,7 @@ def _self_attr_root(expr: ast.expr) -> Optional[str]:
     return None
 
 
-def check_fencing(index: ProjectIndex, graph: CallGraph) -> List[Finding]:
+def check_fencing(index: ProjectIndex) -> List[Finding]:
     findings: List[Finding] = []
     for info in index.classes.values():
         if info.fence_method is None:
@@ -462,77 +454,6 @@ def _check_dominance(method: FunctionInfo, info: ClassInfo,
 
 
 # ---------------------------------------------------------------------------
-# ND008 — blocking-under-lock
-# ---------------------------------------------------------------------------
-def _lock_name(item: ast.withitem, info: Optional[ClassInfo]) -> \
-        Optional[str]:
-    expr = item.context_expr
-    if isinstance(expr, ast.Attribute) and \
-            isinstance(expr.value, ast.Name) and expr.value.id == "self":
-        attr = expr.attr
-        if info is not None and attr in info.lock_attrs:
-            return f"self.{attr}"
-        if "lock" in attr.lower():
-            return f"self.{attr}"
-        return None
-    if isinstance(expr, ast.Name) and "lock" in expr.id.lower():
-        return expr.id
-    return None
-
-
-def check_lock_blocking(index: ProjectIndex,
-                        graph: CallGraph) -> List[Finding]:
-    findings: List[Finding] = []
-    for func in index.functions.values():
-        info = index.classes.get(func.cls) if func.cls else None
-        modules, symbols = _collect_imports(func.ctx.tree)
-
-        def scan(node: ast.AST, held: Tuple[str, ...]) -> None:
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                taken = [lock for lock in
-                         (_lock_name(item, info) for item in node.items)
-                         if lock is not None]
-                for item in node.items:
-                    scan(item, held)
-                inner = held + tuple(taken)
-                for child in node.body:
-                    scan(child, inner)
-                return
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                return  # deferred: may run without the lock
-            if isinstance(node, ast.Call) and held:
-                site = graph._primitive(node, modules, symbols)
-                if site is not None:
-                    findings.append(Finding(
-                        path=func.path, line=node.lineno, col=1,
-                        rule="ND008",
-                        message=f"{site.detail} blocks while holding "
-                                f"{held[-1]}; move the {site.kind} "
-                                "outside the critical section"))
-                else:
-                    for target in graph.resolve_call(func, node):
-                        chain = graph.blocking_chain(target)
-                        if chain is not None:
-                            names = [q.split("::", 1)[-1]
-                                     for q in chain[:-1]]
-                            findings.append(Finding(
-                                path=func.path, line=node.lineno, col=1,
-                                rule="ND008",
-                                message=f"call reaches blocking "
-                                        f"{chain[-1].split(' at ')[0]} "
-                                        f"while holding {held[-1]} "
-                                        f"(via {' -> '.join(names)})"))
-                            break
-            for child in ast.iter_child_nodes(node):
-                scan(child, held)
-
-        for child in func.node.body:
-            scan(child, ())
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # ND009 — exception-safe accounting
 # ---------------------------------------------------------------------------
 def _is_metric_name(name: str) -> bool:
@@ -553,8 +474,7 @@ def _is_instrument_call(node: ast.Call) -> bool:
     return isinstance(expr, ast.Name) and _is_metric_name(expr.id)
 
 
-def check_exception_accounting(index: ProjectIndex,
-                               graph: CallGraph) -> List[Finding]:
+def check_exception_accounting(index: ProjectIndex) -> List[Finding]:
     findings: List[Finding] = []
     laws = _laws(index)
     for func in index.functions.values():

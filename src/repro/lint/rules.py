@@ -1,4 +1,4 @@
-"""The ndlint rule catalogue (ND001-ND005), implemented over the AST.
+"""The per-module ndlint rules (ND001, ND002, ND004, ND005), over the AST.
 
 Every rule consumes a parsed :class:`ModuleContext` and yields
 :class:`~repro.lint.findings.Finding` records; the engine applies module
@@ -15,11 +15,6 @@ allowlists and inline ``# ndlint: allow[...]`` markers afterwards.
   maintenance reads that bypass workload IO accounting; only maintenance
   modules (durability, checkpoint/persistence, scrub, fault injection)
   may call them.
-* **ND003 guarded-by** — attributes declared via the
-  ``@guarded_by("lock")`` decorator or a trailing ``# guarded by: lock``
-  comment may only be touched inside a matching ``with self.<lock>:``
-  block (``__init__`` is exempt; nested functions must take the lock
-  themselves because they may run on other threads).
 * **ND004 metrics hygiene** — metric family names must be literal
   snake_case strings, registered at exactly one site repo-wide, and
   listed in the generated ``obs/METRICS.md`` manifest.
@@ -44,7 +39,6 @@ __all__ = [
     "MetricRegistration",
     "check_determinism",
     "check_accounting",
-    "check_guarded_by",
     "check_retry_discipline",
     "collect_metric_registrations",
     "check_metric_hygiene",
@@ -66,8 +60,6 @@ _FABRIC_RECEIVERS = {"network", "fabric"}
 _MAINTENANCE_READS = {"peek", "iter_items"}
 
 SNAKE_CASE = re.compile(r"^[a-z][a-z0-9_]*[a-z0-9]$")
-
-_GUARD_COMMENT = re.compile(r"#\s*guarded by:\s*(?P<lock>\w+)")
 
 
 @dataclass
@@ -198,108 +190,6 @@ def check_accounting(ctx: ModuleContext) -> List[Finding]:
                 f"maintenance read .{node.func.attr}() bypasses workload IO "
                 "accounting; only durability/checkpoint/scrub modules may "
                 "use it"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# ND003 — guarded-by
-# ---------------------------------------------------------------------------
-def _guarded_attrs(ctx: ModuleContext,
-                   cls: ast.ClassDef) -> Dict[str, str]:
-    """attr -> lock declared by decorators and # guarded by: comments."""
-    guarded: Dict[str, str] = {}
-    for decorator in cls.decorator_list:
-        if not isinstance(decorator, ast.Call):
-            continue
-        name = decorator.func
-        label = name.id if isinstance(name, ast.Name) else (
-            name.attr if isinstance(name, ast.Attribute) else None)
-        if label != "guarded_by" or not decorator.args:
-            continue
-        literals = [a.value for a in decorator.args
-                    if isinstance(a, ast.Constant) and isinstance(a.value, str)]
-        if len(literals) >= 2:
-            lock, attrs = literals[0], literals[1:]
-            for attr in attrs:
-                guarded[attr] = lock
-    # trailing "# guarded by: <lock>" comments on self.<attr> assignments
-    for node in ast.walk(cls):
-        if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            continue
-        line = ctx.lines[node.lineno - 1] if node.lineno <= len(ctx.lines) \
-            else ""
-        match = _GUARD_COMMENT.search(line)
-        if match is None:
-            continue
-        targets = node.targets if isinstance(node, ast.Assign) \
-            else [node.target]
-        for target in targets:
-            if isinstance(target, ast.Attribute) and \
-                    isinstance(target.value, ast.Name) and \
-                    target.value.id == "self":
-                guarded[target.attr] = match.group("lock")
-    return guarded
-
-
-def _with_locks(item: ast.withitem) -> Optional[str]:
-    """The lock attr name of a ``with self.<lock>:`` context item."""
-    expr = item.context_expr
-    if isinstance(expr, ast.Attribute) and \
-            isinstance(expr.value, ast.Name) and expr.value.id == "self":
-        return expr.attr
-    return None
-
-
-def check_guarded_by(ctx: ModuleContext) -> List[Finding]:
-    findings: List[Finding] = []
-
-    def scan(node: ast.AST, guarded: Dict[str, str],
-             held: frozenset) -> None:
-        if isinstance(node, ast.With):
-            taken = {lock for lock in map(_with_locks, node.items)
-                     if lock is not None}
-            for item in node.items:
-                scan(item, guarded, held)
-            inner = held | taken
-            for child in node.body:
-                scan(child, guarded, inner)
-            return
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            # a nested function may run on another thread: it must take
-            # the lock itself, so the held set does not flow in
-            body = node.body if isinstance(node.body, list) else [node.body]
-            for child in body:
-                scan(child, guarded, frozenset())
-            return
-        if isinstance(node, ast.Attribute) and \
-                isinstance(node.value, ast.Name) and \
-                node.value.id == "self" and node.attr in guarded:
-            lock = guarded[node.attr]
-            if lock not in held:
-                # AugAssign targets parse as Store; reads and writes both
-                # need the lock
-                verb = "written" if isinstance(node.ctx, (ast.Store, ast.Del)) \
-                    else "read"
-                findings.append(_finding(
-                    ctx, node, "ND003",
-                    f"self.{node.attr} is declared guarded by self.{lock} "
-                    f"but is {verb} outside a 'with self.{lock}:' block"))
-        for child in ast.iter_child_nodes(node):
-            scan(child, guarded, held)
-
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        guarded = _guarded_attrs(ctx, node)
-        if not guarded:
-            continue
-        for item in node.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if item.name == "__init__":
-                    continue  # construction happens before sharing
-                for child in item.body:
-                    scan(child, guarded, frozenset())
     return findings
 
 

@@ -3,8 +3,8 @@
 * :class:`MetricsRegistry` — labelled counters/gauges/histograms with
   Prometheus-text and JSON export; one registry is threaded through the
   whole :class:`~repro.core.cluster.NDPipeCluster`.
-* :class:`Tracer` — nested timed spans on the wall clock and the fault
-  injector's logical-tick clock, exported as Chrome ``trace_event`` JSON.
+* :class:`Tracer` — nested timed spans on the wall clock, exported as
+  Chrome ``trace_event`` JSON.
 * :mod:`~repro.obs.benchjson` — the structured results schema the
   ``bench_fig*`` scripts write so the perf trajectory diffs across PRs.
 """

@@ -18,9 +18,10 @@ returns the child; hot paths bind their children up front, so a report
 is one check plus one slot update.  ``family.inc/set/dec/observe(**labels)``
 stay as one-line delegates for cold sites.
 
-Instruments are single-owner: a report from a thread other than the one
-that created the family raises :class:`RuntimeError` and changes nothing.
-Only the registry's family table keeps a lock.
+Instruments and the registry are single-owner: a report from a thread
+other than the one that created the family, or a registration from a
+thread other than the registry's creator, raises :class:`RuntimeError`
+and changes nothing.  Nothing here takes a lock.
 """
 
 from __future__ import annotations
@@ -28,12 +29,9 @@ from __future__ import annotations
 import json
 import math
 import re
-import threading
 from bisect import bisect_left
 from threading import get_ident
 from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
-
-from ..lint.guards import guarded_by
 
 __all__ = ["Counter", "Gauge", "Histogram", "ChildMap", "MetricsRegistry",
            "DEFAULT_BUCKETS"]
@@ -86,6 +84,16 @@ def _format_value(value: float) -> str:
     if float(value).is_integer() and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
+
+
+def _bucket_bounds(buckets: Sequence[float]) -> Tuple[float, ...]:
+    """Sorted bucket bounds, closed by ``+Inf``."""
+    bounds = sorted(float(b) for b in buckets)
+    if not bounds:
+        raise ValueError("need at least one bucket bound")
+    if bounds[-1] != math.inf:
+        bounds.append(math.inf)
+    return tuple(bounds)
 
 
 class _Child:
@@ -318,13 +326,8 @@ class Histogram(_Instrument):
     def __init__(self, name: str, help: str = "",
                  label_names: Sequence[str] = (),
                  buckets: Sequence[float] = DEFAULT_BUCKETS):
-        bounds = sorted(float(b) for b in buckets)
-        if not bounds:
-            raise ValueError("need at least one bucket bound")
-        if bounds[-1] != math.inf:
-            bounds.append(math.inf)
         # set before the base binds an unlabelled family's child
-        self.buckets = tuple(bounds)
+        self.buckets = _bucket_bounds(buckets)
         super().__init__(name, help, label_names)
 
     def observe(self, value: float, **labels: str) -> None:
@@ -371,18 +374,21 @@ class Histogram(_Instrument):
         }
 
 
-@guarded_by("_lock", "_families")
 class MetricsRegistry:
     """One namespace of instruments shared by a whole cluster.
 
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create: the first
     call registers the family, later calls return the same object (and
-    reject re-registration under a different type or label set, which
-    would silently fork the accounting).
+    reject re-registration under a different type, label set or bucket
+    bounds, which would silently fork the accounting).
+
+    Single-owner, like its instruments: a registration from a thread
+    other than the registry's creator raises :class:`RuntimeError` and
+    changes nothing.  Reads and exports are unchecked.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
+        self._owner = get_ident()
         self._families: Dict[str, _Instrument] = {}
 
     # -- registration -------------------------------------------------------
@@ -397,29 +403,26 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "",
                   label_names: Sequence[str] = (),
                   buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        with self._lock:
-            existing = self._families.get(name)
-            if existing is not None:
-                self._check_compatible(existing, Histogram, name, label_names)
-                return existing  # type: ignore[return-value]
-            instrument = Histogram(name, help, label_names, buckets)
-            self._families[name] = instrument
-            return instrument
+        return self._register(Histogram, name, help, label_names,
+                              buckets=buckets)
 
     def _register(self, cls, name: str, help: str,
-                  label_names: Sequence[str]):
-        with self._lock:
-            existing = self._families.get(name)
-            if existing is not None:
-                self._check_compatible(existing, cls, name, label_names)
-                return existing
-            instrument = cls(name, help, label_names)
-            self._families[name] = instrument
-            return instrument
+                  label_names: Sequence[str], **options):
+        if get_ident() != self._owner:
+            raise RuntimeError(
+                f"{name}: registered from thread {get_ident()}, but "
+                f"its registry belongs to thread {self._owner}")
+        existing = self._families.get(name)
+        if existing is not None:
+            self._check_compatible(existing, cls, name, label_names, options)
+            return existing
+        instrument = cls(name, help, label_names, **options)
+        self._families[name] = instrument
+        return instrument
 
     @staticmethod
     def _check_compatible(existing: _Instrument, cls, name: str,
-                          label_names: Sequence[str]) -> None:
+                          label_names: Sequence[str], options: Dict) -> None:
         if not isinstance(existing, cls):
             raise ValueError(
                 f"metric {name!r} already registered as {existing.kind}"
@@ -429,30 +432,32 @@ class MetricsRegistry:
                 f"metric {name!r} already registered with labels "
                 f"{existing.label_names}, not {tuple(label_names)}"
             )
+        if "buckets" in options:
+            buckets = _bucket_bounds(options["buckets"])
+            if existing.buckets != buckets:
+                raise ValueError(
+                    f"metric {name!r} already registered with buckets "
+                    f"{existing.buckets}, not {buckets}"
+                )
 
     # -- reads --------------------------------------------------------------
     def get(self, name: str) -> _Instrument:
-        with self._lock:
-            try:
-                return self._families[name]
-            except KeyError:
-                raise KeyError(f"metric {name!r} not registered") from None
+        try:
+            return self._families[name]
+        except KeyError:
+            raise KeyError(f"metric {name!r} not registered") from None
 
     def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._families
+        return name in self._families
 
     def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._families)
+        return sorted(self._families)
 
     # -- export -------------------------------------------------------------
     def export_prometheus(self) -> str:
         """The Prometheus text exposition format."""
         lines: List[str] = []
-        with self._lock:
-            families = sorted(self._families.items())
-        for name, family in families:
+        for name, family in sorted(self._families.items()):
             if family.help:
                 lines.append(f"# HELP {name} {family.help}")
             lines.append(f"# TYPE {name} {family.kind}")
@@ -464,15 +469,13 @@ class MetricsRegistry:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def to_dict(self) -> Dict:
-        with self._lock:
-            families = sorted(self._families.items())
         return {
             name: {
                 "type": family.kind,
                 "help": family.help,
                 **family.as_dict(),
             }
-            for name, family in families
+            for name, family in sorted(self._families.items())
         }
 
 

@@ -17,7 +17,6 @@ invariant ``offered == completed + shed`` is exact.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
@@ -25,7 +24,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..lint.contracts import conserves
-from ..lint.guards import guarded_by
 
 __all__ = ["ServeRequest", "AdmissionQueue"]
 
@@ -46,7 +44,6 @@ class ServeRequest:
 
 
 @conserves("_offered == _admitted + _shed_full")
-@guarded_by("_lock", "_pending", "_shed_full", "_offered", "_admitted")
 class AdmissionQueue:
     """Bounded FIFO between the open-loop arrivals and the batcher.
 
@@ -63,7 +60,6 @@ class AdmissionQueue:
             raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
         self.capacity = capacity
         self.deadline_s = deadline_s
-        self._lock = threading.Lock()
         self._pending: Deque[ServeRequest] = deque()
         self._offered = 0
         self._admitted = 0
@@ -71,14 +67,13 @@ class AdmissionQueue:
 
     def offer(self, request: ServeRequest) -> bool:
         """Admit one arrival; False means it was shed (queue full)."""
-        with self._lock:
-            self._offered += 1
-            if len(self._pending) >= self.capacity:
-                self._shed_full += 1
-                return False
-            self._pending.append(request)
-            self._admitted += 1
-            return True
+        self._offered += 1
+        if len(self._pending) >= self.capacity:
+            self._shed_full += 1
+            return False
+        self._pending.append(request)
+        self._admitted += 1
+        return True
 
     def take(self, max_items: int, now_s: float, min_service_s: float,
              ) -> Tuple[List[ServeRequest], List[ServeRequest]]:
@@ -92,36 +87,31 @@ class AdmissionQueue:
             raise ValueError(f"max_items must be >= 1, got {max_items}")
         ready: List[ServeRequest] = []
         expired: List[ServeRequest] = []
-        with self._lock:
-            while self._pending and len(ready) < max_items:
-                request = self._pending.popleft()
-                deadline = (self.deadline_s if request.deadline_s is None
-                            else request.deadline_s)
-                if now_s - request.arrival_s > deadline - min_service_s:
-                    expired.append(request)
-                else:
-                    ready.append(request)
+        while self._pending and len(ready) < max_items:
+            request = self._pending.popleft()
+            deadline = (self.deadline_s if request.deadline_s is None
+                        else request.deadline_s)
+            if now_s - request.arrival_s > deadline - min_service_s:
+                expired.append(request)
+            else:
+                ready.append(request)
         return ready, expired
 
     def depth(self) -> int:
-        with self._lock:
-            return len(self._pending)
+        return len(self._pending)
 
     def shed_full_count(self) -> int:
         """Arrivals rejected because the queue was at capacity."""
-        with self._lock:
-            return self._shed_full
+        return self._shed_full
 
     def drain(self) -> List[ServeRequest]:
         """Remove and return everything still queued (end of run)."""
-        with self._lock:
-            out = list(self._pending)
-            self._pending.clear()
-            return out
+        out = list(self._pending)
+        self._pending.clear()
+        return out
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"depth": len(self._pending),
-                    "offered": self._offered,
-                    "admitted": self._admitted,
-                    "shed_full": self._shed_full}
+        return {"depth": len(self._pending),
+                "offered": self._offered,
+                "admitted": self._admitted,
+                "shed_full": self._shed_full}

@@ -27,13 +27,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
-
-from ..lint.guards import guarded_by
 
 if TYPE_CHECKING:
     from ..core.dataplane import PendingRow
@@ -60,8 +57,6 @@ def content_key(pixels: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-@guarded_by("_lock", "_entries", "_resident_bytes", "_hits", "_misses",
-            "_evictions", "_rejected_oversize")
 class TensorCache:
     """LRU cache of split-point feature rows under a byte budget."""
 
@@ -70,7 +65,6 @@ class TensorCache:
             raise ValueError(
                 f"capacity_bytes must be >= 0, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
-        self._lock = threading.Lock()
         #: key -> read-only feature row (or a front's promise of one)
         self._entries: "OrderedDict[CacheKey, np.ndarray]" = OrderedDict()
         self._resident_bytes = 0
@@ -94,23 +88,22 @@ class TensorCache:
         keys = [(content_key(pixels), digest) for pixels in photos]
         rows: List[Union[np.ndarray, "PendingRow", int]] = []
         missed: Dict[CacheKey, int] = {}
-        with self._lock:
-            for key in keys:
-                row = self._entries.get(key)
-                if row is not None:
-                    if not isinstance(row, np.ndarray) and (
-                            row.computed() is not None):
-                        # a promise whose front has run is its row now
-                        row = self._entries[key] = row.computed()
-                    self._entries.move_to_end(key)
-                    self._hits += 1
-                elif key in missed:
-                    row = missed[key]
-                    self._hits += 1
-                else:
-                    row = missed[key] = len(missed)
-                    self._misses += 1
-                rows.append(row)
+        for key in keys:
+            row = self._entries.get(key)
+            if row is not None:
+                if not isinstance(row, np.ndarray) and (
+                        row.computed() is not None):
+                    # a promise whose front has run is its row now
+                    row = self._entries[key] = row.computed()
+                self._entries.move_to_end(key)
+                self._hits += 1
+            elif key in missed:
+                row = missed[key]
+                self._hits += 1
+            else:
+                row = missed[key] = len(missed)
+                self._misses += 1
+            rows.append(row)
         return keys, rows
 
     def insert(self, keys: Sequence[CacheKey],
@@ -122,48 +115,43 @@ class TensorCache:
         promise's ``nbytes`` now, and becomes the row itself on the first
         hit after the front ran.
         """
-        with self._lock:
-            for key, row in zip(keys, rows):
-                if row.nbytes > self.capacity_bytes:
-                    # would evict everything and still not fit; count it so
-                    # a never-cacheable photo recomputed forever is visible
-                    self._rejected_oversize += 1
-                    continue
-                if isinstance(row, np.ndarray):
-                    # a copy, not a view: a resident row must not pin its
-                    # batch
-                    row = row.copy()
-                    row.flags.writeable = False
-                old = self._entries.pop(key, None)
-                if old is not None:
-                    self._resident_bytes -= old.nbytes
-                self._entries[key] = row
-                self._resident_bytes += row.nbytes
-                while self._resident_bytes > self.capacity_bytes:
-                    _evicted_key, evicted = self._entries.popitem(last=False)
-                    self._resident_bytes -= evicted.nbytes
-                    self._evictions += 1
+        for key, row in zip(keys, rows):
+            if row.nbytes > self.capacity_bytes:
+                # would evict everything and still not fit; count it so
+                # a never-cacheable photo recomputed forever is visible
+                self._rejected_oversize += 1
+                continue
+            if isinstance(row, np.ndarray):
+                # a copy, not a view: a resident row must not pin its
+                # batch
+                row = row.copy()
+                row.flags.writeable = False
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._resident_bytes -= old.nbytes
+            self._entries[key] = row
+            self._resident_bytes += row.nbytes
+            while self._resident_bytes > self.capacity_bytes:
+                _evicted_key, evicted = self._entries.popitem(last=False)
+                self._resident_bytes -= evicted.nbytes
+                self._evictions += 1
 
     def __contains__(self, key: CacheKey) -> bool:
-        with self._lock:
-            return key in self._entries
+        return key in self._entries
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     @property
     def resident_bytes(self) -> int:
-        with self._lock:
-            return self._resident_bytes
+        return self._resident_bytes
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "resident_bytes": self._resident_bytes,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "rejected_oversize": self._rejected_oversize,
-            }
+        return {
+            "entries": len(self._entries),
+            "resident_bytes": self._resident_bytes,
+            "hits": self._hits,
+            "misses": self._misses,
+            "evictions": self._evictions,
+            "rejected_oversize": self._rejected_oversize,
+        }

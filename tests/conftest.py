@@ -2,34 +2,11 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.data.drift import DriftingPhotoWorld, WorldConfig
-from repro.lint import SANITIZER
 from repro.models.registry import tiny_model
-
-
-def pytest_configure(config):
-    # NDPIPE_SANITIZE=1 (set by the CI chaos job) turns on the runtime
-    # concurrency sanitizer for the whole run: guarded classes wrap their
-    # locks and every test fails on recorded violations
-    if os.environ.get("NDPIPE_SANITIZE"):
-        SANITIZER.enable(mode="record")
-
-
-@pytest.fixture(autouse=True)
-def _concurrency_sanitizer_gate():
-    """Fail any test that left sanitizer violations behind."""
-    yield
-    if SANITIZER.enabled:
-        violations = SANITIZER.drain()
-        if violations:
-            details = "; ".join(f"{v.kind}: {v.detail}" for v in violations)
-            pytest.fail(
-                f"{len(violations)} concurrency violation(s): {details}")
 
 
 @pytest.fixture

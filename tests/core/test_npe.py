@@ -1,6 +1,7 @@
 """Tests for the NPE: threaded pipeline behaviour and the Fig. 12 ablation."""
 
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -31,6 +32,28 @@ class TestThreadedPipeline:
         pipe = ThreadedPipeline([("noop", lambda x: x)])
         pipe.run(range(7))
         assert pipe.stats[0].items == 7
+
+    def test_every_stage_counts_every_item(self):
+        """No lock guards ``stats``: each worker writes only its own
+        StageStats and the caller reads them after every join, so three
+        stages over a few hundred items each count all of them."""
+        inputs = list(range(300))
+        pipe = ThreadedPipeline([
+            ("a", lambda x: x + 1), ("b", lambda x: x * 2),
+            ("c", lambda x: x - 1),
+        ])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as it can
+        try:
+            outputs = pipe.run(inputs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs == [(x + 1) * 2 - 1 for x in inputs]
+        assert [s.name for s in pipe.stats] == ["a", "b", "c"]
+        assert [s.items for s in pipe.stats] == [len(inputs)] * 3
+        assert all(s.busy_seconds >= 0 for s in pipe.stats)
+        pipe.run(inputs[:10])
+        assert [s.items for s in pipe.stats] == [10] * 3
 
     def test_overlap_actually_happens(self):
         """3 stages of 10ms sleeps over 8 items: pipelined wall-clock must
@@ -183,9 +206,10 @@ class TestBenchmarkProbe:
 
     def test_probe_stages_report_nothing(self, monkeypatch):
         """The probe's read -> decode -> forward stages, run on pipeline
-        worker threads, leave the cluster's metrics untouched.  Metric
-        instruments are single-owner (DESIGN section 8): a report from a
-        worker thread would raise, not race."""
+        worker threads, leave the cluster's metrics and spans untouched.
+        Metric instruments, the registry and the tracer are single-owner
+        (DESIGN section 8): a report or a span from a worker thread would
+        raise, not race."""
         e2e = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
         monkeypatch.syspath_prepend(str(e2e))
         from ndpipe_e2e import probes
@@ -199,9 +223,12 @@ class TestBenchmarkProbe:
 
         class Snapshotting(ThreadedPipeline):
             def run(self, items):
-                snapshots.append(clusters[0].metrics.to_dict())
+                cluster = clusters[0]
+                snapshots.append((cluster.metrics.to_dict(),
+                                  list(cluster.tracer.spans)))
                 out = super().run(items)
-                snapshots.append(clusters[0].metrics.to_dict())
+                snapshots.append((cluster.metrics.to_dict(),
+                                  list(cluster.tracer.spans)))
                 return out
 
         monkeypatch.setattr(probes, "NDPipeCluster", Recorded)

@@ -1,20 +1,5 @@
 """Clean fixture: every ndlint invariant honoured."""
 
-import threading
-
-from repro.lint import guarded_by
-
-
-@guarded_by("_lock", "entries")
-class Journal:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.entries = []
-
-    def add(self, entry):
-        with self._lock:
-            self.entries.append(entry)
-
 
 def replicate(network, retry, call_with_retry):
     call_with_retry(lambda: network.send("a", "b", 64, "replica"), retry)

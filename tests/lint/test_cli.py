@@ -17,12 +17,14 @@ def test_shipped_tree_is_lint_clean(capsys):
 def test_seeded_fixtures_fail_with_rule_ids_and_locations(capsys):
     assert main(["lint", str(FIXTURES)]) == 1
     out = capsys.readouterr().out
-    for rule in ("ND001", "ND002", "ND003", "ND004", "ND005",
-                 "ND006", "ND007", "ND008", "ND009"):
+    for rule in ("ND001", "ND002", "ND004", "ND005",
+                 "ND006", "ND007", "ND009"):
         assert rule in out
+    # the retired rules neither fire nor come back under their old IDs
+    assert "ND003" not in out and "ND008" not in out
     # every finding line pins a file:line:col location
     assert f"{FIXTURES / 'bad_nd001.py'}:9:" in out
-    assert f"{FIXTURES / 'bad_nd008.py'}:14:" in out
+    assert f"{FIXTURES / 'bad_nd007.py'}:17:" in out
 
 
 def test_json_report_is_written_even_on_failure(tmp_path, capsys):
@@ -35,7 +37,7 @@ def test_json_report_is_written_even_on_failure(tmp_path, capsys):
     assert report["clean"] is False
     assert report["count"] == len(report["findings"]) > 0
     rules = {f["rule"] for f in report["findings"]}
-    assert {"ND001", "ND002", "ND003", "ND004", "ND005"} <= rules
+    assert {"ND001", "ND002", "ND004", "ND005"} <= rules
     for finding in report["findings"]:
         assert finding["line"] >= 1 and finding["path"]
 

@@ -30,16 +30,6 @@ def test_nd002_accounting_exact_sites():
     ]
 
 
-def test_nd003_guarded_by_exact_sites():
-    findings = lint_fixture("bad_nd003.py")
-    assert [(f.rule, f.line) for f in findings] == [
-        ("ND003", 20),  # decorator-declared attr, unlocked read
-        ("ND003", 23),  # comment-declared attr, unlocked write
-    ]
-    assert "read" in findings[0].message
-    assert "written" in findings[1].message
-
-
 def test_nd004_metric_hygiene_exact_sites():
     findings = lint_fixture("bad_nd004.py")
     assert [(f.rule, f.line) for f in findings] == [

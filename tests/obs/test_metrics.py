@@ -223,6 +223,53 @@ class TestRegistry:
         with pytest.raises(ValueError, match="labels"):
             reg.counter("x", label_names=("flavour",))
 
+    def test_bucket_conflict_rejected(self):
+        reg = MetricsRegistry()
+        h = reg.histogram("lat_seconds", buckets=(0.1, 1.0))
+        with pytest.raises(ValueError, match="buckets"):
+            reg.histogram("lat_seconds", buckets=(0.001, 0.01))
+        # the same bounds, in any order and with or without +Inf, are one
+        # family
+        assert reg.histogram("lat_seconds",
+                             buckets=(1.0, 0.1, math.inf)) is h
+        assert h.buckets == (0.1, 1.0, math.inf)
+
+    def test_registration_from_another_thread_raises_and_changes_nothing(
+            self):
+        """The registry is single-owner, like its instruments: a
+        registration from a thread other than its creator is refused,
+        new name or old, and the family table is left as it was."""
+        reg = MetricsRegistry()
+        reg.counter("jobs_total")
+        before = reg.names()
+        registrations = [lambda: reg.counter("jobs_total"),
+                         lambda: reg.counter("other_total"),
+                         lambda: reg.gauge("g"),
+                         lambda: reg.histogram("h_seconds")]
+        errors = []
+
+        def register_all():
+            for register in registrations:
+                try:
+                    register()
+                except RuntimeError as exc:
+                    errors.append(exc)
+
+        worker = threading.Thread(target=register_all)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert len(errors) == len(registrations)
+        assert "thread" in str(errors[0])
+        assert reg.names() == before
+        # reads and exports stay open to any thread
+        seen = []
+        reader = threading.Thread(
+            target=lambda: seen.append(reg.export_prometheus()))
+        reader.start()
+        reader.join(timeout=30)
+        assert seen == [reg.export_prometheus()]
+
     def test_get_and_contains(self):
         reg = MetricsRegistry()
         reg.gauge("g")
