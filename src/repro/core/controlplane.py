@@ -338,18 +338,20 @@ class RecoveryControlPlane:
                 yield donor, payload
 
     def transfer(self, donor: PipeStore, target: PipeStore,
-                 blobs: List[Tuple[str, bytes]], kind: str) -> int:
-        """The one transfer: ``(key, blob)`` pairs cross the fabric as one
-        retried send of their summed size under ``kind``, then land on
-        ``target`` through ``accept_repair``.  Returns the bytes moved;
-        raises ``TransientFaultError`` (every retry dropped) or
+                 blobs: List[Tuple[str, Tuple[bytes, int]]],
+                 kind: str) -> int:
+        """The one transfer: ``(key, (payload, nominal length))`` pairs
+        (``donate_object``'s) cross the fabric as one retried send of
+        their summed nominal size under ``kind``, then land on ``target``
+        through ``accept_repair``.  Returns the bytes moved; raises
+        ``TransientFaultError`` (every retry dropped) or
         ``StoreUnavailableError`` (the target went down)."""
         cluster = self.cluster
-        nbytes = sum(len(blob) for _key, blob in blobs)
+        nbytes = sum(nominal for _key, (_payload, nominal) in blobs)
         call_with_retry(
             lambda: cluster.network.send(
                 donor.store_id, target.store_id, nbytes, kind),
             cluster.retry)
-        for key, blob in blobs:
-            target.accept_repair(key, blob)
+        for key, (payload, nominal) in blobs:
+            target.accept_repair(key, payload, nominal)
         return nbytes

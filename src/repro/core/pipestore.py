@@ -84,16 +84,16 @@ class StoredPhoto:
     preprocessed: np.ndarray  # fp32 model input
     train_label: Optional[int] = None  # supervision (user tags), if any
     #: the encoded forms, produced once per upload: every replica puts
-    #: the same immutable bytes (raw blobs keyed by nominal size)
-    _encoded: Dict[object, bytes] = field(
+    #: the same immutable bytes
+    _encoded: Dict[str, bytes] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def raw_blob(self, nominal_bytes: int) -> bytes:
-        """The synthetic JPEG padded to ``nominal_bytes``."""
-        if nominal_bytes not in self._encoded:
-            self._encoded[nominal_bytes] = encode_photo(
-                self.pixels, pad_to_bytes=nominal_bytes)
-        return self._encoded[nominal_bytes]
+    def raw_payload(self) -> bytes:
+        """The synthetic JPEG's payload; each store accounts it at its
+        own nominal photo size (the zeros are never held)."""
+        if "raw" not in self._encoded:
+            self._encoded["raw"] = encode_photo(self.pixels)
+        return self._encoded["raw"]
 
     def preprocessed_blob(self) -> bytes:
         """The deflate-compressed preprocessed binary (§5.4)."""
@@ -220,14 +220,14 @@ class PipeStore:
     def store_photo(self, photo: StoredPhoto) -> int:
         """Persist raw blob + compressed preprocessed binary; returns bytes."""
         self._require_available()
-        raw_blob = photo.raw_blob(self.nominal_raw_bytes)
+        raw_key = self.objects.raw_key(photo.photo_id)
         pre_blob = photo.preprocessed_blob()
-        self.objects.put(self.objects.raw_key(photo.photo_id), raw_blob)
+        self.objects.put(raw_key, photo.raw_payload(), self.nominal_raw_bytes)
         self.objects.put(self.objects.preproc_key(photo.photo_id), pre_blob)
         self._discard(self.objects.feature_key(photo.photo_id))
         if photo.train_label is not None:
             self._train_labels[photo.photo_id] = photo.train_label
-        stored = len(raw_blob) + len(pre_blob)
+        stored = self.objects.size_of(raw_key) + len(pre_blob)
         self._count("_m_stored")
         self._count("_m_stored_bytes", stored)
         return stored
@@ -294,20 +294,22 @@ class PipeStore:
             self._count("_m_corrupt", len(report.corrupt_keys))
         return report
 
-    def donate_object(self, key: str) -> bytes:
-        """Serve a verified copy of one object for replication repair.
+    def donate_object(self, key: str) -> Tuple[bytes, int]:
+        """Serve a verified copy of one object for replication repair, as
+        ``(payload, nominal length)``: the zero tail travels as a number.
 
         Raises :class:`~repro.storage.objectstore.CorruptObjectError` if
         this replica is itself rotten — repair then tries the next holder.
         """
         self._require_available()
         # ndlint: allow[ND002] -- repair donor reads are maintenance traffic
-        return self.objects.peek(key, verify=True)
+        return self.objects.peek_payload(key, verify=True)
 
-    def accept_repair(self, key: str, blob: bytes) -> None:
-        """Overwrite one object with a healthy donor copy (fresh CRC)."""
+    def accept_repair(self, key: str, blob: bytes, nominal: int = 0) -> None:
+        """Overwrite one object with a healthy donor copy (fresh CRC):
+        ``blob`` zero-extended to ``nominal`` bytes."""
         self._require_available()
-        self.objects.put(key, blob)
+        self.objects.put(key, blob, nominal)
 
     # -- model management ----------------------------------------------------
     def _fence(self, epoch: int) -> None:

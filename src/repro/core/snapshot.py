@@ -121,9 +121,12 @@ def restore_checkpoint(cluster, blob: bytes) -> Optional[FinetuneProgress]:
         # the Tuner) owns its writable arrays
         arrays = ArrayReader(blobs)
         tuner_state = tuner_state_from(tuner_manifest, arrays)
+        # replicas' payloads are restored as one bytes object each, the
+        # way a live ingest lands them
+        payloads: Dict[bytes, bytes] = {}
         store_states = [
             (load_object_store(blobs[entry["objects_blob"]],
-                               name=entry["store_id"]),
+                               name=entry["store_id"], payloads=payloads),
              arrays(entry["model_blob"]),
              int(entry["model_version"]),
              dict(entry["train_labels"]))

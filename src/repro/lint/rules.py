@@ -11,10 +11,10 @@ allowlists and inline ``# ndlint: allow[...]`` markers afterwards.
   spends logical time, on the fault injector's tick, and reads the wall
   clock only through the sanctioned :func:`repro.obs.tracing.wall_clock`
   seam.
-* **ND002 accounting** — ``ObjectStore.peek`` / ``iter_items`` are
-  maintenance reads that bypass workload IO accounting; only maintenance
-  modules (durability, checkpoint/persistence, scrub, fault injection)
-  may call them.
+* **ND002 accounting** — ``ObjectStore.peek`` / ``peek_payload`` /
+  ``iter_items`` are maintenance reads that bypass workload IO
+  accounting; only maintenance modules (durability, checkpoint/
+  persistence, scrub, fault injection) may call them.
 * **ND004 metrics hygiene** — metric family names must be literal
   snake_case strings, registered at exactly one site repo-wide, and
   listed in the generated ``obs/METRICS.md`` manifest.
@@ -57,7 +57,7 @@ _METRIC_RECEIVERS = {"metrics", "registry"}
 #: receivers treated as the network fabric (ND005)
 _FABRIC_RECEIVERS = {"network", "fabric"}
 #: maintenance-only ObjectStore entry points (ND002)
-_MAINTENANCE_READS = {"peek", "iter_items"}
+_MAINTENANCE_READS = {"peek", "peek_payload", "iter_items"}
 
 SNAKE_CASE = re.compile(r"^[a-z][a-z0-9_]*[a-z0-9]$")
 

@@ -3,7 +3,7 @@
 The paper's workload is 2.7 MB JPEGs plus 0.59 MB preprocessed fp32
 binaries.  We cannot ship real photos, so this codec produces byte-accurate
 stand-ins: a quantised pixel payload in a stored zlib stream ("the JPEG")
-padded to a configurable nominal size, and raw fp32 tensors ("the
+accounted at a configurable nominal size, and raw fp32 tensors ("the
 preprocessed binary").  Byte counts are genuine, just scaled to tiny
 images.  The system stores and moves the JPEG stand-in but never decodes
 it — inference reads the preprocessed binary — so :func:`decode_photo`
@@ -31,12 +31,14 @@ class CodecError(ValueError):
     """Raised when a blob does not parse as a synthetic photo."""
 
 
-def encode_photo(pixels: np.ndarray, pad_to_bytes: int = 0) -> bytes:
+def encode_photo(pixels: np.ndarray) -> bytes:
     """Encode float pixels in [0, 1] (C, H, W) into a synthetic JPEG.
 
-    ``pad_to_bytes`` inflates the blob to the nominal photo size (the
-    storage/network experiments care about real photo byte counts even
-    though the pixel payload is tiny).
+    The blob is the payload alone; a store accounts it at the nominal
+    photo size (the storage/network experiments care about real photo
+    byte counts even though the pixel payload is tiny), holding the
+    padding as a length (:class:`~repro.storage.objectstore.ObjectStore`).
+    Trailing zeros after the payload do not change what it decodes to.
     """
     if pixels.ndim != 3:
         raise CodecError(f"expected (C, H, W) pixels, got shape {pixels.shape}")
@@ -44,10 +46,7 @@ def encode_photo(pixels: np.ndarray, pad_to_bytes: int = 0) -> bytes:
     quantised = np.clip(pixels, 0.0, 1.0)
     payload = NOISE.compress((quantised * 255).astype(np.uint8).tobytes())
     header = struct.pack(_HEADER_FMT, _MAGIC, c, h, w, 0, len(payload))
-    blob = header + payload
-    if pad_to_bytes > len(blob):
-        blob += b"\0" * (pad_to_bytes - len(blob))
-    return blob
+    return header + payload
 
 
 def decode_photo(blob: bytes) -> np.ndarray:

@@ -9,15 +9,69 @@ Every blob carries a CRC32 computed at write time and verified on every
 workload read, so silent media corruption (bit rot, torn writes) surfaces
 as :class:`CorruptObjectError` instead of propagating garbage into
 near-data jobs.  Maintenance traffic — snapshots, scrubs, replication
-repair — reads through :meth:`ObjectStore.peek`, which neither counts
-toward workload IO accounting nor insists on a valid checksum.
+repair — reads through :meth:`ObjectStore.peek` (or
+:meth:`ObjectStore.peek_payload`), which neither counts toward workload
+IO accounting nor insists on a valid checksum.
+
+An object is held as a *payload* plus a *nominal length*: the content is
+the payload followed by zeros up to that length.  The stand-in JPEG is a
+~0.8 KB payload accounted at the nominal photo size, and its padding is
+only a number here.  Sizes, volume use, IO counters and CRC32s are all
+over the nominal content; only a :meth:`~ObjectStore.get` or
+:meth:`~ObjectStore.peek` of a padded object materialises the zeros.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
+
+#: a view of the one all-zero buffer behind every zero tail: grown
+#: (never shrunk) to the longest run asked for
+_zeros = memoryview(bytes(1 << 16))
+
+
+def zero_run(length: int) -> memoryview:
+    """A read-only view of ``length`` zero bytes (shared, not allocated)."""
+    global _zeros
+    if length > len(_zeros):
+        _zeros = memoryview(bytes(max(length, 2 * len(_zeros))))
+    return _zeros[:length]
+
+
+def payload_length(blob: bytes) -> int:
+    """``len(blob.rstrip(b"\\0"))`` at memcmp speed: bisect for where the
+    all-zero tail starts.  ``rstrip`` walks the run bytewise — 12 us for a
+    padded 8 KB raw blob against 3 us here, 4 ms against 0.4 ms at the
+    paper's 2.7 MB."""
+    hi = len(blob)
+    if not hi or blob[-1]:
+        return hi
+    zeros = zero_run(hi)
+    lo = 0
+    while lo < hi:  # blob[hi:] is all zeros; the tail starts at or after lo
+        mid = (lo + hi) // 2
+        if blob.startswith(zeros[:hi - mid], mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def content_crc(payload: bytes, nominal: int) -> int:
+    """CRC32 of ``payload`` followed by zeros up to ``nominal`` bytes."""
+    crc = zlib.crc32(payload)
+    if nominal > len(payload):
+        crc = zlib.crc32(zero_run(nominal - len(payload)), crc)
+    return crc
+
+
+def _content(payload: bytes, nominal: int) -> bytes:
+    """The payload zero-extended to ``nominal`` (itself when unpadded)."""
+    if nominal == len(payload):
+        return payload
+    return b"".join((payload, zero_run(nominal - len(payload))))
 
 
 class StorageFullError(RuntimeError):
@@ -73,32 +127,38 @@ class Volume:
 
 
 class ObjectStore:
-    """Flat key -> bytes store with namespace helpers and IO accounting."""
+    """Flat key -> bytes store with namespace helpers and IO accounting.
+
+    Each key maps to ``(payload, nominal length)``; the content it stands
+    for is the payload zero-extended to the nominal length (see module
+    docs).  Every size and CRC is over that content."""
 
     def __init__(self, volume: Optional[Volume] = None, name: str = "store"):
         self.name = name
         self.volume = volume or Volume(capacity_bytes=1 << 40)
-        self._objects: Dict[str, bytes] = {}
+        self._objects: Dict[str, Tuple[bytes, int]] = {}
         self._crcs: Dict[str, int] = {}
         self.bytes_read = 0
         self.bytes_written = 0
 
     # -- CRUD -------------------------------------------------------------
-    def put(self, key: str, blob: bytes) -> None:
+    def put(self, key: str, blob: bytes, nominal: int = 0) -> None:
+        """Write ``blob`` zero-extended to ``nominal`` bytes (if longer)."""
         if not key:
             raise ValueError("empty key")
-        self._rebook(self._objects.get(key), blob)
-        self._objects[key] = blob
-        self._crcs[key] = zlib.crc32(blob)
-        self.bytes_written += len(blob)
+        nominal = max(nominal, len(blob))
+        self._rebook(key, nominal)
+        self._objects[key] = (blob, nominal)
+        self._crcs[key] = content_crc(blob, nominal)
+        self.bytes_written += nominal
 
     def get(self, key: str) -> bytes:
         """Workload read: counts toward IO accounting, verifies the CRC."""
-        blob = self._lookup(key)
-        if zlib.crc32(blob) != self._crcs[key]:
+        payload, nominal = self._lookup(key)
+        if content_crc(payload, nominal) != self._crcs[key]:
             raise CorruptObjectError(self.name, key)
-        self.bytes_read += len(blob)
-        return blob
+        self.bytes_read += nominal
+        return _content(payload, nominal)
 
     def peek(self, key: str, verify: bool = False) -> bytes:
         """Maintenance read (snapshot / scrub / replication repair).
@@ -106,15 +166,22 @@ class ObjectStore:
         Does not count toward ``bytes_read`` — taking a snapshot must not
         mutate workload IO stats.  With ``verify`` the CRC is still
         enforced, which is what repair uses to pick a healthy donor.
+        The full content: a padded object's zeros are materialised.
         """
-        blob = self._lookup(key)
-        if verify and zlib.crc32(blob) != self._crcs[key]:
+        return _content(*self.peek_payload(key, verify))
+
+    def peek_payload(self, key: str, verify: bool = False
+                     ) -> Tuple[bytes, int]:
+        """Maintenance read of ``(payload, nominal length)`` as held: the
+        zero tail stays a number (snapshots, repair and migration)."""
+        held = self._lookup(key)
+        if verify and content_crc(*held) != self._crcs[key]:
             raise CorruptObjectError(self.name, key)
-        return blob
+        return held
 
     def verify(self, key: str) -> bool:
         """Does the stored blob still match its write-time CRC32?"""
-        return zlib.crc32(self._lookup(key)) == self._crcs[key]
+        return content_crc(*self._lookup(key)) == self._crcs[key]
 
     def stored_crc(self, key: str) -> int:
         """The CRC32 recorded when the object was last written."""
@@ -123,17 +190,17 @@ class ObjectStore:
 
     def delete(self, key: str) -> None:
         try:
-            blob = self._objects.pop(key)
+            _payload, nominal = self._objects.pop(key)
         except KeyError:
             raise MissingObjectError(key) from None
         self._crcs.pop(key, None)
-        self.volume.release(len(blob))
+        self.volume.release(nominal)
 
     def exists(self, key: str) -> bool:
         return key in self._objects
 
     def size_of(self, key: str) -> int:
-        return len(self._lookup(key))
+        return self._lookup(key)[1]
 
     def __len__(self) -> int:
         return len(self._objects)
@@ -151,22 +218,28 @@ class ObjectStore:
         """Replace stored bytes *without* refreshing the CRC.
 
         This is the fault-injection seam for ``bit_rot`` / ``torn_write``
-        events: volume accounting tracks the new length (the media still
-        holds that many bytes) but the write-time checksum is left stale,
-        exactly like silent corruption under a filesystem.
+        events: ``blob`` is the full new content (a flip may land in the
+        zero tail, a torn write shortens it), volume accounting tracks
+        its length (the media still holds that many bytes) but the
+        write-time checksum is left stale, exactly like silent
+        corruption under a filesystem.
         """
-        self._rebook(self._lookup(key), blob)
-        self._objects[key] = blob
+        self._lookup(key)
+        self._rebook(key, len(blob))
+        self._objects[key] = (blob[:payload_length(blob)], len(blob))
 
-    def restore_object(self, key: str, blob: bytes, crc: int) -> None:
-        """Snapshot-restore seam: reinstate an object with its recorded
-        CRC, so corruption that predates a snapshot is still detectable
-        by a scrub after the restore.  Not a workload write: only the
-        volume reservation is taken, nothing is hashed or counted."""
+    def restore_object(self, key: str, blob: bytes, crc: int,
+                       nominal: int = 0) -> None:
+        """Snapshot-restore seam: reinstate an object (``blob``
+        zero-extended to ``nominal``) with its recorded CRC, so
+        corruption that predates a snapshot is still detectable by a
+        scrub after the restore.  Not a workload write: only the volume
+        reservation is taken, nothing is hashed or counted."""
         if not key:
             raise ValueError("empty key")
-        self._rebook(self._objects.get(key), blob)
-        self._objects[key] = blob
+        nominal = max(nominal, len(blob))
+        self._rebook(key, nominal)
+        self._objects[key] = (blob, nominal)
         self._crcs[key] = crc
 
     # -- namespaces -------------------------------------------------------
@@ -190,7 +263,7 @@ class ObjectStore:
 
     # -- accounting ---------------------------------------------------------
     def bytes_by_prefix(self, prefix: str) -> int:
-        return sum(len(self._objects[k]) for k in self.keys(prefix))
+        return sum(self._objects[k][1] for k in self.keys(prefix))
 
     def preprocessed_overhead(self) -> float:
         """Fraction of stored bytes taken by preprocessed binaries (§5.4)."""
@@ -202,15 +275,16 @@ class ObjectStore:
         return pre / total
 
     # -- internals ----------------------------------------------------------
-    def _rebook(self, old: Optional[bytes], blob: bytes) -> None:
-        """Move a key's volume reservation from ``old`` (if any) to ``blob``."""
-        delta = len(blob) - (len(old) if old is not None else 0)
+    def _rebook(self, key: str, nominal: int) -> None:
+        """Move ``key``'s volume reservation (if any) to ``nominal`` bytes."""
+        old = self._objects.get(key)
+        delta = nominal - (old[1] if old is not None else 0)
         if delta > 0:
             self.volume.reserve(delta)
         elif delta < 0:
             self.volume.release(-delta)
 
-    def _lookup(self, key: str) -> bytes:
+    def _lookup(self, key: str) -> Tuple[bytes, int]:
         try:
             return self._objects[key]
         except KeyError:

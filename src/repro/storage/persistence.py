@@ -19,8 +19,9 @@ body (the database payload is unchanged and only carries the number).
 Older versions are refused by name: version 1 carried no integrity data
 at all, and this release keeps no reader for version 2.
 
-Snapshots read through :meth:`ObjectStore.peek`, so taking one never
-perturbs workload IO accounting (``bytes_read``).
+Snapshots read through :meth:`ObjectStore.peek_payload`, so taking one
+never perturbs workload IO accounting (``bytes_read``) nor materialises
+a padded object's zeros.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .compression import FEATURE_ROWS, deflate, inflate
-from .objectstore import ObjectStore, StorageFullError, Volume
+from .objectstore import (ObjectStore, StorageFullError, Volume,
+                          payload_length)
 from .photodb import LabelRecord, PhotoDatabase
 
 _STORE_MAGIC = b"NDPS"
@@ -95,25 +97,6 @@ _RECORD_HEAD = struct.Struct(">HIII")
 _SQUEEZED = ObjectStore.feature_key("")
 
 
-def _payload_length(blob: bytes) -> int:
-    """``len(blob.rstrip(b"\\0"))`` at memcmp speed: bisect for where the
-    all-zero tail starts.  ``rstrip`` walks the run bytewise — 12 us for a
-    padded 8 KB raw blob against 3 us here, 4 ms against 0.4 ms at the
-    paper's 2.7 MB."""
-    hi = len(blob)
-    if not hi or blob[-1]:
-        return hi
-    zeros = memoryview(bytes(hi))
-    lo = 0
-    while lo < hi:  # blob[hi:] is all zeros; the tail starts at or after lo
-        mid = (lo + hi) // 2
-        if blob.startswith(zeros[:hi - mid], mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
 def dump_object_store(store: ObjectStore) -> bytes:
     """Serialise a store (keys, blobs, CRCs, volume accounting) to one blob:
     ``head | verbatim records | deflate(squeezed records) | CRC32``.
@@ -124,13 +107,16 @@ def dump_object_store(store: ObjectStore) -> bytes:
     tail) is kept as a length, never as bytes.
     """
     verbatim, squeezed = [], []
-    for key, blob in store.iter_items():
+    for key in store.keys():
         key_bytes = key.encode()
-        payload_len = _payload_length(blob)
+        # held payloads, read in place; a payload's own trailing zeros
+        # (a ReLU row's tail) still fold into the run
+        blob, nominal = store.peek_payload(key)
+        payload_len = payload_length(blob)
         records = squeezed if key.startswith(_SQUEEZED) else verbatim
         records += (
             _RECORD_HEAD.pack(len(key_bytes), store.stored_crc(key),
-                              len(blob), payload_len),
+                              nominal, payload_len),
             key_bytes, blob[:payload_len])
     body = b"".join(verbatim)
     head = _STORE_HEAD.pack(_STORE_MAGIC, _VERSION,
@@ -143,8 +129,10 @@ def dump_object_store(store: ObjectStore) -> bytes:
     return seal([head, body, deflate(b"".join(squeezed), FEATURE_ROWS)])
 
 
-def _restore_records(store: ObjectStore, records: memoryview) -> None:
-    """Reinstate the objects of one record segment, read in place."""
+def _restore_records(store: ObjectStore, records: memoryview,
+                     payloads: Dict[bytes, bytes]) -> None:
+    """Reinstate the objects of one record segment, read in place; each
+    payload is held once per distinct content across ``payloads``."""
     offset = 0
     while offset < len(records):
         key_len, crc, nominal_len, payload_len = _RECORD_HEAD.unpack_from(
@@ -161,14 +149,19 @@ def _restore_records(store: ObjectStore, records: memoryview) -> None:
         if store.exists(key):
             raise SnapshotError(
                 f"duplicate key {key!r} in object-store snapshot")
-        # copied out of the frame once, zero run put back
-        store.restore_object(
-            key, bytes(records[payload_at:offset]).ljust(nominal_len, b"\0"),
-            crc)
+        # copied out of the frame once; the zero run stays a length
+        payload = bytes(records[payload_at:offset])
+        store.restore_object(key, payloads.setdefault(payload, payload), crc,
+                             nominal_len)
 
 
-def load_object_store(blob: bytes, name: str = "restored") -> ObjectStore:
-    """Reconstruct an :class:`ObjectStore` from a snapshot blob."""
+def load_object_store(blob: bytes, name: str = "restored",
+                      payloads: Optional[Dict[bytes, bytes]] = None,
+                      ) -> ObjectStore:
+    """Reconstruct an :class:`ObjectStore` from a snapshot blob.
+
+    Stores restored with one ``payloads`` dict hold one ``bytes`` object
+    per distinct payload between them, as replicas of a live ingest do."""
     if len(blob) < _STORE_HEAD.size + 4:
         raise SnapshotError("snapshot too short")
     if blob[:4] != _STORE_MAGIC:
@@ -183,8 +176,11 @@ def load_object_store(blob: bytes, name: str = "restored") -> ObjectStore:
             "object-store snapshot's verbatim segment overruns the frame")
     store = ObjectStore(Volume(capacity_bytes=capacity), name=name)
     try:
-        _restore_records(store, frame[_STORE_HEAD.size:squeezed_at])
-        _restore_records(store, memoryview(inflate(frame[squeezed_at:])))
+        payloads = {} if payloads is None else payloads
+        _restore_records(store, frame[_STORE_HEAD.size:squeezed_at],
+                         payloads)
+        _restore_records(store, memoryview(inflate(frame[squeezed_at:])),
+                         payloads)
     except SnapshotError:
         raise
     except (struct.error, ValueError, StorageFullError) as exc:

@@ -1,7 +1,8 @@
 """Encode once per upload: every replica stores the same immutable bytes.
 
-``StoredPhoto`` produces the padded raw blob (per nominal size) and the
-deflated preprocessed binary once; each holder ``put``s those bytes.  The
+``StoredPhoto`` produces the raw payload and the deflated preprocessed
+binary once; each holder ``put``s those bytes, the raw payload at its own
+nominal size (held as a length, not as zeros).  The
 accounting an experiment can observe — ``store_photo``'s return value,
 fabric bytes, volume use, ``bytes_written``, per-object CRCs — is pinned
 to what the encode-per-replica code produced for the same uploads.
@@ -53,11 +54,13 @@ class TestStoredPhotoEncodesOnce:
         sizes = [store.store_photo(upload) for store in stores]
         assert len(calls) == 1
         assert len(set(sizes)) == 1
-        raws = [s.objects.peek("raw/p") for s in stores]
+        raws = [s.objects.peek_payload("raw/p") for s in stores]
         pres = [s.objects.peek("preproc/p") for s in stores]
-        assert raws[0] is raws[1] is raws[2]
+        # one shared payload object, each accounted at the nominal size
+        assert raws[0][0] is raws[1][0] is raws[2][0]
+        assert [nominal for _payload, nominal in raws] == [2048] * 3
         assert pres[0] is pres[1] is pres[2]
-        assert sizes[0] == len(raws[0]) + len(pres[0])
+        assert sizes[0] == 2048 + len(pres[0])
 
     def test_nominal_sizes_get_their_own_padding(self, rng):
         upload = photo(rng)
@@ -75,7 +78,7 @@ class TestStoredPhotoEncodesOnce:
         store = PipeStore("s", nominal_raw_bytes=2048)
         store.store_photo(upload)
         assert store.objects.peek("raw/p") == imageformat.encode_photo(
-            upload.pixels, pad_to_bytes=2048)
+            upload.pixels).ljust(2048, b"\0")
         np.testing.assert_array_equal(
             store.load_preprocessed("p"), upload.preprocessed)
 
@@ -120,6 +123,23 @@ class TestReplicatedIngest:
         assert zlib.crc32(b"".join(
             s.objects.peek(key) for s in cluster.stores
             for key in s.objects.keys())) == 1354900958
+
+    def test_a_restore_shares_payloads_across_replicas(self, small_world):
+        """A restored fleet holds one payload object per replicated blob,
+        as the live ingest did, and observes the same content."""
+        cluster, ids = replicated_cluster(small_world)
+        restored = NDPipeCluster(factory, ClusterConfig(
+            num_stores=4, nominal_raw_bytes=2048, replication=3))
+        restored.restore(cluster.checkpoint())
+        by_id = {s.store_id: s for s in restored.stores}
+        for pid in ids:
+            holders = [by_id[h] for h in restored.replicas.holders(pid)]
+            for key in (f"raw/{pid}", f"preproc/{pid}"):
+                held = [h.objects.peek_payload(key) for h in holders]
+                assert held[0][0] is held[1][0] is held[2][0]
+                assert held[0][1] == held[1][1] == held[2][1]
+        assert [s.objects.volume.used_bytes for s in restored.stores] == [
+            s.objects.volume.used_bytes for s in cluster.stores]
 
     def test_rot_on_one_replica_is_healed_from_a_donor(self, small_world):
         cluster, ids = replicated_cluster(small_world)

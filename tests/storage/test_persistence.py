@@ -1,17 +1,18 @@
 """Snapshot/restore tests for the storage substrate."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.storage.objectstore import ObjectStore, Volume
+from repro.storage.objectstore import ObjectStore, Volume, payload_length
 from repro.storage.persistence import (
     SnapshotError,
     dump_object_store,
     dump_photo_database,
     load_object_store,
     load_photo_database,
-    _payload_length,
     snapshot_sizes,
 )
 from repro.storage.photodb import LabelRecord, PhotoDatabase
@@ -80,7 +81,7 @@ class TestObjectStoreSnapshots:
     @given(blob=zero_tailed_blobs)
     def test_payload_length_matches_rstrip(self, blob):
         """The bisect against the bytewise walk it replaced."""
-        assert _payload_length(blob) == len(blob.rstrip(b"\0"))
+        assert payload_length(blob) == len(blob.rstrip(b"\0"))
 
 
 class TestDatabaseSnapshots:
@@ -144,3 +145,38 @@ class TestPipeStoreRestart:
                                           width=8, seed=5), 5, 0)
         results = rebooted.offline_infer(rebooted.photo_ids()[:4])
         assert len(results) == 4
+
+
+class TestFormatNeutrality:
+    """The NDPS v3 bytes do not depend on how a store holds its objects:
+    a store filled without any GEMM (fixed pixels through ``store_photo``
+    plus one hand-made float32 ``feat/`` row with a ReLU zero tail)
+    snapshots to the frame pinned on zero-padded ``bytes`` storage."""
+
+    FRAME_CRC = 1668327073
+    FRAME_BYTES = 13743
+
+    @staticmethod
+    def _store():
+        from repro.core.pipestore import PipeStore, StoredPhoto, _pack_feature
+        from repro.storage.imageformat import preprocess
+
+        store = PipeStore("s0", nominal_raw_bytes=2048)
+        for i in range(4):
+            pixels = (np.arange(3 * 16 * 16).reshape(3, 16, 16)
+                      * (7 + i) % 251 / 250.0)
+            store.store_photo(StoredPhoto(f"p{i}", pixels,
+                                          preprocess(pixels), train_label=i))
+        row = np.array([0.5, -1.25, 3.0, 0.0, 2.5] + [0.0] * 11, np.float32)
+        store.objects.put("feat/p0", _pack_feature(
+            bytes(range(16)), store.objects.stored_crc("preproc/p0"), row))
+        return store
+
+    def test_frame_is_pinned(self):
+        frame = dump_object_store(self._store().objects)
+        assert (len(frame), zlib.crc32(frame)) == (
+            self.FRAME_BYTES, self.FRAME_CRC)
+
+    def test_restored_store_snapshots_to_the_same_frame(self):
+        frame = dump_object_store(self._store().objects)
+        assert dump_object_store(load_object_store(frame)) == frame

@@ -100,8 +100,10 @@ class TestPhotoCodec:
         assert np.abs(decoded - pixels).max() <= 1 / 255 + 1e-9
 
     def test_padding_to_nominal_size(self, rng):
-        blob = encode_photo(rng.random((3, 4, 4)), pad_to_bytes=5000)
-        assert len(blob) == 5000
+        store = ObjectStore()
+        store.put("raw/p", encode_photo(rng.random((3, 4, 4))), 5000)
+        blob = store.get("raw/p")
+        assert len(blob) == store.size_of("raw/p") == 5000
         # padded blob still decodes
         decode_photo(blob)
 
