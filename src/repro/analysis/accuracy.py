@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.checknrun import publish
 from ..core.ftdmp import FTDMPTrainer
 from ..core.partition import pipelined_time
 from ..data.datasets import DatasetProfile, IMAGENET1K_LIKE, PROFILES
@@ -63,6 +64,21 @@ def _clone(model_factory: Callable[[], SplitModel],
     clone = model_factory()
     clone.load_state_dict(source.state_dict())
     return clone
+
+
+def published_top1(factory: Callable[[], SplitModel], base: SplitModel,
+                   tuned: SplitModel, x: np.ndarray, y: np.ndarray) -> float:
+    """Top-1 of what the fleet serves once ``tuned`` ships from ``base``.
+
+    The stores hold ``base`` with its front frozen (what the Tuner
+    installs); one live Check-N-Run round moves them to the published
+    state, which is evaluated here instead of ``tuned`` itself.
+    """
+    installed = _clone(factory, base).freeze_features().state_dict()
+    _, state = publish(installed, tuned.state_dict())
+    replica = factory()
+    replica.load_state_dict(state)
+    return evaluate_model(replica, x, y)[0]
 
 
 def _train_base(world: DriftingPhotoWorld, factory: Callable[[], SplitModel],
@@ -290,6 +306,8 @@ def fig17_pipelined_training(model: str = "ResNet50",
         total_time = pipelined_time(store_time, tuner_time, num_runs)
         results[num_runs] = {
             "final_top1": report.accuracy_trace[-1][2],
+            "published_top1": published_top1(factory, base, candidate,
+                                             x_test, y_test),
             "trace": report.accuracy_trace,
             "sim_time_s": total_time,
             "losses_by_run": _losses_by_run(report),
@@ -352,6 +370,7 @@ def tab02_accuracy_matrix(models: Optional[Sequence[str]] = None,
             trainer.finetune(normalize_images(x_ft), y_ft,
                              epochs=scale.finetune_epochs)
             nd_top1, nd_top5 = evaluate_model(nd_model, x1, y1)
+            nd_published = published_top1(factory, base, nd_model, x1, y1)
 
             if (model_name, profile_name) in skip_full:
                 full_top1 = full_top5 = float("nan")
@@ -371,6 +390,7 @@ def tab02_accuracy_matrix(models: Optional[Sequence[str]] = None,
                 "base_top1": base_top1, "base_top5": base_top5,
                 "outdated_top1": out_top1, "outdated_top5": out_top5,
                 "ndpipe_top1": nd_top1, "ndpipe_top5": nd_top5,
+                "ndpipe_published_top1": nd_published,
                 "full_top1": full_top1, "full_top5": full_top5,
             })
     return rows

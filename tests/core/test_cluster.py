@@ -157,7 +157,7 @@ class TestFinetuneFlow:
     def test_store_replicas_match_tuner_after_update(self, loaded_cluster):
         cluster, _, _ = loaded_cluster
         cluster.finetune(epochs=1)
-        tuner_state = cluster.tuner.model.state_dict()
+        tuner_state = cluster.tuner.published
         for store in cluster.stores:
             store_state = store.model.state_dict()
             for key in tuner_state:

@@ -78,7 +78,7 @@ class TestFinetuneDegradesGracefully:
         down.repair()
         cluster.tuner.catch_up(down)
         assert down.model_version == 1
-        tuner_state = cluster.tuner.model.state_dict()
+        tuner_state = cluster.tuner.published
         for key, value in down.model.state_dict().items():
             assert np.allclose(value, tuner_state[key], atol=1e-12)
 

@@ -142,7 +142,9 @@ class TestColdEqualsAlwaysRecompute:
         are 4 B an element.  Re-pinned when pixel tensors went
         run-length (``Z_RLE``): ``ingest`` 117 790 -> 117 612 B (the
         ``preproc/`` blobs), and again when they went to byte planes:
-        117 612 -> 111 139 B."""
+        117 612 -> 111 139 B.  Re-pinned when live deltas went quantised
+        (4 bits a floating-point element, error fed): ``model-delta``
+        21 249 -> 1 242 B."""
         cluster = NDPipeCluster(factory, ClusterConfig(
             num_stores=3, nominal_raw_bytes=2048))
         x, y = small_world.sample(24, 0, rng=np.random.default_rng(3))
@@ -156,7 +158,7 @@ class TestColdEqualsAlwaysRecompute:
         assert [s.busy_seconds for s in cluster.stores] == busy
         assert cluster.traffic_summary() == {
             "model-full": 442899, "ingest": 111139, "features": 12288,
-            "model-delta": 21249, "inference-request": 192, "labels": 384}
+            "model-delta": 1242, "inference-request": 192, "labels": 384}
 
 
 class TestWarm:

@@ -72,7 +72,7 @@ class TestEveryReplicaIsHalfWidth:
         assert straggler.model_version == cluster.tuner.version
         assert_half_width(replicas(cluster))
         for store in cluster.stores:
-            for key, value in cluster.tuner.model.state_dict().items():
+            for key, value in cluster.tuner.published.items():
                 np.testing.assert_array_equal(
                     store.model.state_dict()[key], value)
 

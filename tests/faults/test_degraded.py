@@ -111,7 +111,7 @@ class TestVersionAwareDistribution:
         assert dist.stores_resynced == ["pipestore-2"]
         assert dist.stores_missed == []
         assert behind.model_version == 2
-        tuner_state = cluster.tuner.model.state_dict()
+        tuner_state = cluster.tuner.published
         for key, value in behind.model.state_dict().items():
             assert np.allclose(value, tuner_state[key], atol=1e-12), key
 

@@ -104,7 +104,7 @@ class TestLifecycle:
 
     def test_replicas_consistent(self, lifecycle):
         cluster = lifecycle["cluster"]
-        tuner_state = cluster.tuner.model.state_dict()
+        tuner_state = cluster.tuner.published
         for store in cluster.stores:
             state = store.model.state_dict()
             for key in tuner_state:
