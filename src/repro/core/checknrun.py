@@ -19,6 +19,11 @@ buffer and stays within half that round's step per element (plus one
 rounding to the tensor's dtype), and every replica stays bit-identical
 to the Tuner's published state.
 
+Installs and resyncs are not deltas: a :class:`ReplicaSync` carries the
+published classifier plus a CRC32 fingerprint of the frozen stages, which
+the store already holds from its own build of the model; only a store
+whose frozen stages differ is sent the whole state.
+
 The exact mode (``quantize_bits=None``) is the ablation and test
 reference.  It encodes each changed tensor as an XOR of bit patterns in
 the tensor's **native dtype** (``new ^ old`` on the raw bytes), so
@@ -37,6 +42,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..models.split import frozen_crc
+
 
 # CNR2: entry headers carry the tensor dtype and exact payloads are
 # native-dtype XOR bit diffs (CNR1 shipped float64 arithmetic diffs,
@@ -47,8 +54,17 @@ _MAGIC = b"CNR2"
 LIVE_DELTA_BITS = 4
 
 
+#: wire bytes of a tail sync's fingerprint: one CRC32
+FINGERPRINT_BYTES = 4
+
+
 class DeltaError(ValueError):
     """Raised on malformed delta blobs or incompatible states."""
+
+
+class BaseMismatchError(ValueError):
+    """A store refused a tail sync: the frozen stages it holds are not
+    the ones the sync's fingerprint names."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +86,38 @@ class DeltaStats:
 def state_dict_bytes(state: Dict[str, np.ndarray]) -> int:
     """Serialized size of a whole model (what naive distribution ships)."""
     return sum(v.nbytes + len(k) + 8 for k, v in state.items())
+
+
+@dataclass(frozen=True)
+class ReplicaSync:
+    """One message that brings a replica to a published state.
+
+    A *tail* sync carries the classifier's tensors plus the fingerprint
+    (:func:`~repro.models.split.frozen_crc`) of the frozen stages it
+    leaves out; a store loads it only onto frozen stages with that
+    fingerprint.  A *whole* sync (``fingerprint`` None) carries every
+    tensor: the fallback for a store whose frozen stages differ.
+    """
+
+    tensors: Dict[str, np.ndarray]
+    split: int
+    fingerprint: Optional[int] = None
+
+    @property
+    def num_bytes(self) -> int:
+        """What the message puts on the fabric."""
+        fingerprint = 0 if self.fingerprint is None else FINGERPRINT_BYTES
+        return state_dict_bytes(self.tensors) + fingerprint
+
+
+def replica_syncs(state: Dict[str, np.ndarray], split: int,
+                  classifier_prefix: str) -> Tuple[ReplicaSync, ReplicaSync]:
+    """The tail sync of a published ``state`` and its whole-state
+    fallback; both share ``state``'s arrays."""
+    tail = {key: value for key, value in state.items()
+            if key.startswith(classifier_prefix)}
+    return (ReplicaSync(tail, split, frozen_crc(state, classifier_prefix)),
+            ReplicaSync(state, split))
 
 
 def encode_delta(old: Dict[str, np.ndarray], new: Dict[str, np.ndarray],
@@ -115,7 +163,7 @@ def encode_delta(old: Dict[str, np.ndarray], new: Dict[str, np.ndarray],
     body = b"".join(entries)
     compressed = zlib.compress(body, level)
     # crc32 over the compressed body: a delta mangled in flight must fail
-    # loudly (DeltaError -> the Tuner falls back to a full resync) instead
+    # loudly (DeltaError -> the Tuner falls back to a resync) instead
     # of silently corrupting a replica
     checksum = zlib.crc32(compressed) & 0xFFFFFFFF
     return (_MAGIC + struct.pack(">I", changed)

@@ -89,6 +89,9 @@ class StoreRoster:
 
     def __init__(self) -> None:
         self._by_id: Dict[str, PipeStore] = {}  # insertion = join order
+        #: stores whose join is under way: their replica sync runs before
+        #: :meth:`add`, and only a fault injector may name them meanwhile
+        self.joining: Dict[str, PipeStore] = {}
 
     def add(self, store: PipeStore) -> None:
         if store.store_id in self._by_id:
@@ -184,7 +187,11 @@ class NDPipeCluster:
         store = PipeStore(store_id,
                           nominal_raw_bytes=self.config.nominal_raw_bytes)
         store.bind_metrics(self.metrics)
-        self.tuner.install_replica(store, self.model_factory())
+        self.stores.joining[store_id] = store
+        try:
+            self.tuner.install_replica(store, self.model_factory())
+        finally:
+            del self.stores.joining[store_id]
         self.stores.add(store)
         return store
 

@@ -3,9 +3,11 @@
 A PipeStore stores photos (raw blob + deflate-compressed preprocessed
 binary, §5.4), holds a replica of the weight-freeze model front, and runs
 the two near-data jobs: feature extraction for FT-DMP fine-tuning and
-whole-model offline inference.  Model updates arrive as Check-N-Run deltas.
-The front is frozen, so each photo's split-point feature is kept as a
-third, derived object and the front runs once per (photo, front).
+whole-model offline inference.  Model updates arrive as Check-N-Run deltas;
+installs and resyncs carry the classifier and a fingerprint of the frozen
+stages, which the store checks against its own build.  The front is
+frozen, so each photo's split-point feature is kept as a third, derived
+object and the front runs once per (photo, front).
 """
 
 from __future__ import annotations
@@ -321,25 +323,35 @@ class PipeStore:
             )
         self.accepted_epoch = epoch
 
-    def install_model(self, model: SplitModel, split: int, version: int,
-                      epoch: int = 0) -> None:
-        """Install a full model replica (the initial distribution)."""
-        if not 0 <= split <= model.num_stages:
-            raise ValueError(f"split {split} out of range")
-        self._fence(epoch)
-        self.model = model
-        self.split = split
-        self.model_version = version
-        self.model.eval()
-        if self._metrics is not None:
-            self._m_full_updates.inc()
+    def install_model(self, sync: checknrun.ReplicaSync, version: int,
+                      epoch: int = 0,
+                      base: Optional[SplitModel] = None) -> None:
+        """Bring the replica to a published state: the one receiver of
+        installs and resyncs.
 
-    def apply_full_state(self, state: Dict[str, np.ndarray],
-                         version: int, epoch: int = 0) -> None:
-        """Load a full-model resync into the local replica."""
-        self._require_model()
+        ``base`` is this store's own build of the model, given on its
+        first install; it becomes the replica.  Later syncs update the
+        replica in place.  A tail sync loads only the classifier, onto
+        frozen stages whose fingerprint is the sync's; any other replica
+        refuses it with :class:`~repro.core.checknrun.BaseMismatchError`,
+        unchanged, and the sender falls back to a whole sync.
+        """
+        model = self.model if base is None else base
+        if model is None:
+            raise RuntimeError(f"{self.store_id}: no model installed yet")
+        if not 0 <= sync.split <= model.num_stages:
+            raise ValueError(f"split {sync.split} out of range")
         self._fence(epoch)
-        self.model.load_state_dict(state)
+        if sync.fingerprint is not None:
+            held = model.frozen_fingerprint()
+            if held != sync.fingerprint:
+                raise checknrun.BaseMismatchError(
+                    f"{self.store_id}: frozen stages fingerprint "
+                    f"{held:08x}, the sync expects {sync.fingerprint:08x}")
+        model.load_state_dict(sync.tensors)
+        model.eval()
+        self.model = model
+        self.split = sync.split
         self.model_version = version
         if self._metrics is not None:
             self._m_full_updates.inc()

@@ -7,9 +7,12 @@ are local to the Tuner, so FT-DMP needs no cross-store synchronisation.
 
 Two models live here: the training *master* (``model``) and the
 *published* state (:attr:`Tuner.published`), which is what every replica
-holds.  Only the published state leaves the Tuner — in deltas, full
-resyncs, catch-ups and installs alike — and the attached inference server
-(:meth:`Tuner.attach_serving`) is kept serving it.
+holds.  Only the published state leaves the Tuner — in deltas and in
+replica syncs (installs, resyncs, catch-ups) alike — and the attached
+inference server (:meth:`Tuner.attach_serving`) is kept serving it.  A
+replica sync ships the classifier plus a fingerprint of the frozen
+stages, which the store checks against its own build; only a store
+provisioned with other frozen stages is sent the whole state.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ class DistributionStats:
     #: the send dropped); ``catch_up`` resynchronises them after repair
     stores_missed: List[str] = field(default_factory=list)
     #: stores that were behind the delta's base version (they missed an
-    #: earlier round) and were resynchronised with a full model instead
+    #: earlier round), or whose delta arrived corrupt, and were
+    #: resynchronised instead (:meth:`Tuner._sync_replica`)
     stores_resynced: List[str] = field(default_factory=list)
     #: stores that rejected this round because it was stamped with a
     #: stale epoch — this Tuner has been deposed and must stand down
@@ -107,6 +111,12 @@ class Tuner:
         self._last_distributed: Optional[Dict[str, np.ndarray]] = None
         #: the inference server kept serving the published state
         self._serving = None
+        #: (a published state, its tail and whole replica syncs)
+        self._syncs_of: Optional[Tuple[Dict[str, np.ndarray], Tuple[
+            checknrun.ReplicaSync, checknrun.ReplicaSync]]] = None
+        #: bytes the replica syncs have put on the fabric, each message
+        #: counted every time it was charged
+        self._sync_bytes_sent = 0
         model.freeze_features()
         self.distributions: List[DistributionStats] = []
 
@@ -171,18 +181,11 @@ class Tuner:
         self._stores = roster
 
     def install_replica(self, store: PipeStore, replica: SplitModel) -> None:
-        """Push a joining PipeStore a full model replica (membership
+        """Bring a joining PipeStore, provisioned with its own build
+        ``replica`` of the model, to the published state (membership
         itself is the roster's: :meth:`NDPipeCluster.join_store`)."""
         state = self.published
-        replica.load_state_dict(state)
-        replica.freeze_features()
-        num_bytes = checknrun.state_dict_bytes(state)
-        call_with_retry(
-            lambda: self.network.send(
-                self.name, store.store_id, num_bytes, "model-full"),
-            self.retry)
-        store.install_model(replica, self.split, self.version,
-                            epoch=self.epoch)
+        self._sync_replica(store, state, base=replica.freeze_features())
         self._last_distributed = state
 
     @property
@@ -226,7 +229,8 @@ class Tuner:
         Stores whose replica sits exactly at the delta's base version get
         the Check-N-Run delta; stores that missed an earlier round (crash
         or dropped delta) would be silently corrupted by a delta encoded
-        against a newer base, so they get a full-model resync instead.
+        against a newer base, so they get a resync
+        (:meth:`_sync_replica`) instead.
         Every send is retried with exponential backoff; stores that stay
         unreachable are recorded in ``stores_missed`` and pick the round
         up later via :meth:`catch_up`.
@@ -237,8 +241,8 @@ class Tuner:
         taken the delta this round receives it relayed from that peer —
         the delta bytes leave the parent's NIC, not the Tuner's.  A parent
         that missed, resynced, or got fenced falls back to a Tuner uplink,
-        and full-model resyncs always come from the Tuner (only it holds
-        the full state).  Defaults preserve exact unicast behaviour.
+        and resyncs always come from the Tuner (only it holds the
+        published state).  Defaults preserve exact unicast behaviour.
         """
         if self._last_distributed is None:
             raise RuntimeError("register stores before distributing updates")
@@ -262,6 +266,7 @@ class Tuner:
             used_delta=True,
         )
         delta_holders: set = set()
+        synced_before = self._sync_bytes_sent
         for store in ordered:
             if not store.is_available:
                 stats.stores_missed.append(store.store_id)
@@ -279,15 +284,11 @@ class Tuner:
                         if relay is not None:
                             stats.stores_relayed.append(store.store_id)
                     except checknrun.DeltaError:
-                        # corrupt delta on arrival: fall back to full model
-                        call_with_retry(
-                            lambda s=store: self._send_full(s, new_state),
-                            self.retry)
+                        # corrupt delta on arrival: resync instead
+                        self._sync_replica(store, new_state)
                         stats.stores_resynced.append(store.store_id)
                 else:
-                    call_with_retry(
-                        lambda s=store: self._send_full(s, new_state),
-                        self.retry)
+                    self._sync_replica(store, new_state)
                     stats.stores_resynced.append(store.store_id)
             except StaleEpochError:
                 # this Tuner has been deposed: the store already accepted
@@ -297,11 +298,11 @@ class Tuner:
                     self._m_fenced.inc(node=self.name)
             except (TransientFaultError, StoreUnavailableError):
                 stats.stores_missed.append(store.store_id)
+        resync_bytes = self._sync_bytes_sent - synced_before
         self.distributions.append(stats)
         self._last_distributed = new_state
         self._serve_published()
         if self._metrics is not None:
-            full_bytes = checknrun.state_dict_bytes(new_state)
             num_resynced = len(stats.stores_resynced)
             num_delta = (len(self._stores) - len(stats.stores_missed)
                          - len(stats.stores_fenced) - num_resynced)
@@ -311,8 +312,9 @@ class Tuner:
                                               mechanism="delta")
             if num_resynced:
                 self._m_distributions.inc(num_resynced, mechanism="full")
-                self._m_distributed_bytes.inc(num_resynced * full_bytes,
-                                              mechanism="full")
+            if resync_bytes:
+                # a resync that failed part-way still spent what it sent
+                self._m_distributed_bytes.inc(resync_bytes, mechanism="full")
         return stats
 
     def _send_delta(self, store: PipeStore, blob: bytes,
@@ -323,11 +325,36 @@ class Tuner:
         self.network.send(src, store.store_id, len(blob), "model-delta")
         store.apply_model_delta(blob, self.version, epoch=self.epoch)
 
-    def _send_full(self, store: PipeStore, state: Dict[str, np.ndarray]) -> None:
-        num_bytes = checknrun.state_dict_bytes(state)
+    def _sync_replica(self, store: PipeStore, state: Dict[str, np.ndarray],
+                      base: Optional[SplitModel] = None) -> None:
+        """Bring ``store`` to the published ``state`` (``base``: its own
+        build, on a first install).
+
+        The one way a store is brought to the published state.  The
+        common case is one ``model-full`` message: the classifier plus
+        the fingerprint of the frozen stages, which the store checks
+        against its own.  A store holding other frozen stages refuses it
+        (:class:`checknrun.BaseMismatchError`) and is sent the whole
+        state as a second message.  Each message is retried on its own.
+        """
+        if self._syncs_of is None or self._syncs_of[0] is not state:
+            self._syncs_of = (state, checknrun.replica_syncs(
+                state, self.split, self.model.classifier_prefix))
+        tail, whole = self._syncs_of[1]
+        try:
+            call_with_retry(lambda: self._send_sync(store, tail, base),
+                            self.retry)
+        except checknrun.BaseMismatchError:
+            call_with_retry(lambda: self._send_sync(store, whole, base),
+                            self.retry)
+
+    def _send_sync(self, store: PipeStore, sync: checknrun.ReplicaSync,
+                   base: Optional[SplitModel]) -> None:
         # ndlint: allow[ND005] -- invoked only via call_with_retry thunks
-        self.network.send(self.name, store.store_id, num_bytes, "model-full")
-        store.apply_full_state(state, self.version, epoch=self.epoch)
+        self.network.send(self.name, store.store_id, sync.num_bytes,
+                          "model-full")
+        self._sync_bytes_sent += sync.num_bytes
+        store.install_model(sync, self.version, epoch=self.epoch, base=base)
 
     # -- FT-DMP fine-tuning ----------------------------------------------------
     def finetune(self, assignments: Optional[Dict[str, Sequence[str]]] = None,
@@ -489,8 +516,7 @@ class Tuner:
             raise StoreUnavailableError(f"{store.store_id} is still down")
         if store.model_version == self.version:
             return
-        state = self.published
-        call_with_retry(lambda: self._send_full(store, state), self.retry)
+        self._sync_replica(store, self.published)
 
     # -- checkpoint support ---------------------------------------------------
     def export_training_state(self) -> Dict:

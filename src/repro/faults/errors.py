@@ -43,7 +43,7 @@ class StaleEpochError(FaultError):
     """A fenced component rejected an update stamped with an old epoch.
 
     Raised by a :class:`~repro.core.pipestore.PipeStore` when a model
-    update (Check-N-Run delta or full resync) arrives carrying an epoch
+    update (Check-N-Run delta or replica sync) arrives carrying an epoch
     older than the highest epoch the store has already accepted.  This
     is the split-brain guard: a deposed primary Tuner that comes back
     from the dead cannot corrupt replicas the new primary owns.

@@ -133,9 +133,13 @@ class FaultInjector:
             self._fire(self._due.popleft())
 
     def stores(self) -> Dict[str, Any]:
-        """Every store a schedule can name right now, by id."""
-        return {store.store_id: store
-                for roster in self._rosters for store in roster}
+        """Every store a schedule can name right now, by id: the members
+        of each roster, and the stores joining one."""
+        stores: Dict[str, Any] = {}
+        for roster in self._rosters:
+            stores.update(getattr(roster, "joining", {}))
+            stores.update((store.store_id, store) for store in roster)
+        return stores
 
     def _store(self, store_id: str) -> Any:
         stores = self.stores()

@@ -10,8 +10,9 @@ that a split forward equals the unsplit forward bit-for-bit.
 from __future__ import annotations
 
 import hashlib
+import zlib
 from contextlib import contextmanager
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -90,6 +91,23 @@ class SplitModel(Module):
             self._derived = (split, digest.digest())
         return self._derived[1]
 
+    @property
+    def classifier_prefix(self) -> str:
+        """The state-dict key prefix of the classifier stage."""
+        return f"stage_{self.stage_names[-1]}."
+
+    def frozen_fingerprint(self) -> int:
+        """:func:`frozen_crc` of this model's state, read in place: the
+        CRC32 of every stage :meth:`freeze_features` freezes.
+
+        A replica whose fingerprint equals a published state's holds that
+        state's frozen stages, so a sync need ship it only the classifier.
+        Not memoised: a store computes it once per sync it receives.
+        """
+        arrays = {name: param.data for name, param in self.named_parameters()}
+        arrays.update(self.named_buffers())
+        return frozen_crc(arrays, self.classifier_prefix)
+
     def load_state_dict(self, state) -> None:
         """As :meth:`Module.load_state_dict`; the front digest is dropped
         only when a key of a stage it covers is replaced."""
@@ -165,6 +183,23 @@ class SplitModel(Module):
                 ))
         input_elems = int(np.prod(self.input_shape))
         return ModelGraph(self.name, specs, input_elems, raw_image_bytes)
+
+
+def frozen_crc(state: Mapping[str, np.ndarray], classifier_prefix: str,
+               ) -> int:
+    """CRC32 of every array of ``state`` outside the classifier: key,
+    dtype, shape and bytes, in key order — one pass of the integrity
+    checksum the object store uses.  The fingerprint a replica sync
+    checks a store's frozen stages by; ``front_digest`` keeps keying
+    ``feat/`` rows."""
+    crc = 0
+    for key in sorted(state):
+        if key.startswith(classifier_prefix):
+            continue
+        array = state[key]
+        crc = zlib.crc32(f"{key}{array.dtype.str}{array.shape}".encode(), crc)
+        crc = zlib.crc32(np.ascontiguousarray(array), crc)
+    return crc
 
 
 def assert_split_consistent(model: SplitModel, x: Tensor, split: int,

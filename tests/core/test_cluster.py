@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.checknrun import ReplicaSync
 from repro.core.cluster import NDPipeCluster
 from repro.core.config import ClusterConfig
 from repro.core.fabric import NetworkFabric
@@ -92,13 +93,13 @@ class TestPipeStore:
 
     def test_empty_id_list_rejected(self):
         store = PipeStore("s0")
-        store.install_model(factory(), 5, 0)
+        store.install_model(ReplicaSync({}, 5), 0, base=factory())
         with pytest.raises(ValueError):
             store.extract_features([])
 
     def test_stale_delta_rejected(self):
         store = PipeStore("s0")
-        store.install_model(factory(), 5, version=3)
+        store.install_model(ReplicaSync({}, 5), version=3, base=factory())
         with pytest.raises(ValueError, match="not newer"):
             store.apply_model_delta(b"CNR1\x00\x00\x00\x00x\x9c\x03\x00\x00\x00\x00\x01",
                                     version=3)

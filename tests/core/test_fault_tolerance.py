@@ -3,14 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.core import checknrun
 from repro.core.cluster import NDPipeCluster
 from repro.core.config import ClusterConfig
 from repro.core.pipestore import StoreUnavailableError
+from repro.faults import MessageDroppedError
 from repro.models.registry import tiny_model
 
 
 def factory():
     return tiny_model("ResNet50", num_classes=8, width=8, seed=5)
+
+
+def assert_published(store, cluster):
+    """``store`` holds the Tuner's published state, bit for bit."""
+    assert store.model_version == cluster.tuner.version
+    held = store.model.state_dict()
+    for key, value in cluster.tuner.published.items():
+        assert held[key].tobytes() == value.tobytes(), key
 
 
 @pytest.fixture
@@ -81,6 +91,46 @@ class TestFinetuneDegradesGracefully:
         tuner_state = cluster.tuner.published
         for key, value in down.model.state_dict().items():
             assert np.allclose(value, tuner_state[key], atol=1e-12)
+
+    @pytest.mark.parametrize("front", ["held", "moved", "moved, whole dropped"])
+    def test_resync_metric_counts_the_bytes_sent(self, cluster, front):
+        """``checknrun_distributed_bytes_total{mechanism="full"}`` moves by
+        what the round's resync put on the fabric: the classifier and the
+        fingerprint, plus the whole state when the lagging store's frozen
+        stages moved away from the published ones — and only the refused
+        tail when every try of the whole state is dropped."""
+        lagging = cluster.stores[2]
+        lagging.fail()
+        cluster.finetune(epochs=1)  # the store misses this round
+        lagging.repair()
+        whole = checknrun.state_dict_bytes(cluster.tuner.published)
+        if front != "held":
+            key = "stage_Conv1.layer0.weight"
+            lagging.model.load_state_dict(
+                {key: lagging.model.state_dict()[key] * 2})
+        if front == "moved, whole dropped":
+            def drop_whole(record):
+                if record.kind == "model-full" and record.num_bytes >= whole:
+                    raise MessageDroppedError("whole state dropped")
+                return 0.0
+
+            cluster.network.fault_filter = drop_whole
+        metric = cluster.metrics.get("checknrun_distributed_bytes_total")
+        before = (metric.value(mechanism="full"),
+                  cluster.network.bytes_of_kind("model-full"))
+        cluster.finetune(epochs=1)  # and is found behind by this one
+        cluster.network.fault_filter = None
+        stats = cluster.tuner.distributions[-1]
+        sent = cluster.network.bytes_of_kind("model-full") - before[1]
+        assert metric.value(mechanism="full") - before[0] == sent
+        if front == "moved, whole dropped":
+            assert stats.stores_missed == [lagging.store_id]
+            assert 0 < sent < whole  # the refused tail sync
+            cluster.tuner.catch_up(lagging)
+        else:
+            assert stats.stores_resynced == [lagging.store_id]
+            assert (sent > whole) == (front == "moved")
+        assert_published(lagging, cluster)
 
     def test_catch_up_requires_repair(self, cluster):
         down = cluster.stores[0]

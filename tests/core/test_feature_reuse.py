@@ -49,8 +49,9 @@ def make_store(uploads, state=None, split=None, name="s"):
     model = factory()
     if state is not None:
         model.load_state_dict(state)
-    store.install_model(
-        model, model.num_stages - 1 if split is None else split, version=0)
+    store.install_model(checknrun.ReplicaSync(
+        {}, model.num_stages - 1 if split is None else split), version=0,
+        base=model)
     for upload in uploads:
         store.store_photo(upload)
     return store
@@ -144,7 +145,9 @@ class TestColdEqualsAlwaysRecompute:
         ``preproc/`` blobs), and again when they went to byte planes:
         117 612 -> 111 139 B.  Re-pinned when live deltas went quantised
         (4 bits a floating-point element, error fed): ``model-delta``
-        21 249 -> 1 242 B."""
+        21 249 -> 1 242 B.  Re-pinned when installs began shipping only
+        the classifier and a fingerprint of the frozen stages:
+        ``model-full`` 442 899 -> 24 912 B (3 x 8 304)."""
         cluster = NDPipeCluster(factory, ClusterConfig(
             num_stores=3, nominal_raw_bytes=2048))
         x, y = small_world.sample(24, 0, rng=np.random.default_rng(3))
@@ -157,7 +160,7 @@ class TestColdEqualsAlwaysRecompute:
         assert stats.photos_processed == 24
         assert [s.busy_seconds for s in cluster.stores] == busy
         assert cluster.traffic_summary() == {
-            "model-full": 442899, "ingest": 111139, "features": 12288,
+            "model-full": 24912, "ingest": 111139, "features": 12288,
             "model-delta": 1242, "inference-request": 192, "labels": 384}
 
 
@@ -232,7 +235,8 @@ class TestInvalidation:
         state = store.model.state_dict()
         state[key] = state[key] + 0.125
         del front_images[:]
-        store.apply_full_state(state, version=1)
+        store.install_model(checknrun.ReplicaSync(state, store.split),
+                            version=1)
         after = store.extract_features(ids)
         assert sum(front_images) == len(ids)
         assert not np.array_equal(after, before)
@@ -244,7 +248,7 @@ class TestInvalidation:
     def test_install_model_at_another_split(self, front_images):
         uploads, store, ids, before = self._warm()
         del front_images[:]
-        store.install_model(store.model, split=3, version=1)
+        store.install_model(checknrun.ReplicaSync({}, 3), version=1)
         after = store.extract_features(ids)
         assert sum(front_images) == len(ids)
         assert after.shape != before.shape
@@ -388,7 +392,8 @@ def test_any_history_matches_a_store_that_always_recomputes(history):
                 store.apply_model_delta(
                     checknrun.encode_delta(state, new), version)
             else:
-                store.apply_full_state(new, version)
+                store.install_model(
+                    checknrun.ReplicaSync(new, store.split), version)
             state = new
         elif op in ("finetune", "relabel") and held:
             ids = [pid for pid in sorted(held) if rng.random() < 0.6]

@@ -3,17 +3,24 @@
 Live deltas are quantised, so the Tuner's training master is not what
 the fleet holds.  What every replica holds is the Tuner's *published*
 state, and this sweep checks that after any sequence of fine-tune
-rounds, store crashes, recoveries and catch-ups, joins, dropped deltas
-(the full-resync fallback), checkpoint -> restore and Tuner failovers:
+rounds, store crashes, recoveries and catch-ups, joins (of stores
+provisioned with the Tuner's frozen stages or with other ones), lagging
+stores resynced by the next round, dropped deltas (the resync fallback),
+checkpoint -> restore and Tuner failovers:
 
 - every live store replica, the inference server and a fresh serving
   frontend's replicas equal the published state byte for byte, at the
   Tuner's version;
+- every replica sync charged the fabric the classifier plus a 4-byte
+  fingerprint of the frozen stages, and a sync to a store holding other
+  frozen stages the whole state on top;
 - per element, ``|master - published|`` is at most half of the last
   round's quantisation step (error feedback: the residual never drifts);
 - ``finetune(resume=...)`` reproduces both the master and the published
   state bit for bit.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import settings, strategies as st
@@ -26,7 +33,11 @@ from hypothesis.stateful import (
 )
 
 from repro.core import ClusterConfig, NDPipeCluster
-from repro.core.checknrun import LIVE_DELTA_BITS
+from repro.core.checknrun import (
+    FINGERPRINT_BYTES,
+    LIVE_DELTA_BITS,
+    state_dict_bytes,
+)
 from repro.data import DriftingPhotoWorld, WorldConfig
 from repro.durability.checkpoint import unpack_tuner_state
 from repro.faults import DropMessages, FaultInjector
@@ -40,6 +51,21 @@ HA = HAConfig(auto_evict=False, auto_rejoin=False)
 
 def factory():
     return tiny_model("ResNet50", num_classes=8, width=8, seed=7)
+
+
+def other_base():
+    """A build with other frozen stages (another seed)."""
+    return tiny_model("ResNet50", num_classes=8, width=8, seed=8)
+
+
+@contextmanager
+def provisioned_with(cluster, build):
+    """Joins inside the block get replicas from ``build``."""
+    cluster.model_factory, saved = build, cluster.model_factory
+    try:
+        yield
+    finally:
+        cluster.model_factory = saved
 
 
 def fresh_cluster(num_stores):
@@ -78,6 +104,8 @@ class ReplicaIdentity(RuleBasedStateMachine):
         self.cluster.ingest(x, train_labels=y)
         self.ha = self.cluster.enable_ha(HA)
         self.bound = {}
+        #: syncs refused for other frozen stages (each then ships whole)
+        self.mismatched = 0
 
     # -- helpers -------------------------------------------------------------
     @property
@@ -121,6 +149,28 @@ class ReplicaIdentity(RuleBasedStateMachine):
     def join(self):
         self.cluster.join_store(f"pipestore-{len(self.cluster.stores)}")
 
+    @precondition(lambda self: len(self.cluster.stores) < MAX_STORES)
+    @rule()
+    def join_with_another_base(self):
+        """A store provisioned with other frozen stages refuses the tail
+        sync and is sent the whole published state."""
+        with provisioned_with(self.cluster, other_base):
+            self.cluster.join_store(f"pipestore-{len(self.cluster.stores)}")
+        self.mismatched += 1
+
+    @precondition(lambda self: len(self.down()) < len(self.cluster.stores) - 1)
+    @rule(data=st.data())
+    def resync_a_lagging_store(self, data):
+        """A store misses a round while down and comes back without a
+        catch-up: the next round finds it behind and resyncs it."""
+        up = [s for s in self.cluster.stores if s.is_available]
+        store = data.draw(st.sampled_from(up))
+        store.fail()
+        self.round()
+        store.repair()
+        self.round()
+        assert store.store_id in self.tuner.distributions[-1].stores_resynced
+
     @rule()
     def drop_a_delta(self):
         """Every retry of one store's delta is dropped; the next round
@@ -146,6 +196,7 @@ class ReplicaIdentity(RuleBasedStateMachine):
         clone.restore(blob)
         self.cluster = clone
         self.ha = clone.enable_ha(HA)
+        self.mismatched = 0  # the clone's fabric carried only its installs
 
     def standby_is_current(self):
         """The standby holds a frame of the primary as it stands (after a
@@ -193,6 +244,19 @@ class ReplicaIdentity(RuleBasedStateMachine):
         for replica in frontend.dispatcher.replicas:
             assert_same_bits(replica.model.state_dict(), published,
                              replica.name)
+
+    @invariant()
+    def syncs_ship_the_tail_unless_the_frozen_stages_differ(self):
+        published = self.tuner.published
+        prefix = self.tuner.model.classifier_prefix
+        tail = state_dict_bytes({key: value for key, value in
+                                 published.items() if key.startswith(prefix)})
+        updates = self.cluster.metrics.get("pipestore_model_updates_total")
+        syncs = sum(updates.value(store=store.store_id, mechanism="full")
+                    for store in self.cluster.stores)
+        assert self.cluster.network.bytes_of_kind("model-full") == (
+            syncs * (tail + FINGERPRINT_BYTES)
+            + self.mismatched * state_dict_bytes(published))
 
     @invariant()
     def the_residual_stays_within_half_a_step(self):

@@ -10,6 +10,7 @@ weights identical, bit for bit, to a run that never saw the fault.
 import numpy as np
 import pytest
 
+from repro.core.checknrun import ReplicaSync
 from repro.core.cluster import NDPipeCluster
 from repro.core.config import ClusterConfig
 from repro.data.drift import DriftingPhotoWorld, WorldConfig
@@ -128,11 +129,10 @@ class TestFencing:
     def test_store_fence_rejects_regressing_epochs(self):
         cluster, _ = build_cluster()
         store = cluster.stores[0]
-        store.apply_full_state(cluster.tuner.model.state_dict(),
-                               version=store.model_version, epoch=3)
+        whole = ReplicaSync(cluster.tuner.model.state_dict(), store.split)
+        store.install_model(whole, version=store.model_version, epoch=3)
         with pytest.raises(StaleEpochError):
-            store.apply_full_state(cluster.tuner.model.state_dict(),
-                                   version=store.model_version, epoch=2)
+            store.install_model(whole, version=store.model_version, epoch=2)
         assert store.accepted_epoch == 3
 
 

@@ -32,7 +32,8 @@ def _store(registry=None):
     if registry is not None:
         store.bind_metrics(registry)
     model = _model()
-    store.install_model(model, model.num_stages - 1, version=0)
+    store.install_model(checknrun.ReplicaSync({}, model.num_stages - 1),
+                        version=0, base=model)
     rng = np.random.default_rng(0)
     for i in range(6):
         pixels = rng.random((3, 16, 16))
@@ -87,8 +88,9 @@ def _front_delta(store):
 
 
 def _full_resync(store):
-    store.apply_full_state(_scaled(store.model.state_dict(), "stage_Conv1."),
-                           version=1)
+    store.install_model(checknrun.ReplicaSync(
+        _scaled(store.model.state_dict(), "stage_Conv1."), store.split),
+        version=1)
 
 
 def _cast(store):

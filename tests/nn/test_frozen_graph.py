@@ -100,7 +100,9 @@ class TestDerivedStateCannotGoStale:
     def test_apply_model_delta(self, served):
         model, x = served
         store = PipeStore("s0")
-        store.install_model(model, split=model.num_stages - 1, version=0)
+        store.install_model(
+            checknrun.ReplicaSync({}, model.num_stages - 1), version=0,
+            base=model)
         old = model.state_dict()
         store.apply_model_delta(
             checknrun.encode_delta(old, _perturbed(old, seed=4)), version=1)

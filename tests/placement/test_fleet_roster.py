@@ -282,7 +282,9 @@ def test_join_fail_reingest_recover_scrub_is_pinned():
     went to byte planes: ``bytes_received`` and ``rebalance`` 198 636 ->
     193 619, ``ingest`` 353 125 -> 344 243, ``replicate`` 706 250 ->
     688 486, ``re-ingest`` 22 073 -> 21 522, ``repair`` 35 615 ->
-    35 342."""
+    35 342; and ``model-full`` 738 165 -> 41 520 B (5 x 8 304) since an
+    install ships only the classifier and a fingerprint of the frozen
+    stages."""
     fleet, ids = make_fleet(num_shards=4, replication=3, photos=32)
     summary = fleet.join_shard()
     cluster = fleet.cluster
@@ -319,7 +321,7 @@ def test_join_fail_reingest_recover_scrub_is_pinned():
     assert summary["copies"] == ledger
     assert fleet.ledger().to_dict() == ledger
     assert cluster.network.kinds() == {
-        "ingest": 344243, "model-full": 738165, "re-ingest": 21522,
+        "ingest": 344243, "model-full": 41520, "re-ingest": 21522,
         "rebalance": 193619, "repair": 35342, "replicate": 688486}
     assert scrub.repaired == [("pipestore-4", "raw/default/photo-00000012")]
     assert scrub.restored == [

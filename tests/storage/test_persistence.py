@@ -127,6 +127,7 @@ class TestDatabaseSnapshots:
 class TestPipeStoreRestart:
     def test_pipestore_survives_restart(self, small_world):
         """Snapshot a loaded PipeStore, 'reboot' it, keep serving."""
+        from repro.core.checknrun import ReplicaSync
         from repro.core.pipestore import PipeStore, StoredPhoto
         from repro.models.registry import tiny_model
         from repro.storage.imageformat import preprocess
@@ -141,8 +142,8 @@ class TestPipeStoreRestart:
 
         rebooted = PipeStore("s0", nominal_raw_bytes=4096)
         rebooted.objects = load_object_store(snapshot, name="s0")
-        rebooted.install_model(tiny_model("ResNet50", num_classes=8,
-                                          width=8, seed=5), 5, 0)
+        rebooted.install_model(ReplicaSync({}, 5), 0, base=tiny_model(
+            "ResNet50", num_classes=8, width=8, seed=5))
         results = rebooted.offline_infer(rebooted.photo_ids()[:4])
         assert len(results) == 4
 
