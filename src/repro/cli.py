@@ -720,21 +720,17 @@ def _cmd_serve_stream(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit(json.dumps(result, indent=2), args.out)
         return 0
-    s, sync = result["streaming"], result["sync"]
-    rows = [
-        ["streaming", s["offered"], s["completed"],
-         s["cancelled"] + s["expired"], s["queue_full"],
-         f"{s['throughput_rps']:.0f}",
-         f"{s['p50_latency_s'] * 1e3:.1f}",
-         f"{s['p99_latency_s'] * 1e3:.1f}",
-         f"{s['mean_batch']:.1f}"],
-        ["sync", sync["offered"], sync["completed"],
-         sync["shed"]["deadline"], sync["shed"]["queue_full"],
-         f"{sync['throughput_rps']:.0f}",
-         f"{sync['p50_latency_s'] * 1e3:.1f}",
-         f"{sync['p99_latency_s'] * 1e3:.1f}",
-         f"{sync['mean_batch']:.1f}"],
-    ]
+    s = result["streaming"]
+
+    def row(name: str, r: dict) -> list:
+        return [name, r["offered"], r["completed"],
+                r["cancelled"] + r["expired"], r["queue_full"],
+                f"{r['throughput_rps']:.0f}",
+                f"{r['p50_latency_s'] * 1e3:.1f}",
+                f"{r['p99_latency_s'] * 1e3:.1f}",
+                f"{r['mean_batch']:.1f}"]
+
+    rows = [row("streaming", s), row("sync", result["sync"])]
     _emit("\n".join([
         format_table(
             ["frontend", "offered", "completed", "late/expired",

@@ -13,8 +13,8 @@ plain-value knobs now live in one frozen :class:`ClusterConfig`:
                                                    replication=2))
 
 ``ClusterConfig.validated()`` is the single validation choke point —
-every constructor path (direct config, legacy kwargs, ``from_dict``)
-funnels through it, so a bad knob fails loudly at construction with a
+both constructor paths (a direct config and ``from_dict``) funnel
+through it, so a bad knob fails loudly at construction with a
 message naming the field.  ``to_dict``/``from_dict`` round-trip the
 config for manifests and CLI plumbing.
 

@@ -395,10 +395,6 @@ def rng_state_to_json(rng: np.random.Generator) -> Dict[str, Any]:
     return _jsonify(rng.bit_generator.state)
 
 
-def rng_state_from_json(state: Dict[str, Any]) -> Dict[str, Any]:
-    return state
-
-
 def _jsonify(value: Any) -> Any:
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}

@@ -1,4 +1,4 @@
-"""Weight initialisation schemes (Kaiming / Xavier), seedable."""
+"""Weight initialisation (Kaiming), seedable."""
 
 from __future__ import annotations
 
@@ -9,12 +9,6 @@ def kaiming_normal(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:
     """He initialisation for ReLU networks."""
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape, fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """Glorot initialisation for tanh/linear/attention layers."""
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def conv_fan_in(in_channels: int, kernel: int) -> int:

@@ -9,11 +9,15 @@ feature rows (a hit runs only the classifier tail), and a multi-replica
 dispatcher riding the cluster's fault-injectable fabric and retry
 policy.
 
-On top of the synchronous front end sits the streaming protocol
-(:mod:`~repro.serving.stream`): request-id'd out-of-order completion,
-per-request cancellation and deadlines, credit-window backpressure in
-place of queue-full shedding, and SLO-headroom replica autoscaling
-(:mod:`~repro.serving.autoscale`).
+One event loop (:mod:`~repro.serving.stream`, on the
+:class:`~repro.sim.engine.Simulation` kernel) serves both protocols.
+With a :class:`StreamConfig` it runs the streaming one: request-id'd
+out-of-order completion, per-request cancellation and deadlines,
+credit-window backpressure in place of queue-full shedding, and
+SLO-headroom replica autoscaling (:mod:`~repro.serving.autoscale`).
+Without one — :class:`ServingFrontend` — the pending line is the bounded
+queue that sheds, and each batch is delivered at dispatch, in order.
+Both report one :class:`ServingReport` of :class:`ServeOutcome`\\ s.
 """
 
 from .admission import AdmissionQueue, ServeRequest
@@ -22,21 +26,19 @@ from .batcher import SloController, slo_batch_size
 from .cache import TensorCache, content_key
 from .config import ACCELERATORS, ServingConfig, StreamConfig
 from .dispatcher import FRONTEND_NODE, ReplicaDispatcher
-from .frontend import (
-    SHED_REASONS,
-    ServeOutcome,
-    ServingFrontend,
-    ServingReport,
-)
+from .frontend import ServingFrontend
 from .metrics import ServingMetrics
 from .protocol import (
     CANCELLED,
     COMPLETED,
+    DISPATCH_FAILED,
     EXPIRED,
+    QUEUE_FULL,
+    SHED_REASONS,
     TERMINAL_STATUSES,
     CreditWindow,
-    StreamOutcome,
-    StreamingReport,
+    ServeOutcome,
+    ServingReport,
 )
 from .stream import StreamingFrontend
 
@@ -46,9 +48,11 @@ __all__ = [
     "CANCELLED",
     "COMPLETED",
     "CreditWindow",
+    "DISPATCH_FAILED",
     "EXPIRED",
     "ElasticityController",
     "FRONTEND_NODE",
+    "QUEUE_FULL",
     "ReplicaDispatcher",
     "SHED_REASONS",
     "ServeOutcome",
@@ -59,9 +63,7 @@ __all__ = [
     "ServingReport",
     "SloController",
     "StreamConfig",
-    "StreamOutcome",
     "StreamingFrontend",
-    "StreamingReport",
     "TERMINAL_STATUSES",
     "TensorCache",
     "content_key",

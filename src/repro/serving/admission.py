@@ -12,7 +12,10 @@ timely requests into late ones.  So admission is where load is shed:
   time on an answer nobody is waiting for.
 
 Every shed is counted by reason; the serving report's accounting
-invariant ``offered == completed + shed`` is exact.
+invariant ``offered == completed + cancelled + shed`` is exact.  The
+queue is the pending line of both serving protocols: under a credit
+window it has one slot per credit, so it never fills, and a batch whose
+dispatch failed goes back to its head (:meth:`AdmissionQueue.requeue`).
 """
 
 from __future__ import annotations
@@ -104,11 +107,13 @@ class AdmissionQueue:
         """Arrivals rejected because the queue was at capacity."""
         return self._shed_full
 
-    def drain(self) -> List[ServeRequest]:
-        """Remove and return everything still queued (end of run)."""
-        out = list(self._pending)
-        self._pending.clear()
-        return out
+    def remove(self, request: ServeRequest) -> None:
+        """Take one queued request out of the line (a client cancel)."""
+        self._pending.remove(request)
+
+    def requeue(self, ready: List[ServeRequest]) -> None:
+        """Put a batch whose dispatch failed back at the head, in order."""
+        self._pending.extendleft(reversed(ready))
 
     def stats(self) -> Dict[str, int]:
         return {"depth": len(self._pending),

@@ -130,11 +130,12 @@ def run_streaming_bench(seed: int = 0, trace: str = "flash",
                         skew: float = STREAM_BENCH_DEFAULTS["skew"],
                         config: Optional[ServingConfig] = None,
                         stream: Optional[StreamConfig] = None) -> Dict:
-    """Streaming protocol vs the synchronous PR 5 front end on one trace.
+    """The one serving loop's two protocols on one trace.
 
     The same offered load plays through both: the streaming credit-window
-    path (with autoscaling) and the synchronous hard-bounded-queue path
-    at a static replica count.  The headline comparison is the shedding
+    protocol (with autoscaling) and the bounded-queue protocol of
+    :class:`ServingFrontend` (the ``sync`` side, in-order delivery at
+    dispatch) at a static replica count.  The headline comparison is the shedding
     behaviour — the streaming side must show zero ``queue_full`` while
     the synchronous side drops — plus the out-of-order completion count
     that only the streaming protocol can exhibit.

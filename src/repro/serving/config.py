@@ -4,8 +4,14 @@ Mirrors :class:`~repro.core.config.ClusterConfig`: a frozen dataclass
 with a single ``validated()`` choke point, strict ``from_dict``, and a
 ``to_dict`` round-trip for manifests and CLI plumbing.  Collaborator
 objects (replica servers, the shared fabric, retry policy, metrics,
-tracer) stay constructor arguments on
-:class:`~repro.serving.frontend.ServingFrontend`.
+tracer) stay constructor arguments on the front ends.
+
+A :class:`StreamConfig` is not a knob but a protocol: a
+:class:`~repro.serving.stream.StreamingFrontend` that holds one runs the
+credit window (``queue_capacity`` is then unused: the pending line has
+one slot per credit), one without it — and so
+:class:`~repro.serving.frontend.ServingFrontend` — runs the bounded
+queue of ``queue_capacity`` that sheds.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ class ServingConfig:
     """Knobs for admission control, batching, caching, and dispatch."""
 
     #: bounded admission-queue capacity; arrivals beyond it are shed
+    #: (the bounded-queue protocol only: a credit window never sheds)
     queue_capacity: int = 256
     #: the p99 latency objective the batch controller steers toward
     slo_s: float = 0.1

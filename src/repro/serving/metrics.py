@@ -1,8 +1,9 @@
 """One registration site for every serving metric family (ND004).
 
-Both front ends — the synchronous :class:`~repro.serving.frontend.
-ServingFrontend` and the streaming :class:`~repro.serving.stream.
-StreamingFrontend` — report into the same metric families, and ND004
+Both protocols of the one serving loop — the bounded queue of
+:class:`~repro.serving.frontend.ServingFrontend` and the credit window
+of :class:`~repro.serving.stream.StreamingFrontend` — report into the
+same metric families (each into the ones its protocol has), and ND004
 requires each family to have exactly one registration call site
 repo-wide.  This module is that site: a :class:`ServingMetrics` bundle
 registers (or re-binds, via the registry's get-or-create semantics)

@@ -1,25 +1,27 @@
-"""Streaming serving protocol: credits, statuses, outcomes, report.
+"""Serving protocol: credits, statuses, the one outcome and report.
 
-The streaming front end replaces the synchronous request/response loop
-with a request-id'd protocol.  Every client submission moves through a
-small state machine::
+Every request offered to a front end moves through a small state
+machine and ends in exactly one terminal status::
 
     backlog -> pending -> inflight -> completed
         \\         \\          \\-----> cancelled   (cancel latched in flight)
-         \\         \\--------------> cancelled | expired
+         \\         \\--------------> cancelled | expired | dispatch_failed
           \\-----------------------> cancelled
+    (arrival) ----------------------> queue_full
 
 ``backlog`` holds submissions waiting for a send credit (client side),
-``pending`` holds credited requests queued at the server, ``inflight``
-requests ride a dispatched micro-batch.  Terminal states are exactly
-``completed``, ``cancelled``, ``expired`` — there is no shed path, so
-conservation reads ``offered == completed + cancelled + expired``.
+``pending`` holds requests queued at the server, ``inflight`` requests
+ride a dispatched micro-batch.  Conservation reads ``offered ==
+completed + cancelled + expired + queue_full + dispatch_failed``.
 
-Backpressure is a fixed credit window: the invariant checked on every
-transition is ``granted == in_flight + available``.  A client may only
-submit while it holds a credit; credits replenish when the server
-resolves the request, so overload degrades to *delay* (backlog wait)
-rather than drops.
+Two protocols share the states.  Under a credit window (a
+:class:`~repro.serving.config.StreamConfig`) nothing is shed: a client
+may only submit while it holds a credit, credits replenish when the
+server resolves the request, so overload degrades to *delay* (backlog
+wait) rather than drops, and the invariant checked on every transition
+is ``granted == in_flight + available``.  Without one the pending line
+is a bounded queue: a full queue sheds ``queue_full``, a batch every
+retry dropped sheds ``dispatch_failed``, and there is no backlog.
 """
 
 from __future__ import annotations
@@ -28,23 +30,34 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..lint.contracts import conserves
+from .admission import ServeRequest
 
 __all__ = [
     "COMPLETED",
     "CANCELLED",
     "EXPIRED",
+    "QUEUE_FULL",
+    "DISPATCH_FAILED",
     "TERMINAL_STATUSES",
+    "SHED_REASONS",
     "CreditWindow",
-    "StreamOutcome",
-    "StreamingReport",
+    "ServeOutcome",
+    "ServingReport",
     "exact_percentile",
 ]
 
 COMPLETED = "completed"
 CANCELLED = "cancelled"
 EXPIRED = "expired"
-TERMINAL_STATUSES = (COMPLETED, CANCELLED, EXPIRED)
+QUEUE_FULL = "queue_full"
+DISPATCH_FAILED = "dispatch_failed"
+TERMINAL_STATUSES = (COMPLETED, CANCELLED, EXPIRED, QUEUE_FULL,
+                     DISPATCH_FAILED)
+#: the keys of :attr:`ServingReport.shed`; ``deadline`` is the expiry
+SHED_REASONS = ("queue_full", "deadline", "dispatch_failed")
 
 
 def exact_percentile(values: Sequence[float], q: float) -> float:
@@ -102,10 +115,17 @@ class CreditWindow:
 
 
 @dataclass
-class StreamOutcome:
-    """Terminal record for one request-id'd submission."""
+class ServeOutcome:
+    """Terminal record for one request.
 
-    request_id: str
+    A completed request's ``label`` and ``confidence`` are filled in when
+    its replica resolves, at the end of the serve.  ``preprocessed`` is
+    the request's preprocessed tensor, kept only when the caller lands
+    uploads and the batch computed it (``None`` for a row served from
+    cache).
+    """
+
+    request: ServeRequest
     status: str
     t_resolved_s: float
     label: Optional[int] = None
@@ -115,22 +135,31 @@ class StreamOutcome:
     batch_index: Optional[int] = None
     batch_size: Optional[int] = None
     cache_hit: Optional[bool] = None
+    preprocessed: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.status not in TERMINAL_STATUSES:
             raise ValueError(f"unknown terminal status {self.status!r}")
 
+    @property
+    def request_id(self) -> str:
+        return self.request.request_id
 
-@conserves("offered == completed + cancelled + expired", mode="group")
+
+@conserves("offered == completed + cancelled + expired + queue_full "
+           "+ dispatch_failed", mode="group")
 @dataclass
-class StreamingReport:
-    """Everything one StreamingFrontend.serve() run measured.
+class ServingReport:
+    """Everything one front end's ``serve()`` run measured.
 
     The ``group`` conservation mode fits a ledger that closes at
     end-of-run: every resolution path must bump exactly one terminal
     counter (ND006 proves the path consistency statically), and the
     runtime :attr:`conserved` check settles the books when the event
-    loop drains.
+    loop drains.  Which terms can be non-zero depends on the protocol:
+    the bounded queue sheds (``queue_full``, ``expired`` as the
+    ``deadline`` shed, ``dispatch_failed``), the credit window only
+    cancels and expires.
     """
 
     offered: int = 0
@@ -138,8 +167,9 @@ class StreamingReport:
     cancelled: int = 0
     expired: int = 0
     # structurally zero under credit flow — kept (and gated at zero) to
-    # prove the protocol never sheds on a full queue
+    # prove that protocol never sheds on a full queue
     queue_full: int = 0
+    dispatch_failed: int = 0
     makespan_s: float = 0.0
     redispatches: int = 0
     out_of_order: int = 0
@@ -158,11 +188,26 @@ class StreamingReport:
     credit_waits_s: List[float] = field(default_factory=list)
     batch_sizes: List[int] = field(default_factory=list)
     completion_order: List[str] = field(default_factory=list)
-    outcomes: List[StreamOutcome] = field(default_factory=list)
+    outcomes: List[ServeOutcome] = field(default_factory=list)
+
+    @property
+    def shed(self) -> Dict[str, int]:
+        """Requests shed, by reason (an expiry is the ``deadline`` shed)."""
+        return {"queue_full": self.queue_full, "deadline": self.expired,
+                "dispatch_failed": self.dispatch_failed}
+
+    @property
+    def shed_total(self) -> int:
+        return self.queue_full + self.expired + self.dispatch_failed
+
+    @property
+    def completed_requests(self) -> List[ServeOutcome]:
+        """The completed outcomes, in the order they were delivered."""
+        return [o for o in self.outcomes if o.status == COMPLETED]
 
     @property
     def resolved(self) -> int:
-        return self.completed + self.cancelled + self.expired
+        return self.completed + self.cancelled + self.shed_total
 
     @property
     def conserved(self) -> bool:
@@ -170,6 +215,7 @@ class StreamingReport:
 
     @property
     def throughput_rps(self) -> float:
+        """Completed requests per second of simulated run time."""
         if self.makespan_s <= 0:
             return 0.0
         return self.completed / self.makespan_s
@@ -183,6 +229,14 @@ class StreamingReport:
     def latency_percentile(self, q: float) -> float:
         return exact_percentile(self.latencies_s, q)
 
+    @property
+    def p50_latency_s(self) -> float:
+        return self.latency_percentile(50.0)
+
+    @property
+    def p99_latency_s(self) -> float:
+        return self.latency_percentile(99.0)
+
     def credit_wait_percentile(self, q: float) -> float:
         return exact_percentile(self.credit_waits_s, q)
 
@@ -193,11 +247,13 @@ class StreamingReport:
             "cancelled": self.cancelled,
             "expired": self.expired,
             "queue_full": self.queue_full,
+            "dispatch_failed": self.dispatch_failed,
+            "shed": self.shed,
             "conserved": self.conserved,
             "makespan_s": self.makespan_s,
             "throughput_rps": self.throughput_rps,
-            "p50_latency_s": self.latency_percentile(50),
-            "p99_latency_s": self.latency_percentile(99),
+            "p50_latency_s": self.p50_latency_s,
+            "p99_latency_s": self.p99_latency_s,
             "p99_credit_wait_s": self.credit_wait_percentile(99),
             "mean_batch": self.mean_batch,
             "out_of_order": self.out_of_order,

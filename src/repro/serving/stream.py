@@ -1,55 +1,66 @@
-"""StreamingFrontend — async request-id'd serving with backpressure.
+"""StreamingFrontend — the one serving loop, request-id'd, two protocols.
 
-The synchronous :class:`~repro.serving.frontend.ServingFrontend`
-completes requests in submission order and sheds on a full queue.  This
-front end runs the production shape instead, still as a deterministic
-discrete-event simulation on the logical clock:
+A deterministic discrete-event simulation on the logical clock of
+:class:`~repro.sim.engine.Simulation` (no wall clock, no threads): an
+open-loop arrival trace, plus optional client cancels, plays through
+admission, the feature-row cache, the adaptive micro-batcher and the
+replica dispatcher.  Whether the front end holds a
+:class:`~repro.serving.config.StreamConfig` selects the protocol:
 
-* **out-of-order completion** — micro-batches land on whichever replica
-  is free, so a small batch on an idle replica finishes before a large
-  earlier batch still running elsewhere; answers are reassembled per
-  request id as completion callbacks fire, and the report counts the
-  inversions (completions whose submission sequence number is lower
-  than one already delivered);
-* **backpressure credits, not sheds** — clients hold send credits
-  (:class:`~repro.serving.protocol.CreditWindow`); an arrival with no
-  credit waits in a client-side backlog until a completion replenishes
-  the window.  Overload therefore degrades to *delay* (visible as
-  ``credit_wait``) instead of ``queue_full`` drops, and conservation is
-  exact: ``offered == completed + cancelled + expired``;
-* **cancellation and deadlines** — a cancel resolves a backlog or
-  pending request immediately and is latched for in-flight requests
-  (the answer is discarded at completion); requests that can no longer
-  meet their deadline expire at batch-formation time;
-* **no shed on dispatch faults** — a batch whose transfer every retry
-  drops is re-queued at the front of the pending line (counted as
-  ``redispatches``) rather than shed, preserving conservation; the
-  dropped batch cached nothing, so its misses miss again;
+* **credit window** (a ``StreamConfig``) — the production shape.
+  Clients hold send credits (:class:`~repro.serving.protocol.
+  CreditWindow`); an arrival with no credit waits in a client-side
+  backlog until a resolution replenishes the window, so overload
+  degrades to *delay* (visible as ``credit_wait``) instead of drops.
+  The pending line is an :class:`~repro.serving.admission.
+  AdmissionQueue` of ``credits`` slots, which can never fill.  A batch
+  whose transfer every retry drops goes back to the head of the line
+  (counted as ``redispatches``); the dropped batch cached nothing, so
+  its misses miss again.  A batch is delivered at its ``t_done`` event:
+  micro-batches land on whichever replica is free, so a small batch on
+  an idle replica finishes before a large earlier batch still running
+  elsewhere, and the report counts the inversions (completions whose
+  submission sequence number is lower than one already delivered).
+* **bounded queue** (no ``StreamConfig``; :class:`~repro.serving.
+  frontend.ServingFrontend`) — the pending line is an ``AdmissionQueue``
+  of ``queue_capacity``; a full queue sheds ``queue_full``, a dropped
+  batch sheds ``dispatch_failed``, and each batch is delivered when it
+  is dispatched, so completion is in submission order.
+
+Both protocols share the rest:
+
+* **dispatch on every event** — whenever the earliest-free undrained
+  replica is free, the line yields up to the controller's batch-size
+  target (:meth:`~repro.serving.admission.AdmissionQueue.take`),
+  expiring requests that can no longer meet their deadline;
+* **cancellation** — a cancel resolves a backlog or pending request
+  immediately and is latched for in-flight requests (the answer is
+  discarded at delivery);
 * **hits from the split point** — batches run through the shared
   :class:`~repro.serving.batcher.MicroBatcher`: a request whose feature
   row the serving replica's front already produced runs only the
   classifier tail, which is what makes batch service times (and so
   completion order across replicas) depend on each batch's hit mix;
-* **logical completion, pooled arithmetic** — a completion event is the
-  logical batch finishing on the clock; the replica computes lazily
-  (one front forward per ``max_batch`` pooled misses, one tail per
-  logical batch), so a completed :class:`~repro.serving.protocol.
-  StreamOutcome` gets its label and confidence when :meth:`serve`
-  returns — a replica retired by a scale-down still answers what it
-  took, and a cancel-latched answer is still discarded;
+* **logical delivery, pooled arithmetic** — delivery is the logical
+  batch settled on the clock; the replica computes lazily (one front
+  forward per ``max_batch`` pooled misses, one tail per logical batch),
+  so a completed :class:`~repro.serving.protocol.ServeOutcome` gets its
+  label and confidence when :meth:`StreamingFrontend.serve` returns — a
+  replica retired by a scale-down still answers what it took, and a
+  cancel-latched answer is still discarded;
 * **three signals, three actuators** — each delivered batch's *service
   time* (dispatch to done) feeds the AIMD
   :class:`~repro.serving.batcher.SloController` (batch size); its worst
   request *sojourn* feeds the :class:`~repro.serving.autoscale.
-  ElasticityController`, which grows/shrinks the replica set inside the
-  configured bounds; the *deadline* drives expiry at batch formation.
+  ElasticityController` (credit window only), which grows/shrinks the
+  replica set inside the configured bounds; the *deadline* drives
+  expiry at batch formation.
 
 Identical traces (arrivals + cancellations) produce identical reports.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import (
     Callable, Deque, Dict, Iterable, List, Mapping, Optional, Sequence,
@@ -61,35 +72,36 @@ from ..faults.errors import TransientFaultError
 from ..faults.retry import RetryPolicy
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
-from .admission import ServeRequest
+from ..sim.engine import Simulation
+from .admission import AdmissionQueue, ServeRequest
 from .autoscale import ElasticityController
-from .batcher import MicroBatcher
+from .batcher import DeliveredBatch, MicroBatcher
 from .config import ServingConfig, StreamConfig
 from .dispatcher import ReplicaDispatcher
 from .metrics import ServingMetrics
 from .protocol import (
     CANCELLED,
     COMPLETED,
+    DISPATCH_FAILED,
     EXPIRED,
+    QUEUE_FULL,
     CreditWindow,
-    StreamOutcome,
-    StreamingReport,
+    ServeOutcome,
+    ServingReport,
 )
 
 __all__ = ["StreamingFrontend"]
 
-# event kinds; ties at one instant break on insertion sequence, and
-# arrivals are inserted before cancels before anything scheduled later
-_ARRIVAL = "arrival"
-_CANCEL = "cancel"
-_COMPLETE = "complete"
-_WAKE = "wake"
-
 Cancellations = Union[Mapping[str, float], Iterable[Tuple[str, float]]]
+
+#: the shed-metric label of each status the bounded queue sheds with
+_SHED_LABEL = {QUEUE_FULL: "queue_full", EXPIRED: "deadline",
+               DISPATCH_FAILED: "dispatch_failed"}
 
 
 class StreamingFrontend:
-    """Credit-windowed async serving over an elastic replica set."""
+    """Async serving over an elastic replica set; credit-windowed when
+    it holds a :class:`StreamConfig`, a bounded queue when not."""
 
     def __init__(self, replica_factory: Callable[[int], object],
                  config: ServingConfig,
@@ -99,8 +111,7 @@ class StreamingFrontend:
                  metrics: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None):
         self.config = config.validated()
-        self.stream = (stream if stream is not None
-                       else StreamConfig()).validated()
+        self.stream = None if stream is None else stream.validated()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self.retry = (retry_policy if retry_policy is not None
@@ -109,8 +120,10 @@ class StreamingFrontend:
                         else NetworkFabric(metrics=self.metrics))
         self.replica_factory = replica_factory
         self._replica_seq = 0
-        initial = max(self.stream.min_replicas,
-                      min(self.stream.max_replicas, self.config.replicas))
+        initial = self.config.replicas
+        if self.stream is not None:
+            initial = max(self.stream.min_replicas,
+                          min(self.stream.max_replicas, initial))
         replicas = [self._new_replica() for _ in range(initial)]
         self.dispatcher = ReplicaDispatcher(replicas, self.config,
                                             self.network, self.retry)
@@ -125,7 +138,7 @@ class StreamingFrontend:
             scale_up_headroom=self.stream.scale_up_headroom,
             scale_down_headroom=self.stream.scale_down_headroom,
             window=self.stream.window, cooldown=self.stream.cooldown)
-            if self.stream.autoscale else None)
+            if self.stream is not None and self.stream.autoscale else None)
 
     def _new_replica(self):
         replica = self.replica_factory(self._replica_seq)
@@ -134,7 +147,7 @@ class StreamingFrontend:
 
     def serve(self, requests: Sequence[ServeRequest],
               cancellations: Optional[Cancellations] = None,
-              ) -> StreamingReport:
+              ) -> ServingReport:
         """Play an arrival trace (plus optional cancels) to completion.
 
         ``cancellations`` maps request ids to the logical time the
@@ -142,8 +155,14 @@ class StreamingFrontend:
         a no-op (the race is legal in the protocol), a cancel for an id
         not in the trace is an error.
         """
-        run = _StreamRun(self, requests, cancellations)
-        with self.tracer.span("serving.stream", offered=run.offered):
+        return self._serve(requests, cancellations, collect_tensors=False)
+
+    def _serve(self, requests: Sequence[ServeRequest],
+               cancellations: Optional[Cancellations],
+               collect_tensors: bool) -> ServingReport:
+        run = _ServeRun(self, requests, cancellations, collect_tensors)
+        name = "serving.serve" if self.stream is None else "serving.stream"
+        with self.tracer.span(name, offered=run.report.offered):
             report = run.run()
         self.batcher.close(report)
         report.final_replicas = self.dispatcher.num_replicas
@@ -153,21 +172,22 @@ class StreamingFrontend:
             raise RuntimeError(
                 f"request conservation violated: offered={report.offered} "
                 f"!= completed={report.completed} + "
-                f"cancelled={report.cancelled} + expired={report.expired}")
+                f"cancelled={report.cancelled} + shed={report.shed}")
         return report
 
 
-class _StreamRun:
-    """Mutable state of one serve() invocation's event loop."""
+class _ServeRun:
+    """Mutable state of one serve() invocation on its own kernel."""
 
     def __init__(self, frontend: StreamingFrontend,
                  requests: Sequence[ServeRequest],
-                 cancellations: Optional[Cancellations]):
+                 cancellations: Optional[Cancellations],
+                 collect_tensors: bool):
         self.f = frontend
         self.m = frontend.m
-        self.arrivals = sorted(requests,
-                               key=lambda r: (r.arrival_s, r.request_id))
-        ids = [r.request_id for r in self.arrivals]
+        self.collect_tensors = collect_tensors
+        arrivals = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+        ids = [r.request_id for r in arrivals]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate request_id in trace")
         cancels = dict(cancellations or {})
@@ -175,214 +195,250 @@ class _StreamRun:
         if unknown:
             raise ValueError(f"cancellations for unknown request ids: "
                              f"{unknown}")
-        self.offered = len(self.arrivals)
         self.by_id: Dict[str, ServeRequest] = {
-            r.request_id: r for r in self.arrivals}
+            r.request_id: r for r in arrivals}
         #: submission sequence = arrival order; inversions are counted
         #: against it when completions are delivered
         self.submit_seq: Dict[str, int] = {
             rid: i for i, rid in enumerate(ids)}
-        self.report = StreamingReport(offered=self.offered)
-        self.credits = CreditWindow(self.f.stream.credits)
+        self.report = ServingReport(offered=len(arrivals))
+        stream = frontend.stream
+        config = frontend.config
+        self.credits = (None if stream is None
+                        else CreditWindow(stream.credits))
+        if self.credits is None:
+            # each protocol reports into the families it always had: the
+            # credit window counts requests by terminal status instead
+            self.m.offered.inc(len(arrivals))
+        self.queue = AdmissionQueue(
+            config.queue_capacity if stream is None else stream.credits,
+            config.effective_deadline_s)
         self.state: Dict[str, str] = {}
         self.backlog: Deque[ServeRequest] = deque()
-        self.pending: Deque[ServeRequest] = deque()
-        self.min_service_s = self.f.dispatcher.min_service_s()
-        self.heap: List[Tuple[float, int, str, object]] = []
-        self.seq = 0
-        for request in self.arrivals:
-            self._push(request.arrival_s, _ARRIVAL, request)
+        self.min_service_s = frontend.dispatcher.min_service_s()
+        # arrivals are scheduled before cancels before anything later,
+        # so ties at one instant break in that order
+        self.sim = Simulation()
+        for request in arrivals:
+            self.sim.at(request.arrival_s, self._on_arrival, request)
         for rid, t in sorted(cancels.items(), key=lambda kv: (kv[1], kv[0])):
-            self._push(float(t), _CANCEL, rid)
-        self.now = 0.0
+            self.sim.at(float(t), self._on_cancel, rid)
         self.batch_index = 0
         self.inflight = 0
         self.max_completed_seq = -1
         self.wake_times: set = set()
-        self.report.peak_replicas = self.f.dispatcher.num_replicas
-
-    # -- event plumbing ------------------------------------------------------
-    def _push(self, t: float, kind: str, payload: object) -> None:
-        heapq.heappush(self.heap, (t, self.seq, kind, payload))
-        self.seq += 1
+        self.report.peak_replicas = frontend.dispatcher.num_replicas
 
     def _schedule_wake(self, t: float) -> None:
         if t not in self.wake_times:
             self.wake_times.add(t)
-            self._push(t, _WAKE, None)
+            self.sim.at(t, self._on_wake, t)
 
-    # -- the loop ------------------------------------------------------------
-    def run(self) -> StreamingReport:
-        while self.heap:
-            t, _seq, kind, payload = heapq.heappop(self.heap)
-            self.now = max(self.now, t)
-            if kind == _ARRIVAL:
-                self._on_arrival(payload)
-            elif kind == _CANCEL:
-                self._on_cancel(payload)
-            elif kind == _COMPLETE:
-                self._on_complete(payload)
-            else:
-                self.wake_times.discard(t)
-                self._maybe_dispatch()
-        if self.backlog or self.pending or self.inflight:
+    def run(self) -> ServingReport:
+        self.sim.run()
+        if self.backlog or self.queue.depth() or self.inflight:
             raise RuntimeError(
                 f"event loop drained with work left: "
-                f"backlog={len(self.backlog)} pending={len(self.pending)} "
+                f"backlog={len(self.backlog)} pending={self.queue.depth()} "
                 f"inflight={self.inflight}")
-        self.credits.check()
+        if self.credits is not None:
+            self.credits.check()
         return self.report
 
+    # -- events --------------------------------------------------------------
     def _on_arrival(self, request: ServeRequest) -> None:
-        if self.credits.acquire():
+        if self.credits is None or self.credits.acquire():
             self._submit(request)
             self._maybe_dispatch()
         else:
             self.state[request.request_id] = "backlog"
             self.backlog.append(request)
-        self.m.stream_credits.set(self.credits.available)
+        if self.credits is not None:
+            self.m.stream_credits.set(self.credits.available)
 
+    def _on_cancel(self, request_id: str) -> None:
+        status = self.state.get(request_id)
+        request = self.by_id[request_id]
+        if status == "backlog":
+            self.backlog.remove(request)
+            self._resolve(ServeOutcome(request, CANCELLED, self.sim.now))
+        elif status == "pending":
+            self.queue.remove(request)
+            self._resolve(ServeOutcome(request, CANCELLED, self.sim.now))
+            self._release()
+            self._maybe_dispatch()
+        elif status == "inflight":
+            # latch: the batch keeps running, the answer is discarded at
+            # delivery and the credit returns then
+            self.state[request_id] = "cancel-latched"
+        # terminal/cancel-latched: the cancel lost the race, no-op
+
+    def _on_wake(self, t: float) -> None:
+        self.wake_times.discard(t)
+        self._maybe_dispatch()
+
+    def _on_complete(self, payload) -> None:
+        ready, batch, batch_index = payload
+        self.inflight -= len(ready)
+        self.m.stream_inflight.set(self.inflight)
+        self._deliver(ready, batch, batch_index)
+        self._maybe_dispatch()
+
+    # -- the line ------------------------------------------------------------
     def _submit(self, request: ServeRequest) -> None:
-        """Move a credited request into the server-side pending line."""
+        """Move a request (credited, under a window) into the line."""
+        if not self.queue.offer(request):
+            self._resolve(ServeOutcome(request, QUEUE_FULL, self.sim.now))
+            return
         self.state[request.request_id] = "pending"
-        self.pending.append(request)
-        wait_s = self.now - request.arrival_s
-        self.report.credit_waits_s.append(wait_s)
-        self.m.stream_credit_wait.observe(wait_s)
+        if self.credits is not None:
+            wait_s = self.sim.now - request.arrival_s
+            self.report.credit_waits_s.append(wait_s)
+            self.m.stream_credit_wait.observe(wait_s)
 
-    def _admit_backlog(self) -> None:
+    def _release(self, count: int = 1) -> None:
+        """``count`` requests resolved: their credits return, and the
+        backlog moves up."""
+        if self.credits is None:
+            return
+        for _ in range(count):
+            self.credits.release()
         while self.backlog and self.credits.acquire():
             self._submit(self.backlog.popleft())
         self.m.stream_credits.set(self.credits.available)
 
-    def _on_cancel(self, request_id: str) -> None:
-        status = self.state.get(request_id)
-        if status == "backlog":
-            self.backlog.remove(self.by_id[request_id])
-            self._resolve(StreamOutcome(request_id, CANCELLED, self.now))
-        elif status == "pending":
-            self.pending.remove(self.by_id[request_id])
-            self._resolve(StreamOutcome(request_id, CANCELLED, self.now))
-            self.credits.release()
-            self._admit_backlog()
-            self._maybe_dispatch()
-        elif status == "inflight":
-            # latch: the batch keeps running, the answer is discarded at
-            # completion and the credit returns then
-            self.state[request_id] = "cancel-latched"
-        # terminal/cancel-latched: the cancel lost the race, no-op
-
     def _maybe_dispatch(self) -> None:
-        while self.pending and \
-                self.f.dispatcher.earliest_free_s() <= self.now:
-            ready = self._take_ready()
+        """Form and dispatch batches while the line is non-empty and a
+        replica is free; what still waits gets a wake for when one frees
+        (a replica stalled by a failed dispatch frees with no event)."""
+        while self.queue.depth():
+            free_s = self.f.dispatcher.earliest_free_s()
+            if free_s > self.sim.now:
+                self._schedule_wake(free_s)
+                return
+            ready, expired = self.queue.take(
+                self.f.controller.batch_size, self.sim.now,
+                self.min_service_s)
+            for request in expired:
+                self._resolve(ServeOutcome(request, EXPIRED, self.sim.now))
+            if expired:
+                self._release(len(expired))
             if ready and not self._dispatch(ready):
-                break
-        if self.pending:
-            # a replica stalled by a failed dispatch frees with no event
-            self._schedule_wake(self.f.dispatcher.earliest_free_s())
-
-    def _take_ready(self) -> List[ServeRequest]:
-        """Form a batch like AdmissionQueue.take: pop until the target
-        fills, expiring requests that can no longer meet the deadline."""
-        ready: List[ServeRequest] = []
-        expired = 0
-        target = self.f.controller.batch_size
-        while self.pending and len(ready) < target:
-            request = self.pending.popleft()
-            deadline = (self.f.config.effective_deadline_s
-                        if request.deadline_s is None else request.deadline_s)
-            if self.now - request.arrival_s > deadline - self.min_service_s:
-                self._resolve(StreamOutcome(
-                    request.request_id, EXPIRED, self.now))
-                self.credits.release()
-                expired += 1
-            else:
-                ready.append(request)
-        if expired:
-            self._admit_backlog()
-        return ready
+                # back at the head; a replica free since before now (the
+                # stalled one is not) is due now
+                self._schedule_wake(self.f.dispatcher.earliest_free_s())
+                return
 
     def _dispatch(self, ready: List[ServeRequest]) -> bool:
+        """Run one batch; False when it went back to the head of the
+        line (the caller waits for a replica to free)."""
         try:
-            batch = self.f.batcher.run(ready, self.now)
+            batch = self.f.batcher.run(ready, self.sim.now)
         except TransientFaultError:
-            # degrade to delayed, never dropped: back to the front of the
-            # line, retried once the stalled replica (or any other) frees
-            self.report.redispatches += len(ready)
-            self.m.stream_redispatches.inc(len(ready))
-            self.pending.extendleft(reversed(ready))
-            return False
+            if self.credits is not None:
+                # degrade to delayed, never dropped: retried once the
+                # stalled replica (or any other) frees
+                self.report.redispatches += len(ready)
+                self.m.stream_redispatches.inc(len(ready))
+                self.queue.requeue(ready)
+                return False
+            batch = None
+        # a shed batch uses up its index too
         self.batch_index += 1
-        self.report.batch_sizes.append(len(ready))
-        for request in ready:
-            self.state[request.request_id] = "inflight"
-        self.inflight += len(ready)
-        self.m.stream_inflight.set(self.inflight)
-        self._push(batch.t_done, _COMPLETE, (ready, batch, self.batch_index))
+        if batch is None:
+            for request in ready:
+                self._resolve(ServeOutcome(request, DISPATCH_FAILED,
+                                           self.sim.now))
+        elif self.credits is None:
+            self.report.batch_sizes.append(len(ready))
+            self._deliver(ready, batch, self.batch_index)
+        else:
+            self.report.batch_sizes.append(len(ready))
+            for request in ready:
+                self.state[request.request_id] = "inflight"
+            self.inflight += len(ready)
+            self.m.stream_inflight.set(self.inflight)
+            self.sim.at(batch.t_done, self._on_complete,
+                        (ready, batch, self.batch_index))
+        if self.credits is None:
+            self.m.queue_depth.set(self.queue.depth())
         return True
 
-    def _on_complete(self, payload) -> None:
-        ready, batch, batch_index = payload
+    def _deliver(self, ready: List[ServeRequest], batch: DeliveredBatch,
+                 batch_index: int) -> None:
+        """Record a batch's outcomes and settle it.  The bounded queue
+        delivers at dispatch, so the controller's next target already
+        reads this batch's service time; the credit window delivers at
+        ``t_done``."""
         t_done, replica = batch.t_done, batch.replica
+        # the run ends when the last batch *finishes*; replicas finish out
+        # of step, so that is a max over batches, not the final t_done
         self.report.makespan_s = max(self.report.makespan_s, t_done)
-        self.inflight -= len(ready)
-        self.m.stream_inflight.set(self.inflight)
         worst_latency_s = 0.0
         for row, request in enumerate(ready):
             rid = request.request_id
             if self.state.get(rid) == "cancel-latched":
-                self._resolve(StreamOutcome(
-                    rid, CANCELLED, t_done, replica=replica,
+                self._resolve(ServeOutcome(
+                    request, CANCELLED, t_done, replica=replica,
                     batch_index=batch_index, batch_size=len(ready)))
+                continue
+            latency_s = t_done - request.arrival_s
+            worst_latency_s = max(worst_latency_s, latency_s)
+            self.report.latencies_s.append(latency_s)
+            self.m.latency.observe(latency_s)
+            seq = self.submit_seq[rid]
+            if seq < self.max_completed_seq:
+                self.report.out_of_order += 1
             else:
-                latency_s = t_done - request.arrival_s
-                worst_latency_s = max(worst_latency_s, latency_s)
-                self.report.latencies_s.append(latency_s)
-                self.m.latency.observe(latency_s)
-                seq = self.submit_seq[rid]
-                if seq < self.max_completed_seq:
-                    self.report.out_of_order += 1
-                else:
-                    self.max_completed_seq = seq
-                self.report.completion_order.append(rid)
-                outcome = StreamOutcome(
-                    rid, COMPLETED, t_done, latency_s=latency_s,
-                    replica=replica, batch_index=batch_index,
-                    batch_size=len(ready), cache_hit=batch.hits[row])
-                self._resolve(outcome)
-                self.f.batcher.owe(outcome, batch, row)
-            self.credits.release()
-        self._admit_backlog()
+                self.max_completed_seq = seq
+            self.report.completion_order.append(rid)
+            outcome = ServeOutcome(
+                request, COMPLETED, t_done, latency_s=latency_s,
+                replica=replica, batch_index=batch_index,
+                batch_size=len(ready), cache_hit=batch.hits[row],
+                preprocessed=(batch.preprocessed[row]
+                              if self.collect_tensors else None))
+            self._resolve(outcome)
+            self.f.batcher.owe(outcome, batch, row)
+        self._release(len(ready))
         # the batch ran and cost its service time even if every answer was
         # discarded; only the autoscaler needs a sojourn sample
         self.f.batcher.settle(batch)
         if worst_latency_s > 0.0 and self.f.autoscaler is not None:
             self._apply_scale(self.f.autoscaler.observe(
                 worst_latency_s, self.f.dispatcher.num_replicas))
-        self._maybe_dispatch()
 
     def _apply_scale(self, delta: int) -> None:
+        now = self.sim.now
         if delta > 0:
-            self.f.dispatcher.add_replica(self.f._new_replica(), self.now)
+            self.f.dispatcher.add_replica(self.f._new_replica(), now)
             self.report.scale_ups += 1
             self.m.scale_events["up"].inc()
         elif delta < 0:
-            if self.f.dispatcher.remove_idle_replica(self.now) is not None:
+            if self.f.dispatcher.remove_idle_replica(now) is not None:
                 self.report.scale_downs += 1
                 self.m.scale_events["down"].inc()
         count = self.f.dispatcher.num_replicas
         self.report.peak_replicas = max(self.report.peak_replicas, count)
         self.m.replica_count.set(count)
 
-    def _resolve(self, outcome: StreamOutcome) -> None:
-        self.state[outcome.request_id] = outcome.status
+    def _resolve(self, outcome: ServeOutcome) -> None:
+        """The one place a request reaches its terminal status."""
+        status = outcome.status
+        self.state[outcome.request_id] = status
         self.report.outcomes.append(outcome)
-        if outcome.status == COMPLETED:
+        if status == COMPLETED:
             self.report.completed += 1
             self.m.completed.inc()
-        elif outcome.status == CANCELLED:
+        elif status == CANCELLED:
             self.report.cancelled += 1
-        else:
+        elif status == EXPIRED:
             self.report.expired += 1
-        self.m.stream_requests[outcome.status].inc()
+        elif status == QUEUE_FULL:
+            self.report.queue_full += 1
+        else:
+            self.report.dispatch_failed += 1
+        if self.credits is not None:
+            self.m.stream_requests[status].inc()
+        elif status in _SHED_LABEL:
+            self.m.shed[_SHED_LABEL[status]].inc()

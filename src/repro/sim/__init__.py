@@ -12,8 +12,7 @@ from .cluster_sim import (
     simulate_mixed_workload,
     simulate_offline_inference,
 )
-from .cost import (INTER_SHARD_PRICE_PER_GB, ShardedRunCost,
-                   fleet_price_per_hour, run_cost, sharded_run_cost)
+from .cost import fleet_price_per_hour, run_cost
 from .engine import Event, Process, Resource, Simulation, Store, all_of
 from .pipeline import (
     Stage,
@@ -75,8 +74,7 @@ __all__ = [
     "stage_breakdown", "simulate_pipeline",
     "PowerDraw", "ZERO_POWER", "server_power", "total_power",
     "energy_joules", "ips_per_watt", "ips_per_kilojoule",
-    "fleet_price_per_hour", "run_cost", "sharded_run_cost",
-    "ShardedRunCost", "INTER_SHARD_PRICE_PER_GB",
+    "fleet_price_per_hour", "run_cost",
     "ClusterSimResult", "MixedWorkloadResult", "simulate_offline_inference",
     "simulate_ftdmp_finetune", "simulate_mixed_workload",
     "TimedResource", "DiskResource", "LinkResource", "CpuPool",

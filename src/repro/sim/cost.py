@@ -9,14 +9,9 @@ comparison exactly as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .specs import ServerSpec
-
-#: AWS inter-region data transfer, us-east-1 outbound ($/GB) — what a
-#: geo-sharded fleet pays for every byte that crosses a shard boundary
-INTER_SHARD_PRICE_PER_GB = 0.02
 
 
 def fleet_price_per_hour(servers: Iterable[ServerSpec]) -> float:
@@ -29,48 +24,3 @@ def run_cost(servers: Iterable[ServerSpec], seconds: float) -> float:
     if seconds < 0:
         raise ValueError("seconds must be non-negative")
     return fleet_price_per_hour(servers) * seconds / 3600.0
-
-
-@dataclass(frozen=True)
-class ShardedRunCost:
-    """Cost breakdown of a geo-sharded run: instances plus transfer.
-
-    Within one shard traffic is free (intra-AZ); bytes crossing shards —
-    fan-out model relays, rebalance migrations — bill at the inter-region
-    rate.  This is the term that makes O(log N)-depth fan-out
-    distribution cheaper than Tuner unicast at fleet scale: both move
-    ~N deltas, but the tree's uplink hops leave the Tuner's (single)
-    region once per subtree instead of once per store.
-    """
-
-    instance_cost: float
-    transfer_cost: float
-
-    @property
-    def total(self) -> float:
-        return self.instance_cost + self.transfer_cost
-
-
-def sharded_run_cost(store_spec: ServerSpec, num_shards: int,
-                     tuner_spec: ServerSpec, seconds: float,
-                     cross_shard_bytes: int = 0,
-                     price_per_gb: float = INTER_SHARD_PRICE_PER_GB,
-                     ) -> ShardedRunCost:
-    """Price a sharded topology: N store shards + one Tuner + transfer.
-
-    ``cross_shard_bytes`` is read straight off the byte-accounted fabric
-    (e.g. ``bytes_of_kind("model-delta") + bytes_of_kind("rebalance")``),
-    so the bench's unicast-vs-fanout comparison prices exactly the bytes
-    each strategy actually moved.
-    """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    if cross_shard_bytes < 0:
-        raise ValueError("cross_shard_bytes must be non-negative")
-    if price_per_gb < 0:
-        raise ValueError("price_per_gb must be non-negative")
-    instances = [store_spec] * num_shards + [tuner_spec]
-    return ShardedRunCost(
-        instance_cost=run_cost(instances, seconds),
-        transfer_cost=cross_shard_bytes / 2**30 * price_per_gb,
-    )

@@ -6,7 +6,9 @@ ties break in schedule order so runs are fully deterministic.
 
 This powers the datacenter experiments: PipeStore/Tuner pipelines, network
 links, disks and CPU pools are processes contending for
-:class:`~repro.sim.resources` wrappers built on the primitives here.
+:class:`~repro.sim.resources` wrappers built on the primitives here.  The
+serving front end (:mod:`repro.serving.stream`) runs on the same kernel
+through :meth:`Simulation.at`, scheduling callbacks at absolute times.
 """
 
 from __future__ import annotations
@@ -78,8 +80,18 @@ class Simulation:
     def _schedule(self, delay: float, callback, value) -> None:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
+        self.at(self.now + delay, callback, value)
+
+    def at(self, time: float, callback: Callable[[Any], None],
+           value: Any = None) -> None:
+        """Call ``callback(value)`` at absolute ``time``.
+
+        A time before :attr:`now` is due now: the clock never runs back,
+        and the call still goes ahead of everything keyed at a later
+        time.  Ties with :meth:`timeout` events break in schedule order.
+        """
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, callback, value))
+        heapq.heappush(self._heap, (time, self._seq, callback, value))
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         event = Event(self)
@@ -101,13 +113,8 @@ class Simulation:
                 self.now = until
                 return self.now
             heapq.heappop(self._heap)
-            if time < self.now - 1e-12:
-                raise RuntimeError("event heap produced a time in the past")
-            self.now = time
-            if value is None:
-                callback(None)
-            else:
-                callback(value)
+            self.now = max(self.now, time)
+            callback(value)
         return self.now
 
     def run_until_complete(self, process: Process) -> Any:
@@ -120,7 +127,7 @@ class Simulation:
 
     def run_step(self) -> None:
         time, _seq, callback, value = heapq.heappop(self._heap)
-        self.now = time
+        self.now = max(self.now, time)
         callback(value)
 
 

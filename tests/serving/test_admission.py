@@ -61,14 +61,26 @@ def test_min_service_floor_tightens_expiry():
     assert ready == [] and len(expired) == 1
 
 
-def test_drain_returns_leftovers_in_order():
+def test_requeue_puts_a_failed_batch_back_at_the_head_in_order():
     queue = AdmissionQueue(capacity=8, deadline_s=1.0)
-    for i in range(3):
+    for i in range(4):
         queue.offer(_request(i, 0.0))
-    leftovers = queue.drain()
-    assert [r.request_id for r in leftovers] == [
-        "req-000", "req-001", "req-002"]
-    assert queue.depth() == 0
+    ready, _expired = queue.take(2, now_s=0.0, min_service_s=0.0)
+    queue.requeue(ready)
+    ready, _expired = queue.take(8, now_s=0.0, min_service_s=0.0)
+    assert [r.request_id for r in ready] == [
+        "req-000", "req-001", "req-002", "req-003"]
+    assert queue.stats()["offered"] == 4  # a requeue is not an offer
+
+
+def test_remove_takes_a_cancelled_request_out_of_the_line():
+    queue = AdmissionQueue(capacity=8, deadline_s=1.0)
+    requests = [_request(i, 0.0) for i in range(3)]
+    for request in requests:
+        queue.offer(request)
+    queue.remove(requests[1])
+    ready, _expired = queue.take(8, now_s=0.0, min_service_s=0.0)
+    assert [r.request_id for r in ready] == ["req-000", "req-002"]
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -25,7 +25,7 @@ from repro.serving import (
 from repro.serving.admission import ServeRequest
 from repro.serving.bench import STREAM_BENCH_DEFAULTS, run_streaming_bench
 from repro.serving.cache import content_key
-from repro.serving.stream import _StreamRun
+from repro.serving.stream import _ServeRun
 from repro.storage.imageformat import preprocess
 from repro.workloads.continuous import open_loop_requests
 
@@ -236,14 +236,14 @@ def test_target_gauge_follows_the_controller_on_both_front_ends():
 def _spy_on_dispatch(monkeypatch):
     """Record (target, waiting, batch) at every streaming dispatch."""
     instants = []
-    dispatch = _StreamRun._dispatch
+    dispatch = _ServeRun._dispatch
 
     def spying(run, ready):
         instants.append((run.f.controller.batch_size,
-                         len(ready) + len(run.pending), len(ready)))
+                         len(ready) + run.queue.depth(), len(ready)))
         return dispatch(run, ready)
 
-    monkeypatch.setattr(_StreamRun, "_dispatch", spying)
+    monkeypatch.setattr(_ServeRun, "_dispatch", spying)
     return instants
 
 

@@ -1,16 +1,19 @@
-"""Streaming protocol pieces: credits, outcomes, configs."""
+"""Serving protocol pieces: credits, outcomes, the report, configs."""
 
+import numpy as np
 import pytest
 
-from repro.serving import StreamConfig
+from repro.serving import ServeRequest, StreamConfig
 from repro.serving.protocol import (
     CANCELLED,
     COMPLETED,
+    DISPATCH_FAILED,
     EXPIRED,
+    QUEUE_FULL,
     TERMINAL_STATUSES,
     CreditWindow,
-    StreamOutcome,
-    StreamingReport,
+    ServeOutcome,
+    ServingReport,
     exact_percentile,
 )
 
@@ -52,22 +55,28 @@ class TestCreditWindow:
 
 class TestOutcomesAndReport:
     def test_terminal_statuses_are_closed(self):
-        assert set(TERMINAL_STATUSES) == {COMPLETED, CANCELLED, EXPIRED}
+        assert set(TERMINAL_STATUSES) == {COMPLETED, CANCELLED, EXPIRED,
+                                          QUEUE_FULL, DISPATCH_FAILED}
+        request = ServeRequest("r-0", 0.0, np.zeros((3, 4, 4)))
         with pytest.raises(ValueError, match="terminal status"):
-            StreamOutcome("r-0", "shed", 0.0)
+            ServeOutcome(request, "shed", 0.0)
+        assert ServeOutcome(request, EXPIRED, 0.0).request_id == "r-0"
 
     def test_report_conservation_property(self):
-        report = StreamingReport(offered=10, completed=7, cancelled=2,
-                                 expired=1)
-        assert report.resolved == 10 and report.conserved
+        report = ServingReport(offered=12, completed=7, cancelled=2,
+                               expired=1, queue_full=1, dispatch_failed=1)
+        assert report.resolved == 12 and report.conserved
+        assert report.shed == {"queue_full": 1, "deadline": 1,
+                               "dispatch_failed": 1}
+        assert report.shed_total == 3
         report.expired = 0
         assert not report.conserved
 
     def test_throughput_guards_zero_makespan(self):
-        assert StreamingReport(offered=0).throughput_rps == 0.0
+        assert ServingReport(offered=0).throughput_rps == 0.0
 
     def test_to_dict_round_trips_counts(self):
-        report = StreamingReport(offered=3, completed=3,
+        report = ServingReport(offered=3, completed=3,
                                  latencies_s=[0.01, 0.02, 0.03],
                                  makespan_s=0.5)
         d = report.to_dict()

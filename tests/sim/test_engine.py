@@ -74,6 +74,60 @@ class TestClock:
         assert sim.run() == pytest.approx(max(delays))
 
 
+class TestAt:
+    """Absolute-time callbacks, the serving loop's one scheduling call."""
+
+    def test_fires_at_absolute_time_not_after_a_delay(self):
+        sim = Simulation()
+        log = []
+
+        def proc():
+            yield sim.timeout(2.0)
+            sim.at(3.0, lambda v: log.append((sim.now, v)), "abs")
+
+        sim.process(proc())
+        sim.run()
+        assert log == [(3.0, "abs")]
+
+    def test_ties_with_timeouts_break_first_in_first_out(self):
+        sim = Simulation()
+        log = []
+
+        def proc(tag):
+            yield sim.timeout(1.0)
+            log.append(tag)
+
+        sim.at(1.0, log.append, "at-first")
+        sim.process(proc("timeout"))  # its timeout is scheduled at t=0
+        sim.at(1.0, log.append, "at-last")
+        sim.run()
+        assert log == ["at-first", "at-last", "timeout"]
+
+    def test_a_time_before_now_is_due_now(self):
+        """The clock never runs back, and a past-keyed call still runs
+        ahead of everything keyed at a later time."""
+        sim = Simulation()
+        log = []
+
+        def late(_):
+            sim.at(0.5, lambda v: log.append((sim.now, v)), "past")
+            sim.at(2.0, lambda v: log.append((sim.now, v)), "now")
+
+        sim.at(2.0, late)
+        sim.at(3.0, lambda v: log.append((sim.now, v)), "later")
+        sim.run()
+        assert log == [(2.0, "past"), (2.0, "now"), (3.0, "later")]
+
+    def test_negative_times_run_at_zero_in_time_order(self):
+        sim = Simulation()
+        log = []
+        sim.at(0.0, lambda v: log.append((sim.now, v)), "zero")
+        sim.at(-1.0, lambda v: log.append((sim.now, v)), "minus-one")
+        sim.at(-2.0, lambda v: log.append((sim.now, v)), "minus-two")
+        assert sim.run() == 0.0
+        assert log == [(0.0, "minus-two"), (0.0, "minus-one"), (0.0, "zero")]
+
+
 class TestProcesses:
     def test_process_return_value(self):
         sim = Simulation()
