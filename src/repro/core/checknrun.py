@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -102,6 +102,10 @@ class ReplicaSync:
     tensors: Dict[str, np.ndarray]
     split: int
     fingerprint: Optional[int] = None
+    #: a tail sync's published frozen arrays (read-only), handed over in
+    #: process and never on the wire: a store whose own build equals
+    #: them byte for byte holds these instead of its own
+    frozen: Dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def num_bytes(self) -> int:
@@ -114,9 +118,12 @@ def replica_syncs(state: Dict[str, np.ndarray], split: int,
                   classifier_prefix: str) -> Tuple[ReplicaSync, ReplicaSync]:
     """The tail sync of a published ``state`` and its whole-state
     fallback; both share ``state``'s arrays."""
-    tail = {key: value for key, value in state.items()
-            if key.startswith(classifier_prefix)}
-    return (ReplicaSync(tail, split, frozen_crc(state, classifier_prefix)),
+    tail: Dict[str, np.ndarray] = {}
+    frozen: Dict[str, np.ndarray] = {}
+    for key, value in state.items():
+        (tail if key.startswith(classifier_prefix) else frozen)[key] = value
+    return (ReplicaSync(tail, split, frozen_crc(state, classifier_prefix),
+                        frozen),
             ReplicaSync(state, split))
 
 
@@ -145,7 +152,7 @@ def encode_delta(old: Dict[str, np.ndarray], new: Dict[str, np.ndarray],
             raise DeltaError(f"shape changed for {key}")
         if old[key].dtype != new[key].dtype:
             raise DeltaError(f"dtype changed for {key}")
-        if np.array_equal(old[key], new[key]):
+        if new[key] is old[key] or np.array_equal(old[key], new[key]):
             continue
         changed += 1
         if (quantize_bits is not None

@@ -257,6 +257,9 @@ class NDPipeCluster:
                     pixels, preprocess(pixels) if tensor is None else tensor,
                     outcome.label, outcome.confidence,
                     outcome.request.train_label))
+                # landed: the tensor (a view pinning its whole miss batch)
+                # is the store's to keep now, not the report's
+                outcome.preprocessed = None
         return report, ids
 
     # -- continuous training flow -----------------------------------------
@@ -458,10 +461,13 @@ class NDPipeCluster:
 
         The front end moves with the lease: it serves the new primary's
         published state, the one the stores hold, and the deposed
-        primary (whose rounds the stores fence) no longer syncs it.
+        primary (whose rounds the stores fence) no longer syncs it.  The
+        new primary first takes the front the front end holds (the
+        fleet's), so the process keeps one copy of the frozen stages.
         """
         self.tuner.attach_serving(None)
         self.tuner = tuner
+        tuner.share_front(self.inference_server.model.state_dict())
         tuner.attach_serving(self.inference_server)
 
     # -- checkpoint / restore -----------------------------------------------

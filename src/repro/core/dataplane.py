@@ -160,8 +160,14 @@ class InferenceServer:
         return self._row_probe[1]
 
     def sync_model(self, state: Dict[str, np.ndarray]) -> None:
-        """Load new weights; work dispatched before answers with the old."""
+        """Load new weights; work dispatched before answers with the old.
+
+        The replica is frozen as every replica is (its front read-only),
+        so it holds the state's frozen arrays by reference: a sync that
+        moves only the classifier keeps the front, its folds and digest.
+        """
         self.resolve()
+        self.model.freeze_features()
         self.model.load_state_dict(state)
 
 

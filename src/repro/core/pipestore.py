@@ -334,7 +334,10 @@ class PipeStore:
         replica in place.  A tail sync loads only the classifier, onto
         frozen stages whose fingerprint is the sync's; any other replica
         refuses it with :class:`~repro.core.checknrun.BaseMismatchError`,
-        unchanged, and the sender falls back to a whole sync.
+        unchanged, and the sender falls back to a whole sync.  On a
+        fingerprint match each frozen array equal byte for byte to the
+        published one the sync hands over in process is replaced by it,
+        so the process holds one front however many stores hold it.
         """
         model = self.model if base is None else base
         if model is None:
@@ -342,13 +345,16 @@ class PipeStore:
         if not 0 <= sync.split <= model.num_stages:
             raise ValueError(f"split {sync.split} out of range")
         self._fence(epoch)
+        shared = {}
         if sync.fingerprint is not None:
             held = model.frozen_fingerprint()
             if held != sync.fingerprint:
                 raise checknrun.BaseMismatchError(
                     f"{self.store_id}: frozen stages fingerprint "
                     f"{held:08x}, the sync expects {sync.fingerprint:08x}")
-        model.load_state_dict(sync.tensors)
+            # the frozen stages are the published ones: hold those
+            shared = model.same_frozen(sync.frozen)
+        model.load_state_dict({**shared, **sync.tensors})
         model.eval()
         self.model = model
         self.split = sync.split

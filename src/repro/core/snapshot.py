@@ -117,8 +117,9 @@ def restore_checkpoint(cluster, blob: bytes) -> Optional[FinetuneProgress]:
                 f"checkpoint split {tuner_manifest['split']} does not "
                 f"match this cluster's split {cluster.tuner.split}"
             )
-        # a shared blob is unpacked per reference, so every store (and
-        # the Tuner) owns its writable arrays
+        # a shared blob is unpacked once into read-only arrays: every
+        # store (and the Tuner) at one version holds its frozen stages,
+        # and each copies the classifier into its trainable slots
         arrays = ArrayReader(blobs)
         tuner_state = tuner_state_from(tuner_manifest, arrays)
         # replicas' payloads are restored as one bytes object each, the

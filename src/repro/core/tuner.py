@@ -25,7 +25,7 @@ import numpy as np
 
 from ..faults.errors import StaleEpochError, TransientFaultError
 from ..faults.retry import RetryPolicy, call_with_retry
-from ..models.split import SplitModel
+from ..models.split import SplitModel, same_bytes
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor, inference_mode
 from ..obs.metrics import MetricsRegistry
@@ -203,13 +203,31 @@ class Tuner:
         if self._serving is not None:
             self._serving.sync_model(self.published)
 
+    def share_front(self, state: Dict[str, np.ndarray]) -> None:
+        """Hold the read-only arrays of a replica's ``state`` (handed over
+        in process) wherever they equal this Tuner's byte for byte, in
+        the master and the published state alike: a promoted standby
+        then holds the front the fleet holds instead of its own copy."""
+        published = self._last_distributed
+        if published is not None:
+            self._last_distributed = {**published, **{
+                key: value for key, value in state.items()
+                if not value.flags.writeable
+                and same_bytes(published.get(key), value)}}
+        self.model.load_state_dict(self.model.same_frozen(state))
+
     @property
     def published(self) -> Dict[str, np.ndarray]:
         """The model every replica holds, at :attr:`version`.
 
         Each round moves it towards the master by one quantised delta
         (:func:`checknrun.publish`); before any replica is installed it
-        is the master's state.  Callers must not write to its arrays.
+        is the master's state.  Its frozen stages are the master's own
+        read-only arrays (``freeze_features`` never lets them move), and
+        every replica that loads it holds those same arrays by
+        reference; an in-place write to one raises.  Its classifier
+        arrays are the Tuner's: each replica copies them, and callers
+        must not write to them.
         """
         if self._last_distributed is None:
             return self.model.state_dict()

@@ -175,22 +175,30 @@ class BlobTable:
 
 
 class ArrayReader:
-    """Inverse of :meth:`BlobTable.add_arrays` over a frame's blobs: a
-    shared blob is inflated once, yet every call unpacks its own copy, so
-    each owner gets private writable arrays."""
+    """Inverse of :meth:`BlobTable.add_arrays` over a frame's blobs.
+
+    Each blob is inflated and unpacked once, into aligned arrays of their
+    own that are then made read-only; every call returns a new dict of
+    those same arrays.  So the stores and the Tuner restored from one
+    model blob share its frozen arrays (``load_state_dict`` adopts a
+    read-only array into a frozen slot) and each copies the classifier
+    into its trainable slots."""
 
     def __init__(self, blobs: List[memoryview]) -> None:
         self._blobs = blobs
-        self._tables: Dict[int, bytes] = {}
+        self._arrays: Dict[int, Dict[str, np.ndarray]] = {}
 
     def __call__(self, index: int) -> Dict[str, np.ndarray]:
-        table = self._tables.get(index)
-        if table is None:
+        arrays = self._arrays.get(index)
+        if arrays is None:
             try:
-                table = self._tables[index] = inflate(self._blobs[index])
+                table = inflate(self._blobs[index])
             except ValueError as exc:
                 raise CheckpointError(f"corrupt array blob: {exc}") from exc
-        return unpack_arrays(table)
+            arrays = self._arrays[index] = unpack_arrays(table)
+            for array in arrays.values():
+                array.flags.writeable = False
+        return dict(arrays)
 
 
 def write_frame(manifest: Dict[str, Any], blobs: List[bytes]) -> bytes:
@@ -210,7 +218,8 @@ def read_frame(blob: bytes) -> Tuple[Dict[str, Any], List[memoryview]]:
 
     The trailer check reads every byte; after it only the manifest is
     inflated.  The blobs are read-only views into ``blob``: decode them
-    with :class:`ArrayReader` or the snapshot loaders, which copy."""
+    with :class:`ArrayReader` or the snapshot loaders, which copy out
+    of it."""
     head = len(CHECKPOINT_MAGIC) + 1
     if len(blob) < head + 4:
         raise CheckpointError("checkpoint too short")
@@ -313,8 +322,8 @@ def tuner_state_from(section: Dict[str, Any],
 
 
 def _same_bits(a: np.ndarray, b: Optional[np.ndarray]) -> bool:
-    return (b is not None and a.dtype == b.dtype and a.shape == b.shape
-            and a.tobytes() == b.tobytes())
+    return b is a or (b is not None and a.dtype == b.dtype
+                      and a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import zlib
 from contextlib import contextmanager
-from typing import Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,19 +104,34 @@ class SplitModel(Module):
         state's frozen stages, so a sync need ship it only the classifier.
         Not memoised: a store computes it once per sync it receives.
         """
+        return frozen_crc(self._arrays(), self.classifier_prefix)
+
+    def same_frozen(self, offered: Mapping[str, np.ndarray],
+                    ) -> Dict[str, np.ndarray]:
+        """The read-only arrays of ``offered`` whose bytes (dtype and
+        shape too) equal this model's own, apart from those it already
+        holds: loaded, they replace its own, so identical frozen stages
+        are held once in the process.  A byte compare, no hash."""
+        held = self._arrays()
+        return {key: value for key, value in offered.items()
+                if not value.flags.writeable and same_bytes(held[key], value)}
+
+    def _arrays(self) -> Dict[str, np.ndarray]:
+        """Every parameter and buffer by key, read in place."""
         arrays = {name: param.data for name, param in self.named_parameters()}
         arrays.update(self.named_buffers())
-        return frozen_crc(arrays, self.classifier_prefix)
+        return arrays
 
-    def load_state_dict(self, state) -> None:
+    def load_state_dict(self, state) -> List[str]:
         """As :meth:`Module.load_state_dict`; the front digest is dropped
-        only when a key of a stage it covers is replaced."""
+        only when an array of a stage it covers is replaced."""
+        replaced = super().load_state_dict(state)
         if self._derived is not None:
-            split = self._derived[0]
-            front = {f"stage_{name}" for name in self.stage_names[:split]}
-            if any(key.split(".", 1)[0] in front for key in state):
+            front = {f"stage_{name}"
+                     for name in self.stage_names[:self._derived[0]]}
+            if any(key.split(".", 1)[0] in front for key in replaced):
                 self._derived = None
-        super().load_state_dict(state)
+        return replaced
 
     def _check_split(self, split: int) -> None:
         if not 0 <= split <= self.num_stages:
@@ -127,14 +142,15 @@ class SplitModel(Module):
     # -- fine-tuning setup -------------------------------------------------
     def freeze_features(self) -> "SplitModel":
         """Freeze everything except the classifier (fine-tuning mode B):
-        the front's master state becomes float32, the classifier's stays
-        float64 (see :meth:`Module.freeze`)."""
-        for module in self._stage_modules[:-1]:
-            module.freeze()
-        self.classifier.unfreeze()
-        # a stage's cast does not reach this model's own slot, and the
-        # front digest hashes dtypes
-        self._derived = None
+        the front's master state becomes float32 and read-only, the
+        classifier's stays float64 and writable (see
+        :meth:`Module.freeze`).  Freezing a frozen model moves nothing."""
+        moved = [module._train_as(False)
+                 for module in self._stage_modules[:-1]]
+        if self.classifier._train_as(True) or any(moved):
+            # a stage's cast does not reach this model's own slot, and the
+            # front digest hashes dtypes
+            self._derived = None
         return self
 
     def feature_dim_after(self, split: int, batch: int = 2) -> Tuple[int, ...]:
@@ -200,6 +216,14 @@ def frozen_crc(state: Mapping[str, np.ndarray], classifier_prefix: str,
         crc = zlib.crc32(f"{key}{array.dtype.str}{array.shape}".encode(), crc)
         crc = zlib.crc32(np.ascontiguousarray(array), crc)
     return crc
+
+
+def same_bytes(held: Optional[np.ndarray], other: np.ndarray) -> bool:
+    """Whether ``other`` is an array apart from ``held`` with the same
+    dtype, shape and bytes (a compare, not a hash)."""
+    return (held is not None and held is not other
+            and held.dtype == other.dtype and held.shape == other.shape
+            and held.tobytes() == other.tobytes())
 
 
 def assert_split_consistent(model: SplitModel, x: Tensor, split: int,

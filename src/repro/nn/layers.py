@@ -88,12 +88,12 @@ class BatchNorm2d(Module):
             mean = x.mean(axis=(0, 2, 3), keepdims=True)
             var = x.var(axis=(0, 2, 3), keepdims=True)
             m = self.momentum
-            self._buffers["running_mean"] = (
+            self._set_buffer("running_mean", (
                 (1 - m) * self._buffers["running_mean"] + m * mean.data.reshape(-1)
-            )
-            self._buffers["running_var"] = (
+            ))
+            self._set_buffer("running_var", (
                 (1 - m) * self._buffers["running_var"] + m * var.data.reshape(-1)
-            )
+            ))
         else:
             mean = Tensor(self._buffers["running_mean"].reshape(1, -1, 1, 1))
             var = Tensor(self._buffers["running_var"].reshape(1, -1, 1, 1))

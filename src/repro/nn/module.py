@@ -91,71 +91,120 @@ class Module:
     def cast(self, dtype) -> "Module":
         """Cast all parameters and buffers to ``dtype`` (e.g. np.float32).
 
-        Arrays already at ``dtype`` are kept; derived state is dropped on
-        each module whose arrays moved, and on ``self`` if any did.
+        Arrays already at ``dtype`` are kept, and a frozen (read-only)
+        array stays frozen; derived state is dropped on each module whose
+        arrays moved, and on ``self`` if any did.
         """
-        dtype = np.dtype(dtype)
+        self._recast(np.dtype(dtype), frozen=None)
+        return self
+
+    def freeze(self) -> "Module":
+        """Weight-freeze this module: no parameter trains, and the master
+        state is float32 (trainable means float64, frozen means float32 —
+        a frozen stage ships, rests and runs at half width).
+
+        Every parameter and buffer is left a read-only, aligned ndarray:
+        an immutable value that replicas share by reference
+        (:meth:`state_dict`, :meth:`load_state_dict`), so an in-place
+        write to a frozen array raises ``ValueError``.
+        """
+        self._train_as(False)
+        return self
+
+    def unfreeze(self) -> "Module":
+        """Make every parameter trainable again, at float64, each array a
+        private writable one."""
+        self._train_as(True)
+        return self
+
+    def _train_as(self, trainable: bool) -> bool:
+        """:meth:`unfreeze` (``trainable``) or :meth:`freeze`; returns
+        whether an array was replaced."""
+        for param in self.parameters():
+            param.requires_grad = trainable
+        return self._recast(np.dtype(np.float64 if trainable else np.float32),
+                            frozen=not trainable)
+
+    def _recast(self, dtype: np.dtype, frozen) -> bool:
+        """Bring every array to ``dtype``; ``frozen`` True leaves each
+        read-only, False writable and private, None as it was.  Derived
+        state is dropped where an array was replaced; returns whether
+        any was."""
         moved = False
         for module in self.modules():
             stale = False
             for param in module._parameters.values():
-                if param.data.dtype != dtype:
-                    param.data = param.data.astype(dtype)
+                array = _settled(param.data, dtype, frozen)
+                if array is not param.data:
+                    param.data = array
                     stale = True
             for name, buf in module._buffers.items():
-                if buf.dtype != dtype:
-                    module._buffers[name] = buf.astype(dtype)
+                array = _settled(buf, dtype, frozen)
+                if array is not buf:
+                    module._buffers[name] = array
                     stale = True
             if stale:
                 module._derived = None
                 moved = True
         if moved:
             self._derived = None
-        return self
+        return moved
 
-    def freeze(self) -> "Module":
-        """Weight-freeze this module: no parameter trains, and the master
-        state is float32 (trainable means float64, frozen means float32 —
-        a frozen stage ships, rests and runs at half width)."""
-        for param in self.parameters():
-            param.requires_grad = False
-        return self.cast(np.float32)
-
-    def unfreeze(self) -> "Module":
-        """Make every parameter trainable again, at float64."""
-        for param in self.parameters():
-            param.requires_grad = True
-        return self.cast(np.float64)
+    def _set_buffer(self, name: str, value: np.ndarray) -> None:
+        """Rebind buffer ``name`` (a train-mode statistics update): a
+        frozen slot stays frozen, holding the new array read-only."""
+        if not self._buffers[name].flags.writeable:
+            value.flags.writeable = False
+        self._buffers[name] = value
 
     # -- state -----------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
-        state = {name: param.data.copy() for name, param in self.named_parameters()}
+        """Every parameter and buffer by key: frozen (read-only) arrays
+        as they are, shared with this module; trainable ones copied."""
+        state = {name: _snapshot(param.data)
+                 for name, param in self.named_parameters()}
         for name, buf in self.named_buffers():
-            state[name] = buf.copy()
+            state[name] = _snapshot(buf)
         return state
 
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Replace the arrays ``state`` names (a subset is fine).
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> List[str]:
+        """Replace the arrays ``state`` names (a subset is fine); returns
+        the keys whose arrays were replaced.
 
-        Derived state is dropped exactly where a source moved: on each
-        module that owns a replaced parameter or buffer.
+        A frozen (read-only) slot adopts a read-only incoming array by
+        reference and holds a read-only copy of a writable one; a
+        trainable slot always gets a private writable copy, since its
+        owner's optimiser steps it.  An incoming array that already *is*
+        the slot's frozen array replaces nothing.  Derived state is
+        dropped exactly where a source moved: on each module that owns a
+        replaced parameter or buffer.
         """
         holders = self._holders()
+        replaced = []
         for key, value in state.items():
             if key not in holders:
                 raise KeyError(f"unexpected key in state dict: {key}")
             holder, name = holders[key]
             param = holder._parameters.get(name)
-            if param is not None:
-                if param.shape != value.shape:
-                    raise ValueError(
-                        f"shape mismatch for {key}: "
-                        f"{param.shape} vs {value.shape}"
-                    )
-                param.data = value.copy()
+            held = holder._buffers[name] if param is None else param.data
+            if param is not None and param.shape != value.shape:
+                raise ValueError(
+                    f"shape mismatch for {key}: "
+                    f"{param.shape} vs {value.shape}"
+                )
+            if held.flags.writeable:
+                value = value.copy()
+            elif value is held:
+                continue
             else:
-                holder._buffers[name] = value.copy()
+                value = _frozen(value, value.dtype)
+            if param is not None:
+                param.data = value
+            else:
+                holder._buffers[name] = value
             holder._derived = None
+            replaced.append(key)
+        return replaced
 
     def _holders(self, prefix: str = "") -> Dict[str, Tuple["Module", str]]:
         """State-dict key -> (the module owning it, its local name)."""
@@ -171,3 +220,36 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
+
+
+def _snapshot(array: np.ndarray) -> np.ndarray:
+    """What :meth:`Module.state_dict` hands out for one slot."""
+    return array if not array.flags.writeable else array.copy()
+
+
+def _frozen(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``array`` at ``dtype`` as an immutable value: ``array`` itself if
+    it already is a read-only, aligned, C-contiguous array owning its
+    buffer, else a read-only copy (a view into someone's bytes, or a
+    writable array its caller may still write, is never adopted)."""
+    if array.dtype == dtype:
+        flags = array.flags
+        if (not flags.writeable and flags.owndata and flags.c_contiguous
+                and flags.aligned):
+            return array
+    array = np.array(array, dtype=dtype, order="C")
+    array.flags.writeable = False
+    return array
+
+
+def _settled(array: np.ndarray, dtype: np.dtype, frozen) -> np.ndarray:
+    """``array`` at ``dtype``: with ``frozen`` True immutable
+    (:func:`_frozen`), with False private and writable, with None as
+    frozen as it was."""
+    if frozen is None:
+        frozen = not array.flags.writeable
+    if frozen:
+        return _frozen(array, dtype)
+    if array.dtype != dtype or not array.flags.writeable:
+        return np.array(array, dtype=dtype)
+    return array

@@ -120,9 +120,11 @@ class ServeOutcome:
 
     A completed request's ``label`` and ``confidence`` are filled in when
     its replica resolves, at the end of the serve.  ``preprocessed`` is
-    the request's preprocessed tensor, kept only when the caller lands
-    uploads and the batch computed it (``None`` for a row served from
-    cache).
+    the request's preprocessed tensor, kept only when the caller asked
+    for it (``serve(..., collect_tensors=True)``) and the batch computed
+    it (``None`` for a row served from cache).  It is a view into its
+    miss batch's stacked array, so it pins that whole array:
+    ``NDPipeCluster.serve_uploads`` clears it once the photo has landed.
     """
 
     request: ServeRequest

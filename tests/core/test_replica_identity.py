@@ -11,6 +11,10 @@ checkpoint -> restore and Tuner failovers:
 - every live store replica, the inference server and a fresh serving
   frontend's replicas equal the published state byte for byte, at the
   Tuner's version;
+- those replicas and the Tuner's master hold the published frozen
+  arrays themselves (one read-only front per process), a store
+  provisioned with other frozen stages only after its whole-state
+  fallback;
 - every replica sync charged the fabric the classifier plus a 4-byte
   fingerprint of the frozen stages, and a sync to a store holding other
   frozen stages the whole state on top;
@@ -82,6 +86,11 @@ def assert_same_bits(state, reference, where):
         assert got.tobytes() == value.tobytes(), (where, key)
 
 
+def frozen_arrays(state, classifier_prefix):
+    return {key: value for key, value in state.items()
+            if not key.startswith(classifier_prefix)}
+
+
 def half_steps(published, master):
     """Per tensor, half the quantisation step of the round that takes
     ``published`` towards ``master`` (0 where the round ships nothing)."""
@@ -111,6 +120,10 @@ class ReplicaIdentity(RuleBasedStateMachine):
     @property
     def tuner(self):
         return self.cluster.tuner
+
+    @property
+    def prefix(self):
+        return self.tuner.model.classifier_prefix
 
     def down(self):
         return [s for s in self.cluster.stores if not s.is_available]
@@ -153,9 +166,16 @@ class ReplicaIdentity(RuleBasedStateMachine):
     @rule()
     def join_with_another_base(self):
         """A store provisioned with other frozen stages refuses the tail
-        sync and is sent the whole published state."""
-        with provisioned_with(self.cluster, other_base):
-            self.cluster.join_store(f"pipestore-{len(self.cluster.stores)}")
+        sync and is sent the whole published state; it holds its own
+        frozen arrays until that fallback and the published ones after."""
+        build = other_base().freeze_features()
+        own = frozen_arrays(build.state_dict(), self.prefix)
+        with provisioned_with(self.cluster, lambda: build):
+            store = self.cluster.join_store(
+                f"pipestore-{len(self.cluster.stores)}")
+        assert store.model is build
+        held = frozen_arrays(build.state_dict(), self.prefix)
+        assert all(held[key] is not value for key, value in own.items())
         self.mismatched += 1
 
     @precondition(lambda self: len(self.down()) < len(self.cluster.stores) - 1)
@@ -244,6 +264,25 @@ class ReplicaIdentity(RuleBasedStateMachine):
         for replica in frontend.dispatcher.replicas:
             assert_same_bits(replica.model.state_dict(), published,
                              replica.name)
+
+    @invariant()
+    def replicas_at_the_version_share_the_published_front(self):
+        """One front per process: every store at the Tuner's version (an
+        other-base join once its whole-state fallback ran), the master,
+        the inference server and a fresh frontend's replicas hold the
+        published frozen arrays themselves, read-only."""
+        published = frozen_arrays(self.tuner.published, self.prefix)
+        models = [store.model for store in self.cluster.stores
+                  if store.is_available]
+        models += [self.tuner.model, self.cluster.inference_server.model]
+        models += [replica.model for replica in
+                   self.cluster.make_serving_frontend().dispatcher.replicas]
+        for model in models:
+            held = frozen_arrays(model.state_dict(), self.prefix)
+            assert held.keys() == published.keys()
+            for key, value in published.items():
+                assert held[key] is value, key
+                assert not value.flags.writeable, key
 
     @invariant()
     def syncs_ship_the_tail_unless_the_frozen_stages_differ(self):

@@ -204,14 +204,20 @@ class TestDedupe:
         assert len(table.blobs) == 3
         assert table.blobs[sealed] == b"sealed snapshot"  # verbatim
 
-    def test_reader_copies_per_reference(self):
+    def test_reader_shares_one_read_only_unpack_per_blob(self):
         table = BlobTable()
         index = table.add_arrays({"w": np.arange(6.0)})
-        _manifest, blobs = read_frame(write_frame({}, table.blobs))
+        frame = write_frame({}, table.blobs)
+        _manifest, blobs = read_frame(frame)
         arrays = ArrayReader(blobs)
-        one, two = arrays(index)["w"], arrays(index)["w"]
-        assert not np.shares_memory(one, two)
-        one[0] = 99.0  # writable, and private
+        first, second = arrays(index), arrays(index)
+        assert first is not second  # a dict per call ...
+        one, two = first["w"], second["w"]
+        assert one is two  # ... of the arrays unpacked once
+        assert not np.shares_memory(one, np.frombuffer(frame, np.uint8))
+        assert one.flags.owndata and one.flags.aligned
+        with pytest.raises(ValueError, match="read-only"):
+            one[0] = 99.0
         assert two[0] == 0.0
 
     def test_fleet_at_one_version_writes_one_store_model_blob(
@@ -239,17 +245,27 @@ class TestDedupe:
         clone.restore(blob)
         params = [dict(s.model.named_parameters()) for s in clone.stores]
         expected = cluster.tuner.published
+        classifier = clone.tuner.model.classifier_prefix
         for key, reference in params[0].items():
             for other in params[1:]:
                 assert np.array_equal(reference.data, other[key].data)
-                assert not np.shares_memory(reference.data, other[key].data)
+                # frozen arrays are shared, the classifier is private
+                assert np.shares_memory(reference.data, other[key].data) \
+                    is not key.startswith(classifier)
             assert np.array_equal(reference.data, expected[key])
-        key = next(iter(params[0]))
+        frozen = next(iter(params[0]))
+        assert not frozen.startswith(classifier)
+        assert params[0][frozen].data is clone.tuner.published[frozen]
+        with pytest.raises(ValueError, match="read-only"):
+            params[0][frozen].data[...] = -7.0
+        key = f"{classifier}weight"
         params[0][key].data[...] = -7.0
         assert all(np.array_equal(p[key].data, expected[key])
                    for p in params[1:])
         assert np.array_equal(
-            clone.tuner.model.state_dict()[key], expected[key])
+            clone.tuner.model.state_dict()[key],
+            cluster.tuner.model.state_dict()[key])
+        assert np.array_equal(clone.tuner.published[key], expected[key])
         for key, value in cluster.tuner.model.state_dict().items():
             assert np.array_equal(clone.tuner.model.state_dict()[key], value)
 
@@ -347,8 +363,10 @@ class TestTunerFrameOnTheWire:
         assert (epoch, out["epoch"], progress) == (5, 5, None)
         for key in model:
             assert np.array_equal(out["model"][key], model[key])
-            assert not np.shares_memory(
-                out["model"][key], out["last_distributed"][key])
+            # one blob, unpacked once: read-only arrays both sides share
+            # (import_training_state copies what trains)
+            assert out["model"][key] is out["last_distributed"][key]
+            assert not out["model"][key].flags.writeable
         assert pack_arrays(out["optimizer"]["m"]) == pack_arrays(
             state["optimizer"]["m"])
 

@@ -158,6 +158,41 @@ class TestDerivedStateCannotGoStale:
         assert [ref() is not None for ref in folds] == [False] * 4 + [True]
         assert [ref() is not None for ref in sources] == [False] * 4 + [True]
 
+    def test_replicas_sharing_a_front_let_go_of_it_together(self):
+        """N replicas hold one frozen front by reference, then all load a
+        new one: the old front's arrays and every replica's folds of it
+        are garbage, not pinned by a cache."""
+        source = tiny_model("ResNet50").freeze_features()
+        prefix = source.classifier_prefix
+        x = _inputs(source)
+        replicas = [tiny_model("ResNet50", seed=seed).freeze_features().eval()
+                    for seed in (1, 2, 3)]
+        old = source.state_dict()
+        for replica in replicas:
+            replica.load_state_dict(old)
+            _eval_forward(replica, x)
+        front = [key for key in old if not key.startswith(prefix)]
+        for replica in replicas:
+            state = replica.state_dict()
+            assert all(state[key] is old[key] for key in front)
+        sources = [weakref.ref(old[key]) for key in front]
+        folds = [weakref.ref(replica.stage(0)[1]._derived[0].data)
+                 for replica in replicas]
+        new = {key: value.astype(np.float32) for key, value in _perturbed(
+            {key: old[key] for key in front}, seed=5).items()}
+        for value in new.values():
+            value.flags.writeable = False
+        del source, old, state
+        for replica in replicas:
+            replica.load_state_dict(new)
+            _eval_forward(replica, x)
+        gc.collect()
+        assert [ref() is None for ref in sources] == [True] * len(sources)
+        assert [ref() is None for ref in folds] == [True] * len(folds)
+        for replica in replicas:
+            state = replica.state_dict()
+            assert all(state[key] is new[key] for key in new)
+
 
 class TestMasterStateIsUnchanged:
     """Folding is invisible to everything that serialises a model."""
