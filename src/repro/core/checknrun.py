@@ -20,9 +20,10 @@ rounding to the tensor's dtype), and every replica stays bit-identical
 to the Tuner's published state.
 
 Installs and resyncs are not deltas: a :class:`ReplicaSync` carries the
-published classifier plus a CRC32 fingerprint of the frozen stages, which
-the store already holds from its own build of the model; only a store
-whose frozen stages differ is sent the whole state.
+published classifier plus a fingerprint of the frozen front (the first
+bytes of its digest), which the store already holds — a replica is
+provisioned from the fleet's one front value; only a store whose front
+has another digest is sent the whole state.
 
 The exact mode (``quantize_bits=None``) is the ablation and test
 reference.  It encodes each changed tensor as an XOR of bit patterns in
@@ -37,12 +38,13 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..models.split import frozen_crc
+if TYPE_CHECKING:
+    from ..models.split import FrozenFront
 
 
 # CNR2: entry headers carry the tensor dtype and exact payloads are
@@ -54,7 +56,7 @@ _MAGIC = b"CNR2"
 LIVE_DELTA_BITS = 4
 
 
-#: wire bytes of a tail sync's fingerprint: one CRC32
+#: wire bytes of a tail sync's fingerprint: the front digest's first bytes
 FINGERPRINT_BYTES = 4
 
 
@@ -63,8 +65,8 @@ class DeltaError(ValueError):
 
 
 class BaseMismatchError(ValueError):
-    """A store refused a tail sync: the frozen stages it holds are not
-    the ones the sync's fingerprint names."""
+    """A store refused a tail sync: the front it holds is not the one
+    the sync's fingerprint names."""
 
 
 @dataclass(frozen=True)
@@ -93,19 +95,18 @@ class ReplicaSync:
     """One message that brings a replica to a published state.
 
     A *tail* sync carries the classifier's tensors plus the fingerprint
-    (:func:`~repro.models.split.frozen_crc`) of the frozen stages it
-    leaves out; a store loads it only onto frozen stages with that
+    of the published front (the first :data:`FINGERPRINT_BYTES` of its
+    digest); a store takes it only when its own front has that
     fingerprint.  A *whole* sync (``fingerprint`` None) carries every
-    tensor: the fallback for a store whose frozen stages differ.
+    tensor: the fallback for a store whose front differs.
     """
 
     tensors: Dict[str, np.ndarray]
     split: int
-    fingerprint: Optional[int] = None
-    #: a tail sync's published frozen arrays (read-only), handed over in
-    #: process and never on the wire: a store whose own build equals
-    #: them byte for byte holds these instead of its own
-    frozen: Dict[str, np.ndarray] = field(default_factory=dict)
+    fingerprint: Optional[bytes] = None
+    #: the published front value, handed over in process and never on
+    #: the wire: the store holds it by reference once the sync is taken
+    front: Optional["FrozenFront"] = None
 
     @property
     def num_bytes(self) -> int:
@@ -115,16 +116,13 @@ class ReplicaSync:
 
 
 def replica_syncs(state: Dict[str, np.ndarray], split: int,
-                  classifier_prefix: str) -> Tuple[ReplicaSync, ReplicaSync]:
-    """The tail sync of a published ``state`` and its whole-state
-    fallback; both share ``state``'s arrays."""
-    tail: Dict[str, np.ndarray] = {}
-    frozen: Dict[str, np.ndarray] = {}
-    for key, value in state.items():
-        (tail if key.startswith(classifier_prefix) else frozen)[key] = value
-    return (ReplicaSync(tail, split, frozen_crc(state, classifier_prefix),
-                        frozen),
-            ReplicaSync(state, split))
+                  front: "FrozenFront") -> Tuple[ReplicaSync, ReplicaSync]:
+    """The tail sync of a published ``state`` (whose front is ``front``)
+    and its whole-state fallback; both share ``state``'s arrays."""
+    tail = {key: value for key, value in state.items()
+            if key not in front.arrays}
+    return (ReplicaSync(tail, split, front.digest[:FINGERPRINT_BYTES], front),
+            ReplicaSync(state, split, front=front))
 
 
 def encode_delta(old: Dict[str, np.ndarray], new: Dict[str, np.ndarray],

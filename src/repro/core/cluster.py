@@ -134,6 +134,12 @@ class NDPipeCluster:
 
     Collaborator objects (``retry_policy``, ``metrics``, ``tracer``)
     are live dependencies rather than values and stay keyword-only.
+
+    ``model_factory`` is called once, for the Tuner's master: its frozen
+    front becomes the fleet's one :class:`~repro.models.split.
+    FrozenFront`, and every other replica (each store, the inference
+    server, serving replicas, the HA standby) is provisioned from it by
+    reference, owning only a copy of the classifier.
     """
 
     def __init__(self, model_factory: Callable[[], SplitModel],
@@ -144,7 +150,6 @@ class NDPipeCluster:
         self.config = (config if config is not None
                        else ClusterConfig()).validated()
         self.replication = self.config.replication
-        self.model_factory = model_factory
         self.replicas = ReplicaMap()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
@@ -162,7 +167,7 @@ class NDPipeCluster:
         self.tuner.adopt_fleet(self.stores)
         for i in range(self.config.num_stores):
             self.join_store(f"pipestore-{i}")
-        self.inference_server = InferenceServer(model_factory())
+        self.inference_server = InferenceServer(self.tuner.model.replica())
         self.tuner.attach_serving(self.inference_server)
         self.database = PhotoDatabase()
         # the recovery control plane owns the upload journal and every
@@ -182,14 +187,23 @@ class NDPipeCluster:
             "durability_checkpoint_bytes", "size of the latest checkpoint")
 
     # -- membership -----------------------------------------------------------
-    def join_store(self, store_id: str) -> PipeStore:
-        """Enrol a fresh PipeStore: model replica first, then the roster."""
+    def join_store(self, store_id: str,
+                   base: Optional[SplitModel] = None) -> PipeStore:
+        """Enrol a fresh PipeStore: model replica first, then the roster.
+
+        The replica is ``base``, by default one provisioned from the
+        fleet's front (:meth:`~repro.models.split.SplitModel.replica`):
+        its install ships only the classifier.  A ``base`` holding
+        another front is refused that tail sync and sent the whole state.
+        """
         store = PipeStore(store_id,
                           nominal_raw_bytes=self.config.nominal_raw_bytes)
         store.bind_metrics(self.metrics)
+        if base is None:
+            base = self.tuner.model.replica()
         self.stores.joining[store_id] = store
         try:
-            self.tuner.install_replica(store, self.model_factory())
+            self.tuner.install_replica(store, base)
         finally:
             del self.stores.joining[store_id]
         self.stores.add(store)
@@ -211,21 +225,18 @@ class NDPipeCluster:
         """Build a :class:`~repro.serving.ServingFrontend` for this cluster.
 
         The frontend gets ``config.replicas`` fresh inference-server
-        replicas synced to whatever model the front end currently
-        serves, and shares the cluster's fabric (so fault injection and
-        byte accounting cover serving traffic), retry policy, metrics,
-        and tracer.
+        replicas of whatever model the front end currently serves (its
+        front by reference, a copy of its classifier), and shares the
+        cluster's fabric (so fault injection and byte accounting cover
+        serving traffic), retry policy, metrics, and tracer.
         """
         from ..serving import ServingConfig, ServingFrontend
 
         config = (config if config is not None else ServingConfig()).validated()
-        state = self.inference_server.model.state_dict()
-        replicas = []
-        for i in range(config.replicas):
-            replica = InferenceServer(self.model_factory(),
-                                      name=f"inference-replica-{i}")
-            replica.sync_model(state)
-            replicas.append(replica)
+        served = self.inference_server.model
+        replicas = [InferenceServer(served.replica(),
+                                    name=f"inference-replica-{i}")
+                    for i in range(config.replicas)]
         return ServingFrontend(
             replicas, config, network=self.network,
             retry_policy=self.retry, metrics=self.metrics,
@@ -462,12 +473,11 @@ class NDPipeCluster:
         The front end moves with the lease: it serves the new primary's
         published state, the one the stores hold, and the deposed
         primary (whose rounds the stores fence) no longer syncs it.  The
-        new primary first takes the front the front end holds (the
-        fleet's), so the process keeps one copy of the frozen stages.
+        standby was provisioned from the fleet's front, so the process
+        keeps one front across the swap.
         """
         self.tuner.attach_serving(None)
         self.tuner = tuner
-        tuner.share_front(self.inference_server.model.state_dict())
         tuner.attach_serving(self.inference_server)
 
     # -- checkpoint / restore -----------------------------------------------

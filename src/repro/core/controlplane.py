@@ -20,6 +20,7 @@ rebalancer and the nemesis loss check.
 
 from __future__ import annotations
 
+import weakref
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -61,8 +62,15 @@ class RecoveryControlPlane:
     exactly one of these.
     """
 
+    @property
+    def cluster(self):
+        """The cluster this plane serves."""
+        return self._cluster()
+
     def __init__(self, cluster) -> None:
-        self.cluster = cluster
+        # weak: the cluster holds this plane, so a dropped cluster is
+        # freed by reference counting
+        self._cluster = weakref.ref(cluster)
         config = cluster.config
         # the front end journals uploads (pixels + user tag) so photos
         # orphaned on a crashed store can be re-placed onto survivors.

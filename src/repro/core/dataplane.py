@@ -25,6 +25,7 @@ produces the labels ingest makes durable — it moved here from
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -33,7 +34,7 @@ import numpy as np
 
 from ..faults.errors import TransientFaultError
 from ..faults.retry import call_with_retry
-from ..models.split import SplitModel
+from ..models.split import FrozenFront, SplitModel
 from ..nn.tensor import Tensor, inference_mode
 from ..storage.imageformat import preprocess
 from ..storage.photodb import LabelRecord
@@ -53,7 +54,9 @@ class InferenceServer:
 
     def __init__(self, model: SplitModel, name: str = "inference-server"):
         self.name = name
-        self.model = model
+        #: a frozen replica: serving from the split point keys rows on
+        #: its front value's digest
+        self.model = model.freeze_features()
         self.model.eval()
         self._failed = False
         #: serving work taken but not yet computed (see :meth:`submit`)
@@ -100,8 +103,9 @@ class InferenceServer:
         return self.model.num_stages - 1
 
     def front_digest(self) -> bytes:
-        """What feature rows at the serving cut are keyed on."""
-        return self.model.front_digest(self.split)
+        """What feature rows at the serving cut are keyed on: the digest
+        of the front value the replica holds."""
+        return self.model.front.digest
 
     def submit(self, misses: Optional[np.ndarray], rows: Sequence,
                flush_at: int,
@@ -159,16 +163,19 @@ class InferenceServer:
             self._row_probe = (digest, row[0].nbytes)
         return self._row_probe[1]
 
-    def sync_model(self, state: Dict[str, np.ndarray]) -> None:
+    def sync_model(self, state: Dict[str, np.ndarray],
+                   front: Optional[FrozenFront] = None) -> None:
         """Load new weights; work dispatched before answers with the old.
 
-        The replica is frozen as every replica is (its front read-only),
-        so it holds the state's frozen arrays by reference: a sync that
-        moves only the classifier keeps the front, its folds and digest.
+        ``front`` is the value ``state``'s front arrays belong to, handed
+        over in process (the Tuner passes its own, so a replica follows
+        it even onto a restored fleet's other front); without it the
+        replica resolves them (:meth:`~repro.models.split.SplitModel.
+        adopt`).  A sync that moves only the classifier keeps the front,
+        its folds and its digest.
         """
         self.resolve()
-        self.model.freeze_features()
-        self.model.load_state_dict(state)
+        self.model.adopt(state, front)
 
 
 class PendingRow:
@@ -279,7 +286,12 @@ class RoundRobinPlacement:
     """
 
     def __init__(self, plane: "IngestDataPlane"):
-        self.plane = plane
+        # weak: the plane holds its placement policy
+        self._plane = weakref.ref(plane)
+
+    @property
+    def plane(self) -> "IngestDataPlane":
+        return self._plane()
 
     def candidates(self, photo_id: str) -> Iterator[PipeStore]:
         for _ in range(len(self.plane.stores)):
@@ -310,9 +322,14 @@ class RingPlacement:
 
     def __init__(self, plane: "IngestDataPlane", ring,
                  load_factor: float = 1.25):
-        self.plane = plane
+        # weak: the plane holds its placement policy
+        self._plane = weakref.ref(plane)
         self.ring = ring
         self.load_factor = load_factor
+
+    @property
+    def plane(self) -> "IngestDataPlane":
+        return self._plane()
 
     def _live_successors(self, photo_id: str) -> List[str]:
         stores = self.plane.stores
@@ -353,8 +370,15 @@ class RingPlacement:
 class IngestDataPlane:
     """Owns upload landing: ids, placement, replication, journalling."""
 
+    @property
+    def cluster(self):
+        """The cluster this plane serves."""
+        return self._cluster()
+
     def __init__(self, cluster):
-        self.cluster = cluster
+        # weak: the cluster holds this plane, so a dropped cluster is
+        # freed by reference counting
+        self._cluster = weakref.ref(cluster)
         self.ingest_counter = 0
         self.rr_next = 0
         self.placement = RoundRobinPlacement(self)

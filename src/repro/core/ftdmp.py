@@ -181,7 +181,8 @@ class FTDMPTrainer:
         self._optimizer_kind = optimizer
         self._rng = np.random.default_rng(seed)
         model.freeze_features()
-        self._frozen_snapshot = self._frozen_state()
+        self._frozen_snapshot = {name: array.copy() for name, array
+                                 in self._frozen_state().items()}
 
     # -- the Store side ------------------------------------------------------
     def extract_features(self, x: np.ndarray) -> np.ndarray:
@@ -231,19 +232,17 @@ class FTDMPTrainer:
 
     # -- invariants -------------------------------------------------------
     def _frozen_state(self) -> dict:
-        state = {}
-        for i in range(self.model.num_stages - 1):
-            stage = self.model.stage(i)
-            for name, param in stage.named_parameters(prefix=f"stage{i}."):
-                state[name] = param.data.copy()
-        return state
+        """Every parameter and buffer of the weight-freeze stages, read
+        in place."""
+        return {f"stage{i}.{name}": array
+                for i in range(self.model.num_stages - 1)
+                for name, array in self.model.stage(i).state_dict().items()}
 
     def verify_frozen_unchanged(self) -> None:
-        """Assert the weight-freeze layers were not touched by training."""
-        for i in range(self.model.num_stages - 1):
-            stage = self.model.stage(i)
-            for name, param in stage.named_parameters(prefix=f"stage{i}."):
-                if not np.array_equal(param.data, self._frozen_snapshot[name]):
-                    raise AssertionError(
-                        f"frozen parameter {name} changed during fine-tuning"
-                    )
+        """Assert the weight-freeze layers were not touched by training:
+        their parameters and their buffers (BatchNorm running statistics)
+        alike, at any split."""
+        for name, array in self._frozen_state().items():
+            if not np.array_equal(array, self._frozen_snapshot[name]):
+                raise AssertionError(
+                    f"frozen state {name} changed during fine-tuning")

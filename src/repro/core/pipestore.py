@@ -5,9 +5,9 @@ binary, §5.4), holds a replica of the weight-freeze model front, and runs
 the two near-data jobs: feature extraction for FT-DMP fine-tuning and
 whole-model offline inference.  Model updates arrive as Check-N-Run deltas;
 installs and resyncs carry the classifier and a fingerprint of the frozen
-stages, which the store checks against its own build.  The front is
-frozen, so each photo's split-point feature is kept as a third, derived
-object and the front runs once per (photo, front).
+front, which the store checks against the front value it holds.  The
+front is frozen, so each photo's split-point feature is kept as a third,
+derived object and the front runs once per (photo, front).
 """
 
 from __future__ import annotations
@@ -329,15 +329,17 @@ class PipeStore:
         """Bring the replica to a published state: the one receiver of
         installs and resyncs.
 
-        ``base`` is this store's own build of the model, given on its
-        first install; it becomes the replica.  Later syncs update the
-        replica in place.  A tail sync loads only the classifier, onto
-        frozen stages whose fingerprint is the sync's; any other replica
+        ``base`` is this store's replica, given on its first install (by
+        default the fleet provisions it from the published front:
+        :meth:`~repro.core.cluster.NDPipeCluster.join_store`).  Later
+        syncs update the replica in place.  A tail sync is taken only by
+        a replica whose front has the sync's fingerprint; any other
         refuses it with :class:`~repro.core.checknrun.BaseMismatchError`,
-        unchanged, and the sender falls back to a whole sync.  On a
-        fingerprint match each frozen array equal byte for byte to the
-        published one the sync hands over in process is replaced by it,
-        so the process holds one front however many stores hold it.
+        unchanged, and the sender falls back to a whole sync.  A taken
+        sync leaves the replica holding the published front value the
+        sync hands over in process — by reference, so the process holds
+        one front however many stores hold it — and a private copy of
+        the published classifier.
         """
         model = self.model if base is None else base
         if model is None:
@@ -345,16 +347,14 @@ class PipeStore:
         if not 0 <= sync.split <= model.num_stages:
             raise ValueError(f"split {sync.split} out of range")
         self._fence(epoch)
-        shared = {}
+        model.freeze_features()
         if sync.fingerprint is not None:
-            held = model.frozen_fingerprint()
+            held = model.front.digest[:checknrun.FINGERPRINT_BYTES]
             if held != sync.fingerprint:
                 raise checknrun.BaseMismatchError(
-                    f"{self.store_id}: frozen stages fingerprint "
-                    f"{held:08x}, the sync expects {sync.fingerprint:08x}")
-            # the frozen stages are the published ones: hold those
-            shared = model.same_frozen(sync.frozen)
-        model.load_state_dict({**shared, **sync.tensors})
+                    f"{self.store_id}: front fingerprint {held.hex()}, the "
+                    f"sync expects {sync.fingerprint.hex()}")
+        model.adopt(sync.tensors, sync.front)
         model.eval()
         self.model = model
         self.split = sync.split
@@ -366,10 +366,11 @@ class PipeStore:
                           epoch: int = 0) -> None:
         """Apply a Check-N-Run delta to the local replica.
 
-        Only the tensors the delta changes are loaded, so derived state
-        of the rest survives — after a classifier-only delta the frozen
-        front keeps its folds and its digest, and ``feat/`` rows hit
-        without re-hashing the front.
+        Only the tensors the delta changes are loaded: a classifier-only
+        delta leaves the front value, its folds and its digest as they
+        are, so ``feat/`` rows hit without re-hashing anything; a delta
+        that rewrites front arrays rebinds the replica to another value
+        (:meth:`~repro.models.split.SplitModel.adopt`).
         """
         if self.model is None:
             raise RuntimeError(f"{self.store_id}: no model installed yet")
@@ -379,7 +380,7 @@ class PipeStore:
                 f"{self.store_id}: delta v{version} not newer than "
                 f"v{self.model_version}"
             )
-        self.model.load_state_dict(
+        self.model.adopt(
             checknrun.changed_tensors(self.model.state_dict(), blob))
         self.model_version = version
         if self._metrics is not None:
@@ -420,7 +421,7 @@ class PipeStore:
         if not photo_ids:
             raise ValueError("no photo ids given")
         objects = self.objects
-        digest = self.model.front_digest(self.split)
+        digest = self.model.front.digest_at(self.split)
         crcs = [objects.stored_crc(objects.preproc_key(pid))
                 for pid in photo_ids]
         features, misses = None, []

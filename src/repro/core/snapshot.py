@@ -117,10 +117,11 @@ def restore_checkpoint(cluster, blob: bytes) -> Optional[FinetuneProgress]:
                 f"checkpoint split {tuner_manifest['split']} does not "
                 f"match this cluster's split {cluster.tuner.split}"
             )
-        # a shared blob is unpacked once into read-only arrays: every
-        # store (and the Tuner) at one version holds its frozen stages,
-        # and each copies the classifier into its trainable slots
-        arrays = ArrayReader(blobs)
+        # a shared blob is unpacked once into read-only arrays, and its
+        # front resolved once to a value (this fleet's when the digests
+        # agree) that every store and the Tuner written from it hold;
+        # each copies the classifier into its trainable slots
+        arrays = ArrayReader(blobs, front=cluster.tuner.model.front)
         tuner_state = tuner_state_from(tuner_manifest, arrays)
         # replicas' payloads are restored as one bytes object each, the
         # way a live ingest lands them
@@ -129,6 +130,7 @@ def restore_checkpoint(cluster, blob: bytes) -> Optional[FinetuneProgress]:
             (load_object_store(blobs[entry["objects_blob"]],
                                name=entry["store_id"], payloads=payloads),
              arrays(entry["model_blob"]),
+             arrays.front(entry["model_blob"]),
              int(entry["model_version"]),
              dict(entry["train_labels"]))
             for entry in manifest["stores"]
@@ -171,10 +173,10 @@ def restore_checkpoint(cluster, blob: bytes) -> Optional[FinetuneProgress]:
     with cluster.tracer.span("cluster.restore",
                              tuner_version=tuner_state["version"]):
         cluster.tuner.import_training_state(tuner_state)
-        for store, (objects, model_state, version, labels) in zip(
+        for store, (objects, model_state, front, version, labels) in zip(
                 cluster.stores, store_states):
             store.objects = objects
-            store.model.load_state_dict(model_state)
+            store.model.adopt(model_state, front)
             store.model_version = version
             for pid, label in labels.items():
                 store.set_train_label(pid, label)

@@ -9,10 +9,12 @@ Two models live here: the training *master* (``model``) and the
 *published* state (:attr:`Tuner.published`), which is what every replica
 holds.  Only the published state leaves the Tuner — in deltas and in
 replica syncs (installs, resyncs, catch-ups) alike — and the attached
-inference server (:meth:`Tuner.attach_serving`) is kept serving it.  A
-replica sync ships the classifier plus a fingerprint of the frozen
-stages, which the store checks against its own build; only a store
-provisioned with other frozen stages is sent the whole state.
+inference server (:meth:`Tuner.attach_serving`) is kept serving it.  Both
+hold one frozen front, the master's :class:`~repro.models.split.
+FrozenFront`, and so does every replica: a replica sync ships the
+classifier plus a fingerprint of the front and hands the value itself
+over in process; only a store provisioned with another front is sent the
+whole state.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from ..faults.errors import StaleEpochError, TransientFaultError
 from ..faults.retry import RetryPolicy, call_with_retry
-from ..models.split import SplitModel, same_bytes
+from ..models.split import SplitModel
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor, inference_mode
 from ..obs.metrics import MetricsRegistry
@@ -181,11 +183,11 @@ class Tuner:
         self._stores = roster
 
     def install_replica(self, store: PipeStore, replica: SplitModel) -> None:
-        """Bring a joining PipeStore, provisioned with its own build
-        ``replica`` of the model, to the published state (membership
-        itself is the roster's: :meth:`NDPipeCluster.join_store`)."""
+        """Bring a joining PipeStore, provisioned with ``replica``, to the
+        published state (membership itself is the roster's:
+        :meth:`NDPipeCluster.join_store`)."""
         state = self.published
-        self._sync_replica(store, state, base=replica.freeze_features())
+        self._sync_replica(store, state, base=replica)
         self._last_distributed = state
 
     @property
@@ -201,20 +203,7 @@ class Tuner:
 
     def _serve_published(self) -> None:
         if self._serving is not None:
-            self._serving.sync_model(self.published)
-
-    def share_front(self, state: Dict[str, np.ndarray]) -> None:
-        """Hold the read-only arrays of a replica's ``state`` (handed over
-        in process) wherever they equal this Tuner's byte for byte, in
-        the master and the published state alike: a promoted standby
-        then holds the front the fleet holds instead of its own copy."""
-        published = self._last_distributed
-        if published is not None:
-            self._last_distributed = {**published, **{
-                key: value for key, value in state.items()
-                if not value.flags.writeable
-                and same_bytes(published.get(key), value)}}
-        self.model.load_state_dict(self.model.same_frozen(state))
+            self._serving.sync_model(self.published, self.model.front)
 
     @property
     def published(self) -> Dict[str, np.ndarray]:
@@ -222,10 +211,10 @@ class Tuner:
 
         Each round moves it towards the master by one quantised delta
         (:func:`checknrun.publish`); before any replica is installed it
-        is the master's state.  Its frozen stages are the master's own
-        read-only arrays (``freeze_features`` never lets them move), and
-        every replica that loads it holds those same arrays by
-        reference; an in-place write to one raises.  Its classifier
+        is the master's state.  Its frozen stages are the arrays of the
+        master's front value (``freeze_features`` made it immutable),
+        which every replica holds by reference; an in-place write to one
+        raises.  Its classifier
         arrays are the Tuner's: each replica copies them, and callers
         must not write to them.
         """
@@ -345,19 +334,20 @@ class Tuner:
 
     def _sync_replica(self, store: PipeStore, state: Dict[str, np.ndarray],
                       base: Optional[SplitModel] = None) -> None:
-        """Bring ``store`` to the published ``state`` (``base``: its own
-        build, on a first install).
+        """Bring ``store`` to the published ``state`` (``base``: its
+        replica, on a first install).
 
         The one way a store is brought to the published state.  The
         common case is one ``model-full`` message: the classifier plus
-        the fingerprint of the frozen stages, which the store checks
-        against its own.  A store holding other frozen stages refuses it
+        the fingerprint of the front, which the store checks against the
+        front it holds.  A store holding another front refuses it
         (:class:`checknrun.BaseMismatchError`) and is sent the whole
-        state as a second message.  Each message is retried on its own.
+        state as a second message.  Either way the store ends up holding
+        the master's front value.  Each message is retried on its own.
         """
         if self._syncs_of is None or self._syncs_of[0] is not state:
             self._syncs_of = (state, checknrun.replica_syncs(
-                state, self.split, self.model.classifier_prefix))
+                state, self.split, self.model.front))
         tail, whole = self._syncs_of[1]
         try:
             call_with_retry(lambda: self._send_sync(store, tail, base),
@@ -562,12 +552,21 @@ class Tuner:
         return state
 
     def import_training_state(self, state: Dict) -> None:
-        """Inverse of :meth:`export_training_state` on a fresh Tuner."""
+        """Inverse of :meth:`export_training_state` on a fresh Tuner.
+
+        The master takes ``state["front"]`` when the state names its
+        front value (a checkpoint reader resolves one per model blob),
+        else the value its front arrays resolve to; the published state
+        holds the same front, as it always does.
+        """
         self.version = int(state["version"])
         # epoch absent in pre-HA checkpoints: those predate elections
         self.epoch = int(state.get("epoch", 0))
-        self.model.load_state_dict(state["model"])
-        self._last_distributed = state["last_distributed"]
+        self.model.adopt(state["model"], state.get("front"))
+        published = state["last_distributed"]
+        self._last_distributed = (None if published is None else
+                                  {**published, **self.model.front.arrays})
+        self._syncs_of = None
         self._serve_published()
         self._rng.bit_generator.state = state["rng"]
         opt_state = state["optimizer"]

@@ -27,12 +27,15 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..storage.compression import WEIGHTS, deflate, inflate
 from ..storage.persistence import seal
+
+if TYPE_CHECKING:
+    from ..models.split import FrozenFront
 
 CHECKPOINT_MAGIC = b"NDCP"
 #: v2: the frame no longer deflates its body (blobs arrive compressed by
@@ -179,14 +182,18 @@ class ArrayReader:
 
     Each blob is inflated and unpacked once, into aligned arrays of their
     own that are then made read-only; every call returns a new dict of
-    those same arrays.  So the stores and the Tuner restored from one
-    model blob share its frozen arrays (``load_state_dict`` adopts a
-    read-only array into a frozen slot) and each copies the classifier
-    into its trainable slots."""
+    those same arrays.  Given the restoring fleet's ``front``, a model
+    blob's front arrays resolve to one :class:`~repro.models.split.
+    FrozenFront` per blob (:meth:`front`): hashed once however many
+    stores and Tuner states were written from it, and the fleet's own
+    value when the digests agree."""
 
-    def __init__(self, blobs: List[memoryview]) -> None:
+    def __init__(self, blobs: List[memoryview],
+                 front: Optional["FrozenFront"] = None) -> None:
         self._blobs = blobs
         self._arrays: Dict[int, Dict[str, np.ndarray]] = {}
+        self._front = front
+        self._fronts: Dict[int, "FrozenFront"] = {}
 
     def __call__(self, index: int) -> Dict[str, np.ndarray]:
         arrays = self._arrays.get(index)
@@ -199,6 +206,16 @@ class ArrayReader:
             for array in arrays.values():
                 array.flags.writeable = False
         return dict(arrays)
+
+    def front(self, index: int) -> Optional["FrozenFront"]:
+        """The front value of model blob ``index`` (``None`` without a
+        fleet front to resolve against)."""
+        if self._front is None:
+            return None
+        front = self._fronts.get(index)
+        if front is None:
+            front = self._fronts[index] = self._front.resolve(self(index))
+        return front
 
 
 def write_frame(manifest: Dict[str, Any], blobs: List[bytes]) -> bytes:
@@ -303,8 +320,11 @@ def tuner_state_from(section: Dict[str, Any],
     opt = section["optimizer"]
     published = None if last_blob is None else arrays(last_blob)
     if "model_blob" in section:
-        master = arrays(section["model_blob"])
+        front_blob = section["model_blob"]
+        master = arrays(front_blob)
     else:
+        # an overlay holds no front array: the master's are the published
+        front_blob = last_blob
         master = {**published, **arrays(section["master_overlay_blob"])}
     return {
         "version": section["version"],
@@ -312,6 +332,7 @@ def tuner_state_from(section: Dict[str, Any],
         "lr": section["lr"],
         "rng": section["rng"],
         "model": master,
+        "front": arrays.front(front_blob),
         "last_distributed": published,
         "optimizer": None if opt is None else {
             "t": opt["t"],

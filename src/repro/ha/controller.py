@@ -60,8 +60,9 @@ class HAController:
 
         self.failover: Optional[TunerFailoverManager] = None
         if self.config.standby:
+            # provisioned from the fleet's front, like every replica
             standby = Tuner(
-                cluster.model_factory(), cluster.network,
+                cluster.tuner.model.replica(), cluster.network,
                 split=cluster.tuner.split, name="tuner-standby",
                 lr=cluster.config.lr, batch_size=cluster.config.batch_size,
                 seed=cluster.config.seed, retry_policy=cluster.retry,

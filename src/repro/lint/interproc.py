@@ -46,8 +46,8 @@ __all__ = [
 
 #: receiver-method calls treated as mutating fenced state (ND007)
 _MUTATING_CALLS = {
-    "load_state_dict", "import_training_state", "adopt_fleet",
-    "apply_model_delta", "install_model",
+    "load_state_dict", "adopt", "rebind", "import_training_state",
+    "adopt_fleet", "apply_model_delta", "install_model",
 }
 #: metric instrument methods whose loss skews books (ND009)
 _INSTRUMENT_CALLS = {"inc", "dec", "set", "observe"}

@@ -5,18 +5,23 @@ is the classifier.  PipeStores run ``forward_until(x, p)`` (the weight-freeze
 front); the Tuner runs ``forward_from(features, p)`` (the rest, including the
 trainable classifier).  ``assert_split_consistent`` verifies the invariant
 that a split forward equals the unsplit forward bit-for-bit.
+
+Once frozen, a model's front is a :class:`FrozenFront`: one immutable
+value, shared by reference by every replica provisioned from it
+(:meth:`SplitModel.replica`), each of which owns only its classifier.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
-import zlib
 from contextlib import contextmanager
+from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.module import Module
+from ..nn.module import Module, _frozen
 from ..nn.tensor import Tensor, no_grad
 from .graph import ModelGraph, StageSpec
 
@@ -35,6 +40,10 @@ class SplitModel(Module):
         self._stage_modules: List[Module] = [m for _, m in stages]
         for stage_name, module in stages:
             setattr(self, f"stage_{stage_name}", module)
+        #: the frozen stages as one immutable value, once
+        #: :meth:`freeze_features` has made it (or :meth:`rebind` handed
+        #: this model another); ``None`` while every stage trains
+        self.front: Optional[FrozenFront] = None
 
     # -- structure -------------------------------------------------------
     @property
@@ -72,66 +81,74 @@ class SplitModel(Module):
             x = module(x)
         return x
 
-    def front_digest(self, split: int) -> bytes:
-        """16-byte digest of the frozen front: ``split`` plus every
-        parameter and buffer of the stages ``forward_until`` runs.
-
-        Equal digests mean equal split-point features for equal inputs.
-        Derived state in :attr:`Module._derived` (see there for what
-        drops it); recomputing hashes the front's bytes once.
-        """
-        self._check_split(split)
-        if self._derived is None or self._derived[0] != split:
-            digest = hashlib.blake2b(str(split).encode(), digest_size=16)
-            for index, module in enumerate(self._stage_modules[:split]):
-                for name, array in module.state_dict().items():
-                    digest.update(f"{index}.{name}{array.dtype.str}"
-                                  f"{array.shape}".encode())
-                    digest.update(array)
-            self._derived = (split, digest.digest())
-        return self._derived[1]
-
     @property
     def classifier_prefix(self) -> str:
         """The state-dict key prefix of the classifier stage."""
         return f"stage_{self.stage_names[-1]}."
 
-    def frozen_fingerprint(self) -> int:
-        """:func:`frozen_crc` of this model's state, read in place: the
-        CRC32 of every stage :meth:`freeze_features` freezes.
+    # -- the frozen front ------------------------------------------------------
+    def rebind(self, front: "FrozenFront") -> None:
+        """Hold ``front`` as this model's frozen stages, by reference: the
+        one way a replica's front is replaced (nothing is invalidated —
+        the old value, its digest and its folds go with their last
+        holder)."""
+        if front is self.front:
+            return
+        if front.names != tuple(self.stage_names[:len(front.names)]):
+            raise ValueError(
+                f"front stages {front.names} do not match {self.name}'s")
+        self.front = front
+        self._hold(front.names, front.stages)
 
-        A replica whose fingerprint equals a published state's holds that
-        state's frozen stages, so a sync need ship it only the classifier.
-        Not memoised: a store computes it once per sync it receives.
+    def adopt(self, state: Mapping[str, np.ndarray],
+              front: Optional["FrozenFront"] = None) -> None:
+        """Bring this frozen replica to ``state``.
+
+        Its front becomes ``front`` — a value handed over in process —
+        or else the value ``state``'s front arrays resolve to
+        (:meth:`FrozenFront.resolve`: this model's own when they are its
+        arrays or hash to its digest, a new value otherwise); the other
+        arrays load as :meth:`~repro.nn.module.Module.load_state_dict`
+        loads them.  A state naming no front array keeps the front.
         """
-        return frozen_crc(self._arrays(), self.classifier_prefix)
+        if front is None:
+            front = self.front.resolve(state)
+        self.rebind(front)
+        self.load_state_dict({key: value for key, value in state.items()
+                              if key not in front.arrays})
 
-    def same_frozen(self, offered: Mapping[str, np.ndarray],
-                    ) -> Dict[str, np.ndarray]:
-        """The read-only arrays of ``offered`` whose bytes (dtype and
-        shape too) equal this model's own, apart from those it already
-        holds: loaded, they replace its own, so identical frozen stages
-        are held once in the process.  A byte compare, no hash."""
-        held = self._arrays()
-        return {key: value for key, value in offered.items()
-                if not value.flags.writeable and same_bytes(held[key], value)}
+    def replica(self) -> "SplitModel":
+        """Another model holding this one's front by reference and a
+        private copy of its classifier: how a fleet provisions a replica,
+        in O(classifier)."""
+        if self.front is None:
+            raise ValueError(f"{self.name}: freeze_features() before "
+                             "provisioning replicas from it")
+        model = SplitModel(self.name, list(zip(
+            self.stage_names,
+            (*self.front.stages, copy.deepcopy(self.classifier)))),
+            self.input_shape)
+        model.front = self.front
+        model.training = self.training
+        return model
 
-    def _arrays(self) -> Dict[str, np.ndarray]:
-        """Every parameter and buffer by key, read in place."""
-        arrays = {name: param.data for name, param in self.named_parameters()}
-        arrays.update(self.named_buffers())
-        return arrays
+    def _train_as(self, trainable: bool) -> bool:
+        # unfreezing gives this model private copies of the front's
+        # stages (``unfreeze`` then copies their arrays writable): the
+        # shared value itself never moves
+        if trainable and self.front is not None:
+            front, self.front = self.front, None
+            stages = front._copies(front.arrays)
+            for stage in stages:
+                for module in stage.modules():
+                    del module._immutable
+            self._hold(front.names, stages)
+        return super()._train_as(trainable)
 
-    def load_state_dict(self, state) -> List[str]:
-        """As :meth:`Module.load_state_dict`; the front digest is dropped
-        only when an array of a stage it covers is replaced."""
-        replaced = super().load_state_dict(state)
-        if self._derived is not None:
-            front = {f"stage_{name}"
-                     for name in self.stage_names[:self._derived[0]]}
-            if any(key.split(".", 1)[0] in front for key in replaced):
-                self._derived = None
-        return replaced
+    def _hold(self, names: Sequence[str], stages: Sequence[Module]) -> None:
+        for name, stage in zip(names, stages):
+            setattr(self, f"stage_{name}", stage)
+        self._stage_modules[:len(stages)] = stages
 
     def _check_split(self, split: int) -> None:
         if not 0 <= split <= self.num_stages:
@@ -141,16 +158,19 @@ class SplitModel(Module):
 
     # -- fine-tuning setup -------------------------------------------------
     def freeze_features(self) -> "SplitModel":
-        """Freeze everything except the classifier (fine-tuning mode B):
-        the front's master state becomes float32 and read-only, the
-        classifier's stays float64 and writable (see
-        :meth:`Module.freeze`).  Freezing a frozen model moves nothing."""
-        moved = [module._train_as(False)
-                 for module in self._stage_modules[:-1]]
-        if self.classifier._train_as(True) or any(moved):
-            # a stage's cast does not reach this model's own slot, and the
-            # front digest hashes dtypes
-            self._derived = None
+        """Freeze everything except the classifier (fine-tuning mode B)
+        and make the frozen stages this model's :attr:`front`, one
+        immutable :class:`FrozenFront`: their master state float32 and
+        read-only (see :meth:`Module.freeze`), in eval mode for good.
+        The classifier's stays float64 and writable.  Freezing a frozen
+        model moves nothing."""
+        if self.front is None:
+            stages = self._stage_modules[:-1]
+            for stage in stages:
+                stage._train_as(False)
+                stage.train(False)
+            self.front = FrozenFront(self.stage_names[:-1], stages)
+        self.classifier._train_as(True)
         return self
 
     def feature_dim_after(self, split: int, batch: int = 2) -> Tuple[int, ...]:
@@ -201,29 +221,101 @@ class SplitModel(Module):
         return ModelGraph(self.name, specs, input_elems, raw_image_bytes)
 
 
-def frozen_crc(state: Mapping[str, np.ndarray], classifier_prefix: str,
-               ) -> int:
-    """CRC32 of every array of ``state`` outside the classifier: key,
-    dtype, shape and bytes, in key order — one pass of the integrity
-    checksum the object store uses.  The fingerprint a replica sync
-    checks a store's frozen stages by; ``front_digest`` keeps keying
-    ``feat/`` rows."""
-    crc = 0
-    for key in sorted(state):
-        if key.startswith(classifier_prefix):
-            continue
-        array = state[key]
-        crc = zlib.crc32(f"{key}{array.dtype.str}{array.shape}".encode(), crc)
-        crc = zlib.crc32(np.ascontiguousarray(array), crc)
-    return crc
+class FrozenFront:
+    """The frozen stages of a :class:`SplitModel` as one immutable value.
 
+    It holds the stage modules, every array of theirs read-only, and one
+    16-byte digest computed when the value is made: a blake2b over the
+    stage count and, per stage, each array's key, dtype, shape and bytes
+    (what ``feat/`` rows and serving cache rows are keyed on; equal
+    digests mean equal split-point features for equal inputs, and a
+    replica sync's 4-byte fingerprint is its first bytes).  Its modules
+    are marked immutable (:attr:`Module._immutable`): ``train(True)``
+    does not reach them, casts skip them and ``load_state_dict`` refuses
+    to replace their arrays, so their BatchNorm folds are computed once,
+    on the value's first eval, and die with it.
 
-def same_bytes(held: Optional[np.ndarray], other: np.ndarray) -> bool:
-    """Whether ``other`` is an array apart from ``held`` with the same
-    dtype, shape and bytes (a compare, not a hash)."""
-    return (held is not None and held is not other
-            and held.dtype == other.dtype and held.shape == other.shape
-            and held.tobytes() == other.tobytes())
+    Every replica of a fleet holds the one value by reference
+    (:meth:`SplitModel.replica`, :meth:`SplitModel.rebind`); replacing a
+    front means swapping that reference, never writing into it.
+    """
+
+    __slots__ = ("names", "stages", "arrays", "digest", "_tags", "_cuts",
+                 "__weakref__")
+
+    def __init__(self, names: Sequence[str], stages: Sequence[Module],
+                 digest: Optional[bytes] = None):
+        self.names = tuple(names)
+        self.stages = tuple(stages)
+        arrays: Dict[str, np.ndarray] = {}
+        tags = []
+        for index, (name, stage) in enumerate(zip(self.names, self.stages)):
+            for module in stage.modules():
+                module._immutable = True
+            for local, array in stage.state_dict().items():
+                if array.flags.writeable:
+                    raise ValueError(f"stage {name}: {local} is not frozen")
+                key = f"stage_{name}.{local}"
+                arrays[key] = array
+                tags.append((index, key, f"{index}.{local}"))
+        #: key -> read-only array, for every parameter and buffer
+        self.arrays = MappingProxyType(arrays)
+        self._tags = tuple(tags)
+        self._cuts: Dict[int, bytes] = {}
+        self.digest = self._digest(arrays) if digest is None else digest
+
+    def digest_at(self, split: int) -> bytes:
+        """The digest of the first ``split`` stages, what ``feat/`` rows
+        at that cut are keyed on: :attr:`digest` at the front's own cut
+        (every frozen stage), hashed once per value at an earlier one."""
+        if split == len(self.stages):
+            return self.digest
+        if not 0 <= split < len(self.stages):
+            raise ValueError(f"split {split} is not a cut of the "
+                             f"{len(self.stages)}-stage front")
+        digest = self._cuts.get(split)
+        if digest is None:
+            digest = self._cuts[split] = self._digest(self.arrays, split)
+        return digest
+
+    def _digest(self, arrays: Mapping[str, np.ndarray],
+                split: Optional[int] = None) -> bytes:
+        split = len(self.stages) if split is None else split
+        digest = hashlib.blake2b(str(split).encode(), digest_size=16)
+        for index, key, tag in self._tags:
+            if index >= split:
+                break
+            array = arrays[key]
+            digest.update(f"{tag}{array.dtype.str}{array.shape}".encode())
+            digest.update(array)
+        return digest.digest()
+
+    def resolve(self, state: Mapping[str, np.ndarray]) -> "FrozenFront":
+        """The value holding ``state``'s front arrays over this one's
+        (``state`` may name some, all or none of them): this value when
+        they are its own arrays or hash to its digest, else a new value
+        with this one's stage structure.  Hashes at most once."""
+        held = self.arrays
+        incoming = {key: _frozen(state[key], array.dtype)
+                    for key, array in held.items()
+                    if key in state and state[key] is not array}
+        if not incoming:
+            return self
+        incoming = {**held, **incoming}
+        digest = self._digest(incoming)
+        if digest == self.digest:
+            return self
+        return FrozenFront(self.names, self._copies(incoming), digest)
+
+    def _copies(self, arrays: Mapping[str, np.ndarray]) -> Tuple[Module, ...]:
+        """New stage modules like this value's, holding ``arrays`` (by
+        key) in place of its own and none of its folds (they are derived
+        from the arrays)."""
+        memo = {id(held): arrays[key] for key, held in self.arrays.items()}
+        memo.update((id(module._derived), None) for stage in self.stages
+                    for module in stage.modules()
+                    if module._derived is not None)
+        return copy.deepcopy(self.stages, memo)
 
 
 def assert_split_consistent(model: SplitModel, x: Tensor, split: int,

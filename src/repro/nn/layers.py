@@ -82,8 +82,10 @@ class BatchNorm2d(Module):
             out = reuse(np.multiply, x.data, scale) if x._scratch else x.data * scale
             return Tensor(reuse(np.add, out, shift), _scratch=True)
         # statistics move in training mode and a graph means parameters may
-        # be about to: either way what was derived from them is stale
-        self._derived = None
+        # be about to (an immutable module's never do): either way what was
+        # derived from them is stale
+        if not self._immutable:
+            self._derived = None
         if self.training:
             mean = x.mean(axis=(0, 2, 3), keepdims=True)
             var = x.var(axis=(0, 2, 3), keepdims=True)

@@ -25,14 +25,19 @@ class Module:
     """Base class for neural-network building blocks."""
 
     #: State a layer derived from its parameters and buffers for the frozen
-    #: eval graph (BatchNorm folded into the preceding conv; on a SplitModel,
-    #: the digest of its frozen front).  Built on first use, never serialised,
-    #: and dropped by every sanctioned mutation of its sources:
-    #: ``train(True)``, ``cast`` (and so ``freeze``/``unfreeze``) where an
-    #: array changed dtype, and ``load_state_dict`` — the last only on
-    #: the modules owning a key it replaces, so a classifier-only load
-    #: keeps every fold of the front (and a SplitModel its front digest).
+    #: eval graph (BatchNorm folded into the preceding conv).  Built on
+    #: first use, never serialised, and dropped by every sanctioned
+    #: mutation of its sources: ``train(True)``, ``cast`` (and so
+    #: ``freeze``/``unfreeze``) where an array changed dtype, and
+    #: ``load_state_dict`` — the last only on the modules owning a key it
+    #: replaces.  An immutable module's sources never move, so its
+    #: derived state lives as long as it does.
     _derived = None
+
+    #: Set on every module of a :class:`~repro.models.split.FrozenFront`:
+    #: ``train()`` leaves it in eval mode, casts and freezes skip it, and
+    #: ``load_state_dict`` refuses to replace its arrays.
+    _immutable = False
 
     def __init__(self):
         self._parameters: Dict[str, Parameter] = {}
@@ -74,6 +79,8 @@ class Module:
 
     # -- mode ------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
+        if self._immutable:
+            return self
         self.training = mode
         if mode:
             self._derived = None
@@ -120,8 +127,10 @@ class Module:
     def _train_as(self, trainable: bool) -> bool:
         """:meth:`unfreeze` (``trainable``) or :meth:`freeze`; returns
         whether an array was replaced."""
-        for param in self.parameters():
-            param.requires_grad = trainable
+        for module in self.modules():
+            if not module._immutable:
+                for param in module._parameters.values():
+                    param.requires_grad = trainable
         return self._recast(np.dtype(np.float64 if trainable else np.float32),
                             frozen=not trainable)
 
@@ -129,9 +138,11 @@ class Module:
         """Bring every array to ``dtype``; ``frozen`` True leaves each
         read-only, False writable and private, None as it was.  Derived
         state is dropped where an array was replaced; returns whether
-        any was."""
+        any was.  Immutable modules are left as they are."""
         moved = False
         for module in self.modules():
+            if module._immutable:
+                continue
             stale = False
             for param in module._parameters.values():
                 array = _settled(param.data, dtype, frozen)
@@ -177,7 +188,10 @@ class Module:
         owner's optimiser steps it.  An incoming array that already *is*
         the slot's frozen array replaces nothing.  Derived state is
         dropped exactly where a source moved: on each module that owns a
-        replaced parameter or buffer.
+        replaced parameter or buffer.  A module of a frozen front is
+        immutable: an array other than the one it holds raises
+        ``ValueError`` (a replica's front is swapped whole, by
+        :meth:`~repro.models.split.SplitModel.adopt` or ``rebind``).
         """
         holders = self._holders()
         replaced = []
@@ -196,6 +210,10 @@ class Module:
                 value = value.copy()
             elif value is held:
                 continue
+            elif holder._immutable:
+                raise ValueError(
+                    f"{key} belongs to a frozen front, which is immutable: "
+                    "rebind the model to another front instead")
             else:
                 value = _frozen(value, value.dtype)
             if param is not None:

@@ -176,14 +176,6 @@ class Tensor:
         topo: list[Tensor] = []
         visited: set[int] = set()
 
-        def build(node: "Tensor") -> None:
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            for parent in node._parents:
-                build(parent)
-            topo.append(node)
-
         # Iterative topological sort to avoid recursion limits on deep nets.
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:

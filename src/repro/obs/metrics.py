@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import weakref
 from bisect import bisect_left
 from threading import get_ident
 from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
@@ -96,16 +97,31 @@ def _bucket_bounds(buckets: Sequence[float]) -> Tuple[float, ...]:
     return tuple(bounds)
 
 
+def _refuse(name: str, owner: int, verb: str, value: float) -> NoReturn:
+    if get_ident() != owner:
+        raise RuntimeError(
+            f"{name}: reported from thread {get_ident()}, but "
+            f"its instruments belong to thread {owner}")
+    if value != value:
+        raise ValueError(f"{name}: cannot {verb} NaN")
+    raise ValueError(f"{name}: counters only go up")
+
+
 class _Child:
     """One label set's value.  ``_seen`` flips on the first report: a
-    child that was bound but never reported exports nothing."""
+    child that was bound but never reported exports nothing.  It keeps
+    its family's name, not the family (which holds it): a dropped
+    registry is freed by reference counting."""
 
-    __slots__ = ("_family", "_owner", "_seen")
+    __slots__ = ("_name", "_owner", "_seen")
 
     def __init__(self, family: "_Instrument"):
-        self._family = family
+        self._name = family.name
         self._owner = family._owner
         self._seen = False
+
+    def _refuse(self, verb: str, value: float) -> NoReturn:
+        _refuse(self._name, self._owner, verb, value)
 
 
 class _CounterChild(_Child):
@@ -118,7 +134,7 @@ class _CounterChild(_Child):
     def inc(self, amount: float = 1.0) -> None:
         # one comparison refuses both a negative amount and NaN
         if not amount >= 0 or get_ident() != self._owner:
-            self._family._refuse("count", amount)
+            self._refuse("count", amount)
         self._value += amount
         self._seen = True
 
@@ -131,13 +147,13 @@ class _GaugeChild(_CounterChild):
 
     def set(self, value: float) -> None:
         if get_ident() != self._owner:
-            self._family._refuse("set", value)
+            self._refuse("set", value)
         self._value = float(value)
         self._seen = True
 
     def inc(self, amount: float = 1.0) -> None:
         if get_ident() != self._owner:
-            self._family._refuse("inc", amount)
+            self._refuse("inc", amount)
         self._value += amount
         self._seen = True
 
@@ -163,7 +179,7 @@ class _HistogramChild(_Child):
         ``_count``.
         """
         if value != value or get_ident() != self._owner:
-            self._family._refuse("observe", value)
+            self._refuse("observe", value)
         self._buckets[bisect_left(self._bounds, value)] += 1
         self._count += 1
         self._sum += value
@@ -184,7 +200,7 @@ class ChildMap(dict):
     ``placements[shard]``.
     """
 
-    __slots__ = ("_family",)
+    __slots__ = ("_family", "__weakref__")
 
     def __init__(self, family: "_Instrument"):
         super().__init__()
@@ -212,7 +228,7 @@ class _Instrument:
         self.label_names = _validate_label_names(label_names, self._reserved)
         self._owner = get_ident()
         self._children: Dict[LabelValues, _Child] = {}
-        self._by_labels: Optional[ChildMap] = None
+        self._by_labels: Optional["weakref.ref[ChildMap]"] = None
         self._solo = None if self.label_names else self._bind(())
 
     def _key(self, labels: Dict[str, str]) -> LabelValues:
@@ -245,23 +261,18 @@ class _Instrument:
         return self._bind(self._key(labels))
 
     def by_labels(self) -> ChildMap:
-        """This family's shared label-values -> child cache."""
-        if self._by_labels is None:
-            self._by_labels = ChildMap(self)
-        return self._by_labels
+        """This family's shared label-values -> child cache.  Held weakly
+        (the map holds the family): while anyone holds it, every call
+        returns the same map."""
+        child_map = None if self._by_labels is None else self._by_labels()
+        if child_map is None:
+            child_map = ChildMap(self)
+            self._by_labels = weakref.ref(child_map)
+        return child_map
 
     def _reported(self) -> List[Tuple[LabelValues, _Child]]:
         return sorted((key, child) for key, child in self._children.items()
                       if child._seen)
-
-    def _refuse(self, verb: str, value: float) -> NoReturn:
-        if get_ident() != self._owner:
-            raise RuntimeError(
-                f"{self.name}: reported from thread {get_ident()}, but "
-                f"its instruments belong to thread {self._owner}")
-        if value != value:
-            raise ValueError(f"{self.name}: cannot {verb} NaN")
-        raise ValueError(f"{self.name}: counters only go up")
 
 
 class _Scalar(_Instrument):

@@ -9,12 +9,14 @@ everything before the classifier — so a hit skips the preprocess *and*
 the frozen front, and its request costs only the classifier tail.
 
 A key is the photo's content hash (bytes + dtype + shape) together with
-the serving replica's ``SplitModel.front_digest(split)``: identical
-pixels through an identical front always map to the same entry, whatever
-the arrival order, and anything that changes the front (a full resync,
-``sync_model`` with new front weights, a split move) moves the digest,
-so every old entry misses.  A classifier-only delta leaves the digest —
-and every entry — valid.
+the digest of the serving replica's front value (``InferenceServer.
+front_digest``, computed once when the :class:`~repro.models.split.
+FrozenFront` was made): identical pixels through an identical front
+always map to the same entry, whatever the arrival order, and a replica
+rebound to another front (``sync_model`` with new front weights) has
+another digest, so every old entry misses.  A classifier-only delta
+leaves the value — and every entry — valid.  The key holds the digest's
+bytes, not the value, so a cache never pins a dead front.
 
 Rows are held as plain read-only arrays, nothing is deflated; eviction
 is LRU by row bytes against a fixed budget.  A row a replica's pooled

@@ -106,7 +106,7 @@ class TestFinetuneDegradesGracefully:
         whole = checknrun.state_dict_bytes(cluster.tuner.published)
         if front != "held":
             key = "stage_Conv1.layer0.weight"
-            lagging.model.load_state_dict(
+            lagging.model.adopt(  # rebound to another front value
                 {key: lagging.model.state_dict()[key] * 2})
         if front == "moved, whole dropped":
             def drop_whole(record):

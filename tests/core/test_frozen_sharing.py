@@ -1,12 +1,13 @@
 """Frozen stages are held once: every replica shares the published front.
 
-The Tuner's published state aliases its master's frozen (read-only)
-arrays, and every path a replica is made or moved by hands those same
-arrays on — a tail sync by a byte compare after its fingerprint matches,
-a whole-state sync and ``sync_model`` by ``load_state_dict``'s adoption
-rule, a restore by unpacking each model blob once, a failover by the new
-primary taking the front the fleet holds.  For each replica kind:
+The Tuner's published state holds its master's front value's (read-only)
+arrays, and every path a replica is made or moved by hands that value on
+by reference — provisioning (``SplitModel.replica``), a tail sync after
+its fingerprint matches, a whole-state sync, ``sync_model``, a restore
+resolving each model blob's front once, a failover onto a standby
+provisioned from the fleet's front.  For each replica kind:
 
+- it holds the master's ``FrozenFront`` object itself;
 - an in-place write to any frozen parameter or buffer raises
   ``ValueError``;
 - at the Tuner's version each frozen array *is* the published array;
@@ -48,6 +49,7 @@ def assert_immutable_and_shared(model, tuner, where):
     (the master's own values, for the master)."""
     published = tuner.published
     prefix = tuner.model.classifier_prefix
+    assert model.front is tuner.model.front, where
     held = slots(model)
     assert sorted(held) == sorted(published), where
     for key, value in published.items():
@@ -89,6 +91,8 @@ class TestEveryReplicaKind:
     def test_master_and_published_state(self, cluster):
         tuner = cluster.tuner
         assert_immutable_and_shared(tuner.model, tuner, "tuner master")
+        assert all(tuner.published[key] is array
+                   for key, array in tuner.model.front.arrays.items())
         for value in tuner.published.values():
             if not value.flags.writeable:
                 with pytest.raises(ValueError, match="read-only"):
@@ -131,8 +135,7 @@ class TestEveryReplicaKind:
         assert_fleet_shares(cluster)
 
     def test_whole_state_fallback(self, cluster):
-        cluster.model_factory = other_base
-        store = cluster.join_store("pipestore-3")
+        store = cluster.join_store("pipestore-3", base=other_base())
         assert_immutable_and_shared(store.model, cluster.tuner, "other base")
 
     def test_serving_replicas(self, cluster):
@@ -163,7 +166,7 @@ class TestEveryReplicaKind:
 class TestTailSyncHandsTheFrontOver:
     def _sync(self, tuner):
         return checknrun.replica_syncs(tuner.published, tuner.split,
-                                       tuner.model.classifier_prefix)
+                                       tuner.model.front)
 
     def test_a_matching_build_takes_the_published_arrays(self, cluster):
         tuner = cluster.tuner
@@ -185,7 +188,8 @@ class TestTailSyncHandsTheFrontOver:
             key: value for key, value in tuner.published.items()
             if key.startswith(prefix)}) + FINGERPRINT_BYTES
         assert whole.num_bytes == state_dict_bytes(tuner.published)
-        assert sorted(tail.frozen) == sorted(
+        assert tail.front is whole.front is tuner.model.front
+        assert sorted(tail.front.arrays) == sorted(
             key for key in tuner.published if not key.startswith(prefix))
 
     def test_an_other_base_keeps_its_own_until_the_whole_state(self, cluster):
@@ -200,20 +204,19 @@ class TestTailSyncHandsTheFrontOver:
         store.install_model(whole, tuner.version, base=build)
         assert_immutable_and_shared(store.model, tuner, "other base")
 
-    def test_equal_fingerprint_but_other_bytes_keeps_its_own(self, cluster):
-        """Only arrays equal byte for byte are taken: a sync whose frozen
-        hand-over differs from the store's build leaves that array."""
+    def test_other_bytes_are_refused(self, cluster):
+        """A front one array apart from the published one is another
+        value with another digest: the tail sync is refused and the
+        store keeps the front it holds."""
         tuner = cluster.tuner
         tail, _whole = self._sync(tuner)
-        key = next(iter(tail.frozen))
-        moved = (tail.frozen[key] + 1).astype(tail.frozen[key].dtype)
-        moved.flags.writeable = False
-        odd = checknrun.ReplicaSync(tail.tensors, tail.split, tail.fingerprint,
-                                    {**tail.frozen, key: moved})
-        store = PipeStore("odd")
         build = factory().freeze_features()
-        own = slots(build)[key]
-        store.install_model(odd, tuner.version, base=build)
-        assert slots(store.model)[key] is own
-        assert all(slots(store.model)[other] is value
-                   for other, value in tail.frozen.items() if other != key)
+        key = next(iter(build.front.arrays))
+        build.adopt({key: build.front.arrays[key] + 1})
+        own = build.front
+        assert own is not tuner.model.front
+        assert own.digest[:FINGERPRINT_BYTES] != tail.fingerprint
+        store = PipeStore("odd")
+        with pytest.raises(checknrun.BaseMismatchError):
+            store.install_model(tail, tuner.version, base=build)
+        assert build.front is own

@@ -135,6 +135,34 @@ class TestPipelinedRuns:
         assert report.epochs[-1].loss < report.epochs[0].loss
         trainer.verify_frozen_unchanged()
 
+    @pytest.mark.parametrize("split", [1, 2, 3, 4, 5])
+    def test_frozen_buffers_stay_put_at_every_split(self, small_world, split):
+        """The Tuner runs the frozen stages past an early split in eval
+        mode: no BatchNorm running statistic moves, on the single-host
+        trainer (``verify_frozen_unchanged`` checks buffers too) and on
+        a cluster's Tuner, whose front stays the stores' one value."""
+        from repro.core import ClusterConfig, NDPipeCluster
+
+        x, y = small_world.sample(24, 0, rng=np.random.default_rng(3))
+        model = tiny_model("ResNet50", num_classes=8, width=8, seed=0)
+        trainer = FTDMPTrainer(model, split=split)
+        front = dict(model.front.arrays)
+        trainer.finetune(normalize_images(x), y, epochs=1)
+        trainer.verify_frozen_unchanged()
+        assert dict(model.front.arrays) == front
+        cluster = NDPipeCluster(
+            lambda: tiny_model("ResNet50", num_classes=8, width=8, seed=7),
+            ClusterConfig(num_stores=2, split=split, nominal_raw_bytes=2048))
+        cluster.ingest(x, train_labels=y)
+        tuner = cluster.tuner
+        before = {key: value.copy()
+                  for key, value in tuner.model.front.arrays.items()}
+        cluster.finetune(epochs=1)
+        for key, value in tuner.model.front.arrays.items():
+            np.testing.assert_array_equal(value, before[key], err_msg=key)
+        assert all(store.model.front is tuner.model.front
+                   for store in cluster.stores)
+
     def test_mismatched_xy_rejected(self, trained_setup):
         model, x, y = trained_setup
         with pytest.raises(ValueError):

@@ -24,8 +24,6 @@ checkpoint -> restore and Tuner failovers:
   state bit for bit.
 """
 
-from contextlib import contextmanager
-
 import numpy as np
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
@@ -60,16 +58,6 @@ def factory():
 def other_base():
     """A build with other frozen stages (another seed)."""
     return tiny_model("ResNet50", num_classes=8, width=8, seed=8)
-
-
-@contextmanager
-def provisioned_with(cluster, build):
-    """Joins inside the block get replicas from ``build``."""
-    cluster.model_factory, saved = build, cluster.model_factory
-    try:
-        yield
-    finally:
-        cluster.model_factory = saved
 
 
 def fresh_cluster(num_stores):
@@ -170,9 +158,8 @@ class ReplicaIdentity(RuleBasedStateMachine):
         frozen arrays until that fallback and the published ones after."""
         build = other_base().freeze_features()
         own = frozen_arrays(build.state_dict(), self.prefix)
-        with provisioned_with(self.cluster, lambda: build):
-            store = self.cluster.join_store(
-                f"pipestore-{len(self.cluster.stores)}")
+        store = self.cluster.join_store(
+            f"pipestore-{len(self.cluster.stores)}", base=build)
         assert store.model is build
         held = frozen_arrays(build.state_dict(), self.prefix)
         assert all(held[key] is not value for key, value in own.items())
@@ -270,7 +257,8 @@ class ReplicaIdentity(RuleBasedStateMachine):
         """One front per process: every store at the Tuner's version (an
         other-base join once its whole-state fallback ran), the master,
         the inference server and a fresh frontend's replicas hold the
-        published frozen arrays themselves, read-only."""
+        master's front value and so the published frozen arrays
+        themselves, read-only."""
         published = frozen_arrays(self.tuner.published, self.prefix)
         models = [store.model for store in self.cluster.stores
                   if store.is_available]
@@ -278,6 +266,7 @@ class ReplicaIdentity(RuleBasedStateMachine):
         models += [replica.model for replica in
                    self.cluster.make_serving_frontend().dispatcher.replicas]
         for model in models:
+            assert model.front is self.tuner.model.front
             held = frozen_arrays(model.state_dict(), self.prefix)
             assert held.keys() == published.keys()
             for key, value in published.items():

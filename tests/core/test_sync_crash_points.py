@@ -44,12 +44,9 @@ def build():
 
 
 def scenario(cluster):
-    cluster.join_store("pipestore-1")  # same frozen stages: a tail sync
-    cluster.model_factory = other_base
-    try:
-        cluster.join_store("pipestore-2")  # refused tail, then whole
-    finally:
-        cluster.model_factory = factory
+    cluster.join_store("pipestore-1")  # the fleet's front: a tail sync
+    # another front: a refused tail sync, then the whole state
+    cluster.join_store("pipestore-2", base=other_base())
     lagging = cluster.stores["pipestore-1"]
     lagging.fail()
     cluster.finetune(epochs=1)  # pipestore-1 misses this round

@@ -1,12 +1,13 @@
-"""Derived state is dropped where its sources moved, and only there.
+"""Derived state of the front cannot go stale: it belongs to a value.
 
-``load_state_dict`` drops ``Module._derived`` on the modules owning a
-replaced key; a :class:`~repro.models.split.SplitModel` drops its front
-digest only when a front-stage key is replaced; ``PipeStore.
-apply_model_delta`` loads only the tensors the delta changes.  So a
-Check-N-Run delta that touches only the classifier re-hashes nothing,
-while every mutation of the front still moves the digest (or the folds)
-and makes ``feat/`` rows miss.
+A frozen model's front is one immutable ``FrozenFront``: its digest is
+computed when the value is made and its BatchNorm folds on its first
+eval, and nothing writes into it afterwards.  A Check-N-Run delta that
+touches only the classifier therefore leaves the value — digest, folds
+and every ``feat/`` row — as it was, while anything that brings other
+front arrays (a delta naming them, a whole-state sync of another front)
+rebinds the replica to another value, whose digest makes the rows miss.
+A cast or a train-mode step cannot reach the front at all.
 """
 
 import numpy as np
@@ -67,13 +68,12 @@ def test_classifier_only_delta_rehashes_nothing():
     store = _store(registry)
     model = store.model
     _features(store, registry)
-    derived, folds = model._derived, _folds(model)
-    digest = model.front_digest(store.split)
+    front, folds = model.front, _folds(model)
+    assert folds
     old = model.state_dict()
     store.apply_model_delta(checknrun.encode_delta(
         old, _scaled(old, "stage_FC.")), version=1)
-    assert model._derived is derived            # no re-hash
-    assert model.front_digest(store.split) == digest
+    assert model.front is front                 # the same value: no re-hash
     assert _folds(model) == folds and all(
         a is b for a, b in zip(_folds(model), folds))
     assert _features(store, registry) == (6, 0)
@@ -93,36 +93,54 @@ def _full_resync(store):
         version=1)
 
 
+@pytest.mark.parametrize("mutate", [_front_delta, _full_resync])
+def test_every_front_mutation_moves_the_digest_and_rows_miss(mutate):
+    registry = MetricsRegistry()
+    store = _store(registry)
+    _features(store, registry)
+    front = store.model.front
+    mutate(store)
+    assert store.model.front is not front
+    assert store.model.front.digest != front.digest
+    assert _features(store, registry) == (0, 6)
+
+
 def _cast(store):
-    store.model.cast(np.float32)
+    store.model.cast(np.float64)
 
 
 def _train_step(store):
     store.model.train(True)
-    assert all(m._derived is None for m in store.model.modules())
-    with no_grad():  # a train-mode forward moves BatchNorm running stats
+    with no_grad():  # a train-mode forward
         store.model(Tensor(np.random.default_rng(9).random(
             (4,) + store.model.input_shape)))
     store.model.eval()
 
 
-@pytest.mark.parametrize("mutate", [_front_delta, _full_resync, _cast,
-                                    _train_step])
-def test_every_front_mutation_moves_the_digest_and_rows_miss(mutate):
+@pytest.mark.parametrize("attempt", [_cast, _train_step])
+def test_cast_and_train_leave_the_front_alone(attempt):
+    """The front is eval-only and immutable: a cast skips it and a
+    train-mode forward runs it in eval mode, so its value, folds and
+    rows all survive."""
     registry = MetricsRegistry()
     store = _store(registry)
     _features(store, registry)
-    digest = store.model.front_digest(store.split)
-    mutate(store)
-    assert store.model._derived is None
-    assert store.model.front_digest(store.split) != digest
-    assert _features(store, registry) == (0, 6)
+    front, folds = store.model.front, _folds(store.model)
+    state = {key: value.copy() for key, value in front.arrays.items()}
+    attempt(store)
+    assert store.model.front is front
+    assert all(not stage.training for stage in front.stages)
+    assert all(a is b for a, b in zip(_folds(store.model), folds))
+    for key, value in front.arrays.items():
+        assert value.dtype == np.float32 and not value.flags.writeable
+        np.testing.assert_array_equal(value, state[key])
+    assert _features(store, registry) == (6, 0)
 
 
-def _fresh_digest(state, split):
+def _fresh(state):
     fresh = _model()
     fresh.load_state_dict(state)
-    return fresh.front_digest(split)
+    return fresh.freeze_features().eval()
 
 
 KEYS = sorted(_model().state_dict())
@@ -133,27 +151,26 @@ KEYS = sorted(_model().state_dict())
     st.lists(st.sampled_from(KEYS), min_size=1, max_size=6, unique=True),
     st.integers(0, 2 ** 16)), min_size=1, max_size=4))
 def test_partial_loads_keep_digest_and_folds_equal_to_a_fresh_model(rounds):
-    """Perturb random key subsets, load only them: the digest and the
-    eval forward always equal those of a freshly built model holding the
-    same state."""
-    model = _model().eval()
-    split = model.num_stages - 1
+    """Perturb random key subsets, adopt only them: the front's digest
+    and the eval forward always equal those of a freshly built model
+    holding the same state, and a front left alone is the same value."""
+    model = _model().freeze_features().eval()
     x = np.random.default_rng(0).random((2,) + model.input_shape)
     with no_grad():
         model(Tensor(x))
-    model.front_digest(split)
     for keys, seed in rounds:
         rng = np.random.default_rng(seed)
         state = model.state_dict()
-        model.load_state_dict({
+        front = model.front
+        model.adopt({
             key: (np.abs(state[key] + rng.normal(0, 0.1, state[key].shape))
                   if key.endswith("running_var")
                   else state[key] + rng.normal(0, 0.1, state[key].shape))
             for key in keys})
-        assert model.front_digest(split) == _fresh_digest(
-            model.state_dict(), split)
-        fresh = _model().eval()
-        fresh.load_state_dict(model.state_dict())
+        fresh = _fresh(model.state_dict())
+        assert model.front.digest == fresh.front.digest
+        assert (model.front is front) == all(
+            key.startswith(model.classifier_prefix) for key in keys)
         with no_grad():
             np.testing.assert_array_equal(model(Tensor(x)).data,
                                           fresh(Tensor(x)).data)

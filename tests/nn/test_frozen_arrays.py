@@ -3,7 +3,9 @@
 ``freeze()`` leaves every parameter and buffer a read-only, aligned
 ndarray; ``state_dict()`` hands those out uncopied; ``load_state_dict()``
 adopts a read-only array into a frozen slot by reference, copies a
-writable one, and always gives a trainable slot a private writable copy.
+writable one, and always gives a trainable slot a private writable copy
+— except in a frozen front, which is immutable: a replica's front is
+swapped whole (``SplitModel.adopt``), never written into.
 """
 
 import numpy as np
@@ -149,7 +151,8 @@ class TestLoadStateDict:
         source.freeze_features()
         replica = tiny_model("ResNet50", num_classes=8, width=8, seed=1)
         replica.freeze_features()
-        replica.load_state_dict(_frozen_copy(source.state_dict()))
+        replica.adopt(_frozen_copy(source.state_dict()))
+        assert replica.front.digest == source.front.digest
         head = replica.classifier
         before = {k: v.copy() for k, v in head.state_dict().items()}
         optimizer = Adam(head.parameters(), lr=0.1)
@@ -162,11 +165,11 @@ class TestLoadStateDict:
 
     def test_reloading_the_held_array_replaces_nothing(self):
         """Loading a state whose frozen arrays are the ones held keeps
-        every fold and the front digest: only the classifier moves."""
+        every fold and the front value: only the classifier moves."""
         model = tiny_model("ResNet50").freeze_features().eval()
         with no_grad():
             model(Tensor(np.zeros((1,) + model.input_shape, np.float32)))
-        model.front_digest(model.num_stages - 1)
+        front = model.front
         derived = [(m, m._derived) for m in model.modules()
                    if m._derived is not None]
         assert len(derived) > 1
@@ -174,3 +177,13 @@ class TestLoadStateDict:
         assert replaced and all(
             key.startswith(model.classifier_prefix) for key in replaced)
         assert all(m._derived is d for m, d in derived)
+        assert model.front is front
+
+    def test_a_front_slot_refuses_any_other_array(self):
+        """A frozen front is immutable: ``load_state_dict`` will not
+        write another array into it, even one with equal bytes."""
+        model = tiny_model("ResNet50").freeze_features()
+        key, held = next(iter(model.front.arrays.items()))
+        with pytest.raises(ValueError, match="immutable"):
+            model.load_state_dict({key: held.copy()})
+        assert model.front.arrays[key] is held

@@ -48,9 +48,10 @@ def _fresh_replica(model):
 def _perturbed(state, seed):
     """``state`` with every array moved, BatchNorm variances kept positive."""
     rng = np.random.default_rng(seed)
-    return {key: np.abs(value + rng.normal(0.0, 0.3, value.shape))
-            if key.endswith("running_var")
-            else value + rng.normal(0.0, 0.3, value.shape)
+    return {key: (np.abs(value + rng.normal(0.0, 0.3, value.shape))
+                  if key.endswith("running_var")
+                  else value + rng.normal(0.0, 0.3, value.shape)
+                  ).astype(value.dtype)
             for key, value in state.items()}
 
 
@@ -159,39 +160,34 @@ class TestDerivedStateCannotGoStale:
         assert [ref() is not None for ref in sources] == [False] * 4 + [True]
 
     def test_replicas_sharing_a_front_let_go_of_it_together(self):
-        """N replicas hold one frozen front by reference, then all load a
-        new one: the old front's arrays and every replica's folds of it
-        are garbage, not pinned by a cache."""
+        """N replicas hold one front value by reference, then all are
+        rebound to a new one: the old value, its arrays and its folds are
+        garbage, not pinned by a cache."""
         source = tiny_model("ResNet50").freeze_features()
-        prefix = source.classifier_prefix
         x = _inputs(source)
-        replicas = [tiny_model("ResNet50", seed=seed).freeze_features().eval()
-                    for seed in (1, 2, 3)]
-        old = source.state_dict()
+        replicas = [source.replica().eval() for _ in range(3)]
+        old = source.front
         for replica in replicas:
-            replica.load_state_dict(old)
+            assert replica.front is old
             _eval_forward(replica, x)
-        front = [key for key in old if not key.startswith(prefix)]
+        folds = _folds(replicas[0])
+        assert all(_folds(replica) == folds for replica in replicas)
+        refs = [weakref.ref(old)]
+        refs += [weakref.ref(array) for array in old.arrays.values()]
+        refs += [weakref.ref(fold[0].data) for fold in folds]
+        new = old.resolve(_perturbed(dict(old.arrays), seed=5))
+        assert new is not old and new.digest != old.digest
+        del source, old, folds
         for replica in replicas:
-            state = replica.state_dict()
-            assert all(state[key] is old[key] for key in front)
-        sources = [weakref.ref(old[key]) for key in front]
-        folds = [weakref.ref(replica.stage(0)[1]._derived[0].data)
-                 for replica in replicas]
-        new = {key: value.astype(np.float32) for key, value in _perturbed(
-            {key: old[key] for key in front}, seed=5).items()}
-        for value in new.values():
-            value.flags.writeable = False
-        del source, old, state
-        for replica in replicas:
-            replica.load_state_dict(new)
+            replica.rebind(new)
             _eval_forward(replica, x)
         gc.collect()
-        assert [ref() is None for ref in sources] == [True] * len(sources)
-        assert [ref() is None for ref in folds] == [True] * len(folds)
+        assert [ref() is None for ref in refs] == [True] * len(refs)
         for replica in replicas:
+            assert replica.front is new
             state = replica.state_dict()
-            assert all(state[key] is new[key] for key in new)
+            assert all(state[key] is value
+                       for key, value in new.arrays.items())
 
 
 class TestMasterStateIsUnchanged:

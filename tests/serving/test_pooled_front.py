@@ -205,7 +205,7 @@ def test_a_changed_front_with_pending_work_raises():
     replica = InferenceServer(_model(0))
     replica.submit(_misses(2), [0, 1], flush_at=256)
     state = replica.model.state_dict()
-    replica.model.load_state_dict({  # behind sync_model's back
+    replica.model.adopt({  # behind sync_model's back
         key: value * 1.01 for key, value in state.items()
         if key.startswith("stage_Conv1.")})
     with pytest.raises(RuntimeError, match="front weights changed"):
