@@ -55,6 +55,10 @@ _MAGIC = b"CNR2"
 #: bits per element of a live delta's floating-point entries
 LIVE_DELTA_BITS = 4
 
+#: bits per element of a feature row on the Store -> Tuner hop
+#: (:class:`repro.core.ftdmp.FeatureRows`)
+FEATURE_BITS = 8
+
 
 #: wire bytes of a tail sync's fingerprint: the front digest's first bytes
 FINGERPRINT_BYTES = 4
@@ -159,7 +163,9 @@ def encode_delta(old: Dict[str, np.ndarray], new: Dict[str, np.ndarray],
             # grid is computed on exact differences
             diff = (new[key].astype(np.float64)
                     - old[key].astype(np.float64))
-            payload, meta = _quantize(diff, quantize_bits)
+            codes, low, step = quantize(diff.reshape(1, -1), quantize_bits)
+            payload = codes.tobytes()
+            meta = (quantize_bits, float(low[0]), float(step[0]))
         else:
             payload, meta = _xor_payload(old[key], new[key]), (0, 0.0, 0.0)
         header = _entry_header(key, new[key].shape, new[key].dtype, meta,
@@ -232,7 +238,9 @@ def changed_tensors(old: Dict[str, np.ndarray],
             )
         bits, low, step = meta
         if bits:
-            diff = _dequantize(payload, bits, low, step, shape)
+            codes = np.frombuffer(payload, dtype=_code_dtype(bits))
+            diff = dequantize(codes.reshape(1, -1), np.array([low]),
+                              np.array([step])).reshape(shape)
             new[key] = (base.astype(np.float64) + diff).astype(dtype)
         else:
             new[key] = _apply_xor_payload(base, payload, dtype, shape)
@@ -318,19 +326,55 @@ def _read_entry_header(body: bytes, offset: int):
     return key, tuple(shape), dtype, (bits, low, step), payload_len, offset
 
 
-def _quantize(diff: np.ndarray, bits: int):
+# -- the quantiser -----------------------------------------------------------
+
+def quantize(rows: np.ndarray, bits: int, scale=np.float64,
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uniformly quantise each row of a 2-D array to ``bits`` per element.
+
+    Row ``i`` is coded on a grid of its own: ``low[i]`` is its minimum and
+    ``step[i]`` its range over ``2**bits - 1`` (1 for a constant row, or
+    one whose step would be subnormal in ``scale``), both rounded to the
+    ``scale`` dtype, and the codes are taken against the rounded scale,
+    so ``dequantize`` is within ``step / 2`` of each element (plus the
+    rounding of ``low`` to ``scale``; a row sent as a constant is within
+    its own range).  A row's codes depend on that row alone.  A live
+    delta tensor is the one-row case.  Returns ``(codes, low, step)``: codes are uint8 up to 8 bits, else
+    uint16; ``low`` and ``step`` are ``scale`` vectors.  Non-finite rows
+    are refused.
+    """
     if not 1 <= bits <= 16:
         raise DeltaError("quantize_bits must be in [1, 16]")
-    low = float(diff.min())
-    high = float(diff.max())
     levels = (1 << bits) - 1
-    step = (high - low) / levels if high > low else 1.0
-    codes = np.round((diff - low) / step).astype(np.uint16)
-    dtype = np.uint8 if bits <= 8 else np.uint16
-    return codes.astype(dtype).tobytes(), (bits, low, step)
+    # + 0.0 folds a -0.0 minimum into the +0.0 that decoding gives back
+    low = rows.min(axis=1).astype(np.float64) + 0.0
+    high = rows.max(axis=1).astype(np.float64)
+    if not (np.isfinite(low).all() and np.isfinite(high).all()):
+        raise DeltaError("cannot quantise non-finite values")
+    span = high - low
+    # a row whose step would be subnormal in ``scale`` is sent as a
+    # constant (step 1, every code 0): a subnormal step is too coarse to
+    # hold the grid, and such a row spans under 255 x the smallest
+    # normal value anyway
+    flat = span < levels * np.finfo(scale).tiny
+    step = np.where(flat, 1.0, span / levels).astype(scale)
+    low = low.astype(scale)
+    # one float64 scratch array, rewritten in place
+    codes = rows - low[:, None].astype(np.float64)
+    codes /= step[:, None].astype(np.float64)
+    np.rint(codes, out=codes)
+    np.clip(codes, 0, levels, out=codes)
+    return codes.astype(_code_dtype(bits)), low, step
 
 
-def _dequantize(payload: bytes, bits: int, low: float, step: float, shape):
-    dtype = np.uint8 if bits <= 8 else np.uint16
-    codes = np.frombuffer(payload, dtype=dtype).astype(np.float64)
-    return (codes * step + low).reshape(shape)
+def dequantize(codes: np.ndarray, low: np.ndarray,
+               step: np.ndarray) -> np.ndarray:
+    """The float64 rows ``codes * step + low`` that :func:`quantize`'s
+    output stands for."""
+    rows = codes * step[:, None].astype(np.float64)
+    rows += low[:, None]
+    return rows
+
+
+def _code_dtype(bits: int) -> type:
+    return np.uint8 if bits <= 8 else np.uint16

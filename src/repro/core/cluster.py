@@ -511,8 +511,9 @@ class NDPipeCluster:
     # -- evaluation --------------------------------------------------------
     def evaluate(self, images: np.ndarray, labels: np.ndarray,
                  ) -> Tuple[float, float]:
-        """(top-1, top-5) of the current model on preprocessed inputs."""
-        return self.tuner.evaluate(preprocess(images), labels)
+        """(top-1, top-5) of the current model on ``images`` (decoded
+        pixels), preprocessed batch by batch (:meth:`Tuner.evaluate`)."""
+        return self.tuner.evaluate(images, labels)
 
     # -- reporting ---------------------------------------------------------
     def traffic_summary(self) -> Dict[str, int]:

@@ -11,6 +11,12 @@ features are genuinely extracted by the frozen front, the classifier is
 genuinely trained with SGD/Adam, and pipelined training (``num_runs > 1``)
 genuinely trains run-by-run over sub-datasets — so catastrophic forgetting
 at large ``num_runs`` (Fig. 17) is an emergent behaviour, not a formula.
+
+Rows cross the Store -> Tuner hop as :class:`FeatureRows`, quantised to
+:data:`~repro.core.checknrun.FEATURE_BITS` per element with a float32
+``(low, step)`` per row, and the tail trains on the decoded rows — what
+the channel delivers.  The single-host trainer passes its rows through
+the same codec, so distributed and single-host learning stay equal.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from ..models.split import SplitModel
 from ..nn.losses import cross_entropy
 from ..nn.optim import Adam, Optimizer, SGD
 from ..nn.tensor import Tensor, inference_mode
+from .checknrun import FEATURE_BITS, dequantize, quantize
 
 
 def frozen_front_features(model: SplitModel, split: int, x: np.ndarray,
@@ -47,6 +54,58 @@ def frozen_front_features(model: SplitModel, split: int, x: np.ndarray,
     return features
 
 
+@dataclass(frozen=True, eq=False)
+class FeatureRows:
+    """A batch of feature rows as it crosses the Store -> Tuner hop.
+
+    Each row (one photo's features, flattened) is :data:`FEATURE_BITS`
+    codes per element plus its own float32 ``(low, step)`` scale
+    (:func:`~repro.core.checknrun.quantize`): a row's codes depend on
+    that row alone, so a photo's delivered row is the same whichever
+    store, run or batch ships it.  On the wire a row is one record
+    ``low | step | codes`` (little-endian), so the fabric charges
+    :meth:`wire_size` = rows x (8 + elements) bytes; the row shape is
+    the split's, known to both ends, and is not sent.
+    """
+
+    codes: np.ndarray
+    low: np.ndarray
+    step: np.ndarray
+    row_shape: Tuple[int, ...]
+
+    @classmethod
+    def encode(cls, rows: np.ndarray) -> "FeatureRows":
+        """Quantise ``rows`` (one per photo along the first axis)."""
+        codes, low, step = quantize(rows.reshape(len(rows), -1),
+                                    FEATURE_BITS, scale=np.float32)
+        return cls(codes, low, step, rows.shape[1:])
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def wire_size(self) -> int:
+        """Bytes the message puts on the fabric: ``len(to_bytes())``."""
+        return self.codes.nbytes + self.low.nbytes + self.step.nbytes
+
+    def decode(self) -> np.ndarray:
+        """The rows the message delivers, shaped ``(len(self),) +
+        row_shape``: ``codes * step + low`` rounded once to float32, the
+        width the rows left the front at."""
+        rows = dequantize(self.codes, self.low, self.step)
+        return rows.astype(np.float32).reshape(
+            (len(self),) + self.row_shape)
+
+    def to_bytes(self) -> bytes:
+        """The wire encoding: one ``low | step | codes`` record a row."""
+        records = np.empty(len(self), [
+            ("low", "<f4"), ("step", "<f4"),
+            ("codes", self.codes.dtype.newbyteorder("<"),
+             self.codes.shape[1:])])
+        records["low"], records["step"] = self.low, self.step
+        records["codes"] = self.codes
+        return records.tobytes()
+
+
 @dataclass
 class EpochRecord:
     """One Tuner-side training epoch within one pipeline run."""
@@ -64,7 +123,8 @@ class FinetuneReport:
     num_runs: int
     split: int
     epochs: List[EpochRecord] = field(default_factory=list)
-    #: bytes of features shipped PipeStores -> Tuner
+    #: bytes of features shipped PipeStores -> Tuner (encoded
+    #: :class:`FeatureRows`)
     feature_bytes: int = 0
     #: images processed by the Store stage (feature extractions)
     images_extracted: int = 0
@@ -217,11 +277,12 @@ class FTDMPTrainer:
             self._optimizer_kind, self.model.classifier.parameters(), self.lr
         )
         for run_index, (x_run, y_run) in enumerate(split_rounds(x, y, num_runs)):
-            features = self.extract_features(x_run)
+            # the rows the Tuner would receive: through the same channel
+            message = FeatureRows.encode(self.extract_features(x_run))
             report.images_extracted += len(x_run)
-            report.feature_bytes += features.nbytes
+            report.feature_bytes += message.wire_size()
             for record in train_tail(self.model, self.split, optimizer,
-                                     features, y_run, epochs,
+                                     message.decode(), y_run, epochs,
                                      self.batch_size, self._rng, run_index):
                 report.epochs.append(record)
                 if eval_fn is not None:

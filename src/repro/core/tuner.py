@@ -32,9 +32,10 @@ from ..nn.optim import Adam
 from ..nn.tensor import Tensor, inference_mode
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer, wall_clock
+from ..storage.imageformat import preprocess
 from . import checknrun
 from .fabric import NetworkFabric
-from .ftdmp import FinetuneReport, train_tail
+from .ftdmp import FeatureRows, FinetuneReport, train_tail
 from .pipestore import PipeStore, StoreUnavailableError
 
 #: maps a lost store's photo ids to replacement assignments
@@ -463,7 +464,10 @@ class Tuner:
                          report: FinetuneReport,
                          relocate: Optional[Relocator] = None,
                          ) -> Tuple[np.ndarray, np.ndarray]:
-        feature_chunks, label_chunks = [], []
+        """One run's Store stage: every store's rows, shipped as
+        :class:`FeatureRows` and decoded here once per message — the
+        tail trains on what the channel delivers."""
+        messages, label_chunks = [], []
         # (store_id, ids, was_relocated); shards re-placed after a crash
         # re-enter this queue and extract on their new store in-run
         pending = deque(
@@ -497,25 +501,26 @@ class Tuner:
                     # provides and record the gap for a rerun after repair
                     report.photos_deferred += len(ids)
                 continue
-            num_bytes = feats.nbytes
+            message = FeatureRows.encode(feats)
             try:
-                call_with_retry(
-                    lambda: self.network.send(store_id, self.name, num_bytes,
-                                              "features", feats),
+                delivered = call_with_retry(
+                    lambda: self.network.send(store_id, self.name,
+                                              message.wire_size(),
+                                              "features", message),
                     self.retry)
             except TransientFaultError:
                 # the feature stream itself is persistently dropped
                 report.photos_deferred += len(ids)
                 continue
-            report.feature_bytes += num_bytes
+            report.feature_bytes += message.wire_size()
             report.images_extracted += len(ids)
             if was_relocated:
                 report.photos_repartitioned += len(ids)
-            feature_chunks.append(feats)
+            messages.append(delivered)
             label_chunks.append(labels)
-        if not feature_chunks:
+        if not messages:
             return np.empty((0,)), np.empty((0,), dtype=np.int64)
-        return (np.concatenate(feature_chunks, axis=0),
+        return (np.concatenate([message.decode() for message in messages]),
                 np.concatenate(label_chunks, axis=0))
 
     def catch_up(self, store: PipeStore) -> None:
@@ -618,18 +623,21 @@ class Tuner:
             retryable=(TransientFaultError, StoreUnavailableError))
 
     # -- evaluation ------------------------------------------------------------
-    def evaluate(self, x: np.ndarray, y: np.ndarray,
-                 batch_size: int = 256) -> Tuple[float, float]:
-        """(top-1, top-5) accuracy of the authoritative model."""
+    def evaluate(self, images: np.ndarray, labels: np.ndarray,
+                 ) -> Tuple[float, float]:
+        """(top-1, top-5) accuracy of the authoritative model on decoded
+        pixels, preprocessed and forwarded :attr:`batch_size` photos at a
+        time: what it holds is one batch, whatever the set's size."""
         from ..nn.losses import accuracy, topk_accuracy
 
         was_training = self.model.training
         self.model.eval()
-        logits = []
-        with inference_mode():
-            for start in range(0, len(x), batch_size):
-                logits.append(
-                    self.model(Tensor(x[start:start + batch_size])).data)
-        self.model.train(was_training)
-        stacked = np.concatenate(logits, axis=0)
-        return accuracy(stacked, y), topk_accuracy(stacked, y, k=5)
+        try:
+            with inference_mode():
+                logits = np.concatenate([
+                    self.model(Tensor(preprocess(
+                        images[start:start + self.batch_size]))).data
+                    for start in range(0, len(images), self.batch_size)])
+        finally:
+            self.model.train(was_training)
+        return accuracy(logits, labels), topk_accuracy(logits, labels, k=5)

@@ -141,7 +141,9 @@ class TestTrafficReduction:
         38.1x at float64 masters, 147 633 B / 7 442 B = 19.8x exact.
         The live format (4-bit, :func:`publish`) ships 240 B: 615x.  One
         Adam step moves every element by about +-lr, so the codes are
-        nearly two-valued and deflate to almost nothing.
+        nearly two-valued and deflate to almost nothing.  Re-pinned when
+        the tail began training on 8-bit feature rows (what the channel
+        delivers): exact 7 442 -> 7 436 B, live 240 -> 241 B.
         """
         from repro.core.ftdmp import FTDMPTrainer
         from repro.data.loader import normalize_images
@@ -153,9 +155,9 @@ class TestTrafficReduction:
         FTDMPTrainer(model, lr=5e-3).finetune(normalize_images(x), y, epochs=1)
         stats = delta_stats(old_state, model.state_dict())
         assert stats.changed_tensors <= 2  # classifier weight + bias
-        assert (stats.full_model_bytes, stats.delta_bytes) == (147633, 7442)
+        assert (stats.full_model_bytes, stats.delta_bytes) == (147633, 7436)
         blob, _published = publish(old_state, model.state_dict())
-        assert len(blob) == 240
+        assert len(blob) == 241
 
 
 class TestNativeDtype:

@@ -235,6 +235,57 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             NDPipeCluster(factory, ClusterConfig(num_stores=0))
 
+    def test_peak_is_flat_in_the_photo_count(self, cluster, small_world):
+        """Preprocess and forward run a batch at a time: evaluating 1 024
+        photos holds what evaluating 256 holds (it used to preprocess
+        the whole set first, a transient that grew with it)."""
+        import tracemalloc
+
+        x, y = small_world.sample(1024, 0, rng=np.random.default_rng(5))
+        cluster.evaluate(x[:64], y[:64])  # first eval builds the folds
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                cluster.evaluate(x[:n], y[:n])
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(256), peak(1024)
+        extra_inputs = preprocess(x[256:]).nbytes
+        assert large - small < extra_inputs / 10, (small, large)
+
+    def test_batches_score_what_the_whole_batch_scores(self, cluster,
+                                                       small_world):
+        from repro.nn.losses import accuracy, topk_accuracy
+        from repro.nn.tensor import Tensor, inference_mode
+
+        x, y = small_world.sample(300, 0, rng=np.random.default_rng(6))
+        batched = cluster.evaluate(x, y)
+        model = cluster.tuner.model
+        assert model.training
+        model.eval()
+        with inference_mode():
+            logits = model(Tensor(preprocess(x))).data
+        model.train()
+        assert batched == (accuracy(logits, y),
+                           topk_accuracy(logits, y, k=5))
+
+    def test_train_mode_comes_back_when_evaluation_fails(self, cluster,
+                                                         monkeypatch):
+        from repro.core import tuner as tuner_module
+
+        def broken(pixels):
+            raise RuntimeError("decode failed")
+
+        monkeypatch.setattr(tuner_module, "preprocess", broken)
+        with pytest.raises(RuntimeError, match="decode failed"):
+            cluster.evaluate(np.zeros((4, 3, 16, 16), np.float32),
+                             np.zeros(4, np.int64))
+        assert cluster.tuner.model.training
+
 
 class TestUploadJournal:
     """Regression: the upload journal grew without bound — every ingested

@@ -147,21 +147,25 @@ class TestColdEqualsAlwaysRecompute:
         (4 bits a floating-point element, error fed): ``model-delta``
         21 249 -> 1 242 B.  Re-pinned when installs began shipping only
         the classifier and a fingerprint of the frozen stages:
-        ``model-full`` 442 899 -> 24 912 B (3 x 8 304)."""
+        ``model-full`` 442 899 -> 24 912 B (3 x 8 304).  Re-pinned when
+        feature rows began crossing at 8 bits with a float32 (low, step)
+        per row: ``features`` 12 288 -> 3 264 B (24 rows x (128 + 8));
+        ``model-delta`` 1 242 -> 1 245 B (the tail trained on the
+        delivered rows)."""
         cluster = NDPipeCluster(factory, ClusterConfig(
             num_stores=3, nominal_raw_bytes=2048))
         x, y = small_world.sample(24, 0, rng=np.random.default_rng(3))
         cluster.ingest(x, train_labels=y)
         report = cluster.finetune(epochs=1, num_runs=2)  # two cold runs
-        assert (report.images_extracted, report.feature_bytes) == (24, 12288)
+        assert (report.images_extracted, report.feature_bytes) == (24, 3264)
         busy = [s.busy_seconds for s in cluster.stores]
         assert busy == pytest.approx([0.008] * 3)
         stats = cluster.offline_relabel(only_outdated=False)  # all warm
         assert stats.photos_processed == 24
         assert [s.busy_seconds for s in cluster.stores] == busy
         assert cluster.traffic_summary() == {
-            "model-full": 24912, "ingest": 111139, "features": 12288,
-            "model-delta": 1242, "inference-request": 192, "labels": 384}
+            "model-full": 24912, "ingest": 111139, "features": 3264,
+            "model-delta": 1245, "inference-request": 192, "labels": 384}
 
 
 class TestWarm:

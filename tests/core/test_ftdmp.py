@@ -96,10 +96,12 @@ class TestFinetune:
         assert after >= before
 
     def test_feature_bytes_accounted(self, trained_setup):
+        """Billed at the wire size: a byte per element plus a float32
+        (low, step) per row (was ``feat_dim * 4`` a row, float32)."""
         model, x, y = trained_setup
         report = FTDMPTrainer(model).finetune(x, y, epochs=1)
         feat_dim = model.feature_dim_after(model.num_stages - 1)[0]
-        assert report.feature_bytes == len(x) * feat_dim * 4
+        assert report.feature_bytes == len(x) * (feat_dim + 8)
         assert report.images_extracted == len(x)
 
     def test_eval_trace_recorded(self, trained_setup):

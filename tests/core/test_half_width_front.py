@@ -14,7 +14,7 @@ import pytest
 from repro.core import checknrun
 from repro.core.cluster import NDPipeCluster
 from repro.core.config import ClusterConfig
-from repro.core.ftdmp import FTDMPTrainer
+from repro.core.ftdmp import FeatureRows, FTDMPTrainer
 from repro.data.loader import normalize_images
 from repro.models.registry import TINY_FACTORIES, tiny_model
 from repro.nn.tensor import Tensor, inference_mode
@@ -146,11 +146,15 @@ class TestHalfWidthBytes:
 
     def test_feature_bytes_are_the_shipped_nbytes(self, cluster,
                                                   monkeypatch):
+        """Re-pinned when rows began crossing at 8 bits: each message is
+        a ``FeatureRows`` made from float32 rows, and the fabric and the
+        report charge its ``wire_size()`` (was the float32 ``nbytes``)."""
         shipped = []
         send = cluster.network.send
 
         def spy(src, dst, num_bytes, kind, payload=None):
             if kind == "features":
+                assert num_bytes == payload.wire_size()
                 shipped.append(payload)
             return send(src, dst, num_bytes, kind, payload)
 
@@ -158,19 +162,23 @@ class TestHalfWidthBytes:
         report = cluster.finetune(epochs=1, num_runs=2)
         cold = len(shipped)
         cluster.finetune(epochs=1)  # warm: rows read back from feat/
-        assert {rows.dtype for rows in shipped} == {F32}
+        assert {(rows.low.dtype, rows.step.dtype) for rows in shipped} == {
+            (F32, F32)}
+        assert {rows.codes.dtype for rows in shipped} == {np.dtype(np.uint8)}
         assert cluster.network.bytes_of_kind("features") == sum(
-            rows.nbytes for rows in shipped)
+            rows.wire_size() for rows in shipped)
         assert report.feature_bytes == sum(
-            rows.nbytes for rows in shipped[:cold])
+            rows.wire_size() for rows in shipped[:cold])
 
     def test_single_host_bills_nbytes(self, small_world):
+        """Re-pinned with the 8-bit channel: the single host bills the
+        wire size of the rows it trains on (was their float32 nbytes)."""
         model = tiny_model("ResNet50", num_classes=8, width=8)
         x, y = small_world.sample(20, 0, rng=np.random.default_rng(2))
         trainer = FTDMPTrainer(model)
         report = trainer.finetune(normalize_images(x), y, epochs=1)
-        assert report.feature_bytes == trainer.extract_features(
-            normalize_images(x)).nbytes
+        assert report.feature_bytes == FeatureRows.encode(
+            trainer.extract_features(normalize_images(x))).wire_size()
 
 
 class TestFloat32FrontAgainstTheFloat64Oracle:

@@ -337,10 +337,13 @@ class TestTunerFrameOnTheWire:
         # 141_560 -> 149_537, mid-run (267_334, 268_102, 268_454) ->
         # (148_674, 149_441, 149_784); naming that part
         # ``master_overlay_blob`` adds 5 B to each: final 149_542, mid-run
-        # (148_680, 149_447, 149_789)
+        # (148_680, 149_447, 149_789).  Since the tail trains on 8-bit
+        # feature rows (what the channel delivers) the trained tensors
+        # deflate differently: final 149_542 -> 149_562, mid-run
+        # (148_680, 149_447, 149_789) -> (148_684, 149_425, 149_807)
         assert seed == 126_861 <= self.V1_SEED_FRAME
-        assert final == 149_542 <= self.V1_FINAL_FRAME
-        assert tuple(mid) == (148_680, 149_447, 149_789)
+        assert final == 149_562 <= self.V1_FINAL_FRAME
+        assert tuple(mid) == (148_684, 149_425, 149_807)
         assert all(now <= was
                    for now, was in zip(mid, self.V1_MID_RUN_FRAMES))
 
