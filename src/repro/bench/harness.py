@@ -58,6 +58,7 @@ from ..serving.bench import (
     run_serving_comparison,
     run_streaming_bench,
 )
+from ..serving.dispatcher import ACCELERATOR, MODEL
 
 __all__ = [
     "HarnessScale", "SCALES", "SCENARIOS",
@@ -360,8 +361,8 @@ def serving_payload(result: Dict) -> Dict:
         **BENCH_DEFAULTS,
         "seed": result["seed"],
         "latency_budget_s": result["latency_budget_s"],
-        "model": result["config"]["model"],
-        "accelerator": result["config"]["accelerator"],
+        "model": MODEL,
+        "accelerator": ACCELERATOR.name,
         "replicas": result["config"]["replicas"],
         # accounting fix (PR 7): makespan is the last batch's completion
         # time, not its start time — throughput_rps dropped accordingly
@@ -425,8 +426,8 @@ def serving_stream_payload(result: Dict) -> Dict:
         "seed": result["seed"],
         "trace": result["trace"],
         "latency_budget_s": result["latency_budget_s"],
-        "model": result["config"]["model"],
-        "accelerator": result["config"]["accelerator"],
+        "model": MODEL,
+        "accelerator": ACCELERATOR.name,
         "replicas": result["config"]["replicas"],
         "credits": result["stream_config"]["credits"],
         "min_replicas": result["stream_config"]["min_replicas"],

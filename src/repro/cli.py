@@ -159,26 +159,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .analysis.tables import format_bytes, format_table
-    from .core.cluster import NDPipeCluster
-    from .core.config import ClusterConfig
-    from .data.drift import DriftingPhotoWorld, WorldConfig
-    from .models.registry import tiny_model
 
-    world = DriftingPhotoWorld(WorldConfig(
-        initial_classes=6, max_classes=8, image_size=16, noise=0.3,
-        seed=args.seed,
-    ))
-    cluster = NDPipeCluster(
-        lambda: tiny_model("ResNet50", num_classes=8, width=8, seed=7),
-        ClusterConfig(num_stores=args.stores, nominal_raw_bytes=8192,
-                      seed=args.seed),
-    )
-    x, y = world.sample(args.photos, 0,
-                        rng=np.random.default_rng(args.seed + 1))
-    cluster.ingest(x, train_labels=y)
+    cluster = _make_demo_cluster(args.stores, seed=args.seed)
+    _ingest_demo_photos(cluster, args.photos, args.seed)
     report = cluster.finetune(epochs=2)
     relabel = cluster.offline_relabel()
     rows = [
@@ -199,25 +183,37 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_lifecycle(stores: int, photos: int, seed: int = 0):
-    """One ingest -> finetune -> relabel pass on a tiny cluster."""
-    import numpy as np
-
+def _make_demo_cluster(stores: int, replication: int = 1, seed: int = 0):
+    """The tiny demo cluster every lifecycle command runs on."""
     from .core.cluster import NDPipeCluster
     from .core.config import ClusterConfig
-    from .data.drift import DriftingPhotoWorld, WorldConfig
     from .models.registry import tiny_model
+
+    return NDPipeCluster(
+        lambda: tiny_model("ResNet50", num_classes=8, width=8, seed=7),
+        ClusterConfig(num_stores=stores, nominal_raw_bytes=8192,
+                      replication=replication, seed=seed),
+    )
+
+
+def _ingest_demo_photos(cluster, photos: int, seed: int) -> None:
+    """Ingest ``photos`` labelled photos of the seeded demo world."""
+    import numpy as np
+
+    from .data.drift import DriftingPhotoWorld, WorldConfig
 
     world = DriftingPhotoWorld(WorldConfig(
         initial_classes=6, max_classes=8, image_size=16, noise=0.3,
         seed=seed,
     ))
-    cluster = NDPipeCluster(
-        lambda: tiny_model("ResNet50", num_classes=8, width=8, seed=7),
-        ClusterConfig(num_stores=stores, nominal_raw_bytes=8192, seed=seed),
-    )
     x, y = world.sample(photos, 0, rng=np.random.default_rng(seed + 1))
     cluster.ingest(x, train_labels=y)
+
+
+def _run_lifecycle(stores: int, photos: int, seed: int = 0):
+    """One ingest -> finetune -> relabel pass on a tiny cluster."""
+    cluster = _make_demo_cluster(stores, seed=seed)
+    _ingest_demo_photos(cluster, photos, seed)
     cluster.finetune(epochs=1)
     cluster.offline_relabel()
     return cluster
@@ -247,34 +243,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_demo_cluster(stores: int, replication: int = 1, seed: int = 0):
-    from .core.cluster import NDPipeCluster
-    from .core.config import ClusterConfig
-    from .models.registry import tiny_model
-
-    return NDPipeCluster(
-        lambda: tiny_model("ResNet50", num_classes=8, width=8, seed=7),
-        ClusterConfig(num_stores=stores, nominal_raw_bytes=8192,
-                      replication=replication, seed=seed),
-    )
-
-
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .analysis.tables import format_table
-    from .data.drift import DriftingPhotoWorld, WorldConfig
     from .durability import inspect_checkpoint
 
-    world = DriftingPhotoWorld(WorldConfig(
-        initial_classes=6, max_classes=8, image_size=16, noise=0.3,
-        seed=args.seed,
-    ))
     cluster = _make_demo_cluster(args.stores, replication=args.replication,
                                  seed=args.seed)
-    x, y = world.sample(args.photos, 0,
-                        rng=np.random.default_rng(args.seed + 1))
-    cluster.ingest(x, train_labels=y)
+    _ingest_demo_photos(cluster, args.photos, args.seed)
     run_blobs = {}
     cluster.finetune(
         epochs=1, num_runs=args.runs,
@@ -672,8 +647,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from .serving.bench import run_serving_comparison
     from .serving.config import ServingConfig
 
-    config = ServingConfig(replicas=args.replicas, slo_s=args.slo,
-                           seed=args.seed)
+    config = ServingConfig(replicas=args.replicas, slo_s=args.slo)
     result = run_serving_comparison(
         seed=args.seed, num_requests=args.requests, rate_rps=args.rate,
         config=config,
@@ -708,7 +682,7 @@ def _cmd_serve_stream(args: argparse.Namespace) -> int:
     from .serving.config import ServingConfig, StreamConfig
 
     config = ServingConfig(replicas=args.replicas, slo_s=args.slo,
-                           deadline_s=args.deadline, seed=args.seed)
+                           deadline_s=args.deadline)
     stream = StreamConfig(credits=args.credits,
                           min_replicas=args.replicas,
                           max_replicas=args.max_replicas,

@@ -12,11 +12,12 @@ plain-value knobs now live in one frozen :class:`ClusterConfig`:
     cluster = NDPipeCluster(factory, ClusterConfig(num_stores=8,
                                                    replication=2))
 
-``ClusterConfig.validated()`` is the single validation choke point —
-both constructor paths (a direct config and ``from_dict``) funnel
-through it, so a bad knob fails loudly at construction with a
-message naming the field.  ``to_dict``/``from_dict`` round-trip the
-config for manifests and CLI plumbing.
+Every config class of the package (this one, ``ServingConfig``,
+``StreamConfig``, ``HAConfig``, ``ShardConfig``, ``TenantConfig``) is a
+frozen dataclass on :class:`Config`: its ``validated()`` is the single
+validation choke point, raising a ``ValueError`` that names the field,
+and :class:`Config` gives all of them the same strict ``from_dict``
+(which always validates), ``to_dict`` and ``field_names``.
 
 Collaborator objects (the model factory, a shared
 :class:`~repro.faults.retry.RetryPolicy`, metrics registry, tracer) are
@@ -28,13 +29,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, Optional
+from typing import Dict, Optional, Type, TypeVar
 
-__all__ = ["ClusterConfig"]
+__all__ = ["ClusterConfig", "Config"]
+
+C = TypeVar("C", bound="Config")
+
+
+class Config:
+    """Strict-key (de)serialisation of a frozen config dataclass."""
+
+    def validated(self: C) -> C:
+        """Return self after checking every field; raises ``ValueError``."""
+        raise NotImplementedError
+
+    @classmethod
+    def field_names(cls) -> frozenset:
+        return frozenset(f.name for f in fields(cls))
+
+    def to_dict(self) -> Dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls: Type[C], data: Dict) -> C:
+        """Build and validate a config from a plain dict (strict keys)."""
+        known = cls.field_names()
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ValueError(
+                f"unknown {cls.__name__} fields {unknown}; known fields: "
+                f"{sorted(known)}")
+        return cls(**data).validated()
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
+class ClusterConfig(Config):
     """Every plain-value knob of an :class:`~repro.core.cluster.NDPipeCluster`."""
 
     #: PipeStore fleet size
@@ -49,15 +78,12 @@ class ClusterConfig:
     batch_size: int = 64
     #: seed for the Tuner's training RNG stream
     seed: int = 0
-    #: journal uploads so crashed stores' photos can be re-placed
-    journal_uploads: bool = True
-    #: journal residency cap (None = unbounded)
+    #: upload-journal residency cap (None = unbounded)
     journal_max_entries: Optional[int] = None
     #: copies of every photo, including the primary (1 = no replication)
     replication: int = 1
 
     def validated(self) -> "ClusterConfig":
-        """Return self after checking every field; raises ``ValueError``."""
         if self.num_stores < 1:
             raise ValueError("need at least one PipeStore")
         if self.split is not None and self.split < 1:
@@ -78,18 +104,3 @@ class ClusterConfig:
                 f"replication {self.replication} must be in "
                 f"[1, {self.num_stores}]")
         return self
-
-    # -- serialisation ------------------------------------------------------
-    def to_dict(self) -> Dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ClusterConfig":
-        """Build and validate a config from a plain dict (strict keys)."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown ClusterConfig fields {unknown}; known fields: "
-                f"{sorted(known)}")
-        return cls(**data).validated()

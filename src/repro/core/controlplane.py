@@ -78,8 +78,7 @@ class RecoveryControlPlane:
         # are pruned, and ``journal_max_entries`` caps residency (oldest
         # entries fall out first) so raw pixel buffers cannot accumulate
         # for the lifetime of the cluster.
-        self.journal: Optional[Dict[str, JournalEntry]]
-        self.journal = {} if config.journal_uploads else None
+        self.journal: Dict[str, JournalEntry] = {}
         self._journal_max_entries = config.journal_max_entries
         metrics = cluster.metrics
         self._m_journal = metrics.gauge(
@@ -110,12 +109,10 @@ class RecoveryControlPlane:
     @property
     def journal_size(self) -> int:
         """Entries currently resident in the upload journal."""
-        return 0 if self.journal is None else len(self.journal)
+        return len(self.journal)
 
     def journal_put(self, photo_id: str, pixels: np.ndarray,
                     train_label: Optional[int]) -> None:
-        if self.journal is None:
-            return
         self.journal[photo_id] = (pixels, train_label)
         cap = self._journal_max_entries
         if cap is not None and len(self.journal) > cap:
@@ -134,8 +131,6 @@ class RecoveryControlPlane:
         has no business staying resident.  Returns how many entries were
         dropped.  Called automatically by :meth:`reconcile`.
         """
-        if self.journal is None:
-            return 0
         database = self.cluster.database
         stale = [pid for pid in self.journal if pid not in database]
         for pid in stale:
@@ -145,12 +140,10 @@ class RecoveryControlPlane:
         self._m_journal.set(len(self.journal))
         return len(stale)
 
-    def restore_journal(self,
-                        journal: Optional[Dict[str, JournalEntry]]) -> None:
-        """Adopt a checkpointed journal (no-op when journalling is off)."""
-        if self.journal is not None and journal is not None:
-            self.journal = journal
-        self._m_journal.set(self.journal_size)
+    def restore_journal(self, journal: Dict[str, JournalEntry]) -> None:
+        """Adopt a checkpointed journal."""
+        self.journal = journal
+        self._m_journal.set(len(self.journal))
 
     # -- failure recovery ---------------------------------------------------
     def reingest_orphans(self, store_id: str,
@@ -163,8 +156,6 @@ class RecoveryControlPlane:
         the ids that actually moved — anything not journalled (or not
         placeable right now) stays orphaned until the store repairs.
         """
-        if self.journal is None:
-            return []
         cluster = self.cluster
         moved: List[str] = []
         candidates = (cluster.database.ids_at(store_id) if only is None
@@ -182,7 +173,7 @@ class RecoveryControlPlane:
                 if self._promote_replica(pid, record, store_id):
                     moved.append(pid)
                     continue
-                if self.journal is None or pid not in self.journal:
+                if pid not in self.journal:
                     continue
                 pixels, train_label = self.journal[pid]
                 photo = StoredPhoto(

@@ -315,17 +315,16 @@ class RingPlacement:
     first candidate is the bounded-load choice among them (:meth:`~repro.
     placement.ring.ConsistentHashRing.within_bound`) — a shard whose
     observed ingest queue (placements plus injected transfer latency)
-    exceeds ``load_factor`` x the fleet mean is skipped for its ring
-    successor.  Fallback candidates on write failure are the remaining
-    successors in clockwise order, so retries stay deterministic.
+    exceeds :data:`~repro.placement.ring.LOAD_FACTOR` x the fleet mean
+    is skipped for its ring successor.  Fallback candidates on write
+    failure are the remaining successors in clockwise order, so retries
+    stay deterministic.
     """
 
-    def __init__(self, plane: "IngestDataPlane", ring,
-                 load_factor: float = 1.25):
+    def __init__(self, plane: "IngestDataPlane", ring):
         # weak: the plane holds its placement policy
         self._plane = weakref.ref(plane)
         self.ring = ring
-        self.load_factor = load_factor
 
     @property
     def plane(self) -> "IngestDataPlane":
@@ -342,8 +341,7 @@ class RingPlacement:
         live = self._live_successors(photo_id)
         if not live:
             return  # place_photo turns "nobody accepted" into its typed error
-        first = self.ring.within_bound(live, plane.queue_depth,
-                                       self.load_factor)
+        first = self.ring.within_bound(live, plane.queue_depth)
         # a skip is the first *available* successor passed over for load;
         # routing around a down primary is not one
         if first != live[0] and plane.metrics_load_skips is not None:

@@ -68,13 +68,10 @@ def build_checkpoint(cluster, ftdmp: Optional[FinetuneProgress] = None,
             "train_labels": store.train_labels(),
         })
     journal = cluster.control.journal
-    journal_manifest = None
-    if journal is not None:
-        journal_manifest = {
-            "labels": {pid: label
-                       for pid, (_pixels, label) in journal.items()},
-            "pixels_blob": table.add(compress_array(_stack_journal(journal))),
-        }
+    journal_manifest = {
+        "labels": {pid: label for pid, (_pixels, label) in journal.items()},
+        "pixels_blob": table.add(compress_array(_stack_journal(journal))),
+    }
     manifest = {
         "cluster": {
             "ingest_counter": cluster.dataplane.ingest_counter,
@@ -138,25 +135,21 @@ def restore_checkpoint(cluster, blob: bytes) -> Optional[FinetuneProgress]:
         database = load_photo_database(blobs[manifest["db_blob"]])
         replicas = ReplicaMap.from_dict(manifest["replica_map"])
         journal_manifest = manifest["journal"]
-        journal = None
-        if journal_manifest is not None:
-            labels = journal_manifest["labels"]
-            try:
-                pixels = decompress_array(
-                    blobs[journal_manifest["pixels_blob"]])
-            except ValueError as exc:
-                raise CheckpointError(
-                    f"corrupt journal pixel table: {exc}") from exc
-            if len(pixels) != len(labels):
-                raise CheckpointError(
-                    f"journal pixel table holds {len(pixels)} entries, "
-                    f"its labels {len(labels)}")
-            # rows of the one stacked array, each at its entry's dtype
-            # and shape
-            journal = {
-                pid: (row, None if label is None else int(label))
-                for (pid, label), row in zip(labels.items(), pixels)
-            }
+        labels = journal_manifest["labels"]
+        try:
+            pixels = decompress_array(blobs[journal_manifest["pixels_blob"]])
+        except ValueError as exc:
+            raise CheckpointError(
+                f"corrupt journal pixel table: {exc}") from exc
+        if len(pixels) != len(labels):
+            raise CheckpointError(
+                f"journal pixel table holds {len(pixels)} entries, "
+                f"its labels {len(labels)}")
+        # rows of the one stacked array, each at its entry's dtype and shape
+        journal = {
+            pid: (row, None if label is None else int(label))
+            for (pid, label), row in zip(labels.items(), pixels)
+        }
         cluster_manifest = manifest["cluster"]
         replication = int(cluster_manifest["replication"])
         if not 1 <= replication <= len(cluster.stores):

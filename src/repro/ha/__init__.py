@@ -16,7 +16,7 @@ Entry point: ``cluster.enable_ha(HAConfig(...), injector=...)``.
 """
 
 from .config import HAConfig
-from .controller import CONTROLLER_NODE, PRIMARY_MEMBER, HAController
+from .controller import PRIMARY_MEMBER, HAController
 from .detector import ALIVE, SUSPECT, UNKNOWN, FailureDetector
 from .failover import CHECKPOINT_KIND, TunerFailoverManager
 from .metrics import HAMetrics
@@ -25,7 +25,6 @@ from .nemesis import InvariantViolation, NemesisHarness, NemesisReport
 __all__ = [
     "ALIVE",
     "CHECKPOINT_KIND",
-    "CONTROLLER_NODE",
     "FailureDetector",
     "HAConfig",
     "HAController",

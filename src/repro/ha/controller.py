@@ -26,14 +26,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.tuner import Tuner
 from ..durability.checkpoint import FinetuneProgress
-from ..faults.errors import FaultError
 from .config import HAConfig
 from .detector import FailureDetector
 from .failover import TunerFailoverManager
 from .metrics import HAMetrics
-
-#: fabric node name heartbeat probes are charged to
-CONTROLLER_NODE = "ha-controller"
 
 #: the member id of the primary-Tuner *role* (stable across elections)
 PRIMARY_MEMBER = "tuner-primary"
@@ -162,8 +158,7 @@ class HAController:
             tick = self._tick
         events: List[Tuple[str, str]] = []
         for member_id, info in self.members():
-            alive = self._probe(member_id, info)
-            if alive:
+            if info["liveness"]():
                 self.metrics.heartbeats.inc(member=member_id)
                 if self.detector.heartbeat(member_id, tick):
                     self._on_rejoin(member_id, info)
@@ -190,18 +185,6 @@ class HAController:
             if quiet > self.config.suspect_after_ticks:
                 break
         return seen
-
-    def _probe(self, member_id: str, info: Dict[str, Any]) -> bool:
-        alive = bool(info["liveness"]())
-        if alive and self.config.account_heartbeats:
-            try:
-                # ndlint: fire-and-forget -- a failed probe IS the signal
-                self.cluster.network.send(
-                    CONTROLLER_NODE, member_id,
-                    self.config.heartbeat_bytes, "heartbeat")
-            except FaultError:
-                return False
-        return alive
 
     # -- reactions -----------------------------------------------------------
     def _on_suspect(self, member_id: str, info: Dict[str, Any]) -> None:

@@ -26,6 +26,12 @@ ALIVE = "alive"
 SUSPECT = "suspect"
 UNKNOWN = "unknown"
 
+#: ticks between controller heartbeat probes (one per poll): the mean
+#: inter-arrival phi assumes before a member has a history
+HEARTBEAT_INTERVAL_TICKS = 1
+#: heartbeat inter-arrival window the phi estimate is computed over
+WINDOW = 32
+
 
 class FailureDetector:
     """Tracks last-heard ticks and inter-arrival history per member."""
@@ -43,7 +49,7 @@ class FailureDetector:
         prev = self._last.get(member)
         if prev is not None and tick > prev:
             window = self._intervals.setdefault(
-                member, deque(maxlen=self.config.window))
+                member, deque(maxlen=WINDOW))
             window.append(tick - prev)
         self._last[member] = tick
         rejoined = member in self._suspected
@@ -61,7 +67,7 @@ class FailureDetector:
         if window:
             mean = sum(window) / len(window)
         else:
-            mean = float(self.config.heartbeat_interval_ticks)
+            mean = float(HEARTBEAT_INTERVAL_TICKS)
         return elapsed / max(mean, 1e-9)
 
     def check(self, member: str, tick: int) -> bool:

@@ -256,7 +256,7 @@ class NemesisHarness:
 
     def _check_no_acknowledged_loss(self, step: int) -> None:
         cluster = self.cluster
-        journal = cluster.control.journal or {}
+        journal = cluster.control.journal
         lost: List[str] = []
         for pid in self.acknowledged:
             if pid not in cluster.database:

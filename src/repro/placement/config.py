@@ -1,12 +1,14 @@
 """Typed, validated configs for the sharded multi-tenant fleet.
 
-Mirrors the :class:`~repro.core.config.ClusterConfig` conventions (PR 5):
-frozen dataclasses, a single ``validated()`` choke point that names the
-offending field, and strict ``to_dict``/``from_dict`` round-trips for
-manifests and CLI plumbing.
+:class:`~repro.core.config.Config` dataclasses like
+:class:`~repro.core.config.ClusterConfig`: frozen, a single
+``validated()`` choke point that names the offending field, and strict
+``to_dict``/``from_dict`` round-trips for manifests and CLI plumbing.
 
 :class:`ShardConfig` sizes the shard layer itself — ring geometry,
-replica-set width, fan-out branching, rebalance batching.
+replica-set width, fan-out branching.  The bounded-load factor
+(:data:`~repro.placement.ring.LOAD_FACTOR`) and the rebalance batch
+(:data:`~repro.placement.rebalance.REBALANCE_BATCH`) are constants.
 :class:`TenantConfig` describes one tenant namespace and its quotas;
 a fleet takes a tuple of them.
 """
@@ -14,14 +16,16 @@ a fleet takes a tuple of them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
+
+from ..core.config import Config
 
 __all__ = ["ShardConfig", "TenantConfig"]
 
 
 @dataclass(frozen=True)
-class ShardConfig:
+class ShardConfig(Config):
     """Every plain-value knob of a sharded PipeStore fleet."""
 
     #: PipeStore shards in the initial fleet
@@ -37,15 +41,8 @@ class ShardConfig:
     #: branching factor of the Check-N-Run distribution tree; the Tuner
     #: uplinks ``fanout`` deltas per round instead of one per shard
     fanout: int = 2
-    #: bounded-load factor: fresh ingest skips a shard whose queue depth
-    #: exceeds ``load_factor`` x the fleet mean (1.0 disables headroom,
-    #: very large values degrade to plain consistent hashing)
-    load_factor: float = 1.25
-    #: objects migrated per rebalance step before re-checking membership
-    rebalance_batch: int = 64
 
     def validated(self) -> "ShardConfig":
-        """Return self after checking every field; raises ``ValueError``."""
         if self.num_shards < 1:
             raise ValueError("need at least one shard")
         if self.vnodes < 1:
@@ -56,40 +53,14 @@ class ShardConfig:
                 f"[1, {self.num_shards}]")
         if self.fanout < 1:
             raise ValueError(f"fanout must be >= 1, got {self.fanout}")
-        if not math.isfinite(self.load_factor) or self.load_factor < 1.0:
-            raise ValueError(
-                f"load_factor must be a finite float >= 1.0, got "
-                f"{self.load_factor}")
-        if self.rebalance_batch < 1:
-            raise ValueError(
-                f"rebalance_batch must be >= 1, got {self.rebalance_batch}")
         return self
-
-    # -- serialisation ------------------------------------------------------
-    def to_dict(self) -> Dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ShardConfig":
-        """Build and validate a config from a plain dict (strict keys)."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown ShardConfig fields {unknown}; known fields: "
-                f"{sorted(known)}")
-        return cls(**data).validated()
-
-    @classmethod
-    def field_names(cls) -> frozenset:
-        return frozenset(f.name for f in fields(cls))
 
 
 @dataclass(frozen=True)
-class TenantConfig:
-    """One tenant namespace: an isolation domain with byte/request quotas.
+class TenantConfig(Config):
+    """One tenant namespace: an isolation domain with a byte quota.
 
-    Quotas are admission-time limits enforced by the fleet's
+    The quota is an admission-time limit enforced by the fleet's
     :class:`~repro.placement.tenants.TenantNamespace` ledger; ``None``
     means unmetered.  ``weight`` scales the tenant's share of synthetic
     multi-tenant traces (:func:`repro.workloads.continuous
@@ -100,13 +71,10 @@ class TenantConfig:
     name: str = "default"
     #: resident-byte ceiling across the tenant's photos (None = unmetered)
     byte_quota: Optional[int] = None
-    #: lifetime upload-request ceiling (None = unmetered)
-    request_quota: Optional[int] = None
     #: relative share of synthetic trace traffic
     weight: float = 1.0
 
     def validated(self) -> "TenantConfig":
-        """Return self after checking every field; raises ``ValueError``."""
         if not self.name or "/" in self.name or self.name.strip() != self.name:
             raise ValueError(
                 f"tenant name must be a non-empty token without '/', got "
@@ -114,30 +82,7 @@ class TenantConfig:
         if self.byte_quota is not None and self.byte_quota < 1:
             raise ValueError(
                 f"byte_quota must be >= 1 or None, got {self.byte_quota}")
-        if self.request_quota is not None and self.request_quota < 1:
-            raise ValueError(
-                f"request_quota must be >= 1 or None, got "
-                f"{self.request_quota}")
         if not math.isfinite(self.weight) or self.weight <= 0:
             raise ValueError(
                 f"weight must be a positive finite float, got {self.weight}")
         return self
-
-    # -- serialisation ------------------------------------------------------
-    def to_dict(self) -> Dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "TenantConfig":
-        """Build and validate a config from a plain dict (strict keys)."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown TenantConfig fields {unknown}; known fields: "
-                f"{sorted(known)}")
-        return cls(**data).validated()
-
-    @classmethod
-    def field_names(cls) -> frozenset:
-        return frozenset(f.name for f in fields(cls))

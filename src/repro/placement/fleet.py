@@ -21,6 +21,7 @@ fleet.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,12 +59,11 @@ class ShardedCluster:
         base = (cluster_config if cluster_config is not None
                 else ClusterConfig()).validated()
         # the shard layer owns fleet sizing and replica width; everything
-        # else (split, lr, journal policy, ...) rides the cluster config
-        merged = dict(base.to_dict())
-        merged["num_stores"] = self.shard_config.num_shards
-        merged["replication"] = self.shard_config.replication
+        # else (split, lr, journal cap, ...) rides the cluster config
         self.cluster = NDPipeCluster(
-            model_factory, ClusterConfig.from_dict(merged),
+            model_factory, replace(
+                base, num_stores=self.shard_config.num_shards,
+                replication=self.shard_config.replication).validated(),
             retry_policy=retry_policy, metrics=metrics, tracer=tracer)
         self.metrics = PlacementMetrics(self.cluster.metrics)
         self.ring = ConsistentHashRing(
@@ -71,13 +71,11 @@ class ShardedCluster:
             seed=self.shard_config.ring_seed,
             shards=self.cluster.stores.ids())
         plane = self.cluster.dataplane
-        plane.placement = RingPlacement(
-            plane, self.ring, load_factor=self.shard_config.load_factor)
+        plane.placement = RingPlacement(plane, self.ring)
         plane.metrics_load_skips = self.metrics.load_skips
         self.tenants = TenantRegistry(tenants, metrics=self.metrics)
-        self.rebalancer = ShardRebalancer(
-            self.cluster, self.ring, metrics=self.metrics,
-            batch=self.shard_config.rebalance_batch)
+        self.rebalancer = ShardRebalancer(self.cluster, self.ring,
+                                          metrics=self.metrics)
         self._next_shard_index = self.shard_config.num_shards
         self.metrics.shard_count.set(len(self.ring))
         self.metrics.fanout_depth.set(self._tree().depth)

@@ -36,6 +36,9 @@ from .ring import ConsistentHashRing
 
 __all__ = ["MigrationLedger", "MovePlan", "ShardRebalancer"]
 
+#: objects migrated per rebalance step before re-checking membership
+REBALANCE_BATCH = 64
+
 
 @conserves("objects_moved == objects_received + objects_failed"
            " + objects_inflight")
@@ -110,14 +113,10 @@ class ShardRebalancer:
     """Migrates photos to their ring-assigned shards, copy-first."""
 
     def __init__(self, cluster, ring: ConsistentHashRing,
-                 metrics: Optional[PlacementMetrics] = None,
-                 batch: int = 64):
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
+                 metrics: Optional[PlacementMetrics] = None):
         self.cluster = cluster
         self.ring = ring
         self.metrics = metrics
-        self.batch = batch
         self.ledger = MigrationLedger()
         #: photos whose migration failed and needs a later pass
         self.deferred: List[str] = []
@@ -151,7 +150,8 @@ class ShardRebalancer:
         plan = self.plan()
         pending = sorted(plan.moves)
         while pending:
-            chunk, pending = pending[:self.batch], pending[self.batch:]
+            chunk = pending[:REBALANCE_BATCH]
+            pending = pending[REBALANCE_BATCH:]
             for pid in chunk:
                 add, drop, desired = plan.moves[pid]
                 self._migrate_photo(pid, add, drop, desired)

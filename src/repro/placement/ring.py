@@ -16,9 +16,9 @@ Properties the suite proves (``tests/placement/test_ring.py``):
 
 ``pick`` optionally applies bounded-load routing (the
 consistent-hashing-with-bounded-loads trick): walking clockwise, shards
-whose reported load exceeds ``load_factor`` x the fleet mean are skipped,
-so a slow shard sheds fresh ingest onto its ring successors instead of
-queueing it.
+whose reported load exceeds :data:`LOAD_FACTOR` x the fleet mean are
+skipped, so a slow shard sheds fresh ingest onto its ring successors
+instead of queueing it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,12 @@ import bisect
 from hashlib import blake2b
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["ConsistentHashRing", "RingError"]
+__all__ = ["ConsistentHashRing", "LOAD_FACTOR", "RingError"]
+
+#: bounded-load factor: fresh ingest skips a shard whose load exceeds
+#: this x the fleet mean (1.0 leaves no headroom, very large values
+#: degrade to plain consistent hashing)
+LOAD_FACTOR = 1.25
 
 
 class RingError(RuntimeError):
@@ -140,7 +145,7 @@ class ConsistentHashRing:
 
     def pick(self, key: str,
              load_of: Optional[Callable[[str], float]] = None,
-             load_factor: float = 1.25,
+             load_factor: float = LOAD_FACTOR,
              available: Optional[Callable[[str], bool]] = None) -> str:
         """Placement for fresh ingest: consistent hashing, load-bounded.
 
@@ -165,7 +170,7 @@ class ConsistentHashRing:
     @staticmethod
     def within_bound(candidates: Sequence[str],
                      load_of: Callable[[str], float],
-                     load_factor: float) -> str:
+                     load_factor: float = LOAD_FACTOR) -> str:
         """The bounded-load choice over an ordered candidate list: the
         first whose load is within ``load_factor`` x the candidates' mean,
         else the least loaded."""

@@ -1,9 +1,9 @@
 """Tenant namespaces and quota ledgers for the sharded fleet.
 
 Every upload belongs to a tenant; the tenant's :class:`QuotaLedger`
-decides at admission time whether it fits the byte and request quotas
-declared in :class:`~repro.placement.config.TenantConfig`.  The ledger
-sits under two checked conservation laws (ND006 proves them statically,
+decides at admission time whether it fits the byte quota declared in
+:class:`~repro.placement.config.TenantConfig`.  The ledger sits under
+two checked conservation laws (ND006 proves them statically,
 :meth:`QuotaLedger.check` settles them at runtime):
 
 * ``offered == admitted + rejected`` — every offer resolves exactly one
@@ -35,12 +35,10 @@ class UnknownTenantError(KeyError):
 @conserves("offered == admitted + rejected")
 @conserves("charged == resident + released")
 class QuotaLedger:
-    """Object-count conservation plus byte/request quota enforcement."""
+    """Object-count conservation plus byte-quota enforcement."""
 
-    def __init__(self, byte_quota: Optional[int] = None,
-                 request_quota: Optional[int] = None):
+    def __init__(self, byte_quota: Optional[int] = None):
         self.byte_quota = byte_quota
-        self.request_quota = request_quota
         # law 1: admission accounting
         self.offered = 0
         self.admitted = 0
@@ -56,17 +54,11 @@ class QuotaLedger:
         """Admit one upload of ``nbytes`` or return the rejection reason.
 
         ``None`` means admitted: the object is charged and resident.
-        Otherwise ``"request-quota"`` or ``"byte-quota"`` names the
-        exhausted limit and the ledger takes no residency.
+        Otherwise ``"byte-quota"`` names the exhausted limit and the
+        ledger takes no residency.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        if self.request_quota is not None \
-                and self.admitted >= self.request_quota:
-            self.offered += 1
-            self.rejected += 1
-            self.check()
-            return "request-quota"
         if self.byte_quota is not None \
                 and self.resident_bytes + nbytes > self.byte_quota:
             self.offered += 1
@@ -124,7 +116,7 @@ class TenantNamespace:
 
     def __init__(self, config: TenantConfig):
         self.config = config.validated()
-        self.ledger = QuotaLedger(config.byte_quota, config.request_quota)
+        self.ledger = QuotaLedger(config.byte_quota)
 
     @property
     def name(self) -> str:

@@ -24,7 +24,7 @@ from .admission import AdmissionQueue, ServeRequest
 from .autoscale import ElasticityController
 from .batcher import SloController, slo_batch_size
 from .cache import TensorCache, content_key
-from .config import ACCELERATORS, ServingConfig, StreamConfig
+from .config import ServingConfig, StreamConfig
 from .dispatcher import FRONTEND_NODE, ReplicaDispatcher
 from .frontend import ServingFrontend
 from .metrics import ServingMetrics
@@ -43,7 +43,6 @@ from .protocol import (
 from .stream import StreamingFrontend
 
 __all__ = [
-    "ACCELERATORS",
     "AdmissionQueue",
     "CANCELLED",
     "COMPLETED",

@@ -6,11 +6,11 @@ service time :class:`~repro.serving.batcher.SloController` steers batch
 size on — and turns sustained SLO pressure into replica-count decisions:
 
 * **scale up** (+1) when the windowed *median* worst-batch latency
-  exceeds ``slo_s * scale_up_headroom`` — one bad batch is the batch
+  exceeds ``slo_s * SCALE_UP_HEADROOM`` — one bad batch is the batch
   controller's problem; a violated median means batching alone cannot
   absorb the load;
 * **scale down** (-1) when *every* latency in the window sits under
-  ``slo_s * scale_down_headroom`` — the whole window must be
+  ``slo_s * SCALE_DOWN_HEADROOM`` — the whole window must be
   comfortable before capacity is taken away.
 
 Decisions are rate-limited: the window must be full, a ``cooldown``
@@ -29,13 +29,18 @@ from typing import Deque
 
 __all__ = ["ElasticityController"]
 
+#: scale up when the windowed median worst-batch latency exceeds
+#: ``slo_s * SCALE_UP_HEADROOM``
+SCALE_UP_HEADROOM = 1.0
+#: scale down when every latency in the window sits under
+#: ``slo_s * SCALE_DOWN_HEADROOM``
+SCALE_DOWN_HEADROOM = 0.4
+
 
 class ElasticityController:
     """SLO-headroom autoscaler companion to the AIMD batch controller."""
 
     def __init__(self, slo_s: float, min_replicas: int, max_replicas: int, *,
-                 scale_up_headroom: float = 1.0,
-                 scale_down_headroom: float = 0.4,
                  window: int = 8, cooldown: int = 16):
         if not math.isfinite(slo_s) or slo_s <= 0:
             raise ValueError(f"slo_s must be positive, got {slo_s}")
@@ -43,10 +48,6 @@ class ElasticityController:
             raise ValueError(
                 f"need 1 <= min_replicas <= max_replicas, got "
                 f"[{min_replicas}, {max_replicas}]")
-        if not 0.0 < scale_down_headroom < scale_up_headroom:
-            raise ValueError(
-                "need 0 < scale_down_headroom < scale_up_headroom, got "
-                f"{scale_down_headroom} vs {scale_up_headroom}")
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         if cooldown < 0:
@@ -54,8 +55,6 @@ class ElasticityController:
         self.slo_s = slo_s
         self.min_replicas = min_replicas
         self.max_replicas = max_replicas
-        self.scale_up_headroom = scale_up_headroom
-        self.scale_down_headroom = scale_down_headroom
         self.window = window
         self.cooldown = cooldown
         self.scale_ups = 0
@@ -78,12 +77,12 @@ class ElasticityController:
             return 0
         ordered = sorted(self._latencies)
         median = ordered[len(ordered) // 2]
-        if median > self.slo_s * self.scale_up_headroom and \
+        if median > self.slo_s * SCALE_UP_HEADROOM and \
                 replicas < self.max_replicas:
             self.scale_ups += 1
             self._acted()
             return 1
-        if ordered[-1] < self.slo_s * self.scale_down_headroom and \
+        if ordered[-1] < self.slo_s * SCALE_DOWN_HEADROOM and \
                 replicas > self.min_replicas:
             self.scale_downs += 1
             self._acted()

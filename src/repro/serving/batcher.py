@@ -9,11 +9,11 @@
   operating point instead of cold-starting at batch 1.
 * :class:`SloController` — AIMD on *batch service time* (dispatch to
   done: what the replica was tied up for) against that same budget:
-  over budget halves the target, under ``budget * headroom`` earns an
-  additive increase.  Request sojourn time is deliberately not the
-  signal — under overload it grows with the pending line, and shrinking
-  the batch then is positive feedback toward batch 1; sojourn steers
-  the replica count (:mod:`~repro.serving.autoscale`) and admission
+  over budget halves the target, under ``budget * SLO_HEADROOM`` earns
+  an ``ADDITIVE_STEP`` increase.  Request sojourn time is deliberately
+  not the signal — under overload it grows with the pending line, and
+  shrinking the batch then is positive feedback toward batch 1; sojourn
+  steers the replica count (:mod:`~repro.serving.autoscale`) and admission
   (deadline shedding) instead.
 * :class:`MicroBatcher` — the one batch body behind both front ends:
   cache hits bring their split-point feature row, misses are
@@ -55,6 +55,11 @@ __all__ = ["SERVICE_BUDGET_FRACTION", "slo_batch_size", "SloController",
 #: for queueing.  The seed and the controller both read it, so the batch
 #: the NPE model picks is one the controller does not shrink.
 SERVICE_BUDGET_FRACTION = 0.5
+#: the controller grows the batch only while its service time is under
+#: ``budget * SLO_HEADROOM``; between that and the budget it holds
+SLO_HEADROOM = 0.8
+#: additive-increase step of the AIMD controller
+ADDITIVE_STEP = 4
 
 
 def slo_batch_size(graph: ModelGraph, accelerator: AcceleratorSpec,
@@ -99,25 +104,17 @@ class SloController:
     the service budget ``slo_s * SERVICE_BUDGET_FRACTION``."""
 
     def __init__(self, slo_s: float, min_batch: int, max_batch: int,
-                 initial_batch: int, headroom: float = 0.8,
-                 additive_step: int = 4):
+                 initial_batch: int):
         if slo_s <= 0:
             raise ValueError(f"slo_s must be > 0, got {slo_s}")
         if not min_batch <= initial_batch <= max_batch:
             raise ValueError(
                 f"initial_batch {initial_batch} outside [{min_batch}, "
                 f"{max_batch}]")
-        if not 0.0 < headroom <= 1.0:
-            raise ValueError(f"headroom must be in (0, 1], got {headroom}")
-        if additive_step < 1:
-            raise ValueError(
-                f"additive_step must be >= 1, got {additive_step}")
         self.slo_s = slo_s
         self.budget_s = slo_s * SERVICE_BUDGET_FRACTION
         self.min_batch = min_batch
         self.max_batch = max_batch
-        self.headroom = headroom
-        self.additive_step = additive_step
         self.batch_size = initial_batch
         self.decreases = 0
         self.increases = 0
@@ -134,8 +131,8 @@ class SloController:
             if shrunk < self.batch_size:
                 self.decreases += 1
             self.batch_size = shrunk
-        elif service_s < self.budget_s * self.headroom:
-            grown = min(self.max_batch, self.batch_size + self.additive_step)
+        elif service_s < self.budget_s * SLO_HEADROOM:
+            grown = min(self.max_batch, self.batch_size + ADDITIVE_STEP)
             if grown > self.batch_size:
                 self.increases += 1
             self.batch_size = grown
@@ -184,9 +181,7 @@ class MicroBatcher:
                 min_batch=config.min_batch, max_batch=config.max_batch)
         self.controller = SloController(
             slo_s=config.slo_s, min_batch=config.min_batch,
-            max_batch=config.max_batch, initial_batch=initial,
-            headroom=config.slo_headroom,
-            additive_step=config.additive_step)
+            max_batch=config.max_batch, initial_batch=initial)
         m.batch_target.set(initial)
         self._m_cache = {
             "hits": m.cache_hits, "misses": m.cache_misses,

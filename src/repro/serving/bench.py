@@ -27,6 +27,7 @@ from ..workloads.continuous import (
     open_loop_requests,
 )
 from .config import ServingConfig, StreamConfig
+from .dispatcher import MODEL
 from .frontend import ServingFrontend
 from .stream import StreamingFrontend
 
@@ -58,7 +59,7 @@ STREAM_BENCH_DEFAULTS = {
 
 def _build_frontend(config: ServingConfig, seed: int) -> ServingFrontend:
     replicas = [
-        InferenceServer(tiny_model(config.model, seed=seed + i),
+        InferenceServer(tiny_model(MODEL, seed=seed + i),
                         name=f"serve-replica-{i}")
         for i in range(config.replicas)
     ]
@@ -153,7 +154,7 @@ def run_streaming_bench(seed: int = 0, trace: str = "flash",
 
     def factory(index: int):
         return InferenceServer(
-            tiny_model(serving_config.model, seed=seed + index),
+            tiny_model(MODEL, seed=seed + index),
             name=f"stream-replica-{index}")
 
     streaming = StreamingFrontend(factory, serving_config,

@@ -30,16 +30,25 @@ from ..faults.errors import TransientFaultError
 from ..faults.retry import RetryPolicy, call_with_retry
 from ..lint.contracts import conserves
 from ..models.catalog import model_graph
-from ..sim.specs import CpuSpec
+from ..sim.specs import HOST_CPU, TESLA_V100
 from .config import ServingConfig
 
 if TYPE_CHECKING:
     from ..core.dataplane import PendingAnswers, PendingRow
 
-__all__ = ["ReplicaDispatcher", "FRONTEND_NODE"]
+__all__ = ["ReplicaDispatcher", "FRONTEND_NODE", "MODEL", "ACCELERATOR"]
 
 #: fabric node name of the serving front end
 FRONTEND_NODE = "serving-frontend"
+
+#: the paper model every replica serves (sets the calibrated latency model)
+MODEL = "ResNet50"
+#: the accelerator every replica runs on
+ACCELERATOR = TESLA_V100
+#: host cores preprocessing cache misses (JPEG decode + normalise)
+PREPROCESS_CORES = 32
+#: label-database upsert cost per request
+DB_UPDATE_S = 0.0002
 
 
 @conserves("batches_attempted == batches_dispatched + batches_failed")
@@ -61,8 +70,8 @@ class ReplicaDispatcher:
         self.config = config
         self.network = network
         self.retry = retry_policy
-        self.graph = model_graph(config.model)
-        self.accelerator = config.accelerator_spec()
+        self.graph = model_graph(MODEL)
+        self.accelerator = ACCELERATOR
         # per-image accelerator seconds either side of the serving cut,
         # the cut before the classifier that replicas serve at
         cut = self.graph.partition_point(len(self.graph.stages) - 1)
@@ -167,13 +176,11 @@ class ReplicaDispatcher:
         each request a database upsert.  An all-miss batch costs the
         whole-model forward.
         """
-        cpu: CpuSpec = self.config.cpu_spec()
-        preprocess_s = (num_misses
-                        / cpu.preprocess_ips(self.config.preprocess_cores))
+        preprocess_s = num_misses / HOST_CPU.preprocess_ips(PREPROCESS_CORES)
         accelerator_s = (num_misses * self._front_s
                          + num_requests * self._tail_s
                          + self.accelerator.batch_overhead_s)
-        db_s = num_requests * self.config.db_update_s
+        db_s = num_requests * DB_UPDATE_S
         return preprocess_s + accelerator_s + db_s
 
     # -- dispatch -----------------------------------------------------------

@@ -135,8 +135,6 @@ class StreamingFrontend:
             slo_s=self.config.slo_s,
             min_replicas=self.stream.min_replicas,
             max_replicas=self.stream.max_replicas,
-            scale_up_headroom=self.stream.scale_up_headroom,
-            scale_down_headroom=self.stream.scale_down_headroom,
             window=self.stream.window, cooldown=self.stream.cooldown)
             if self.stream is not None and self.stream.autoscale else None)
 

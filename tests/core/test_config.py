@@ -1,4 +1,5 @@
-"""ClusterConfig validation; the removed legacy spellings stay removed."""
+"""The config classes' shared (de)serialisation; ClusterConfig
+validation; the removed legacy spellings stay removed."""
 
 import warnings
 
@@ -6,11 +7,76 @@ import pytest
 
 from repro.core.cluster import NDPipeCluster
 from repro.core.config import ClusterConfig
+from repro.ha import HAConfig
 from repro.models.registry import tiny_model
+from repro.placement import ShardConfig, TenantConfig
+from repro.serving import ServingConfig, StreamConfig
 
 
 def _factory():
     return tiny_model("ResNet50", num_classes=8, width=8, seed=7)
+
+
+#: per config class: a valid non-default instance, a dict whose value
+#: ``validated()`` refuses, and the fields that became module constants
+#: (their values are a constant of the design, not a knob)
+CONFIGS = {
+    ClusterConfig: (ClusterConfig(num_stores=6, replication=2, seed=11,
+                                  journal_max_entries=32),
+                    {"batch_size": 0}, ("journal_uploads",)),
+    ServingConfig: (ServingConfig(replicas=3, slo_s=0.05, deadline_s=0.2,
+                                  cache_capacity_bytes=0),
+                    {"min_batch": 8, "max_batch": 4},
+                    ("accelerator", "model", "additive_step",
+                     "slo_headroom", "db_update_s", "preprocess_cores",
+                     "seed")),
+    StreamConfig: (StreamConfig(credits=32, min_replicas=2, max_replicas=4,
+                                autoscale=False),
+                   {"credits": 0},
+                   ("scale_up_headroom", "scale_down_headroom")),
+    HAConfig: (HAConfig(suspect_after_ticks=7, standby=False),
+               {"suspect_after_ticks": 0},
+               ("account_heartbeats", "heartbeat_bytes",
+                "heartbeat_interval_ticks", "window")),
+    ShardConfig: (ShardConfig(num_shards=4, replication=2, ring_seed=9),
+                  {"fanout": 0}, ("load_factor", "rebalance_batch")),
+    TenantConfig: (TenantConfig(name="acme", byte_quota=1 << 20, weight=2.5),
+                   {"weight": 0.0}, ("request_quota",)),
+}
+
+REMOVED = [(cls, name) for cls, (_, _, names) in CONFIGS.items()
+           for name in names]
+
+
+def _name(value):
+    return value.__name__ if isinstance(value, type) else str(value)
+
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=_name)
+class TestEveryConfig:
+    def test_round_trip(self, cls):
+        config = CONFIGS[cls][0]
+        assert config != cls()
+        assert cls.from_dict(config.to_dict()) == config
+        assert set(config.to_dict()) == cls.field_names()
+
+    def test_unknown_key_is_refused_by_name(self, cls):
+        with pytest.raises(ValueError,
+                           match=rf"unknown {cls.__name__} fields "
+                                 r"\['no_such_knob'\]"):
+            cls.from_dict({"no_such_knob": 1})
+
+    def test_from_dict_validates(self, cls):
+        with pytest.raises(ValueError):
+            cls.from_dict(CONFIGS[cls][1])
+
+
+@pytest.mark.parametrize("cls,name", REMOVED, ids=_name)
+def test_constant_is_not_a_field(cls, name):
+    assert name not in cls.field_names()
+    with pytest.raises(ValueError,
+                       match=rf"unknown {cls.__name__} fields \['{name}'\]"):
+        cls.from_dict({name: 1})
 
 
 class TestValidation:

@@ -187,16 +187,6 @@ class TestOrphanReingest:
         assert first
         assert cluster.reingest_orphans("pipestore-0") == []
 
-    def test_reingest_without_journal_moves_nothing(self, small_world):
-        cluster = NDPipeCluster(factory, ClusterConfig(
-            num_stores=3, journal_uploads=False))
-        x, y = small_world.sample(9, 0, rng=np.random.default_rng(3))
-        cluster.ingest(x, train_labels=y)
-        cluster.stores[0].fail()
-        assert cluster.reingest_orphans("pipestore-0") == []
-        # photos stay addressed to the dead store, awaiting repair
-        assert cluster.database.ids_at("pipestore-0")
-
     def test_recover_reconciles_moved_photos(self, loaded):
         cluster, ids = loaded
         dead = cluster.stores[0]

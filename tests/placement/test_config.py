@@ -21,10 +21,6 @@ class TestShardConfig:
         ("replication", 0, "replication 0 must be in"),
         ("replication", 9, "replication 9 must be in"),
         ("fanout", 0, "fanout must be >= 1"),
-        ("load_factor", 0.5, "load_factor"),
-        ("load_factor", float("nan"), "load_factor"),
-        ("load_factor", float("inf"), "load_factor"),
-        ("rebalance_batch", 0, "rebalance_batch"),
     ])
     def test_bad_field_rejected(self, field, value, match):
         config = ShardConfig(**{field: value})
@@ -61,7 +57,6 @@ class TestTenantConfig:
         ("name", "a/b", "tenant name"),
         ("name", " padded", "tenant name"),
         ("byte_quota", 0, "byte_quota"),
-        ("request_quota", 0, "request_quota"),
         ("weight", 0.0, "weight"),
         ("weight", -1.0, "weight"),
         ("weight", float("nan"), "weight"),
@@ -74,7 +69,6 @@ class TestTenantConfig:
     def test_unmetered_quotas_are_none(self):
         config = TenantConfig(name="acme").validated()
         assert config.byte_quota is None
-        assert config.request_quota is None
 
     def test_roundtrip(self):
         config = TenantConfig(name="acme", byte_quota=1 << 20, weight=2.5)

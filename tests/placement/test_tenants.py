@@ -40,15 +40,6 @@ class TestQuotaLedger:
         assert ledger.offer(100) is None
         assert ledger.offered == ledger.admitted + ledger.rejected == 4
 
-    def test_request_quota_rejection(self):
-        ledger = QuotaLedger(request_quota=2)
-        assert ledger.offer(1) is None
-        assert ledger.offer(1) is None
-        assert ledger.offer(1) == "request-quota"
-        # request quota is lifetime: releasing does not re-admit
-        ledger.release(1)
-        assert ledger.offer(1) == "request-quota"
-
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError, match="nbytes"):
             QuotaLedger().offer(-1)
@@ -82,13 +73,10 @@ class TestQuotaLedger:
 
     @given(ops=st.lists(
         st.one_of(st.integers(0, 64), st.just("release")), max_size=60),
-        byte_quota=st.one_of(st.none(), st.integers(1, 256)),
-        request_quota=st.one_of(st.none(), st.integers(1, 20)))
+        byte_quota=st.one_of(st.none(), st.integers(1, 256)))
     @settings(max_examples=60, deadline=None)
-    def test_laws_hold_under_any_interleaving(self, ops, byte_quota,
-                                              request_quota):
-        ledger = QuotaLedger(byte_quota=byte_quota,
-                             request_quota=request_quota)
+    def test_laws_hold_under_any_interleaving(self, ops, byte_quota):
+        ledger = QuotaLedger(byte_quota=byte_quota)
         resident_sizes = []
         for op in ops:
             if op == "release":
@@ -103,8 +91,6 @@ class TestQuotaLedger:
             assert ledger.resident_bytes == sum(resident_sizes)
             if byte_quota is not None:
                 assert ledger.resident_bytes <= byte_quota
-            if request_quota is not None:
-                assert ledger.admitted <= request_quota
 
 
 class TestNamespacesAndKeys:

@@ -7,7 +7,6 @@ from repro.serving import ElasticityController
 
 def _controller(**kwargs):
     defaults = dict(slo_s=0.1, min_replicas=1, max_replicas=4,
-                    scale_up_headroom=1.0, scale_down_headroom=0.4,
                     window=4, cooldown=0)
     defaults.update(kwargs)
     return ElasticityController(**defaults)
@@ -19,8 +18,8 @@ class TestValidation:
         {"slo_s": float("inf")},
         {"min_replicas": 0},
         {"min_replicas": 3, "max_replicas": 2},
-        {"scale_down_headroom": 0.0},
-        {"scale_down_headroom": 1.0, "scale_up_headroom": 1.0},
+        {"slo_s": float("nan")},
+        {"max_replicas": 0},
         {"window": 0},
         {"cooldown": -1},
     ])

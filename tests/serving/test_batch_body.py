@@ -31,7 +31,7 @@ from repro.workloads.continuous import open_loop_requests
 
 
 def _replica(config, index=0):
-    return InferenceServer(tiny_model(config.model, seed=index),
+    return InferenceServer(tiny_model("ResNet50", seed=index),
                            name=f"replica-{index}")
 
 
@@ -210,7 +210,7 @@ def test_fully_cancelled_batch_still_steers_the_target():
     report = frontend.serve(trace, {r.request_id: tick for r in trace})
     assert report.completed == 0 and report.cancelled == 4
     assert report.conserved and report.batch_sizes == [1]
-    # one cheap batch: well under budget * headroom, so +additive_step
+    # one cheap batch: well under budget * SLO_HEADROOM, so +ADDITIVE_STEP
     assert frontend.controller.batch_size == 8
     assert report.final_batch_target == 8
     assert _metric(frontend, "serving_batch_target") == 8

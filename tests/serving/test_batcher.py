@@ -44,7 +44,7 @@ def test_slo_batch_size_validation():
 
 def test_controller_aimd_asymmetry():
     ctl = SloController(slo_s=0.1, min_batch=1, max_batch=256,
-                        initial_batch=64, additive_step=4)
+                        initial_batch=64)
     assert ctl.observe(0.2) == 32       # violation: halve
     assert ctl.observe(0.2) == 16
     assert ctl.observe(0.01) == 20      # comfortable: +step
@@ -55,7 +55,7 @@ def test_controller_aimd_asymmetry():
 
 def test_controller_clamps_to_bounds():
     ctl = SloController(slo_s=0.1, min_batch=2, max_batch=8,
-                        initial_batch=8, additive_step=4)
+                        initial_batch=8)
     for _ in range(6):
         ctl.observe(1.0)
     assert ctl.batch_size == 2          # never below min_batch
@@ -68,7 +68,7 @@ def test_controller_converges_to_slo_feasible_batch():
     """Against a linear latency model, AIMD settles in a narrow band."""
     per_item_s = 0.05 / 42              # 42 items fill the budget exactly
     ctl = SloController(slo_s=0.1, min_batch=1, max_batch=256,
-                        initial_batch=256, additive_step=4)
+                        initial_batch=256)
     trajectory = []
     for _ in range(200):
         trajectory.append(ctl.observe(ctl.batch_size * per_item_s))
@@ -86,12 +86,6 @@ def test_controller_validation():
         SloController(slo_s=0.0, min_batch=1, max_batch=8, initial_batch=4)
     with pytest.raises(ValueError):
         SloController(slo_s=0.1, min_batch=4, max_batch=8, initial_batch=2)
-    with pytest.raises(ValueError):
-        SloController(slo_s=0.1, min_batch=1, max_batch=8, initial_batch=4,
-                      headroom=1.5)
-    with pytest.raises(ValueError):
-        SloController(slo_s=0.1, min_batch=1, max_batch=8, initial_batch=4,
-                      additive_step=0)
     ctl = SloController(slo_s=0.1, min_batch=1, max_batch=8, initial_batch=4)
     with pytest.raises(ValueError):
         ctl.observe(-1.0)
@@ -108,14 +102,14 @@ def test_controller_counters_do_not_drift_when_clamped():
     assert ctl.decreases == 0 and ctl.increases == 0
 
     ctl = SloController(slo_s=0.1, min_batch=1, max_batch=8,
-                        initial_batch=8, additive_step=4)
+                        initial_batch=8)
     for _ in range(5):
         assert ctl.observe(0.001) == 8
     assert ctl.increases == 0 and ctl.decreases == 0
 
     # one step off the clamp and the counters move again
     ctl = SloController(slo_s=0.1, min_batch=4, max_batch=64,
-                        initial_batch=8, additive_step=4)
+                        initial_batch=8)
     assert ctl.observe(1.0) == 4 and ctl.decreases == 1
     assert ctl.observe(0.001) == 8 and ctl.increases == 1
 
@@ -124,7 +118,7 @@ def test_controller_law_is_against_the_service_budget():
     """Grow under budget * headroom, halve over budget, hold between —
     where budget = slo * SERVICE_BUDGET_FRACTION, not the SLO itself."""
     ctl = SloController(slo_s=0.2, min_batch=1, max_batch=256,
-                        initial_batch=32, headroom=0.8, additive_step=4)
+                        initial_batch=32)
     budget = 0.2 * SERVICE_BUDGET_FRACTION
     assert ctl.budget_s == budget
     assert ctl.observe(0.79 * budget) == 36     # under budget * headroom
@@ -160,7 +154,7 @@ def test_seed_and_controller_agree_by_construction():
     # headroom and grows again.
     config = ServingConfig()
     dispatcher = ReplicaDispatcher(
-        [InferenceServer(tiny_model(config.model, seed=0), name="r0")],
+        [InferenceServer(tiny_model("ResNet50", seed=0), name="r0")],
         config, NetworkFabric(), RetryPolicy())
     assert seed == 256
     full = dispatcher.service_s(seed, num_misses=0)

@@ -16,7 +16,7 @@ SLO_S = 0.1
 def _frontend(config=None, seed=0):
     config = config if config is not None else ServingConfig()
     replicas = [
-        InferenceServer(tiny_model(config.model, seed=seed + i),
+        InferenceServer(tiny_model("ResNet50", seed=seed + i),
                         name=f"replica-{i}")
         for i in range(config.replicas)
     ]

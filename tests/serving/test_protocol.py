@@ -109,8 +109,8 @@ class TestStreamConfig:
         {"credits": 0},
         {"min_replicas": 0},
         {"min_replicas": 4, "max_replicas": 2},
-        {"scale_down_headroom": 0.0},
-        {"scale_down_headroom": 1.5, "scale_up_headroom": 1.0},
+        {"max_replicas": 0},
+        {"credits": -8},
         {"window": 0},
         {"cooldown": -1},
     ])

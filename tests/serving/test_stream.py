@@ -27,7 +27,7 @@ SLO_S = 0.1
 
 def _factory(config, seed=0):
     def make(index):
-        return InferenceServer(tiny_model(config.model, seed=seed + index),
+        return InferenceServer(tiny_model("ResNet50", seed=seed + index),
                                name=f"stream-replica-{index}")
     return make
 

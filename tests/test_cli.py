@@ -176,3 +176,76 @@ class TestPerfCommand:
         assert main(["perf", "--scenario", "ingest", "--check",
                      "--baseline-dir", str(tmp_path / "void")]) == 2
         assert "no committed baseline" in capsys.readouterr().err
+
+
+class TestDemoOutputIsPinned:
+    """``demo``/``metrics``/``trace``/``checkpoint``/``resume`` share one
+    demo world and one demo cluster.  For a fixed seed their output is
+    pinned byte for byte (wall-clock timings masked): the digests are
+    those of the output each command printed when it spelled its own
+    world and cluster."""
+
+    PINNED = {
+        "demo": "d64356a40c4d6a99",
+        "demo-json": "8dfe9a49faf83da9",
+        "metrics": "bb902f51371d8c75",
+        "trace": "3adee8aefad31562",
+        "checkpoint": "33aa6a67ae6ef281",
+        "checkpoint-bytes": "51862ebd2dcbd86e",
+        "resume": "58b65883edbaaa2f",
+    }
+
+    @staticmethod
+    def _digest(text) -> str:
+        import hashlib
+
+        data = text if isinstance(text, bytes) else text.encode()
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    @staticmethod
+    def _untimed_metrics(text: str) -> str:
+        import json
+
+        # stage-time histograms observe wall-clock seconds
+        return json.dumps({name: family
+                           for name, family in json.loads(text).items()
+                           if not name.endswith("_stage_seconds")},
+                          sort_keys=True)
+
+    @staticmethod
+    def _untimed_trace(text: str) -> str:
+        import json
+
+        events = [{k: v for k, v in event.items()
+                   if k not in ("ts", "dur", "tid")}
+                  for event in json.loads(text)["traceEvents"]]
+        return json.dumps(events, sort_keys=True)
+
+    def _outputs(self, capsys):
+        outputs = {}
+
+        def run(name, argv):
+            assert main(argv) == 0
+            outputs[name] = capsys.readouterr().out
+
+        run("demo", ["demo", "--stores", "2", "--photos", "24"])
+        run("demo-json", ["demo", "--stores", "2", "--photos", "24",
+                          "--format", "json", "--seed", "3"])
+        run("metrics", ["metrics", "--format", "json",
+                        "--stores", "2", "--photos", "12"])
+        outputs["metrics"] = self._untimed_metrics(outputs["metrics"])
+        run("trace", ["trace", "--stores", "2", "--photos", "12"])
+        outputs["trace"] = self._untimed_trace(outputs["trace"])
+        # a relative path: the checkpoint table is padded to its width
+        run("checkpoint", ["checkpoint", "--stores", "2", "--photos", "12",
+                           "--runs", "2", "--at-run", "0",
+                           "--out", "demo.ndcp"])
+        with open("demo.ndcp", "rb") as handle:
+            outputs["checkpoint-bytes"] = handle.read()
+        run("resume", ["resume", "demo.ndcp"])
+        return {name: self._digest(out) for name, out in outputs.items()}
+
+    def test_outputs_match_the_pinned_digests(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert self._outputs(capsys) == self.PINNED
