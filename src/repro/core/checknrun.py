@@ -238,7 +238,7 @@ def changed_tensors(old: Dict[str, np.ndarray],
             )
         bits, low, step = meta
         if bits:
-            codes = np.frombuffer(payload, dtype=_code_dtype(bits))
+            codes = np.frombuffer(payload, dtype=code_dtype(bits))
             diff = dequantize(codes.reshape(1, -1), np.array([low]),
                               np.array([step])).reshape(shape)
             new[key] = (base.astype(np.float64) + diff).astype(dtype)
@@ -364,7 +364,7 @@ def quantize(rows: np.ndarray, bits: int, scale=np.float64,
     codes /= step[:, None].astype(np.float64)
     np.rint(codes, out=codes)
     np.clip(codes, 0, levels, out=codes)
-    return codes.astype(_code_dtype(bits)), low, step
+    return codes.astype(code_dtype(bits)), low, step
 
 
 def dequantize(codes: np.ndarray, low: np.ndarray,
@@ -376,5 +376,6 @@ def dequantize(codes: np.ndarray, low: np.ndarray,
     return rows
 
 
-def _code_dtype(bits: int) -> type:
+def code_dtype(bits: int) -> type:
+    """The dtype of :func:`quantize`'s codes at ``bits`` per element."""
     return np.uint8 if bits <= 8 else np.uint16

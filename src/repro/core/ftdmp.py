@@ -17,12 +17,15 @@ Rows cross the Store -> Tuner hop as :class:`FeatureRows`, quantised to
 ``(low, step)`` per row, and the tail trains on the decoded rows — what
 the channel delivers.  The single-host trainer passes its rows through
 the same codec, so distributed and single-host learning stay equal.
+The front is frozen, so a row the Tuner received stays valid while what
+it was made from does: the Tuner keeps each photo's wire record in a
+:class:`RowStore` and is shipped only new or re-keyed rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +34,12 @@ from ..models.split import SplitModel
 from ..nn.losses import cross_entropy
 from ..nn.optim import Adam, Optimizer, SGD
 from ..nn.tensor import Tensor, inference_mode
-from .checknrun import FEATURE_BITS, dequantize, quantize
+from .checknrun import FEATURE_BITS, code_dtype, dequantize, quantize
+
+#: what a feature row is made from: the front's digest at the split and
+#: the stored CRC32 of the photo's ``preproc/`` blob (the ``feat/``
+#: header's key)
+RowKey = Tuple[bytes, int]
 
 
 def frozen_front_features(model: SplitModel, split: int, x: np.ndarray,
@@ -97,13 +105,86 @@ class FeatureRows:
 
     def to_bytes(self) -> bytes:
         """The wire encoding: one ``low | step | codes`` record a row."""
-        records = np.empty(len(self), [
-            ("low", "<f4"), ("step", "<f4"),
-            ("codes", self.codes.dtype.newbyteorder("<"),
-             self.codes.shape[1:])])
+        records = np.empty(len(self), _wire_record(self.codes.shape[1]))
         records["low"], records["step"] = self.low, self.step
         records["codes"] = self.codes
         return records.tobytes()
+
+    @classmethod
+    def from_bytes(cls, blob: bytes,
+                   row_shape: Tuple[int, ...]) -> "FeatureRows":
+        """Inverse of :meth:`to_bytes` for rows of ``row_shape``: the
+        fields are read-only views into ``blob``."""
+        records = np.frombuffer(
+            blob, _wire_record(int(np.prod(row_shape, dtype=np.int64))))
+        return cls(records["codes"], records["low"], records["step"],
+                   tuple(row_shape))
+
+
+def _wire_record(elements: int) -> np.dtype:
+    """One row's wire record: ``low | step | codes``, little-endian."""
+    return np.dtype([
+        ("low", "<f4"), ("step", "<f4"),
+        ("codes", np.dtype(code_dtype(FEATURE_BITS)).newbyteorder("<"),
+         (elements,))])
+
+
+class RowStore:
+    """The feature rows a Tuner received: one wire record per photo.
+
+    Each record is what crossed the fabric (``low | step | codes``,
+    :meth:`FeatureRows.to_bytes`), held under the key of what the row was
+    made from — the owning store's front digest at its split and the
+    stored CRC of the photo's ``preproc/`` blob, the ``feat/`` header's
+    own law.  A row is a function of the two, so a record whose key
+    still matches is the row the store would ship again.  Derived state:
+    never checkpointed, empty on a fresh Tuner.
+    """
+
+    def __init__(self) -> None:
+        #: photo id -> (key, wire record, row shape)
+        self._held: Dict[str, Tuple[RowKey, bytes, Tuple[int, ...]]] = {}
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the held wire records."""
+        return sum(len(record) for _key, record, _shape
+                   in self._held.values())
+
+    def stale(self, photo_ids: Sequence[str],
+              keys: Sequence[RowKey]) -> List[int]:
+        """Positions in ``photo_ids`` whose row is not held under its key."""
+        held = self._held
+        return [i for i, (pid, key) in enumerate(zip(photo_ids, keys))
+                if pid not in held or held[pid][0] != key]
+
+    def keep(self, photo_ids: Sequence[str], keys: Sequence[RowKey],
+             message: FeatureRows) -> None:
+        """Hold each row of a delivered ``message`` under its key."""
+        blob = message.to_bytes()
+        size = len(blob) // len(message)
+        for i, (pid, key) in enumerate(zip(photo_ids, keys)):
+            self._held[pid] = (key, blob[i * size:(i + 1) * size],
+                               message.row_shape)
+
+    def message(self, photo_ids: Sequence[str]) -> FeatureRows:
+        """The held rows of ``photo_ids``, in order, as one message."""
+        records = [self._held[pid] for pid in photo_ids]
+        return FeatureRows.from_bytes(
+            b"".join(record for _key, record, _shape in records),
+            records[0][2])
+
+    def retain(self, photo_ids) -> None:
+        """Drop every record but those of ``photo_ids``."""
+        keep = set(photo_ids)
+        self._held = {pid: held for pid, held in self._held.items()
+                      if pid in keep}
+
+    def clear(self) -> None:
+        self._held.clear()
 
 
 @dataclass
@@ -126,15 +207,19 @@ class FinetuneReport:
     #: bytes of features shipped PipeStores -> Tuner (encoded
     #: :class:`FeatureRows`)
     feature_bytes: int = 0
-    #: images processed by the Store stage (feature extractions)
+    #: photos whose rows the tail trained on: shipped this round or
+    #: held by the Tuner from an earlier one
     images_extracted: int = 0
+    #: of those, rows the Tuner already held under their key (not
+    #: shipped): rows shipped = ``images_extracted - rows_held``
+    rows_held: int = 0
     #: accuracy trajectory if an eval function was supplied:
     #: (run, epoch, accuracy)
     accuracy_trace: List[Tuple[int, int, float]] = field(default_factory=list)
     #: PipeStores that were down when the Tuner tried to gather features
     skipped_stores: List[str] = field(default_factory=list)
     #: photos re-placed onto surviving stores after a mid-run crash and
-    #: successfully extracted there (degraded-mode FT-DMP)
+    #: successfully delivered from there (degraded-mode FT-DMP)
     photos_repartitioned: int = 0
     #: photos that could not be trained on this round (store lost and no
     #: re-placement possible) — the operator reruns after repair
@@ -159,6 +244,7 @@ class FinetuneReport:
             "split": self.split,
             "feature_bytes": self.feature_bytes,
             "images_extracted": self.images_extracted,
+            "rows_held": self.rows_held,
             "photos_repartitioned": self.photos_repartitioned,
             "photos_deferred": self.photos_deferred,
             "skipped_stores": list(self.skipped_stores),
@@ -175,6 +261,8 @@ class FinetuneReport:
         report = cls(num_runs=data["num_runs"], split=data["split"])
         report.feature_bytes = data["feature_bytes"]
         report.images_extracted = data["images_extracted"]
+        # a report written before the Tuner held rows shipped every row
+        report.rows_held = data.get("rows_held", 0)
         report.photos_repartitioned = data["photos_repartitioned"]
         report.photos_deferred = data["photos_deferred"]
         report.skipped_stores = list(data["skipped_stores"])

@@ -33,7 +33,7 @@ from ..storage.imageformat import (
 )
 from ..storage.objectstore import CorruptObjectError, MissingObjectError, ObjectStore
 from . import checknrun
-from .ftdmp import frozen_front_features
+from .ftdmp import RowKey, frozen_front_features
 
 
 def softmax_top1(logits: np.ndarray) -> List[Tuple[int, float]]:
@@ -387,6 +387,19 @@ class PipeStore:
             self._m_delta_updates.inc()
 
     # -- near-data jobs --------------------------------------------------------
+    def row_keys(self, photo_ids: Sequence[str]) -> List[RowKey]:
+        """What each photo's split-point row is made from: this replica's
+        front digest at its split and the stored CRC of the photo's
+        ``preproc/`` blob — the ``feat/`` header's key.  A row is a
+        function of the two, so a reader holding a row under a matching
+        key holds the row this store would compute."""
+        self._require_available()
+        self._require_model()
+        objects = self.objects
+        digest = self.model.front.digest_at(self.split)
+        return [(digest, objects.stored_crc(objects.preproc_key(pid)))
+                for pid in photo_ids]
+
     def extract_features(self, photo_ids: Sequence[str]) -> np.ndarray:
         """The Store-stage of FT-DMP: split-point features of local data."""
         features = self._features(photo_ids)
@@ -416,19 +429,15 @@ class PipeStore:
         back; the rest — and only they — run the front, are accounted as
         compute, and are stored for the next call.
         """
-        self._require_available()
-        self._require_model()
+        keys = self.row_keys(photo_ids)
         if not photo_ids:
             raise ValueError("no photo ids given")
         objects = self.objects
-        digest = self.model.front.digest_at(self.split)
-        crcs = [objects.stored_crc(objects.preproc_key(pid))
-                for pid in photo_ids]
         features, misses = None, []
-        for row, (pid, crc) in enumerate(zip(photo_ids, crcs)):
+        for row, (pid, key) in enumerate(zip(photo_ids, keys)):
             try:
                 stored = _unpack_feature(
-                    objects.get(objects.feature_key(pid)), digest, crc)
+                    objects.get(objects.feature_key(pid)), *key)
             except (MissingObjectError, CorruptObjectError):
                 stored = None  # recomputable: absent or rotted is a miss
             if stored is None:
@@ -445,7 +454,7 @@ class PipeStore:
                 self.batch_size)
             for row, feature in zip(misses, computed):
                 objects.put(objects.feature_key(photo_ids[row]),
-                            _pack_feature(digest, crcs[row], feature))
+                            _pack_feature(*keys[row], feature))
             if features is None:
                 features = computed
             else:

@@ -35,7 +35,7 @@ from ..obs.tracing import Tracer, wall_clock
 from ..storage.imageformat import preprocess
 from . import checknrun
 from .fabric import NetworkFabric
-from .ftdmp import FeatureRows, FinetuneReport, train_tail
+from .ftdmp import FeatureRows, FinetuneReport, RowStore, train_tail
 from .pipestore import PipeStore, StoreUnavailableError
 
 #: maps a lost store's photo ids to replacement assignments
@@ -120,6 +120,9 @@ class Tuner:
         #: bytes the replica syncs have put on the fabric, each message
         #: counted every time it was charged
         self._sync_bytes_sent = 0
+        #: the feature rows received from stores (derived state: never
+        #: checkpointed, pruned to each round's plan)
+        self.rows = RowStore()
         model.freeze_features()
         self.distributions: List[DistributionStats] = []
 
@@ -137,9 +140,15 @@ class Tuner:
             "ftdmp_runs_total", "pipeline runs executed across fine-tunes")
         self._m_images = metrics.counter(
             "ftdmp_images_extracted_total",
-            "images whose features reached the Tuner")
+            "images whose rows the tail trained on, shipped or held")
         self._m_feature_bytes = metrics.counter(
             "ftdmp_feature_bytes_total", "feature bytes shipped to the Tuner")
+        self._m_rows_reused = metrics.counter(
+            "ftdmp_feature_rows_reused_total",
+            "rows trained on from the Tuner's row store, not shipped")
+        self._m_rows_held = metrics.gauge(
+            "ftdmp_feature_rows_held_bytes",
+            "wire bytes of the feature rows the Tuner holds")
         self._m_distributions = metrics.counter(
             "checknrun_distributions_total", "model distribution rounds",
             label_names=("mechanism",))
@@ -383,6 +392,9 @@ class Tuner:
         ``num_runs`` pipeline runs: within a run every PipeStore extracts
         features for its share and ships them over; the Tuner then trains
         the tail for ``epochs`` epochs before the next run arrives (§5.2).
+        A row the Tuner already holds under its key is not shipped again
+        (:meth:`_gather_features`); at the end of the round the row store
+        keeps only the photos of this round's plan.
 
         ``relocate`` enables degraded-mode FT-DMP: when a store is lost
         mid-run, its shard is handed to the callback (the cluster re-places
@@ -420,6 +432,7 @@ class Tuner:
         for run_index in range(start_run, len(run_plan)):
             per_store_ids = run_plan[run_index]
             images_before = report.images_extracted
+            held_before = report.rows_held
             bytes_before = report.feature_bytes
             start = wall_clock()
             with self._span("ftdmp.store_stage", run=run_index):
@@ -431,6 +444,7 @@ class Tuner:
                 self._m_runs.inc()
                 self._m_store_stage.observe(store_seconds)
                 self._m_images.inc(report.images_extracted - images_before)
+                self._m_rows_reused.inc(report.rows_held - held_before)
                 self._m_feature_bytes.inc(report.feature_bytes - bytes_before)
             if len(features) > 0:
                 start = wall_clock()
@@ -444,6 +458,10 @@ class Tuner:
                     self._m_tuner_stage.observe(wall_clock() - start)
             if on_run_complete is not None:
                 on_run_complete(run_index, run_plan, report)
+        self.rows.retain(pid for per_store in run_plan
+                         for ids in per_store.values() for pid in ids)
+        if self._metrics is not None:
+            self._m_rows_held.set(self.rows.nbytes)
         if distribute:
             with self._span("ftdmp.distribute"):
                 self.distribute_update()
@@ -464,12 +482,19 @@ class Tuner:
                          report: FinetuneReport,
                          relocate: Optional[Relocator] = None,
                          ) -> Tuple[np.ndarray, np.ndarray]:
-        """One run's Store stage: every store's rows, shipped as
-        :class:`FeatureRows` and decoded here once per message — the
-        tail trains on what the channel delivers."""
-        messages, label_chunks = [], []
+        """One run's Store stage.
+
+        Every store in the run is asked for its shard: the labels, and
+        the rows whose key (:meth:`PipeStore.row_keys`) the Tuner's row
+        store does not hold or no longer matches.  Only those cross the
+        fabric, as one :class:`FeatureRows` message per store, and are
+        kept.  The run's rows are then the held records in plan order,
+        decoded here — the tail trains on what the channel delivered,
+        this round or an earlier one.
+        """
+        shards, label_chunks = [], []
         # (store_id, ids, was_relocated); shards re-placed after a crash
-        # re-enter this queue and extract on their new store in-run
+        # re-enter this queue and are gathered from their new store in-run
         pending = deque(
             (store_id, list(ids), False)
             for store_id, ids in per_store_ids.items()
@@ -482,8 +507,13 @@ class Tuner:
                 continue
             store = self._stores[store_id]
             try:
-                feats = store.extract_features(ids)
+                keys = store.row_keys(ids)
                 labels = np.array([store.train_label(pid) for pid in ids])
+                stale = self.rows.stale(ids, keys)
+                ship = [ids[i] for i in stale]
+                if ship:
+                    message = FeatureRows.encode(
+                        store.extract_features(ship))
             except StoreUnavailableError:
                 if store_id not in report.skipped_stores:
                     report.skipped_stores.append(store_id)
@@ -501,26 +531,28 @@ class Tuner:
                     # provides and record the gap for a rerun after repair
                     report.photos_deferred += len(ids)
                 continue
-            message = FeatureRows.encode(feats)
-            try:
-                delivered = call_with_retry(
-                    lambda: self.network.send(store_id, self.name,
-                                              message.wire_size(),
-                                              "features", message),
-                    self.retry)
-            except TransientFaultError:
-                # the feature stream itself is persistently dropped
-                report.photos_deferred += len(ids)
-                continue
-            report.feature_bytes += message.wire_size()
+            if ship:
+                try:
+                    delivered = call_with_retry(
+                        lambda: self.network.send(store_id, self.name,
+                                                  message.wire_size(),
+                                                  "features", message),
+                        self.retry)
+                except TransientFaultError:
+                    # the feature stream itself is persistently dropped
+                    report.photos_deferred += len(ids)
+                    continue
+                report.feature_bytes += message.wire_size()
+                self.rows.keep(ship, [keys[i] for i in stale], delivered)
             report.images_extracted += len(ids)
+            report.rows_held += len(ids) - len(ship)
             if was_relocated:
                 report.photos_repartitioned += len(ids)
-            messages.append(delivered)
+            shards.extend(ids)
             label_chunks.append(labels)
-        if not messages:
+        if not shards:
             return np.empty((0,)), np.empty((0,), dtype=np.int64)
-        return (np.concatenate([message.decode() for message in messages]),
+        return (self.rows.message(shards).decode(),
                 np.concatenate(label_chunks, axis=0))
 
     def catch_up(self, store: PipeStore) -> None:
@@ -572,6 +604,10 @@ class Tuner:
         self._last_distributed = (None if published is None else
                                   {**published, **self.model.front.arrays})
         self._syncs_of = None
+        # held rows are derived state, not part of what was imported
+        self.rows.clear()
+        if self._metrics is not None:
+            self._m_rows_held.set(0)
         self._serve_published()
         self._rng.bit_generator.state = state["rng"]
         opt_state = state["optimizer"]

@@ -185,13 +185,18 @@ class TestDemoOutputIsPinned:
     those of the output each command printed when it spelled its own
     world and cluster."""
 
+    # re-pinned when the Tuner began holding feature rows: the metrics
+    # export gained ftdmp_feature_rows_{reused_total,held_bytes} (and a
+    # reworded images help; bb902f51371d8c75 before), and the mid-run
+    # checkpoint's report gained "rows_held": 0, every blob unchanged
+    # (checkpoint 33aa6a67ae6ef281, bytes 51862ebd2dcbd86e before)
     PINNED = {
         "demo": "d64356a40c4d6a99",
         "demo-json": "8dfe9a49faf83da9",
-        "metrics": "bb902f51371d8c75",
+        "metrics": "a60d374e49ffc0d9",
         "trace": "3adee8aefad31562",
-        "checkpoint": "33aa6a67ae6ef281",
-        "checkpoint-bytes": "51862ebd2dcbd86e",
+        "checkpoint": "ed7a2cb0587f59c8",
+        "checkpoint-bytes": "20d430052f9a2bc5",
         "resume": "58b65883edbaaa2f",
     }
 
