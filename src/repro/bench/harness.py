@@ -143,7 +143,7 @@ class HarnessScale:
     epochs: int
     #: timed fine-tune rounds (each continues training the same tuner)
     finetune_repeats: int
-    #: timed full-relabel sweeps
+    #: timed relabel samples (of :data:`RELABEL_SWEEPS` full sweeps each)
     relabel_repeats: int
 
 
@@ -161,6 +161,13 @@ SCALES: Dict[str, HarnessScale] = {
 
 SCENARIOS = ("ingest", "finetune", "relabel", "serving", "serving_stream",
              "sharding")
+
+#: full relabel sweeps in one timed relabel sample.  One sweep of the
+#: smoke corpus is under a millisecond, too short a window for the gate's
+#: 15 % bound: six A/A smoke runs at one sweep a sample spread -23 % to
+#: +19 % of their median, at 64 back-to-back sweeps of the same photos
+#: about -5 % to +10 % on a shared 2-vCPU host.
+RELABEL_SWEEPS = 64
 
 
 def _percentile(samples: Sequence[float], q: float) -> float:
@@ -233,7 +240,8 @@ def _run_lifecycle(scale: HarnessScale, seed: int,
     """Ingest -> finetune -> relabel on one cluster, timing each stage.
 
     Earlier stages always run (a fine-tune needs ingested photos) but
-    are only *recorded* when requested.
+    are only *recorded* when requested; later stages nothing records do
+    not run.
     """
     wanted = set(scenarios)
     payloads: Dict[str, Dict] = {}
@@ -266,6 +274,9 @@ def _run_lifecycle(scale: HarnessScale, seed: int,
             config=config,
         )
 
+    if not wanted & {"finetune", "relabel"}:
+        return payloads
+
     # -- finetune: repeated FT-DMP rounds on the ingested corpus ----------
     clock = _PairedClock()
     traffic_before = sum(cluster.traffic_summary().values())
@@ -286,26 +297,30 @@ def _run_lifecycle(scale: HarnessScale, seed: int,
             config=config,
         )
 
+    if "relabel" not in wanted:
+        return payloads
+
     # -- relabel: full offline NPE sweeps over every stored photo ---------
+    def sweeps() -> int:
+        return sum(cluster.offline_relabel(only_outdated=False)
+                   .photos_processed for _ in range(RELABEL_SWEEPS))
+
     clock = _PairedClock()
     traffic_before = sum(cluster.traffic_summary().values())
     photos = 0
     start = wall_clock()
     for _ in range(scale.relabel_repeats):
-        stats = clock.time(
-            lambda: cluster.offline_relabel(only_outdated=False))
-        photos += stats.photos_processed
+        photos += clock.time(sweeps)
     relabel_wall = wall_clock() - start
     relabel_bytes = sum(cluster.traffic_summary().values()) - traffic_before
-    if "relabel" in wanted:
-        payloads["BENCH_relabel"] = bench_payload(
-            "BENCH_relabel",
-            _scenario_results(
-                "relabel", clock.samples, clock.cals, "photos/s",
-                photos / scale.relabel_repeats, relabel_wall, cal_s,
-                relabel_bytes, photos, "photos"),
-            config=config,
-        )
+    payloads["BENCH_relabel"] = bench_payload(
+        "BENCH_relabel",
+        _scenario_results(
+            "relabel", clock.samples, clock.cals, "photos/s",
+            photos / scale.relabel_repeats, relabel_wall, cal_s,
+            relabel_bytes, photos, "photos"),
+        config=config,
+    )
     return payloads
 
 

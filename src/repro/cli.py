@@ -27,6 +27,15 @@ Commands:
   ND001..ND005 plus the interprocedural call-graph tier ND006..ND009)
   over the package (or given paths) and exit nonzero on unbaselined
   findings (``--baseline``/``--update-baseline`` manage the ledger).
+* ``nemesis``  — run a seeded chaos schedule against an HA cluster and
+  exit nonzero on any invariant violation;
+* ``validate`` — check the hardware catalog against the paper's anchors;
+* ``serve-stream`` — run the streaming credit-window protocol against
+  the synchronous front end on a bursty trace;
+* ``shard-bench`` — run the sharded-fleet benchmark (ring placement,
+  fan-out distribution, live rebalance);
+* ``report``   — print the numbers CI puts in its job summary, one topic
+  (``repro.report.TOPICS``) or ``--all``, as Markdown.
 
 Every subcommand takes the same three plumbing flags: ``--seed`` (the
 deterministic run seed), ``--out`` (write the report to a file instead
@@ -56,18 +65,24 @@ def _add_common_flags(parser: argparse.ArgumentParser,
                         help=f"output format (default {default_format})")
 
 
-def _add_stores_flag(parser: argparse.ArgumentParser,
-                      at_least: int = 1) -> None:
-    """``--stores N``, refused by argparse (one line, exit 2) below the
-    smallest fleet the subcommand can build."""
+def _at_least(floor: int):
+    """An argparse integer type refusing values below ``floor`` (one
+    line, exit 2)."""
     def integer(text: str) -> int:
         value = int(text)
-        if value < at_least:
+        if value < floor:
             raise argparse.ArgumentTypeError(
-                f"need at least {at_least}, got {value}")
+                f"need at least {floor}, got {value}")
         return value
 
-    parser.add_argument("--stores", type=integer, default=3)
+    return integer
+
+
+def _add_stores_flag(parser: argparse.ArgumentParser,
+                      at_least: int = 1) -> None:
+    """``--stores N``, refused below the smallest fleet the subcommand
+    can build."""
+    parser.add_argument("--stores", type=_at_least(at_least), default=3)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -444,7 +459,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     # a regression must reproduce in every attempt to fail the gate:
     # bursty interference (scheduler preemption, host steal) can push
     # one run's timing past tolerance without any code change
-    for attempt in range(max(1, args.attempts)):
+    for attempt in range(args.attempts):
         if attempt:
             payloads = run_harness(scale, seed=args.seed,
                                    scenarios=scenarios)
@@ -724,7 +739,16 @@ def _cmd_serve_stream(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_report(args: argparse.Namespace) -> int:
+    from .report import TOPICS, render
+
+    _emit(render(TOPICS if args.all else [args.topic]), args.out)
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .report import TOPICS
+
     parser = argparse.ArgumentParser(
         prog="repro", description="NDPipe reproduction CLI",
     )
@@ -880,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--check", action="store_true",
                       help="gate the fresh results against the baselines; "
                            "exit 1 on regression, 2 on invalid comparison")
-    perf.add_argument("--attempts", type=int, default=3,
+    perf.add_argument("--attempts", type=_at_least(1), default=3,
                       help="with --check, a regression must reproduce in "
                            "this many fresh runs to fail the gate "
                            "(default 3; bursty machine noise is not a "
@@ -919,6 +943,17 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fail when obs/METRICS.md is stale")
     _add_common_flags(lint)
     lint.set_defaults(func=_cmd_lint)
+
+    report = sub.add_parser(
+        "report", help="print the numbers CI puts in its job summary "
+                       "(Markdown), for one topic or --all")
+    which = report.add_mutually_exclusive_group(required=True)
+    which.add_argument("topic", nargs="?", choices=list(TOPICS))
+    which.add_argument("--all", action="store_true",
+                       help="every topic, in table order")
+    _add_common_flags(report, formats=("markdown",),
+                      default_format="markdown")
+    report.set_defaults(func=_cmd_report)
     return parser
 
 

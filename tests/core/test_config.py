@@ -1,7 +1,10 @@
-"""The config classes' shared (de)serialisation; ClusterConfig
-validation; the removed legacy spellings stay removed."""
+"""The config classes' shared (de)serialisation, one parametrized class
+for all six; ClusterConfig validation; the removed legacy spellings stay
+removed."""
 
+import re
 import warnings
+from typing import NamedTuple
 
 import pytest
 
@@ -17,35 +20,65 @@ def _factory():
     return tiny_model("ResNet50", num_classes=8, width=8, seed=7)
 
 
-#: per config class: a valid non-default instance, a dict whose value
-#: ``validated()`` refuses, and the fields that became module constants
-#: (their values are a constant of the design, not a knob)
+class Case(NamedTuple):
+    """One config class's parameters for :class:`TestEveryConfig`."""
+
+    #: valid non-default instances, each round-tripped
+    instances: tuple
+    #: dicts naming a field the class lacks (beside valid ones), each
+    #: refused with the unknown names
+    unknown: tuple
+    #: ``(dict, match)``: a value ``from_dict`` validates and refuses
+    invalid: tuple
+    #: fields that became module constants (their values are a constant
+    #: of the design, not a knob)
+    removed: tuple
+
+
+NO_SUCH_KNOB = {"no_such_knob": 1}
+
 CONFIGS = {
-    ClusterConfig: (ClusterConfig(num_stores=6, replication=2, seed=11,
-                                  journal_max_entries=32),
-                    {"batch_size": 0}, ("journal_uploads",)),
-    ServingConfig: (ServingConfig(replicas=3, slo_s=0.05, deadline_s=0.2,
-                                  cache_capacity_bytes=0),
-                    {"min_batch": 8, "max_batch": 4},
-                    ("accelerator", "model", "additive_step",
-                     "slo_headroom", "db_update_s", "preprocess_cores",
-                     "seed")),
-    StreamConfig: (StreamConfig(credits=32, min_replicas=2, max_replicas=4,
-                                autoscale=False),
-                   {"credits": 0},
-                   ("scale_up_headroom", "scale_down_headroom")),
-    HAConfig: (HAConfig(suspect_after_ticks=7, standby=False),
-               {"suspect_after_ticks": 0},
-               ("account_heartbeats", "heartbeat_bytes",
-                "heartbeat_interval_ticks", "window")),
-    ShardConfig: (ShardConfig(num_shards=4, replication=2, ring_seed=9),
-                  {"fanout": 0}, ("load_factor", "rebalance_batch")),
-    TenantConfig: (TenantConfig(name="acme", byte_quota=1 << 20, weight=2.5),
-                   {"weight": 0.0}, ("request_quota",)),
+    ClusterConfig: Case(
+        (ClusterConfig(num_stores=6, replication=2, seed=11,
+                       journal_max_entries=32),
+         ClusterConfig(num_stores=6, replication=2, seed=11)),
+        (NO_SUCH_KNOB, {"num_stores": 2, "stores": 2}),
+        ({"batch_size": 0}, "batch_size"),
+        ("journal_uploads",)),
+    ServingConfig: Case(
+        (ServingConfig(replicas=3, slo_s=0.05, deadline_s=0.2,
+                       cache_capacity_bytes=0),),
+        (NO_SUCH_KNOB,),
+        ({"min_batch": 8, "max_batch": 4}, "batch"),
+        ("accelerator", "model", "additive_step", "slo_headroom",
+         "db_update_s", "preprocess_cores", "seed")),
+    StreamConfig: Case(
+        (StreamConfig(credits=32, min_replicas=2, max_replicas=4,
+                      autoscale=False),
+         StreamConfig(credits=32, min_replicas=2, max_replicas=4)),
+        (NO_SUCH_KNOB, {"credits": 8, "queue_capacity": 4}),
+        ({"credits": 0}, "credits"),
+        ("scale_up_headroom", "scale_down_headroom")),
+    HAConfig: Case(
+        (HAConfig(suspect_after_ticks=7, standby=False),),
+        (NO_SUCH_KNOB, {"nope": 1}),
+        ({"suspect_after_ticks": 0}, "suspect_after_ticks"),
+        ("account_heartbeats", "heartbeat_bytes",
+         "heartbeat_interval_ticks", "window")),
+    ShardConfig: Case(
+        (ShardConfig(num_shards=4, replication=2, ring_seed=9),),
+        (NO_SUCH_KNOB, {"num_shards": 4, "shards": 4}),
+        ({"fanout": 0}, "fanout"),
+        ("load_factor", "rebalance_batch")),
+    TenantConfig: Case(
+        (TenantConfig(name="acme", byte_quota=1 << 20, weight=2.5),),
+        (NO_SUCH_KNOB, {"name": "acme", "quota": 1}),
+        ({"weight": 0.0}, "weight"),
+        ("request_quota",)),
 }
 
-REMOVED = [(cls, name) for cls, (_, _, names) in CONFIGS.items()
-           for name in names]
+REMOVED = [(cls, name) for cls, case in CONFIGS.items()
+           for name in case.removed]
 
 
 def _name(value):
@@ -55,20 +88,23 @@ def _name(value):
 @pytest.mark.parametrize("cls", CONFIGS, ids=_name)
 class TestEveryConfig:
     def test_round_trip(self, cls):
-        config = CONFIGS[cls][0]
-        assert config != cls()
-        assert cls.from_dict(config.to_dict()) == config
-        assert set(config.to_dict()) == cls.field_names()
+        for config in CONFIGS[cls].instances:
+            assert config != cls()
+            assert cls.from_dict(config.to_dict()) == config
+            assert set(config.to_dict()) == cls.field_names()
 
     def test_unknown_key_is_refused_by_name(self, cls):
-        with pytest.raises(ValueError,
-                           match=rf"unknown {cls.__name__} fields "
-                                 r"\['no_such_knob'\]"):
-            cls.from_dict({"no_such_knob": 1})
+        for data in CONFIGS[cls].unknown:
+            names = sorted(set(data) - cls.field_names())
+            with pytest.raises(ValueError,
+                               match=re.escape(f"unknown {cls.__name__} "
+                                               f"fields {names}")):
+                cls.from_dict(data)
 
     def test_from_dict_validates(self, cls):
-        with pytest.raises(ValueError):
-            cls.from_dict(CONFIGS[cls][1])
+        data, match = CONFIGS[cls].invalid
+        with pytest.raises(ValueError, match=match):
+            cls.from_dict(data)
 
 
 @pytest.mark.parametrize("cls,name", REMOVED, ids=_name)
@@ -109,18 +145,6 @@ class TestValidation:
             NDPipeCluster(_factory, ClusterConfig(batch_size=0))
         with pytest.raises(ValueError, match="lr"):
             NDPipeCluster(_factory, ClusterConfig(lr=0.0))
-
-    def test_roundtrip(self):
-        config = ClusterConfig(num_stores=6, replication=2, seed=11)
-        assert ClusterConfig.from_dict(config.to_dict()) == config
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown ClusterConfig fields"):
-            ClusterConfig.from_dict({"num_stores": 2, "stores": 2})
-
-    def test_from_dict_validates(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            ClusterConfig.from_dict({"batch_size": 0})
 
 
 class TestLegacyShim:

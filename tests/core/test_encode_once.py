@@ -72,6 +72,9 @@ class TestStoredPhotoEncodesOnce:
         assert b.startswith(a.rstrip(b"\0")) and not b[len(a):].strip(b"\0")
         assert small.objects.peek("preproc/p") is large.objects.peek(
             "preproc/p")
+        # the padding is a length, never held zeros
+        payload, nominal = large.objects.peek_payload("raw/p")
+        assert nominal == 4096 and len(payload) * 4 < nominal
 
     def test_matches_a_fresh_encode_byte_for_byte(self, rng):
         upload = photo(rng)

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.cluster import NDPipeCluster
 from repro.core.config import ClusterConfig
+from repro.durability.checkpoint import _VERSION as FRAME_VERSION
 from repro.faults import FaultInjector, TunerCrash
 from repro.faults.errors import TunerCrashError
 from repro.models.registry import tiny_model
@@ -89,6 +90,8 @@ def run_until_crash(small_world, seed, crash_tick, out_dir):
     written = {}
 
     def sink(run_index, blob):
+        # byte 5 of a frame is its version: the one the writer stamps today
+        assert blob[:4] == b"NDCP" and blob[4] == FRAME_VERSION
         path = out_dir / f"crash-resume-s{seed}-run{run_index}.ndcp"
         path.write_bytes(blob)
         written[run_index] = path

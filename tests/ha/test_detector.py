@@ -76,9 +76,3 @@ class TestConfig:
                     dict(phi_threshold=0.0)):
             with pytest.raises(ValueError):
                 HAConfig(**bad).validated()
-
-    def test_round_trip(self):
-        config = HAConfig(suspect_after_ticks=7, standby=False)
-        assert HAConfig.from_dict(config.to_dict()) == config
-        with pytest.raises(ValueError, match="unknown"):
-            HAConfig.from_dict({"nope": 1})

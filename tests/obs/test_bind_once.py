@@ -1,5 +1,5 @@
 """Bind once: hot paths validate a label set when they bind its child,
-never per report.
+never per report, and a bound child is never slower than its family.
 
 ``_Instrument._key`` is the one place a label set is validated and
 stringified.  Over a flash smoke trace, a ladder rung and an ingest
@@ -17,6 +17,7 @@ from repro.core.config import ClusterConfig
 from repro.models.registry import tiny_model
 from repro.obs.metrics import MetricsRegistry, _Instrument
 from repro.placement import ShardConfig, ShardedCluster
+from repro.report import instrument_cost
 from repro.serving import ServingConfig, StreamConfig, StreamingFrontend
 from repro.serving.bench import STREAM_BENCH_DEFAULTS, _stream_trace
 from repro.workloads.continuous import open_loop_requests
@@ -78,3 +79,10 @@ def test_ingest_chunk_validates_per_label_set(key_calls):
     assert len(ids) == 64 and not rejections
     assert len(key_calls) - before <= _label_sets(fleet.metrics.registry) \
         < 40
+
+
+def test_a_bound_child_is_not_slower_than_its_family():
+    """Both spellings timed interleaved, best of 7, as ``repro report
+    instrument-cost`` prints them."""
+    assert [name for name, family, child in instrument_cost()
+            if child > family] == []

@@ -1,4 +1,5 @@
-"""ShardConfig / TenantConfig: frozen, validated, strict round-trips."""
+"""ShardConfig / TenantConfig: frozen and validated (their round trips
+and strict keys are ``tests/core/test_config.py::TestEveryConfig``)."""
 
 import dataclasses
 
@@ -26,18 +27,6 @@ class TestShardConfig:
         config = ShardConfig(**{field: value})
         with pytest.raises(ValueError, match=match):
             config.validated()
-
-    def test_roundtrip(self):
-        config = ShardConfig(num_shards=4, replication=2, ring_seed=9)
-        assert ShardConfig.from_dict(config.to_dict()) == config
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown ShardConfig fields"):
-            ShardConfig.from_dict({"num_shards": 4, "shards": 4})
-
-    def test_from_dict_validates(self):
-        with pytest.raises(ValueError, match="fanout"):
-            ShardConfig.from_dict({"fanout": 0})
 
     def test_field_names(self):
         assert "num_shards" in ShardConfig.field_names()
@@ -70,10 +59,3 @@ class TestTenantConfig:
         config = TenantConfig(name="acme").validated()
         assert config.byte_quota is None
 
-    def test_roundtrip(self):
-        config = TenantConfig(name="acme", byte_quota=1 << 20, weight=2.5)
-        assert TenantConfig.from_dict(config.to_dict()) == config
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown TenantConfig fields"):
-            TenantConfig.from_dict({"name": "acme", "quota": 1})

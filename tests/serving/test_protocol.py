@@ -97,14 +97,6 @@ class TestStreamConfig:
         assert config.credits >= 1
         assert config.min_replicas <= config.max_replicas
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown StreamConfig"):
-            StreamConfig.from_dict({"credits": 8, "queue_capacity": 4})
-
-    def test_round_trip(self):
-        config = StreamConfig(credits=32, min_replicas=2, max_replicas=4)
-        assert StreamConfig.from_dict(config.to_dict()) == config
-
     @pytest.mark.parametrize("bad", [
         {"credits": 0},
         {"min_replicas": 0},

@@ -28,6 +28,16 @@ class TestParser:
         assert (f"argument --stores: need at least {floor}, got {stores}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("attempts", ["0", "-1"])
+    def test_perf_attempts_below_one_is_a_usage_error(self, capsys, attempts):
+        """Not a gate that prints ``attempt 1/0 failed`` and its findings
+        twice."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["perf", "--check", "--attempts", attempts])
+        assert exit_info.value.code == 2
+        assert (f"argument --attempts: need at least 1, got {attempts}"
+                in capsys.readouterr().err)
+
     def test_plan_defaults(self):
         args = build_parser().parse_args(["plan"])
         assert args.model == "ResNet50"

@@ -1,0 +1,88 @@
+"""Contracts on the source tree and the CI workflow, read from the files.
+
+- ``src/repro`` takes no lock and never sleeps (faults and retries spend
+  logical time), and ``core/npe.py``, the NPE probe's pipeline, is the
+  one module that constructs a thread;
+- ``sim/engine.py`` is the one event kernel: no other module imports
+  ``heapq``;
+- ``repro report``'s topics read public outputs: ``report.py`` assigns
+  no attribute, and nothing in ``src/repro`` imports the end-to-end
+  benchmark;
+- ``.github/workflows/ci.yml`` runs commands, not code: no ``run:``
+  holds a heredoc or ``python -c``, so each check CI makes is a test or
+  a ``repro`` command that a local run executes too.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+import yaml
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+LOCKS = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
+
+
+@pytest.fixture(scope="module")
+def source():
+    """Over ``src/repro``: each call as ``(function name, where:line)``
+    (the function spelled by module attribute or by imported name), each
+    import as ``(top-level module, where)``, and each assignment to an
+    attribute as ``where:line``."""
+    calls, imports, stores = [], set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        where = str(path.relative_to(SRC))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = (getattr(node.func, "attr", None)
+                        or getattr(node.func, "id", None))
+                calls.append((name, f"{where}:{node.lineno}"))
+            elif isinstance(node, ast.Import):
+                imports.update((alias.name.split(".")[0], where)
+                               for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module \
+                    and not node.level:
+                imports.add((node.module.split(".")[0], where))
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store):
+                stores.append(f"{where}:{node.lineno}")
+    return {"calls": calls, "imports": imports, "stores": stores}
+
+
+def sites(source, names):
+    return [site for name, site in source["calls"] if name in names]
+
+
+def test_only_the_npe_pipeline_constructs_threads(source):
+    assert {site.split(":")[0] for site in sites(source, {"Thread"})} == {
+        "core/npe.py"}
+
+
+def test_nothing_takes_a_lock_or_sleeps(source):
+    assert sites(source, LOCKS) == []
+    assert sites(source, {"sleep"}) == []
+
+
+def test_sim_engine_is_the_only_heapq_importer(source):
+    assert sorted(where for module, where in source["imports"]
+                  if module == "heapq") == ["sim/engine.py"]
+
+
+def test_report_topics_patch_nothing_and_src_never_imports_the_benchmark(
+        source):
+    assert [site for site in source["stores"]
+            if site.startswith("report.py:")] == []
+    assert [where for module, where in source["imports"]
+            if module == "ndpipe_e2e"] == []
+
+
+def test_ci_runs_commands_not_inline_code():
+    ci = yaml.safe_load((ROOT / ".github" / "workflows" / "ci.yml")
+                        .read_text())
+    runs = [step["run"] for job in ci["jobs"].values()
+            for step in job["steps"] if "run" in step]
+    assert runs
+    assert [run for run in runs
+            if re.search(r"<<|\bpython3? +-c\b", run)] == []
