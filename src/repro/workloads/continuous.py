@@ -6,13 +6,22 @@ every day new photos arrive and are labelled online; a maintenance policy
 fine-tune is followed by a near-data offline-relabel campaign so the
 database catches up with the refreshed model.  The log records accuracy,
 label freshness, update counts, and network traffic per day.
+
+It also holds the request traces: :func:`open_loop_requests`,
+:func:`diurnal_requests` and :func:`flash_crowd_requests` share one
+sampler whose draw order is pinned (per arrival an exponential gap, an
+acceptance uniform when thinned, a uniform for the Zipf rank; the pool
+from its own ``pool_seed``).  Every logical serving number follows from
+the trace: changing the draws means re-blessing ``BENCH_serving*.json``
+and both serve workloads' logical metrics.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -59,6 +68,71 @@ class OperationLog:
         return self.days[-1].stale_labels
 
 
+#: argument kinds, as (test, rule): sizes, then rates, periods and
+#: durations, then skews and start times
+_COUNT = (lambda v: v >= 1, ">= 1")
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_NON_NEGATIVE = (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+
+
+def _check(kind, **values: float) -> None:
+    test, rule = kind
+    for name, value in values.items():
+        if not test(value):
+            raise ValueError(f"{name} must be {rule}, got {value}")
+
+
+def _zipf_cdf(pool_size: int, skew: float) -> List[float]:
+    """Popularity CDF over pool ranks, built exactly as
+    ``Generator.choice`` builds it from a ``p`` vector, so
+    ``bisect_right(cdf, rng.random())`` is that call's draw: the same
+    double consumed, the same rank returned."""
+    weights = 1.0 / np.arange(1, pool_size + 1) ** skew
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _sampled_requests(num_requests: int, max_rate_rps: float, seed: int,
+                      pool_size: int, skew: float, image_size: int,
+                      channels: int, pool_seed: int, id_prefix: str,
+                      rate_fn: Optional[Callable[[float], float]] = None,
+                      ) -> List[ServeRequest]:
+    """Poisson arrivals at ``max_rate_rps`` over a Zipf photo pool.
+
+    Given ``rate_fn`` the process is thinned (Lewis–Shedler): a candidate
+    is kept with probability ``rate_fn(t) / max_rate_rps``, one uniform
+    each; without it no uniform is drawn.  ``pool_seed`` is independent
+    of ``seed``, so the pool is made after the ranks and only drawn rows
+    are kept, one array per rank, shared by its requests.
+    """
+    _check(_COUNT, num_requests=num_requests, pool_size=pool_size,
+           image_size=image_size, channels=channels)
+    _check(_NON_NEGATIVE, skew=skew)
+    cdf = _zipf_cdf(pool_size, skew)
+    rng = np.random.default_rng(seed)
+    arrivals: List[float] = []
+    ranks: List[int] = []
+    t = 0.0
+    while len(ranks) < num_requests:
+        t += float(rng.exponential(1.0 / max_rate_rps))
+        if rate_fn is not None:
+            rate = rate_fn(t)
+            if not 0.0 <= rate <= max_rate_rps:
+                raise ValueError(
+                    f"rate_fn({t}) = {rate} outside [0, {max_rate_rps}]")
+            if rng.random() >= rate / max_rate_rps:
+                continue
+        arrivals.append(t)
+        ranks.append(bisect_right(cdf, rng.random()))
+    pool = np.random.default_rng(pool_seed).random(
+        (pool_size, channels, image_size, image_size))
+    rows = {rank: pool[rank].copy() for rank in set(ranks)}
+    return [ServeRequest(request_id=f"{id_prefix}-{i:06d}", arrival_s=at,
+                         pixels=rows[rank], train_label=rank % 10)
+            for i, (at, rank) in enumerate(zip(arrivals, ranks))]
+
+
 def open_loop_requests(num_requests: int, rate_rps: float, seed: int = 0,
                        pool_size: int = 64, skew: float = 1.1,
                        image_size: int = 16, channels: int = 3,
@@ -80,85 +154,10 @@ def open_loop_requests(num_requests: int, rate_rps: float, seed: int = 0,
     comparable across seeds.  Each request's ``train_label`` is a
     deterministic function of its pool image.
     """
-    if num_requests < 1:
-        raise ValueError(f"num_requests must be >= 1, got {num_requests}")
-    if rate_rps <= 0:
-        raise ValueError(f"rate_rps must be > 0, got {rate_rps}")
-    if pool_size < 1:
-        raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-    if skew < 0:
-        raise ValueError(f"skew must be >= 0, got {skew}")
-    pool_rng = np.random.default_rng(pool_seed)
-    pool = pool_rng.random((pool_size, channels, image_size, image_size))
-    weights = 1.0 / np.arange(1, pool_size + 1) ** skew
-    probabilities = weights / weights.sum()
-    rng = np.random.default_rng(seed)
-    arrival_s = 0.0
-    requests: List[ServeRequest] = []
-    for i in range(num_requests):
-        arrival_s += float(rng.exponential(1.0 / rate_rps))
-        rank = int(rng.choice(pool_size, p=probabilities))
-        requests.append(ServeRequest(
-            request_id=f"req-{i:06d}",
-            arrival_s=arrival_s,
-            pixels=pool[rank],
-            train_label=rank % 10,
-        ))
-    return requests
-
-
-def _zipf_pool(pool_size: int, skew: float, image_size: int, channels: int,
-               pool_seed: int):
-    """The shared photo population: pool tensor + popularity weights."""
-    if pool_size < 1:
-        raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-    if skew < 0:
-        raise ValueError(f"skew must be >= 0, got {skew}")
-    pool_rng = np.random.default_rng(pool_seed)
-    pool = pool_rng.random((pool_size, channels, image_size, image_size))
-    weights = 1.0 / np.arange(1, pool_size + 1) ** skew
-    return pool, weights / weights.sum()
-
-
-def _rate_modulated_requests(num_requests: int,
-                             rate_fn: Callable[[float], float],
-                             max_rate_rps: float, seed: int,
-                             pool_size: int, skew: float, image_size: int,
-                             channels: int, pool_seed: int,
-                             id_prefix: str) -> List[ServeRequest]:
-    """Nonhomogeneous Poisson arrivals by thinning (Lewis–Shedler).
-
-    Candidate arrivals are drawn at the envelope ``max_rate_rps`` and
-    kept with probability ``rate_fn(t) / max_rate_rps`` — the standard
-    exact sampler for a time-varying Poisson process.  Pool convention
-    matches :func:`open_loop_requests` (separate ``pool_seed``, Zipf
-    popularity), so all trace shapes offer the same photo population.
-    """
-    if num_requests < 1:
-        raise ValueError(f"num_requests must be >= 1, got {num_requests}")
-    if max_rate_rps <= 0:
-        raise ValueError(f"max_rate_rps must be > 0, got {max_rate_rps}")
-    pool, probabilities = _zipf_pool(pool_size, skew, image_size, channels,
-                                     pool_seed)
-    rng = np.random.default_rng(seed)
-    requests: List[ServeRequest] = []
-    t = 0.0
-    while len(requests) < num_requests:
-        t += float(rng.exponential(1.0 / max_rate_rps))
-        rate = rate_fn(t)
-        if not 0.0 <= rate <= max_rate_rps:
-            raise ValueError(
-                f"rate_fn({t}) = {rate} outside [0, {max_rate_rps}]")
-        if rng.random() >= rate / max_rate_rps:
-            continue
-        rank = int(rng.choice(pool_size, p=probabilities))
-        requests.append(ServeRequest(
-            request_id=f"{id_prefix}-{len(requests):06d}",
-            arrival_s=t,
-            pixels=pool[rank],
-            train_label=rank % 10,
-        ))
-    return requests
+    _check(_POSITIVE, rate_rps=rate_rps)
+    return _sampled_requests(
+        num_requests, rate_rps, seed, pool_size, skew, image_size, channels,
+        pool_seed, id_prefix="req")
 
 
 def diurnal_requests(num_requests: int, base_rps: float, peak_rps: float,
@@ -169,19 +168,19 @@ def diurnal_requests(num_requests: int, base_rps: float, peak_rps: float,
     """A day-night cycle: sinusoidal rate from ``base_rps`` (trough, at
     t=0) up to ``peak_rps`` (mid-period) with period ``period_s``.  Use a
     short ``period_s`` to compress a simulated day into bench time."""
-    if base_rps <= 0 or peak_rps < base_rps:
+    _check(_POSITIVE, base_rps=base_rps, peak_rps=peak_rps,
+           period_s=period_s)
+    if peak_rps < base_rps:
         raise ValueError(
-            f"need 0 < base_rps <= peak_rps, got {base_rps}, {peak_rps}")
-    if period_s <= 0:
-        raise ValueError(f"period_s must be > 0, got {period_s}")
+            f"need base_rps <= peak_rps, got {base_rps}, {peak_rps}")
 
     def rate(t: float) -> float:
         phase = 0.5 * (1.0 - math.cos(2.0 * math.pi * t / period_s))
         return base_rps + (peak_rps - base_rps) * phase
 
-    return _rate_modulated_requests(
-        num_requests, rate, peak_rps, seed, pool_size, skew, image_size,
-        channels, pool_seed, id_prefix="diurnal")
+    return _sampled_requests(
+        num_requests, peak_rps, seed, pool_size, skew, image_size, channels,
+        pool_seed, id_prefix="diurnal", rate_fn=rate)
 
 
 def flash_crowd_requests(num_requests: int, base_rps: float,
@@ -193,20 +192,21 @@ def flash_crowd_requests(num_requests: int, base_rps: float,
     """A viral burst: steady ``base_rps`` except for a window of
     ``flash_rps`` starting at ``flash_start_s`` — the trace that sheds on
     a hard-bounded queue and merely delays under backpressure credits."""
-    if base_rps <= 0 or flash_rps < base_rps:
+    _check(_POSITIVE, base_rps=base_rps, flash_rps=flash_rps,
+           flash_duration_s=flash_duration_s)
+    _check(_NON_NEGATIVE, flash_start_s=flash_start_s)
+    if flash_rps < base_rps:
         raise ValueError(
-            f"need 0 < base_rps <= flash_rps, got {base_rps}, {flash_rps}")
-    if flash_start_s < 0 or flash_duration_s <= 0:
-        raise ValueError("flash window must start >= 0 and last > 0 seconds")
+            f"need base_rps <= flash_rps, got {base_rps}, {flash_rps}")
 
     def rate(t: float) -> float:
         if flash_start_s <= t < flash_start_s + flash_duration_s:
             return flash_rps
         return base_rps
 
-    return _rate_modulated_requests(
-        num_requests, rate, flash_rps, seed, pool_size, skew, image_size,
-        channels, pool_seed, id_prefix="flash")
+    return _sampled_requests(
+        num_requests, flash_rps, seed, pool_size, skew, image_size, channels,
+        pool_seed, id_prefix="flash", rate_fn=rate)
 
 
 @dataclass(frozen=True)
@@ -277,18 +277,14 @@ def multi_tenant_trace(num_uploads: int, tenants: Dict[str, float],
     inverse-CDF lookups, so a ~1M-user trace costs two ``searchsorted``
     calls, not a million RNG round-trips.
     """
-    if num_uploads < 1:
-        raise ValueError(f"num_uploads must be >= 1, got {num_uploads}")
-    if num_users < 1:
-        raise ValueError(f"num_users must be >= 1, got {num_users}")
-    if skew < 0:
-        raise ValueError(f"skew must be >= 0, got {skew}")
+    _check(_COUNT, num_uploads=num_uploads, num_users=num_users)
+    _check(_NON_NEGATIVE, skew=skew)
     if not tenants:
         raise ValueError("need at least one tenant")
+    _check(_POSITIVE, **{f"weight of tenant {name!r}": weight
+                         for name, weight in tenants.items()})
     names = sorted(tenants)
     weights = np.array([tenants[n] for n in names], dtype=np.float64)
-    if (weights <= 0).any():
-        raise ValueError(f"tenant weights must be > 0, got {tenants}")
     rng = np.random.default_rng(seed)
     tenant_cdf = np.cumsum(weights)
     tenant_cdf /= tenant_cdf[-1]

@@ -19,6 +19,7 @@ from repro.serving.bench import run_streaming_bench
 from repro.workloads.continuous import (
     diurnal_requests,
     flash_crowd_requests,
+    multi_tenant_trace,
     open_loop_requests,
 )
 
@@ -240,6 +241,63 @@ def test_streaming_beats_sync_shedding_on_the_same_trace():
     assert s["out_of_order"] > 0
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _open(**kwargs):
+    return lambda: open_loop_requests(**{
+        "num_requests": 5, "rate_rps": 100.0, **kwargs})
+
+
+def _diurnal(**kwargs):
+    return lambda: diurnal_requests(**{
+        "num_requests": 5, "base_rps": 100.0, "peak_rps": 200.0,
+        "period_s": 1.0, **kwargs})
+
+
+def _flash(**kwargs):
+    return lambda: flash_crowd_requests(**{
+        "num_requests": 5, "base_rps": 100.0, "flash_rps": 200.0,
+        "flash_start_s": 0.0, "flash_duration_s": 1.0, **kwargs})
+
+
+def _tenants(**kwargs):
+    return lambda: multi_tenant_trace(**{
+        "num_uploads": 5, "tenants": {"a": 1.0, "b": 2.0},
+        "num_users": 10, **kwargs})
+
+
+#: one generator call per degenerate input each must refuse
+DEGENERATE = {
+    "open_loop nan rate": _open(rate_rps=NAN),
+    "open_loop inf rate": _open(rate_rps=INF),
+    "open_loop zero rate": _open(rate_rps=0.0),
+    "open_loop negative rate": _open(rate_rps=-1.0),
+    "open_loop no requests": _open(num_requests=0),
+    "open_loop empty pool": _open(pool_size=0),
+    "open_loop negative skew": _open(skew=-0.5),
+    "open_loop nan skew": _open(skew=NAN),
+    "open_loop inf skew": _open(skew=INF),
+    "open_loop zero image_size": _open(image_size=0),
+    "open_loop zero channels": _open(channels=0),
+    "diurnal zero period": _diurnal(period_s=0.0),
+    "diurnal negative period": _diurnal(period_s=-1.0),
+    "diurnal nan period": _diurnal(period_s=NAN),
+    "diurnal inf period": _diurnal(period_s=INF),
+    "diurnal inf peak": _diurnal(peak_rps=INF),
+    "diurnal nan skew": _diurnal(skew=NAN),
+    "flash nan base": _flash(base_rps=NAN),
+    "flash inf flash_rps": _flash(flash_rps=INF),
+    "flash nan start": _flash(flash_start_s=NAN),
+    "flash inf duration": _flash(flash_duration_s=INF),
+    "flash zero image_size": _flash(image_size=0),
+    "tenants nan weight": _tenants(tenants={"a": 1.0, "b": NAN}),
+    "tenants inf weight": _tenants(tenants={"a": INF}),
+    "tenants nan skew": _tenants(skew=NAN),
+    "tenants no users": _tenants(num_users=0),
+}
+
+
 class TestTraces:
     def test_flash_crowd_shape(self):
         trace = flash_crowd_requests(num_requests=400, base_rps=200.0,
@@ -293,3 +351,8 @@ class TestTraces:
             flash_crowd_requests(num_requests=10, base_rps=100.0,
                                  flash_rps=200.0, flash_start_s=-1.0,
                                  flash_duration_s=1.0)
+
+    @pytest.mark.parametrize("case", sorted(DEGENERATE))
+    def test_degenerate_input_is_refused(self, case):
+        with pytest.raises(ValueError):
+            DEGENERATE[case]()

@@ -10,7 +10,8 @@
   benchmark;
 - ``.github/workflows/ci.yml`` runs commands, not code: no ``run:``
   holds a heredoc or ``python -c``, so each check CI makes is a test or
-  a ``repro`` command that a local run executes too.
+  a ``repro`` command that a local run executes too; and it runs each
+  command once: no ``run:`` but a ``pip install`` appears in two jobs.
 """
 
 import ast
@@ -78,11 +79,27 @@ def test_report_topics_patch_nothing_and_src_never_imports_the_benchmark(
             if module == "ndpipe_e2e"] == []
 
 
-def test_ci_runs_commands_not_inline_code():
+@pytest.fixture(scope="module")
+def ci_runs():
+    """Each ``run:`` of ``ci.yml`` as ``(job, command)``, whitespace
+    normalised."""
     ci = yaml.safe_load((ROOT / ".github" / "workflows" / "ci.yml")
                         .read_text())
-    runs = [step["run"] for job in ci["jobs"].values()
+    return [(name, " ".join(step["run"].split()))
+            for name, job in ci["jobs"].items()
             for step in job["steps"] if "run" in step]
-    assert runs
-    assert [run for run in runs
+
+
+def test_ci_runs_commands_not_inline_code(ci_runs):
+    assert ci_runs
+    assert [run for _, run in ci_runs
             if re.search(r"<<|\bpython3? +-c\b", run)] == []
+
+
+def test_ci_runs_each_command_in_one_job(ci_runs):
+    jobs = {}
+    for name, run in ci_runs:
+        if "pip install" not in run:
+            jobs.setdefault(run, set()).add(name)
+    assert {run: names for run, names in jobs.items() if len(names) > 1} \
+        == {}
