@@ -7,12 +7,13 @@ ratio / speed trade-off across compression levels, plus the storage
 overhead with and without compression.
 
 A second table puts the pixel codecs side by side — level 6, run-length
-``Z_RLE`` over the interleaved float bytes, and the byte-plane
-:data:`~repro.storage.compression.PIXELS` codec the landing path uses —
-on those uint8-derived tensors and on the world's own preprocessed
-pixels, which are free-floating fp32.  Only the former repeat byte
-patterns LZ77 can match; the world's only redundancy sits in the
-sign/exponent plane.
+``Z_RLE`` over the interleaved float bytes and the byte-plane
+:data:`~repro.storage.compression.PIXELS` codec, each over the fp32
+binary, against the 8-bit codes the landing path stores
+(:data:`~repro.storage.compression.CODES`, inflated back to that same
+binary) — on those uint8-derived tensors and on the world's photos
+through the front door.  Both repeat byte patterns LZ77 can match, yet
+no deflate of the fp32 binary gets near holding the codes themselves.
 """
 
 import time
@@ -23,18 +24,20 @@ import pytest
 
 from repro.analysis.tables import format_table
 from repro.data import DriftingPhotoWorld, WorldConfig
-from repro.storage.compression import PIXELS, Codec, deflate, inflate
-from repro.storage.imageformat import encode_preprocessed, preprocess
+from repro.storage.compression import CODES, PIXELS, Codec, deflate, inflate
+from repro.storage.imageformat import (encode_codes, encode_preprocessed,
+                                       model_input, quantise)
 
 PIXEL_CODECS = {
     "level 6": Codec(6),
     "Z_RLE": Codec(6, zlib.Z_RLE),
     "byte planes": PIXELS,
+    "8-bit codes": CODES,
 }
 
 
-def make_preprocessed_binary(seed: int = 0, size: int = 96) -> bytes:
-    """A realistic preprocessed tensor.
+def make_codes(seed: int = 0, size: int = 96) -> np.ndarray:
+    """The 8-bit codes of a realistic decoded image.
 
     Crucially, real preprocessed binaries are normalised *decoded pixels*:
     each float comes from one of 256 uint8 values, which is exactly the
@@ -54,22 +57,24 @@ def make_preprocessed_binary(seed: int = 0, size: int = 96) -> bytes:
         channels.append(img)
     tensor = np.stack(channels)
     tensor = (tensor - tensor.min()) / (tensor.max() - tensor.min() + 1e-9)
-    pixels = (tensor * 255).astype(np.uint8)  # the decoded JPEG
-    preprocessed = ((pixels / 255.0 - 0.485) / 0.229).astype(np.float32)
-    return encode_preprocessed(preprocessed)
+    return quantise(tensor)  # the decoded JPEG
 
 
-def world_binaries(count: int = 256) -> list:
-    """The preprocessed binaries the landing path writes for world photos."""
+def world_codes(count: int = 256) -> list:
+    """World photos through the front door."""
     x, _ = DriftingPhotoWorld(WorldConfig()).sample(
         count, 0, rng=np.random.default_rng(0))
-    return [encode_preprocessed(preprocess(p)) for p in x]
+    return list(quantise(x))
 
 
-def measure(blobs, codec):
+def measure(codes, codec):
+    """Deflate each photo's fp32 binary with ``codec`` (for :data:`CODES`,
+    its code binary) and check it inflates to that fp32 binary."""
+    blobs = [encode_preprocessed(model_input(c)) for c in codes]
+    inputs = [encode_codes(c) for c in codes] if codec.codes else blobs
     raw_bytes = sum(len(b) for b in blobs)
     start = time.perf_counter()
-    compressed = [deflate(b, codec) for b in blobs]
+    compressed = [deflate(b, codec) for b in inputs]
     compress_s = time.perf_counter() - start
     start = time.perf_counter()
     for blob, raw in zip(compressed, blobs):
@@ -84,10 +89,10 @@ def measure(blobs, codec):
 
 
 def run_sweep():
-    blobs = [make_preprocessed_binary(seed) for seed in range(8)]
-    rows = [{"level": level, **measure(blobs, Codec(level))}
+    codes = [make_codes(seed) for seed in range(8)]
+    rows = [{"level": level, **measure(codes, Codec(level))}
             for level in (1, 3, 6, 9)]
-    payloads = {"uint8-derived": blobs, "world pixels": world_binaries()}
+    payloads = {"uint8-derived": codes, "world codes": world_codes()}
     codec_rows = [{"payload": payload, "codec": name,
                    **measure(items, codec)}
                   for payload, items in payloads.items()
@@ -119,7 +124,7 @@ def test_ablation_compression(benchmark, report):
          "decompress MB/s (compressed)"],
         [[r["payload"], r["codec"], r["ratio"], r["compress_mbps"],
           r["decompress_mbps"]] for r in codec_rows],
-        title="Pixel codecs: uint8-derived tensors against world pixels",
+        title="Pixel codecs: uint8-derived tensors and world photos",
     )
     report("ablation_compression", table)
 
@@ -140,6 +145,8 @@ def test_ablation_compression(benchmark, report):
     # decoded-JPEG binaries repeat byte patterns: LZ77 wins by far there
     assert ratio["uint8-derived", "level 6"] > 2 * ratio[
         "uint8-derived", "byte planes"]
-    # free-floating fp32 pixels: the byte planes never lose
-    assert ratio["world pixels", "byte planes"] > max(
-        ratio["world pixels", "Z_RLE"], ratio["world pixels", "level 6"])
+    # the world's photos are noise: only the codes themselves shrink them
+    # (4x less payload), and by far the most
+    assert ratio["world codes", "8-bit codes"] > 1.5 * max(
+        ratio["world codes", name] for name in PIXEL_CODECS
+        if name != "8-bit codes")

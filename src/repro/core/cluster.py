@@ -38,7 +38,7 @@ from ..faults.retry import RetryPolicy
 from ..models.split import SplitModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
-from ..storage.imageformat import preprocess
+from ..storage.imageformat import quantise
 from ..storage.photodb import LabelRecord, PhotoDatabase
 from .config import ClusterConfig
 from .controlplane import RecoveryControlPlane
@@ -248,29 +248,29 @@ class NDPipeCluster:
         Admission control may shed requests (bounded queue, per-request
         deadlines, failed dispatch); everything that completes is made
         durable through the same placement/journal path as
-        :meth:`ingest`.  A miss lands the preprocessed tensor its batch
-        already produced; a cache hit (served from its feature row) is
-        preprocessed once here — the transform is elementwise, so its
+        :meth:`ingest`.  A miss lands the codes its batch already
+        produced; a cache hit (served from its feature row) passes the
+        front door here, once — the rounding is elementwise, so its
         ``preproc/`` blob is the one a miss would land.  Returns
         ``(report, photo_ids)`` where ``photo_ids[i]`` corresponds to
         ``report.completed_requests[i]``.
         """
         frontend = self.make_serving_frontend(config)
-        report = frontend.serve(requests, collect_tensors=True)
+        report = frontend.serve(requests, collect_codes=True)
         ids: List[str] = []
         with self.tracer.span("cluster.serve_uploads",
                               offered=report.offered,
                               completed=report.completed):
             for outcome in report.completed_requests:
-                pixels = outcome.request.pixels
-                tensor = outcome.preprocessed
+                codes = outcome.codes
                 ids.append(self.dataplane.land_upload(
-                    pixels, preprocess(pixels) if tensor is None else tensor,
+                    quantise(outcome.request.pixels) if codes is None
+                    else codes,
                     outcome.label, outcome.confidence,
                     outcome.request.train_label))
-                # landed: the tensor (a view pinning its whole miss batch)
-                # is the store's to keep now, not the report's
-                outcome.preprocessed = None
+                # landed: the codes (a view pinning its whole miss batch)
+                # are the store's to keep now, not the report's
+                outcome.codes = None
         return report, ids
 
     # -- continuous training flow -----------------------------------------
@@ -512,7 +512,8 @@ class NDPipeCluster:
     def evaluate(self, images: np.ndarray, labels: np.ndarray,
                  ) -> Tuple[float, float]:
         """(top-1, top-5) of the current model on ``images`` (decoded
-        pixels), preprocessed batch by batch (:meth:`Tuner.evaluate`)."""
+        pixels), through the front door batch by batch
+        (:meth:`Tuner.evaluate`)."""
         return self.tuner.evaluate(images, labels)
 
     # -- reporting ---------------------------------------------------------

@@ -29,12 +29,12 @@ import numpy as np
 from ..durability.integrity import ClusterScrubReport
 from ..faults.errors import TransientFaultError
 from ..faults.retry import call_with_retry
-from ..storage.imageformat import preprocess
 from ..storage.objectstore import CorruptObjectError, MissingObjectError
 from ..storage.photodb import LabelRecord
 from .pipestore import PipeStore, StoredPhoto, StoreUnavailableError
 
-#: one journalled upload: raw pixels + the user's training tag (if any)
+#: one journalled upload: its 8-bit codes (the front door's output) +
+#: the user's training tag (if any)
 JournalEntry = Tuple[np.ndarray, Optional[int]]
 #: what a holder vouches with — ``None`` when it cannot (see ``donors``)
 Vouch = Callable[[PipeStore], Any]
@@ -72,12 +72,12 @@ class RecoveryControlPlane:
         # freed by reference counting
         self._cluster = weakref.ref(cluster)
         config = cluster.config
-        # the front end journals uploads (pixels + user tag) so photos
-        # orphaned on a crashed store can be re-placed onto survivors.
-        # The journal is bounded: entries whose photo left the database
-        # are pruned, and ``journal_max_entries`` caps residency (oldest
-        # entries fall out first) so raw pixel buffers cannot accumulate
-        # for the lifetime of the cluster.
+        # the front end journals uploads (8-bit codes + user tag) so
+        # photos orphaned on a crashed store can be re-placed onto
+        # survivors.  The journal is bounded: entries whose photo left
+        # the database are pruned, and ``journal_max_entries`` caps
+        # residency (oldest entries fall out first) so upload buffers
+        # cannot accumulate for the lifetime of the cluster.
         self.journal: Dict[str, JournalEntry] = {}
         self._journal_max_entries = config.journal_max_entries
         metrics = cluster.metrics
@@ -111,9 +111,9 @@ class RecoveryControlPlane:
         """Entries currently resident in the upload journal."""
         return len(self.journal)
 
-    def journal_put(self, photo_id: str, pixels: np.ndarray,
+    def journal_put(self, photo_id: str, codes: np.ndarray,
                     train_label: Optional[int]) -> None:
-        self.journal[photo_id] = (pixels, train_label)
+        self.journal[photo_id] = (codes, train_label)
         cap = self._journal_max_entries
         if cap is not None and len(self.journal) > cap:
             # dict preserves insertion order: evict the oldest uploads
@@ -151,7 +151,7 @@ class RecoveryControlPlane:
         """Re-place journalled photos stranded on a crashed store.
 
         Photos whose upload is still in the front end's journal are
-        re-preprocessed and landed on healthy stores; their database
+        landed again on healthy stores from their codes; their database
         records move with them (same label, same model version).  Returns
         the ids that actually moved — anything not journalled (or not
         placeable right now) stays orphaned until the store repairs.
@@ -175,12 +175,9 @@ class RecoveryControlPlane:
                     continue
                 if pid not in self.journal:
                     continue
-                pixels, train_label = self.journal[pid]
-                photo = StoredPhoto(
-                    photo_id=pid, pixels=pixels,
-                    preprocessed=preprocess(pixels),
-                    train_label=train_label,
-                )
+                codes, train_label = self.journal[pid]
+                photo = StoredPhoto(photo_id=pid, codes=codes,
+                                    train_label=train_label)
                 try:
                     target = cluster.dataplane.place_photo(
                         photo, kind="re-ingest").store_id
@@ -254,7 +251,10 @@ class RecoveryControlPlane:
         from the first healthy holder over the fabric; objects with no
         healthy copy anywhere are reported — and counted — as
         unrecoverable rather than silently dropped.  A rotted ``feat/``
-        object is repaired by deleting it: it is recomputable.
+        object is repaired by deleting it: it is recomputable.  A
+        ``preproc/`` blob that passes its CRC but is not the one its
+        store's ``raw/`` blob derives is re-derived in place, moving no
+        bytes.
         """
         cluster = self.cluster
         report = ClusterScrubReport()
@@ -272,6 +272,9 @@ class RecoveryControlPlane:
                     else:
                         report.unrecoverable.append((store.store_id, key))
                         self._m_unrecoverable.inc(store=store.store_id)
+                for key in scrub.underived_keys:
+                    store.rederive_preprocessed(key.split("/", 1)[1])
+                    report.rederived.append((store.store_id, key))
                 self._restore_missing(store, report)
         return report
 

@@ -36,7 +36,7 @@ from ..faults.errors import TransientFaultError
 from ..faults.retry import call_with_retry
 from ..models.split import FrozenFront, SplitModel
 from ..nn.tensor import Tensor, inference_mode
-from ..storage.imageformat import preprocess
+from ..storage.imageformat import model_input, quantise
 from ..storage.photodb import LabelRecord
 from .pipestore import (
     PipeStore,
@@ -80,7 +80,8 @@ class InferenceServer:
 
     def classify(self, pixels: np.ndarray) -> Tuple[int, float]:
         """Label one photo (3, H, W); returns (label, confidence)."""
-        return self.classify_preprocessed(preprocess(pixels)[None])[0]
+        return self.classify_preprocessed(
+            model_input(quantise(pixels[None])))[0]
 
     def classify_preprocessed(self, batch: np.ndarray,
                               ) -> List[Tuple[int, float]]:
@@ -423,9 +424,10 @@ class IngestDataPlane:
 
         The one ingest body behind both clusters: offer every photo to
         ``admit`` in order, collect the admitted ones into chunks of
-        ``config.batch_size``, one preprocess + one forward per chunk,
-        land the chunk's rows in order.  The stored tensors are what a
-        per-photo ``preprocess`` yields (the transform is elementwise);
+        ``config.batch_size``, one pass through the front door
+        (:func:`~repro.storage.imageformat.quantise`) and one forward per
+        chunk, land the chunk's codes in order.  The stored codes are
+        what a per-photo pass yields (the rounding is elementwise);
         confidences can differ in the last ulps from batch-1 forwards
         because a batch-N GEMM reduces differently.  If landing raises,
         the ids yielded so far are exactly the photos made durable — a
@@ -443,34 +445,30 @@ class IngestDataPlane:
                 rows.append(row)
             if len(rows) < chunk_size and (row + 1 < len(images) or not rows):
                 continue  # chunk still filling, or nothing admitted at the end
-            preprocessed = preprocess(images[rows])
-            results = server.classify_preprocessed(preprocessed)
-            for at, tensor, (label, confidence) in zip(
-                    rows, preprocessed, results):
+            codes = quantise(images[rows])
+            results = server.classify_preprocessed(model_input(codes))
+            for at, photo_codes, (label, confidence) in zip(
+                    rows, codes, results):
                 yield self.land_upload(
-                    images[at], tensor, label, confidence,
+                    photo_codes, label, confidence,
                     None if train_labels is None else int(train_labels[at]),
                     id_prefix)
             rows = []
 
     # -- upload landing -----------------------------------------------------
-    def land_upload(self, pixels: np.ndarray, preprocessed: np.ndarray,
-                    label: int, confidence: float,
+    def land_upload(self, codes: np.ndarray, label: int, confidence: float,
                     train_label: Optional[int], id_prefix: str = "") -> str:
-        """Make one classified upload durable: placement, database record,
-        replica copies, and the recovery journal.  Shared by the
-        synchronous ingest path and the batched serving layer, which
-        reuses the preprocessed tensor it already produced; the sharded
-        fleet's ``id_prefix`` qualifies the id with the tenant."""
+        """Make one classified upload durable from its 8-bit codes:
+        placement, database record, replica copies, and the recovery
+        journal.  Shared by the synchronous ingest path and the batched
+        serving layer, which lands the codes its batch already produced;
+        the sharded fleet's ``id_prefix`` qualifies the id with the
+        tenant."""
         cluster = self.cluster
         photo_id = f"{id_prefix}photo-{self.ingest_counter:08d}"
         self.ingest_counter += 1
-        photo = StoredPhoto(
-            photo_id=photo_id,
-            pixels=pixels,
-            preprocessed=preprocessed,
-            train_label=train_label,
-        )
+        photo = StoredPhoto(photo_id=photo_id, codes=codes,
+                            train_label=train_label)
         holders = [self.place_photo(photo).store_id]
         holders += self.place_replicas(photo, exclude=holders)
         self.write_placement(LabelRecord(
@@ -480,7 +478,7 @@ class IngestDataPlane:
         ), holders)
         if len(holders) < cluster.replication:
             self._m_underreplicated.inc()
-        cluster.control.journal_put(photo_id, pixels, train_label)
+        cluster.control.journal_put(photo_id, codes, train_label)
         self._m_ingested.inc()
         return photo_id
 

@@ -24,12 +24,12 @@ from ..lint.contracts import fenced_by
 from ..models.split import SplitModel
 from ..nn.tensor import Tensor, inference_mode
 from ..obs.metrics import MetricsRegistry
-from ..storage.compression import PIXELS, deflate, inflate
+from ..storage.compression import CODES, deflate, inflate
 from ..storage.imageformat import (
     decode_preprocessed,
     decode_preprocessed_into,
+    encode_codes,
     encode_photo,
-    encode_preprocessed,
 )
 from ..storage.objectstore import CorruptObjectError, MissingObjectError, ObjectStore
 from . import checknrun
@@ -82,8 +82,9 @@ class StoredPhoto:
     """What ingestion hands a PipeStore for one photo."""
 
     photo_id: str
-    pixels: np.ndarray  # (3, H, W) floats in [0, 1]
-    preprocessed: np.ndarray  # fp32 model input
+    #: (3, H, W) uint8: the upload through the front door
+    #: (:func:`~repro.storage.imageformat.quantise`)
+    codes: np.ndarray
     train_label: Optional[int] = None  # supervision (user tags), if any
     #: the encoded forms, produced once per upload: every replica puts
     #: the same immutable bytes
@@ -94,14 +95,15 @@ class StoredPhoto:
         """The synthetic JPEG's payload; each store accounts it at its
         own nominal photo size (the zeros are never held)."""
         if "raw" not in self._encoded:
-            self._encoded["raw"] = encode_photo(self.pixels)
+            self._encoded["raw"] = encode_photo(self.codes)
         return self._encoded["raw"]
 
     def preprocessed_blob(self) -> bytes:
-        """The deflate-compressed preprocessed binary (§5.4)."""
+        """The ``preproc/`` blob (§5.4): the codes, which inflate into
+        the preprocessed fp32 binary."""
         if "preprocessed" not in self._encoded:
             self._encoded["preprocessed"] = deflate(
-                encode_preprocessed(self.preprocessed), PIXELS)
+                encode_codes(self.codes), CODES)
         return self._encoded["preprocessed"]
 
 
@@ -291,10 +293,36 @@ class PipeStore:
             report.objects_checked += 1
             if not self.objects.verify(key):
                 report.corrupt_keys.append(key)
+        # a preproc/ blob derives from its photo's codes: one that is
+        # CRC-clean but disagrees with this store's clean raw/ blob is
+        # damage its own CRC was written over; a CRC-clean raw/ blob that
+        # does not parse is damaged itself
+        rotten = set(report.corrupt_keys)
+        for pid in self.objects.photo_ids():
+            key = self.objects.preproc_key(pid)
+            raw_key = self.objects.raw_key(pid)
+            if (not self.objects.exists(key) or key in rotten
+                    or raw_key in rotten):
+                continue
+            derived = self.objects.derived_preproc(pid)
+            if derived is None:
+                report.corrupt_keys.append(raw_key)
+            # ndlint: allow[ND002] -- scrub reads are maintenance traffic
+            elif self.objects.peek(key) != derived:
+                report.underived_keys.append(key)
         self._count("_m_scrubbed", report.objects_checked)
-        if report.corrupt_keys:
-            self._count("_m_corrupt", len(report.corrupt_keys))
+        damaged = len(report.corrupt_keys) + len(report.underived_keys)
+        if damaged:
+            self._count("_m_corrupt", damaged)
         return report
+
+    def rederive_preprocessed(self, photo_id: str) -> None:
+        """Overwrite ``preproc/<id>`` with the blob this store's ``raw/``
+        derives: a repair that needs no donor and moves no bytes."""
+        self._require_available()
+        self.objects.put(self.objects.preproc_key(photo_id),
+                         self.objects.derived_preproc(photo_id))
+        self._discard(self.objects.feature_key(photo_id))
 
     def donate_object(self, key: str) -> Tuple[bytes, int]:
         """Serve a verified copy of one object for replication repair, as

@@ -7,12 +7,12 @@ functions of the cluster's state, so they live here as free functions.
 :meth:`~repro.core.cluster.NDPipeCluster.restore` delegate verbatim —
 the manifest layout (including the ``"cluster"`` section's
 ``ingest_counter``/``rr_next``/``replication`` keys) is the
-pre-refactor one; the bytes around it are the v3 frame of
+pre-refactor one; the bytes around it are the v4 frame of
 :mod:`repro.durability.checkpoint` (sealed snapshots verbatim, array
 tables deflated once, identical blobs shared).  The upload journal's
-pixels go in as one stacked ``(N, C, H, W)`` array, in the order of the
-manifest's ``labels`` keys, through the byte-plane
-:data:`~repro.storage.compression.PIXELS` codec.
+8-bit codes go in as one stacked ``(N, C, H, W)`` uint8 array, in the
+order of the manifest's ``labels`` keys
+(:func:`~repro.storage.compression.compress_array`).
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ def build_checkpoint(cluster, ftdmp: Optional[FinetuneProgress] = None,
         })
     journal = cluster.control.journal
     journal_manifest = {
-        "labels": {pid: label for pid, (_pixels, label) in journal.items()},
-        "pixels_blob": table.add(compress_array(_stack_journal(journal))),
+        "labels": {pid: label for pid, (_codes, label) in journal.items()},
+        "codes_blob": table.add(compress_array(_stack_journal(journal))),
     }
     manifest = {
         "cluster": {
@@ -137,18 +137,18 @@ def restore_checkpoint(cluster, blob: bytes) -> Optional[FinetuneProgress]:
         journal_manifest = manifest["journal"]
         labels = journal_manifest["labels"]
         try:
-            pixels = decompress_array(blobs[journal_manifest["pixels_blob"]])
+            codes = decompress_array(blobs[journal_manifest["codes_blob"]])
         except ValueError as exc:
             raise CheckpointError(
-                f"corrupt journal pixel table: {exc}") from exc
-        if len(pixels) != len(labels):
+                f"corrupt journal code table: {exc}") from exc
+        if len(codes) != len(labels):
             raise CheckpointError(
-                f"journal pixel table holds {len(pixels)} entries, "
+                f"journal code table holds {len(codes)} entries, "
                 f"its labels {len(labels)}")
         # rows of the one stacked array, each at its entry's dtype and shape
         journal = {
             pid: (row, None if label is None else int(label))
-            for (pid, label), row in zip(labels.items(), pixels)
+            for (pid, label), row in zip(labels.items(), codes)
         }
         cluster_manifest = manifest["cluster"]
         replication = int(cluster_manifest["replication"])
@@ -184,15 +184,15 @@ def restore_checkpoint(cluster, blob: bytes) -> Optional[FinetuneProgress]:
 
 
 def _stack_journal(journal: Dict[str, tuple]) -> np.ndarray:
-    """The journal's pixels as one ``(N, ...)`` array in journal order.
+    """The journal's codes as one ``(N, ...)`` array in journal order.
 
-    Every entry must share one dtype and shape (the world and every
-    ingest caller produce float32 of one shape); anything else is
+    Every entry must share one dtype and shape (the front door makes
+    uint8 codes, and a fleet's uploads share one shape); anything else is
     refused, since stacking would silently promote a dtype."""
-    pixels = [entry[0] for entry in journal.values()]
-    kinds = sorted({(p.dtype.str, p.shape) for p in pixels})
+    codes = [entry[0] for entry in journal.values()]
+    kinds = sorted({(c.dtype.str, c.shape) for c in codes})
     if len(kinds) > 1:
         raise CheckpointError(
-            f"journal pixels mix dtypes or shapes {kinds}; a checkpoint "
+            f"journal codes mix dtypes or shapes {kinds}; a checkpoint "
             "stacks them into one array")
-    return np.stack(pixels) if pixels else np.empty(0, np.float32)
+    return np.stack(codes) if codes else np.empty(0, np.uint8)

@@ -32,7 +32,7 @@ from ..nn.optim import Adam
 from ..nn.tensor import Tensor, inference_mode
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer, wall_clock
-from ..storage.imageformat import preprocess
+from ..storage.imageformat import model_input, quantise
 from . import checknrun
 from .fabric import NetworkFabric
 from .ftdmp import FeatureRows, FinetuneReport, RowStore, train_tail
@@ -662,8 +662,9 @@ class Tuner:
     def evaluate(self, images: np.ndarray, labels: np.ndarray,
                  ) -> Tuple[float, float]:
         """(top-1, top-5) accuracy of the authoritative model on decoded
-        pixels, preprocessed and forwarded :attr:`batch_size` photos at a
-        time: what it holds is one batch, whatever the set's size."""
+        pixels, passed through the front door and forwarded
+        :attr:`batch_size` photos at a time, as an upload would be: what
+        it holds is one batch, whatever the set's size."""
         from ..nn.losses import accuracy, topk_accuracy
 
         was_training = self.model.training
@@ -671,8 +672,8 @@ class Tuner:
         try:
             with inference_mode():
                 logits = np.concatenate([
-                    self.model(Tensor(preprocess(
-                        images[start:start + self.batch_size]))).data
+                    self.model(Tensor(model_input(quantise(
+                        images[start:start + self.batch_size])))).data
                     for start in range(0, len(images), self.batch_size)])
         finally:
             self.model.train(was_training)

@@ -2,7 +2,7 @@
 
 One checkpoint is a single self-describing blob:
 
-``NDCP | 3 | len(4B) | deflate(manifest) | blob table | CRC32 trailer``
+``NDCP | 4 | len(4B) | deflate(manifest) | blob table | CRC32 trailer``
 
 where the blob table is ``count(4B)`` then ``len(8B) + bytes`` per blob.
 
@@ -40,10 +40,13 @@ if TYPE_CHECKING:
 CHECKPOINT_MAGIC = b"NDCP"
 #: v2: the frame no longer deflates its body (blobs arrive compressed by
 #: their producers) and the blob table is content-deduplicated.  v3: the
-#: journal's pixels are one stacked array in byte planes.
-_VERSION = 3
+#: journal's pixels are one stacked array in byte planes.  v4: the
+#: journal holds each upload's 8-bit codes (``codes_blob``), the front
+#: door's output, not its float pixels.
+_VERSION = 4
 #: versions refused by name: what each laid out differently
-_RETIRED = {1: "whole-body deflate", 2: "per-entry journal pixel table"}
+_RETIRED = {1: "whole-body deflate", 2: "per-entry journal pixel table",
+            3: "float journal pixels"}
 
 
 class CheckpointError(ValueError):

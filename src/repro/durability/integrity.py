@@ -1,4 +1,5 @@
-"""Scrub reporting: what a CRC sweep over stored objects found.
+"""Scrub reporting: what a CRC sweep over stored objects found, and
+which ``preproc/`` blobs disagree with the ``raw/`` blob they derive from.
 
 The detection itself lives in :class:`~repro.storage.objectstore.ObjectStore`
 (write-time CRC32, verified reads); this module holds the report types a
@@ -21,14 +22,18 @@ class ScrubReport:
     objects_checked: int = 0
     #: keys whose bytes no longer match their write-time CRC32
     corrupt_keys: List[str] = field(default_factory=list)
+    #: CRC-clean ``preproc/`` keys whose blob is not the one the store's
+    #: CRC-clean ``raw/`` blob derives
+    underived_keys: List[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return not self.corrupt_keys
+        return not self.corrupt_keys and not self.underived_keys
 
     def corrupt_photo_ids(self) -> List[str]:
-        """Photo ids behind the corrupt keys (raw/ or preproc/ namespace)."""
-        ids = {key.split("/", 1)[1] for key in self.corrupt_keys
+        """Photo ids behind the damaged keys (raw/ or preproc/ namespace)."""
+        ids = {key.split("/", 1)[1]
+               for key in self.corrupt_keys + self.underived_keys
                if "/" in key}
         return sorted(ids)
 
@@ -45,6 +50,9 @@ class ClusterScrubReport:
     repaired: List[tuple] = field(default_factory=list)
     #: (store_id, key) objects restored after being lost outright
     restored: List[tuple] = field(default_factory=list)
+    #: (store_id, key) ``preproc/`` objects re-derived from the store's
+    #: own ``raw/`` blob (no donor, no fabric bytes)
+    rederived: List[tuple] = field(default_factory=list)
     #: (store_id, key) objects with no healthy replica anywhere
     unrecoverable: List[tuple] = field(default_factory=list)
 
@@ -54,7 +62,8 @@ class ClusterScrubReport:
 
     @property
     def corrupt_found(self) -> int:
-        return sum(len(s.corrupt_keys) for s in self.scrubs)
+        return sum(len(s.corrupt_keys) + len(s.underived_keys)
+                   for s in self.scrubs)
 
     @property
     def clean(self) -> bool:

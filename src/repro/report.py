@@ -292,38 +292,39 @@ def _codec_fit() -> List[str]:
     from .core.pipestore import StoredPhoto
     from .durability.checkpoint import pack_arrays
     from .storage import imageformat
-    from .storage.compression import WEIGHTS, Codec, compress_array, deflate
+    from .storage.compression import (PIXELS, WEIGHTS, Codec, compress_array,
+                                      deflate)
 
     x, _ = _photos(256)
-    photos = [StoredPhoto(f"acme/photo-{i:08d}", p, imageformat.preprocess(p))
-              for i, p in enumerate(x)]
+    # the front door, once: every payload below derives from these codes
+    photos = [StoredPhoto(f"acme/photo-{i:08d}", codes)
+              for i, codes in enumerate(imageformat.quantise(x))]
     head = struct.calcsize(imageformat._HEADER_FMT)
 
     def noise(p):
-        return (np.clip(p.pixels, 0, 1) * 255).astype(np.uint8).tobytes()
+        return p.codes.tobytes()
 
-    def preproc(p):
-        return imageformat.encode_preprocessed(p.preprocessed)
+    def derived(p):
+        return imageformat.encode_preprocessed(
+            imageformat.model_input(p.codes))
 
     def per_entry(ps):
-        return pack_arrays({p.photo_id: p.pixels for p in ps})
+        return pack_arrays({p.photo_id: p.codes for p in ps})
 
     # payload: (what the landing/checkpoint path writes, [(what it
     # replaced, that encode, its input)], the items)
     rows = {
         "stand-in JPEG payload": (
-            lambda p: imageformat.encode_photo(p.pixels)[head:],
+            lambda p: imageformat.encode_photo(p.codes)[head:],
             [("level 6", lambda raw: zlib.compress(raw, 6), noise)], photos),
-        "preproc/ (byte planes)": (
+        "preproc/ (8-bit codes)": (
             # a fresh photo each time: a StoredPhoto encodes its blob once
-            lambda p: StoredPhoto(p.photo_id, p.pixels,
-                                  p.preprocessed).preprocessed_blob(),
-            [("Z_RLE", lambda raw: deflate(raw, Codec(6, zlib.Z_RLE)),
-              preproc),
-             ("level 6", lambda raw: deflate(raw, Codec(6)), preproc)],
+            lambda p: StoredPhoto(p.photo_id, p.codes).preprocessed_blob(),
+            [("fp32 byte planes", lambda raw: deflate(raw, PIXELS), derived),
+             ("fp32 level 6", lambda raw: deflate(raw, Codec(6)), derived)],
             photos),
         "journal (stacked)": (
-            lambda ps: compress_array(np.stack([p.pixels for p in ps])),
+            lambda ps: compress_array(np.stack([p.codes for p in ps])),
             [("level 9 per entry", lambda raw: deflate(raw, WEIGHTS),
               per_entry)], [photos]),
     }

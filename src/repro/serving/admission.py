@@ -21,8 +21,7 @@ dispatch failed goes back to its head (:meth:`AdmissionQueue.requeue`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -31,9 +30,10 @@ from ..lint.contracts import conserves
 __all__ = ["ServeRequest", "AdmissionQueue"]
 
 
-@dataclass(frozen=True)
-class ServeRequest:
-    """One photo upload offered to the serving layer."""
+class ServeRequest(NamedTuple):
+    """One photo upload offered to the serving layer.  Immutable; a
+    tuple, so building one costs no per-field ``__setattr__`` (a trace
+    builds thousands)."""
 
     request_id: str
     #: open-loop arrival time on the deterministic clock

@@ -16,8 +16,8 @@
   steers the replica count (:mod:`~repro.serving.autoscale`) and admission
   (deadline shedding) instead.
 * :class:`MicroBatcher` — the one batch body behind both front ends:
-  cache hits bring their split-point feature row, misses are
-  preprocessed and join the replica's front pool, and one classifier
+  cache hits bring their split-point feature row, misses pass the front
+  door and join the replica's front pool, and one classifier
   tail labels the whole batch.  The *logical* batch — who rides it, its
   cache books, its wire bytes, its service time and ``t_done`` — is
   fixed at dispatch; the *host* batch is the replica's: one front
@@ -38,7 +38,7 @@ from ..sim.specs import (
     COMPRESSED_PREPROCESSED_BYTES,
     AcceleratorSpec,
 )
-from ..storage.imageformat import preprocess
+from ..storage.imageformat import model_input, quantise
 from .admission import ServeRequest
 from .cache import TensorCache
 from .config import ServingConfig
@@ -141,13 +141,13 @@ class SloController:
 
 class DeliveredBatch(NamedTuple):
     """What :meth:`MicroBatcher.run` hands back; entry ``i`` of every
-    list is request ``i``.  ``preprocessed[i]`` is the request's
-    preprocessed tensor when the batch computed one (a view into the
-    stacked misses), ``None`` when its feature row came from the cache.
+    list is request ``i``.  ``codes[i]`` are the request's 8-bit codes
+    when the batch computed them (a view into the stacked misses'
+    codes), ``None`` when its feature row came from the cache.
     ``answers`` are owed by the replica until it resolves; everything
     else is the logical batch, known at dispatch."""
 
-    preprocessed: List[Optional[np.ndarray]]
+    codes: List[Optional[np.ndarray]]
     hits: List[bool]
     answers: PendingAnswers
     t_start: float
@@ -198,7 +198,8 @@ class MicroBatcher:
         """Serve ``ready`` as one batch dispatched at ``t_start``.
 
         The replica is picked first and the cache probed under its front
-        digest.  The distinct misses are preprocessed and stacked; the
+        digest.  The distinct misses are stacked and pass the front door
+        (:func:`~repro.storage.imageformat.quantise`) together; the
         replica takes them into its front pool, and owes one classifier
         tail over every row in request order.  The misses' rows — still
         promises — enter the cache only after the dispatch succeeded: a
@@ -218,8 +219,9 @@ class MicroBatcher:
             if first:
                 firsts.append(at)
             hits.append(not first)
-        misses = (preprocess(np.stack([ready[at].pixels for at in firsts]))
-                  if firsts else None)
+        codes = (quantise(np.stack([ready[at].pixels for at in firsts]))
+                 if firsts else None)
+        misses = None if codes is None else model_input(codes)
         try:
             answers, fresh, t_done, replica = self.dispatcher.dispatch(
                 index, misses, rows, t_start)
@@ -232,9 +234,9 @@ class MicroBatcher:
         self._delivered.append(answers)
         self.m.batch.observe(len(ready))
         self.m.batches[replica].inc()
-        preprocessed = [misses[row] if isinstance(row, int) else None
-                        for row in rows]
-        return DeliveredBatch(preprocessed, hits, answers, t_start, t_done,
+        request_codes = [codes[row] if isinstance(row, int) else None
+                         for row in rows]
+        return DeliveredBatch(request_codes, hits, answers, t_start, t_done,
                               replica)
 
     def owe(self, outcome, batch: DeliveredBatch, row: int) -> None:

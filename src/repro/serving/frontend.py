@@ -64,8 +64,8 @@ class ServingFrontend(StreamingFrontend):
                          metrics=metrics, tracer=tracer)
 
     def serve(self, requests: Sequence[ServeRequest],
-              collect_tensors: bool = False) -> ServingReport:
+              collect_codes: bool = False) -> ServingReport:
         """Play an arrival trace to completion; returns the report.
-        ``collect_tensors`` keeps each miss's preprocessed tensor on its
-        outcome, for callers that land uploads."""
-        return self._serve(requests, None, collect_tensors)
+        ``collect_codes`` keeps each miss's 8-bit codes on its outcome,
+        for callers that land uploads."""
+        return self._serve(requests, None, collect_codes)

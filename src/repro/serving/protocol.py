@@ -119,12 +119,13 @@ class ServeOutcome:
     """Terminal record for one request.
 
     A completed request's ``label`` and ``confidence`` are filled in when
-    its replica resolves, at the end of the serve.  ``preprocessed`` is
-    the request's preprocessed tensor, kept only when the caller asked
-    for it (``serve(..., collect_tensors=True)``) and the batch computed
-    it (``None`` for a row served from cache).  It is a view into its
-    miss batch's stacked array, so it pins that whole array:
-    ``NDPipeCluster.serve_uploads`` clears it once the photo has landed.
+    its replica resolves, at the end of the serve.  ``codes`` are the
+    request's 8-bit codes, kept only when the caller asked for them
+    (``serve(..., collect_codes=True)``) and the batch computed them
+    (``None`` for a row served from cache).  They are a view into the
+    miss batch's stacked codes, so they pin that whole array:
+    ``NDPipeCluster.serve_uploads`` clears them once the photo has
+    landed.
     """
 
     request: ServeRequest
@@ -137,7 +138,7 @@ class ServeOutcome:
     batch_index: Optional[int] = None
     batch_size: Optional[int] = None
     cache_hit: Optional[bool] = None
-    preprocessed: Optional[np.ndarray] = None
+    codes: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.status not in TERMINAL_STATUSES:

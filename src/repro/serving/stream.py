@@ -153,12 +153,12 @@ class StreamingFrontend:
         a no-op (the race is legal in the protocol), a cancel for an id
         not in the trace is an error.
         """
-        return self._serve(requests, cancellations, collect_tensors=False)
+        return self._serve(requests, cancellations, collect_codes=False)
 
     def _serve(self, requests: Sequence[ServeRequest],
                cancellations: Optional[Cancellations],
-               collect_tensors: bool) -> ServingReport:
-        run = _ServeRun(self, requests, cancellations, collect_tensors)
+               collect_codes: bool) -> ServingReport:
+        run = _ServeRun(self, requests, cancellations, collect_codes)
         name = "serving.serve" if self.stream is None else "serving.stream"
         with self.tracer.span(name, offered=run.report.offered):
             report = run.run()
@@ -180,10 +180,10 @@ class _ServeRun:
     def __init__(self, frontend: StreamingFrontend,
                  requests: Sequence[ServeRequest],
                  cancellations: Optional[Cancellations],
-                 collect_tensors: bool):
+                 collect_codes: bool):
         self.f = frontend
         self.m = frontend.m
-        self.collect_tensors = collect_tensors
+        self.collect_codes = collect_codes
         arrivals = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
         ids = [r.request_id for r in arrivals]
         if len(set(ids)) != len(ids):
@@ -394,8 +394,7 @@ class _ServeRun:
                 request, COMPLETED, t_done, latency_s=latency_s,
                 replica=replica, batch_index=batch_index,
                 batch_size=len(ready), cache_hit=batch.hits[row],
-                preprocessed=(batch.preprocessed[row]
-                              if self.collect_tensors else None))
+                codes=batch.codes[row] if self.collect_codes else None)
             self._resolve(outcome)
             self.f.batcher.owe(outcome, batch, row)
         self._release(len(ready))

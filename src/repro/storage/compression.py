@@ -10,31 +10,19 @@ configuration each payload gets.  The rule: a payload leaves LZ77 only
 where that costs no bytes.  Measured on a 4-store lifecycle over 256 world
 photos with a tiny ResNet50 (bytes per blob, host time per blob):
 
-* :data:`NOISE` — the stand-in JPEG's quantised pixels.  LZ77 finds
-  nothing in them and level 6 falls back to a stored block, so the payload
-  is stored outright: 779 B from 768 B either way, 60 → 5 µs.
-* :data:`PIXELS` — a float pixel tensor: the ``preproc/`` blob, and the
-  checkpoint journal's pixel table stacked into one array.  The world's
-  pixels are free-floating float32, so only one byte plane carries
-  redundancy (Shannon entropy per byte of each little-endian byte plane,
-  1 024 world photos):
-
-  ======  ===================================  ==============
-  plane   holds                                bits per byte
-  ======  ===================================  ==============
-  0       mantissa, low byte                   7.09
-  1       mantissa, middle byte                8.00
-  2       mantissa, top 7 bits; exponent LSB   7.93
-  3       sign; exponent, top 7 bits           2.20
-  ======  ===================================  ==============
-
-  So the payload is split into its byte planes (the byte-shuffle filter
-  of HDF5 and Blosc), the top plane alone is Huffman-coded and the
-  mantissa planes are stored verbatim: 3 081 → 2 577 B per ``preproc/``
-  blob in 35 µs (run-length ``Z_RLE`` over the interleaved bytes: 2 849 B
-  in 110 µs), and the stacked journal of 1 430 uploads 3.93 → 3.51 MB
-  in 31 ms (a per-entry table at level 9: 279 ms).  ``width`` is the
-  element size; a codec of width 1 writes a plain zlib stream.
+* :data:`NOISE` — the stand-in JPEG's 8-bit codes.  LZ77 finds nothing
+  in them and level 6 falls back to a stored block, so the payload is
+  stored outright: 779 B from 768 B either way, 60 → 5 µs.
+* :data:`CODES` — a ``preproc/`` blob: the photo's 8-bit codes behind
+  the preprocessed binary's header and a CRC32, 785 B at 3×16×16, which
+  :func:`inflate` expands into the fp32 binary through
+  :data:`~repro.storage.imageformat.CODE_TABLE` (the byte planes of the
+  float upload it replaced: 2 577 B; level 6 over the derived fp32:
+  1 631 B at twice the planes' time, DESIGN §12).
+* :data:`PIXELS` — a numeric array (:func:`compress_array`): split into
+  byte planes as wide as one element (the byte-shuffle filter of HDF5
+  and Blosc), only the top plane Huffman-coded; an array of bytes, such
+  as the checkpoint journal's stacked codes, is one Huffman-only stream.
 * :data:`WEIGHTS` — model and Adam tables keep level 9 (≈ 4 % more time
   than level 6, and every tuner-HA frame at or under its v1 size).  Their
   per-tensor key, dtype and shape framing repeats, only LZ77 finds it,
@@ -46,7 +34,7 @@ photos with a tiny ResNet50 (bytes per blob, host time per blob):
   is 2.1 % larger.
 
 Check-N-Run deltas frame their own deflate (:mod:`repro.core.checknrun`).
-:func:`inflate` is the one decoder: it reads both frame kinds, and so
+:func:`inflate` is the one decoder: it reads every frame kind, and so
 every blob written before a payload changed codec.
 """
 
@@ -67,15 +55,20 @@ _PLANES = b"NDPB"
 _FIELDS = struct.Struct(">BQ")
 _CRC = struct.Struct(">I")
 _PLANES_START = len(_PLANES) + _FIELDS.size + _CRC.size
+#: ``NDPC | CRC32 | NDPP header | codes``: the CRC covers the rest
+_CODES = b"NDPC"
 
 
 class Codec(NamedTuple):
-    """One zlib configuration: a compression level, a strategy and the
-    byte-plane width (1: no planes, the whole payload goes through zlib)."""
+    """One payload codec: a zlib level and strategy and the byte-plane
+    width (1: no planes, the whole payload goes through zlib) — or, with
+    ``codes``, no zlib: the payload is 8-bit codes behind a preprocessed
+    binary's header, framed as they are and inflated into that binary."""
 
     level: int
     strategy: int = zlib.Z_DEFAULT_STRATEGY
     width: int = 1
+    codes: bool = False
 
     def compress(self, data: bytes) -> bytes:
         """A complete zlib stream of ``data`` (``zlib.decompress`` reads it)."""
@@ -85,6 +78,7 @@ class Codec(NamedTuple):
 
 
 NOISE = Codec(0)
+CODES = Codec(0, codes=True)
 PIXELS = Codec(6, zlib.Z_HUFFMAN_ONLY, width=4)
 WEIGHTS = Codec(9)
 TEXT = Codec(6)
@@ -97,7 +91,11 @@ def deflate(data: bytes, codec: Codec = TEXT) -> bytes:
     A plane codec (``width`` > 1) keeps the first ``len(data) % width``
     bytes as a verbatim lead, so a header followed by whole little-endian
     elements leaves every plane aligned; the last plane (sign and
-    exponent) is the only one coded."""
+    exponent) is the only one coded.  A :data:`CODES` frame holds
+    ``data`` as it is; :func:`inflate` gives back the fp32 its codes
+    stand for."""
+    if codec.codes:
+        return b"".join((_CODES, _CRC.pack(zlib.crc32(data)), data))
     if codec.width == 1:
         return _HEADER + codec.compress(data)
     width = codec.width
@@ -112,14 +110,17 @@ def deflate(data: bytes, codec: Codec = TEXT) -> bytes:
 
 
 def inflate(blob: bytes) -> bytes:
-    """The bytes :func:`deflate` was given, from either frame kind (any
-    bytes-like object); every undecodable input raises ``ValueError``,
-    never a raw ``zlib.error``."""
+    """The bytes :func:`deflate` was given, from any frame kind (any
+    bytes-like object) — for a :data:`CODES` frame, the preprocessed fp32
+    binary its codes stand for; every undecodable input raises
+    ``ValueError``, never a raw ``zlib.error``."""
     # slice through a memoryview: no intermediate bytes copy of the
     # compressed payload before zlib reads it
     view = memoryview(blob)
     if view[:len(_HEADER)] == _HEADER:
         return _stream(view[len(_HEADER):])
+    if view[:len(_CODES)] == _CODES:
+        return _expand(view)
     if view[:len(_PLANES)] != _PLANES:
         raise ValueError("not a deflate frame (bad magic)")
     if len(view) < _PLANES_START:
@@ -143,6 +144,19 @@ def inflate(blob: bytes) -> bytes:
     ).reshape(width - 1, count).T
     elements[:, -1] = np.frombuffer(_stream(view[top:], count), np.uint8)
     return bytes(view[start:start + lead]) + elements.tobytes()
+
+
+def _expand(view: memoryview) -> bytes:
+    """The fp32 binary of a :data:`CODES` frame, its CRC checked first."""
+    # imageformat imports this module (NOISE): its table is read here
+    from .imageformat import expand_codes
+
+    start = len(_CODES) + _CRC.size
+    if len(view) < start:
+        raise ValueError("corrupt codes frame: head truncated")
+    if zlib.crc32(view[start:]) != _CRC.unpack_from(view, len(_CODES))[0]:
+        raise ValueError("corrupt codes frame: CRC mismatch")
+    return expand_codes(view[start:])
 
 
 def _stream(data: memoryview, size: Optional[int] = None) -> bytes:

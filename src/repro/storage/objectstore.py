@@ -27,6 +27,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from .imageformat import CodecError, derive_preprocessed
+
 #: a view of the one all-zero buffer behind every zero tail: grown
 #: (never shrunk) to the longest run asked for
 _zeros = memoryview(bytes(1 << 16))
@@ -260,6 +262,20 @@ class ObjectStore:
     def photo_ids(self) -> List[str]:
         prefix = "raw/"
         return [k[len(prefix):] for k in self.keys(prefix)]
+
+    def derived_preproc(self, photo_id: str) -> Optional[bytes]:
+        """The ``preproc/`` blob that ``raw/<photo_id>`` derives
+        (:func:`~repro.storage.imageformat.derive_preprocessed`), or
+        ``None`` when that blob is absent or is not a photo.  A
+        maintenance read of the full content: a restored payload's zero
+        tail is a length, not bytes."""
+        key = self.raw_key(photo_id)
+        if key not in self._objects:
+            return None
+        try:
+            return derive_preprocessed(self.peek(key))
+        except CodecError:
+            return None
 
     # -- accounting ---------------------------------------------------------
     def bytes_by_prefix(self, prefix: str) -> int:

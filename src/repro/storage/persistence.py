@@ -6,7 +6,8 @@ substrate the same property with explicit, versioned serialisation:
 * :func:`dump_object_store` / :func:`load_object_store` — every object
   plus the volume's capacity accounting and per-object CRC32s; an
   object's trailing zero run travels as a length, already-deflated
-  objects verbatim, and only the ``feat/`` rows through a deflate;
+  objects verbatim, only the ``feat/`` rows through a deflate, and a
+  ``preproc/`` blob its ``raw/`` blob derives as its key and CRC alone;
 * :func:`dump_photo_database` / :func:`load_photo_database` — all current
   label records and their full version history.
 
@@ -15,9 +16,10 @@ CRC32 trailer over everything before it, so a truncated, bit-flipped, or
 otherwise damaged snapshot fails with :class:`SnapshotError` instead of
 loading silently-wrong state.  Version 2 introduced the trailer and
 per-object CRCs; version 3 stopped deflating the store snapshot's whole
-body (the database payload is unchanged and only carries the number).
+body; version 4 stopped holding derived ``preproc/`` blobs (the database
+payload is unchanged since version 2 and only carries the number).
 Older versions are refused by name: version 1 carried no integrity data
-at all, and this release keeps no reader for version 2.
+at all, and this release keeps no reader for versions 2 and 3.
 
 Snapshots read through :meth:`ObjectStore.peek_payload`, so taking one
 never perturbs workload IO accounting (``bytes_read``) nor materialises
@@ -38,10 +40,13 @@ from .photodb import LabelRecord, PhotoDatabase
 
 _STORE_MAGIC = b"NDPS"
 _DB_MAGIC = b"NDPD"
-#: v3: store snapshots keep zero runs as lengths and deflate only what
-#: squeezes.  v2 (whole-body deflate) and v1 (no integrity data) are
-#: refused (see module docs).
-_VERSION = 3
+#: v4: store snapshots keep zero runs as lengths, deflate only what
+#: squeezes and hold a derived ``preproc/`` blob as its key and CRC.  v3
+#: (derived blobs held), v2 (whole-body deflate) and v1 (no integrity
+#: data) are refused (see module docs).
+_VERSION = 4
+#: what each refused version laid out differently
+_RETIRED = {2: "whole-body deflate", 3: "derived preproc/ blobs held"}
 
 
 class SnapshotError(ValueError):
@@ -77,10 +82,11 @@ def _check_version(version: int, what: str) -> None:
             f"{what} snapshot is version 1, which predates integrity "
             "trailers and cannot be trusted; re-create it with this release"
         )
-    if version == 2:
+    if version in _RETIRED:
         raise SnapshotError(
-            f"{what} snapshot is version 2 (whole-body deflate), which this "
-            "release no longer reads; re-create it with this release"
+            f"{what} snapshot is version {version} ({_RETIRED[version]}), "
+            "which this release no longer reads; re-create it with this "
+            "release"
         )
     if version != _VERSION:
         raise SnapshotError(f"unsupported {what} snapshot version {version}")
@@ -89,29 +95,41 @@ def _check_version(version: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 # Object store
 # ---------------------------------------------------------------------------
-#: magic, version, volume capacity, object count, verbatim-segment length
-_STORE_HEAD = struct.Struct(">4sBQIQ")
+#: magic, version, volume capacity, object count, verbatim-segment
+#: length, derived-record count
+_STORE_HEAD = struct.Struct(">4sBQIQI")
 #: key length, stored CRC32, nominal length, payload length
 _RECORD_HEAD = struct.Struct(">HIII")
+#: key length, stored CRC32 (a derived record: no payload)
+_DERIVED_HEAD = struct.Struct(">HI")
 #: the one namespace whose objects squeeze (see :func:`dump_object_store`)
 _SQUEEZED = ObjectStore.feature_key("")
+#: the namespace whose blobs derive from the ``raw/`` blob of their id
+_DERIVED = ObjectStore.preproc_key("")
 
 
 def dump_object_store(store: ObjectStore) -> bytes:
     """Serialise a store (keys, blobs, CRCs, volume accounting) to one blob:
-    ``head | verbatim records | deflate(squeezed records) | CRC32``.
+    ``head | verbatim records | derived records | deflate(squeezed
+    records) | CRC32``.
 
     A record is ``key length, stored CRC, nominal length, payload length |
     key | payload`` and stands for ``payload + bytes(nominal - payload)``:
     the trailing zero run (a nominal-size raw blob's padding, a ReLU row's
-    tail) is kept as a length, never as bytes.
+    tail) is kept as a length, never as bytes.  A derived record is ``key
+    length, stored CRC | key``: a CRC-clean ``preproc/`` blob that is
+    exactly the one its ``raw/`` blob derives, re-derived on load.
     """
-    verbatim, squeezed = [], []
+    verbatim, derived, squeezed = [], [], []
     for key in store.keys():
         key_bytes = key.encode()
         # held payloads, read in place; a payload's own trailing zeros
         # (a ReLU row's tail) still fold into the run
         blob, nominal = store.peek_payload(key)
+        if key.startswith(_DERIVED) and _derives(store, key, blob, nominal):
+            derived += (_DERIVED_HEAD.pack(len(key_bytes),
+                                           store.stored_crc(key)), key_bytes)
+            continue
         payload_len = payload_length(blob)
         records = squeezed if key.startswith(_SQUEEZED) else verbatim
         records += (
@@ -120,13 +138,24 @@ def dump_object_store(store: ObjectStore) -> bytes:
             key_bytes, blob[:payload_len])
     body = b"".join(verbatim)
     head = _STORE_HEAD.pack(_STORE_MAGIC, _VERSION,
-                            store.volume.capacity_bytes, len(store), len(body))
+                            store.volume.capacity_bytes, len(store), len(body),
+                            len(derived) // 2)
     # deflate only what squeezes; a checkpoint stores the result verbatim.
     # Level-1 ratios measured per namespace on a 256-photo store with the
-    # zero runs already out: raw/ payloads 0.98 and preproc/ frames 1.00
-    # (both are zlib streams, and re-deflating them was most of a v2
-    # dump's time), feat/ float rows 0.49 (level 6: 0.44 for 4.5x the time)
-    return seal([head, body, deflate(b"".join(squeezed), FEATURE_ROWS)])
+    # zero runs already out: raw/ payloads 0.98 (a zlib stream) and
+    # preproc/ frames 1.00 (8-bit codes; a store's raw/ codes repeat them,
+    # so they are derived instead), feat/ float rows 0.49 (level 6: 0.44
+    # for 4.5x the time)
+    return seal([head, body, *derived,
+                 deflate(b"".join(squeezed), FEATURE_ROWS)])
+
+
+def _derives(store: ObjectStore, key: str, blob: bytes, nominal: int) -> bool:
+    """Is the object at ``key`` CRC-clean and exactly the blob its
+    ``raw/`` blob derives?  (A rotten blob travels verbatim, so a scrub
+    after the restore still finds it.)"""
+    return (nominal == len(blob) and store.verify(key)
+            and blob == store.derived_preproc(key[len(_DERIVED):]))
 
 
 def _restore_records(store: ObjectStore, records: memoryview,
@@ -155,6 +184,30 @@ def _restore_records(store: ObjectStore, records: memoryview,
                              nominal_len)
 
 
+def _restore_derived(store: ObjectStore, frame: memoryview, offset: int,
+                     count: int, payloads: Dict[bytes, bytes]) -> int:
+    """Reinstate ``count`` derived records read from ``offset``, each
+    from its ``raw/`` blob (restored already), checked against its
+    recorded CRC; returns the offset after them."""
+    for _ in range(count):
+        key_len, crc = _DERIVED_HEAD.unpack_from(frame, offset)
+        offset += _DERIVED_HEAD.size + key_len
+        key = str(frame[offset - key_len:offset], "utf-8")
+        if not key.startswith(_DERIVED):
+            raise SnapshotError(f"derived record {key!r} is not a "
+                                f"{_DERIVED} blob")
+        blob = store.derived_preproc(key[len(_DERIVED):])
+        if blob is None or zlib.crc32(blob) != crc:
+            raise SnapshotError(
+                f"derived record {key!r} does not match what its raw/ blob "
+                "derives")
+        if store.exists(key):
+            raise SnapshotError(
+                f"duplicate key {key!r} in object-store snapshot")
+        store.restore_object(key, payloads.setdefault(blob, blob), crc)
+    return offset
+
+
 def load_object_store(blob: bytes, name: str = "restored",
                       payloads: Optional[Dict[bytes, bytes]] = None,
                       ) -> ObjectStore:
@@ -167,18 +220,20 @@ def load_object_store(blob: bytes, name: str = "restored",
     if blob[:4] != _STORE_MAGIC:
         raise SnapshotError("not an object-store snapshot")
     frame = _unseal(blob, "object-store")
-    _magic, version, capacity, count, verbatim_len = _STORE_HEAD.unpack_from(
-        frame)
-    _check_version(version, "object-store")
-    squeezed_at = _STORE_HEAD.size + verbatim_len
-    if squeezed_at > len(frame):
+    _check_version(frame[len(_STORE_MAGIC)], "object-store")
+    (_magic, _version, capacity, count, verbatim_len,
+     derived_count) = _STORE_HEAD.unpack_from(frame)
+    derived_at = _STORE_HEAD.size + verbatim_len
+    if derived_at > len(frame):
         raise SnapshotError(
             "object-store snapshot's verbatim segment overruns the frame")
     store = ObjectStore(Volume(capacity_bytes=capacity), name=name)
     try:
         payloads = {} if payloads is None else payloads
-        _restore_records(store, frame[_STORE_HEAD.size:squeezed_at],
+        _restore_records(store, frame[_STORE_HEAD.size:derived_at],
                          payloads)
+        squeezed_at = _restore_derived(store, frame, derived_at,
+                                       derived_count, payloads)
         _restore_records(store, memoryview(inflate(frame[squeezed_at:])),
                          payloads)
     except SnapshotError:

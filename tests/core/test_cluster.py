@@ -9,7 +9,7 @@ from repro.core.config import ClusterConfig
 from repro.core.fabric import NetworkFabric
 from repro.core.pipestore import PipeStore, StoredPhoto
 from repro.models.registry import tiny_model
-from repro.storage.imageformat import preprocess
+from repro.storage.imageformat import model_input, preprocess, quantise
 from repro.storage.objectstore import MissingObjectError
 
 
@@ -67,25 +67,26 @@ class TestPipeStore:
     def test_store_and_reload_photo(self, rng):
         store = PipeStore("s0", nominal_raw_bytes=4096)
         pixels = rng.random((3, 16, 16))
-        photo = StoredPhoto("p0", pixels, preprocess(pixels), train_label=3)
+        photo = StoredPhoto("p0", quantise(pixels), train_label=3)
         stored = store.store_photo(photo)
         assert stored >= 4096
         out = store.load_preprocessed("p0")
-        assert np.allclose(out, preprocess(pixels), atol=1e-6)
+        assert np.allclose(out, preprocess(pixels), atol=2 / 255 + 1e-6)
+        np.testing.assert_array_equal(out, model_input(quantise(pixels)))
         assert store.photo_ids() == ["p0"]
         assert store.train_label("p0") == 3
 
     def test_missing_label(self, rng):
         store = PipeStore("s0")
         pixels = rng.random((3, 16, 16))
-        store.store_photo(StoredPhoto("p0", pixels, preprocess(pixels)))
+        store.store_photo(StoredPhoto("p0", quantise(pixels)))
         with pytest.raises(MissingObjectError):
             store.train_label("p0")
 
     def test_jobs_require_model(self, rng):
         store = PipeStore("s0")
         pixels = rng.random((3, 16, 16))
-        store.store_photo(StoredPhoto("p0", pixels, preprocess(pixels)))
+        store.store_photo(StoredPhoto("p0", quantise(pixels)))
         with pytest.raises(RuntimeError, match="no model"):
             store.extract_features(["p0"])
         with pytest.raises(RuntimeError, match="no model"):
@@ -108,7 +109,7 @@ class TestPipeStore:
         store = PipeStore("s0", nominal_raw_bytes=8192)
         for i in range(5):
             pixels = rng.random((3, 16, 16))
-            store.store_photo(StoredPhoto(f"p{i}", pixels, preprocess(pixels)))
+            store.store_photo(StoredPhoto(f"p{i}", quantise(pixels)))
         assert store.objects.preprocessed_overhead() < 0.5
 
 
@@ -268,7 +269,7 @@ class TestEvaluation:
         assert model.training
         model.eval()
         with inference_mode():
-            logits = model(Tensor(preprocess(x))).data
+            logits = model(Tensor(model_input(quantise(x)))).data
         model.train()
         assert batched == (accuracy(logits, y),
                            topk_accuracy(logits, y, k=5))
@@ -280,7 +281,7 @@ class TestEvaluation:
         def broken(pixels):
             raise RuntimeError("decode failed")
 
-        monkeypatch.setattr(tuner_module, "preprocess", broken)
+        monkeypatch.setattr(tuner_module, "quantise", broken)
         with pytest.raises(RuntimeError, match="decode failed"):
             cluster.evaluate(np.zeros((4, 3, 16, 16), np.float32),
                              np.zeros(4, np.int64))

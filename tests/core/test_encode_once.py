@@ -1,7 +1,7 @@
 """Encode once per upload: every replica stores the same immutable bytes.
 
-``StoredPhoto`` produces the raw payload and the deflated preprocessed
-binary once; each holder ``put``s those bytes, the raw payload at its own
+``StoredPhoto`` produces the raw payload and the ``preproc/`` blob once
+from the upload's 8-bit codes; each holder ``put``s those bytes, the raw payload at its own
 nominal size (held as a length, not as zeros).  The
 accounting an experiment can observe — ``store_photo``'s return value,
 fabric bytes, volume use, ``bytes_written``, per-object CRCs — is pinned
@@ -19,7 +19,7 @@ from repro.core.pipestore import PipeStore, StoredPhoto
 from repro.faults import DropMessages, FaultInjector
 from repro.models.registry import tiny_model
 from repro.storage import imageformat
-from repro.storage.imageformat import preprocess
+from repro.storage.imageformat import model_input, quantise
 
 NUM_PHOTOS = 12
 
@@ -36,9 +36,8 @@ def replicated_cluster(small_world, replication=3):
 
 
 def photo(rng, photo_id="p"):
-    pixels = rng.random((3, 16, 16))
-    return StoredPhoto(photo_id=photo_id, pixels=pixels,
-                       preprocessed=preprocess(pixels), train_label=1)
+    return StoredPhoto(photo_id=photo_id,
+                       codes=quantise(rng.random((3, 16, 16))), train_label=1)
 
 
 class TestStoredPhotoEncodesOnce:
@@ -81,9 +80,9 @@ class TestStoredPhotoEncodesOnce:
         store = PipeStore("s", nominal_raw_bytes=2048)
         store.store_photo(upload)
         assert store.objects.peek("raw/p") == imageformat.encode_photo(
-            upload.pixels).ljust(2048, b"\0")
+            upload.codes).ljust(2048, b"\0")
         np.testing.assert_array_equal(
-            store.load_preprocessed("p"), upload.preprocessed)
+            store.load_preprocessed("p"), model_input(upload.codes))
 
 
 class TestReplicatedIngest:
@@ -114,18 +113,23 @@ class TestReplicatedIngest:
         Huffman-coded): ingest/replicate (58 793, 117 586) -> (55 507,
         111 014), bytes written [44 084, 44 090, 44 102, 44 103] ->
         [41 626, 41 623, 41 642, 41 630] and the all-objects CRC
-        962 799 794 -> 1 354 900 958."""
+        962 799 794 -> 1 354 900 958.  Re-pinned when each upload passed
+        the front door once and ``preproc/`` came to hold its 8-bit codes
+        (785 B a blob, whatever the photo): ingest/replicate (55 507,
+        111 014) -> (33 996, 67 992), bytes written [41 626, 41 623,
+        41 642, 41 630] -> 25 497 on every store and the all-objects CRC
+        1 354 900 958 -> 3 470 633 301."""
         cluster, _ = replicated_cluster(small_world)
         traffic = cluster.traffic_summary()
-        assert (traffic["ingest"], traffic["replicate"]) == (55507, 111014)
-        written = [41626, 41623, 41642, 41630]
+        assert (traffic["ingest"], traffic["replicate"]) == (33996, 67992)
+        written = [25497] * 4
         assert [s.objects.bytes_written for s in cluster.stores] == written
         assert [s.objects.volume.used_bytes
                 for s in cluster.stores] == written
         # every stored byte, in store/key order
         assert zlib.crc32(b"".join(
             s.objects.peek(key) for s in cluster.stores
-            for key in s.objects.keys())) == 1354900958
+            for key in s.objects.keys())) == 3470633301
 
     def test_a_restore_shares_payloads_across_replicas(self, small_world):
         """A restored fleet holds one payload object per replicated blob,

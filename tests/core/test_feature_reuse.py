@@ -24,7 +24,7 @@ from repro.nn.tensor import Tensor, inference_mode
 from repro.obs.metrics import MetricsRegistry
 from repro.placement import ShardConfig, ShardedCluster
 from repro.storage.compression import inflate
-from repro.storage.imageformat import decode_preprocessed, preprocess
+from repro.storage.imageformat import decode_preprocessed, quantise
 
 BATCH = 8
 
@@ -34,9 +34,8 @@ def factory():
 
 
 def photo(rng, photo_id):
-    pixels = rng.random((3, 16, 16))
-    return StoredPhoto(photo_id=photo_id, pixels=pixels,
-                       preprocessed=preprocess(pixels), train_label=1)
+    return StoredPhoto(photo_id=photo_id,
+                       codes=quantise(rng.random((3, 16, 16))), train_label=1)
 
 
 def photos(count, seed=0):
@@ -151,7 +150,8 @@ class TestColdEqualsAlwaysRecompute:
         feature rows began crossing at 8 bits with a float32 (low, step)
         per row: ``features`` 12 288 -> 3 264 B (24 rows x (128 + 8));
         ``model-delta`` 1 242 -> 1 245 B (the tail trained on the
-        delivered rows)."""
+        delivered rows).  Re-pinned when ``preproc/`` came to hold each
+        upload's 8-bit codes: ``ingest`` 111 139 -> 67 992 B."""
         cluster = NDPipeCluster(factory, ClusterConfig(
             num_stores=3, nominal_raw_bytes=2048))
         x, y = small_world.sample(24, 0, rng=np.random.default_rng(3))
@@ -164,7 +164,7 @@ class TestColdEqualsAlwaysRecompute:
         assert stats.photos_processed == 24
         assert [s.busy_seconds for s in cluster.stores] == busy
         assert cluster.traffic_summary() == {
-            "model-full": 24912, "ingest": 111139, "features": 3264,
+            "model-full": 24912, "ingest": 67992, "features": 3264,
             "model-delta": 1245, "inference-request": 192, "labels": 384}
 
 

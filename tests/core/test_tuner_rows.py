@@ -20,7 +20,7 @@ from repro.core.config import ClusterConfig
 from repro.core.ftdmp import FeatureRows, FinetuneReport
 from repro.core.pipestore import PipeStore, StoredPhoto
 from repro.models.registry import tiny_model
-from repro.storage.imageformat import preprocess
+from repro.storage.imageformat import quantise
 
 PHOTOS = 36
 
@@ -160,7 +160,7 @@ def reupload(cluster, store, photo_id):
     ``preproc/`` blob, and so the blob's CRC, changes."""
     pixels = np.random.default_rng(5).random((3, 16, 16))
     before = store.objects.stored_crc(store.objects.preproc_key(photo_id))
-    store.store_photo(StoredPhoto(photo_id, pixels, preprocess(pixels),
+    store.store_photo(StoredPhoto(photo_id, quantise(pixels),
                                   train_label=store.train_label(photo_id)))
     assert store.objects.stored_crc(
         store.objects.preproc_key(photo_id)) != before

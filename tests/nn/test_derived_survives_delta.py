@@ -21,7 +21,7 @@ from repro.models.registry import tiny_model
 from repro.nn.layers import BatchNorm2d
 from repro.nn.tensor import Tensor, no_grad
 from repro.obs.metrics import MetricsRegistry
-from repro.storage.imageformat import preprocess
+from repro.storage.imageformat import quantise
 
 
 def _model():
@@ -37,10 +37,9 @@ def _store(registry=None):
                         version=0, base=model)
     rng = np.random.default_rng(0)
     for i in range(6):
-        pixels = rng.random((3, 16, 16))
-        store.store_photo(StoredPhoto(photo_id=f"p{i}", pixels=pixels,
-                                      preprocessed=preprocess(pixels),
-                                      train_label=1))
+        store.store_photo(StoredPhoto(
+            photo_id=f"p{i}", codes=quantise(rng.random((3, 16, 16))),
+            train_label=1))
     return store
 
 

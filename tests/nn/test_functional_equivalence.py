@@ -28,6 +28,7 @@ from repro.storage.imageformat import (
     encode_photo,
     encode_preprocessed,
     preprocess,
+    quantise,
 )
 from tests.nn.reference_ops import (
     assert_frozen_graph_close,
@@ -284,10 +285,10 @@ class TestCodecZeroCopy:
         return rng.uniform(0, 1, (16, 16, 3)).astype(np.float32)
 
     def test_decode_photo_identical(self):
-        photo = self._photo()
-        quantised = (photo * 255).astype(np.uint8) / 255.0
+        codes = quantise(self._photo())
+        quantised = codes / 255.0
         # padding past the payload is not read
-        blob = encode_photo(photo)
+        blob = encode_photo(codes)
         for padded in (blob, blob.ljust(4096, b"\0")):
             np.testing.assert_array_equal(decode_photo(padded), quantised)
 

@@ -284,7 +284,10 @@ def test_join_fail_reingest_recover_scrub_is_pinned():
     688 486, ``re-ingest`` 22 073 -> 21 522, ``repair`` 35 615 ->
     35 342; and ``model-full`` 738 165 -> 41 520 B (5 x 8 304) since an
     install ships only the classifier and a fingerprint of the frozen
-    stages."""
+    stages; and since ``preproc/`` holds each upload's 8-bit codes:
+    ``bytes_received`` and ``rebalance`` 193 619 -> 161 586, ``ingest``
+    344 243 -> 287 264, ``replicate`` 688 486 -> 574 528, ``re-ingest``
+    21 522 -> 17 954, ``repair`` 35 342 -> 33 553."""
     fleet, ids = make_fleet(num_shards=4, replication=3, photos=32)
     summary = fleet.join_shard()
     cluster = fleet.cluster
@@ -315,14 +318,14 @@ def test_join_fail_reingest_recover_scrub_is_pinned():
 
     assert len(stranded) == 5
     assert moved == [f"default/photo-{i:08d}" for i in (2, 6, 12, 13, 17)]
-    ledger = {"bytes_received": 193619, "objects_failed": 0,
+    ledger = {"bytes_received": 161586, "objects_failed": 0,
               "objects_inflight": 0, "objects_moved": 18,
               "objects_received": 18}
     assert summary["copies"] == ledger
     assert fleet.ledger().to_dict() == ledger
     assert cluster.network.kinds() == {
-        "ingest": 344243, "model-full": 41520, "re-ingest": 21522,
-        "rebalance": 193619, "repair": 35342, "replicate": 688486}
+        "ingest": 287264, "model-full": 41520, "re-ingest": 17954,
+        "rebalance": 161586, "repair": 33553, "replicate": 574528}
     assert scrub.repaired == [("pipestore-4", "raw/default/photo-00000012")]
     assert scrub.restored == [
         ("pipestore-2", "raw/default/photo-00000006"),

@@ -65,22 +65,25 @@ class TestMultiTenantIngest:
 
     def test_each_upload_is_preprocessed_once_and_labelled_the_same(
             self, monkeypatch):
-        """ingest classifies the tensor it stores: one ``preprocess`` and
-        one forward per ``batch_size`` chunk, labels equal to
-        ``classify(pixels)``, confidences within the batched-vs-single
-        tolerance of ``tests/test_equivalence.py``."""
+        """ingest classifies the tensor it stores: one pass through the
+        front door (``quantise``) and one forward per ``batch_size``
+        chunk, labels equal to ``classify(pixels)``, confidences within
+        the batched-vs-single tolerance of ``tests/test_equivalence.py``,
+        and the stored tensor ``preprocess`` of the rounded pixels."""
         from repro.core import dataplane
+        from repro.storage.imageformat import preprocess
 
         calls = []
-        real = dataplane.preprocess
+        real = dataplane.quantise
         monkeypatch.setattr(
-            dataplane, "preprocess",
-            lambda pixels, *a: calls.append(len(pixels)) or real(pixels, *a))
+            dataplane, "quantise",
+            lambda pixels: calls.append(len(pixels)) or real(pixels))
         fleet = make_fleet(replication=2)
         chunk = fleet.cluster.config.batch_size
         images, labels = images_of(chunk + 5, fleet)
         ids, _ = fleet.ingest(images, train_labels=labels)
         assert calls == [chunk, 5]
+        calls.clear()
         server = fleet.cluster.inference_server
         for pid, pixels in zip(ids, images):
             record = fleet.cluster.database.lookup(pid)
@@ -90,7 +93,8 @@ class TestMultiTenantIngest:
                                        rtol=1e-9, atol=1e-12)
             store = fleet.cluster.stores[record.location]
             np.testing.assert_array_equal(
-                store.load_preprocessed(pid), real(pixels))
+                store.load_preprocessed(pid),
+                preprocess(dataplane.quantise(pixels) / 255))
 
     def test_one_call_equals_fifty_one_photo_calls(self):
         """Chunking is scheduling: against 50 one-photo calls the ids,

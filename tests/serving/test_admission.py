@@ -114,3 +114,15 @@ def test_expired_behind_a_full_batch_stay_queued_unscanned():
     assert ready == []
     assert [r.request_id for r in expired] == ["req-002"]
     assert queue.depth() == 0
+
+
+def test_a_request_is_immutable_with_its_defaults():
+    request = ServeRequest("r", 0.5, np.zeros((3, 2, 2)))
+    assert (request.train_label, request.deadline_s) == (None, None)
+    for field in ("request_id", "arrival_s", "pixels", "train_label",
+                  "deadline_s"):
+        with pytest.raises(AttributeError):
+            setattr(request, field, None)
+    moved = request._replace(arrival_s=0.25)
+    assert (moved.arrival_s, request.arrival_s) == (0.25, 0.5)
+    assert moved.pixels is request.pixels

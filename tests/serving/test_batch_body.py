@@ -26,7 +26,7 @@ from repro.serving.admission import ServeRequest
 from repro.serving.bench import STREAM_BENCH_DEFAULTS, run_streaming_bench
 from repro.serving.cache import content_key
 from repro.serving.stream import _ServeRun
-from repro.storage.imageformat import preprocess
+from repro.storage.imageformat import preprocess, quantise
 from repro.workloads.continuous import open_loop_requests
 
 
@@ -60,9 +60,9 @@ def _metric(frontend, name, **labels):
 
 # -- assembly and answers -----------------------------------------------------
 def test_rows_are_split_point_features_hit_or_miss():
-    """A miss brings its preprocessed tensor and leaves its split-point
-    row in the cache; a repeat (later in the batch, or a later batch) is
-    a hit that brings nothing to preprocess, and the tail over cached
+    """A miss brings its 8-bit codes and leaves its split-point row in
+    the cache; a repeat (later in the batch, or a later batch) is a hit
+    that brings nothing through the front door, and the tail over cached
     rows answers bit for bit what the tail over fresh rows did."""
     frontend = _sync()
     trace = _trace(num_requests=12, pool_size=4)
@@ -71,16 +71,17 @@ def test_rows_are_split_point_features_hit_or_miss():
     keys = [content_key(r.pixels) for r in trace]
     firsts = [keys.index(key) == at for at, key in enumerate(keys)]
     assert cold.hits == [not first for first in firsts]
-    assert all(warm.hits) and warm.preprocessed == [None] * 12
-    for request, tensor in zip(trace, cold.preprocessed):
-        np.testing.assert_array_equal(tensor, preprocess(request.pixels))
+    assert all(warm.hits) and warm.codes == [None] * 12
+    for request, codes in zip(trace, cold.codes):
+        np.testing.assert_array_equal(codes, quantise(request.pixels))
     assert warm.results == cold.results
 
     replica = frontend.dispatcher.replicas[0]
     distinct = [r.pixels for r, first in zip(trace, firsts) if first]
     with inference_mode():
         want = replica.model.forward_until(
-            Tensor(preprocess(np.stack(distinct))), replica.split).data
+            Tensor(preprocess(quantise(np.stack(distinct)) / 255)),
+            replica.split).data
     _keys, rows = frontend.cache.lookup(distinct, replica.front_digest())
     np.testing.assert_array_equal(np.stack(rows), want)
     assert frontend.cache.resident_bytes == want.nbytes
@@ -102,13 +103,13 @@ def test_answers_equal_single_photo_classify_on_both_front_ends():
     trace = _trace(num_requests=150, rate_rps=4000.0, pool_size=24)
     pixels = {r.request_id: r.pixels for r in trace}
     oracle = _replica(ServingConfig())
-    sync = _sync().serve(trace, collect_tensors=True)
+    sync = _sync().serve(trace, collect_codes=True)
     answers = [(o.request.request_id, o.label, o.confidence)
                for o in sync.completed_requests]
     for outcome in sync.completed_requests:
         if not outcome.cache_hit:
-            np.testing.assert_array_equal(outcome.preprocessed,
-                                          preprocess(outcome.request.pixels))
+            np.testing.assert_array_equal(outcome.codes,
+                                          quantise(outcome.request.pixels))
     assert _mixed_batches((o.batch_index, o.cache_hit)
                           for o in sync.completed_requests)
     stream = _stream().serve(trace)

@@ -163,9 +163,9 @@ def test_cluster_serve_uploads_lands_completed_requests():
 
 
 def test_serve_uploads_lets_go_of_each_tensor_once_landed():
-    """A landed photo's tensor is the store's; the report keeps none
-    (each one is a view pinning its whole miss batch).  Ids and labels
-    are the ones recorded before the tensors were let go."""
+    """A landed photo's codes are the store's; the report keeps none
+    (each is a view pinning its whole miss batch's codes).  Ids and
+    labels are the ones recorded before the codes were let go."""
     cluster = NDPipeCluster(
         lambda: tiny_model("ResNet50", num_classes=10, width=8, seed=7),
         ClusterConfig(num_stores=2),
@@ -174,7 +174,7 @@ def test_serve_uploads_lets_go_of_each_tensor_once_landed():
     report, photo_ids = cluster.serve_uploads(
         requests, ServingConfig(replicas=2))
     assert (report.completed, report.cache_misses) == (24, 11)
-    assert all(o.preprocessed is None for o in report.completed_requests)
+    assert all(o.codes is None for o in report.completed_requests)
     assert photo_ids == [f"photo-{i:08d}" for i in range(24)]
     assert [o.label for o in report.completed_requests] == (
         [3] * 13 + [0] + [3] * 8 + [0, 3])
@@ -187,8 +187,8 @@ def test_direct_serve_keeps_the_tensors_it_was_asked_for():
     )
     frontend = cluster.make_serving_frontend(ServingConfig(replicas=2))
     requests = _trace(num_requests=24, rate_rps=800.0, seed=3, pool_size=16)
-    report = frontend.serve(requests, collect_tensors=True)
-    kept = [o for o in report.completed_requests if o.preprocessed is not None]
+    report = frontend.serve(requests, collect_codes=True)
+    kept = [o for o in report.completed_requests if o.codes is not None]
     assert len(kept) == report.cache_misses == 11
 
 

@@ -1,13 +1,15 @@
 """Codec fit: each landed or checkpointed payload is deflated the way its
 bytes pay for (see :mod:`repro.storage.compression`).
 
-The stand-in JPEG payload is quantised noise and is stored (level 0); a
-``preproc/`` blob and the checkpoint journal's pixels, stacked into one
-array, are split into byte planes with only the sign/exponent plane
-Huffman-coded; model weights keep level 9.  Each check compares against
-that codec spelled out with ``zlib`` directly, so a payload routed
-through the wrong codec fails by name, and against the encodes the
-landing and checkpoint paths used before, which must never be smaller.
+Every payload derives from the upload's 8-bit codes.  The stand-in JPEG
+payload is those codes, quantised noise, and is stored (level 0); a
+``preproc/`` blob is the codes behind the preprocessed binary's header
+and a CRC32, inflating to the fp32 binary; the checkpoint journal's
+codes, stacked into one array, are one Huffman-only stream; model
+weights keep level 9.  Each check compares against that codec spelled
+out with ``zlib`` directly, so a payload routed through the wrong codec
+fails by name, and against the encodes the landing and checkpoint paths
+used before, which must never be smaller.
 """
 
 import struct
@@ -33,8 +35,9 @@ from repro.storage.imageformat import (
     encode_photo,
     encode_preprocessed,
     preprocess,
+    quantise,
 )
-from tests.storage.test_plane_codec import plane_frame
+from tests.storage.test_plane_codec import huffman_only, plane_frame
 
 PHOTO_HEADER = struct.calcsize(_HEADER_FMT)
 
@@ -53,7 +56,20 @@ def level_6_frame(data: bytes) -> bytes:
 
 
 def quantised(pixels: np.ndarray) -> np.ndarray:
-    return (np.clip(pixels, 0.0, 1.0) * 255).astype(np.uint8)
+    """The front door spelled out: clip, scale, round to nearest."""
+    return np.rint(np.clip(pixels, 0.0, 1.0) * 255).astype(np.uint8)
+
+
+def derived(codes: np.ndarray) -> np.ndarray:
+    """The model input of ``codes``, computed rather than looked up."""
+    return preprocess(codes / 255)
+
+
+def codes_frame(codes: np.ndarray) -> bytes:
+    """The ``preproc/`` blob of ``codes``: magic, CRC32 of what follows,
+    the preprocessed binary's header, one byte per code."""
+    body = struct.pack(">4sBHH", b"NDPP", *codes.shape) + codes.tobytes()
+    return b"NDPC" + struct.pack(">I", zlib.crc32(body)) + body
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +80,7 @@ def sample():
 
 
 def uploads(pixels):
-    return [StoredPhoto(photo_id=f"p{i}", pixels=p, preprocessed=preprocess(p))
+    return [StoredPhoto(photo_id=f"p{i}", codes=quantise(p))
             for i, p in enumerate(pixels)]
 
 
@@ -72,31 +88,34 @@ class TestStandInJpeg:
     def test_stored_payload_is_as_long_as_a_level_6_encode(self, sample):
         for pixels in sample:
             noise = quantised(pixels).tobytes()
-            blob = encode_photo(pixels)
+            blob = encode_photo(quantise(pixels))
             assert blob[PHOTO_HEADER:] == zlib.compress(noise, 0)
             assert len(blob) == PHOTO_HEADER + len(zlib.compress(noise, 6))
 
     def test_decode_returns_the_quantised_pixels(self, sample):
         for pixels in sample:
             np.testing.assert_array_equal(
-                decode_photo(encode_photo(pixels).ljust(8192, b"\0")),
+                decode_photo(encode_photo(quantise(pixels))
+                             .ljust(8192, b"\0")),
                 quantised(pixels) / 255.0)
 
 
 class TestPreprocessedBlob:
-    def test_byte_planes_inflate_bit_exactly_and_never_cost_bytes(
-            self, sample):
-        ours = run_length = 0
+    def test_codes_inflate_exactly_and_never_cost_bytes(self, sample):
+        """Against the byte planes the blob held before and level 6,
+        both over the fp32 binary the codes derive."""
+        ours = planes = 0
         for photo in uploads(sample):
-            raw = encode_preprocessed(photo.preprocessed)
+            raw = encode_preprocessed(derived(photo.codes))
             blob = photo.preprocessed_blob()
-            assert blob == plane_frame(raw, 4)
+            assert blob == codes_frame(
+                quantised(decode_photo(photo.raw_payload())))
             assert inflate(blob) == raw
-            assert len(blob) <= len(run_length_frame(raw))
+            assert len(blob) <= len(plane_frame(raw, 4))
             assert len(blob) <= len(level_6_frame(raw))
             ours += len(blob)
-            run_length += len(run_length_frame(raw))
-        assert ours < run_length
+            planes += len(plane_frame(raw, 4))
+        assert ours < planes / 3
 
     def test_a_level_6_blob_written_before_still_loads(self, sample):
         """And a ``Z_RLE`` one: both earlier ``NDPZ`` encodes."""
@@ -110,13 +129,13 @@ class TestPreprocessedBlob:
                                           level_6_frame, run_length_frame)):
             store.objects.put(
                 store.objects.preproc_key(photo.photo_id),
-                before(encode_preprocessed(photo.preprocessed)))
+                before(encode_preprocessed(derived(photo.codes))))
         for photo in photos:
             np.testing.assert_array_equal(
-                store.load_preprocessed(photo.photo_id), photo.preprocessed)
+                store.load_preprocessed(photo.photo_id), derived(photo.codes))
         np.testing.assert_array_equal(
             store._load_batch([photo.photo_id for photo in photos]),
-            np.stack([photo.preprocessed for photo in photos]))
+            np.stack([derived(photo.codes) for photo in photos]))
 
 
 class TestCheckpointTables:
@@ -134,15 +153,16 @@ class TestCheckpointTables:
         manifest, blobs = read_frame(blob)
         journal = cluster.control.journal
         assert list(manifest["journal"]["labels"]) == list(journal)
-        stack = np.stack([pixels for pixels, _ in journal.values()])
+        stack = np.stack([codes for codes, _ in journal.values()])
+        np.testing.assert_array_equal(stack, quantised(sample[:32]))
         header = f"{stack.dtype.str}|{','.join(map(str, stack.shape))}|"
-        table = bytes(blobs[manifest["journal"]["pixels_blob"]])
-        assert table == plane_frame(header.encode() + stack.tobytes(),
-                                    stack.itemsize)
+        table = bytes(blobs[manifest["journal"]["codes_blob"]])
+        assert table == b"NDPZ" + huffman_only(header.encode()
+                                               + stack.tobytes())
         np.testing.assert_array_equal(decompress_array(table), stack)
         # never larger than the per-entry table at level 9 it replaced
         per_entry = pack_arrays(
-            {pid: pixels for pid, (pixels, _) in journal.items()})
+            {pid: codes for pid, (codes, _) in journal.items()})
         assert len(table) <= len(b"NDPZ" + zlib.compress(per_entry, 9))
         model = pack_arrays(cluster.tuner.model.state_dict())
         assert bytes(blobs[manifest["tuner"]["model_blob"]]) == (
@@ -151,16 +171,16 @@ class TestCheckpointTables:
         restored = build()
         restored.restore(blob)
         assert list(restored.control.journal) == list(journal)
-        for pid, (pixels, label) in journal.items():
+        for pid, (codes, label) in journal.items():
             got, got_label = restored.control.journal[pid]
-            assert got.dtype == pixels.dtype and got.shape == pixels.shape
-            assert got.tobytes() == pixels.tobytes()
+            assert got.dtype == codes.dtype and got.shape == codes.shape
+            assert got.tobytes() == codes.tobytes()
             assert got_label == label
 
     def test_stacked_journal_never_costs_bytes_on_the_sample(self, sample):
-        """All 256 photos: the stacked plane table against the level-9
+        """All 256 photos' codes: the stacked table against the level-9
         per-entry table."""
-        stack = np.asarray(sample)
+        stack = quantise(np.asarray(sample))
         stacked = compress_array(stack)
         per_entry = b"NDPZ" + zlib.compress(pack_arrays(
             {f"acme/photo-{i:08d}": p for i, p in enumerate(stack)}), 9)

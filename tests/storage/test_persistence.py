@@ -130,14 +130,13 @@ class TestPipeStoreRestart:
         from repro.core.checknrun import ReplicaSync
         from repro.core.pipestore import PipeStore, StoredPhoto
         from repro.models.registry import tiny_model
-        from repro.storage.imageformat import preprocess
+        from repro.storage.imageformat import quantise
 
         store = PipeStore("s0", nominal_raw_bytes=4096)
         x, y = small_world.sample(12, 0)
-        for i, pixels in enumerate(x):
-            store.store_photo(StoredPhoto(
-                f"p{i}", np.asarray(pixels, dtype=float),
-                preprocess(pixels), train_label=int(y[i])))
+        for i, codes in enumerate(quantise(x)):
+            store.store_photo(StoredPhoto(f"p{i}", codes,
+                                          train_label=int(y[i])))
         snapshot = dump_object_store(store.objects)
 
         rebooted = PipeStore("s0", nominal_raw_bytes=4096)
@@ -149,25 +148,29 @@ class TestPipeStoreRestart:
 
 
 class TestFormatNeutrality:
-    """The NDPS v3 bytes do not depend on how a store holds its objects:
+    """The NDPS v4 bytes do not depend on how a store holds its objects:
     a store filled without any GEMM (fixed pixels through ``store_photo``
     plus one hand-made float32 ``feat/`` row with a ReLU zero tail)
-    snapshots to the frame pinned on zero-padded ``bytes`` storage."""
+    snapshots to the frame pinned on zero-padded ``bytes`` storage.
+    Re-pinned when ``preproc/`` came to hold the upload's 8-bit codes
+    (the JPEG stand-in's codes rounded, not truncated) and a snapshot
+    began holding a derived ``preproc/`` blob as its key and CRC alone:
+    (13 743 B, CRC 1 668 327 073) -> (3 427 B, CRC 3 260 683 122)."""
 
-    FRAME_CRC = 1668327073
-    FRAME_BYTES = 13743
+    FRAME_CRC = 3260683122
+    FRAME_BYTES = 3427
 
     @staticmethod
     def _store():
         from repro.core.pipestore import PipeStore, StoredPhoto, _pack_feature
-        from repro.storage.imageformat import preprocess
+        from repro.storage.imageformat import quantise
 
         store = PipeStore("s0", nominal_raw_bytes=2048)
         for i in range(4):
             pixels = (np.arange(3 * 16 * 16).reshape(3, 16, 16)
                       * (7 + i) % 251 / 250.0)
-            store.store_photo(StoredPhoto(f"p{i}", pixels,
-                                          preprocess(pixels), train_label=i))
+            store.store_photo(StoredPhoto(f"p{i}", quantise(pixels),
+                                          train_label=i))
         row = np.array([0.5, -1.25, 3.0, 0.0, 2.5] + [0.0] * 11, np.float32)
         store.objects.put("feat/p0", _pack_feature(
             bytes(range(16)), store.objects.stored_crc("preproc/p0"), row))

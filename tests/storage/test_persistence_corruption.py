@@ -26,9 +26,11 @@ from repro.storage.persistence import (
 )
 from repro.storage.photodb import LabelRecord, PhotoDatabase
 
-#: the v3 store-snapshot layout, written out here on purpose: these tests
+#: the v4 store-snapshot layout, written out here on purpose: these tests
 #: pin the bytes, not whatever the module's private structs say today
-HEAD = struct.Struct(">4sBQIQ")  # magic version capacity count verbatim_len
+#: (the sample store holds no photo, so it has no derived records)
+HEAD = struct.Struct(">4sBQIQI")  # magic version capacity count
+#                                   verbatim_len derived_count
 RECORD = struct.Struct(">HIII")  # key_len crc nominal_len payload_len
 
 
@@ -71,7 +73,7 @@ def verbatim_records(blob: bytes) -> dict:
 
 
 def regions(blob: bytes) -> dict:
-    """Representative byte offsets in every region of a v3 frame."""
+    """Representative byte offsets in every region of a v4 frame."""
     records = verbatim_records(blob)
     head_at, payload_at, payload_len = records["raw/a"]
     squeezed_at = HEAD.size + HEAD.unpack_from(blob)[4]
@@ -81,6 +83,7 @@ def regions(blob: bytes) -> dict:
         "capacity": [5, 12],
         "count": [13, 16],
         "verbatim_len": [17, 24],
+        "derived_count": [25, 28],
         "record_head": list(range(head_at, head_at + RECORD.size)),
         "key": [head_at + RECORD.size, payload_at - 1],
         "payload": [payload_at, payload_at + payload_len // 2,
@@ -159,6 +162,14 @@ class TestObjectStoreSnapshotCorruption:
             load_object_store(reseal(frame))
         with pytest.raises(SnapshotError, match="version 2"):
             load_object_store(reseal(frame + bytes(64)))
+
+    def test_v3_snapshot_is_refused_loudly(self):
+        """The layout that held derived ``preproc/`` blobs: named."""
+        frame = bytearray(dump_object_store(sample_store())[:-4])
+        frame[4] = 3
+        with pytest.raises(SnapshotError,
+                           match="version 3 \\(derived preproc/ blobs held\\)"):
+            load_object_store(reseal(frame))
 
     def test_unknown_version_is_refused(self):
         frame = bytearray(dump_object_store(sample_store())[:-4])

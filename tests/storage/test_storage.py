@@ -22,6 +22,7 @@ from repro.storage.imageformat import (
     encode_photo,
     encode_preprocessed,
     preprocess,
+    quantise,
 )
 from repro.storage.objectstore import (
     MissingObjectError,
@@ -95,13 +96,15 @@ class TestCompression:
 class TestPhotoCodec:
     def test_roundtrip_quantised(self, rng):
         pixels = rng.random((3, 8, 8))
-        decoded = decode_photo(encode_photo(pixels))
+        decoded = decode_photo(encode_photo(quantise(pixels)))
         assert decoded.shape == pixels.shape
-        assert np.abs(decoded - pixels).max() <= 1 / 255 + 1e-9
+        # rounded to the nearest code, not truncated
+        assert np.abs(decoded - pixels).max() <= 0.5 / 255 + 1e-9
 
     def test_padding_to_nominal_size(self, rng):
         store = ObjectStore()
-        store.put("raw/p", encode_photo(rng.random((3, 4, 4))), 5000)
+        store.put("raw/p", encode_photo(quantise(rng.random((3, 4, 4)))),
+                  5000)
         blob = store.get("raw/p")
         assert len(blob) == store.size_of("raw/p") == 5000
         # padded blob still decodes
@@ -109,11 +112,16 @@ class TestPhotoCodec:
 
     def test_clipping_out_of_range(self):
         pixels = np.full((1, 2, 2), 2.0)
-        assert decode_photo(encode_photo(pixels)).max() <= 1.0
+        assert decode_photo(encode_photo(quantise(pixels))).max() <= 1.0
 
     def test_bad_shape_rejected(self):
         with pytest.raises(CodecError):
-            encode_photo(np.zeros((4, 4)))
+            encode_photo(np.zeros((4, 4), np.uint8))
+
+    def test_float_pixels_are_refused(self):
+        """Only the front door turns pixels into codes."""
+        with pytest.raises(CodecError, match="8-bit codes"):
+            encode_photo(np.zeros((3, 4, 4)))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(CodecError):
@@ -140,7 +148,7 @@ class TestPhotoCodec:
 
     # every undecodable blob is a CodecError — never struct.error, a bare
     # numpy ValueError, or a raw zlib.error
-    _PHOTO = encode_photo(np.linspace(0, 1, 48).reshape(3, 4, 4))
+    _PHOTO = encode_photo(quantise(np.linspace(0, 1, 48).reshape(3, 4, 4)))
     _PREPROCESSED = encode_preprocessed(
         preprocess(np.linspace(0, 1, 48).reshape(3, 4, 4)))
 

@@ -199,15 +199,23 @@ class TestDemoOutputIsPinned:
     # export gained ftdmp_feature_rows_{reused_total,held_bytes} (and a
     # reworded images help; bb902f51371d8c75 before), and the mid-run
     # checkpoint's report gained "rows_held": 0, every blob unchanged
-    # (checkpoint 33aa6a67ae6ef281, bytes 51862ebd2dcbd86e before)
+    # (checkpoint 33aa6a67ae6ef281, bytes 51862ebd2dcbd86e before).
+    # Re-pinned when each upload began passing the front door once:
+    # ingest bytes fall (8-bit ``preproc/`` blobs), labels, confidences
+    # and the trained tensors are those of the rounded codes, the
+    # checkpoint is v4 with an 8-bit journal and its store snapshots hold
+    # derived ``preproc/`` blobs as key and CRC (demo d64356a40c4d6a99,
+    # demo-json 8dfe9a49faf83da9, metrics a60d374e49ffc0d9, checkpoint
+    # ed7a2cb0587f59c8, bytes 20d430052f9a2bc5, resume 58b65883edbaaa2f
+    # before; trace unchanged)
     PINNED = {
-        "demo": "d64356a40c4d6a99",
-        "demo-json": "8dfe9a49faf83da9",
-        "metrics": "a60d374e49ffc0d9",
+        "demo": "1c84742012f516c6",
+        "demo-json": "39a6f8ef07c61934",
+        "metrics": "cffbbce8d9b9bade",
         "trace": "3adee8aefad31562",
-        "checkpoint": "ed7a2cb0587f59c8",
-        "checkpoint-bytes": "20d430052f9a2bc5",
-        "resume": "58b65883edbaaa2f",
+        "checkpoint": "597e31039143d717",
+        "checkpoint-bytes": "45f81d279a03cb01",
+        "resume": "335a586238c53f38",
     }
 
     @staticmethod

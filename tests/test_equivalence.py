@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import cluster as cluster_module
+from repro.core import dataplane
 from repro.core.cluster import NDPipeCluster
 from repro.core.config import ClusterConfig
 from repro.core.ftdmp import FTDMPTrainer
@@ -25,7 +25,7 @@ from repro.core.pipestore import PipeStore
 from repro.data.loader import normalize_images
 from repro.models.registry import tiny_model
 from repro.nn import functional as F
-from repro.storage.imageformat import preprocess
+from repro.storage.imageformat import preprocess, quantise
 from repro.train.fulltrain import full_train
 from tests.nn.reference_ops import assert_frozen_graph_close, conv2d_grouped
 
@@ -68,13 +68,19 @@ def _make_cluster(state, num_stores):
 
 def _patch_in_oracles(monkeypatch):
     """Swap every bit-exact hot path for its reference form: per-group
-    conv, per-photo preprocess and decode.  (The folded BatchNorm is not
+    conv, the front door photo by photo (rounding spelled out, the model
+    input computed as ``preprocess(codes / 255)`` rather than read from
+    the code table) and per-photo decode.  (The folded BatchNorm is not
     bit-exact to its oracle; its tolerance contract is tested in
     ``tests/nn/test_functional_equivalence.py``.)"""
     monkeypatch.setattr(F, "_conv2d_matmul", conv2d_grouped)
     monkeypatch.setattr(
-        cluster_module, "preprocess",
-        lambda block: np.stack([preprocess(p) for p in block]))
+        dataplane, "quantise",
+        lambda block: np.stack([np.rint(np.clip(p, 0, 1) * 255)
+                                .astype(np.uint8) for p in block]))
+    monkeypatch.setattr(
+        dataplane, "model_input",
+        lambda block: np.stack([preprocess(codes / 255) for codes in block]))
     monkeypatch.setattr(
         PipeStore, "_load_batch",
         lambda self, ids: np.stack([self.load_preprocessed(p) for p in ids]))
@@ -90,13 +96,14 @@ class TestDistributedEqualsCentralised:
     def _centralised(self, state, x, y, order, epochs):
         """Single-host fine-tune over the same photos in cluster order.
 
-        The cluster's quantised storage path (photo codec + fp32
-        preprocessing) is applied so inputs are bit-identical.
+        The cluster's front door (8-bit codes, then fp32
+        preprocessing of ``codes / 255``) is applied so inputs are
+        bit-identical.
         """
         model = make_model(state)
-        # mirror the storage path exactly: float32 pixels preprocessed in
-        # float32, as the inference server does at ingest
-        stored = np.stack([preprocess(pixels) for pixels in x])
+        # mirror the storage path exactly: each upload rounded once to its
+        # codes, the model input preprocessed from those
+        stored = np.stack([preprocess(quantise(pixels) / 255) for pixels in x])
         trainer = FTDMPTrainer(model, lr=LR, batch_size=BATCH, seed=SEED)
         trainer.finetune(stored[order], y[order], epochs=epochs)
         return model

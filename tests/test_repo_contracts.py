@@ -5,6 +5,10 @@
   one module that constructs a thread;
 - ``sim/engine.py`` is the one event kernel: no other module imports
   ``heapq``;
+- every model input derives from an upload's 8-bit codes: the front door
+  (``imageformat.quantise``) rounds once and ``imageformat.CODE_TABLE``
+  holds ``preprocess`` of each code, so building that table is the one
+  call of ``preprocess`` in ``src/repro``;
 - ``repro report``'s topics read public outputs: ``report.py`` assigns
   no attribute, and nothing in ``src/repro`` imports the end-to-end
   benchmark;
@@ -69,6 +73,15 @@ def test_nothing_takes_a_lock_or_sleeps(source):
 def test_sim_engine_is_the_only_heapq_importer(source):
     assert sorted(where for module, where in source["imports"]
                   if module == "heapq") == ["sim/engine.py"]
+
+
+def test_only_the_code_table_calls_preprocess(source):
+    lines = (SRC / "storage" / "imageformat.py").read_text().splitlines()
+    table = [f"storage/imageformat.py:{number}"
+             for number, line in enumerate(lines, start=1)
+             if line.startswith("CODE_TABLE = preprocess(")]
+    assert len(table) == 1
+    assert sites(source, {"preprocess"}) == table
 
 
 def test_report_topics_patch_nothing_and_src_never_imports_the_benchmark(
