@@ -38,7 +38,6 @@ from ..faults.retry import RetryPolicy
 from ..models.split import SplitModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import Tracer
-from ..storage.imageformat import quantise
 from ..storage.photodb import LabelRecord, PhotoDatabase
 from .config import ClusterConfig
 from .controlplane import RecoveryControlPlane
@@ -248,10 +247,8 @@ class NDPipeCluster:
         Admission control may shed requests (bounded queue, per-request
         deadlines, failed dispatch); everything that completes is made
         durable through the same placement/journal path as
-        :meth:`ingest`.  A miss lands the codes its batch already
-        produced; a cache hit (served from its feature row) passes the
-        front door here, once — the rounding is elementwise, so its
-        ``preproc/`` blob is the one a miss would land.  Returns
+        :meth:`ingest`.  Every completed upload, cache hit or miss, lands
+        the codes its batch's front door already produced.  Returns
         ``(report, photo_ids)`` where ``photo_ids[i]`` corresponds to
         ``report.completed_requests[i]``.
         """
@@ -262,13 +259,10 @@ class NDPipeCluster:
                               offered=report.offered,
                               completed=report.completed):
             for outcome in report.completed_requests:
-                codes = outcome.codes
                 ids.append(self.dataplane.land_upload(
-                    quantise(outcome.request.pixels) if codes is None
-                    else codes,
-                    outcome.label, outcome.confidence,
+                    outcome.codes, outcome.label, outcome.confidence,
                     outcome.request.train_label))
-                # landed: the codes (a view pinning its whole miss batch)
+                # landed: the codes (a view pinning its whole batch)
                 # are the store's to keep now, not the report's
                 outcome.codes = None
         return report, ids

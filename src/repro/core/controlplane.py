@@ -281,14 +281,19 @@ class RecoveryControlPlane:
     def _restore_missing(self, store: PipeStore,
                          report: ClusterScrubReport) -> None:
         """Re-fetch objects the replica map expects on a store but that
-        vanished (crash-lost media), including their training labels."""
+        vanished (crash-lost media), including their training labels.  A
+        lost ``preproc/`` blob whose ``raw/`` blob is there and verifies
+        is re-derived from it in place, moving no bytes; a lost or
+        rotten ``raw/`` blob, and a ``preproc/`` blob it cannot derive,
+        come from a donor."""
         cluster = self.cluster
         for pid in cluster.replicas.photos_on(store.store_id):
-            for key in (store.objects.raw_key(pid),
-                        store.objects.preproc_key(pid)):
+            raw_key = store.objects.raw_key(pid)
+            for key in (raw_key, store.objects.preproc_key(pid)):
                 if store.objects.exists(key):
                     continue
-                if self._repair_object(store, key):
+                if (key != raw_key and self._rederive(store, pid)
+                        or self._repair_object(store, key)):
                     report.restored.append((store.store_id, key))
                     self._m_restored.inc(store=store.store_id)
                 else:
@@ -300,6 +305,18 @@ class RecoveryControlPlane:
                         lambda donor: donor.train_label(pid)):
                     store.set_train_label(pid, label)
                     break
+
+    @staticmethod
+    def _rederive(store: PipeStore, pid: str) -> bool:
+        """Re-derive ``preproc/<pid>`` from the store's own ``raw/`` blob
+        when that blob is there, verifies and parses; False otherwise."""
+        raw_key = store.objects.raw_key(pid)
+        if not (store.objects.exists(raw_key)
+                and store.objects.verify(raw_key)
+                and store.objects.derived_preproc(pid) is not None):
+            return False
+        store.rederive_preprocessed(pid)
+        return True
 
     def _repair_object(self, target: PipeStore, key: str) -> bool:
         """Overwrite one damaged object with a verified replica copy."""

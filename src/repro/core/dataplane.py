@@ -108,22 +108,40 @@ class InferenceServer:
         of the front value the replica holds."""
         return self.model.front.digest
 
+    def check_codes(self, misses: Optional[np.ndarray]) -> None:
+        """Raise ``ValueError`` unless ``misses`` is ``None`` or stacks
+        8-bit codes (M, C, H, W) of this replica's input shape — what
+        :meth:`submit` takes and the serving wire carries."""
+        if misses is None:
+            return
+        shape = (len(misses),) + tuple(self.model.input_shape)
+        if misses.dtype != np.uint8 or misses.shape != shape:
+            raise ValueError(
+                f"{self.name}: misses must be uint8 codes of shape "
+                f"(M,) + {tuple(self.model.input_shape)}, got "
+                f"{misses.dtype} of shape {misses.shape}")
+
     def submit(self, misses: Optional[np.ndarray], rows: Sequence,
                flush_at: int,
                ) -> Tuple["PendingAnswers", Optional[List["PendingRow"]]]:
         """Take one logical batch as pending work.
 
-        ``misses`` stacks the preprocessed inputs (M, 3, H, W) whose
-        feature rows are not cached (``None`` when every row is);
+        ``misses`` stacks the 8-bit codes (M, C, H, W) of the photos
+        whose feature rows are not cached (``None`` when every row is;
+        anything else raises ``ValueError``, see :meth:`check_codes`);
         ``rows[i]`` is request ``i``'s cached row (an array, or a
         :class:`PendingRow` some replica still owes) or the index of its
-        input in ``misses``.  The misses join this replica's front pool;
-        once the pool holds ``flush_at`` inputs the replica resolves
-        (:meth:`resolve`), with one ``forward_until`` per ``flush_at``
-        pooled inputs.  Returns ``(answers, fresh)``: the batch's answers
-        and ``fresh[j]``, the row ``misses[j]`` will have — its ``nbytes``
-        known now from a shape probe, its values once the pool runs.
+        codes in ``misses``.  The misses join this replica's front pool,
+        which expands them to model inputs
+        (:func:`~repro.storage.imageformat.model_input`) only when it
+        runs; once the pool holds ``flush_at`` photos the replica
+        resolves (:meth:`resolve`), with one ``forward_until`` per
+        ``flush_at`` pooled inputs.  Returns ``(answers, fresh)``: the
+        batch's answers and ``fresh[j]``, the row ``misses[j]`` will
+        have — its ``nbytes`` known now from a shape probe, its values
+        once the pool runs.
         """
+        self.check_codes(misses)
         fresh = None
         if misses is not None:
             if self._pool is None or self._pool.ran:
@@ -205,15 +223,16 @@ class PendingRow:
 
 
 class _FrontPool:
-    """Misses pooled on one replica for its frozen front, across logical
-    batches; run once, one ``forward_until`` per ``limit`` inputs."""
+    """Misses' 8-bit codes pooled on one replica for its frozen front,
+    across logical batches; run once: the codes expanded to model inputs
+    together, then one ``forward_until`` per ``limit`` inputs."""
 
     def __init__(self, server: InferenceServer, limit: int):
         self.server = server
         self.limit = limit
         self.digest = server.front_digest()
         self.nbytes = server.row_nbytes()
-        self.inputs: List[np.ndarray] = []
+        self.codes: List[np.ndarray] = []
         self.promised: List[PendingRow] = []
         self.ran = False
 
@@ -223,7 +242,7 @@ class _FrontPool:
 
     def add(self, misses: np.ndarray) -> List[PendingRow]:
         self._check_front()
-        self.inputs.append(misses)
+        self.codes.append(misses)
         fresh = [PendingRow(self, self.nbytes) for _ in range(len(misses))]
         self.promised += fresh
         return fresh
@@ -239,7 +258,7 @@ class _FrontPool:
         if self.ran:
             return
         self._check_front()
-        inputs = np.concatenate(self.inputs)
+        inputs = model_input(np.concatenate(self.codes))
         with inference_mode():
             for start in range(0, len(inputs), self.limit):
                 rows = self.server.model.forward_until(
@@ -250,7 +269,7 @@ class _FrontPool:
                     promise._value = row.copy()
                     promise._value.flags.writeable = False
                     promise._pool = None
-        self.inputs, self.promised, self.ran = [], [], True
+        self.codes, self.promised, self.ran = [], [], True
 
 
 class PendingAnswers:

@@ -16,19 +16,21 @@
   steers the replica count (:mod:`~repro.serving.autoscale`) and admission
   (deadline shedding) instead.
 * :class:`MicroBatcher` — the one batch body behind both front ends:
-  cache hits bring their split-point feature row, misses pass the front
-  door and join the replica's front pool, and one classifier
-  tail labels the whole batch.  The *logical* batch — who rides it, its
-  cache books, its wire bytes, its service time and ``t_done`` — is
-  fixed at dispatch; the *host* batch is the replica's: one front
-  forward per ``max_batch`` pooled misses, one tail per logical batch,
-  run when the pool fills or the serve ends (DESIGN §11).
+  the batch passes the front door once, the cache is probed with its
+  8-bit codes, hits bring their split-point feature row, the distinct
+  misses ship to the replica as codes (a quarter of their fp32 input;
+  the replica expands them through ``CODE_TABLE``) and join its front
+  pool, and one classifier tail labels the whole batch.  The *logical*
+  batch — who rides it, its cache books, its wire bytes, its service
+  time and ``t_done`` — is fixed at dispatch; the *host* batch is the
+  replica's: one front forward per ``max_batch`` pooled misses, one tail
+  per logical batch, run when the pool fills or the serve ends (DESIGN
+  §11).
 """
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from ..sim.specs import (
     COMPRESSED_PREPROCESSED_BYTES,
     AcceleratorSpec,
 )
-from ..storage.imageformat import model_input, quantise
+from ..storage.imageformat import quantise
 from .admission import ServeRequest
 from .cache import TensorCache
 from .config import ServingConfig
@@ -140,14 +142,13 @@ class SloController:
 
 
 class DeliveredBatch(NamedTuple):
-    """What :meth:`MicroBatcher.run` hands back; entry ``i`` of every
-    list is request ``i``.  ``codes[i]`` are the request's 8-bit codes
-    when the batch computed them (a view into the stacked misses'
-    codes), ``None`` when its feature row came from the cache.
+    """What :meth:`MicroBatcher.run` hands back; entry ``i`` of ``codes``
+    and ``hits`` is request ``i``.  ``codes`` stacks every request's
+    8-bit codes, hit or miss, as the batch's front door produced them.
     ``answers`` are owed by the replica until it resolves; everything
     else is the logical batch, known at dispatch."""
 
-    codes: List[Optional[np.ndarray]]
+    codes: np.ndarray
     hits: List[bool]
     answers: PendingAnswers
     t_start: float
@@ -197,21 +198,22 @@ class MicroBatcher:
             t_start: float) -> DeliveredBatch:
         """Serve ``ready`` as one batch dispatched at ``t_start``.
 
-        The replica is picked first and the cache probed under its front
-        digest.  The distinct misses are stacked and pass the front door
-        (:func:`~repro.storage.imageformat.quantise`) together; the
-        replica takes them into its front pool, and owes one classifier
-        tail over every row in request order.  The misses' rows — still
-        promises — enter the cache only after the dispatch succeeded: a
-        dispatch every retry dropped raises
+        The whole batch passes the front door
+        (:func:`~repro.storage.imageformat.quantise`) together, hits and
+        misses alike; the replica is picked and the cache probed with
+        those codes under its front digest.  The distinct misses ship as
+        their codes: the replica takes them into its front pool, and owes
+        one classifier tail over every row in request order.  The misses'
+        rows — still promises — enter the cache only after the dispatch
+        succeeded: a dispatch every retry dropped raises
         :class:`~repro.faults.TransientFaultError` and leaves the cache's
         entries untouched — its probes are counted, and a redispatch
         probes, and misses, again.
         """
+        codes = quantise(np.stack([request.pixels for request in ready]))
         index = self.dispatcher.pick_replica()
         keys, rows = self.cache.lookup(
-            [request.pixels for request in ready],
-            self.dispatcher.replicas[index].front_digest())
+            codes, self.dispatcher.replicas[index].front_digest())
         hits: List[bool] = []
         firsts: List[int] = []  # the request that brings each distinct miss
         for at, row in enumerate(rows):
@@ -219,12 +221,9 @@ class MicroBatcher:
             if first:
                 firsts.append(at)
             hits.append(not first)
-        codes = (quantise(np.stack([ready[at].pixels for at in firsts]))
-                 if firsts else None)
-        misses = None if codes is None else model_input(codes)
         try:
             answers, fresh, t_done, replica = self.dispatcher.dispatch(
-                index, misses, rows, t_start)
+                index, codes[firsts] if firsts else None, rows, t_start)
             if fresh is not None:
                 self.cache.insert([keys[at] for at in firsts], fresh)
         finally:
@@ -234,10 +233,7 @@ class MicroBatcher:
         self._delivered.append(answers)
         self.m.batch.observe(len(ready))
         self.m.batches[replica].inc()
-        request_codes = [codes[row] if isinstance(row, int) else None
-                         for row in rows]
-        return DeliveredBatch(request_codes, hits, answers, t_start, t_done,
-                              replica)
+        return DeliveredBatch(codes, hits, answers, t_start, t_done, replica)
 
     def owe(self, outcome, batch: DeliveredBatch, row: int) -> None:
         """``outcome`` (anything with ``label`` and ``confidence``) gets

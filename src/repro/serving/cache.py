@@ -8,19 +8,23 @@ cut — ``forward_until(split)`` with ``split = model.num_stages - 1``,
 everything before the classifier — so a hit skips the preprocess *and*
 the frozen front, and its request costs only the classifier tail.
 
-A key is the photo's content hash (bytes + dtype + shape) together with
+A key is the content hash (bytes + dtype + shape) of the photo's 8-bit
+codes — what the batch's front door
+(:func:`~repro.storage.imageformat.quantise`) made of its pixels, so two
+uploads that round to the same codes share one entry — together with
 the digest of the serving replica's front value (``InferenceServer.
 front_digest``, computed once when the :class:`~repro.models.split.
-FrozenFront` was made): identical pixels through an identical front
+FrozenFront` was made): identical codes through an identical front
 always map to the same entry, whatever the arrival order, and a replica
 rebound to another front (``sync_model`` with new front weights) has
 another digest, so every old entry misses.  A classifier-only delta
 leaves the value — and every entry — valid.  The key holds the digest's
 bytes, not the value, so a cache never pins a dead front.
 
-Rows are held as plain read-only arrays, nothing is deflated; eviction
-is LRU by row bytes against a fixed budget.  A row a replica's pooled
-front has not computed yet is held as its promise
+Rows are held as plain read-only fp32 arrays, nothing is deflated or
+narrowed (an 8-bit row would change the tail's answers); eviction is LRU
+by row bytes against a fixed budget.  A row a replica's pooled front has
+not computed yet is held as its promise
 (:class:`~repro.core.dataplane.PendingRow`), charged the probed row
 size, so the books move exactly as if the row were there.
 """
@@ -39,7 +43,7 @@ if TYPE_CHECKING:
 
 __all__ = ["TensorCache", "content_key"]
 
-#: an entry's key: (content hash of the pixels, front digest)
+#: an entry's key: (content hash of the codes, front digest)
 CacheKey = Tuple[str, bytes]
 
 
@@ -50,12 +54,13 @@ def _key_suffix(dtype: np.dtype, shape: Tuple[int, ...]) -> bytes:
     return f"{dtype}{shape}".encode()
 
 
-def content_key(pixels: np.ndarray) -> str:
-    """Content address of one photo: hash of bytes, dtype, and shape."""
+def content_key(photo: np.ndarray) -> str:
+    """Content address of one photo's array (its 8-bit codes, when the
+    serving batch probes): hash of bytes, dtype, and shape."""
     digest = hashlib.sha1()
-    # hashed in place (buffer protocol): contiguous pixels are not copied
-    digest.update(np.ascontiguousarray(pixels))
-    digest.update(_key_suffix(pixels.dtype, pixels.shape))
+    # hashed in place (buffer protocol): a contiguous array is not copied
+    digest.update(np.ascontiguousarray(photo))
+    digest.update(_key_suffix(photo.dtype, photo.shape))
     return digest.hexdigest()
 
 
@@ -77,7 +82,8 @@ class TensorCache:
 
     def lookup(self, photos: Sequence[np.ndarray], digest: bytes,
                ) -> Tuple[List[CacheKey], List[Union[np.ndarray, int]]]:
-        """Probe one batch of photos against the front named by ``digest``.
+        """Probe one batch of photos — each its 8-bit codes, or a stacked
+        (N, C, H, W) array of them — against the front named by ``digest``.
 
         Returns ``(keys, rows)``: ``rows[i]`` is photo ``i``'s cached row
         (a read-only array, or the promise of one a front still owes; the
@@ -87,7 +93,7 @@ class TensorCache:
         earlier in the same batch gets that miss's index and counts as a
         hit — the batch computes the row once and the repeat reuses it.
         """
-        keys = [(content_key(pixels), digest) for pixels in photos]
+        keys = [(content_key(photo), digest) for photo in photos]
         rows: List[Union[np.ndarray, "PendingRow", int]] = []
         missed: Dict[CacheKey, int] = {}
         for key in keys:

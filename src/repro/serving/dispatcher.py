@@ -5,8 +5,9 @@ clock: each replica has a ``free_at`` time, batches go to the
 earliest-free undrained replica (the start time and the pick read one
 candidate set), and the batch's modelled service time (CPU
 preprocess and the accelerator's frozen front for cache misses, the
-classifier tail for every row, wire transfer, and per-request database
-upserts) advances that replica's clock.  That clock is the *logical*
+classifier tail for every row, wire transfer — the misses' 8-bit codes
+and the cached rows — and per-request database upserts) advances that
+replica's clock.  That clock is the *logical*
 batch's; the host arithmetic is not tied to it — the replica pools
 misses across batches for its front and computes each batch's tail
 later (:meth:`~repro.core.dataplane.InferenceServer.submit`).  The
@@ -192,12 +193,15 @@ class ReplicaDispatcher:
         :meth:`pick_replica`).
 
         ``misses`` and ``rows`` are what :meth:`~repro.core.dataplane.
-        InferenceServer.submit` takes: the wire carries the miss inputs
-        plus every cached row (a row the front still owes is charged its
-        probed size).  The clock is charged here, in full: wire bytes,
-        :meth:`service_s`, retries and ``t_done``.  The arithmetic is
-        not — the replica takes the batch as pending work and pools its
-        misses for the front (flushing at ``config.max_batch``).
+        InferenceServer.submit` takes: the wire carries the misses' 8-bit
+        codes (the replica expands them itself) plus every cached row (a
+        row the front still owes is charged its probed size).  Misses
+        that are not codes of the replica's input shape raise
+        ``ValueError`` before anything is charged.  The clock is charged
+        here, in full: wire bytes, :meth:`service_s`, retries and
+        ``t_done``.  The arithmetic is not — the replica takes the batch
+        as pending work and pools its misses for the front (flushing at
+        ``config.max_batch``).
         Returns ``(answers, fresh, t_done, replica_name)``, ``fresh``
         being the rows the misses will have.  The transfer runs under
         the retry policy; a transfer that every retry drops raises
@@ -206,6 +210,7 @@ class ReplicaDispatcher:
         or re-queued by the caller, and the replica holds nothing of it).
         """
         replica = self.replicas[index]
+        replica.check_codes(misses)
         num_misses = 0 if misses is None else len(misses)
         payload_bytes = (0 if misses is None else misses.nbytes) + sum(
             row.nbytes for row in rows if not isinstance(row, int))

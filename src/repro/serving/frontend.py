@@ -66,6 +66,6 @@ class ServingFrontend(StreamingFrontend):
     def serve(self, requests: Sequence[ServeRequest],
               collect_codes: bool = False) -> ServingReport:
         """Play an arrival trace to completion; returns the report.
-        ``collect_codes`` keeps each miss's 8-bit codes on its outcome,
-        for callers that land uploads."""
+        ``collect_codes`` keeps each completed request's 8-bit codes on
+        its outcome, for callers that land uploads."""
         return self._serve(requests, None, collect_codes)

@@ -121,9 +121,9 @@ class ServeOutcome:
     A completed request's ``label`` and ``confidence`` are filled in when
     its replica resolves, at the end of the serve.  ``codes`` are the
     request's 8-bit codes, kept only when the caller asked for them
-    (``serve(..., collect_codes=True)``) and the batch computed them
-    (``None`` for a row served from cache).  They are a view into the
-    miss batch's stacked codes, so they pin that whole array:
+    (``serve(..., collect_codes=True)``), a cache hit's as well as a
+    miss's.  They are a view into the batch's stacked codes, so they pin
+    that whole array:
     ``NDPipeCluster.serve_uploads`` clears them once the photo has
     landed.
     """

@@ -287,7 +287,9 @@ def test_join_fail_reingest_recover_scrub_is_pinned():
     stages; and since ``preproc/`` holds each upload's 8-bit codes:
     ``bytes_received`` and ``rebalance`` 193 619 -> 161 586, ``ingest``
     344 243 -> 287 264, ``replicate`` 688 486 -> 574 528, ``re-ingest``
-    21 522 -> 17 954, ``repair`` 35 342 -> 33 553."""
+    21 522 -> 17 954, ``repair`` 35 342 -> 33 553; and ``repair``
+    33 553 -> 32 768 since a lost ``preproc/`` blob whose ``raw/``
+    verifies is re-derived in place (the 785 B blob no longer crosses)."""
     fleet, ids = make_fleet(num_shards=4, replication=3, photos=32)
     summary = fleet.join_shard()
     cluster = fleet.cluster
@@ -325,7 +327,7 @@ def test_join_fail_reingest_recover_scrub_is_pinned():
     assert fleet.ledger().to_dict() == ledger
     assert cluster.network.kinds() == {
         "ingest": 287264, "model-full": 41520, "re-ingest": 17954,
-        "rebalance": 161586, "repair": 33553, "replicate": 574528}
+        "rebalance": 161586, "repair": 32768, "replicate": 574528}
     assert scrub.repaired == [("pipestore-4", "raw/default/photo-00000012")]
     assert scrub.restored == [
         ("pipestore-2", "raw/default/photo-00000006"),
@@ -333,6 +335,9 @@ def test_join_fail_reingest_recover_scrub_is_pinned():
         ("pipestore-3", "raw/default/photo-00000006"),
         ("pipestore-4", "raw/default/photo-00000002")]
     assert scrub.unrecoverable == [] and scrub.stores_skipped == []
+    lost = other.objects.preproc_key(lost_pid)
+    assert other.objects.peek(lost) == other.objects.derived_preproc(lost_pid)
+    assert other.objects.verify(lost)
     assert other.has_train_label(unlabeled)
     for pid in ids:
         assert cluster.replicas.primary(pid) == \

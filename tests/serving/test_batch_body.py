@@ -60,10 +60,10 @@ def _metric(frontend, name, **labels):
 
 # -- assembly and answers -----------------------------------------------------
 def test_rows_are_split_point_features_hit_or_miss():
-    """A miss brings its 8-bit codes and leaves its split-point row in
-    the cache; a repeat (later in the batch, or a later batch) is a hit
-    that brings nothing through the front door, and the tail over cached
-    rows answers bit for bit what the tail over fresh rows did."""
+    """Every request, hit or miss, passes the front door once; a miss
+    leaves its split-point row in the cache under its codes; a repeat
+    (later in the batch, or a later batch) is a hit, and the tail over
+    cached rows answers bit for bit what the tail over fresh rows did."""
     frontend = _sync()
     trace = _trace(num_requests=12, pool_size=4)
     cold = frontend.batcher.run(trace, 0.0)
@@ -71,9 +71,10 @@ def test_rows_are_split_point_features_hit_or_miss():
     keys = [content_key(r.pixels) for r in trace]
     firsts = [keys.index(key) == at for at, key in enumerate(keys)]
     assert cold.hits == [not first for first in firsts]
-    assert all(warm.hits) and warm.codes == [None] * 12
-    for request, codes in zip(trace, cold.codes):
-        np.testing.assert_array_equal(codes, quantise(request.pixels))
+    assert all(warm.hits)
+    for batch in (cold, warm):
+        for request, codes in zip(trace, batch.codes):
+            np.testing.assert_array_equal(codes, quantise(request.pixels))
     assert warm.results == cold.results
 
     replica = frontend.dispatcher.replicas[0]
@@ -82,7 +83,8 @@ def test_rows_are_split_point_features_hit_or_miss():
         want = replica.model.forward_until(
             Tensor(preprocess(quantise(np.stack(distinct)) / 255)),
             replica.split).data
-    _keys, rows = frontend.cache.lookup(distinct, replica.front_digest())
+    _keys, rows = frontend.cache.lookup(quantise(np.stack(distinct)),
+                                        replica.front_digest())
     np.testing.assert_array_equal(np.stack(rows), want)
     assert frontend.cache.resident_bytes == want.nbytes
 
@@ -107,9 +109,8 @@ def test_answers_equal_single_photo_classify_on_both_front_ends():
     answers = [(o.request.request_id, o.label, o.confidence)
                for o in sync.completed_requests]
     for outcome in sync.completed_requests:
-        if not outcome.cache_hit:
-            np.testing.assert_array_equal(outcome.codes,
-                                          quantise(outcome.request.pixels))
+        np.testing.assert_array_equal(outcome.codes,
+                                      quantise(outcome.request.pixels))
     assert _mixed_batches((o.batch_index, o.cache_hit)
                           for o in sync.completed_requests)
     stream = _stream().serve(trace)

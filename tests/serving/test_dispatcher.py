@@ -9,6 +9,7 @@ from repro.faults.errors import MessageDroppedError, TransientFaultError
 from repro.faults.retry import RetryPolicy
 from repro.models.registry import tiny_model
 from repro.serving import ReplicaDispatcher, ServingConfig
+from repro.storage.imageformat import quantise
 
 
 def make_dispatcher(network=None, num=2):
@@ -29,7 +30,7 @@ def _ledger(disp):
 
 def test_successful_dispatch_settles_the_ledger():
     disp = make_dispatcher()
-    batch = np.random.default_rng(0).random((2, 3, 16, 16))
+    batch = quantise(np.random.default_rng(0).random((2, 3, 16, 16)))
     results, fresh, t_done, replica = disp.dispatch(
         disp.pick_replica(), batch, [0, 1], t_start=0.0)
     assert len(results) == 2 and len(fresh) == 2 and t_done > 0.0
@@ -41,7 +42,7 @@ def test_failed_dispatch_still_settles_the_ledger():
         raise MessageDroppedError(record.kind)
 
     disp = make_dispatcher(NetworkFabric(fault_filter=drop_everything))
-    batch = np.random.default_rng(0).random((2, 3, 16, 16))
+    batch = quantise(np.random.default_rng(0).random((2, 3, 16, 16)))
     with pytest.raises(TransientFaultError):
         disp.dispatch(disp.pick_replica(), batch, [0, 1], t_start=0.0)
     assert _ledger(disp) == (1, 0, 1)
@@ -59,7 +60,7 @@ def test_ledger_conserves_across_mixed_outcomes():
         return 0.0
 
     disp = make_dispatcher(NetworkFabric(fault_filter=flaky))
-    batch = np.random.default_rng(1).random((1, 3, 16, 16))
+    batch = quantise(np.random.default_rng(1).random((1, 3, 16, 16)))
     replica = disp.replicas[0]
     cached = np.zeros(replica.model.feature_dim_after(replica.split))
     for i in range(6):

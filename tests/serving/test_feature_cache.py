@@ -88,16 +88,16 @@ def test_classifier_only_delta_keeps_every_entry():
     entries = frontend.cache.stats()["entries"]
 
     after = frontend.batcher.run(trace, 1.0)
-    assert all(after.hits) and after.codes == [None] * len(trace)
+    assert all(after.hits)
     assert frontend.cache.stats()["entries"] == entries
     assert after.results != before.results
     _assert_answers_match_cold_classify(after, trace, new_state)
 
 
 def test_a_landed_hit_stores_the_blob_a_miss_stores():
-    """``serve_uploads`` passes a hit through the front door once at
-    landing; the photo's ``preproc/`` blob is byte-identical to the one
-    its miss landed."""
+    """``serve_uploads`` lands a hit's codes from its batch's front door;
+    the photo's ``preproc/`` blob is byte-identical to the one its miss
+    landed."""
     cluster = NDPipeCluster(_model, ClusterConfig(num_stores=2))
     trace = _trace(num_requests=40, pool_size=5)
     report, photo_ids = cluster.serve_uploads(trace, ServingConfig())

@@ -1,5 +1,6 @@
 """End-to-end serving front end: accounting, determinism, faults."""
 
+import numpy as np
 import pytest
 
 from repro.core.cluster import InferenceServer, NDPipeCluster
@@ -8,6 +9,7 @@ from repro.faults import AddLatency, DropMessages, FaultInjector
 from repro.models.registry import tiny_model
 from repro.serving import ServingConfig, ServingFrontend
 from repro.serving.bench import run_serving_comparison
+from repro.storage.imageformat import quantise
 from repro.workloads.continuous import open_loop_requests
 
 SLO_S = 0.1
@@ -188,8 +190,11 @@ def test_direct_serve_keeps_the_tensors_it_was_asked_for():
     frontend = cluster.make_serving_frontend(ServingConfig(replicas=2))
     requests = _trace(num_requests=24, rate_rps=800.0, seed=3, pool_size=16)
     report = frontend.serve(requests, collect_codes=True)
-    kept = [o for o in report.completed_requests if o.codes is not None]
-    assert len(kept) == report.cache_misses == 11
+    assert report.cache_misses == 11
+    # hits keep their codes too: the whole batch passed the front door
+    for outcome in report.completed_requests:
+        np.testing.assert_array_equal(outcome.codes,
+                                      quantise(outcome.request.pixels))
 
 
 def test_multi_replica_spreads_batches():

@@ -26,19 +26,20 @@ from repro.serving import (
     StreamConfig,
     StreamingFrontend,
 )
-from repro.storage.imageformat import preprocess
+from repro.storage.imageformat import model_input, preprocess, quantise
 from repro.workloads.continuous import open_loop_requests
 
 
 class PerBatchReplica(InferenceServer):
     """The oracle: every logical batch computed when it is dispatched —
-    the body ``InferenceServer.classify_split`` had before pooling."""
+    the body ``InferenceServer.classify_split`` had before pooling, over
+    the model inputs its misses' codes expand to."""
 
     def submit(self, misses, rows, flush_at):
         split = self.split
         with inference_mode():
-            fresh = (None if misses is None else
-                     self.model.forward_until(Tensor(misses), split).data)
+            fresh = (None if misses is None else self.model.forward_until(
+                Tensor(model_input(misses)), split).data)
             features = np.stack([fresh[row] if isinstance(row, int) else row
                                  for row in rows])
             logits = self.model.forward_from(Tensor(features), split).data
@@ -166,7 +167,7 @@ def test_front_rows_are_batch_invariant(name):
 
 # -- (e) edge cases -----------------------------------------------------------
 def _misses(count, seed=0):
-    return preprocess(np.random.default_rng(seed).random((count, 3, 16, 16)))
+    return quantise(np.random.default_rng(seed).random((count, 3, 16, 16)))
 
 
 def test_flush_at_max_batch_and_at_the_end_answer_alike():

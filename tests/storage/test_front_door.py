@@ -149,7 +149,9 @@ def seen(monkeypatch):
 
     def dispatch(self, index, misses, *rest):
         if misses is not None:
-            remember(misses)
+            # a serving miss crosses as codes; the replica's pooled front
+            # reads them through the table
+            remember(model_input(misses))
         return real_dispatch(self, index, misses, *rest)
 
     monkeypatch.setattr(ReplicaDispatcher, "dispatch", dispatch)
@@ -262,6 +264,56 @@ class TestScrubChecksTheDerivedLaw:
         assert store.objects.peek(key) == healthy
         assert store.objects.verify(key)
         assert cluster.scrub_and_repair().clean
+
+    def test_a_lost_blob_is_rederived_from_its_raw_at_zero_bytes(
+            self, small_world):
+        cluster = build(replication=2)
+        x, y = small_world.sample(12, 0, rng=np.random.default_rng(9))
+        ids = cluster.ingest(x, train_labels=y)
+        store = cluster.stores[cluster.database.lookup(ids[4]).location]
+        key = store.objects.preproc_key(ids[4])
+        crc = store.objects.stored_crc(key)
+        store.objects.delete(key)
+        kinds = cluster.network.kinds()
+        report = cluster.scrub_and_repair()
+        assert report.restored == [(store.store_id, key)]
+        assert report.unrecoverable == []
+        assert cluster.network.kinds() == kinds  # no repair bytes
+        assert store.objects.peek(key) == store.objects.derived_preproc(ids[4])
+        assert store.objects.stored_crc(key) == crc
+        assert cluster.scrub_and_repair().clean
+
+    @pytest.mark.parametrize("raw", ["lost", "rotten"])
+    def test_a_blob_whose_raw_is_lost_or_rotten_comes_from_a_donor(
+            self, small_world, raw):
+        cluster = build(replication=2)
+        x, y = small_world.sample(12, 0, rng=np.random.default_rng(10))
+        ids = cluster.ingest(x, train_labels=y)
+        store = cluster.stores[cluster.database.lookup(ids[4]).location]
+        raw_key = store.objects.raw_key(ids[4])
+        key = store.objects.preproc_key(ids[4])
+        store.objects.delete(key)
+        if raw == "lost":
+            store.objects.delete(raw_key)
+        else:
+            # rotten and still rotten when the lost blob is restored:
+            # only its own repair runs before that, and it finds no donor
+            blob = bytearray(store.objects.peek(raw_key))
+            blob[10] ^= 0xFF
+            store.objects.corrupt_object(raw_key, bytes(blob))
+            for holder in cluster.replicas.holders(ids[4]):
+                if holder != store.store_id:
+                    cluster.stores[holder].fail()
+        report = cluster.scrub_and_repair()
+        if raw == "lost":
+            assert report.restored == [(store.store_id, raw_key),
+                                       (store.store_id, key)]
+            assert cluster.network.kinds()["repair"] > 0
+            assert store.objects.peek(key) == store.objects.derived_preproc(
+                ids[4])
+        else:
+            assert (store.store_id, key) in report.unrecoverable
+            assert not store.objects.exists(key)
 
 
 # -- snapshots hold what they cannot derive ------------------------------------

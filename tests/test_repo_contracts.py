@@ -8,7 +8,10 @@
 - every model input derives from an upload's 8-bit codes: the front door
   (``imageformat.quantise``) rounds once and ``imageformat.CODE_TABLE``
   holds ``preprocess`` of each code, so building that table is the one
-  call of ``preprocess`` in ``src/repro``;
+  call of ``preprocess`` in ``src/repro``; the serving layer ships
+  cache misses as codes and never expands them itself: no
+  ``model_input`` under ``src/repro/serving/`` (replicas do, in
+  ``core/dataplane.py``);
 - ``repro report``'s topics read public outputs: ``report.py`` assigns
   no attribute, and nothing in ``src/repro`` imports the end-to-end
   benchmark;
@@ -82,6 +85,14 @@ def test_only_the_code_table_calls_preprocess(source):
              if line.startswith("CODE_TABLE = preprocess(")]
     assert len(table) == 1
     assert sites(source, {"preprocess"}) == table
+
+
+def test_the_serving_layer_never_expands_codes():
+    assert [f"{path.relative_to(SRC)}:{number}"
+            for path in sorted((SRC / "serving").rglob("*.py"))
+            for number, line in enumerate(
+                path.read_text().splitlines(), start=1)
+            if "model_input" in line] == []
 
 
 def test_report_topics_patch_nothing_and_src_never_imports_the_benchmark(
