@@ -74,7 +74,12 @@ class ClusterConfig(Config):
     nominal_raw_bytes: int = 8192
     #: Tuner fine-tune learning rate
     lr: float = 3e-3
-    #: Tuner fine-tune batch size
+    #: Tuner fine-tune batch size; also the ingest chunk (one front-door
+    #: pass and one whole-model classify per chunk) and the batch
+    #: ``Tuner.evaluate`` forwards (``PipeStore.offline_infer`` batches its
+    #: tail by the store's own ``batch_size``).  It no longer sizes a front
+    #: pass: a model runs its frozen front ``FRONT_ROWS`` rows at a time
+    #: (``repro.models.split``)
     batch_size: int = 64
     #: seed for the Tuner's training RNG stream
     seed: int = 0

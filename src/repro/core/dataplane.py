@@ -135,8 +135,10 @@ class InferenceServer:
         which expands them to model inputs
         (:func:`~repro.storage.imageformat.model_input`) only when it
         runs; once the pool holds ``flush_at`` photos the replica
-        resolves (:meth:`resolve`), with one ``forward_until`` per
-        ``flush_at`` pooled inputs.  Returns ``(answers, fresh)``: the
+        resolves (:meth:`resolve`), with one ``forward_until`` over every
+        pooled input, whose host batch is the model's
+        :data:`~repro.models.split.FRONT_ROWS` rows however many are
+        pooled.  Returns ``(answers, fresh)``: the
         batch's answers and ``fresh[j]``, the row ``misses[j]`` will
         have — its ``nbytes`` known now from a shape probe, its values
         once the pool runs.
@@ -145,7 +147,7 @@ class InferenceServer:
         fresh = None
         if misses is not None:
             if self._pool is None or self._pool.ran:
-                self._pool = _FrontPool(self, flush_at)
+                self._pool = _FrontPool(self)
             fresh = self._pool.add(misses)
         answers = PendingAnswers(self, [
             fresh[row] if isinstance(row, int) else row for row in rows])
@@ -225,11 +227,11 @@ class PendingRow:
 class _FrontPool:
     """Misses' 8-bit codes pooled on one replica for its frozen front,
     across logical batches; run once: the codes expanded to model inputs
-    together, then one ``forward_until`` per ``limit`` inputs."""
+    together, then one ``forward_until`` over all of them, whose host
+    batch is the model's :data:`~repro.models.split.FRONT_ROWS` rows."""
 
-    def __init__(self, server: InferenceServer, limit: int):
+    def __init__(self, server: InferenceServer):
         self.server = server
-        self.limit = limit
         self.digest = server.front_digest()
         self.nbytes = server.row_nbytes()
         self.codes: List[np.ndarray] = []
@@ -260,15 +262,13 @@ class _FrontPool:
         self._check_front()
         inputs = model_input(np.concatenate(self.codes))
         with inference_mode():
-            for start in range(0, len(inputs), self.limit):
-                rows = self.server.model.forward_until(
-                    Tensor(inputs[start:start + self.limit]),
-                    self.server.split).data
-                for promise, row in zip(self.promised[start:], rows):
-                    # a copy, not a view: a cached row must not pin its chunk
-                    promise._value = row.copy()
-                    promise._value.flags.writeable = False
-                    promise._pool = None
+            rows = self.server.model.forward_until(
+                Tensor(inputs), self.server.split).data
+        for promise, row in zip(self.promised, rows):
+            # a copy, not a view: a cached row must not pin the pool's rows
+            promise._value = row.copy()
+            promise._value.flags.writeable = False
+            promise._pool = None
         self.codes, self.promised, self.ran = [], [], True
 
 

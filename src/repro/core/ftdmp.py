@@ -42,24 +42,18 @@ from .checknrun import FEATURE_BITS, code_dtype, dequantize, quantize
 RowKey = Tuple[bytes, int]
 
 
-def frozen_front_features(model: SplitModel, split: int, x: np.ndarray,
-                          batch_size: int) -> np.ndarray:
-    """``model.forward_until(x, split)`` run ``batch_size`` rows at a time.
+def frozen_front_features(model: SplitModel, split: int,
+                          x: np.ndarray) -> np.ndarray:
+    """``model.forward_until(x, split)`` over the whole of ``x``.
 
-    Forward only (:func:`inference_mode`); each batch lands in one
-    preallocated result array.
+    Forward only (:func:`inference_mode`), so the front's host batch is
+    :data:`~repro.models.split.FRONT_ROWS` rows: the model runs it that
+    many at a time, into one preallocated result array.
     """
-    features = None
-    with inference_mode():
-        for start in range(0, len(x), batch_size):
-            out = model.forward_until(
-                Tensor(x[start:start + batch_size]), split).data
-            if features is None:
-                features = np.empty((len(x),) + out.shape[1:], out.dtype)
-            features[start:start + len(out)] = out
-    if features is None:
+    if not len(x):
         raise ValueError("no inputs to extract features from")
-    return features
+    with inference_mode():
+        return model.forward_until(Tensor(x), split).data
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,15 +328,14 @@ class FTDMPTrainer:
 
     # -- the Store side ------------------------------------------------------
     def extract_features(self, x: np.ndarray) -> np.ndarray:
-        """Run the weight-freeze front (the PipeStore job) batch-wise.
+        """Run the weight-freeze front (the PipeStore job) over ``x``.
 
         Identical to the inference forward pass (§2.1 C): eval mode, no
         gradient bookkeeping.
         """
         was_training = self.model.training
         self.model.eval()
-        features = frozen_front_features(self.model, self.split, x,
-                                         self.batch_size)
+        features = frozen_front_features(self.model, self.split, x)
         self.model.train(was_training)
         return features
 

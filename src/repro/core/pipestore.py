@@ -478,8 +478,7 @@ class PipeStore:
         if misses:
             computed = frozen_front_features(
                 self.model, self.split,
-                self._load_batch([photo_ids[row] for row in misses]),
-                self.batch_size)
+                self._load_batch([photo_ids[row] for row in misses]))
             for row, feature in zip(misses, computed):
                 objects.put(objects.feature_key(photo_ids[row]),
                             _pack_feature(*keys[row], feature))

@@ -9,6 +9,11 @@ that a split forward equals the unsplit forward bit-for-bit.
 Once frozen, a model's front is a :class:`FrozenFront`: one immutable
 value, shared by reference by every replica provisioned from it
 (:meth:`SplitModel.replica`), each of which owns only its classifier.
+
+A model is the one place its frozen front is batched: with no graph
+recorded, the front's stages run over sub-batches of :data:`FRONT_ROWS`
+rows, whatever batch a caller hands :meth:`SplitModel.forward_until` or
+:meth:`SplitModel.forward`, so callers pass whole arrays.
 """
 
 from __future__ import annotations
@@ -22,8 +27,15 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn.module import Module, _frozen
-from ..nn.tensor import Tensor, no_grad
+from ..nn.tensor import Tensor, grad_enabled, no_grad
 from .graph import ModelGraph, StageSpec
+
+#: rows a frozen front runs at once when no graph is recorded.  A front
+#: pass's host working set grows with its batch (each 3x3 conv's im2col
+#: columns: a 28 MB peak for 256 rows of the tiny ResNet50), while front
+#: rows are batch-invariant bit for bit, so the size moves memory and
+#: time, never a row; DESIGN §12 has the sweep that picked it.
+FRONT_ROWS = 32
 
 
 class SplitModel(Module):
@@ -62,16 +74,43 @@ class SplitModel(Module):
 
     # -- execution ---------------------------------------------------------
     def forward(self, x: Tensor) -> Tensor:
-        for module in self._stage_modules:
-            x = module(x)
-        return x
+        return self._run_until(x, self.num_stages)
 
     def forward_until(self, x: Tensor, split: int) -> Tensor:
         """Run the first ``split`` stages (the PipeStore side)."""
         self._check_split(split)
-        for module in self._stage_modules[:split]:
+        return self._run_until(x, split)
+
+    def _run_until(self, x: Tensor, split: int) -> Tensor:
+        """Stages ``:split``: those of the frozen front over
+        :data:`FRONT_ROWS`-row sub-batches when no graph is recorded, the
+        rest (and, with grad enabled, all of them) over the whole batch —
+        tail rows are not batch-invariant, and a graph stays one graph."""
+        frozen = 0
+        if (self.front is not None and not grad_enabled()
+                and len(x.data) > FRONT_ROWS):
+            frozen = min(split, len(self.front.stages))
+        if frozen:
+            x = self._front_rows(x, frozen)
+        for module in self._stage_modules[frozen:split]:
             x = module(x)
         return x
+
+    def _front_rows(self, x: Tensor, split: int) -> Tensor:
+        """The first ``split`` (frozen) stages, :data:`FRONT_ROWS` rows at
+        a time, each sub-batch's rows written into one preallocated
+        array."""
+        rows = None
+        for start in range(0, len(x.data), FRONT_ROWS):
+            part = Tensor(x.data[start:start + FRONT_ROWS])
+            for module in self._stage_modules[:split]:
+                part = module(part)
+            if rows is None:
+                rows = np.empty((len(x.data),) + part.shape[1:],
+                                part.data.dtype)
+            rows[start:start + len(part.data)] = part.data
+        # scratch: the array is this pass's own, so the next op may reuse it
+        return Tensor(rows, _scratch=True)
 
     def forward_from(self, features: Tensor, split: int) -> Tensor:
         """Run stages ``split:`` (the Tuner side)."""

@@ -67,7 +67,7 @@ def inputs_of(store, ids):
 def always_extract(store, ids):
     """``extract_features`` as it was when every call ran the front."""
     return frozen_front_features(store.model, store.split,
-                                 inputs_of(store, ids), store.batch_size)
+                                 inputs_of(store, ids))
 
 
 def always_infer(store, ids):

@@ -18,6 +18,7 @@ from repro.core.dataplane import InferenceServer, PendingAnswers
 from repro.core.pipestore import softmax_top1
 from repro.faults import DropMessages, FaultInjector
 from repro.models.registry import TINY_FACTORIES, tiny_model
+from repro.models.split import FRONT_ROWS
 from repro.nn.tensor import Tensor, inference_mode
 from repro.serving import (
     ReplicaDispatcher,
@@ -26,7 +27,7 @@ from repro.serving import (
     StreamConfig,
     StreamingFrontend,
 )
-from repro.storage.imageformat import model_input, preprocess, quantise
+from repro.storage.imageformat import model_input, quantise
 from repro.workloads.continuous import open_loop_requests
 
 
@@ -151,18 +152,37 @@ def test_stream_logical_and_answer_pin(seed, num_requests, rate_rps,
 
 
 # -- (d) the premise: front rows do not depend on the batch around them ------
+def _rows_at_every_cut(model, inputs, size):
+    """Rows after each frozen stage (cut 1 .. num_stages - 1), the stages
+    run directly over ``size``-row slices of ``inputs``: one whole-batch
+    front pass when ``size`` is ``len(inputs)``."""
+    cuts = [[] for _ in model.front.stages]
+    for start in range(0, len(inputs), size):
+        part = Tensor(inputs[start:start + size])
+        for rows, stage in zip(cuts, model.front.stages):
+            part = stage(part)
+            rows.append(part.data.copy())  # the next stage may reuse it
+    return [np.concatenate(rows) for rows in cuts]
+
+
 @pytest.mark.parametrize("name", sorted(TINY_FACTORIES))
 def test_front_rows_are_batch_invariant(name):
-    model = tiny_model(name).eval()
-    inputs = preprocess(np.random.default_rng(1).random(
-        (40,) + model.input_shape))
-    split = model.num_stages - 1
+    """At every cut, one whole-batch front pass gives the rows (bytes)
+    that sub-batches of 1, 7 and ``FRONT_ROWS`` rows give, and so does
+    ``forward_until`` of the whole batch, which takes its own."""
+    model = tiny_model(name).freeze_features().eval()
+    count = 2 * FRONT_ROWS + 5
+    inputs = model_input(quantise(np.random.default_rng(1).random(
+        (count,) + model.input_shape)))
     with inference_mode():
-        pooled = model.forward_until(Tensor(inputs), split).data
-        for start, size in ((0, 1), (3, 2), (5, 7), (12, 13), (0, 40)):
-            alone = model.forward_until(
-                Tensor(inputs[start:start + size]), split).data
-            np.testing.assert_array_equal(alone, pooled[start:start + size])
+        whole = _rows_at_every_cut(model, inputs, count)
+        for size in (1, 7, FRONT_ROWS):
+            parts = _rows_at_every_cut(model, inputs, size)
+            for cut, (got, want) in enumerate(zip(parts, whole), start=1):
+                assert got.tobytes() == want.tobytes(), (size, cut)
+        for cut, want in enumerate(whole, start=1):
+            got = model.forward_until(Tensor(inputs), cut).data
+            assert got.tobytes() == want.tobytes(), cut
 
 
 # -- (e) edge cases -----------------------------------------------------------

@@ -12,6 +12,9 @@
   cache misses as codes and never expands them itself: no
   ``model_input`` under ``src/repro/serving/`` (replicas do, in
   ``core/dataplane.py``);
+- ``models/split.py`` is the one place a frozen front is batched: no
+  other module slices a batch to feed ``forward_until`` (the model runs
+  its front ``FRONT_ROWS`` rows at a time itself);
 - ``repro report``'s topics read public outputs: ``report.py`` assigns
   no attribute, and nothing in ``src/repro`` imports the end-to-end
   benchmark;
@@ -37,9 +40,10 @@ LOCKS = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
 def source():
     """Over ``src/repro``: each call as ``(function name, where:line)``
     (the function spelled by module attribute or by imported name), each
-    import as ``(top-level module, where)``, and each assignment to an
-    attribute as ``where:line``."""
-    calls, imports, stores = [], set(), []
+    import as ``(top-level module, where)``, each assignment to an
+    attribute as ``where:line``, and as ``where:line`` each call whose
+    first argument slices an array (``x[a:b]`` anywhere inside it)."""
+    calls, imports, stores, sliced = [], set(), [], set()
     for path in sorted(SRC.rglob("*.py")):
         where = str(path.relative_to(SRC))
         for node in ast.walk(ast.parse(path.read_text())):
@@ -47,6 +51,10 @@ def source():
                 name = (getattr(node.func, "attr", None)
                         or getattr(node.func, "id", None))
                 calls.append((name, f"{where}:{node.lineno}"))
+                if node.args and any(
+                        isinstance(part, ast.Slice)
+                        for part in ast.walk(node.args[0])):
+                    sliced.add(f"{where}:{node.lineno}")
             elif isinstance(node, ast.Import):
                 imports.update((alias.name.split(".")[0], where)
                                for alias in node.names)
@@ -56,7 +64,8 @@ def source():
             elif isinstance(node, ast.Attribute) \
                     and isinstance(node.ctx, ast.Store):
                 stores.append(f"{where}:{node.lineno}")
-    return {"calls": calls, "imports": imports, "stores": stores}
+    return {"calls": calls, "imports": imports, "stores": stores,
+            "sliced": sliced}
 
 
 def sites(source, names):
@@ -93,6 +102,12 @@ def test_the_serving_layer_never_expands_codes():
             for number, line in enumerate(
                 path.read_text().splitlines(), start=1)
             if "model_input" in line] == []
+
+
+def test_only_the_split_model_slices_a_batch_for_the_front(source):
+    assert [site for site in sites(source, {"forward_until"})
+            if site in source["sliced"]
+            and not site.startswith("models/split.py:")] == []
 
 
 def test_report_topics_patch_nothing_and_src_never_imports_the_benchmark(
