@@ -81,10 +81,6 @@ class PartitionEvaluation:
     sync_time_s: float
 
     @property
-    def total_traffic_bytes(self) -> float:
-        return self.feature_traffic_bytes + self.sync_traffic_bytes
-
-    @property
     def stage_imbalance_s(self) -> float:
         """|T_ps - T_tuner| — what Algorithm 1 minimises across store counts."""
         return abs(self.store_time_s - self.tuner_time_s)

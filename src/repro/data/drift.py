@@ -83,9 +83,6 @@ class DriftingPhotoWorld:
             raise ValueError("day must be non-negative")
         return np.flatnonzero(self._appear_day <= day)
 
-    def num_classes_at(self, day: int) -> int:
-        return int(len(self.classes_at(day)))
-
     def prototypes_at(self, day: int) -> np.ndarray:
         """Prototype latents after ``day`` days of drift."""
         drift = self.config.drift_rate * day

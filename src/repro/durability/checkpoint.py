@@ -74,11 +74,6 @@ class FinetuneProgress:
     report: Dict[str, Any] = field(default_factory=dict)
     relocate_lost: bool = False
 
-    @property
-    def finished_gathering(self) -> bool:
-        """Every run trained; only the distribution round remains."""
-        return self.next_run >= self.num_runs
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "num_runs": self.num_runs, "epochs": self.epochs,

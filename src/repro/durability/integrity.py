@@ -11,7 +11,7 @@ unaccounted ``peek`` path, so a sweep never perturbs workload IO stats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 
 @dataclass
@@ -29,13 +29,6 @@ class ScrubReport:
     @property
     def clean(self) -> bool:
         return not self.corrupt_keys and not self.underived_keys
-
-    def corrupt_photo_ids(self) -> List[str]:
-        """Photo ids behind the damaged keys (raw/ or preproc/ namespace)."""
-        ids = {key.split("/", 1)[1]
-               for key in self.corrupt_keys + self.underived_keys
-               if "/" in key}
-        return sorted(ids)
 
 
 @dataclass
@@ -69,6 +62,3 @@ class ClusterScrubReport:
     def clean(self) -> bool:
         return (self.corrupt_found == 0 and not self.restored
                 and not self.unrecoverable)
-
-    def by_store(self) -> Dict[str, ScrubReport]:
-        return {s.store_id: s for s in self.scrubs}

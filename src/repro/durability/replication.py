@@ -25,11 +25,6 @@ class ReplicaMap:
             raise ValueError(f"duplicate holders for {photo_id!r}: {holders}")
         self._holders[photo_id] = list(holders)
 
-    def add_holder(self, photo_id: str, store_id: str) -> None:
-        holders = self._holders.setdefault(photo_id, [])
-        if store_id not in holders:
-            holders.append(store_id)
-
     def drop(self, photo_id: str) -> None:
         self._holders.pop(photo_id, None)
 

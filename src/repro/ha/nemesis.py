@@ -30,7 +30,6 @@ itself asserted by the chaos suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -77,9 +76,6 @@ class NemesisReport:
             "photos_acknowledged": self.photos_acknowledged,
             "invariant_checks": self.invariant_checks,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 class NemesisHarness:

@@ -1,4 +1,4 @@
-"""``repro.inference`` — online and offline inference paths."""
+"""``repro.inference`` — offline relabel campaign estimates."""
 
 from .offline import (
     CampaignEstimate,
@@ -6,16 +6,8 @@ from .offline import (
     ndpipe_campaign,
     srv_campaign,
 )
-from .online import (
-    OnlineBatchLatencyModel,
-    OnlineLatencyModel,
-    batched_online_latency,
-    online_latency,
-)
 
 __all__ = [
     "CampaignEstimate", "ndpipe_campaign", "srv_campaign",
     "campaign_comparison",
-    "OnlineLatencyModel", "online_latency",
-    "OnlineBatchLatencyModel", "batched_online_latency",
 ]

@@ -16,7 +16,7 @@ locks they checked: nothing in the package takes a lock.  Their IDs are
 not reused.
 """
 
-from .allowlist import Marker, parse_allows, parse_markers
+from .allowlist import Marker, parse_markers
 from .baseline import diff_baseline, fingerprint, load_baseline, \
     render_baseline
 from .contracts import conserves, fenced_by
@@ -35,7 +35,6 @@ __all__ = [
     "fingerprint",
     "load_baseline",
     "package_root",
-    "parse_allows",
     "parse_markers",
     "render_baseline",
     "render_json",

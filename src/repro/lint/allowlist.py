@@ -24,11 +24,11 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, List, Tuple
 
 from .findings import Finding
 
-__all__ = ["Marker", "parse_allows", "parse_markers"]
+__all__ = ["Marker", "parse_markers"]
 
 _MARKER = re.compile(
     r"#\s*ndlint:\s*(?:allow\[(?P<rules>[A-Z0-9,\s]+)\]|"
@@ -98,14 +98,3 @@ def parse_markers(path: str, source: str,
         markers.append(Marker(line=lineno, col=col + 1,
                               rules=tuple(sorted(rules)), covered=covered))
     return markers, findings
-
-
-def parse_allows(path: str, source: str,
-                 ) -> Tuple[Dict[int, Set[str]], List[Finding]]:
-    """Scan ``source`` for markers; returns (line -> allowed rules, ND000s)."""
-    markers, findings = parse_markers(path, source)
-    allows: Dict[int, Set[str]] = {}
-    for marker in markers:
-        for lineno in marker.covered:
-            allows.setdefault(lineno, set()).update(marker.rules)
-    return allows, findings

@@ -15,16 +15,15 @@ from .graph import (
     PartitionPoint,
     StageSpec,
 )
-from .flops import FlopCounter, count_forward_flops, count_model_flops, count_stage_flops
+from .flops import FlopCounter, count_model_flops, count_stage_flops
 from .registry import TINY_FACTORIES, tiny_model
-from .split import SplitModel, assert_split_consistent
+from .split import SplitModel
 
 __all__ = [
     "ModelGraph", "StageSpec", "PartitionPoint",
     "FEATURE_DTYPE_BYTES", "INPUT_DTYPE_BYTES", "WEIGHT_DTYPE_BYTES",
     "model_graph", "all_graphs", "ALL_MODELS", "FIGURE_MODELS",
     "RAW_IMAGE_BYTES",
-    "SplitModel", "assert_split_consistent", "tiny_model", "TINY_FACTORIES",
+    "SplitModel", "tiny_model", "TINY_FACTORIES",
     "FlopCounter", "count_stage_flops", "count_model_flops",
-    "count_forward_flops",
 ]

@@ -19,7 +19,7 @@ or :func:`count_stage_flops` for the per-stage breakdown a
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -94,13 +94,6 @@ class FlopCounter:
         # module-attribute patch reaches them; Sequential Linear layers go
         # through Tensor.__matmul__
         cls._installed = True
-
-
-def count_forward_flops(fn, *args) -> Tuple[float, object]:
-    """Run ``fn(*args)`` under a counter; returns (flops, result)."""
-    with FlopCounter() as counter:
-        result = fn(*args)
-    return counter.total_flops, result
 
 
 def count_stage_flops(model: SplitModel, batch: int = 1,

@@ -72,10 +72,6 @@ class PartitionPoint:
     feature_bytes: int
     sync_bytes: int
 
-    @property
-    def offloads_trainable(self) -> bool:
-        return self.sync_bytes > 0
-
 
 class ModelGraph:
     """A model as an ordered list of partitionable stages."""
@@ -107,10 +103,6 @@ class ModelGraph:
     def input_bytes(self) -> int:
         """Bytes of one preprocessed input binary (what 'None' ships)."""
         return self.input_elems * INPUT_DTYPE_BYTES
-
-    @property
-    def model_bytes(self) -> int:
-        return self.total_params * WEIGHT_DTYPE_BYTES
 
     @property
     def classifier(self) -> StageSpec:
@@ -159,9 +151,6 @@ class ModelGraph:
             feature_bytes=feature_bytes,
             sync_bytes=sync_bytes,
         )
-
-    def partition_points(self) -> List[PartitionPoint]:
-        return [self.partition_point(i) for i in range(self.num_partition_points())]
 
     def __repr__(self) -> str:
         return (

@@ -3,8 +3,8 @@
 A :class:`SplitModel` is a sequence of named stage modules whose last stage
 is the classifier.  PipeStores run ``forward_until(x, p)`` (the weight-freeze
 front); the Tuner runs ``forward_from(features, p)`` (the rest, including the
-trainable classifier).  ``assert_split_consistent`` verifies the invariant
-that a split forward equals the unsplit forward bit-for-bit.
+trainable classifier); a split forward equals the unsplit forward
+bit-for-bit (``tests/models/test_zoo.py`` checks it at every cut).
 
 Once frozen, a model's front is a :class:`FrozenFront`: one immutable
 value, shared by reference by every replica provisioned from it
@@ -355,15 +355,3 @@ class FrozenFront:
                     for module in stage.modules()
                     if module._derived is not None)
         return copy.deepcopy(self.stages, memo)
-
-
-def assert_split_consistent(model: SplitModel, x: Tensor, split: int,
-                            atol: float = 1e-10) -> None:
-    """Raise if splitting at ``split`` changes the model output."""
-    whole = model(x).data
-    parts = model.forward_from(model.forward_until(x, split), split).data
-    if not np.allclose(whole, parts, atol=atol):
-        raise AssertionError(
-            f"{model.name}: split at {split} changed outputs "
-            f"(max abs diff {np.abs(whole - parts).max():.3e})"
-        )

@@ -16,13 +16,11 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    iter_samples,
 )
 from .tracing import Span, Tracer
 
 __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "DEFAULT_BUCKETS",
-    "iter_samples",
     "Tracer", "Span",
     "BenchResult", "bench_payload", "write_bench_json", "load_bench_json",
 ]

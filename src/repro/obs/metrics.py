@@ -32,7 +32,7 @@ import re
 import weakref
 from bisect import bisect_left
 from threading import get_ident
-from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "ChildMap", "MetricsRegistry",
            "DEFAULT_BUCKETS"]
@@ -488,9 +488,3 @@ class MetricsRegistry:
             }
             for name, family in sorted(self._families.items())
         }
-
-
-def iter_samples(registry: MetricsRegistry) -> Iterable[Tuple[str, float]]:
-    """Every (sample_name, value) pair across the registry."""
-    for name in registry.names():
-        yield from registry.get(name).samples()

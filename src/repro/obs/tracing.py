@@ -49,10 +49,6 @@ class Span:
     thread_id: int
     args: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def end_s(self) -> float:
-        return self.start_s + self.duration_s
-
 
 class Tracer:
     """Collects nested spans opened on the thread that created it."""

@@ -21,7 +21,6 @@ bytes.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence
 
 __all__ = ["FanoutTree"]
@@ -76,17 +75,6 @@ class FanoutTree:
                 hops += 1
             depth = max(depth, hops)
         return depth
-
-    @staticmethod
-    def ideal_depth(n: int, fanout: int) -> int:
-        """``ceil(log_fanout(n*(fanout-1)/fanout + 1))`` lower bound on
-        generations; handy for asserting the array layout is balanced."""
-        if n <= 0:
-            return 0
-        if fanout == 1:
-            return n
-        return max(1, math.ceil(
-            math.log(n * (fanout - 1) / fanout + 1, fanout)))
 
     def plan(self, available: Optional[Sequence[str]] = None,
              ) -> Dict[str, object]:

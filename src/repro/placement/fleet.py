@@ -215,13 +215,6 @@ class ShardedCluster:
         }
 
     # -- reporting ---------------------------------------------------------------
-    def placement_summary(self) -> Dict[str, int]:
-        """Photos per shard, from the authoritative database."""
-        counts = {s.store_id: 0 for s in self.cluster.stores}
-        for pid, _label in self.cluster.database.snapshot_labels().items():
-            counts[self.cluster.database.lookup(pid).location] = \
-                counts.get(self.cluster.database.lookup(pid).location, 0) + 1
-        return counts
 
     def ledger(self) -> MigrationLedger:
         return self.rebalancer.ledger

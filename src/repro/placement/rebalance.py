@@ -104,10 +104,6 @@ class MovePlan:
     def photos_affected(self) -> int:
         return len(self.moves)
 
-    @property
-    def copies_needed(self) -> int:
-        return sum(len(add) for add, _drop, _order in self.moves.values())
-
 
 class ShardRebalancer:
     """Migrates photos to their ring-assigned shards, copy-first."""

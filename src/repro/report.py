@@ -292,8 +292,7 @@ def _codec_fit() -> List[str]:
     from .core.pipestore import StoredPhoto
     from .durability.checkpoint import pack_arrays
     from .storage import imageformat
-    from .storage.compression import (PIXELS, WEIGHTS, Codec, compress_array,
-                                      deflate)
+    from .storage.compression import WEIGHTS, Codec, compress_array, deflate
 
     x, _ = _photos(256)
     # the front door, once: every payload below derives from these codes
@@ -320,8 +319,7 @@ def _codec_fit() -> List[str]:
         "preproc/ (8-bit codes)": (
             # a fresh photo each time: a StoredPhoto encodes its blob once
             lambda p: StoredPhoto(p.photo_id, p.codes).preprocessed_blob(),
-            [("fp32 byte planes", lambda raw: deflate(raw, PIXELS), derived),
-             ("fp32 level 6", lambda raw: deflate(raw, Codec(6)), derived)],
+            [("fp32 level 6", lambda raw: deflate(raw, Codec(6)), derived)],
             photos),
         "journal (stacked)": (
             lambda ps: compress_array(np.stack([p.codes for p in ps])),

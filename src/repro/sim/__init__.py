@@ -19,7 +19,6 @@ from .pipeline import (
     makespan,
     pipelined_throughput,
     sequential_throughput,
-    simulate_pipeline,
     stage_breakdown,
 )
 from .power import (
@@ -71,7 +70,7 @@ from .specs import (
 __all__ = [
     "Simulation", "Event", "Process", "Resource", "Store", "all_of",
     "Stage", "pipelined_throughput", "sequential_throughput", "makespan",
-    "stage_breakdown", "simulate_pipeline",
+    "stage_breakdown",
     "PowerDraw", "ZERO_POWER", "server_power", "total_power",
     "energy_joules", "ips_per_watt", "ips_per_kilojoule",
     "fleet_price_per_hour", "run_cost",

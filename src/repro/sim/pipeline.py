@@ -1,4 +1,4 @@
-"""Analytic pipeline-throughput models plus a DES cross-check.
+"""Analytic pipeline-throughput models.
 
 The paper's throughput results are bottleneck analyses over multi-stage
 pipelines (disk -> CPU -> network -> accelerator).  Two execution
@@ -10,17 +10,15 @@ disciplines appear:
 * **pipelined** — the NPE's 3-stage pipelining (§5.4) overlaps stages, so
   steady-state throughput is the bottleneck stage ``min(r_i)``.
 
-``simulate_pipeline`` runs the same stage network on the discrete-event
-kernel with finite inter-stage buffers; property tests check that its
+``tests/sim/test_pipeline.py`` runs the same stage network on the
+discrete-event kernel with finite inter-stage buffers and checks that its
 steady-state rate converges to the analytic value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-from .engine import Simulation, Store
+from typing import Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -73,47 +71,3 @@ def stage_breakdown(stages: Sequence[Stage], num_items: int) -> dict:
     irrespective of overlap.
     """
     return {s.name: num_items * s.time_per_item for s in stages}
-
-
-def simulate_pipeline(stages: Sequence[Stage], num_items: int,
-                      buffer_depth: int = 4,
-                      batch: int = 1) -> float:
-    """Run the stage network on the DES kernel; returns the makespan.
-
-    Items flow through bounded buffers between stages, so the simulation
-    exhibits genuine pipeline fill/drain and back-pressure behaviour rather
-    than assuming steady state.
-    """
-    if num_items <= 0:
-        raise ValueError("num_items must be positive")
-    if batch <= 0:
-        raise ValueError("batch must be positive")
-    sim = Simulation()
-    num_batches = (num_items + batch - 1) // batch
-
-    queues: List[Store] = [Store(sim, capacity=buffer_depth) for _ in stages]
-    done = Store(sim)
-
-    def source():
-        for item in range(num_batches):
-            yield queues[0].put(item)
-
-    def worker(index: int, stage: Stage):
-        out = queues[index + 1] if index + 1 < len(stages) else done
-        service = batch * stage.time_per_item
-        while True:
-            item = yield queues[index].get()
-            if service:
-                yield sim.timeout(service)
-            yield out.put(item)
-
-    def sink():
-        for _ in range(num_batches):
-            yield done.get()
-
-    sim.process(source())
-    for i, stage in enumerate(stages):
-        sim.process(worker(i, stage))
-    finish = sim.process(sink())
-    sim.run_until_complete(finish)
-    return sim.now

@@ -87,10 +87,6 @@ class AcceleratorResource(TimedResource):
         super().__init__(sim, capacity=1, name=name)
         self.spec = spec
 
-    def run_flops(self, model_name: str, flops: float) -> Generator:
-        rate = self.spec.flops_ips(model_name, flops)
-        yield from self.use(1.0 / rate)
-
     def infer_batch(self, graph, batch_size: int) -> Generator:
         ips = self.spec.inference_ips(graph, batch_size)
         yield from self.use(batch_size / ips)

@@ -118,10 +118,6 @@ class Volume:
         self.used_bytes -= num_bytes
 
     @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self.used_bytes
-
-    @property
     def fill_fraction(self) -> float:
         if self.capacity_bytes == 0:
             return 1.0

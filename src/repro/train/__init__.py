@@ -1,8 +1,7 @@
 """``repro.train`` — training engines and comparison systems.
 
-Runnable full-training and fine-tuning on the numpy substrate, plus the
-paper's baseline system models: SRV-I/P/C, the §3.4 Typical/Ideal
-strawmen, naive NDP, and classical data/model parallelism.
+Runnable full training on the numpy substrate, plus the paper's baseline
+system models: SRV-I/P/C, the §3.4 Typical/Ideal strawmen and naive NDP.
 """
 
 from .baselines import (
@@ -23,13 +22,6 @@ from .baselines import (
     typical_inference_breakdown,
     typical_offline_inference,
 )
-from .distributed import (
-    ParallelTrainingEstimate,
-    data_parallel_finetune,
-    model_parallel_finetune,
-    scaling_curve,
-)
-from .finetune import finetune_classifier
 from .fulltrain import TrainHistory, full_train
 
 __all__ = [
@@ -40,7 +32,5 @@ __all__ = [
     "typical_offline_inference", "ideal_offline_inference",
     "typical_finetune_breakdown", "typical_inference_breakdown",
     "naive_ndp_finetune_breakdown", "naive_ndp_inference_breakdown",
-    "ParallelTrainingEstimate", "data_parallel_finetune",
-    "model_parallel_finetune", "scaling_curve",
-    "full_train", "TrainHistory", "finetune_classifier",
+    "full_train", "TrainHistory",
 ]

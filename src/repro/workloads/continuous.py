@@ -63,10 +63,6 @@ class OperationLog:
             raise ValueError("no days recorded")
         return float(np.mean([d.top1 for d in self.days]))
 
-    @property
-    def final_stale_labels(self) -> int:
-        return self.days[-1].stale_labels
-
 
 #: argument kinds, as (test, rule): sizes, then rates, periods and
 #: durations, then skews and start times

@@ -35,8 +35,8 @@ class TestDriftingWorld:
         assert set(np.unique(y)) <= set(small_world.classes_at(0))
 
     def test_new_classes_appear_over_time(self, small_world):
-        assert small_world.num_classes_at(0) == 6
-        assert small_world.num_classes_at(30) == 8
+        assert len(small_world.classes_at(0)) == 6
+        assert len(small_world.classes_at(30)) == 8
 
     def test_negative_day_rejected(self, small_world):
         with pytest.raises(ValueError):

@@ -175,7 +175,7 @@ class TestCrashAtOtherPoints:
 
         cluster = fresh_cluster()
         progress = cluster.restore(latest.read_bytes())
-        assert progress.finished_gathering
+        assert progress.next_run == progress.num_runs
         report = cluster.finetune(resume=progress)
         cluster.offline_relabel()
         assert_fingerprints_equal(lifecycle_fingerprint(cluster), expected)

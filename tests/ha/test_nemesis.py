@@ -1,5 +1,7 @@
 """Nemesis chaos runs: invariants hold, logs replay deterministically."""
 
+import json
+
 import pytest
 
 from repro.ha import InvariantViolation, NemesisHarness
@@ -23,7 +25,7 @@ def test_invariants_hold_across_seeds(seed):
         assert entry["epoch"] >= 0
 
     # the log is JSON-serialisable (it is the CI artifact)
-    assert report.to_json()
+    assert json.dumps(report.to_dict())
 
 
 def test_event_log_is_deterministic():

@@ -1,4 +1,4 @@
-"""Tests for the online latency model and offline campaign estimates."""
+"""Tests for the offline campaign estimates."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.inference.offline import (
     ndpipe_campaign,
     srv_campaign,
 )
-from repro.inference.online import online_latency
 from repro.models.catalog import model_graph
 
 
@@ -39,17 +38,4 @@ class TestCampaigns:
         small = ndpipe_campaign(resnet, 1000, 4)
         big = ndpipe_campaign(resnet, 10_000, 4)
         assert big.duration_s == pytest.approx(10 * small.duration_s)
-
-
-class TestOnlineLatency:
-    def test_components_positive(self, resnet):
-        model = online_latency(resnet)
-        assert model.preprocess_s > 0
-        assert model.inference_s > 0
-        assert model.total_s > model.preprocess_s
-
-    def test_preprocessing_dominates_single_image(self, resnet):
-        """At batch 1 on a V100, JPEG preprocessing dwarfs the forward."""
-        model = online_latency(resnet)
-        assert model.preprocess_s > model.inference_s
 

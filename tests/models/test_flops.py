@@ -5,13 +5,19 @@ import pytest
 
 from repro.models.flops import (
     FlopCounter,
-    count_forward_flops,
     count_model_flops,
     count_stage_flops,
 )
 from repro.models.registry import tiny_model
 from repro.nn.layers import Conv2d, Linear
 from repro.nn.tensor import Tensor
+
+
+def count_forward_flops(fn, *args):
+    """Run ``fn(*args)`` under a counter; returns (flops, result)."""
+    with FlopCounter() as counter:
+        result = fn(*args)
+    return counter.total_flops, result
 
 
 class TestPrimitiveCounts:

@@ -58,7 +58,6 @@ class TestModelGraph:
         g = simple_graph()
         point = g.partition_point(3)
         assert point.sync_bytes == 50 * 4
-        assert point.offloads_trainable
         assert point.feature_bytes < 100  # labels only
 
     def test_partition_flops_conservation(self):

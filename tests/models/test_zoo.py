@@ -5,8 +5,20 @@ import pytest
 
 from repro.models.blocks import channel_shuffle
 from repro.models.registry import TINY_FACTORIES, tiny_model
-from repro.models.split import SplitModel, assert_split_consistent
+from repro.models.split import SplitModel
 from repro.nn.tensor import Tensor
+
+
+def assert_split_consistent(model: SplitModel, x: Tensor, split: int,
+                            atol: float = 1e-10) -> None:
+    """Raise if splitting at ``split`` changes the model output."""
+    whole = model(x).data
+    parts = model.forward_from(model.forward_until(x, split), split).data
+    if not np.allclose(whole, parts, atol=atol):
+        raise AssertionError(
+            f"{model.name}: split at {split} changed outputs "
+            f"(max abs diff {np.abs(whole - parts).max():.3e})"
+        )
 
 MODELS = sorted(TINY_FACTORIES)
 

@@ -12,8 +12,13 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    iter_samples,
 )
+
+
+def iter_samples(registry: MetricsRegistry):
+    """Every (sample_name, value) pair across the registry."""
+    for name in registry.names():
+        yield from registry.get(name).samples()
 
 
 class TestCounter:

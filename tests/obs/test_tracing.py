@@ -40,7 +40,8 @@ class TestSpans:
         assert outer.depth == 0
         assert inner.depth == 1
         assert inner.start_s >= outer.start_s
-        assert inner.end_s <= outer.end_s
+        assert (inner.start_s + inner.duration_s
+                <= outer.start_s + outer.duration_s)
 
     def test_span_args_recorded(self):
         tracer = Tracer()

@@ -37,21 +37,21 @@ from repro.storage.imageformat import (
     preprocess,
     quantise,
 )
-from tests.storage.test_plane_codec import huffman_only, plane_frame
+from tests.storage.test_plane_codec import huffman_only
 
 PHOTO_HEADER = struct.calcsize(_HEADER_FMT)
 
 
 def run_length_frame(data: bytes) -> bytes:
-    """A ``preproc/`` blob as the landing path wrote it before the byte
-    planes (``Z_RLE`` over the interleaved float bytes)."""
+    """A ``preproc/`` blob as an earlier landing path wrote it
+    (``Z_RLE`` over the interleaved float bytes)."""
     packer = zlib.compressobj(6, zlib.DEFLATED, zlib.MAX_WBITS,
                               zlib.DEF_MEM_LEVEL, zlib.Z_RLE)
     return b"NDPZ" + packer.compress(data) + packer.flush()
 
 
 def level_6_frame(data: bytes) -> bytes:
-    """A ``preproc/`` blob as the landing path wrote it before that."""
+    """A ``preproc/`` blob as the first landing path wrote it."""
     return b"NDPZ" + zlib.compress(data, 6)
 
 
@@ -102,20 +102,18 @@ class TestStandInJpeg:
 
 class TestPreprocessedBlob:
     def test_codes_inflate_exactly_and_never_cost_bytes(self, sample):
-        """Against the byte planes the blob held before and level 6,
-        both over the fp32 binary the codes derive."""
-        ours = planes = 0
+        """Against level 6 over the fp32 binary the codes derive."""
+        ours = level_6 = 0
         for photo in uploads(sample):
             raw = encode_preprocessed(derived(photo.codes))
             blob = photo.preprocessed_blob()
             assert blob == codes_frame(
                 quantised(decode_photo(photo.raw_payload())))
             assert inflate(blob) == raw
-            assert len(blob) <= len(plane_frame(raw, 4))
             assert len(blob) <= len(level_6_frame(raw))
             ours += len(blob)
-            planes += len(plane_frame(raw, 4))
-        assert ours < planes / 3
+            level_6 += len(level_6_frame(raw))
+        assert ours < level_6 / 2
 
     def test_a_level_6_blob_written_before_still_loads(self, sample):
         """And a ``Z_RLE`` one: both earlier ``NDPZ`` encodes."""

@@ -195,7 +195,7 @@ class TestVolume:
     def test_reserve_and_release(self):
         vol = Volume(capacity_bytes=100)
         vol.reserve(60)
-        assert vol.free_bytes == 40
+        assert vol.capacity_bytes - vol.used_bytes == 40
         vol.release(10)
         assert vol.used_bytes == 50
 

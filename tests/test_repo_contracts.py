@@ -18,6 +18,18 @@
 - ``repro report``'s topics read public outputs: ``report.py`` assigns
   no attribute, and nothing in ``src/repro`` imports the end-to-end
   benchmark;
+- every definition in ``src/repro`` is reached from an entry point (the
+  ``repro`` CLI, ``repro.__all__``, ``benchmarks/``, ``examples/``) or
+  says in :data:`JUSTIFIED` why it stays; a name census, not a call
+  graph: a ``def`` or ``class`` is reached when its name is read (a
+  ``Name``, an ``Attribute`` or an identifier string) anywhere in
+  ``src/repro`` outside its own body, when a decorator call of the
+  package registers it (``report.py``'s ``@_topic``), or when it is in
+  ``repro.__all__`` or named in ``benchmarks/`` or ``examples/``.  An
+  import alias or a subpackage's ``__all__`` reaches nothing, and
+  neither does ``tests/``;
+- every name in a ``repro`` package's ``__all__`` resolves, and every
+  repository path the top-level docs name exists;
 - ``.github/workflows/ci.yml`` runs commands, not code: no ``run:``
   holds a heredoc or ``python -c``, so each check CI makes is a test or
   a ``repro`` command that a local run executes too; and it runs each
@@ -25,6 +37,8 @@
 """
 
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -142,3 +156,179 @@ def test_ci_runs_each_command_in_one_job(ci_runs):
             jobs.setdefault(run, set()).add(name)
     assert {run: names for run, names in jobs.items() if len(names) > 1} \
         == {}
+
+
+#: deleting one of these deletes the tests that check only it, so they
+#: go in batches (ROADMAP item 33 lists what is left)
+_NEXT = "no caller outside tests: item 33's next deletion batch"
+_ORACLE = "test oracle over private state"
+
+#: definitions no entry point reaches, kept on purpose: qualname (module
+#: path under ``repro``, then the name inside it) -> why
+JUSTIFIED = {
+    "core.cluster.RelabelStats.fraction_changed": _NEXT,
+    "core.convergence.delta_balancedness": _NEXT,
+    "core.convergence.iterations_to_converge": _NEXT,
+    "core.driftdetect.AccuracyWindowDetector": _NEXT,
+    "core.driftdetect.AccuracyWindowDetector.rearm": _NEXT,
+    "core.driftdetect.PageHinkley": _NEXT,
+    "core.fabric.NetworkFabric.transfer_seconds": _NEXT,
+    "data.datasets.train_test_split": _NEXT,
+    "durability.replication.ReplicaMap.underreplicated": _ORACLE,
+    "faults.injector.FaultInjector.crashed_tuners": _ORACLE,
+    "faults.injector.FaultInjector.detach":
+        "undoes attach_fabric: the fault tests reuse one fabric",
+    "faults.injector.FaultInjector.register_store":
+        "aims a schedule at a PipeStore that no cluster roster holds",
+    "faults.injector.FaultInjector.tuner_crashed": _ORACLE,
+    "ha.controller.HAController.attach_dispatcher":
+        "joins serving replicas to HA drains: item 4's composed run",
+    "ha.detector.FailureDetector.is_suspect": _ORACLE,
+    "ha.detector.FailureDetector.suspects": _ORACLE,
+    "models.catalog.all_graphs": _NEXT,
+    "models.flops.count_model_flops": _NEXT,
+    "models.split.SplitModel.feature_dim_after": _ORACLE,
+    "models.split.SplitModel.stage_index": _NEXT,
+    "models.split.SplitModel.to_graph":
+        "the measured stage graph item 8(a) profiles from",
+    "nn.functional.one_hot": _NEXT,
+    "nn.layers.Flatten": _NEXT,
+    "nn.losses.mse": _NEXT,
+    "nn.module.Module.cast": _NEXT,
+    "nn.module.Module.freeze":
+        "unfreeze's inverse: the frozen-array tests build with it",
+    "nn.schedulers.CosineLR": _NEXT,
+    "nn.schedulers.StepLR": _NEXT,
+    "nn.schedulers.WarmupLR": _NEXT,
+    "nn.tensor.Tensor.detach": _NEXT,
+    "nn.tensor.Tensor.pad2d": _NEXT,
+    "nn.tensor.Tensor.sigmoid": _NEXT,
+    "obs.tracing.Tracer.total_seconds": _NEXT,
+    "placement.fleet.ShardedCluster.leave_shard":
+        "join_shard's inverse: item 4's ShardLeave event drives it",
+    "placement.tenants.TenantNamespace.owns": _NEXT,
+    "placement.tenants.TenantNamespace.qualify": _NEXT,
+    "placement.tenants.split_key": _NEXT,
+    "serving.admission.AdmissionQueue.shed_full_count": _ORACLE,
+    "serving.dispatcher.ReplicaDispatcher.drained": _ORACLE,
+    "sim.pipeline.stage_breakdown": _NEXT,
+    "sim.power.ips_per_kilojoule": _NEXT,
+    "storage.compression.compression_ratio": _NEXT,
+    "storage.imageformat.PhotoSizes": _NEXT,
+    "storage.imageformat.PhotoSizes.preprocessed_fraction": _NEXT,
+    "storage.imageformat.decode_photo":
+        "encode_photo's inverse: tests read stored raw/ blobs with it",
+    "storage.objectstore.ObjectStore.preprocessed_overhead": _NEXT,
+    "storage.objectstore.Volume.fill_fraction": _NEXT,
+    "storage.persistence.snapshot_sizes": _NEXT,
+    "storage.photodb.PhotoDatabase.version_counts": _ORACLE,
+    "workloads.scenarios.DriftScenarioResult.drop_from_base": _NEXT,
+    "workloads.scenarios.uploads_for_day": _NEXT,
+}
+
+
+def _is_all(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in node.targets)
+
+
+def _names_spelled(tree):
+    """``(name, line)`` for each name the module spells as a ``Name``, an
+    ``Attribute`` or an identifier string, outside ``__all__``."""
+    listed = {id(node) for statement in tree.body if _is_all(statement)
+              for node in ast.walk(statement)}
+    for node in ast.walk(tree):
+        if id(node) in listed:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value, node.lineno
+
+
+def _definitions(tree, prefix=""):
+    """``(qualname, node)`` for each ``def`` and ``class``, nested ones
+    included."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield prefix + child.name, child
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+@pytest.fixture(scope="module")
+def unreached():
+    """Qualnames of the ``src/repro`` definitions (dunders aside) that
+    nothing reaches by the rule above."""
+    trees = {".".join(path.relative_to(SRC).with_suffix("").parts):
+             ast.parse(path.read_text()) for path in SRC.rglob("*.py")}
+    defs = [(module, qualname, node) for module, tree in trees.items()
+            for qualname, node in _definitions(tree)]
+    ours = {node.name for _, _, node in defs
+            if isinstance(node, ast.FunctionDef)}
+    spelled = {}
+    for module, tree in trees.items():
+        for name, line in _names_spelled(tree):
+            spelled.setdefault(name, []).append((module, line))
+    named = {name for statement in trees["__init__"].body
+             if _is_all(statement)
+             for name in ast.literal_eval(statement.value)}
+    for folder in ("benchmarks", "examples"):
+        for path in (ROOT / folder).rglob("*.py"):
+            named.update(re.findall(r"\w+", path.read_text()))
+    found = set()
+    for module, qualname, node in defs:
+        name = node.name
+        if name.startswith("__") and name.endswith("__") or name in named \
+                or any(isinstance(d, ast.Call)
+                       and getattr(d.func, "id", None) in ours
+                       for d in node.decorator_list):
+            continue
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        if all(where == module and first <= line <= node.end_lineno
+               for where, line in spelled.get(name, ())):
+            found.add(f"{module}.{qualname}")
+    return found
+
+
+def test_every_definition_is_reached_from_an_entry_point(unreached):
+    assert sorted(unreached - set(JUSTIFIED)) == []
+
+
+def test_every_justification_names_an_unreached_definition(unreached):
+    assert sorted(set(JUSTIFIED) - unreached) == []
+
+
+def test_every_exported_name_resolves():
+    import repro
+
+    missing = [f"repro.{name}" for name in repro.__all__
+               if not hasattr(repro, name)]
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        missing += [f"{info.name}.{name}"
+                    for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []
+
+
+#: a repository path as the docs write it: from the root, or relative to
+#: ``src/repro``, ``src`` or ``benchmarks``
+DOC_PATH = re.compile(
+    r"(?<![\w/.-])((?:[\w-]+/)+[\w.-]+\.(?:py|md|json|txt|ya?ml|toml))\b")
+
+
+def test_every_path_the_docs_name_exists():
+    named = [(doc, match.group(1))
+             for doc in ("DESIGN.md", "README.md", "EXPERIMENTS.md",
+                         "ROADMAP.md")
+             for match in DOC_PATH.finditer((ROOT / doc).read_text())]
+    assert len(named) > 200
+    assert [(doc, path) for doc, path in named
+            if not any((base / path).exists() for base in (
+                ROOT, SRC, ROOT / "src", ROOT / "benchmarks"))] == []

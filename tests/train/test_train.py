@@ -1,18 +1,10 @@
-"""Tests for training engines and distributed-training baselines."""
+"""Tests for the full-training engine."""
 
 import numpy as np
 import pytest
 
 from repro.data.loader import normalize_images
-from repro.models.catalog import model_graph
 from repro.models.registry import tiny_model
-from repro.sim.specs import TEN_GBE, TESLA_T4
-from repro.train.distributed import (
-    data_parallel_finetune,
-    model_parallel_finetune,
-    scaling_curve,
-)
-from repro.train.finetune import finetune_classifier
 from repro.train.fulltrain import full_train
 
 
@@ -57,85 +49,3 @@ class TestFullTrain:
         with pytest.raises(ValueError):
             TrainHistory().final_loss
 
-
-class TestFinetuneWrapper:
-    def test_wrapper_freezes_features(self, small_world):
-        model = tiny_model("ResNet50", num_classes=8, width=8, seed=0)
-        x, y = small_world.sample(64, 0)
-        report = finetune_classifier(model, normalize_images(x), y, epochs=1)
-        assert report.images_extracted == 64
-        for i in range(model.num_stages - 1):
-            assert all(not p.requires_grad
-                       for p in model.stage(i).parameters())
-
-
-class TestDataParallel:
-    @pytest.fixture(scope="class")
-    def resnet(self):
-        return model_graph("ResNet50")
-
-    def test_sync_traffic_grows_with_workers(self, resnet):
-        est4 = data_parallel_finetune(resnet, 4, TESLA_T4, TEN_GBE, 100_000)
-        est8 = data_parallel_finetune(resnet, 8, TESLA_T4, TEN_GBE, 100_000)
-        assert est8.sync_traffic_bytes > est4.sync_traffic_bytes
-
-    def test_full_sync_much_worse_than_classifier_sync(self, resnet):
-        clf = data_parallel_finetune(resnet, 4, TESLA_T4, TEN_GBE, 100_000,
-                                     trainable_only=True)
-        full = data_parallel_finetune(resnet, 4, TESLA_T4, TEN_GBE, 100_000,
-                                      trainable_only=False)
-        assert full.sync_time_s > 5 * clf.sync_time_s
-
-    def test_scaling_efficiency_degrades(self, resnet):
-        """§4.1: adding NDP devices does not linearly improve fine-tuning."""
-        curve = scaling_curve(data_parallel_finetune, resnet, [1, 4, 16],
-                              TESLA_T4, TEN_GBE, 500_000)
-        effs = [c.scaling_efficiency for c in curve]
-        assert effs[0] > effs[-1]
-        assert 0.0 < effs[-1] <= 1.0
-
-    def test_validation(self, resnet):
-        with pytest.raises(ValueError):
-            data_parallel_finetune(resnet, 0, TESLA_T4, TEN_GBE, 100)
-
-
-class TestModelParallel:
-    @pytest.fixture(scope="class")
-    def resnet(self):
-        return model_graph("ResNet50")
-
-    def test_activation_traffic_positive_for_multiworker(self, resnet):
-        est = model_parallel_finetune(resnet, 3, TESLA_T4, TEN_GBE, 100_000)
-        assert est.sync_traffic_bytes > 0
-        assert est.strategy == "model-parallel"
-
-    def test_single_worker_no_boundary_traffic(self, resnet):
-        est = model_parallel_finetune(resnet, 1, TESLA_T4, TEN_GBE, 100_000)
-        assert est.sync_traffic_bytes == 0
-
-    def test_mp_slower_than_ideal_split(self, resnet):
-        """Stage imbalance + activation shipping keep MP from scaling."""
-        est1 = model_parallel_finetune(resnet, 1, TESLA_T4, TEN_GBE, 100_000)
-        est4 = model_parallel_finetune(resnet, 4, TESLA_T4, TEN_GBE, 100_000)
-        assert est4.time_s > est1.time_s / 4
-
-    def test_validation(self, resnet):
-        with pytest.raises(ValueError):
-            model_parallel_finetune(resnet, 0, TESLA_T4, TEN_GBE, 100)
-
-    def test_ftdmp_beats_both_classical_strategies(self, resnet):
-        """The paper's motivation: FT-DMP avoids both DP sync and MP
-        bubbles.  Compare 4-worker times for the same job."""
-        from repro.core.partition import evaluate_partition, FinetunePlanConfig
-        from repro.sim.specs import TESLA_V100
-
-        images = 500_000
-        config = FinetunePlanConfig(dataset_images=images)
-        ftdmp = evaluate_partition(resnet, 5, 4, TESLA_T4, TESLA_V100,
-                                   TEN_GBE, config).training_time_s
-        dp = data_parallel_finetune(resnet, 4, TESLA_T4, TEN_GBE,
-                                    images).time_s
-        mp = model_parallel_finetune(resnet, 4, TESLA_T4, TEN_GBE,
-                                     images).time_s
-        assert ftdmp < dp
-        assert ftdmp < mp

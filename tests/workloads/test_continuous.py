@@ -58,7 +58,7 @@ class TestContinuousOperation:
         )
         assert log.updates == 0
         # no model update ever happened, so nothing is stale relative to v0
-        assert log.final_stale_labels == 0
+        assert log.days[-1].stale_labels == 0
         assert 0.0 <= log.mean_top1 <= 1.0
 
     def test_stale_labels_grow_without_relabel(self, trained_cluster_factory):
@@ -69,7 +69,7 @@ class TestContinuousOperation:
             relabel_after_update=False,
         )
         # each day's uploads were labelled by the previous model version
-        assert log.final_stale_labels > 0
+        assert log.days[-1].stale_labels > 0
 
     def test_traffic_summary_captured(self, trained_cluster_factory):
         cluster, world = trained_cluster_factory()
