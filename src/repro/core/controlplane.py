@@ -258,12 +258,14 @@ class RecoveryControlPlane:
         """
         cluster = self.cluster
         report = ClusterScrubReport()
+        # replicas share raw/ payloads: each is derived once for all stores
+        memo: dict = {}
         with cluster.tracer.span("cluster.scrub_and_repair"):
             for store in cluster.stores:
                 if not store.is_available:
                     report.stores_skipped.append(store.store_id)
                     continue
-                scrub = store.scrub()
+                scrub = store.scrub(memo)
                 report.scrubs.append(scrub)
                 for key in scrub.corrupt_keys:
                     if self._repair_object(store, key):

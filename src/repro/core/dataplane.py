@@ -62,8 +62,6 @@ class InferenceServer:
         #: serving work taken but not yet computed (see :meth:`submit`)
         self._pool: Optional[_FrontPool] = None
         self._owed: List[PendingAnswers] = []
-        #: (front digest, bytes of one feature row at the serving cut)
-        self._row_probe: Optional[Tuple[bytes, int]] = None
 
     # -- fault injection ----------------------------------------------------
     @property
@@ -175,14 +173,16 @@ class InferenceServer:
 
     def row_nbytes(self) -> int:
         """Bytes of one feature row at the serving cut: a shape probe,
-        kept until the front's digest moves."""
-        digest = self.front_digest()
-        if self._row_probe is None or self._row_probe[0] != digest:
-            probe = np.zeros((1,) + tuple(self.model.input_shape), np.float32)
+        kept with the front value (:attr:`~repro.models.split.FrozenFront.
+        rows`), so every replica holding it shares one probe."""
+        rows = self.model.front.rows
+        key = (self.split, self.model.input_shape)
+        if key not in rows:
+            probe = np.zeros((1,) + self.model.input_shape, np.float32)
             with inference_mode():
                 row = self.model.forward_until(Tensor(probe), self.split).data
-            self._row_probe = (digest, row[0].nbytes)
-        return self._row_probe[1]
+            rows[key] = row[0].nbytes
+        return rows[key]
 
     def sync_model(self, state: Dict[str, np.ndarray],
                    front: Optional[FrozenFront] = None) -> None:

@@ -281,11 +281,13 @@ class PipeStore:
             self.objects.delete(key)
 
     # -- durability ----------------------------------------------------------
-    def scrub(self) -> ScrubReport:
+    def scrub(self, memo: Optional[dict] = None) -> ScrubReport:
         """CRC-sweep every stored object; report what rotted.
 
         Reads go through the unaccounted ``peek`` path, so a scrub never
         perturbs the workload IO counters the experiments assert on.
+        Stores scrubbed in one pass share ``memo`` (:meth:`~repro.
+        storage.objectstore.ObjectStore.derived_preproc`).
         """
         self._require_available()
         report = ScrubReport(store_id=self.store_id)
@@ -304,7 +306,7 @@ class PipeStore:
             if (not self.objects.exists(key) or key in rotten
                     or raw_key in rotten):
                 continue
-            derived = self.objects.derived_preproc(pid)
+            derived = self.objects.derived_preproc(pid, memo)
             if derived is None:
                 report.corrupt_keys.append(raw_key)
             # ndlint: allow[ND002] -- scrub reads are maintenance traffic

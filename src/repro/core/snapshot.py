@@ -57,12 +57,15 @@ def build_checkpoint(cluster, ftdmp: Optional[FinetuneProgress] = None,
     tuner_manifest = tuner_section(
         cluster.tuner.export_training_state(), table)
     stores_manifest = []
+    # replicas share raw/ payloads: each is derived once for all stores
+    memo: dict = {}
     for store in cluster.stores:
         stores_manifest.append({
             "store_id": store.store_id,
             "model_version": store.model_version,
             # sealed by its producer, deflated where that pays: stored verbatim
-            "objects_blob": table.add(dump_object_store(store.objects)),
+            "objects_blob": table.add(dump_object_store(store.objects,
+                                                        memo)),
             # a store at the Tuner's version lands on the Tuner's blob
             "model_blob": table.add_arrays(store.model.state_dict()),
             "train_labels": store.train_labels(),
@@ -123,9 +126,11 @@ def restore_checkpoint(cluster, blob: bytes) -> Optional[FinetuneProgress]:
         # replicas' payloads are restored as one bytes object each, the
         # way a live ingest lands them
         payloads: Dict[bytes, bytes] = {}
+        memo: dict = {}
         store_states = [
             (load_object_store(blobs[entry["objects_blob"]],
-                               name=entry["store_id"], payloads=payloads),
+                               name=entry["store_id"], payloads=payloads,
+                               memo=memo),
              arrays(entry["model_blob"]),
              arrays.front(entry["model_blob"]),
              int(entry["model_version"]),

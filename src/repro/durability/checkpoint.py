@@ -169,8 +169,8 @@ class BlobTable:
         return index
 
     def add_arrays(self, arrays: Dict[str, np.ndarray]) -> int:
-        # model weights and Adam moments; WEIGHTS says why their tables are
-        # not deflated as PIXELS
+        # model weights and Adam moments; WEIGHTS says why their tables
+        # keep level 9
         return self.add(pack_arrays(arrays),
                         encode=lambda table: deflate(table, WEIGHTS))
 

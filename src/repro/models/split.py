@@ -279,8 +279,8 @@ class FrozenFront:
     front means swapping that reference, never writing into it.
     """
 
-    __slots__ = ("names", "stages", "arrays", "digest", "_tags", "_cuts",
-                 "__weakref__")
+    __slots__ = ("names", "stages", "arrays", "digest", "rows", "_tags",
+                 "_cuts", "__weakref__")
 
     def __init__(self, names: Sequence[str], stages: Sequence[Module],
                  digest: Optional[bytes] = None):
@@ -302,6 +302,9 @@ class FrozenFront:
         self._tags = tuple(tags)
         self._cuts: Dict[int, bytes] = {}
         self.digest = self._digest(arrays) if digest is None else digest
+        #: bytes of one feature row per (cut, input shape), recorded by the
+        #: first shape probe of any model holding this value
+        self.rows: Dict[Tuple[int, Tuple[int, ...]], int] = {}
 
     def digest_at(self, split: int) -> bytes:
         """The digest of the first ``split`` stages, what ``feat/`` rows

@@ -292,9 +292,11 @@ def _codec_fit() -> List[str]:
     from .core.pipestore import StoredPhoto
     from .durability.checkpoint import pack_arrays
     from .storage import imageformat
-    from .storage.compression import WEIGHTS, Codec, compress_array, deflate
+    from .storage.compression import (FEATURE_ROWS, NOISE, WEIGHTS, Codec,
+                                      compress_array, deflate, inflate)
+    from .storage.persistence import dump_object_store, squeezed_segment
 
-    x, _ = _photos(256)
+    x, y = _photos(256)
     # the front door, once: every payload below derives from these codes
     photos = [StoredPhoto(f"acme/photo-{i:08d}", codes)
               for i, codes in enumerate(imageformat.quantise(x))]
@@ -310,6 +312,17 @@ def _codec_fit() -> List[str]:
     def per_entry(ps):
         return pack_arrays({p.photo_id: p.codes for p in ps})
 
+    def stacked(ps):
+        return inflate(compress_array(np.stack([p.codes for p in ps])))
+
+    # a 4-shard fleet over the sample after one fine-tune round: each
+    # store snapshot's feat/ segment, inflated
+    fleet = _fleet()
+    fleet.ingest(x, tenant="acme", train_labels=y)
+    fleet.finetune(epochs=1)
+    segments = [inflate(squeezed_segment(dump_object_store(store.objects)))
+                for store in fleet.stores]
+
     # payload: (what the landing/checkpoint path writes, [(what it
     # replaced, that encode, its input)], the items)
     rows = {
@@ -324,7 +337,14 @@ def _codec_fit() -> List[str]:
         "journal (stacked)": (
             lambda ps: compress_array(np.stack([p.codes for p in ps])),
             [("level 9 per entry", lambda raw: deflate(raw, WEIGHTS),
-              per_entry)], [photos]),
+              per_entry),
+             ("Huffman-only", lambda raw: deflate(
+                 raw, Codec(6, zlib.Z_HUFFMAN_ONLY)), stacked)], [photos]),
+        "feat/ segment (Z_RLE)": (
+            lambda rows: deflate(rows, FEATURE_ROWS),
+            [("level 1", lambda rows: deflate(rows, Codec(1)), bytes),
+             ("stored", lambda rows: deflate(rows, NOISE), bytes)],
+            segments),
     }
 
     def timed(encode, items):

@@ -6,36 +6,41 @@ real ``zlib`` here, not a model.
 
 Every deflate on the landing and checkpoint paths names its payload, and
 the :class:`Codec` constants below are the one place that says which zlib
-configuration each payload gets.  The rule: a payload leaves LZ77 only
-where that costs no bytes.  Measured on a 4-store lifecycle over 256 world
-photos with a tiny ResNet50 (bytes per blob, host time per blob):
+configuration each payload gets.  The rule is the measured trade: a
+payload pays for a zlib pass only where the bytes it keeps are worth the
+time it spends, and a pass that keeps a fraction of a percent is not run.
+``repro report codec-fit`` regenerates the numbers below (bytes per blob,
+host time per blob, on its 256-photo sample with a tiny ResNet50):
 
-* :data:`NOISE` — the stand-in JPEG's 8-bit codes.  LZ77 finds nothing
-  in them and level 6 falls back to a stored block, so the payload is
-  stored outright: 779 B from 768 B either way, 60 → 5 µs.
+* :data:`NOISE` — 8-bit codes: the stand-in JPEG's payload and
+  :func:`compress_array`'s arrays (the checkpoint journal holds the same
+  codes ``raw/`` does).  LZ77 finds nothing in them and level 6 falls back
+  to a stored block, so the payload is stored outright: 779 B from 768 B
+  either way, 60 → 5 µs.  A Huffman-only pass over the stacked journal
+  keeps 0.5 % of its bytes for 7× the time of storing it.
 * :data:`CODES` — a ``preproc/`` blob: the photo's 8-bit codes behind
   the preprocessed binary's header and a CRC32, 785 B at 3×16×16, which
   :func:`inflate` expands into the fp32 binary through
   :data:`~repro.storage.imageformat.CODE_TABLE` (level 6 over the
   derived fp32 binary: 1 631 B, DESIGN §12).
-* :data:`PIXELS` — an array (:func:`compress_array`), such as the
-  checkpoint journal's stacked codes: one Huffman-only stream.
 * :data:`WEIGHTS` — model and Adam tables keep level 9 (≈ 4 % more time
   than level 6, and every tuner-HA frame at or under its v1 size).  Their
   per-tensor key, dtype and shape framing repeats, and only LZ77 finds
   it.
 * :data:`TEXT` — JSON (photo database, checkpoint manifest) keeps level
   6; ``Z_RLE`` is 4.6× larger on the database, 3.5× on the manifest.
-* :data:`FEATURE_ROWS` — a store snapshot's ``feat/`` records keep level
-  1 (see :func:`~repro.storage.persistence.dump_object_store`); ``Z_RLE``
-  is 2.1 % larger.
+* :data:`FEATURE_ROWS` — a store snapshot's ``feat/`` records (see
+  :func:`~repro.storage.persistence.dump_object_store`) are ``Z_RLE``:
+  ratio 0.78 against level 1's 0.76, 91 % of level 1's saving in 47 % of
+  its time.  Every level writes the same ``Z_RLE`` stream.
 
 Check-N-Run deltas frame their own deflate (:mod:`repro.core.checknrun`).
 :func:`inflate` is the one decoder: it reads every frame kind, and so
-every blob written before a payload changed codec.  It refuses, by name,
-the ``NDPB`` byte-plane frame an earlier :data:`PIXELS` wrote for float
-arrays: nothing persisted holds one (checkpoint v4's journal is uint8,
-which that codec wrote as ``NDPZ``, and v3 is refused).
+every blob written before a payload changed codec (a Huffman-only
+journal, a level-1 ``feat/`` segment).  It refuses, by name, the ``NDPB``
+byte-plane frame an earlier array codec wrote for float arrays: nothing
+persisted holds one (checkpoint v4's journal is uint8, which that codec
+wrote as ``NDPZ``, and v3 is refused).
 """
 
 from __future__ import annotations
@@ -64,7 +69,11 @@ class Codec(NamedTuple):
     codes: bool = False
 
     def compress(self, data: bytes) -> bytes:
-        """A complete zlib stream of ``data`` (``zlib.decompress`` reads it)."""
+        """A complete zlib stream of ``data`` (``zlib.decompress`` reads it):
+        one ``zlib.compress`` call unless the strategy needs a
+        ``compressobj`` (same bytes either way)."""
+        if self.strategy == zlib.Z_DEFAULT_STRATEGY:
+            return zlib.compress(data, self.level)
         packer = zlib.compressobj(self.level, zlib.DEFLATED, zlib.MAX_WBITS,
                                   zlib.DEF_MEM_LEVEL, self.strategy)
         return packer.compress(data) + packer.flush()
@@ -72,10 +81,9 @@ class Codec(NamedTuple):
 
 NOISE = Codec(0)
 CODES = Codec(0, codes=True)
-PIXELS = Codec(6, zlib.Z_HUFFMAN_ONLY)
 WEIGHTS = Codec(9)
 TEXT = Codec(6)
-FEATURE_ROWS = Codec(1)
+FEATURE_ROWS = Codec(1, zlib.Z_RLE)
 
 
 def deflate(data: bytes, codec: Codec = TEXT) -> bytes:
@@ -142,11 +150,11 @@ def compression_ratio(raw: bytes, compressed: bytes) -> float:
 
 
 def compress_array(array: np.ndarray) -> bytes:
-    """Deflate a numpy array (as a pixel tensor) with enough framing to
-    reconstruct it: ``dtype|shape|`` then the raw bytes, one
-    :data:`PIXELS` stream."""
+    """Frame a numpy array (such as the journal's stacked 8-bit codes) with
+    enough to reconstruct it: ``dtype|shape|`` then the raw bytes, one
+    :data:`NOISE` (stored) stream."""
     header = f"{array.dtype.str}|{','.join(map(str, array.shape))}|".encode()
-    return deflate(header + array.tobytes(), PIXELS)
+    return deflate(header + array.tobytes(), NOISE)
 
 
 def decompress_array(blob: bytes) -> np.ndarray:

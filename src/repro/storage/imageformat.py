@@ -83,21 +83,29 @@ def encode_photo(codes: np.ndarray) -> bytes:
     return _HEADER.pack(_MAGIC, c, h, w, 0, len(payload)) + payload
 
 
-def _read_photo(blob: bytes):
-    """``((c, h, w), code bytes)`` of a synthetic JPEG."""
+def _read_photo(blob: bytes, nominal: int = 0):
+    """``((c, h, w), code bytes)`` of a synthetic JPEG: ``blob``
+    zero-extended to ``nominal`` bytes, of which only the zeros the
+    header's declared extent reaches are materialised."""
     header_size = _HEADER.size
-    if len(blob) < header_size:
+    nominal = max(nominal, len(blob))
+    if nominal < header_size:
         raise CodecError("blob too short for a photo header")
+    if len(blob) < header_size:
+        blob = blob.ljust(header_size, b"\0")
     magic, c, h, w, _pad, payload_len = _HEADER.unpack_from(blob)
     if magic != _MAGIC:
         raise CodecError("bad photo magic")
-    if len(blob) < header_size + payload_len:
+    end = header_size + payload_len
+    if nominal < end:
         raise CodecError(
             f"photo payload truncated: header promises {payload_len} bytes, "
-            f"{len(blob) - header_size} present")
+            f"{nominal - header_size} present")
+    if len(blob) < end:
+        # a held payload whose own trailing zeros folded into the run
+        blob = blob.ljust(end, b"\0")
     try:
-        raw = zlib.decompress(
-            memoryview(blob)[header_size:header_size + payload_len])
+        raw = zlib.decompress(memoryview(blob)[header_size:end])
     except zlib.error as exc:
         raise CodecError(f"corrupt photo payload: {exc}") from exc
     if len(raw) != c * h * w:
@@ -105,12 +113,14 @@ def _read_photo(blob: bytes):
     return (c, h, w), raw
 
 
-def derive_preprocessed(blob: bytes) -> bytes:
+def derive_preprocessed(blob: bytes, nominal: int = 0) -> bytes:
     """The ``preproc/`` blob a synthetic JPEG derives: its codes behind
     the preprocessed binary's header, a :data:`~repro.storage.
     compression.CODES` frame — ``deflate(encode_codes(codes), CODES)``
-    for the codes it holds, read straight from the blob's bytes."""
-    (c, h, w), raw = _read_photo(blob)
+    for the codes it holds, read straight from the blob's bytes.  A
+    store's held payload passes its ``nominal`` length: its zero tail
+    stays a length."""
+    (c, h, w), raw = _read_photo(blob, nominal)
     return deflate(_PRE_HEADER.pack(_PRE_MAGIC, c, h, w) + raw, CODES)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .imageformat import CodecError, derive_preprocessed
@@ -61,11 +62,46 @@ def payload_length(blob: bytes) -> int:
     return hi
 
 
+#: zero runs shorter than this are walked: folding one through the tables
+#: below costs about what zlib takes for a run this long, and short runs
+#: vary (a restored row's own zero tail), where a table per length would
+#: be built for one CRC
+_FOLD_MIN = 1024
+
+
+@lru_cache(maxsize=8)
+def _zero_tail(length: int) -> Tuple[List[int], List[int], List[int],
+                                     List[int], int]:
+    """Four 256-entry tables and a constant that fold a CRC32 through
+    ``length`` zero bytes: ``zlib.crc32(zero_run(length), crc)`` is
+    ``t0[crc & 255] ^ t1[crc >> 8 & 255] ^ t2[crc >> 16 & 255] ^
+    t3[crc >> 24] ^ const``, zero input being linear in the CRC register
+    (32 walks of the run, then XORs)."""
+    zeros = zero_run(length)
+    const = zlib.crc32(zeros)
+    tables = []
+    for shift in (0, 8, 16, 24):
+        table = [0] * 256
+        for bit in range(8):
+            step = 1 << bit
+            image = zlib.crc32(zeros, step << shift) ^ const
+            for low in range(step):
+                table[step + low] = table[low] ^ image
+        tables.append(table)
+    return (*tables, const)
+
+
 def content_crc(payload: bytes, nominal: int) -> int:
-    """CRC32 of ``payload`` followed by zeros up to ``nominal`` bytes."""
+    """CRC32 of ``payload`` followed by zeros up to ``nominal`` bytes; a
+    long zero tail is folded in (:func:`_zero_tail`), not walked."""
     crc = zlib.crc32(payload)
-    if nominal > len(payload):
-        crc = zlib.crc32(zero_run(nominal - len(payload)), crc)
+    tail = nominal - len(payload)
+    if tail >= _FOLD_MIN:
+        t0, t1, t2, t3, const = _zero_tail(tail)
+        crc = (t0[crc & 255] ^ t1[crc >> 8 & 255] ^ t2[crc >> 16 & 255]
+               ^ t3[crc >> 24] ^ const)
+    elif tail > 0:
+        crc = zlib.crc32(zero_run(tail), crc)
     return crc
 
 
@@ -259,19 +295,29 @@ class ObjectStore:
         prefix = "raw/"
         return [k[len(prefix):] for k in self.keys(prefix)]
 
-    def derived_preproc(self, photo_id: str) -> Optional[bytes]:
+    def derived_preproc(self, photo_id: str, memo: Optional[Dict[
+            Tuple[bytes, int], Optional[bytes]]] = None) -> Optional[bytes]:
         """The ``preproc/`` blob that ``raw/<photo_id>`` derives
         (:func:`~repro.storage.imageformat.derive_preprocessed`), or
         ``None`` when that blob is absent or is not a photo.  A
-        maintenance read of the full content: a restored payload's zero
-        tail is a length, not bytes."""
-        key = self.raw_key(photo_id)
-        if key not in self._objects:
+        maintenance read of the held payload: its zero tail stays a
+        length, extended only as far as the photo header reaches.
+
+        ``memo`` maps a held ``(payload, nominal length)`` to what it
+        derives: a pass over several stores hands each the same dict,
+        so replicas holding one payload derive it once."""
+        held = self._objects.get(self.raw_key(photo_id))
+        if held is None:
             return None
+        if memo is not None and held in memo:
+            return memo[held]
         try:
-            return derive_preprocessed(self.peek(key))
+            blob = derive_preprocessed(*held)
         except CodecError:
-            return None
+            blob = None
+        if memo is not None:
+            memo[held] = blob
+        return blob
 
     # -- accounting ---------------------------------------------------------
     def bytes_by_prefix(self, prefix: str) -> int:

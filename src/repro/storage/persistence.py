@@ -108,7 +108,8 @@ _SQUEEZED = ObjectStore.feature_key("")
 _DERIVED = ObjectStore.preproc_key("")
 
 
-def dump_object_store(store: ObjectStore) -> bytes:
+def dump_object_store(store: ObjectStore, memo: Optional[dict] = None,
+                      ) -> bytes:
     """Serialise a store (keys, blobs, CRCs, volume accounting) to one blob:
     ``head | verbatim records | derived records | deflate(squeezed
     records) | CRC32``.
@@ -119,6 +120,8 @@ def dump_object_store(store: ObjectStore) -> bytes:
     tail) is kept as a length, never as bytes.  A derived record is ``key
     length, stored CRC | key``: a CRC-clean ``preproc/`` blob that is
     exactly the one its ``raw/`` blob derives, re-derived on load.
+    Snapshots of several stores taken together share one ``memo``
+    (:meth:`~repro.storage.objectstore.ObjectStore.derived_preproc`).
     """
     verbatim, derived, squeezed = [], [], []
     for key in store.keys():
@@ -126,7 +129,8 @@ def dump_object_store(store: ObjectStore) -> bytes:
         # held payloads, read in place; a payload's own trailing zeros
         # (a ReLU row's tail) still fold into the run
         blob, nominal = store.peek_payload(key)
-        if key.startswith(_DERIVED) and _derives(store, key, blob, nominal):
+        if (key.startswith(_DERIVED)
+                and _derives(store, key, blob, nominal, memo)):
             derived += (_DERIVED_HEAD.pack(len(key_bytes),
                                            store.stored_crc(key)), key_bytes)
             continue
@@ -144,18 +148,19 @@ def dump_object_store(store: ObjectStore) -> bytes:
     # Level-1 ratios measured per namespace on a 256-photo store with the
     # zero runs already out: raw/ payloads 0.98 (a zlib stream) and
     # preproc/ frames 1.00 (8-bit codes; a store's raw/ codes repeat them,
-    # so they are derived instead), feat/ float rows 0.49 (level 6: 0.44
-    # for 4.5x the time)
+    # so they are derived instead), feat/ float rows 0.76 — where Z_RLE
+    # keeps 0.78 for under half the time (FEATURE_ROWS)
     return seal([head, body, *derived,
                  deflate(b"".join(squeezed), FEATURE_ROWS)])
 
 
-def _derives(store: ObjectStore, key: str, blob: bytes, nominal: int) -> bool:
+def _derives(store: ObjectStore, key: str, blob: bytes, nominal: int,
+             memo: Optional[dict]) -> bool:
     """Is the object at ``key`` CRC-clean and exactly the blob its
     ``raw/`` blob derives?  (A rotten blob travels verbatim, so a scrub
     after the restore still finds it.)"""
     return (nominal == len(blob) and store.verify(key)
-            and blob == store.derived_preproc(key[len(_DERIVED):]))
+            and blob == store.derived_preproc(key[len(_DERIVED):], memo))
 
 
 def _restore_records(store: ObjectStore, records: memoryview,
@@ -185,7 +190,8 @@ def _restore_records(store: ObjectStore, records: memoryview,
 
 
 def _restore_derived(store: ObjectStore, frame: memoryview, offset: int,
-                     count: int, payloads: Dict[bytes, bytes]) -> int:
+                     count: int, payloads: Dict[bytes, bytes],
+                     memo: Optional[dict]) -> int:
     """Reinstate ``count`` derived records read from ``offset``, each
     from its ``raw/`` blob (restored already), checked against its
     recorded CRC; returns the offset after them."""
@@ -196,7 +202,7 @@ def _restore_derived(store: ObjectStore, frame: memoryview, offset: int,
         if not key.startswith(_DERIVED):
             raise SnapshotError(f"derived record {key!r} is not a "
                                 f"{_DERIVED} blob")
-        blob = store.derived_preproc(key[len(_DERIVED):])
+        blob = store.derived_preproc(key[len(_DERIVED):], memo)
         if blob is None or zlib.crc32(blob) != crc:
             raise SnapshotError(
                 f"derived record {key!r} does not match what its raw/ blob "
@@ -210,11 +216,13 @@ def _restore_derived(store: ObjectStore, frame: memoryview, offset: int,
 
 def load_object_store(blob: bytes, name: str = "restored",
                       payloads: Optional[Dict[bytes, bytes]] = None,
-                      ) -> ObjectStore:
+                      memo: Optional[dict] = None) -> ObjectStore:
     """Reconstruct an :class:`ObjectStore` from a snapshot blob.
 
     Stores restored with one ``payloads`` dict hold one ``bytes`` object
-    per distinct payload between them, as replicas of a live ingest do."""
+    per distinct payload between them, as replicas of a live ingest do;
+    with one ``memo`` too, each such ``raw/`` payload is derived once
+    (:meth:`~repro.storage.objectstore.ObjectStore.derived_preproc`)."""
     if len(blob) < _STORE_HEAD.size + 4:
         raise SnapshotError("snapshot too short")
     if blob[:4] != _STORE_MAGIC:
@@ -233,7 +241,7 @@ def load_object_store(blob: bytes, name: str = "restored",
         _restore_records(store, frame[_STORE_HEAD.size:derived_at],
                          payloads)
         squeezed_at = _restore_derived(store, frame, derived_at,
-                                       derived_count, payloads)
+                                       derived_count, payloads, memo)
         _restore_records(store, memoryview(inflate(frame[squeezed_at:])),
                          payloads)
     except SnapshotError:
@@ -247,6 +255,19 @@ def load_object_store(blob: bytes, name: str = "restored",
             f"object-store snapshot holds {len(store)} objects, its header "
             f"promises {count}")
     return store
+
+
+def squeezed_segment(blob: bytes) -> bytes:
+    """The deflated ``feat/`` segment of a store snapshot, as written
+    (what ``repro report codec-fit`` measures
+    :data:`~repro.storage.compression.FEATURE_ROWS` on)."""
+    frame = _unseal(blob, "object-store")
+    *_, verbatim_len, derived_count = _STORE_HEAD.unpack_from(frame)
+    offset = _STORE_HEAD.size + verbatim_len
+    for _ in range(derived_count):
+        offset += _DERIVED_HEAD.size + _DERIVED_HEAD.unpack_from(
+            frame, offset)[0]
+    return bytes(frame[offset:])
 
 
 # ---------------------------------------------------------------------------

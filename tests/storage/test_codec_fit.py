@@ -5,11 +5,14 @@ Every payload derives from the upload's 8-bit codes.  The stand-in JPEG
 payload is those codes, quantised noise, and is stored (level 0); a
 ``preproc/`` blob is the codes behind the preprocessed binary's header
 and a CRC32, inflating to the fp32 binary; the checkpoint journal's
-codes, stacked into one array, are one Huffman-only stream; model
-weights keep level 9.  Each check compares against that codec spelled
-out with ``zlib`` directly, so a payload routed through the wrong codec
-fails by name, and against the encodes the landing and checkpoint paths
-used before, which must never be smaller.
+codes, stacked into one array, are one stored stream (a Huffman-only
+pass kept well under 1 % of them); a store snapshot's ``feat/`` segment
+is one ``Z_RLE`` stream; model weights keep level 9.  Each check
+compares against that codec spelled out with ``zlib`` directly, so a
+payload routed through the wrong codec fails by name, and states in
+bytes what it gives up against the encode it replaced.  A checkpoint
+written with the earlier codecs restores to the same state and
+re-checkpoints to the current bytes.
 """
 
 import struct
@@ -37,7 +40,10 @@ from repro.storage.imageformat import (
     preprocess,
     quantise,
 )
-from tests.storage.test_plane_codec import huffman_only
+from repro.storage import compression, persistence
+from repro.storage.compression import Codec
+from repro.storage.persistence import dump_object_store, squeezed_segment
+from tests.storage.test_plane_codec import huffman_only, spelled_out, stored
 
 PHOTO_HEADER = struct.calcsize(_HEADER_FMT)
 
@@ -155,8 +161,10 @@ class TestCheckpointTables:
         np.testing.assert_array_equal(stack, quantised(sample[:32]))
         header = f"{stack.dtype.str}|{','.join(map(str, stack.shape))}|"
         table = bytes(blobs[manifest["journal"]["codes_blob"]])
-        assert table == b"NDPZ" + huffman_only(header.encode()
-                                               + stack.tobytes())
+        raw = header.encode() + stack.tobytes()
+        assert table == b"NDPZ" + stored(raw)
+        # 4 B frame magic, 2 B zlib head, 5 B a stored block, 4 B adler32
+        assert len(table) == len(raw) + 4 + 2 + 5 + 4
         np.testing.assert_array_equal(decompress_array(table), stack)
         # never larger than the per-entry table at level 9 it replaced
         per_entry = pack_arrays(
@@ -177,10 +185,122 @@ class TestCheckpointTables:
 
     def test_stacked_journal_never_costs_bytes_on_the_sample(self, sample):
         """All 256 photos' codes: the stacked table against the level-9
-        per-entry table."""
+        per-entry table, and against the Huffman-only stream it was,
+        which kept under 1 % of the bytes."""
         stack = quantise(np.asarray(sample))
         stacked = compress_array(stack)
         per_entry = b"NDPZ" + zlib.compress(pack_arrays(
             {f"acme/photo-{i:08d}": p for i, p in enumerate(stack)}), 9)
         assert len(stacked) < len(per_entry)
         assert decompress_array(stacked).tobytes() == stack.tobytes()
+        raw = inflate(stacked)
+        assert len(b"NDPZ" + huffman_only(raw)) > 0.99 * len(stacked)
+
+
+def run_length(data: bytes) -> bytes:
+    return spelled_out(data, 1, zlib.Z_RLE)
+
+
+def build_cluster():
+    return NDPipeCluster(
+        lambda: tiny_model("ResNet50", num_classes=8, width=8, seed=5),
+        ClusterConfig(num_stores=2, nominal_raw_bytes=2048))
+
+
+@pytest.fixture(scope="module")
+def featured(sample):
+    """A cluster whose stores hold ``feat/`` rows."""
+    cluster = build_cluster()
+    cluster.ingest(sample[:48], train_labels=np.arange(48) % 8)
+    cluster.finetune(epochs=1)
+    assert all(store.objects.keys("feat/") for store in cluster.stores)
+    return cluster
+
+
+class TestFeatureSegment:
+    def test_the_segment_is_one_run_length_stream(self, featured):
+        for store in featured.stores:
+            segment = squeezed_segment(dump_object_store(store.objects))
+            rows = inflate(segment)
+            assert segment == b"NDPZ" + run_length(rows)
+            # bytes kept against the level-1 stream it replaced: most of
+            # the saving, none of the LZ77 search
+            level_1 = len(b"NDPZ" + zlib.compress(rows, 1))
+            assert level_1 < len(segment) < len(rows)
+            assert len(rows) - len(segment) > 0.8 * (len(rows) - level_1)
+
+    def test_a_checkpoint_in_the_earlier_codecs_restores(
+            self, featured, monkeypatch):
+        """Written with the ``feat/`` segment at level 1 and the journal
+        Huffman-only, a checkpoint restores to the same state, and that
+        state checkpoints to the current bytes."""
+        current = featured.checkpoint()
+        with monkeypatch.context() as patch:
+            patch.setattr(persistence, "FEATURE_ROWS", Codec(1))
+            patch.setattr(compression, "NOISE",
+                          Codec(6, zlib.Z_HUFFMAN_ONLY))
+            earlier = featured.checkpoint()
+        assert len(earlier) < len(current)
+        manifest, blobs = read_frame(earlier)
+        table = bytes(blobs[manifest["journal"]["codes_blob"]])
+        assert table == b"NDPZ" + huffman_only(inflate(table))
+        segment = squeezed_segment(bytes(blobs[
+            manifest["stores"][0]["objects_blob"]]))
+        assert segment == b"NDPZ" + zlib.compress(inflate(segment), 1)
+
+        restored = build_cluster()
+        restored.restore(earlier)
+        assert restored.checkpoint() == current
+        for ours, theirs in zip(restored.stores, featured.stores):
+            assert ours.objects.keys() == theirs.objects.keys()
+            for key in theirs.objects.keys():
+                assert ours.objects.peek(key) == theirs.objects.peek(key)
+                assert (ours.objects.stored_crc(key)
+                        == theirs.objects.stored_crc(key))
+
+
+class TestDerivedOnce:
+    """Replicas share their ``raw/`` payloads, so a pass over every store
+    (checkpoint, restore, scrub) derives each photo's ``preproc/`` blob
+    once and the bytes it writes are those of deriving it per store."""
+
+    @pytest.fixture(scope="class")
+    def replicated(self, sample):
+        cluster = NDPipeCluster(
+            lambda: tiny_model("ResNet50", num_classes=8, width=8, seed=5),
+            ClusterConfig(num_stores=3, replication=3,
+                          nominal_raw_bytes=2048))
+        cluster.ingest(sample[:24], train_labels=np.arange(24) % 8)
+        return cluster
+
+    def test_each_pass_derives_a_photo_once(self, replicated, monkeypatch):
+        from repro.storage import objectstore
+
+        calls = []
+        real = objectstore.derive_preprocessed
+
+        def counted(*held):
+            calls.append(held)
+            return real(*held)
+
+        monkeypatch.setattr(objectstore, "derive_preprocessed", counted)
+        blob = replicated.checkpoint()
+        assert len(calls) == 24
+        calls.clear()
+        restored = NDPipeCluster(
+            lambda: tiny_model("ResNet50", num_classes=8, width=8, seed=5),
+            ClusterConfig(num_stores=3, replication=3,
+                          nominal_raw_bytes=2048))
+        restored.restore(blob)
+        assert len(calls) == 24
+        calls.clear()
+        report = restored.scrub_and_repair()
+        assert report.corrupt_found == 0 and len(calls) == 24
+        assert restored.checkpoint() == blob
+
+    def test_a_shared_memo_writes_the_same_bytes(self, replicated):
+        memo = {}
+        for store in replicated.stores:
+            alone = dump_object_store(store.objects)
+            assert dump_object_store(store.objects, memo) == alone
+        assert len(memo) == 24

@@ -13,7 +13,7 @@ raised) is compared after every step.
 import zlib
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -193,6 +193,36 @@ class TestZeroTails:
             for nominal in (0, 3, 4, 70_000):
                 assert content_crc(payload, nominal) == zlib.crc32(
                     payload.ljust(nominal, b"\0"))
+
+    @given(st.binary(max_size=2000),
+           st.one_of(st.sampled_from([0, 1, 1023, 1024, 7413, 1 << 20]),
+                     st.integers(0, 6000).map(lambda n: 2 * n + 1)))
+    @settings(max_examples=300, deadline=None)
+    def test_a_folded_tail_is_the_walked_one(self, payload, tail):
+        """Long zero tails fold through tables, short ones are walked:
+        either way the CRC32 of the zero-extended bytes."""
+        assert content_crc(payload, len(payload) + tail) == zlib.crc32(
+            payload + bytes(tail))
+
+    @given(st.binary(min_size=1, max_size=900), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_flips_and_torn_writes_fail_verify(self, payload, data):
+        """Bit rot in the payload or anywhere in a folded tail, and a
+        write torn at any length, leave a stale CRC that ``verify`` and
+        ``get`` catch."""
+        store = ObjectStore()
+        store.put("raw/p", payload, 8192)
+        content = bytearray(store.peek("raw/p"))
+        if data.draw(st.booleans(), label="torn"):
+            cut = data.draw(st.integers(0, 8191), label="cut")
+            store.corrupt_object("raw/p", bytes(content[:cut]))
+        else:
+            at = data.draw(st.integers(0, 8191), label="at")
+            content[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+            store.corrupt_object("raw/p", bytes(content))
+        assert not store.verify("raw/p")
+        with pytest.raises(CorruptObjectError):
+            store.get("raw/p")
 
     def test_zero_run_is_shared_and_grows(self):
         small = zero_run(10)

@@ -155,9 +155,11 @@ class TestFormatNeutrality:
     Re-pinned when ``preproc/`` came to hold the upload's 8-bit codes
     (the JPEG stand-in's codes rounded, not truncated) and a snapshot
     began holding a derived ``preproc/`` blob as its key and CRC alone:
-    (13 743 B, CRC 1 668 327 073) -> (3 427 B, CRC 3 260 683 122)."""
+    (13 743 B, CRC 1 668 327 073) -> (3 427 B, CRC 3 260 683 122); and
+    when the ``feat/`` segment went from level 1 to ``Z_RLE``: the same
+    3 427 B, CRC 2 153 122 770."""
 
-    FRAME_CRC = 3260683122
+    FRAME_CRC = 2153122770
     FRAME_BYTES = 3427
 
     @staticmethod

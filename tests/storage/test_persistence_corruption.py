@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipestore import PipeStore
+from repro.storage.compression import inflate
 from repro.storage.objectstore import ObjectStore, Volume
 from repro.storage.persistence import (
     SnapshotError,
@@ -116,7 +117,11 @@ class TestObjectStoreSnapshotCorruption:
         assert RECORD.unpack_from(blob, head_at) == (
             5, store.stored_crc("raw/a"), 512, 200)
         assert blob[payload_at:payload_at + payload_len] == b"alpha" * 40
-        assert b"feat/a" not in blob
+        # a squeezed stream too small to code stores its bytes: look for
+        # the key by segment, not by whether the stream hides it
+        squeezed_at = HEAD.size + HEAD.unpack_from(blob)[4]
+        assert b"feat/a" not in blob[:squeezed_at]
+        assert b"feat/a" in inflate(blob[squeezed_at:-4])
         assert len(blob) < store.volume.used_bytes
 
     def test_snapshot_does_not_count_workload_reads(self):

@@ -1,15 +1,17 @@
-"""The array frame of :data:`~repro.storage.compression.PIXELS`, and the
-retired byte-plane frame :func:`~repro.storage.compression.inflate`
-refuses.
+"""The array frame :func:`~repro.storage.compression.compress_array`
+writes, every codec's one-call ``compress``, and the retired byte-plane
+frame :func:`~repro.storage.compression.inflate` refuses.
 
 :func:`~repro.storage.compression.compress_array` writes ``NDPZ`` then
-one Huffman-only zlib stream of ``dtype|shape|`` and the array's bytes,
-whatever its element size.  The ``NDPB`` byte-plane frame an earlier
-:data:`PIXELS` wrote for arrays wider than a byte is refused by name:
-no persisted blob holds one (the checkpoint journal is uint8, which that
-codec framed as ``NDPZ`` too).  :func:`huffman_only` spells the stream
-out with ``zlib`` alone, so a payload routed through another codec fails
-by layout even where its own decoder would round-trip.
+one stored (:data:`~repro.storage.compression.NOISE`) zlib stream of
+``dtype|shape|`` and the array's bytes, whatever its element size; the
+Huffman-only stream it wrote before still inflates.  The ``NDPB``
+byte-plane frame an earlier array codec wrote for arrays wider than a
+byte is refused by name: no persisted blob holds one (the checkpoint
+journal is uint8, which that codec framed as ``NDPZ`` too).
+:func:`stored` and :func:`huffman_only` spell the streams out with
+``zlib`` alone, so a payload routed through another codec fails by
+layout even where its own decoder would round-trip.
 """
 
 import zlib
@@ -23,9 +25,12 @@ from repro.core.cluster import NDPipeCluster
 from repro.core.config import ClusterConfig
 from repro.durability.checkpoint import CheckpointError
 from repro.models.registry import tiny_model
+from repro.storage import compression
 from repro.storage.compression import (
-    PIXELS,
+    FEATURE_ROWS,
+    NOISE,
     TEXT,
+    Codec,
     compress_array,
     decompress_array,
     deflate,
@@ -33,10 +38,23 @@ from repro.storage.compression import (
 )
 
 
-def huffman_only(data: bytes) -> bytes:
-    packer = zlib.compressobj(6, zlib.DEFLATED, zlib.MAX_WBITS,
-                              zlib.DEF_MEM_LEVEL, zlib.Z_HUFFMAN_ONLY)
+def spelled_out(data: bytes, level: int, strategy: int) -> bytes:
+    packer = zlib.compressobj(level, zlib.DEFLATED, zlib.MAX_WBITS,
+                              zlib.DEF_MEM_LEVEL, strategy)
     return packer.compress(data) + packer.flush()
+
+
+def huffman_only(data: bytes) -> bytes:
+    """What the journal's array codec wrote before it stored its codes."""
+    return spelled_out(data, 6, zlib.Z_HUFFMAN_ONLY)
+
+
+def stored(data: bytes) -> bytes:
+    return spelled_out(data, 0, zlib.Z_DEFAULT_STRATEGY)
+
+
+#: the journal's array codec before it stored its codes
+HUFFMAN_ONLY = Codec(6, zlib.Z_HUFFMAN_ONLY)
 
 
 payloads = st.binary(min_size=0, max_size=25)
@@ -49,19 +67,20 @@ class TestDamage:
     @given(payloads, st.data())
     @settings(max_examples=200, deadline=None)
     def test_every_truncation(self, raw, data):
-        frame = deflate(raw, PIXELS)
+        frame = deflate(raw, NOISE)
         cut = data.draw(st.integers(0, len(frame) - 1))
         with pytest.raises(ValueError):
             inflate(frame[:cut])
 
     def test_every_truncation_of_one_frame(self):
-        frame = deflate(bytes(range(37)) * 3, PIXELS)
+        frame = deflate(bytes(range(37)) * 3, NOISE)
         for cut in range(len(frame)):
             with pytest.raises(ValueError):
                 inflate(frame[:cut])
 
-    @pytest.mark.parametrize("codec", [TEXT, PIXELS],
-                             ids=["NDPZ", "NDPZ-huffman-only"])
+    @pytest.mark.parametrize(
+        "codec", [TEXT, HUFFMAN_ONLY, NOISE, FEATURE_ROWS],
+        ids=["NDPZ", "NDPZ-huffman-only", "NDPZ-stored", "NDPZ-rle"])
     def test_bytes_after_the_stream_are_refused(self, codec):
         """``zlib.decompress`` stops at the end of a stream and drops what
         follows: a frame with appended garbage used to inflate."""
@@ -79,18 +98,40 @@ class TestDamage:
             inflate(frame)
 
     def test_an_unparseable_dtype_is_a_value_error(self):
-        blob = deflate(b"<q7|3|" + bytes(24), PIXELS)
+        blob = deflate(b"<q7|3|" + bytes(24), NOISE)
         with pytest.raises(ValueError, match="dtype"):
             decompress_array(blob)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
-def test_an_array_is_one_huffman_only_stream(dtype):
+def test_an_array_is_one_stored_stream(dtype):
     stack = (np.random.default_rng(2).random((5, 3, 2, 2)) * 255).astype(dtype)
     blob = compress_array(stack)
     header = f"{stack.dtype.str}|5,3,2,2|".encode()
-    assert blob == b"NDPZ" + huffman_only(header + stack.tobytes())
+    assert blob == b"NDPZ" + stored(header + stack.tobytes())
     assert decompress_array(blob).tobytes() == stack.tobytes()
+    # an array written Huffman-only before still reads
+    assert decompress_array(
+        b"NDPZ" + huffman_only(header + stack.tobytes())).tobytes() == (
+            stack.tobytes())
+
+
+CODECS = {name: codec for name, codec in vars(compression).items()
+          if isinstance(codec, Codec)}
+
+
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_compress_is_the_compressobj_spelling(name):
+    """One ``zlib.compress`` call where the strategy allows it, the same
+    bytes as a ``compressobj`` at that level and strategy."""
+    codec = CODECS[name]
+    rng = np.random.default_rng(3)
+    for data in (b"", bytes(1000), rng.integers(0, 256, 5000, np.uint8)
+                 .tobytes(), b"key|<f4|3,4|" * 400,
+                 np.maximum(rng.standard_normal(3000), 0)
+                 .astype(np.float32).tobytes()):
+        assert codec.compress(data) == spelled_out(data, codec.level,
+                                                   codec.strategy)
 
 
 def factory():

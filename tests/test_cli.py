@@ -207,14 +207,17 @@ class TestDemoOutputIsPinned:
     # derived ``preproc/`` blobs as key and CRC (demo d64356a40c4d6a99,
     # demo-json 8dfe9a49faf83da9, metrics a60d374e49ffc0d9, checkpoint
     # ed7a2cb0587f59c8, bytes 20d430052f9a2bc5, resume 58b65883edbaaa2f
-    # before; trace unchanged)
+    # before; trace unchanged).  Re-pinned when the journal's codes went
+    # stored and the feat/ segment Z_RLE: the checkpoint's bytes and the
+    # size line it prints moved, what resume prints did not (checkpoint
+    # 597e31039143d717, bytes 45f81d279a03cb01 before)
     PINNED = {
         "demo": "1c84742012f516c6",
         "demo-json": "39a6f8ef07c61934",
         "metrics": "cffbbce8d9b9bade",
         "trace": "3adee8aefad31562",
-        "checkpoint": "597e31039143d717",
-        "checkpoint-bytes": "45f81d279a03cb01",
+        "checkpoint": "0444d025af8f3e37",
+        "checkpoint-bytes": "100058cd000ab47c",
         "resume": "335a586238c53f38",
     }
 

@@ -25,6 +25,7 @@ from repro.core.pipestore import PipeStore
 from repro.data.loader import normalize_images
 from repro.models.registry import tiny_model
 from repro.nn import functional as F
+from repro.storage import objectstore
 from repro.storage.imageformat import preprocess, quantise
 from repro.train.fulltrain import full_train
 from tests.nn.reference_ops import assert_frozen_graph_close, conv2d_grouped
@@ -70,10 +71,15 @@ def _patch_in_oracles(monkeypatch):
     """Swap every bit-exact hot path for its reference form: per-group
     conv, the front door photo by photo (rounding spelled out, the model
     input computed as ``preprocess(codes / 255)`` rather than read from
-    the code table) and per-photo decode.  (The folded BatchNorm is not
-    bit-exact to its oracle; its tolerance contract is tested in
-    ``tests/nn/test_functional_equivalence.py``.)"""
+    the code table), per-photo decode, and each object's CRC32 walked
+    over its padded content rather than its zero tail folded in.  (The
+    folded BatchNorm is not bit-exact to its oracle; its tolerance
+    contract is tested in ``tests/nn/test_functional_equivalence.py``.)"""
     monkeypatch.setattr(F, "_conv2d_matmul", conv2d_grouped)
+    monkeypatch.setattr(
+        objectstore, "content_crc",
+        lambda payload, nominal: zlib.crc32(
+            bytes(payload) + bytes(nominal - len(payload))))
     monkeypatch.setattr(
         dataplane, "quantise",
         lambda block: np.stack([np.rint(np.clip(p, 0, 1) * 255)
