@@ -280,6 +280,7 @@ def _run_lifecycle(scale: HarnessScale, seed: int,
     # -- finetune: repeated FT-DMP rounds on the ingested corpus ----------
     clock = _PairedClock()
     traffic_before = sum(cluster.traffic_summary().values())
+    fronts_before = _front_rows_run(cluster)
     images = 0
     start = wall_clock()
     for _ in range(scale.finetune_repeats):
@@ -293,7 +294,10 @@ def _run_lifecycle(scale: HarnessScale, seed: int,
             _scenario_results(
                 "finetune", clock.samples, clock.cals, "images/s",
                 images / scale.finetune_repeats, finetune_wall, cal_s,
-                finetune_bytes, images, "images"),
+                finetune_bytes, images, "images") + [
+                BenchResult("finetune_front_rows",
+                            _front_rows_run(cluster) - fronts_before,
+                            "rows", direction=EXACT)],
             config=config,
         )
 
@@ -322,6 +326,14 @@ def _run_lifecycle(scale: HarnessScale, seed: int,
         config=config,
     )
     return payloads
+
+
+def _front_rows_run(cluster: NDPipeCluster) -> int:
+    """Frozen-front rows the stores have run: their ``feat/`` misses that
+    took no row ingest left (a fine-tune round's only front passes)."""
+    metrics = cluster.metrics
+    return int(metrics.get("pipestore_feature_misses_total").total()
+               - metrics.get("pipestore_feature_rows_reused_total").total())
 
 
 def _warmup(seed: int) -> None:

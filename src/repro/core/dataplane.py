@@ -36,6 +36,7 @@ from ..faults.errors import TransientFaultError
 from ..faults.retry import call_with_retry
 from ..models.split import FrozenFront, SplitModel
 from ..nn.tensor import Tensor, inference_mode
+from ..serving.cache import content_key
 from ..storage.imageformat import model_input, quantise
 from ..storage.photodb import LabelRecord
 from .pipestore import (
@@ -82,17 +83,30 @@ class InferenceServer:
             model_input(quantise(pixels[None])))[0]
 
     def classify_preprocessed(self, batch: np.ndarray,
-                              ) -> List[Tuple[int, float]]:
+                              with_rows: bool = False):
         """Label a batch of already-preprocessed inputs (N, 3, H, W).
 
-        One whole-model forward pass for the batch — ingest feeds its
-        chunks through here instead of N single-image :meth:`classify`
-        calls; the serving layer serves from the split point instead
-        (:meth:`submit`).
+        One forward pass for the batch, cut at :attr:`split`:
+        ``forward_until`` then ``forward_from``, the arithmetic of the
+        whole-model forward, so labels and confidences are its bit for
+        bit.  Ingest feeds its chunks through here instead of N
+        single-image :meth:`classify` calls; the serving layer serves
+        from the split point instead (:meth:`submit`).
+
+        With ``with_rows`` it returns ``(results, rows)``: also the
+        batch's split-point rows, one read-only copy taken before the
+        tail runs (the front hands the tail a scratch array it may
+        overwrite).  Without it, nothing of the front is kept.
         """
         with inference_mode():
-            logits = self.model(Tensor(batch)).data
-        return softmax_top1(logits)
+            features = self.model.forward_until(Tensor(batch), self.split)
+            rows = features.data.copy() if with_rows else None
+            logits = self.model.forward_from(features, self.split).data
+        results = softmax_top1(logits)
+        if rows is None:
+            return results
+        rows.flags.writeable = False
+        return results, rows
 
     # -- serving from the split point ----------------------------------------
     @property
@@ -465,13 +479,17 @@ class IngestDataPlane:
             if len(rows) < chunk_size and (row + 1 < len(images) or not rows):
                 continue  # chunk still filling, or nothing admitted at the end
             codes = quantise(images[rows])
-            results = server.classify_preprocessed(model_input(codes))
-            for at, photo_codes, (label, confidence) in zip(
-                    rows, codes, results):
-                yield self.land_upload(
+            results, features = server.classify_preprocessed(
+                model_input(codes), with_rows=True)
+            held = server.model.front.held
+            for at, photo_codes, feature, (label, confidence) in zip(
+                    rows, codes, features, results):
+                photo_id = self.land_upload(
                     photo_codes, label, confidence,
                     None if train_labels is None else int(train_labels[at]),
                     id_prefix)
+                held[content_key(photo_codes)] = feature
+                yield photo_id
             rows = []
 
     # -- upload landing -----------------------------------------------------

@@ -7,7 +7,9 @@ whole-model offline inference.  Model updates arrive as Check-N-Run deltas;
 installs and resyncs carry the classifier and a fingerprint of the frozen
 front, which the store checks against the front value it holds.  The
 front is frozen, so each photo's split-point feature is kept as a third,
-derived object and the front runs once per (photo, front).
+derived object and the front runs once per (photo, front) — in the
+process, once per photo: a store's first extraction takes the row
+ingest computed when it classified the upload.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from ..lint.contracts import fenced_by
 from ..models.split import SplitModel
 from ..nn.tensor import Tensor, inference_mode
 from ..obs.metrics import MetricsRegistry
+from ..serving.cache import content_key
 from ..storage.compression import CODES, deflate, inflate
 from ..storage.imageformat import (
     decode_preprocessed,
     decode_preprocessed_into,
     encode_codes,
     encode_photo,
+    stored_codes,
 )
 from ..storage.objectstore import CorruptObjectError, MissingObjectError, ObjectStore
 from . import checknrun
@@ -176,7 +180,13 @@ class PipeStore:
             label_names=("store",)).labels(store=self.store_id)
         self._m_feature_misses = metrics.counter(
             "pipestore_feature_misses_total",
-            "features computed by a frozen-front pass and stored",
+            "features with no stored feat/ row: a front row, computed or "
+            "taken from ingest, stored",
+            label_names=("store",)).labels(store=self.store_id)
+        self._m_feature_reused = metrics.counter(
+            "pipestore_feature_rows_reused_total",
+            "feature misses that took the row ingest computed instead of "
+            "running the front",
             label_names=("store",)).labels(store=self.store_id)
         updates = metrics.counter(
             "pipestore_model_updates_total",
@@ -456,8 +466,9 @@ class PipeStore:
 
         The front is frozen, so a row is a function of the front and the
         ``preproc/`` blob: rows whose ``feat/`` header names both are read
-        back; the rest — and only they — run the front, are accounted as
-        compute, and are stored for the next call.
+        back; the rest — and only they — are misses: each takes the row
+        ingest left for it or runs the front (:meth:`_miss_rows`), and
+        every miss is accounted as compute and stored for the next call.
         """
         keys = self.row_keys(photo_ids)
         if not photo_ids:
@@ -478,9 +489,7 @@ class PipeStore:
                                     stored.dtype)
             features[row] = stored
         if misses:
-            computed = frozen_front_features(
-                self.model, self.split,
-                self._load_batch([photo_ids[row] for row in misses]))
+            computed = self._miss_rows([photo_ids[row] for row in misses])
             for row, feature in zip(misses, computed):
                 objects.put(objects.feature_key(photo_ids[row]),
                             _pack_feature(*keys[row], feature))
@@ -492,6 +501,44 @@ class PipeStore:
         self._count("_m_feature_hits", len(photo_ids) - len(misses))
         self._count("_m_feature_misses", len(misses))
         return features
+
+    def _miss_rows(self, photo_ids: Sequence[str]) -> np.ndarray:
+        """``forward_until(split)`` of local photos with no stored row.
+
+        Ingest leaves the rows it computed on the front value
+        (:attr:`~repro.models.split.FrozenFront.held`, at the value's own
+        cut), keyed on the content of each photo's 8-bit codes: a row
+        is a function of the two, so a photo held there is taken (and
+        leaves the value) instead of run again.  Only the host saves
+        the pass; the caller counts a taken row as the miss it is.
+        """
+        front, objects = self.model.front, self.objects
+        taken: Dict[int, np.ndarray] = {}
+        if front.held and self.split == len(front.stages):
+            for index, pid in enumerate(photo_ids):
+                blob = objects.get(objects.preproc_key(pid))
+                try:
+                    codes = stored_codes(blob)
+                except ValueError:
+                    continue  # an older frame kind: the front reads it
+                row = front.held.pop(content_key(codes), None)
+                if row is not None:
+                    taken[index] = row
+        if not taken:
+            return frozen_front_features(self.model, self.split,
+                                         self._load_batch(photo_ids))
+        self._count("_m_feature_reused", len(taken))
+        first = next(iter(taken.values()))
+        rows = np.empty((len(photo_ids),) + first.shape, first.dtype)
+        for index, row in taken.items():
+            rows[index] = row
+        rest = [index for index in range(len(photo_ids))
+                if index not in taken]
+        if rest:
+            rows[rest] = frozen_front_features(
+                self.model, self.split,
+                self._load_batch([photo_ids[index] for index in rest]))
+        return rows
 
     def _account_compute(self, num_images: int) -> None:
         seconds = num_images * NOMINAL_SECONDS_PER_IMAGE * self.slowdown

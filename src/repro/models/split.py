@@ -276,11 +276,13 @@ class FrozenFront:
 
     Every replica of a fleet holds the one value by reference
     (:meth:`SplitModel.replica`, :meth:`SplitModel.rebind`); replacing a
-    front means swapping that reference, never writing into it.
+    front means swapping that reference, never writing into it.  What it
+    carries beside its arrays is what it computed: shape probes
+    (:attr:`rows`) and ingest's rows no store has taken yet (:attr:`held`).
     """
 
-    __slots__ = ("names", "stages", "arrays", "digest", "rows", "_tags",
-                 "_cuts", "__weakref__")
+    __slots__ = ("names", "stages", "arrays", "digest", "rows", "held",
+                 "_tags", "_cuts", "__weakref__")
 
     def __init__(self, names: Sequence[str], stages: Sequence[Module],
                  digest: Optional[bytes] = None):
@@ -305,6 +307,13 @@ class FrozenFront:
         #: bytes of one feature row per (cut, input shape), recorded by the
         #: first shape probe of any model holding this value
         self.rows: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+        #: feature rows at this value's own cut (every frozen stage) that
+        #: ingest computed and no store has taken yet, by the content key
+        #: (:func:`~repro.serving.cache.content_key`) of the photo's 8-bit
+        #: codes: a row is a function of the value and the codes, so the
+        #: first store to miss it takes it (``pop``) instead of running the
+        #: front again, and the rows die with the value
+        self.held: Dict[str, np.ndarray] = {}
 
     def digest_at(self, split: int) -> bytes:
         """The digest of the first ``split`` stages, what ``feat/`` rows

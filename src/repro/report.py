@@ -98,7 +98,8 @@ def _eval_forward() -> List[str]:
 
 
 @_topic("finetune-rounds", "Fine-tune rounds, 2 stores x 48 photos: feature "
-        "rows shipped and held, Check-N-Run live deltas, replicas")
+        "rows shipped and held, store misses, Check-N-Run live deltas, "
+        "replicas")
 def _finetune_rounds() -> List[str]:
     cluster = NDPipeCluster(lambda: tiny_model("ResNet50"),
                             ClusterConfig(num_stores=2))
@@ -106,14 +107,24 @@ def _finetune_rounds() -> List[str]:
     cluster.ingest(x, train_labels=y)
     tuner = cluster.tuner
     lines = [f"{FEATURE_BITS}-bit feature rows, held on the Tuner once "
-             f"received; {LIVE_DELTA_BITS}-bit error-fed live deltas",
+             f"received; {LIVE_DELTA_BITS}-bit error-fed live deltas; a "
+             "store miss takes ingest's row (reused) or runs the front",
              f"{'round':>5s} {'shipped':>7s} {'held':>5s} {'held B':>7s} "
-             f"{'features B':>10s} {'exact B':>8s} {'live B':>7s} "
+             f"{'features B':>10s} {'misses':>6s} {'reused':>6s} "
+             f"{'front':>5s} {'exact B':>8s} {'live B':>7s} "
              f"{'x full':>7s} {'max|master-published|':>22s}  replicas"]
+
+    def counted(name: str) -> int:
+        return int(cluster.metrics.get(name).total())
+
     for index in range(1, 4):
         before = tuner.published
         features = cluster.network.bytes_of_kind("features")
+        misses = counted("pipestore_feature_misses_total")
+        reused = counted("pipestore_feature_rows_reused_total")
         report = cluster.finetune(epochs=2, num_runs=2)
+        misses = counted("pipestore_feature_misses_total") - misses
+        reused = counted("pipestore_feature_rows_reused_total") - reused
         master, published = tuner.model.state_dict(), tuner.published
         stats = tuner.distributions[-1]
         residual = max(float(np.abs(master[k] - published[k]).max())
@@ -128,6 +139,7 @@ def _finetune_rounds() -> List[str]:
             f"{index:5d} {report.images_extracted - report.rows_held:7d} "
             f"{report.rows_held:5d} {tuner.rows.nbytes:7,d} "
             f"{cluster.network.bytes_of_kind('features') - features:10,d} "
+            f"{misses:6d} {reused:6d} {misses - reused:5d} "
             f"{len(encode_delta(before, master)):8,d} "
             f"{stats.bytes_per_store:7,d} {stats.reduction_factor:7.1f} "
             f"{residual:22.3e}  {len(replicas)} "

@@ -119,12 +119,22 @@ def _expand(view: memoryview) -> bytes:
     # imageformat imports this module (NOISE): its table is read here
     from .imageformat import expand_codes
 
+    return expand_codes(codes_payload(view))
+
+
+def codes_payload(blob) -> memoryview:
+    """The bytes a :data:`CODES` frame holds — what :func:`deflate` was
+    given, read in place — its CRC checked first; ``ValueError`` for a
+    corrupt frame or another kind."""
+    view = memoryview(blob)
+    if view[:len(_CODES)] != _CODES:
+        raise ValueError("not a codes frame (bad magic)")
     start = len(_CODES) + _CRC.size
     if len(view) < start:
         raise ValueError("corrupt codes frame: head truncated")
     if zlib.crc32(view[start:]) != _CRC.unpack_from(view, len(_CODES))[0]:
         raise ValueError("corrupt codes frame: CRC mismatch")
-    return expand_codes(view[start:])
+    return view[start:]
 
 
 def _stream(data: memoryview) -> bytes:

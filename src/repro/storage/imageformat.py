@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import CODES, NOISE, deflate
+from .compression import CODES, NOISE, codes_payload, deflate
 
 _MAGIC = b"NDPJ"
 _HEADER_FMT = ">4sBHHHI"  # magic, channels, height, width, pad_kb, payload_len
@@ -149,9 +149,21 @@ def expand_codes(binary: bytes) -> bytes:
     """The preprocessed fp32 binary that :func:`encode_codes`' output
     stands for: the same header, each code looked up in
     :data:`CODE_TABLE`."""
-    _preprocessed_shape(binary, 1)
-    codes = np.frombuffer(binary, np.uint8, offset=_PRE_HEADER_SIZE)
-    return b"".join((binary[:_PRE_HEADER_SIZE], CODE_TABLE.take(codes)))
+    return b"".join((binary[:_PRE_HEADER_SIZE],
+                     CODE_TABLE.take(_codes_view(binary))))
+
+
+def stored_codes(blob: bytes) -> np.ndarray:
+    """The 8-bit codes (C, H, W) a ``preproc/`` blob holds, what
+    :func:`encode_codes` was given: a read-only view, the frame's CRC
+    checked (:func:`~repro.storage.compression.codes_payload`)."""
+    return _codes_view(codes_payload(blob))
+
+
+def _codes_view(binary) -> np.ndarray:
+    shape = _preprocessed_shape(binary, 1)
+    return np.frombuffer(binary, np.uint8,
+                         offset=_PRE_HEADER_SIZE).reshape(shape)
 
 
 def _code_shape(codes: np.ndarray):

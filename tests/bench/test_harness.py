@@ -179,7 +179,8 @@ class TestHarnessLifecycle:
             for metric, direction in by_metric.items():
                 if metric.endswith("speed_factor"):
                     assert direction == "higher_is_better"
-                elif metric.endswith(("bytes_moved", "_work")):
+                elif metric.endswith(("bytes_moved", "_work",
+                                      "_front_rows")):
                     assert direction == "exact"
                 else:  # raw seconds + few-sample medians: informational
                     assert direction is None, metric

@@ -144,7 +144,8 @@ def seen(monkeypatch):
     real_classify = dataplane.InferenceServer.classify_preprocessed
     monkeypatch.setattr(
         dataplane.InferenceServer, "classify_preprocessed",
-        lambda self, batch: remember(batch) or real_classify(self, batch))
+        lambda self, batch, **kw: remember(batch) or real_classify(
+            self, batch, **kw))
     real_dispatch = ReplicaDispatcher.dispatch
 
     def dispatch(self, index, misses, *rest):

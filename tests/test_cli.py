@@ -210,11 +210,15 @@ class TestDemoOutputIsPinned:
     # before; trace unchanged).  Re-pinned when the journal's codes went
     # stored and the feat/ segment Z_RLE: the checkpoint's bytes and the
     # size line it prints moved, what resume prints did not (checkpoint
-    # 597e31039143d717, bytes 45f81d279a03cb01 before)
+    # 597e31039143d717, bytes 45f81d279a03cb01 before).  Re-pinned when
+    # a store's first extraction began taking ingest's front row: the
+    # metrics export gained pipestore_feature_rows_reused_total and a
+    # reworded misses help, every value unchanged (metrics
+    # cffbbce8d9b9bade before)
     PINNED = {
         "demo": "1c84742012f516c6",
         "demo-json": "39a6f8ef07c61934",
-        "metrics": "cffbbce8d9b9bade",
+        "metrics": "d25aa4efe2b4cca6",
         "trace": "3adee8aefad31562",
         "checkpoint": "0444d025af8f3e37",
         "checkpoint-bytes": "100058cd000ab47c",
