@@ -18,20 +18,16 @@ from .cluster import InferenceServer, NDPipeCluster, RelabelStats
 from .config import ClusterConfig
 from .dataplane import IngestDataPlane, RingPlacement, RoundRobinPlacement
 from .driftdetect import (
-    AccuracyWindowDetector,
     DetectionPolicy,
     MaintenanceLog,
     MaintenancePolicy,
     NeverPolicy,
-    PageHinkley,
     ScheduledPolicy,
 )
 from .convergence import (
     RunConvergence,
     check_pipelined_losses,
-    delta_balancedness,
     inter_run_loss_gap,
-    iterations_to_converge,
 )
 from ..faults import (
     FaultInjector,
@@ -77,9 +73,8 @@ __all__ = [
     "NDPipeCluster", "InferenceServer", "RelabelStats", "ClusterConfig",
     "IngestDataPlane", "RingPlacement", "RoundRobinPlacement",
     "NetworkFabric", "TransferRecord",
-    "inter_run_loss_gap", "iterations_to_converge", "delta_balancedness",
-    "check_pipelined_losses", "RunConvergence",
-    "PageHinkley", "AccuracyWindowDetector", "MaintenancePolicy",
+    "inter_run_loss_gap", "check_pipelined_losses", "RunConvergence",
+    "MaintenancePolicy",
     "ScheduledPolicy", "DetectionPolicy", "NeverPolicy", "MaintenanceLog",
     "FaultInjector", "RetryPolicy", "call_with_retry",
     "TransientFaultError", "MessageDroppedError",

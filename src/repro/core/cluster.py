@@ -63,12 +63,6 @@ class RelabelStats:
     photos_deferred: int = 0
 
     @property
-    def fraction_changed(self) -> float:
-        if self.photos_processed == 0:
-            return 0.0
-        return self.labels_changed / self.photos_processed
-
-    @property
     def degraded(self) -> bool:
         """Did any store fail to take part in this campaign?"""
         return bool(self.stores_skipped or self.photos_deferred)
@@ -414,14 +408,6 @@ class NDPipeCluster:
     def journal_size(self) -> int:
         """Entries currently resident in the upload journal."""
         return self.control.journal_size
-
-    def prune_journal(self) -> int:
-        """Drop journal entries whose photo is gone from the database.
-
-        Delegates to the :class:`RecoveryControlPlane`; see
-        :meth:`~repro.core.controlplane.RecoveryControlPlane.prune_journal`.
-        """
-        return self.control.prune_journal()
 
     # -- failure recovery (delegated to the control plane) -------------------
     def reingest_orphans(self, store_id: str,

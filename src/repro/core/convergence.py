@@ -1,10 +1,10 @@
-"""Convergence calculators for pipelined FT-DMP (§5.2, Theorem 5.1).
+"""Convergence check for pipelined FT-DMP (§5.2, Lemma 5.2).
 
 The paper guarantees each pipeline run converges given (A) hidden dims at
 least min(input, output) dims, (B) delta-balanced starting weights, and (C)
 an initial loss bounded via the previous run's final loss plus a Hoeffding
-inter-run gap.  These helpers compute the quantities in Lemma 5.2 and
-Theorem 5.1 and check delta-balancedness of real weight matrices.
+inter-run gap.  These helpers compute Lemma 5.2's gap and audit an
+observed run trajectory against it.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import List, Sequence
-
-import numpy as np
 
 
 def inter_run_loss_gap(num_weights: int, num_samples: int,
@@ -28,47 +26,6 @@ def inter_run_loss_gap(num_weights: int, num_samples: int,
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     return math.sqrt(math.log(2.0 * num_weights / confidence) / (2.0 * num_samples))
-
-
-def iterations_to_converge(prev_loss: float, gap: float, target_loss: float,
-                           learning_rate: float, deficiency_margin: float,
-                           num_layers: int) -> float:
-    """Theorem 5.1's T2 bound: iterations for the next run to reach target.
-
-    ``T2 >= log((l1(T1) + Delta) / eps2) / (eta * c^(2(N-1)/N))``.
-    """
-    if target_loss <= 0:
-        raise ValueError("target loss must be positive")
-    if learning_rate <= 0 or deficiency_margin <= 0:
-        raise ValueError("learning rate and deficiency margin must be positive")
-    if num_layers < 2:
-        raise ValueError("the analysis needs at least two layers")
-    start = prev_loss + gap
-    if start <= target_loss:
-        return 0.0
-    exponent = 2.0 * (num_layers - 1) / num_layers
-    rate = learning_rate * deficiency_margin ** exponent
-    return math.log(start / target_loss) / rate
-
-
-def delta_balancedness(weights: Sequence[np.ndarray]) -> float:
-    """Max ||W_{i+1}^T W_{i+1} - W_i W_i^T||_F over consecutive layers.
-
-    The assumption-(B) quantity; a model is 'well-trained' in the paper's
-    sense when this is small.
-    """
-    if len(weights) < 2:
-        raise ValueError("need at least two weight matrices")
-    worst = 0.0
-    for w_cur, w_next in zip(weights[:-1], weights[1:]):
-        gram_next = w_next.T @ w_next
-        gram_cur = w_cur @ w_cur.T
-        if gram_next.shape != gram_cur.shape:
-            raise ValueError(
-                f"inner dimensions disagree: {gram_next.shape} vs {gram_cur.shape}"
-            )
-        worst = max(worst, float(np.linalg.norm(gram_next - gram_cur, "fro")))
-    return worst
 
 
 @dataclass(frozen=True)

@@ -1,94 +1,19 @@
-"""Drift detection and maintenance policies (§2.2).
+"""Maintenance policies: when to fine-tune under drift (§2.2).
 
 The paper surveys how production systems decide *when* to retrain:
 regularly scheduled updates versus detection-triggered ones (citing the
 early-drift-detection literature).  NDPipe makes fine-tuning cheap enough
-for aggressive schedules; these utilities let the reproduction compare the
-policies quantitatively:
-
-* :class:`PageHinkley` — the classic streaming mean-shift detector over a
-  model-quality signal (error rate or confidence);
-* :class:`AccuracyWindowDetector` — trigger when a sliding-window accuracy
-  estimate falls a threshold below the post-deployment baseline;
-* :class:`MaintenancePolicy` implementations that decide, day by day,
-  whether to fine-tune.
+for aggressive schedules; the :class:`MaintenancePolicy` implementations
+here decide, day by day, whether to fine-tune, so the reproduction can
+compare the policies quantitatively.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 
-class PageHinkley:
-    """Page-Hinkley test for upward mean shift in a loss/error stream."""
-
-    def __init__(self, delta: float = 0.005, threshold: float = 0.5,
-                 min_samples: int = 30):
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        self.delta = delta
-        self.threshold = threshold
-        self.min_samples = min_samples
-        self.reset()
-
-    def reset(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._cumulative = 0.0
-        self._minimum = 0.0
-
-    def update(self, value: float) -> bool:
-        """Feed one observation; True when drift is detected."""
-        self._count += 1
-        self._mean += (value - self._mean) / self._count
-        self._cumulative += value - self._mean - self.delta
-        self._minimum = min(self._minimum, self._cumulative)
-        if self._count < self.min_samples:
-            return False
-        return (self._cumulative - self._minimum) > self.threshold
-
-    @property
-    def statistic(self) -> float:
-        return self._cumulative - self._minimum
-
-
-class AccuracyWindowDetector:
-    """Trigger when windowed accuracy drops ``tolerance`` below baseline."""
-
-    def __init__(self, window: int = 50, tolerance: float = 0.05):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        self.window = window
-        self.tolerance = tolerance
-        self._correct: Deque[bool] = deque(maxlen=window)
-        self.baseline: Optional[float] = None
-
-    def update(self, correct: bool) -> bool:
-        """Feed one prediction outcome; True when drift is detected."""
-        self._correct.append(bool(correct))
-        if len(self._correct) < self.window:
-            return False
-        rate = sum(self._correct) / len(self._correct)
-        if self.baseline is None:
-            self.baseline = rate
-            return False
-        return rate < self.baseline - self.tolerance
-
-    def rearm(self) -> None:
-        """Reset after maintenance so the new model sets a new baseline."""
-        self._correct.clear()
-        self.baseline = None
-
-
-# ---------------------------------------------------------------------------
-# Maintenance policies
-# ---------------------------------------------------------------------------
 @dataclass
 class MaintenanceLog:
     """What a policy did over a drift horizon."""

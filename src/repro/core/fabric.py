@@ -111,17 +111,3 @@ class NetworkFabric:
 
     def kinds(self) -> Dict[str, int]:
         return dict(self._by_kind)
-
-    def transfer_seconds(self) -> float:
-        """Wire time if every recorded byte crossed the shared link,
-        plus any latency injected by the fault filter."""
-        return self.spec.transfer_time(self.total_bytes) + self.injected_latency_s
-
-    def reset(self) -> None:
-        self._by_edge.clear()
-        self._by_kind.clear()
-        self.total_bytes = 0
-        self.transfer_count = 0
-        self.dropped_count = 0
-        self.dropped_bytes = 0
-        self.injected_latency_s = 0.0

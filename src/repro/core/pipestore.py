@@ -510,34 +510,41 @@ class PipeStore:
         cut), keyed on the content of each photo's 8-bit codes: a row
         is a function of the two, so a photo held there is taken (and
         leaves the value) instead of run again.  Only the host saves
-        the pass; the caller counts a taken row as the miss it is.
+        the pass; the caller counts a taken row as the miss it is.  Each
+        ``preproc/`` blob is read once: a row not taken decodes the
+        bytes its content key was read from.
         """
         front, objects = self.model.front, self.objects
-        taken: Dict[int, np.ndarray] = {}
-        if front.held and self.split == len(front.stages):
-            for index, pid in enumerate(photo_ids):
-                blob = objects.get(objects.preproc_key(pid))
-                try:
-                    codes = stored_codes(blob)
-                except ValueError:
-                    continue  # an older frame kind: the front reads it
-                row = front.held.pop(content_key(codes), None)
-                if row is not None:
-                    taken[index] = row
-        if not taken:
+        if not front.held or self.split != len(front.stages):
             return frozen_front_features(self.model, self.split,
                                          self._load_batch(photo_ids))
+        taken: Dict[int, np.ndarray] = {}
+        untaken: Dict[int, bytes] = {}
+        for index, pid in enumerate(photo_ids):
+            blob = objects.get(objects.preproc_key(pid))
+            try:
+                codes = stored_codes(blob)
+            except ValueError:  # an older frame kind: the front reads it
+                untaken[index] = blob
+                continue
+            row = front.held.pop(content_key(codes), None)
+            if row is None:
+                untaken[index] = blob
+            else:
+                taken[index] = row
+        if untaken:
+            computed = frozen_front_features(self.model, self.split, np.stack(
+                [decode_preprocessed(inflate(blob))
+                 for blob in untaken.values()]))
+            if not taken:
+                return computed
         self._count("_m_feature_reused", len(taken))
         first = next(iter(taken.values()))
         rows = np.empty((len(photo_ids),) + first.shape, first.dtype)
         for index, row in taken.items():
             rows[index] = row
-        rest = [index for index in range(len(photo_ids))
-                if index not in taken]
-        if rest:
-            rows[rest] = frozen_front_features(
-                self.model, self.split,
-                self._load_batch([photo_ids[index] for index in rest]))
+        if untaken:
+            rows[list(untaken)] = computed
         return rows
 
     def _account_compute(self, num_images: int) -> None:

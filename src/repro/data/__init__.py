@@ -12,7 +12,6 @@ from .datasets import (
     PROFILES,
     DatasetProfile,
     profile,
-    train_test_split,
 )
 from .drift import (
     DAILY_GROWTH_RATE,
@@ -25,7 +24,7 @@ from .loader import batch_iter, normalize_images, split_rounds
 __all__ = [
     "DriftingPhotoWorld", "WorldConfig", "DAILY_GROWTH_RATE",
     "NEW_CLASS_FRACTION",
-    "DatasetProfile", "profile", "PROFILES", "train_test_split",
+    "DatasetProfile", "profile", "PROFILES",
     "CIFAR100_LIKE", "IMAGENET1K_LIKE", "IMAGENET21K_LIKE",
     "batch_iter", "split_rounds", "normalize_images",
 ]

@@ -9,9 +9,7 @@ count and within-class noise of the synthetic world.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
-
-import numpy as np
+from typing import Dict
 
 from .drift import DriftingPhotoWorld, WorldConfig
 
@@ -63,14 +61,3 @@ def profile(name: str) -> DatasetProfile:
         raise KeyError(
             f"unknown dataset {name!r}; available: {sorted(PROFILES)}"
         ) from None
-
-
-def train_test_split(world: DriftingPhotoWorld, day: int, train_size: int,
-                     test_size: int, seed: int = 0,
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sample disjointly seeded train and test sets from one day."""
-    train_rng = np.random.default_rng(seed * 2 + 1)
-    test_rng = np.random.default_rng(seed * 2 + 2)
-    x_train, y_train = world.sample(train_size, day, rng=train_rng)
-    x_test, y_test = world.sample(test_size, day, rng=test_rng)
-    return x_train, y_train, x_test, y_test

@@ -6,7 +6,7 @@ and (b) a tiny runnable :class:`~repro.models.split.SplitModel` on the numpy
 substrate used by the real FT-DMP training path and the accuracy studies.
 """
 
-from .catalog import ALL_MODELS, FIGURE_MODELS, RAW_IMAGE_BYTES, all_graphs, model_graph
+from .catalog import ALL_MODELS, FIGURE_MODELS, RAW_IMAGE_BYTES, model_graph
 from .graph import (
     FEATURE_DTYPE_BYTES,
     INPUT_DTYPE_BYTES,
@@ -15,15 +15,15 @@ from .graph import (
     PartitionPoint,
     StageSpec,
 )
-from .flops import FlopCounter, count_model_flops, count_stage_flops
+from .flops import FlopCounter, count_stage_flops
 from .registry import TINY_FACTORIES, tiny_model
 from .split import SplitModel
 
 __all__ = [
     "ModelGraph", "StageSpec", "PartitionPoint",
     "FEATURE_DTYPE_BYTES", "INPUT_DTYPE_BYTES", "WEIGHT_DTYPE_BYTES",
-    "model_graph", "all_graphs", "ALL_MODELS", "FIGURE_MODELS",
+    "model_graph", "ALL_MODELS", "FIGURE_MODELS",
     "RAW_IMAGE_BYTES",
     "SplitModel", "tiny_model", "TINY_FACTORIES",
-    "FlopCounter", "count_stage_flops", "count_model_flops",
+    "FlopCounter", "count_stage_flops",
 ]

@@ -15,7 +15,7 @@ calibrates absolute throughput against the paper's measured IPS
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from .graph import ModelGraph, StageSpec
 
@@ -124,7 +124,3 @@ def model_graph(name: str) -> ModelGraph:
         raise KeyError(
             f"unknown model {name!r}; available: {sorted(_FACTORIES)}"
         ) from None
-
-
-def all_graphs() -> Dict[str, ModelGraph]:
-    return {name: factory() for name, factory in _FACTORIES.items()}

@@ -113,8 +113,3 @@ def count_stage_flops(model: SplitModel, batch: int = 1,
         flops[name] = counter.total_flops / batch
     model.train(was_training)
     return flops
-
-
-def count_model_flops(model: SplitModel, batch: int = 1) -> float:
-    """Per-image forward FLOPs of the whole runnable model."""
-    return sum(count_stage_flops(model, batch).values())

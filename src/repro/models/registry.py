@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from . import catalog
-from .catalog import ALL_MODELS, FIGURE_MODELS, all_graphs, model_graph
+from .catalog import ALL_MODELS, FIGURE_MODELS, model_graph
 from .inception import tiny_inception_v3
 from .resnet import tiny_resnet50
 from .resnext import tiny_resnext101
@@ -34,6 +34,6 @@ def tiny_model(name: str, **kwargs) -> SplitModel:
 
 
 __all__ = [
-    "TINY_FACTORIES", "tiny_model", "model_graph", "all_graphs",
+    "TINY_FACTORIES", "tiny_model", "model_graph",
     "ALL_MODELS", "FIGURE_MODELS", "catalog",
 ]

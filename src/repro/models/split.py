@@ -69,9 +69,6 @@ class SplitModel(Module):
     def stage(self, index: int) -> Module:
         return self._stage_modules[index]
 
-    def stage_index(self, name: str) -> int:
-        return self.stage_names.index(name)
-
     # -- execution ---------------------------------------------------------
     def forward(self, x: Tensor) -> Tensor:
         return self._run_until(x, self.num_stages)

@@ -14,14 +14,12 @@ from .functional import (
     global_avg_pool2d,
     im2col,
     max_pool2d,
-    one_hot,
 )
 from .layers import (
     AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dropout,
-    Flatten,
     GELU,
     GlobalAvgPool2d,
     Identity,
@@ -31,10 +29,9 @@ from .layers import (
     ReLU,
     Sequential,
 )
-from .losses import accuracy, cross_entropy, mse, topk_accuracy
+from .losses import accuracy, cross_entropy, topk_accuracy
 from .module import Module, Parameter
 from .optim import SGD, Adam, Optimizer
-from .schedulers import CosineLR, Scheduler, StepLR, WarmupLR, clip_gradients
 from .tensor import (
     Tensor,
     concat,
@@ -53,12 +50,11 @@ __all__ = [
     "no_grad", "grad_enabled", "inference_mode",
     "Module", "Parameter",
     "Linear", "Conv2d", "BatchNorm2d", "LayerNorm", "ReLU", "GELU",
-    "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "Flatten", "Dropout",
+    "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "Dropout",
     "Sequential", "Identity",
     "MultiHeadSelfAttention", "TransformerBlock", "PatchEmbedding",
     "SGD", "Adam", "Optimizer",
-    "Scheduler", "StepLR", "CosineLR", "WarmupLR", "clip_gradients",
-    "cross_entropy", "mse", "accuracy", "topk_accuracy",
+    "cross_entropy", "accuracy", "topk_accuracy",
     "conv2d", "max_pool2d", "avg_pool2d", "global_avg_pool2d",
-    "im2col", "col2im", "conv_output_size", "one_hot",
+    "im2col", "col2im", "conv_output_size",
 ]

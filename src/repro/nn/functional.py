@@ -287,9 +287,3 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
     keep = 1.0 - p
     mask = (rng.random(x.shape) < keep) / keep
     return x * Tensor(mask)
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((len(labels), num_classes))
-    out[np.arange(len(labels)), labels] = 1.0
-    return out

@@ -187,11 +187,6 @@ class GlobalAvgPool2d(Module):
         return F.global_avg_pool2d(x)
 
 
-class Flatten(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
-
-
 class Dropout(Module):
     def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None):
         super().__init__()

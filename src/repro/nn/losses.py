@@ -16,11 +16,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return -picked.mean()
 
 
-def mse(pred: Tensor, target: np.ndarray) -> Tensor:
-    diff = pred - Tensor(target)
-    return (diff * diff).mean()
-
-
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Top-1 accuracy of raw logits / probabilities."""
     return float((logits.argmax(axis=-1) == labels).mean())

@@ -27,15 +27,15 @@ class Module:
     #: State a layer derived from its parameters and buffers for the frozen
     #: eval graph (BatchNorm folded into the preceding conv).  Built on
     #: first use, never serialised, and dropped by every sanctioned
-    #: mutation of its sources: ``train(True)``, ``cast`` (and so
-    #: ``freeze``/``unfreeze``) where an array changed dtype, and
-    #: ``load_state_dict`` — the last only on the modules owning a key it
-    #: replaces.  An immutable module's sources never move, so its
-    #: derived state lives as long as it does.
+    #: mutation of its sources: ``train(True)``, ``freeze``/``unfreeze``
+    #: where an array changed dtype, and ``load_state_dict`` — the last
+    #: only on the modules owning a key it replaces.  An immutable
+    #: module's sources never move, so its derived state lives as long as
+    #: it does.
     _derived = None
 
     #: Set on every module of a :class:`~repro.models.split.FrozenFront`:
-    #: ``train()`` leaves it in eval mode, casts and freezes skip it, and
+    #: ``train()`` leaves it in eval mode, freezes skip it, and
     #: ``load_state_dict`` refuses to replace its arrays.
     _immutable = False
 
@@ -95,16 +95,6 @@ class Module:
         for param in self.parameters():
             param.zero_grad()
 
-    def cast(self, dtype) -> "Module":
-        """Cast all parameters and buffers to ``dtype`` (e.g. np.float32).
-
-        Arrays already at ``dtype`` are kept, and a frozen (read-only)
-        array stays frozen; derived state is dropped on each module whose
-        arrays moved, and on ``self`` if any did.
-        """
-        self._recast(np.dtype(dtype), frozen=None)
-        return self
-
     def freeze(self) -> "Module":
         """Weight-freeze this module: no parameter trains, and the master
         state is float32 (trainable means float64, frozen means float32 —
@@ -125,32 +115,24 @@ class Module:
         return self
 
     def _train_as(self, trainable: bool) -> bool:
-        """:meth:`unfreeze` (``trainable``) or :meth:`freeze`; returns
-        whether an array was replaced."""
-        for module in self.modules():
-            if not module._immutable:
-                for param in module._parameters.values():
-                    param.requires_grad = trainable
-        return self._recast(np.dtype(np.float64 if trainable else np.float32),
-                            frozen=not trainable)
-
-    def _recast(self, dtype: np.dtype, frozen) -> bool:
-        """Bring every array to ``dtype``; ``frozen`` True leaves each
-        read-only, False writable and private, None as it was.  Derived
-        state is dropped where an array was replaced; returns whether
-        any was.  Immutable modules are left as they are."""
+        """:meth:`unfreeze` (``trainable``: every array float64, private
+        and writable) or :meth:`freeze` (float32 and read-only).  Derived
+        state is dropped where an array was replaced; returns whether any
+        was.  Immutable modules are left as they are."""
+        dtype = np.dtype(np.float64 if trainable else np.float32)
         moved = False
         for module in self.modules():
             if module._immutable:
                 continue
             stale = False
             for param in module._parameters.values():
-                array = _settled(param.data, dtype, frozen)
+                param.requires_grad = trainable
+                array = _settled(param.data, dtype, not trainable)
                 if array is not param.data:
                     param.data = array
                     stale = True
             for name, buf in module._buffers.items():
-                array = _settled(buf, dtype, frozen)
+                array = _settled(buf, dtype, not trainable)
                 if array is not buf:
                     module._buffers[name] = array
                     stale = True
@@ -260,12 +242,9 @@ def _frozen(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return array
 
 
-def _settled(array: np.ndarray, dtype: np.dtype, frozen) -> np.ndarray:
-    """``array`` at ``dtype``: with ``frozen`` True immutable
-    (:func:`_frozen`), with False private and writable, with None as
-    frozen as it was."""
-    if frozen is None:
-        frozen = not array.flags.writeable
+def _settled(array: np.ndarray, dtype: np.dtype, frozen: bool) -> np.ndarray:
+    """``array`` at ``dtype``: with ``frozen`` immutable (:func:`_frozen`),
+    without it private and writable."""
     if frozen:
         return _frozen(array, dtype)
     if array.dtype != dtype or not array.flags.writeable:

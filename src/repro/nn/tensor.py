@@ -148,9 +148,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # ------------------------------------------------------------------
     # Graph bookkeeping
     # ------------------------------------------------------------------
@@ -345,15 +342,6 @@ class Tensor:
 
         return self._make(self.data * mask, (self,), backward)
 
-    def sigmoid(self):
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return self._make(out_data, (self,), backward)
-
     def sqrt(self):
         return self ** 0.5
 
@@ -442,23 +430,6 @@ class Tensor:
                 full = np.zeros_like(self.data)
                 np.add.at(full, index, grad)
                 self._accumulate(full)
-
-        return self._make(out_data, (self,), backward)
-
-    def pad2d(self, pad: int):
-        """Zero-pad the last two axes of an (N, C, H, W) tensor."""
-        if pad == 0:
-            return self
-        widths = [(0, 0)] * (self.ndim - 2) + [(pad, pad), (pad, pad)]
-        out_data = np.pad(self.data, widths)
-
-        def backward(grad):
-            if self.requires_grad:
-                sl = tuple(
-                    slice(None) if i < self.ndim - 2 else slice(pad, -pad)
-                    for i in range(self.ndim)
-                )
-                self._accumulate(grad[sl])
 
         return self._make(out_data, (self,), backward)
 

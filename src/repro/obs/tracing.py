@@ -98,9 +98,6 @@ class Tracer:
     def find(self, name: str) -> List[Span]:
         return [s for s in self.spans if s.name == name]
 
-    def total_seconds(self, name: str) -> float:
-        return sum(s.duration_s for s in self.find(name))
-
     def clear(self) -> None:
         self.spans.clear()
         self.dropped_spans = 0

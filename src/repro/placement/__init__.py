@@ -47,7 +47,6 @@ from .tenants import (
     TenantNamespace,
     TenantRegistry,
     UnknownTenantError,
-    split_key,
 )
 
 __all__ = [
@@ -65,5 +64,4 @@ __all__ = [
     "TenantNamespace",
     "TenantRegistry",
     "UnknownTenantError",
-    "split_key",
 ]

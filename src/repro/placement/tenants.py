@@ -18,7 +18,7 @@ counted in objects, bytes are an attribute of each object.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from ..lint.contracts import conserves
 from .config import TenantConfig
@@ -107,11 +107,10 @@ class QuotaLedger:
 
 
 class TenantNamespace:
-    """One tenant: a config, its ledger, and its key namespace.
+    """One tenant: a config and its ledger.
 
-    Photo keys are qualified as ``"<tenant>/<key>"``;
-    :meth:`TenantNamespace.owns` and :func:`split_key` recover the
-    tenant from a qualified key (tenant names cannot contain ``/``).
+    Its photo keys are qualified as ``"<tenant>/<key>"`` (tenant names
+    cannot contain ``/``).
     """
 
     def __init__(self, config: TenantConfig):
@@ -121,21 +120,6 @@ class TenantNamespace:
     @property
     def name(self) -> str:
         return self.config.name
-
-    def qualify(self, key: str) -> str:
-        return f"{self.config.name}/{key}"
-
-    def owns(self, qualified_key: str) -> bool:
-        return qualified_key.startswith(self.config.name + "/")
-
-
-def split_key(qualified_key: str) -> Tuple[str, str]:
-    """``"tenant/photo-0001"`` -> ``("tenant", "photo-0001")``."""
-    tenant, sep, rest = qualified_key.partition("/")
-    if not sep or not tenant or not rest:
-        raise ValueError(
-            f"{qualified_key!r} is not a tenant-qualified key")
-    return tenant, rest
 
 
 class TenantRegistry:

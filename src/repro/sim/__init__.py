@@ -19,13 +19,10 @@ from .pipeline import (
     makespan,
     pipelined_throughput,
     sequential_throughput,
-    stage_breakdown,
 )
 from .power import (
     PowerDraw,
     ZERO_POWER,
-    energy_joules,
-    ips_per_kilojoule,
     ips_per_watt,
     server_power,
     total_power,
@@ -70,10 +67,8 @@ from .specs import (
 __all__ = [
     "Simulation", "Event", "Process", "Resource", "Store", "all_of",
     "Stage", "pipelined_throughput", "sequential_throughput", "makespan",
-    "stage_breakdown",
     "PowerDraw", "ZERO_POWER", "server_power", "total_power",
-    "energy_joules", "ips_per_watt", "ips_per_kilojoule",
-    "fleet_price_per_hour", "run_cost",
+    "ips_per_watt", "fleet_price_per_hour", "run_cost",
     "ClusterSimResult", "MixedWorkloadResult", "simulate_offline_inference",
     "simulate_ftdmp_finetune", "simulate_mixed_workload",
     "TimedResource", "DiskResource", "LinkResource", "CpuPool",

@@ -62,12 +62,3 @@ def makespan(num_items: int, rate: float) -> float:
     if rate <= 0:
         raise ValueError("rate must be positive")
     return num_items / rate
-
-
-def stage_breakdown(stages: Sequence[Stage], num_items: int) -> dict:
-    """Total busy seconds per stage for ``num_items`` items.
-
-    This is what Fig. 6 and Fig. 12 plot: the per-subprocess execution time
-    irrespective of overlap.
-    """
-    return {s.name: num_items * s.time_per_item for s in stages}

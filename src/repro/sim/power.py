@@ -72,22 +72,8 @@ def total_power(draws: Iterable[PowerDraw]) -> PowerDraw:
     return total
 
 
-def energy_joules(draw: PowerDraw, seconds: float) -> float:
-    if seconds < 0:
-        raise ValueError("seconds must be non-negative")
-    return draw.total_watts * seconds
-
-
 def ips_per_watt(throughput_ips: float, draw: PowerDraw) -> float:
     """Power efficiency (Fig. 14 / Fig. 18 metric)."""
     if draw.total_watts <= 0:
         raise ValueError("power must be positive")
     return throughput_ips / draw.total_watts
-
-
-def ips_per_kilojoule(num_images: int, seconds: float, draw: PowerDraw) -> float:
-    """Energy efficiency in images per kJ (Fig. 11/16 metric)."""
-    energy_kj = energy_joules(draw, seconds) / 1e3
-    if energy_kj <= 0:
-        raise ValueError("energy must be positive")
-    return num_images / energy_kj

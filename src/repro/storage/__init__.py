@@ -7,14 +7,12 @@ and real deflate compression helpers.
 
 from .compression import (
     compress_array,
-    compression_ratio,
     decompress_array,
     deflate,
     inflate,
 )
 from .imageformat import (
     CodecError,
-    PhotoSizes,
     decode_photo,
     decode_preprocessed,
     encode_photo,
@@ -34,18 +32,17 @@ from .persistence import (
     dump_photo_database,
     load_object_store,
     load_photo_database,
-    snapshot_sizes,
 )
 from .photodb import LabelRecord, PhotoDatabase
 
 __all__ = [
-    "deflate", "inflate", "compression_ratio", "compress_array",
+    "deflate", "inflate", "compress_array",
     "decompress_array",
     "encode_photo", "decode_photo", "preprocess", "encode_preprocessed",
-    "decode_preprocessed", "CodecError", "PhotoSizes",
+    "decode_preprocessed", "CodecError",
     "ObjectStore", "Volume", "StorageFullError", "MissingObjectError",
     "CorruptObjectError",
     "PhotoDatabase", "LabelRecord",
     "dump_object_store", "load_object_store", "dump_photo_database",
-    "load_photo_database", "snapshot_sizes", "SnapshotError",
+    "load_photo_database", "SnapshotError",
 ]

@@ -153,12 +153,6 @@ def _stream(data: memoryview) -> bytes:
     return out
 
 
-def compression_ratio(raw: bytes, compressed: bytes) -> float:
-    if len(compressed) == 0:
-        raise ValueError("compressed payload is empty")
-    return len(raw) / len(compressed)
-
-
 def compress_array(array: np.ndarray) -> bytes:
     """Frame a numpy array (such as the journal's stacked 8-bit codes) with
     enough to reconstruct it: ``dtype|shape|`` then the raw bytes, one

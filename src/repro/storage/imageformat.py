@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,16 +213,3 @@ def decode_preprocessed_into(blob: bytes, out: np.ndarray) -> None:
         raise CodecError(
             f"output slot {out.shape} does not match payload {data.shape}")
     out[...] = data
-
-
-@dataclass(frozen=True)
-class PhotoSizes:
-    """Nominal byte sizes for the storage accounting experiments."""
-
-    raw_bytes: int = 2_700_000
-    preprocessed_bytes: int = 590_000
-
-    @property
-    def preprocessed_fraction(self) -> float:
-        """Share of total storage taken by preprocessed binaries (§5.4)."""
-        return self.preprocessed_bytes / (self.raw_bytes + self.preprocessed_bytes)

@@ -153,12 +153,6 @@ class Volume:
             raise ValueError("releasing more bytes than used")
         self.used_bytes -= num_bytes
 
-    @property
-    def fill_fraction(self) -> float:
-        if self.capacity_bytes == 0:
-            return 1.0
-        return self.used_bytes / self.capacity_bytes
-
 
 class ObjectStore:
     """Flat key -> bytes store with namespace helpers and IO accounting.
@@ -322,15 +316,6 @@ class ObjectStore:
     # -- accounting ---------------------------------------------------------
     def bytes_by_prefix(self, prefix: str) -> int:
         return sum(self._objects[k][1] for k in self.keys(prefix))
-
-    def preprocessed_overhead(self) -> float:
-        """Fraction of stored bytes taken by preprocessed binaries (§5.4)."""
-        raw = self.bytes_by_prefix("raw/")
-        pre = self.bytes_by_prefix("preproc/")
-        total = raw + pre
-        if total == 0:
-            return 0.0
-        return pre / total
 
     # -- internals ----------------------------------------------------------
     def _rebook(self, key: str, nominal: int) -> None:

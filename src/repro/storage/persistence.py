@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from .compression import FEATURE_ROWS, deflate, inflate
 from .objectstore import (ObjectStore, StorageFullError, Volume,
@@ -314,8 +314,3 @@ def load_photo_database(blob: bytes) -> PhotoDatabase:
                 location=rec["location"], confidence=rec["confidence"],
             ))
     return db
-
-
-def snapshot_sizes(store: ObjectStore, db: PhotoDatabase) -> Tuple[int, int]:
-    """(store snapshot bytes, db snapshot bytes) — capacity planning."""
-    return len(dump_object_store(store)), len(dump_photo_database(db))

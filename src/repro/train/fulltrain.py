@@ -9,15 +9,18 @@ extractor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List
 
 import numpy as np
 
 from ..data.loader import batch_iter
 from ..models.split import SplitModel
 from ..nn.losses import cross_entropy
-from ..nn.optim import Adam, SGD
+from ..nn.optim import Adam
 from ..nn.tensor import Tensor
+
+#: images per optimiser step
+BATCH_SIZE = 64
 
 
 @dataclass
@@ -36,50 +39,29 @@ class TrainHistory:
 
 
 def full_train(model: SplitModel, x: np.ndarray, y: np.ndarray,
-               epochs: int = 5, lr: float = 3e-3, batch_size: int = 64,
-               optimizer: str = "adam", seed: int = 0,
-               callback: Optional[Callable[[int, float], None]] = None,
-               scheduler_fn: Optional[Callable] = None,
-               grad_clip: Optional[float] = None,
+               epochs: int = 5, lr: float = 3e-3, seed: int = 0,
                ) -> TrainHistory:
-    """Train every layer of ``model`` on (x, y); returns the loss history.
-
-    ``scheduler_fn`` builds a :class:`repro.nn.schedulers.Scheduler` from
-    the optimizer (stepped once per epoch); ``grad_clip`` bounds the
-    global gradient norm per step.
-    """
+    """Train every layer of ``model`` on (x, y) with Adam at learning rate
+    ``lr``, ``epochs`` passes over the data in shuffled batches of
+    :data:`BATCH_SIZE` (``seed`` fixes the order); returns the loss
+    history, one mean loss per epoch."""
     if epochs <= 0:
         raise ValueError("epochs must be positive")
     model.unfreeze()
     model.train()
-    if optimizer == "adam":
-        opt = Adam(model.parameters(), lr=lr)
-    elif optimizer == "sgd":
-        opt = SGD(model.parameters(), lr=lr, momentum=0.9)
-    else:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
-    scheduler = scheduler_fn(opt) if scheduler_fn is not None else None
+    opt = Adam(model.parameters(), lr=lr)
     rng = np.random.default_rng(seed)
     history = TrainHistory()
-    for epoch in range(epochs):
+    for _ in range(epochs):
         losses = []
-        for xb, yb in batch_iter(x, y, batch_size, rng):
+        for xb, yb in batch_iter(x, y, BATCH_SIZE, rng):
             logits = model(Tensor(xb))
             loss = cross_entropy(logits, yb)
             model.zero_grad()
             loss.backward()
-            if grad_clip is not None:
-                from ..nn.schedulers import clip_gradients
-
-                clip_gradients(model.parameters(), grad_clip)
             opt.step()
             losses.append(loss.item())
-        epoch_loss = float(np.mean(losses))
-        history.losses.append(epoch_loss)
+        history.losses.append(float(np.mean(losses)))
         history.epochs += 1
         history.images_seen += len(x)
-        if callback is not None:
-            callback(epoch, epoch_loss)
-        if scheduler is not None:
-            scheduler.step()
     return history

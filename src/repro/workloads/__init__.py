@@ -8,12 +8,10 @@ from .scenarios import (
     evaluate_model,
     run_drift_scenario,
     train_base_model,
-    uploads_for_day,
 )
 
 __all__ = [
     "run_continuous_operation", "OperationLog", "DayRecord",
     "DriftScenarioConfig", "DriftScenarioResult", "DriftPoint",
     "run_drift_scenario", "train_base_model", "evaluate_model",
-    "uploads_for_day",
 ]

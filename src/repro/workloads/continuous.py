@@ -221,9 +221,10 @@ class MultiTenantTrace:
     A million events live as three numpy arrays (tenant index, user
     rank, sequence number) rather than a million Python objects;
     :meth:`photo_ids` and :meth:`__iter__` materialise views on demand.
-    Photo ids are tenant-qualified (``tenant/u<user>/p<seq>``) in the
-    same namespace convention :class:`~repro.placement.tenants.
-    TenantNamespace` uses, so they feed straight into ring placement.
+    Photo ids are tenant-qualified (``tenant/u<user>/p<seq>``), the
+    ``<tenant>/<key>`` convention :meth:`~repro.placement.fleet.
+    ShardedCluster.ingest` uses, so they feed straight into ring
+    placement.
     """
 
     tenants: List[str]

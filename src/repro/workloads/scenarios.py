@@ -42,10 +42,6 @@ class DriftScenarioResult:
     def final_top1(self) -> float:
         return self.points[-1].top1
 
-    @property
-    def drop_from_base(self) -> float:
-        return self.points[0].top1 - self.points[-1].top1
-
 
 def evaluate_model(model: SplitModel, x: np.ndarray, y: np.ndarray,
                    batch_size: int = 256) -> Tuple[float, float]:
@@ -146,13 +142,3 @@ def train_base_model(world: DriftingPhotoWorld,
     full_train(model, normalize_images(x), y, epochs=config.base_epochs,
                lr=config.lr, seed=config.seed)
     return model
-
-
-def uploads_for_day(world: DriftingPhotoWorld, day: int, base_uploads: int,
-                    rng: Optional[np.random.Generator] = None,
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """One day's worth of uploads, sized by the growth model."""
-    total_today = world.dataset_size_at(day, base_uploads)
-    total_yesterday = world.dataset_size_at(day - 1, base_uploads) if day else 0
-    count = max(total_today - total_yesterday, 1)
-    return world.sample(count, day, rng=rng)

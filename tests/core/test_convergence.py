@@ -1,4 +1,4 @@
-"""Tests for the Theorem 5.1 / Lemma 5.2 convergence calculators."""
+"""Tests for the Lemma 5.2 convergence check."""
 
 import math
 
@@ -7,9 +7,7 @@ import pytest
 
 from repro.core.convergence import (
     check_pipelined_losses,
-    delta_balancedness,
     inter_run_loss_gap,
-    iterations_to_converge,
 )
 
 
@@ -37,56 +35,6 @@ class TestLossGap:
             inter_run_loss_gap(10, 0)
         with pytest.raises(ValueError):
             inter_run_loss_gap(10, 10, confidence=1.5)
-
-
-class TestIterationBound:
-    def test_already_converged_needs_zero(self):
-        assert iterations_to_converge(0.01, 0.0, 0.05, 0.1, 1.0, 3) == 0.0
-
-    def test_bound_grows_for_tighter_targets(self):
-        loose = iterations_to_converge(1.0, 0.1, 0.5, 0.01, 1.0, 3)
-        tight = iterations_to_converge(1.0, 0.1, 0.05, 0.01, 1.0, 3)
-        assert tight > loose
-
-    def test_bound_shrinks_with_larger_lr(self):
-        slow = iterations_to_converge(1.0, 0.1, 0.1, 0.001, 1.0, 3)
-        fast = iterations_to_converge(1.0, 0.1, 0.1, 0.01, 1.0, 3)
-        assert fast < slow
-
-    def test_matches_theorem_formula(self):
-        t2 = iterations_to_converge(0.8, 0.2, 0.1, 0.05, 2.0, 4)
-        exponent = 2 * 3 / 4
-        expected = math.log(1.0 / 0.1) / (0.05 * 2.0 ** exponent)
-        assert t2 == pytest.approx(expected)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            iterations_to_converge(1.0, 0.0, 0.0, 0.1, 1.0, 3)
-        with pytest.raises(ValueError):
-            iterations_to_converge(1.0, 0.0, 0.1, -0.1, 1.0, 3)
-        with pytest.raises(ValueError):
-            iterations_to_converge(1.0, 0.0, 0.1, 0.1, 1.0, 1)
-
-
-class TestDeltaBalance:
-    def test_perfectly_balanced_orthogonal(self):
-        # W2^T W2 == W1 W1^T when both are identity-like
-        w1 = np.eye(4)
-        w2 = np.eye(4)
-        assert delta_balancedness([w1, w2]) == pytest.approx(0.0)
-
-    def test_unbalanced_detected(self):
-        w1 = np.eye(3)
-        w2 = 10 * np.eye(3)
-        assert delta_balancedness([w1, w2]) > 10
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            delta_balancedness([np.ones((3, 2)), np.ones((5, 4))])
-
-    def test_needs_two_layers(self):
-        with pytest.raises(ValueError):
-            delta_balancedness([np.eye(2)])
 
 
 class TestPipelinedAudit:

@@ -1,76 +1,13 @@
-"""Tests for drift detectors and maintenance policies."""
+"""Tests for the maintenance policies."""
 
-import numpy as np
 import pytest
 
 from repro.core.driftdetect import (
-    AccuracyWindowDetector,
     DetectionPolicy,
     MaintenanceLog,
     NeverPolicy,
-    PageHinkley,
     ScheduledPolicy,
 )
-
-
-class TestPageHinkley:
-    def test_no_detection_on_stationary_stream(self):
-        rng = np.random.default_rng(0)
-        detector = PageHinkley(threshold=1.0)
-        fired = [detector.update(v) for v in rng.normal(0.3, 0.02, 500)]
-        assert not any(fired)
-
-    def test_detects_mean_shift(self):
-        rng = np.random.default_rng(1)
-        detector = PageHinkley(threshold=1.0)
-        for v in rng.normal(0.3, 0.02, 200):
-            assert not detector.update(v)
-        fired = [detector.update(v) for v in rng.normal(0.5, 0.02, 200)]
-        assert any(fired)
-
-    def test_min_samples_suppresses_early_alarms(self):
-        detector = PageHinkley(threshold=0.001, min_samples=50)
-        fired = [detector.update(10.0) for _ in range(49)]
-        assert not any(fired)
-
-    def test_reset(self):
-        detector = PageHinkley(threshold=0.5)
-        for _ in range(100):
-            detector.update(1.0)
-        detector.reset()
-        assert detector.statistic == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PageHinkley(threshold=0.0)
-        with pytest.raises(ValueError):
-            PageHinkley(min_samples=0)
-
-
-class TestAccuracyWindow:
-    def test_no_alarm_while_filling(self):
-        detector = AccuracyWindowDetector(window=20)
-        assert not any(detector.update(True) for _ in range(19))
-
-    def test_detects_accuracy_drop(self):
-        detector = AccuracyWindowDetector(window=20, tolerance=0.1)
-        for _ in range(40):
-            detector.update(True)
-        fired = [detector.update(False) for _ in range(20)]
-        assert any(fired)
-
-    def test_rearm_resets_baseline(self):
-        detector = AccuracyWindowDetector(window=10, tolerance=0.05)
-        for _ in range(20):
-            detector.update(True)
-        detector.rearm()
-        assert detector.baseline is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AccuracyWindowDetector(window=0)
-        with pytest.raises(ValueError):
-            AccuracyWindowDetector(tolerance=0.0)
 
 
 class TestPolicies:

@@ -233,3 +233,49 @@ class TestWhatIsHeld:
             for i in range(8)])
         assert ids and len(ids) == report.completed
         assert not held(cluster)
+
+
+class TestEachBlobReadOnce:
+    """A miss reads its photo's ``preproc/`` blob once: the content key
+    it looks its held row up by and, when none is held, the front's
+    input both come from the same bytes."""
+
+    @staticmethod
+    def _one_store(small_world):
+        cluster = NDPipeCluster(factory, ClusterConfig(
+            num_stores=1, nominal_raw_bytes=2048))
+        x, y = small_world.sample(8, 0, rng=np.random.default_rng(3))
+        cluster.ingest(x, train_labels=y)
+        return cluster, cluster.stores[0]
+
+    @staticmethod
+    def _put(store, count):
+        codes = quantise(np.random.default_rng(9).random((count, 3, 16, 16)))
+        for index in range(count):
+            store.store_photo(StoredPhoto(photo_id=f"put{index}",
+                                          codes=codes[index]))
+        return [f"put{index}" for index in range(count)]
+
+    @staticmethod
+    def _read(store, ids):
+        """(bytes the extraction read, the ``preproc/`` bytes of ``ids``)."""
+        objects = store.objects
+        before = objects.bytes_read
+        got = store.extract_features(ids)
+        assert got.tobytes() == cold(store, ids).tobytes()
+        return objects.bytes_read - before, sum(
+            len(objects.peek(objects.preproc_key(pid))) for pid in ids)
+
+    def test_taken_and_run_rows_in_one_extraction(self, small_world):
+        cluster, store = self._one_store(small_world)
+        self._put(store, 1)
+        read, blobs = self._read(store, store.photo_ids())
+        assert read == blobs == 9 * 785
+        assert reused(cluster) == 8
+
+    def test_rows_held_but_none_taken(self, small_world):
+        cluster, store = self._one_store(small_world)
+        ids = self._put(store, 5)
+        read, blobs = self._read(store, ids)
+        assert read == blobs == 5 * 785
+        assert reused(cluster) == 0 and len(held(cluster)) == 8

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.data.datasets import PROFILES, profile, train_test_split
+from repro.data.datasets import PROFILES, profile
 from repro.data.drift import (
     DAILY_GROWTH_RATE,
     NEW_CLASS_FRACTION,
@@ -112,12 +112,6 @@ class TestProfiles:
     def test_unknown_profile(self):
         with pytest.raises(KeyError):
             profile("MNIST")
-
-    def test_train_test_split_disjoint_seeds(self, small_world):
-        x_tr, y_tr, x_te, y_te = train_test_split(small_world, 0, 32, 16)
-        assert len(x_tr) == 32 and len(x_te) == 16
-        # distinct draws (overwhelmingly likely to differ)
-        assert not np.array_equal(x_tr[:16], x_te)
 
 
 class TestLoader:

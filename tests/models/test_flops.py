@@ -5,7 +5,6 @@ import pytest
 
 from repro.models.flops import (
     FlopCounter,
-    count_model_flops,
     count_stage_flops,
 )
 from repro.models.registry import tiny_model
@@ -76,16 +75,11 @@ class TestPrimitiveCounts:
 
 
 class TestModelCounts:
-    def test_stage_flops_sum_to_model_total(self):
-        model = tiny_model("ResNet50", num_classes=8, width=8)
-        stages = count_stage_flops(model)
-        assert sum(stages.values()) == pytest.approx(count_model_flops(model))
-
     def test_flops_scale_with_width(self):
-        small = count_model_flops(tiny_model("ResNet50", num_classes=8,
-                                             width=8))
-        big = count_model_flops(tiny_model("ResNet50", num_classes=8,
-                                           width=16))
+        small = sum(count_stage_flops(tiny_model(
+            "ResNet50", num_classes=8, width=8)).values())
+        big = sum(count_stage_flops(tiny_model(
+            "ResNet50", num_classes=8, width=16)).values())
         assert 2.5 < big / small < 4.5  # conv flops ~ width^2
 
     @pytest.mark.parametrize("name", ["ResNet50", "InceptionV3",
@@ -106,8 +100,8 @@ class TestModelCounts:
 
     def test_batch_invariance(self):
         model = tiny_model("ResNet50", num_classes=8, width=8)
-        one = count_model_flops(model, batch=1)
-        four = count_model_flops(model, batch=4)
+        one = count_stage_flops(model, batch=1)
+        four = count_stage_flops(model, batch=4)
         assert one == pytest.approx(four, rel=0.01)
 
     def test_batch_validation(self):

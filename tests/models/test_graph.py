@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.models.catalog import ALL_MODELS, all_graphs, model_graph
+from repro.models.catalog import ALL_MODELS, model_graph
 from repro.models.graph import (
     FEATURE_DTYPE_BYTES,
     INPUT_DTYPE_BYTES,
@@ -88,8 +88,7 @@ class TestModelGraph:
 
 class TestCatalog:
     def test_all_five_models_present(self):
-        graphs = all_graphs()
-        assert set(graphs) == set(ALL_MODELS)
+        assert [model_graph(name).name for name in ALL_MODELS] == ALL_MODELS
 
     def test_unknown_model_raises(self):
         with pytest.raises(KeyError, match="unknown model"):
@@ -108,7 +107,7 @@ class TestCatalog:
         assert g.total_params / 1e6 == pytest.approx(params_m, rel=0.05)
 
     def test_every_graph_ends_with_trainable_classifier(self):
-        for g in all_graphs().values():
+        for g in map(model_graph, ALL_MODELS):
             assert g.stages[-1].trainable
             assert not any(s.trainable for s in g.stages[:-1])
 

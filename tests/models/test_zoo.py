@@ -98,10 +98,6 @@ class TestSplitModel:
         with pytest.raises(ValueError):
             model.forward_from(batch, -1)
 
-    def test_stage_index_lookup(self):
-        model = tiny_model("ResNet50", num_classes=4)
-        assert model.stage_index("FC") == model.num_stages - 1
-
     def test_empty_split_model_rejected(self):
         with pytest.raises(ValueError):
             SplitModel("empty", [], (3, 16, 16))

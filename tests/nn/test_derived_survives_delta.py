@@ -7,7 +7,7 @@ touches only the classifier therefore leaves the value — digest, folds
 and every ``feat/`` row — as it was, while anything that brings other
 front arrays (a delta naming them, a whole-state sync of another front)
 rebinds the replica to another value, whose digest makes the rows miss.
-A cast or a train-mode step cannot reach the front at all.
+A train-mode step cannot reach the front at all.
 """
 
 import numpy as np
@@ -104,29 +104,19 @@ def test_every_front_mutation_moves_the_digest_and_rows_miss(mutate):
     assert _features(store, registry) == (0, 6)
 
 
-def _cast(store):
-    store.model.cast(np.float64)
-
-
-def _train_step(store):
-    store.model.train(True)
-    with no_grad():  # a train-mode forward
-        store.model(Tensor(np.random.default_rng(9).random(
-            (4,) + store.model.input_shape)))
-    store.model.eval()
-
-
-@pytest.mark.parametrize("attempt", [_cast, _train_step])
-def test_cast_and_train_leave_the_front_alone(attempt):
-    """The front is eval-only and immutable: a cast skips it and a
-    train-mode forward runs it in eval mode, so its value, folds and
-    rows all survive."""
+def test_a_train_mode_forward_leaves_the_front_alone():
+    """The front is eval-only and immutable: a train-mode forward runs it
+    in eval mode, so its value, folds and rows all survive."""
     registry = MetricsRegistry()
     store = _store(registry)
     _features(store, registry)
     front, folds = store.model.front, _folds(store.model)
     state = {key: value.copy() for key, value in front.arrays.items()}
-    attempt(store)
+    store.model.train(True)
+    with no_grad():  # a train-mode forward
+        store.model(Tensor(np.random.default_rng(9).random(
+            (4,) + store.model.input_shape)))
+    store.model.eval()
     assert store.model.front is front
     assert all(not stage.training for stage in front.stages)
     assert all(a is b for a, b in zip(_folds(store.model), folds))

@@ -77,11 +77,6 @@ class TestFreeze:
             assert array.dtype == np.float64 and array.flags.writeable, key
             assert not np.shares_memory(array, shared[key]), key
 
-    def test_cast_keeps_a_frozen_slot_frozen(self):
-        block = _block().freeze().cast(np.float64)
-        assert all(not a.flags.writeable and a.dtype == np.float64
-                   for a in _slots(block).values())
-
     def test_train_mode_statistics_stay_read_only(self):
         block = _block().freeze()
         bn = block[1]

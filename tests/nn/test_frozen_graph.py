@@ -109,15 +109,6 @@ class TestDerivedStateCannotGoStale:
             checknrun.encode_delta(old, _perturbed(old, seed=4)), version=1)
         self._assert_matches_fresh(model, x)
 
-    def test_cast(self, served):
-        model, x = served
-        model.cast(np.float32)
-        assert not _folds(model)
-        fresh = tiny_model("ResNet50").eval().cast(np.float32)
-        fresh.load_state_dict(model.state_dict())
-        np.testing.assert_array_equal(
-            _eval_forward(model, x), _eval_forward(fresh, x))
-
     def test_train_mode_forward_moves_running_stats(self, served):
         model, x = served
         model.train()

@@ -141,7 +141,3 @@ class TestDropoutOneHot:
         x = Tensor(np.ones((200, 200)))
         out = F.dropout(x, 0.3, training=True, rng=rng)
         assert abs(out.data.mean() - 1.0) < 0.02
-
-    def test_one_hot(self):
-        out = F.one_hot(np.array([0, 2]), 3)
-        assert np.allclose(out, [[1, 0, 0], [0, 0, 1]])

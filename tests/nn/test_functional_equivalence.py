@@ -241,7 +241,8 @@ class TestEvalForwardMatchesTensorPath:
         rng = np.random.default_rng(5)
         bn = BatchNorm2d(6).eval()
         _randomize_batchnorm(bn, seed=6)
-        bn.cast(param_dtype)
+        bn.load_state_dict({key: value.astype(param_dtype)
+                            for key, value in bn.state_dict().items()})
         x = rng.standard_normal(shape).astype(x_dtype)
         oracle = batchnorm_eval(bn, Tensor(x.astype(np.float64))).data
         with no_grad():

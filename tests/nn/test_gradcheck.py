@@ -40,7 +40,7 @@ arrays = st.integers(min_value=1, max_value=4)
 @given(n=arrays, m=arrays, seed=st.integers(0, 2**31 - 1))
 def test_elementwise_ops_gradcheck(n, m, seed):
     x = np.random.default_rng(seed).normal(size=(n, m)) * 0.8 + 0.1
-    check(lambda t: t.tanh() * t + t.sigmoid(), x)
+    check(lambda t: t.tanh() * t, x)
 
 
 @settings(max_examples=10, deadline=None)

@@ -74,8 +74,8 @@ class TestContainers:
         assert len(seq) == 3
 
     def test_sequential_indexing_and_slicing(self):
-        seq = nn.Sequential(nn.ReLU(), nn.ReLU(), nn.Flatten())
-        assert isinstance(seq[2], nn.Flatten)
+        seq = nn.Sequential(nn.ReLU(), nn.ReLU(), nn.Identity())
+        assert isinstance(seq[2], nn.Identity)
         assert len(seq[:2]) == 2
 
     def test_sequential_append_registers_params(self):
@@ -86,10 +86,6 @@ class TestContainers:
     def test_identity(self):
         x = Tensor(np.ones(3))
         assert nn.Identity()(x) is x
-
-    def test_flatten(self):
-        out = nn.Flatten()(Tensor(np.zeros((2, 3, 4))))
-        assert out.shape == (2, 12)
 
 
 class TestModuleProtocol:
@@ -134,12 +130,6 @@ class TestModuleProtocol:
         seq = nn.Sequential(nn.Sequential(nn.Dropout(0.5)))
         seq.eval()
         assert all(not m.training for m in seq.modules())
-
-    def test_cast_changes_dtype(self):
-        layer = nn.Sequential(nn.Linear(2, 2, rng=rng()), nn.BatchNorm2d(2))
-        layer.cast(np.float32)
-        assert all(p.dtype == np.float32 for p in layer.parameters())
-        assert layer[1]._buffers["running_mean"].dtype == np.float32
 
     def test_num_parameters(self):
         layer = nn.Linear(3, 4, rng=rng())
@@ -211,10 +201,6 @@ class TestLosses:
         expected = np.full((1, 4), 0.25)
         expected[0, 2] -= 1.0
         assert np.allclose(logits.grad, expected)
-
-    def test_mse(self):
-        pred = Tensor(np.array([1.0, 3.0]))
-        assert np.isclose(nn.mse(pred, np.array([1.0, 1.0])).item(), 2.0)
 
     def test_accuracy_and_topk(self):
         logits = np.array([[0.1, 0.9], [0.8, 0.2]])

@@ -15,10 +15,8 @@ from repro.placement import (
     PlacementMetrics,
     QuotaLedger,
     TenantConfig,
-    TenantNamespace,
     TenantRegistry,
     UnknownTenantError,
-    split_key,
 )
 
 
@@ -91,24 +89,6 @@ class TestQuotaLedger:
             assert ledger.resident_bytes == sum(resident_sizes)
             if byte_quota is not None:
                 assert ledger.resident_bytes <= byte_quota
-
-
-class TestNamespacesAndKeys:
-    def test_qualify_and_owns(self):
-        namespace = TenantNamespace(TenantConfig(name="acme"))
-        key = namespace.qualify("photo-0001")
-        assert key == "acme/photo-0001"
-        assert namespace.owns(key)
-        assert not namespace.owns("globex/photo-0001")
-
-    def test_split_key_roundtrip(self):
-        assert split_key("acme/photo-0001") == ("acme", "photo-0001")
-        assert split_key("acme/u1/p2") == ("acme", "u1/p2")
-
-    @pytest.mark.parametrize("bad", ["photo-0001", "/photo", "acme/", ""])
-    def test_split_key_rejects_unqualified(self, bad):
-        with pytest.raises(ValueError, match="tenant-qualified"):
-            split_key(bad)
 
 
 class TestTenantRegistry:

@@ -11,7 +11,6 @@ from repro.sim.pipeline import (
     makespan,
     pipelined_throughput,
     sequential_throughput,
-    stage_breakdown,
 )
 
 
@@ -94,11 +93,6 @@ class TestAnalytic:
             makespan(-1, 10.0)
         with pytest.raises(ValueError):
             makespan(1, 0.0)
-
-    def test_stage_breakdown_totals(self):
-        stages = [Stage("a", 10.0), Stage("b", 5.0)]
-        out = stage_breakdown(stages, 100)
-        assert out == {"a": pytest.approx(10.0), "b": pytest.approx(20.0)}
 
 
 class TestDesCrossCheck:

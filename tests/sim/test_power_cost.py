@@ -7,8 +7,6 @@ from repro.sim.cost import fleet_price_per_hour, run_cost
 from repro.sim.power import (
     PowerDraw,
     ZERO_POWER,
-    energy_joules,
-    ips_per_kilojoule,
     ips_per_watt,
     server_power,
     total_power,
@@ -90,20 +88,10 @@ class TestServerPower:
 
 
 class TestEnergyMetrics:
-    def test_energy_joules(self):
-        assert energy_joules(PowerDraw(50, 25, 25), 10.0) == 1000.0
-        with pytest.raises(ValueError):
-            energy_joules(PowerDraw(1, 1, 1), -1.0)
-
     def test_ips_per_watt(self):
         assert ips_per_watt(100.0, PowerDraw(50, 25, 25)) == 1.0
         with pytest.raises(ValueError):
             ips_per_watt(1.0, ZERO_POWER)
-
-    def test_ips_per_kilojoule(self):
-        # 1000 images in 10 s at 100 W -> 1 kJ -> 1000 images/kJ
-        assert ips_per_kilojoule(1000, 10.0, PowerDraw(100, 0, 0)) == \
-            pytest.approx(1000.0)
 
 
 class TestCost:

@@ -13,7 +13,6 @@ from repro.storage.persistence import (
     dump_photo_database,
     load_object_store,
     load_photo_database,
-    snapshot_sizes,
 )
 from repro.storage.photodb import LabelRecord, PhotoDatabase
 
@@ -116,12 +115,6 @@ class TestDatabaseSnapshots:
 
         with pytest.raises(SnapshotError):
             load_photo_database(b"NDPD" + deflate(b"not json"))
-
-    def test_snapshot_sizes(self):
-        store = ObjectStore()
-        store.put("k", b"v" * 500)
-        sizes = snapshot_sizes(store, self._db())
-        assert sizes[0] > 0 and sizes[1] > 0
 
 
 class TestPipeStoreRestart:

@@ -8,14 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.storage.compression import (
     compress_array,
-    compression_ratio,
     decompress_array,
     deflate,
     inflate,
 )
 from repro.storage.imageformat import (
     CodecError,
-    PhotoSizes,
     decode_photo,
     decode_preprocessed,
     decode_preprocessed_into,
@@ -41,15 +39,6 @@ class TestCompression:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             inflate(b"nope" + b"x" * 10)
-
-    def test_ratio(self):
-        raw = b"a" * 1000
-        blob = deflate(raw)
-        assert compression_ratio(raw, blob) > 10
-
-    def test_ratio_empty_compressed(self):
-        with pytest.raises(ValueError):
-            compression_ratio(b"x", b"")
 
     @settings(max_examples=20, deadline=None)
     @given(shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
@@ -186,10 +175,6 @@ class TestPhotoCodec:
         assert type(caught.value) is CodecError
         assert (out == 7.0).all()  # nothing landed
 
-    def test_photo_sizes_fraction(self):
-        sizes = PhotoSizes()
-        assert sizes.preprocessed_fraction == pytest.approx(0.179, abs=0.01)
-
 
 class TestVolume:
     def test_reserve_and_release(self):
@@ -220,12 +205,6 @@ class TestVolume:
         with pytest.raises(ValueError, match="negative"):
             vol.release(-10)
         assert vol.used_bytes == 50
-
-    def test_fill_fraction(self):
-        vol = Volume(capacity_bytes=100)
-        vol.reserve(25)
-        assert vol.fill_fraction == 0.25
-        assert Volume(0).fill_fraction == 1.0
 
 
 class TestObjectStore:
@@ -294,13 +273,6 @@ class TestObjectStore:
             store.restore_object("big", b"x" * 15, crc=0)
         with pytest.raises(ValueError):
             store.restore_object("", b"x", crc=0)
-
-    def test_preprocessed_overhead(self):
-        store = ObjectStore()
-        store.put(store.raw_key("p"), b"x" * 82)
-        store.put(store.preproc_key("p"), b"y" * 18)
-        assert store.preprocessed_overhead() == pytest.approx(0.18)
-        assert ObjectStore().preprocessed_overhead() == 0.0
 
     @settings(max_examples=20, deadline=None)
     @given(payloads=st.lists(st.binary(min_size=0, max_size=64), max_size=10))

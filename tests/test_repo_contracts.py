@@ -25,9 +25,12 @@
   ``Name``, an ``Attribute`` or an identifier string) anywhere in
   ``src/repro`` outside its own body, when a decorator call of the
   package registers it (``report.py``'s ``@_topic``), or when it is in
-  ``repro.__all__`` or named in ``benchmarks/`` or ``examples/``.  An
-  import alias or a subpackage's ``__all__`` reaches nothing, and
-  neither does ``tests/``;
+  ``repro.__all__`` or named in ``benchmarks/`` or ``examples/``.  A
+  ``self.x`` or ``cls.x`` read reaches only a definition of ``x`` in the
+  reading class, its bases or its subclasses (bases matched by name), so
+  a method is not kept alive by an unrelated class's method of the same
+  name.  An import alias or a subpackage's ``__all__`` reaches nothing,
+  and neither does ``tests/``;
 - every name in a ``repro`` package's ``__all__`` resolves, and every
   repository path the top-level docs name exists;
 - ``.github/workflows/ci.yml`` runs commands, not code: no ``run:``
@@ -158,22 +161,11 @@ def test_ci_runs_each_command_in_one_job(ci_runs):
         == {}
 
 
-#: deleting one of these deletes the tests that check only it, so they
-#: go in batches (ROADMAP item 33 lists what is left)
-_NEXT = "no caller outside tests: item 33's next deletion batch"
 _ORACLE = "test oracle over private state"
 
 #: definitions no entry point reaches, kept on purpose: qualname (module
 #: path under ``repro``, then the name inside it) -> why
 JUSTIFIED = {
-    "core.cluster.RelabelStats.fraction_changed": _NEXT,
-    "core.convergence.delta_balancedness": _NEXT,
-    "core.convergence.iterations_to_converge": _NEXT,
-    "core.driftdetect.AccuracyWindowDetector": _NEXT,
-    "core.driftdetect.AccuracyWindowDetector.rearm": _NEXT,
-    "core.driftdetect.PageHinkley": _NEXT,
-    "core.fabric.NetworkFabric.transfer_seconds": _NEXT,
-    "data.datasets.train_test_split": _NEXT,
     "durability.replication.ReplicaMap.underreplicated": _ORACLE,
     "faults.injector.FaultInjector.crashed_tuners": _ORACLE,
     "faults.injector.FaultInjector.detach":
@@ -185,45 +177,18 @@ JUSTIFIED = {
         "joins serving replicas to HA drains: item 4's composed run",
     "ha.detector.FailureDetector.is_suspect": _ORACLE,
     "ha.detector.FailureDetector.suspects": _ORACLE,
-    "models.catalog.all_graphs": _NEXT,
-    "models.flops.count_model_flops": _NEXT,
     "models.split.SplitModel.feature_dim_after": _ORACLE,
-    "models.split.SplitModel.stage_index": _NEXT,
     "models.split.SplitModel.to_graph":
         "the measured stage graph item 8(a) profiles from",
-    "nn.functional.one_hot": _NEXT,
-    "nn.layers.Flatten": _NEXT,
-    "nn.losses.mse": _NEXT,
-    "nn.module.Module.cast": _NEXT,
     "nn.module.Module.freeze":
         "unfreeze's inverse: the frozen-array tests build with it",
-    "nn.schedulers.CosineLR": _NEXT,
-    "nn.schedulers.StepLR": _NEXT,
-    "nn.schedulers.WarmupLR": _NEXT,
-    "nn.tensor.Tensor.detach": _NEXT,
-    "nn.tensor.Tensor.pad2d": _NEXT,
-    "nn.tensor.Tensor.sigmoid": _NEXT,
-    "obs.tracing.Tracer.total_seconds": _NEXT,
     "placement.fleet.ShardedCluster.leave_shard":
         "join_shard's inverse: item 4's ShardLeave event drives it",
-    "placement.tenants.TenantNamespace.owns": _NEXT,
-    "placement.tenants.TenantNamespace.qualify": _NEXT,
-    "placement.tenants.split_key": _NEXT,
     "serving.admission.AdmissionQueue.shed_full_count": _ORACLE,
     "serving.dispatcher.ReplicaDispatcher.drained": _ORACLE,
-    "sim.pipeline.stage_breakdown": _NEXT,
-    "sim.power.ips_per_kilojoule": _NEXT,
-    "storage.compression.compression_ratio": _NEXT,
-    "storage.imageformat.PhotoSizes": _NEXT,
-    "storage.imageformat.PhotoSizes.preprocessed_fraction": _NEXT,
     "storage.imageformat.decode_photo":
         "encode_photo's inverse: tests read stored raw/ blobs with it",
-    "storage.objectstore.ObjectStore.preprocessed_overhead": _NEXT,
-    "storage.objectstore.Volume.fill_fraction": _NEXT,
-    "storage.persistence.snapshot_sizes": _NEXT,
     "storage.photodb.PhotoDatabase.version_counts": _ORACLE,
-    "workloads.scenarios.DriftScenarioResult.drop_from_base": _NEXT,
-    "workloads.scenarios.uploads_for_day": _NEXT,
 }
 
 
@@ -234,31 +199,93 @@ def _is_all(node):
 
 
 def _names_spelled(tree):
-    """``(name, line)`` for each name the module spells as a ``Name``, an
-    ``Attribute`` or an identifier string, outside ``__all__``."""
+    """``(name, line, reader)`` for each name the module spells as a
+    ``Name``, an ``Attribute`` or an identifier string, outside
+    ``__all__``; ``reader`` is the enclosing class of a ``self.x`` or
+    ``cls.x`` read, None for any other spelling."""
     listed = {id(node) for statement in tree.body if _is_all(statement)
               for node in ast.walk(statement)}
-    for node in ast.walk(tree):
+
+    def visit(node, cls):
         if id(node) in listed:
-            continue
+            return
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, None
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            own = isinstance(node.value, ast.Name) \
+                and node.value.id in ("self", "cls")
+            yield node.attr, node.lineno, cls if own else None
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            yield node.value, node.lineno
+            yield node.value, node.lineno, None
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, cls)
+
+    yield from visit(tree, None)
 
 
-def _definitions(tree, prefix=""):
-    """``(qualname, node)`` for each ``def`` and ``class``, nested ones
-    included."""
+def _definitions(tree, prefix="", cls=None):
+    """``(qualname, node, cls)`` for each ``def`` and ``class``, nested
+    ones included; ``cls`` names the class it is defined in, if any."""
     for child in ast.iter_child_nodes(tree):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            yield prefix + child.name, child
-            yield from _definitions(child, f"{prefix}{child.name}.")
+            yield prefix + child.name, child, cls
+            yield from _definitions(
+                child, f"{prefix}{child.name}.",
+                child.name if isinstance(child, ast.ClassDef) else None)
         else:
-            yield from _definitions(child, prefix)
+            yield from _definitions(child, prefix, cls)
+
+
+def _census(trees, named):
+    """Qualnames of the definitions (dunders aside) in ``trees`` (module
+    path -> parsed module) that nothing reaches by the rule above, given
+    the ``named`` entry-point names."""
+    defs = [(module, qualname, node, cls) for module, tree in trees.items()
+            for qualname, node, cls in _definitions(tree)]
+    ours = {node.name for _, _, node, _ in defs
+            if isinstance(node, ast.FunctionDef)}
+    bases = {}
+    for _, _, node, _ in defs:
+        if isinstance(node, ast.ClassDef):
+            bases.setdefault(node.name, set()).update(
+                getattr(base, "id", getattr(base, "attr", None))
+                for base in node.bases)
+
+    def ancestors(cls):
+        seen, todo = set(), [cls]
+        while todo:
+            for base in bases.get(todo.pop(), ()):
+                if base not in seen:
+                    seen.add(base)
+                    todo.append(base)
+        return seen
+
+    def family(cls):
+        return {cls} | ancestors(cls) | {
+            other for other in bases if cls in ancestors(other)}
+
+    spelled = {}
+    for module, tree in trees.items():
+        for name, line, reader in _names_spelled(tree):
+            spelled.setdefault(name, []).append((module, line, reader))
+    found = set()
+    for module, qualname, node, cls in defs:
+        name = node.name
+        if name.startswith("__") and name.endswith("__") or name in named \
+                or any(isinstance(d, ast.Call)
+                       and getattr(d.func, "id", None) in ours
+                       for d in node.decorator_list):
+            continue
+        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        readers = family(cls) if cls is not None else set()
+        if not any((where != module or not first <= line <= node.end_lineno)
+                   and (reader is None or reader in readers)
+                   for where, line, reader in spelled.get(name, ())):
+            found.add(f"{module}.{qualname}")
+    return found
 
 
 @pytest.fixture(scope="module")
@@ -267,37 +294,29 @@ def unreached():
     nothing reaches by the rule above."""
     trees = {".".join(path.relative_to(SRC).with_suffix("").parts):
              ast.parse(path.read_text()) for path in SRC.rglob("*.py")}
-    defs = [(module, qualname, node) for module, tree in trees.items()
-            for qualname, node in _definitions(tree)]
-    ours = {node.name for _, _, node in defs
-            if isinstance(node, ast.FunctionDef)}
-    spelled = {}
-    for module, tree in trees.items():
-        for name, line in _names_spelled(tree):
-            spelled.setdefault(name, []).append((module, line))
     named = {name for statement in trees["__init__"].body
              if _is_all(statement)
              for name in ast.literal_eval(statement.value)}
     for folder in ("benchmarks", "examples"):
         for path in (ROOT / folder).rglob("*.py"):
             named.update(re.findall(r"\w+", path.read_text()))
-    found = set()
-    for module, qualname, node in defs:
-        name = node.name
-        if name.startswith("__") and name.endswith("__") or name in named \
-                or any(isinstance(d, ast.Call)
-                       and getattr(d.func, "id", None) in ours
-                       for d in node.decorator_list):
-            continue
-        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-        if all(where == module and first <= line <= node.end_lineno
-               for where, line in spelled.get(name, ())):
-            found.add(f"{module}.{qualname}")
-    return found
+    return _census(trees, named)
 
 
 def test_every_definition_is_reached_from_an_entry_point(unreached):
     assert sorted(unreached - set(JUSTIFIED)) == []
+
+
+def test_a_self_read_reaches_only_its_own_class_family():
+    """``B``'s ``self.reset()`` reaches ``B.reset``, not the ``reset`` of
+    the unrelated class ``A`` that happens to share its name."""
+    trees = {"m": ast.parse(
+        "class A:\n"
+        "    def reset(self): pass\n"
+        "class B:\n"
+        "    def __init__(self): self.reset()\n"
+        "    def reset(self): pass\n")}
+    assert _census(trees, {"A", "B"}) == {"m.A.reset"}
 
 
 def test_every_justification_names_an_unreached_definition(unreached):

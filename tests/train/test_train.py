@@ -27,21 +27,11 @@ class TestFullTrain:
                                                               after[k]))
         assert changed > len(before) // 2
 
-    def test_callback_invoked(self, small_world):
-        model = tiny_model("ResNet50", num_classes=8, width=8, seed=0)
-        x, y = small_world.sample(32, 0)
-        calls = []
-        full_train(model, normalize_images(x), y, epochs=2,
-                   callback=lambda e, loss: calls.append((e, loss)))
-        assert [c[0] for c in calls] == [0, 1]
-
     def test_validation(self, small_world):
         model = tiny_model("ResNet50", num_classes=8)
         x, y = small_world.sample(8, 0)
         with pytest.raises(ValueError):
             full_train(model, x, y, epochs=0)
-        with pytest.raises(ValueError):
-            full_train(model, x, y, optimizer="rmsprop")
 
     def test_final_loss_requires_history(self):
         from repro.train.fulltrain import TrainHistory

@@ -9,7 +9,6 @@ from repro.workloads.scenarios import (
     evaluate_model,
     run_drift_scenario,
     train_base_model,
-    uploads_for_day,
 )
 
 CONFIG = DriftScenarioConfig(horizon_days=4, eval_every_days=2, train_size=160,
@@ -50,11 +49,6 @@ class TestScenario:
                                base_model=base2)
         assert a.points[0].top1 == pytest.approx(b.points[0].top1)
 
-    def test_drop_from_base_property(self, small_world):
-        result = run_drift_scenario(small_world, factory, "outdated", CONFIG)
-        assert result.drop_from_base == pytest.approx(
-            result.points[0].top1 - result.final_top1)
-
 
 class TestHelpers:
     def test_evaluate_model_range(self, small_world):
@@ -62,12 +56,3 @@ class TestHelpers:
         x, y = small_world.sample(64, 0)
         top1, top5 = evaluate_model(model, x, y)
         assert 0.0 <= top1 <= top5 <= 1.0
-
-    def test_uploads_for_day_growth(self, small_world):
-        x1, y1 = uploads_for_day(small_world, 1, 10_000)
-        assert len(x1) == len(y1)
-        assert len(x1) == pytest.approx(178, abs=5)  # 1.78% of 10k
-
-    def test_uploads_day_zero(self, small_world):
-        x, _ = uploads_for_day(small_world, 0, 1000)
-        assert len(x) >= 1
