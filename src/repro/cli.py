@@ -23,10 +23,10 @@ Commands:
   ``BENCH_*.json``
   results, and optionally gate them against the committed baselines
   (``--check``) or re-record the baselines (``--bless``);
-* ``lint``     — run the ndlint invariant rules (intraprocedural
-  ND001..ND005 plus the interprocedural call-graph tier ND006..ND009)
-  over the package (or given paths) and exit nonzero on unbaselined
-  findings (``--baseline``/``--update-baseline`` manage the ledger).
+* ``lint``     — run the ndlint invariant rules (per-module ND001,
+  ND002, ND004, ND005 and ND011, the interprocedural tier ND006, ND007
+  and ND009, and the ND012 census when the whole package is linted)
+  over the package (or given paths) and exit nonzero on any finding.
 * ``nemesis``  — run a seeded chaos schedule against an HA cluster and
   exit nonzero on any invariant violation;
 * ``validate`` — check the hardware catalog against the paper's anchors;
@@ -483,12 +483,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .lint import LintEngine, package_root, render_json, render_text
-    from .lint.baseline import (
-        diff_baseline,
-        load_baseline,
-        render_baseline,
-    )
+    from .lint.engine import LintEngine, package_root
+    from .lint.findings import render_json, render_text
 
     engine = LintEngine()
     paths = ([Path(p) for p in args.paths] if args.paths
@@ -503,33 +499,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         target = engine.write_manifest()
         print(f"wrote {target}", file=sys.stderr)
     findings = engine.run(paths)
-    if args.check_manifests:
-        drift = _manifest_drift(engine)
-        for line in drift:
-            print(f"manifest drift: {line}", file=sys.stderr)
-        if drift:
-            return 1
-    if args.update_baseline:
-        target = Path(args.baseline or "lint-baseline.json")
-        target.write_text(render_baseline(findings))
-        print(f"wrote {target} ({len(findings)} baselined findings)",
-              file=sys.stderr)
-        return 0
-    if args.baseline:
-        ledger = load_baseline(Path(args.baseline))
-        findings, resolved, matched = diff_baseline(findings, ledger)
-        if matched:
-            print(f"baseline: {matched} known finding(s) tolerated",
-                  file=sys.stderr)
-        for key in resolved:
-            print(f"baseline: resolved (re-record to shrink the ledger): "
-                  f"{key}", file=sys.stderr)
     report = (render_json(findings) if args.format == "json"
               else render_text(findings))
     # write the report before deciding the exit code so the CI gate
     # always has its artifact, pass or fail
     _emit(report, args.out)
-    return 1 if findings else 0
+    drift = _manifest_drift(engine) if args.check_manifests else []
+    for line in drift:
+        print(f"manifest drift: {line}", file=sys.stderr)
+    return 1 if findings or drift else 0
 
 
 def _manifest_drift(engine) -> list:
@@ -932,13 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "installed repro package)")
     lint.add_argument("--update-manifest", action="store_true",
                       help="regenerate obs/METRICS.md before linting")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="tolerate findings recorded in this "
-                           "lint-baseline.json; only new findings fail")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="record every current finding into the "
-                           "baseline ledger (--baseline or "
-                           "lint-baseline.json) and exit 0")
     lint.add_argument("--check-manifests", action="store_true",
                       help="fail when obs/METRICS.md is stale")
     _add_common_flags(lint)

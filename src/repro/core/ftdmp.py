@@ -225,12 +225,6 @@ class FinetuneReport:
             raise ValueError("no epochs recorded")
         return self.epochs[-1].loss
 
-    @property
-    def degraded(self) -> bool:
-        """Did any fault leave its mark on this fine-tuning round?"""
-        return bool(self.skipped_stores or self.photos_deferred
-                    or self.photos_repartitioned)
-
     # -- checkpoint (de)serialisation ---------------------------------------
     def to_dict(self) -> dict:
         return {

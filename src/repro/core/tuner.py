@@ -71,11 +71,6 @@ class DistributionStats:
             raise ValueError("no bytes distributed")
         return self.full_model_bytes / self.bytes_per_store
 
-    @property
-    def degraded(self) -> bool:
-        return bool(self.stores_missed or self.stores_resynced
-                    or self.stores_fenced)
-
 
 class Tuner:
     """The training server of NDPipe."""

@@ -50,6 +50,7 @@ class ReplicaMap:
         return sorted(pid for pid, holders in self._holders.items()
                       if store_id in holders)
 
+    # ndlint: allow[ND012] -- test oracle over private state
     def underreplicated(self, k: int) -> List[str]:
         """Photos with fewer than ``k`` holders (best-effort placement)."""
         return sorted(pid for pid, holders in self._holders.items()

@@ -99,6 +99,7 @@ class FaultInjector:
         self._fire_due()
         return self
 
+    # ndlint: allow[ND012] -- aims a schedule at a PipeStore that no cluster roster holds
     def register_store(self, store: Any) -> "FaultInjector":
         self._rosters.append((store,))
         return self
@@ -108,6 +109,7 @@ class FaultInjector:
         self._tuners[tuner.name] = tuner
         return self
 
+    # ndlint: allow[ND012] -- undoes attach_fabric: the fault tests reuse one fabric
     def detach(self) -> None:
         """Unhook everything; pending events never fire."""
         for fabric in self._fabrics:
@@ -252,10 +254,12 @@ class FaultInjector:
             )
 
     # -- introspection -----------------------------------------------------
+    # ndlint: allow[ND012] -- test oracle over private state
     @property
     def tuner_crashed(self) -> bool:
         return self._tuner_crashed
 
+    # ndlint: allow[ND012] -- test oracle over private state
     def crashed_tuners(self) -> List[str]:
         """Tuner node names currently downed by targeted crashes."""
         return sorted(self._crashed_tuners)

@@ -88,9 +88,11 @@ class FailureDetector:
             return UNKNOWN
         return SUSPECT if member in self._suspected else ALIVE
 
+    # ndlint: allow[ND012] -- test oracle over private state
     def is_suspect(self, member: str) -> bool:
         return member in self._suspected
 
+    # ndlint: allow[ND012] -- test oracle over private state
     def suspects(self) -> List[str]:
         return sorted(self._suspected)
 

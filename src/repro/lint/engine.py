@@ -1,13 +1,15 @@
 """The ndlint engine: file discovery, allowlists, and the rule driver.
 
 ``LintEngine`` walks a set of paths, parses each ``*.py`` file once, runs
-the per-module rules (ND001/ND002/ND005), then the cross-module
-metrics pass (ND004) over every registration collected along the way.
+the per-module rules (ND001/ND002/ND005/ND011), then the project-wide
+passes over those parses: ND004 over every metric registration
+collected along the way, the interprocedural ND006/ND007/ND009 tier,
+and — when the run covers the whole package — ND012 reachability and
+the check that every ND011 sanction still covers a site.
 Suppression happens in two layers:
 
 * **module allowlists** (``LintConfig.rule_allow``) — whole files or
-  directories where a rule does not apply by design, e.g. the obs
-  tracing module *is* the sanctioned wall-clock seam (ND001) and the
+  directories where a rule does not apply by design, e.g. the
   durability package *is* maintenance traffic (ND002);
 * **inline markers** — ``# ndlint: allow[ND00x] -- justification`` at
   individual sites (see :mod:`repro.lint.allowlist`).
@@ -25,6 +27,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .callgraph import ProjectIndex
+from .census import check_reachability
 from .findings import Finding
 from .interproc import (
     check_conservation,
@@ -32,13 +35,16 @@ from .interproc import (
     check_fencing,
 )
 from .rules import (
+    CONFINED,
     MetricRegistration,
     ModuleContext,
     check_accounting,
+    check_confinement,
     check_determinism,
     check_metric_hygiene,
     check_retry_discipline,
     collect_metric_registrations,
+    path_matches,
 )
 
 __all__ = ["LintConfig", "LintEngine", "default_config", "package_root"]
@@ -50,32 +56,18 @@ _MANIFEST_NAME = re.compile(r"^\| `(?P<name>[a-z][a-z0-9_]*)`")
 class LintConfig:
     """Rule allowlists plus manifest wiring.
 
-    ``rule_allow`` maps a rule ID to path patterns: a pattern ending in
-    ``/`` matches any file under that directory, anything else matches
-    by path suffix.  ``manifest_path`` is the METRICS.md file ND004
-    checks against (``None`` disables the manifest check — fixture tests
-    use that); ``manifest_scope`` restricts the membership check to
-    paths containing the substring, so linting fixture trees does not
-    demand their metrics appear in the package manifest.
+    ``rule_allow`` maps a rule ID to path patterns (see
+    :func:`~repro.lint.rules.path_matches`).  ``manifest_path`` is the
+    METRICS.md file ND004 checks against (``None`` disables the manifest
+    check — fixture tests use that).
     """
 
     rule_allow: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     manifest_path: Optional[Path] = None
-    manifest_scope: Optional[str] = "repro/"
-    #: run the interprocedural ND006/ND007/ND009 tier
-    interprocedural: bool = True
-    #: emit ND000 for justified markers whose rule never fires
-    flag_unused_markers: bool = True
 
     def allows(self, rule: str, path: str) -> bool:
-        posix = Path(path).as_posix()
-        for pattern in self.rule_allow.get(rule, ()):
-            if pattern.endswith("/"):
-                if f"/{pattern}" in f"/{posix}" or posix.startswith(pattern):
-                    return True
-            elif posix.endswith(pattern):
-                return True
-        return False
+        return any(path_matches(pattern, path)
+                   for pattern in self.rule_allow.get(rule, ()))
 
 
 def package_root() -> Path:
@@ -87,8 +79,6 @@ def default_config() -> LintConfig:
     root = package_root()
     return LintConfig(
         rule_allow={
-            # the tracing module is the one sanctioned wall-clock seam
-            "ND001": ("repro/obs/tracing.py",),
             # maintenance modules: durability (scrub/replication/
             # checkpoint), snapshot persistence, the store that defines
             # the API, and fault injection (which corrupts *below* the
@@ -127,6 +117,8 @@ class LintEngine:
         self._contexts: List[ModuleContext] = []
         #: (path, line, rule) inline suppressions that actually fired
         self._marker_hits: Set[Tuple[str, int, str]] = set()
+        #: (ND011 row, sanction) pairs that covered a site this run
+        self._sanctions_used: Set[Tuple[int, str]] = set()
 
     # -- discovery ----------------------------------------------------------
     @staticmethod
@@ -146,6 +138,7 @@ class LintEngine:
         self.registrations = []
         self._contexts = []
         self._marker_hits = set()
+        self._sanctions_used = set()
         for file in files:
             findings.extend(self.lint_file(file))
         manifest_names: Optional[Set[str]] = None
@@ -153,37 +146,45 @@ class LintEngine:
             manifest_names = parse_manifest(self.config.manifest_path)
             if manifest_names is None:
                 manifest_names = set()  # every family is then "missing"
-        for finding in check_metric_hygiene(
-                self.registrations, manifest_names=manifest_names,
-                manifest_scope=self.config.manifest_scope):
-            if not self._suppressed(finding):
-                findings.append(finding)
-        if self.config.interprocedural and self._contexts:
-            findings.extend(self._run_interprocedural())
-        if self.config.flag_unused_markers:
-            findings.extend(self._unused_markers())
-        return sorted(findings)
-
-    def _run_interprocedural(self) -> List[Finding]:
-        """The ND006/ND007/ND009 tier over every module of this run."""
+        root = package_root()
+        whole = any(path.resolve() == root or path.resolve() in root.parents
+                    for path in paths)
         index = ProjectIndex(self._contexts)
-        findings: List[Finding] = []
         for rule_findings in (
+            check_metric_hygiene(self.registrations, manifest_names),
             check_conservation(index),
             check_fencing(index),
             check_exception_accounting(index),
+            check_reachability(self._contexts, root) if whole else [],
         ):
-            for finding in rule_findings:
-                if not self._suppressed(finding):
-                    findings.append(finding)
-        return findings
+            findings.extend(f for f in rule_findings
+                            if not self._suppressed(f))
+        if whole:
+            findings.extend(self._unused_sanctions(root))
+        findings.extend(self._unused_markers(whole))
+        return sorted(findings)
 
-    def _unused_markers(self) -> List[Finding]:
-        """ND000 for justified markers whose rule never fired this run."""
+    def _unused_sanctions(self, root: Path) -> List[Finding]:
+        """ND011 for each sanctioned site that no longer holds its
+        construct: the table must not outlive the code it describes."""
+        return [Finding(path=str(root / sanction.partition("::")[0]),
+                        line=1, col=1, rule="ND011",
+                        message=f"{row.what} is sanctioned at {sanction} "
+                                "but no longer occurs there; drop the "
+                                "sanction")
+                for index, row in enumerate(CONFINED)
+                for sanction in row.sanctioned
+                if (index, sanction) not in self._sanctions_used]
+
+    def _unused_markers(self, whole: bool) -> List[Finding]:
+        """ND000 for justified markers whose rule never fired this run
+        (ND012 markers only when the census ran)."""
         findings: List[Finding] = []
         for ctx in self._contexts:
             for marker in ctx.markers:
                 for rule in marker.rules:
+                    if rule == "ND012" and not whole:
+                        continue
                     if any((ctx.path, line, rule) in self._marker_hits
                            for line in marker.covered):
                         continue
@@ -220,6 +221,7 @@ class LintEngine:
             check_determinism(ctx),
             check_accounting(ctx),
             check_retry_discipline(ctx),
+            check_confinement(ctx, self._sanctions_used),
         ):
             for finding in rule_findings:
                 if not self._suppressed(finding):

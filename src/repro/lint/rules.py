@@ -1,16 +1,16 @@
-"""The per-module ndlint rules (ND001, ND002, ND004, ND005), over the AST.
+"""The per-module ndlint rules (ND001, ND002, ND004, ND005, ND011), over
+the AST.
 
 Every rule consumes a parsed :class:`ModuleContext` and yields
 :class:`~repro.lint.findings.Finding` records; the engine applies module
 allowlists and inline ``# ndlint: allow[...]`` markers afterwards.
 
-* **ND001 determinism** — no wall-clock read or sleep, and no entropy
-  read (``time.time``/``perf_counter``/``monotonic``/``sleep``, stdlib
-  ``random``, ``os.urandom``, argless ``datetime.now``, unseeded
-  ``default_rng()``) outside the obs/tracing allowlist: simulation code
-  spends logical time, on the fault injector's tick, and reads the wall
-  clock only through the sanctioned :func:`repro.obs.tracing.wall_clock`
-  seam.
+* **ND001 determinism** — no call named ``sleep`` anywhere, and no
+  wall-clock or entropy read (``time.time``/``perf_counter``/
+  ``monotonic``, stdlib ``random``, ``os.urandom``, argless
+  ``datetime.now``, unseeded ``default_rng()``) but at the marked
+  :func:`repro.obs.tracing.wall_clock` seam: simulation code spends
+  logical time, on the fault injector's tick.
 * **ND002 accounting** — ``ObjectStore.peek`` / ``peek_payload`` /
   ``iter_items`` are maintenance reads that bypass workload IO
   accounting; only maintenance modules (durability, checkpoint/
@@ -22,6 +22,9 @@ allowlists and inline ``# ndlint: allow[...]`` markers afterwards.
   :func:`~repro.faults.retry.call_with_retry` thunk (a lambda, or a
   nested function handed to ``call_with_retry`` in the same scope) or be
   explicitly marked ``# ndlint: fire-and-forget -- <why>``.
+* **ND011 confined constructs** — each row of :data:`CONFINED` names a
+  construct, the sites where the package sanctions it and why; the
+  construct anywhere else is a finding.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .allowlist import Marker, parse_markers
 from .findings import Finding
@@ -37,17 +41,20 @@ from .findings import Finding
 __all__ = [
     "ModuleContext",
     "MetricRegistration",
+    "CONFINED",
+    "check_confinement",
     "check_determinism",
     "check_accounting",
     "check_retry_discipline",
     "collect_metric_registrations",
     "check_metric_hygiene",
     "SNAKE_CASE",
+    "path_matches",
 ]
 
-#: wall-clock reads and sleeps on the ``time`` module
+#: wall-clock reads on the ``time`` module
 _BANNED_TIME = {"time", "perf_counter", "monotonic",
-                "time_ns", "perf_counter_ns", "monotonic_ns", "sleep"}
+                "time_ns", "perf_counter_ns", "monotonic_ns"}
 #: argless datetime-class constructors of "now"
 _BANNED_NOW = {"now", "utcnow", "today"}
 #: registry registration methods (ND004)
@@ -60,6 +67,17 @@ _FABRIC_RECEIVERS = {"network", "fabric"}
 _MAINTENANCE_READS = {"peek", "peek_payload", "iter_items"}
 
 SNAKE_CASE = re.compile(r"^[a-z][a-z0-9_]*[a-z0-9]$")
+#: registrations under this path owe a row in the package's METRICS.md
+_MANIFEST_SCOPE = "repro/"
+
+
+def path_matches(pattern: str, path: str) -> bool:
+    """A pattern ending in ``/`` matches any file under a directory of
+    that name; anything else matches the path's trailing components."""
+    posix = "/" + Path(path).as_posix().lstrip("/")
+    if pattern.endswith("/"):
+        return f"/{pattern}" in posix
+    return posix.endswith(f"/{pattern}")
 
 
 @dataclass
@@ -91,6 +109,13 @@ def _finding(ctx: ModuleContext, node: ast.AST, rule: str,
              message: str) -> Finding:
     return Finding(path=ctx.path, line=node.lineno,
                    col=node.col_offset + 1, rule=rule, message=message)
+
+
+def _call_name(node: ast.AST) -> Optional[str]:
+    """The function name a call spells, by attribute or by bare name."""
+    if not isinstance(node, ast.Call):
+        return None
+    return getattr(node.func, "attr", None) or getattr(node.func, "id", None)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +165,12 @@ def check_determinism(ctx: ModuleContext) -> List[Finding]:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
+        if _call_name(node) == "sleep":
+            findings.append(_finding(
+                ctx, node, "ND001",
+                "sleep() spends wall time; faults and retries spend "
+                "logical time on the injector tick"))
+            continue
         if isinstance(func, ast.Attribute) and func.attr == "default_rng" \
                 and not node.args and not node.keywords:
             findings.append(_finding(
@@ -154,7 +185,7 @@ def check_determinism(ctx: ModuleContext) -> List[Finding]:
         if module == "time" and symbol in _BANNED_TIME:
             findings.append(_finding(
                 ctx, node, "ND001",
-                f"wall-clock read or sleep time.{symbol}(); simulation code "
+                f"wall-clock read time.{symbol}(); simulation code "
                 "must use the injector tick or "
                 "repro.obs.tracing.wall_clock()"))
         elif module == "os" and symbol == "urandom":
@@ -254,14 +285,13 @@ def collect_metric_registrations(ctx: ModuleContext,
 
 def check_metric_hygiene(registrations: Sequence[MetricRegistration],
                          manifest_names: Optional[Set[str]] = None,
-                         manifest_scope: Optional[str] = None,
                          ) -> List[Finding]:
     """Cross-module pass: literal snake_case, repo-wide unique, in manifest.
 
     ``manifest_names`` is the set of families ``obs/METRICS.md`` lists
-    (``None`` skips the manifest check entirely); ``manifest_scope``
-    limits the manifest check to paths containing that substring, so
-    lint fixtures outside the package are not expected in the manifest.
+    (``None`` skips the manifest check entirely); only registrations
+    under a ``repro/`` path owe a row, so lint fixtures outside the
+    package are not expected in the manifest.
     """
     findings: List[Finding] = []
     first_site: Dict[str, MetricRegistration] = {}
@@ -287,7 +317,7 @@ def check_metric_hygiene(registrations: Sequence[MetricRegistration],
         else:
             first_site[reg.name] = reg
         if manifest_names is not None and \
-                (manifest_scope is None or manifest_scope in reg.path) and \
+                _MANIFEST_SCOPE in reg.path and \
                 reg.name not in manifest_names:
             findings.append(Finding(
                 path=reg.path, line=reg.line, col=reg.col, rule="ND004",
@@ -316,12 +346,7 @@ def _retry_thunk_names(scope: ast.AST) -> Set[str]:
     """Names of functions passed to call_with_retry inside ``scope``."""
     names: Set[str] = set()
     for node in ast.walk(scope):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        label = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None)
-        if label != "call_with_retry":
+        if _call_name(node) != "call_with_retry":
             continue
         for arg in node.args[:1]:
             if isinstance(arg, ast.Name):
@@ -355,4 +380,132 @@ def check_retry_discipline(ctx: ModuleContext) -> List[Finding]:
             scan(child, under_retry, thunks)
 
     scan(ctx.tree, False, set())
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# ND011 — confined constructs
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Confinement:
+    """One construct the package confines to sanctioned sites.
+
+    ``matches`` is asked only about nodes of the ``kinds`` types.
+    ``sanctioned`` holds paths inside the package (matched as
+    :func:`path_matches` patterns); a ``::NAME`` suffix narrows one to
+    the top-level statement binding ``NAME``.  ``scope`` is the path
+    pattern where the ban holds (every file when empty).
+    """
+
+    what: str
+    kinds: Tuple[type, ...]
+    matches: Callable[[ast.AST], bool]
+    sanctioned: Tuple[str, ...]
+    why: str
+    scope: str = ""
+
+
+def _imports(node: ast.AST, module: str) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == module for a in node.names)
+    return not node.level and (node.module or "").split(".")[0] == module
+
+
+def _spells(node: ast.AST, name: str) -> bool:
+    """A name, attribute, import alias or string literal spelling it."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and name in node.value
+    if isinstance(node, ast.alias):
+        return name in (node.name, node.asname)
+    return getattr(node, "id", getattr(node, "attr", None)) == name
+
+
+def _feeds_a_slice(node: ast.Call) -> bool:
+    return _call_name(node) == "forward_until" and bool(node.args) and \
+        any(isinstance(part, ast.Slice) for part in ast.walk(node.args[0]))
+
+
+_CALL = (ast.Call,)
+_IMPORT = (ast.Import, ast.ImportFrom)
+_LOCKS = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
+
+#: the ND011 table: what, where it is sanctioned, and why
+CONFINED: Tuple[Confinement, ...] = (
+    Confinement(
+        "thread constructed", _CALL, lambda n: _call_name(n) == "Thread",
+        ("core/npe.py",),
+        "the system runs on one thread; the NPE probe's pipeline is the "
+        "one module that starts threads"),
+    Confinement(
+        "lock taken", _CALL, lambda n: _call_name(n) in _LOCKS, (),
+        "nothing shares memory across threads, so nothing takes a lock"),
+    Confinement(
+        "heapq imported", _IMPORT, lambda n: _imports(n, "heapq"),
+        ("sim/engine.py",),
+        "sim/engine.py is the one event kernel"),
+    Confinement(
+        "preprocess called", _CALL,
+        lambda n: _call_name(n) == "preprocess",
+        ("storage/imageformat.py::CODE_TABLE",),
+        "every model input derives from an upload's 8-bit codes through "
+        "imageformat.CODE_TABLE"),
+    Confinement(
+        "model_input named in the serving layer",
+        (ast.Name, ast.Attribute, ast.alias, ast.Constant),
+        lambda n: _spells(n, "model_input"), (),
+        "serving ships cache misses as codes; replicas expand them",
+        scope="repro/serving/"),
+    Confinement(
+        "batch sliced for forward_until", _CALL, _feeds_a_slice, (),
+        "models/split.py batches a frozen front itself, FRONT_ROWS rows "
+        "at a time"),
+    Confinement(
+        "attribute assigned in a report topic", (ast.Attribute,),
+        lambda n: isinstance(n.ctx, ast.Store), (),
+        "report topics read public outputs and patch nothing",
+        scope="repro/report.py"),
+    Confinement(
+        "end-to-end benchmark imported", _IMPORT,
+        lambda n: _imports(n, "ndpipe_e2e"), (),
+        "the package never imports the benchmark that measures it"),
+)
+
+
+def _bound_names(statement: ast.stmt) -> Set[str]:
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+        return {statement.name}
+    targets = getattr(statement, "targets", None) or \
+        [getattr(statement, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _sanctions(sanction: str, path: str, bound: Set[str]) -> bool:
+    pattern, _, name = sanction.partition("::")
+    return path_matches(pattern, path) and (not name or name in bound)
+
+
+def check_confinement(ctx: ModuleContext,
+                      used: Set[Tuple[int, str]]) -> List[Finding]:
+    """ND011 findings for ``ctx``; adds each ``(row, sanction)`` that
+    covered a site to ``used``."""
+    by_kind: Dict[type, List[Tuple[int, Confinement]]] = {}
+    for index, row in enumerate(CONFINED):
+        if not row.scope or path_matches(row.scope, ctx.path):
+            for kind in row.kinds:
+                by_kind.setdefault(kind, []).append((index, row))
+    findings: List[Finding] = []
+    for statement in ctx.tree.body:
+        bound = _bound_names(statement)
+        for node in ast.walk(statement):
+            for index, row in by_kind.get(type(node), ()):
+                if not row.matches(node):
+                    continue
+                sanction = next((s for s in row.sanctioned
+                                 if _sanctions(s, ctx.path, bound)), None)
+                if sanction is None:
+                    findings.append(_finding(
+                        ctx, node, "ND011", f"{row.what}: {row.why}"))
+                else:
+                    used.add((index, sanction))
     return findings

@@ -209,6 +209,7 @@ class SplitModel(Module):
         self.classifier._train_as(True)
         return self
 
+    # ndlint: allow[ND012] -- test oracle over private state
     def feature_dim_after(self, split: int, batch: int = 2) -> Tuple[int, ...]:
         """Shape (excluding batch) of activations leaving stage ``split``."""
         probe = Tensor(np.zeros((batch,) + self.input_shape))
@@ -229,6 +230,7 @@ class SplitModel(Module):
             self.train(was_training)
 
     # -- analytic graph ------------------------------------------------------
+    # ndlint: allow[ND012] -- the stage graph a measured APO (ROADMAP) profiles from
     def to_graph(self, raw_image_bytes: int = 8192) -> ModelGraph:
         """Derive a :class:`ModelGraph` by probing the model.
 

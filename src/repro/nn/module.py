@@ -95,6 +95,7 @@ class Module:
         for param in self.parameters():
             param.zero_grad()
 
+    # ndlint: allow[ND012] -- unfreeze's inverse: the frozen-array tests build with it
     def freeze(self) -> "Module":
         """Weight-freeze this module: no parameter trains, and the master
         state is float32 (trainable means float64, frozen means float32 —

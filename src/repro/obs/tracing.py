@@ -27,13 +27,14 @@ __all__ = ["Span", "Tracer", "wall_clock"]
 def wall_clock() -> float:
     """The one sanctioned wall-clock read in the simulation stack.
 
-    ND001 bans direct ``time.time``/``perf_counter`` calls outside this
-    module: simulation logic must be deterministic (use the injector's
+    ND001 bans direct ``time.time``/``perf_counter`` calls but this
+    marked one: simulation logic must be deterministic (use the injector's
     logical tick), while *observability* — span timing, stage busy-time
     metrics — legitimately measures real elapsed time through this seam.
     Benchmarks keep their wall-seconds schemas; tests can monkeypatch a
     single function instead of chasing ``time`` imports.
     """
+    # ndlint: allow[ND001] -- the one sanctioned wall-clock seam
     return time.perf_counter()
 
 

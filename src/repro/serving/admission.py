@@ -103,6 +103,7 @@ class AdmissionQueue:
     def depth(self) -> int:
         return len(self._pending)
 
+    # ndlint: allow[ND012] -- test oracle over private state
     def shed_full_count(self) -> int:
         """Arrivals rejected because the queue was at capacity."""
         return self._shed_full

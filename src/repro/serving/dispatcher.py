@@ -128,6 +128,7 @@ class ReplicaDispatcher:
         self._drained.discard(name)
         return True
 
+    # ndlint: allow[ND012] -- test oracle over private state
     def drained(self) -> List[str]:
         return sorted(self._drained)
 

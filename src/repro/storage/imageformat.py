@@ -123,6 +123,7 @@ def derive_preprocessed(blob: bytes, nominal: int = 0) -> bytes:
     return deflate(_PRE_HEADER.pack(_PRE_MAGIC, c, h, w) + raw, CODES)
 
 
+# ndlint: allow[ND012] -- encode_photo's inverse: tests read stored raw/ blobs with it
 def decode_photo(blob: bytes) -> np.ndarray:
     """Decode a synthetic JPEG back to float pixels in [0, 1]."""
     shape, raw = _read_photo(blob)

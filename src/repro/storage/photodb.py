@@ -79,6 +79,7 @@ class PhotoDatabase:
             pid for pid, rec in self._records.items() if rec.location == location
         )
 
+    # ndlint: allow[ND012] -- test oracle over private state
     def version_counts(self) -> Dict[int, int]:
         counts: Dict[int, int] = {}
         for rec in self._records.values():

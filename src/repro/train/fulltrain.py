@@ -31,12 +31,6 @@ class TrainHistory:
     epochs: int = 0
     images_seen: int = 0
 
-    @property
-    def final_loss(self) -> float:
-        if not self.losses:
-            raise ValueError("no epochs recorded")
-        return self.losses[-1]
-
 
 def full_train(model: SplitModel, x: np.ndarray, y: np.ndarray,
                epochs: int = 5, lr: float = 3e-3, seed: int = 0,

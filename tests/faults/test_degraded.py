@@ -63,7 +63,8 @@ class TestRetriedDispatch:
             DropMessages(at=1, count=1, kind="model-delta"),
         ]).attach(cluster)
         report = cluster.finetune(epochs=1)
-        assert not report.degraded
+        assert report.skipped_stores == []
+        assert report.photos_deferred == report.photos_repartitioned == 0
         dist = cluster.tuner.distributions[-1]
         assert dist.stores_missed == []
         assert all(s.model_version == 1 for s in cluster.stores)
@@ -116,13 +117,19 @@ class TestVersionAwareDistribution:
             assert np.allclose(value, tuner_state[key], atol=1e-12), key
 
     def test_distribution_stats_degraded_flag(self):
+        """A round's degradation is its three store lists, each its own:
+        marking one round's miss marks no other round."""
         from repro.core.tuner import DistributionStats
 
-        clean = DistributionStats(version=1, full_model_bytes=10,
-                                  bytes_per_store=5, used_delta=True)
-        assert not clean.degraded
-        clean.stores_missed.append("s0")
-        assert clean.degraded
+        def fresh():
+            return DistributionStats(version=1, full_model_bytes=10,
+                                     bytes_per_store=5, used_delta=True)
+
+        clean, missed = fresh(), fresh()
+        missed.stores_missed.append("s0")
+        assert (clean.stores_missed, clean.stores_resynced,
+                clean.stores_fenced) == ([], [], [])
+        assert missed.stores_missed == ["s0"]
 
 
 class TestDeltaIntegrity:
@@ -315,6 +322,7 @@ class TestRottedDerivedFeature:
         store, _ids, key, _before = self._rot_one_feature(cluster)
         report = cluster.finetune(epochs=1)
         assert report.images_extracted == 45
-        assert not report.degraded
+        assert report.skipped_stores == []
+        assert report.photos_deferred == report.photos_repartitioned == 0
         assert store.objects.verify(key)  # rewritten by the miss
         assert cluster.scrub_and_repair().clean

@@ -19,3 +19,7 @@ def token():
 
 def pause():
     time.sleep(0.01)
+
+
+def nap(clock):
+    clock.sleep(1)

@@ -1,13 +1,13 @@
 """Allow-marker edge cases: multi-rule, string literals, unused markers."""
 
-from repro.lint import LintConfig, LintEngine
 from repro.lint.allowlist import parse_markers
+from repro.lint.engine import LintConfig, LintEngine
 
 
-def lint_source(tmp_path, source, **config):
+def lint_source(tmp_path, source):
     target = tmp_path / "mod.py"
     target.write_text(source)
-    engine = LintEngine(LintConfig(manifest_path=None, **config))
+    engine = LintEngine(LintConfig(manifest_path=None))
     return engine.run([target])
 
 
@@ -65,7 +65,6 @@ def test_marker_inside_multiline_string_suppresses_nothing(tmp_path):
         "\n"
         "def ping(network):\n"
         "    network.send('a', 'b', 1, 'hint')\n",
-        flag_unused_markers=False,
     )
     assert [(f.rule, f.line) for f in findings] == [("ND005", 6)]
 
@@ -106,12 +105,3 @@ def test_partially_used_multi_rule_marker_flags_the_dead_rule(tmp_path):
     assert [(f.rule, f.line) for f in findings] == [("ND000", 2)]
     assert "ND001 never fired" in findings[0].message
 
-
-def test_unused_marker_check_can_be_disabled(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        "def quiet():\n"
-        "    return 1  # ndlint: allow[ND005] -- nothing to suppress\n",
-        flag_unused_markers=False,
-    )
-    assert findings == []

@@ -7,9 +7,11 @@ update, and prove the lint gate goes red — so the invariants cannot be
 silently weakened by a future edit.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
-from repro.lint import LintConfig, LintEngine
+from repro.lint.engine import LintConfig, LintEngine
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parents[2] / "src" / "repro"
@@ -139,3 +141,15 @@ def test_deleting_a_stream_outcome_counter_fails_the_gate(tmp_path):
                 if f.rule == "ND006"]
     assert findings, "deleting a terminal counter must trip ND006"
     assert any("inconsistent deltas" in f.message for f in findings)
+
+
+def test_runtime_modules_load_only_the_decorators():
+    """A cluster process imports the contract decorators, not the
+    checker that reads them."""
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.core.pipestore; "
+         "print(' '.join(m for m in sys.modules if m.startswith('repro.lint')))"],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(SRC.parent)}).stdout.split()
+    assert sorted(loaded) == ["repro.lint", "repro.lint.contracts"]

@@ -2,7 +2,9 @@
 
 from pathlib import Path
 
-from repro.lint import LintConfig, LintEngine
+from repro.lint.census import unreached
+from repro.lint.engine import LintConfig, LintEngine, package_root
+from repro.lint.rules import ModuleContext
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -19,6 +21,7 @@ def test_nd001_determinism_exact_sites():
         ("ND001", 13),  # random.random()
         ("ND001", 17),  # os.urandom()
         ("ND001", 21),  # time.sleep()
+        ("ND001", 25),  # any call named sleep
     ]
 
 
@@ -43,6 +46,57 @@ def test_nd004_metric_hygiene_exact_sites():
 def test_nd005_retry_discipline_exact_site():
     findings = lint_fixture("bad_nd005.py")
     assert [(f.rule, f.line) for f in findings] == [("ND005", 5)]
+
+
+def test_nd011_confined_constructs_exact_sites():
+    findings = lint_fixture("bad_nd011.py")
+    assert [(f.rule, f.line, f.col) for f in findings] == [
+        ("ND011", 3, 1),    # heapq outside sim/engine.py
+        ("ND011", 5, 1),    # the end-to-end benchmark imported
+        ("ND011", 9, 5),    # a Thread outside core/npe.py
+        ("ND011", 10, 13),  # a lock
+        ("ND011", 11, 16),  # a sliced batch fed to forward_until
+        ("ND011", 12, 29),  # preprocess outside CODE_TABLE's line
+    ]
+    assert findings[2].message.startswith("thread constructed:")
+
+
+def test_nd011_scoped_rows_fire_only_in_their_scope(tmp_path):
+    findings = lint_fixture("nd011")
+    assert [(f.rule, Path(f.path).name, f.line, f.col) for f in findings] == [
+        ("ND011", "report.py", 5, 5),   # a report topic assigns an attribute
+        ("ND011", "codes.py", 3, 39),   # model_input imported in serving/
+        ("ND011", "codes.py", 8, 13),   # ... read as an attribute
+        ("ND011", "codes.py", 9, 19),   # ... called by name
+        ("ND011", "codes.py", 9, 60),   # ... spelled as a string
+    ]
+    # the same module outside repro/serving/ is fine
+    elsewhere = tmp_path / "codes.py"
+    elsewhere.write_text(
+        (FIXTURES / "nd011" / "repro" / "serving" / "codes.py").read_text())
+    assert LintEngine(LintConfig(manifest_path=None)).run([elsewhere]) == []
+
+
+def test_a_self_read_reaches_only_its_own_class_family():
+    """``B``'s ``self.reset()`` reaches ``B.reset``, not the ``reset`` of
+    the unrelated class ``A`` that happens to share its name."""
+    module = ModuleContext.parse(
+        "m.py",
+        "class A:\n"
+        "    def reset(self): pass\n"
+        "class B:\n"
+        "    def __init__(self): self.reset()\n"
+        "    def reset(self): pass\n")
+    assert [(qualname, line) for qualname, _, line
+            in unreached({"m": module}, {"A", "B"})] == [("m.A.reset", 2)]
+
+
+def test_census_runs_only_over_the_whole_package():
+    """A single package file keeps its ND012 marker quiet: neither an
+    unreached definition nor an unused marker."""
+    imageformat = package_root() / "storage" / "imageformat.py"
+    assert "allow[ND012]" in imageformat.read_text()
+    assert LintEngine().run([imageformat]) == []
 
 
 def test_clean_fixture_has_no_findings():

@@ -33,9 +33,3 @@ class TestFullTrain:
         with pytest.raises(ValueError):
             full_train(model, x, y, epochs=0)
 
-    def test_final_loss_requires_history(self):
-        from repro.train.fulltrain import TrainHistory
-
-        with pytest.raises(ValueError):
-            TrainHistory().final_loss
-
