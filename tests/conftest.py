@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.data.drift import DriftingPhotoWorld, WorldConfig
 from repro.models.registry import tiny_model
 
@@ -31,3 +36,16 @@ def tiny_resnet():
 def images16(rng):
     """A small batch of (N, 3, 16, 16) images in [0, 1]."""
     return rng.random((6, 3, 16, 16))
+
+
+@pytest.fixture(scope="session")
+def shipped_lint(tmp_path_factory):
+    """One ``repro lint --check-manifests --format json --out <tmp>`` pass
+    over the package, shared by every test that asserts on the shipped
+    tree: (exit code, the JSON report, what it wrote to stderr)."""
+    out = tmp_path_factory.mktemp("lint") / "lint-report.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["lint", "--check-manifests", "--format", "json",
+                     "--out", str(out)])
+    return code, json.loads(out.read_text()), err.getvalue()

@@ -19,6 +19,12 @@ def test_clean_tree_json_report(shipped_lint):
     assert report == {"clean": True, "count": 0, "findings": []}
 
 
+def test_check_manifests_gate_passes_on_the_shipped_tree(shipped_lint):
+    """The shared pass runs with --check-manifests, and exits 0."""
+    code, _, _ = shipped_lint
+    assert code == 0
+
+
 def test_manifest_is_current(shipped_lint):
     """obs/METRICS.md matches what --update-manifest would regenerate."""
     _, _, err = shipped_lint
