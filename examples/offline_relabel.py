@@ -16,9 +16,9 @@ from repro.core.cluster import NDPipeCluster
 from repro.core.config import ClusterConfig
 from repro.data.drift import DriftingPhotoWorld, WorldConfig
 from repro.data.loader import normalize_images
-from repro.inference.offline import campaign_comparison
 from repro.models.catalog import model_graph
 from repro.models.registry import tiny_model
+from repro.train.baselines import ndpipe_inference, srv_inference
 from repro.train.fulltrain import full_train
 
 
@@ -65,16 +65,13 @@ def runnable_demo() -> None:
 def planet_scale_estimate() -> None:
     graph = model_graph("ResNet50")
     photos = 1_000_000_000
-    out = campaign_comparison(graph, photos, num_stores=20)
-    rows = []
-    for name in ("SRV-P", "SRV-C", "SRV-I", "NDPipe"):
-        est = out[name]
-        rows.append([
-            name,
-            est.duration_s / 3600.0,
-            est.energy_kj / 1e3,
-            format_bytes(est.network_bytes),
-        ])
+    points = [srv_inference(variant, graph)
+              for variant in ("SRV-P", "SRV-C", "SRV-I")]
+    points.append(ndpipe_inference(graph, num_stores=20))
+    rows = [[point.name, point.time_for(photos) / 3600.0,
+             point.energy_kj_for(photos) / 1e3,
+             format_bytes(photos * point.wire_bytes)]
+            for point in points]
     print()
     print(format_table(
         ["system", "duration (h)", "energy (MJ)", "network traffic"],

@@ -30,8 +30,8 @@ Subsystem tour:
   detection, Tuner warm-standby failover with epoch fencing, automatic
   store eviction/rejoin, and the nemesis chaos harness.
 * :mod:`repro.obs` — metrics, tracing, and the bench-JSON schema.
-* :mod:`repro.train` / :mod:`repro.inference` — training and inference
-  engines including the SRV-I/P/C baselines.
+* :mod:`repro.train` — the training engine and the SRV-I/P/C, Typical
+  and Ideal operating points for fine-tuning and offline inference.
 * :mod:`repro.analysis` — one driver per paper table/figure.
 """
 

@@ -1,68 +1,72 @@
 """Command-line interface: ``python -m repro.cli <command>``.
 
-Commands:
-
-* ``plan``     — run APO for a model/hardware combination and print the
-  recommended organisation (Algorithm 1);
-* ``figures``  — regenerate the simulator-backed paper figures as text
-  tables (the fast subset; accuracy figures live in the benchmarks);
-* ``demo``     — run the end-to-end tiny-cluster lifecycle;
-* ``metrics``  — run the lifecycle and export the cluster's metrics
-  (Prometheus text or JSON);
-* ``trace``    — run the lifecycle and export a Chrome ``trace_event``
-  JSON of the nested flow/FT-DMP spans;
-* ``checkpoint`` — run the lifecycle and write a durable ``.ndcp``
-  checkpoint (optionally from a mid-fine-tune run boundary);
-* ``resume``   — restore a ``.ndcp`` checkpoint into a fresh cluster and
-  finish whatever fine-tuning was pending;
-* ``catalog``  — dump the calibrated hardware catalog;
-* ``serve-bench`` — run the online serving benchmark (adaptive
-  micro-batching vs. the synchronous batch=1 baseline);
-* ``perf``     — run the perf-trajectory harness (seeded ingest /
-  finetune / relabel / serving / sharding scenarios), write
-  ``BENCH_*.json``
-  results, and optionally gate them against the committed baselines
-  (``--check``) or re-record the baselines (``--bless``);
-* ``lint``     — run the ndlint invariant rules (per-module ND001,
-  ND002, ND004, ND005 and ND011, the interprocedural tier ND006, ND007
-  and ND009, and the ND012 census when the whole package is linted)
-  over the package (or given paths) and exit nonzero on any finding.
-* ``nemesis``  — run a seeded chaos schedule against an HA cluster and
-  exit nonzero on any invariant violation;
-* ``validate`` — check the hardware catalog against the paper's anchors;
-* ``serve-stream`` — run the streaming credit-window protocol against
-  the synchronous front end on a bursty trace;
-* ``shard-bench`` — run the sharded-fleet benchmark (ring placement,
-  fan-out distribution, live rebalance);
-* ``report``   — print the numbers CI puts in its job summary, one topic
-  (``repro.report.TOPICS``) or ``--all``, as Markdown.
-
-Every subcommand takes the same three plumbing flags: ``--seed`` (the
+Each subcommand is one ``@_command`` row of :data:`COMMANDS`, written
+beside its body; ``repro --help`` prints the rows' help strings.  Every
+subcommand takes the same three plumbing flags: ``--seed`` (the
 deterministic run seed), ``--out`` (write the report to a file instead
 of stdout), and ``--format`` (output encoding, where the command has
-more than one).
+more than one).  A body returns what the command prints as an
+:class:`Output`, and :func:`main` picks the encoding and honours
+``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+
+from .analysis.tables import format_bytes, format_table
 
 
-def _add_common_flags(parser: argparse.ArgumentParser,
-                      formats: tuple = ("text", "json"),
-                      default_format: str = "text",
-                      out_default: Optional[str] = None,
-                      out_help: str = "write the output to a file instead "
-                                      "of stdout") -> None:
-    """The plumbing flags every subcommand shares."""
-    parser.add_argument("--seed", type=int, default=0,
-                        help="deterministic run seed (default 0)")
-    parser.add_argument("--out", default=out_default, help=out_help)
-    parser.add_argument("--format", choices=formats, default=default_format,
-                        help=f"output format (default {default_format})")
+class Output(NamedTuple):
+    """What one command prints.
+
+    ``text`` serves every format but ``json``; ``payload`` serves
+    ``--format json``, as an object or as JSON an exporter already
+    encoded.  ``status`` is the exit code, or a callable that prints
+    what follows the output (the perf gate, the lint manifest check)
+    and returns the exit code once the output is written.
+    """
+
+    text: Optional[str] = None
+    payload: object = None
+    status: Union[int, Callable[[], int]] = 0
+
+
+class _Command(NamedTuple):
+    help: str
+    flags: Tuple[Callable[[argparse.ArgumentParser], object], ...]
+    formats: Tuple[str, ...]
+    out_default: Optional[str]
+    out_help: str
+    body: Callable[[argparse.Namespace], Output]
+
+
+#: subcommand name -> its row, in ``repro --help`` order
+COMMANDS: Dict[str, _Command] = {}
+
+
+def _command(name: str, help: str, *flags,
+             formats: Tuple[str, ...] = ("text", "json"),
+             out_default: Optional[str] = None,
+             out_help: str = "write the output to a file instead of stdout"):
+    """Register the decorated body as subcommand ``name``.  ``flags``
+    are :func:`_arg` rows; ``formats[0]`` is the default ``--format``;
+    a command whose ``--out`` has a default writes its own file there
+    and prints its report to stdout."""
+    def register(body: Callable[[argparse.Namespace], Output]):
+        COMMANDS[name] = _Command(help, flags, formats, out_default,
+                                  out_help, body)
+        return body
+    return register
+
+
+def _arg(*names: str, **options):
+    """One ``add_argument`` call, made when the parser is built."""
+    return lambda parser: parser.add_argument(*names, **options)
 
 
 def _at_least(floor: int):
@@ -78,15 +82,37 @@ def _at_least(floor: int):
     return integer
 
 
-def _add_stores_flag(parser: argparse.ArgumentParser,
-                      at_least: int = 1) -> None:
+def _stores(at_least: int = 1):
     """``--stores N``, refused below the smallest fleet the subcommand
     can build."""
-    parser.add_argument("--stores", type=_at_least(at_least), default=3)
+    return _arg("--stores", type=_at_least(at_least), default=3)
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    from .analysis.tables import format_table
+def _gbps(text: str) -> float:
+    """An argparse type: a link speed :class:`NetworkSpec` accepts (one
+    line, exit 2)."""
+    from .sim.specs import NetworkSpec
+
+    try:
+        return NetworkSpec(gbps=float(text)).gbps
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _two_column(key: str, rows: List[list], title: str) -> Output:
+    """A ``key``/value table; its JSON is the rows as strings."""
+    return Output(format_table([key, "value"], rows, title=title),
+                  {str(k): str(v) for k, v in rows})
+
+
+@_command("plan", "run APO (Algorithm 1)",
+          _arg("--model", default="ResNet50"),
+          _arg("--accelerator", choices=("t4", "inferentia"), default="t4"),
+          _arg("--gbps", type=_gbps, default=10.0),
+          _arg("--max-stores", type=int, default=20),
+          _arg("--images", type=int, default=1_200_000),
+          _arg("--runs", type=int, default=3))
+def _cmd_plan(args: argparse.Namespace) -> Output:
     from .core.apo import plan_organization
     from .core.partition import FinetunePlanConfig
     from .models.catalog import model_graph
@@ -103,19 +129,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                                   num_runs=args.runs),
     )
     best = plan.most_energy_efficient()
-    if args.format == "json":
-        _emit(json.dumps({
-            "model": graph.name,
-            "accelerator": store.accelerator.name,
-            "gbps": args.gbps,
-            "partition_point": plan.split_label,
-            "pipestores_apo": plan.num_pipestores,
-            "training_time_s": plan.best.training_time_s,
-            "pipestores_energy": best.num_pipestores,
-            "ips_per_kj": best.ips_per_kj,
-        }, indent=2), args.out)
-        return 0
-    _emit(format_table(
+    return Output(format_table(
         ["setting", "value"],
         [
             ["model", graph.name],
@@ -128,29 +142,30 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             ["energy efficiency", f"{best.ips_per_kj:,.0f} IPS/kJ"],
         ],
         title=f"APO plan for {graph.name}",
-    ), args.out)
-    return 0
+    ), {
+        "model": graph.name,
+        "accelerator": store.accelerator.name,
+        "gbps": args.gbps,
+        "partition_point": plan.split_label,
+        "pipestores_apo": plan.num_pipestores,
+        "training_time_s": plan.best.training_time_s,
+        "pipestores_energy": best.num_pipestores,
+        "ips_per_kj": best.ips_per_kj,
+    })
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
+@_command("figures", "regenerate simulator-backed figures")
+def _cmd_figures(args: argparse.Namespace) -> Output:
     from .analysis import perf
-    from .analysis.tables import format_table
 
-    if args.format == "json":
-        _emit(json.dumps({
-            "fig09": perf.fig09_partition_sweep(),
-            "fig11": perf.fig11_apo_sweep(),
-            "fig13_resnet50": perf.fig13_inference_scaling(
-                ["ResNet50"])["ResNet50"],
-        }, indent=2, default=str), args.out)
-        return 0
+    f09 = perf.fig09_partition_sweep()
     apo = perf.fig11_apo_sweep()
     f13 = perf.fig13_inference_scaling(["ResNet50"])["ResNet50"]
-    _emit("\n".join([
+    return Output("\n".join([
         format_table(
             ["cut", "feature GB", "sync GB", "train time (s)"],
             [[r["cut"], r["feature_traffic_gb"], r["sync_traffic_gb"],
-              r["training_time_s"]] for r in perf.fig09_partition_sweep()],
+              r["training_time_s"]] for r in f09],
             title="Fig. 9: partition sweep",
         ),
         "",
@@ -169,18 +184,17 @@ def _cmd_figures(args: argparse.Namespace) -> int:
                for n in (1, 4, 8, 16, 20)],
             title=f"Fig. 13 (ResNet50), crossovers {f13['crossovers']}",
         ),
-    ]), args.out)
-    return 0
+    ]), {"fig09": f09, "fig11": apo, "fig13_resnet50": f13})
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    from .analysis.tables import format_bytes, format_table
-
+@_command("demo", "run the tiny-cluster lifecycle",
+          _stores(), _arg("--photos", type=int, default=90))
+def _cmd_demo(args: argparse.Namespace) -> Output:
     cluster = _make_demo_cluster(args.stores, seed=args.seed)
     _ingest_demo_photos(cluster, args.photos, args.seed)
     report = cluster.finetune(epochs=2)
     relabel = cluster.offline_relabel()
-    rows = [
+    return _two_column("metric", [
         ["photos ingested", len(cluster.database)],
         ["images fine-tuned", report.images_extracted],
         ["labels refreshed", relabel.photos_processed],
@@ -188,14 +202,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
          f"{cluster.tuner.distributions[-1].reduction_factor:.1f}x "
          "smaller than the full model"],
     ] + [[f"traffic: {kind}", format_bytes(num)]
-         for kind, num in sorted(cluster.traffic_summary().items())]
-    if args.format == "json":
-        _emit(json.dumps({str(k): str(v) for k, v in rows}, indent=2),
-              args.out)
-        return 0
-    _emit(format_table(["metric", "value"], rows,
-                       title="NDPipe demo lifecycle"), args.out)
-    return 0
+         for kind, num in sorted(cluster.traffic_summary().items())],
+        "NDPipe demo lifecycle")
 
 
 def _make_demo_cluster(stores: int, replication: int = 1, seed: int = 0):
@@ -234,32 +242,33 @@ def _run_lifecycle(stores: int, photos: int, seed: int = 0):
     return cluster
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {out}")
-    else:
-        print(text)
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
+@_command("metrics", "run the lifecycle and export cluster metrics",
+          _stores(), _arg("--photos", type=int, default=48),
+          formats=("prometheus", "json"))
+def _cmd_metrics(args: argparse.Namespace) -> Output:
     cluster = _run_lifecycle(args.stores, args.photos, seed=args.seed)
-    if args.format == "json":
-        _emit(cluster.metrics.export_json(indent=2), args.out)
-    else:
-        _emit(cluster.metrics.export_prometheus(), args.out)
-    return 0
+    return Output(cluster.metrics.export_prometheus(),
+                  cluster.metrics.export_json(indent=2))
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+@_command("trace", "run the lifecycle and export a chrome://tracing JSON",
+          _stores(), _arg("--photos", type=int, default=48),
+          formats=("json",))
+def _cmd_trace(args: argparse.Namespace) -> Output:
     cluster = _run_lifecycle(args.stores, args.photos, seed=args.seed)
-    _emit(cluster.tracer.export_chrome_trace(indent=2), args.out)
-    return 0
+    return Output(payload=cluster.tracer.export_chrome_trace(indent=2))
 
 
-def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    from .analysis.tables import format_table
+@_command("checkpoint",
+          "run the lifecycle and write a durable checkpoint blob",
+          _stores(), _arg("--photos", type=int, default=48),
+          _arg("--runs", type=int, default=3),
+          _arg("--replication", type=int, default=1),
+          _arg("--at-run", type=int, default=None,
+               help="write the mid-fine-tune checkpoint taken after this "
+                    "run (default: the final post-lifecycle state)"),
+          out_default="ndpipe.ndcp", out_help="checkpoint file to write")
+def _cmd_checkpoint(args: argparse.Namespace) -> Output:
     from .durability import inspect_checkpoint
 
     cluster = _make_demo_cluster(args.stores, replication=args.replication,
@@ -274,7 +283,7 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
         if args.at_run not in run_blobs:
             print(f"no checkpoint at run {args.at_run} "
                   f"(runs 0..{args.runs - 1})", file=sys.stderr)
-            return 1
+            return Output(status=1)
         blob = run_blobs[args.at_run]
     else:
         cluster.offline_relabel()
@@ -283,7 +292,7 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
         handle.write(blob)
     info = inspect_checkpoint(blob)
     pending = info["pending_finetune"]
-    rows = [
+    return _two_column("field", [
         ["file", args.out],
         ["bytes", len(blob)],
         ["tuner version", info["tuner_version"]],
@@ -293,16 +302,12 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
         ["pending fine-tune",
          "none" if pending is None else
          f"run {pending['next_run']}/{pending['num_runs']}"],
-    ]
-    if args.format == "json":
-        print(json.dumps({str(k): str(v) for k, v in rows}, indent=2))
-        return 0
-    print(format_table(["field", "value"], rows, title="NDPipe checkpoint"))
-    return 0
+    ], "NDPipe checkpoint")
 
 
-def _cmd_resume(args: argparse.Namespace) -> int:
-    from .analysis.tables import format_table
+@_command("resume", "restore a checkpoint and finish any pending fine-tune",
+          _arg("ckpt", help="checkpoint file written by 'checkpoint'"))
+def _cmd_resume(args: argparse.Namespace) -> Output:
     from .durability import inspect_checkpoint
 
     with open(args.ckpt, "rb") as handle:
@@ -338,19 +343,20 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         ["orphans re-ingested", reingested],
         ["reconcile evicted", evicted],
         ["journal pruned", journal_before - cluster.journal_size],
+        ["tuner version (now)", cluster.tuner.version],
     ]
-    rows.append(["tuner version (now)", cluster.tuner.version])
-    if args.format == "json":
-        _emit(json.dumps({str(k): str(v) for k, v in rows}, indent=2),
-              args.out)
-        return 0
-    _emit(format_table(["field", "value"], rows, title="NDPipe resume"),
-          args.out)
-    return 0
+    return _two_column("field", rows, "NDPipe resume")
 
 
-def _cmd_nemesis(args: argparse.Namespace) -> int:
-    from .analysis.tables import format_table
+@_command("nemesis", "run a seeded chaos schedule and check HA invariants",
+          _arg("--steps", type=int, default=8,
+               help="lifecycle actions to interleave (default 8)"),
+          _stores(at_least=2),  # it crashes one and goes on
+          _arg("--photos", type=int, default=4,
+               help="photos per ingest/serve step (default 4)"),
+          out_help="write the event log / summary to a file "
+                   "(use --format json for the CI artifact)")
+def _cmd_nemesis(args: argparse.Namespace) -> Output:
     from .ha import InvariantViolation, NemesisHarness
 
     harness = NemesisHarness(seed=args.seed, steps=args.steps,
@@ -362,17 +368,13 @@ def _cmd_nemesis(args: argparse.Namespace) -> int:
         report = harness.run()
     except InvariantViolation as exc:
         violation = str(exc)
-    payload = (report.to_dict() if report is not None else {
+    payload = (dataclasses.asdict(report) if report is not None else {
         "seed": args.seed,
         "steps": args.steps,
         "num_stores": args.stores,
         "events": harness.events,
     })
     payload["violation"] = violation
-    status = 0 if violation is None else 1
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
-        return status
     rows = [
         ["steps run", len(harness.events)],
         ["faults fired", len(harness.injector.fired)],
@@ -383,147 +385,13 @@ def _cmd_nemesis(args: argparse.Namespace) -> int:
         ["invariant checks", payload.get("invariant_checks", "-")],
         ["verdict", "OK" if violation is None else f"VIOLATION: {violation}"],
     ]
-    _emit(format_table(["field", "value"], rows,
-                       title=f"NDPipe nemesis (seed {args.seed})"), args.out)
-    return status
+    return Output(format_table(["field", "value"], rows,
+                               title=f"NDPipe nemesis (seed {args.seed})"),
+                  payload, 0 if violation is None else 1)
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    from .analysis.validate import calibration_report, validate_calibration
-
-    _emit(calibration_report(), args.out)
-    return 0 if all(a.ok for a in validate_calibration()) else 1
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    import tempfile
-    from pathlib import Path
-
-    from .analysis.tables import format_table
-    from .bench import (
-        SCALES,
-        SCENARIOS,
-        GateError,
-        bless_harness,
-        gate_directories,
-        render_findings,
-        run_harness,
-        write_results,
-    )
-
-    if args.bless and args.check:
-        print("--bless and --check are mutually exclusive", file=sys.stderr)
-        return 2
-    scenarios = args.scenario or list(SCENARIOS)
-    scale = SCALES[args.scale]
-    baseline_dir = Path(args.baseline_dir)
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-    elif args.bless:
-        # blessing re-records the committed trajectory in place
-        out_dir = baseline_dir
-    else:
-        # a plain run (and --check) must not clobber the baselines it
-        # would be compared against
-        out_dir = Path(tempfile.mkdtemp(prefix="ndpipe-perf-"))
-    if args.bless:
-        # median of several runs centres the baseline in its noise band
-        payloads = bless_harness(scale, seed=args.seed, scenarios=scenarios)
-    else:
-        payloads = run_harness(scale, seed=args.seed, scenarios=scenarios)
-    write_results(payloads, out_dir)
-
-    if args.format == "json":
-        _emit(json.dumps({
-            "scale": scale.name,
-            "out_dir": str(out_dir),
-            "benches": payloads,
-        }, indent=2), args.out)
-    else:
-        rows = [
-            [bench, e["metric"],
-             ",".join(f"{k}={v}" for k, v in e.get("labels", {}).items())
-             or "-",
-             f"{e['value']:g}", e["unit"], e.get("direction") or "info"]
-            for bench, payload in sorted(payloads.items())
-            for e in payload["results"]
-        ]
-        _emit(format_table(
-            ["bench", "metric", "labels", "value", "unit", "direction"],
-            rows,
-            title=f"repro perf @ scale={scale.name} -> {out_dir}",
-        ), args.out)
-
-    if not args.check:
-        return 0
-    # a regression must reproduce in every attempt to fail the gate:
-    # bursty interference (scheduler preemption, host steal) can push
-    # one run's timing past tolerance without any code change
-    for attempt in range(args.attempts):
-        if attempt:
-            payloads = run_harness(scale, seed=args.seed,
-                                   scenarios=scenarios)
-            write_results(payloads, out_dir)
-        try:
-            findings = gate_directories(baseline_dir, out_dir,
-                                        sorted(payloads),
-                                        tolerance=args.tolerance)
-        except GateError as exc:
-            print(f"perf gate error: {exc}", file=sys.stderr)
-            return 2
-        if all(f.ok for f in findings) or attempt == args.attempts - 1:
-            break
-        print(f"perf gate attempt {attempt + 1}/{args.attempts} failed, "
-              "retrying:")
-        print(render_findings(findings))
-    print(render_findings(findings))
-    return 1 if any(not f.ok for f in findings) else 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .lint.engine import LintEngine, package_root
-    from .lint.findings import render_json, render_text
-
-    engine = LintEngine()
-    paths = ([Path(p) for p in args.paths] if args.paths
-             else [package_root()])
-    if args.update_manifest:
-        # collect registrations with the manifest check disabled, rewrite
-        # METRICS.md, then lint for real against the fresh copy
-        probe = LintEngine()
-        probe.config.manifest_path = None
-        probe.run(paths)
-        engine.registrations = probe.registrations
-        target = engine.write_manifest()
-        print(f"wrote {target}", file=sys.stderr)
-    findings = engine.run(paths)
-    report = (render_json(findings) if args.format == "json"
-              else render_text(findings))
-    # write the report before deciding the exit code so the CI gate
-    # always has its artifact, pass or fail
-    _emit(report, args.out)
-    drift = _manifest_drift(engine) if args.check_manifests else []
-    for line in drift:
-        print(f"manifest drift: {line}", file=sys.stderr)
-    return 1 if findings or drift else 0
-
-
-def _manifest_drift(engine) -> list:
-    """Human-readable drift lines for METRICS.md."""
-    drift = []
-    path = engine.config.manifest_path
-    if path is not None:
-        on_disk = path.read_text() if path.is_file() else ""
-        if on_disk != engine.render_manifest():
-            drift.append(f"{path} is stale; regenerate with "
-                         "'repro lint --update-manifest'")
-    return drift
-
-
-def _cmd_catalog(args: argparse.Namespace) -> int:
-    from .analysis.tables import format_table
+@_command("catalog", "dump the hardware catalog")
+def _cmd_catalog(args: argparse.Namespace) -> Output:
     from .models.catalog import ALL_MODELS, model_graph
     from .sim.specs import NEURONCORE_V1, SERVERS, TESLA_T4, TESLA_V100
 
@@ -536,19 +404,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             TESLA_V100.inference_ips(graph, 128),
             NEURONCORE_V1.inference_ips(graph, 128),
         ])
-    if args.format == "json":
-        _emit(json.dumps({
-            "models": [dict(zip(
-                ("model", "gflops", "params_m", "t4_ips_128",
-                 "v100_ips_128", "neuroncore_ips_128"), row)) for row in rows],
-            "servers": [{
-                "instance": s.name,
-                "accelerator": s.accelerator.name if s.accelerator else None,
-                "price_per_hour": s.price_per_hour,
-            } for s in SERVERS.values()],
-        }, indent=2), args.out)
-        return 0
-    _emit("\n".join([
+    return Output("\n".join([
         format_table(
             ["model", "GFLOPs", "params (M)", "T4 IPS@128", "V100 IPS@128",
              "NeuronCore IPS@128"],
@@ -561,12 +417,136 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
               s.price_per_hour] for s in SERVERS.values()],
             title="server catalog",
         ),
-    ]), args.out)
-    return 0
+    ]), {
+        "models": [dict(zip(
+            ("model", "gflops", "params_m", "t4_ips_128",
+             "v100_ips_128", "neuroncore_ips_128"), row)) for row in rows],
+        "servers": [{
+            "instance": s.name,
+            "accelerator": s.accelerator.name if s.accelerator else None,
+            "price_per_hour": s.price_per_hour,
+        } for s in SERVERS.values()],
+    })
 
 
-def _cmd_shard_bench(args: argparse.Namespace) -> int:
-    from .analysis.tables import format_table
+@_command("validate", "check the catalog against the paper's anchors",
+          formats=("text",))
+def _cmd_validate(args: argparse.Namespace) -> Output:
+    from .analysis.validate import calibration_report, validate_calibration
+
+    return Output(calibration_report(), status=0 if all(
+        a.ok for a in validate_calibration()) else 1)
+
+
+@_command("serve-bench",
+          "benchmark adaptive micro-batching vs the batch=1 baseline",
+          _arg("--requests", type=int, default=800,
+               help="requests in the Poisson trace (default 800)"),
+          _arg("--rate", type=float, default=1500.0,
+               help="offered load in requests/s (default 1500)"),
+          _arg("--replicas", type=int, default=1),
+          _arg("--slo", type=float, default=0.1,
+               help="latency SLO in seconds (default 0.1)"))
+def _cmd_serve_bench(args: argparse.Namespace) -> Output:
+    from .serving.bench import run_serving_comparison
+    from .serving.config import ServingConfig
+
+    config = ServingConfig(replicas=args.replicas, slo_s=args.slo)
+    result = run_serving_comparison(
+        seed=args.seed, num_requests=args.requests, rate_rps=args.rate,
+        config=config,
+    )
+    rows = []
+    for name in ("adaptive", "baseline"):
+        r = result[name]
+        rows.append([
+            name, r["offered"], r["completed"], sum(r["shed"].values()),
+            f"{r['throughput_rps']:.0f}",
+            f"{r['p50_latency_s'] * 1e3:.1f}",
+            f"{r['p99_latency_s'] * 1e3:.1f}",
+            f"{r['mean_batch']:.1f}",
+        ])
+    return Output(format_table(
+        ["frontend", "offered", "completed", "shed", "rps",
+         "p50 (ms)", "p99 (ms)", "mean batch"],
+        rows,
+        title=(f"serve-bench @ {args.rate:.0f} rps, "
+               f"budget {result['latency_budget_s'] * 1e3:.0f} ms "
+               f"-> {result['speedup']:.2f}x throughput"),
+    ), result)
+
+
+@_command("serve-stream",
+          "benchmark the streaming credit-window protocol vs the "
+          "synchronous front end on a bursty trace",
+          _arg("--trace", choices=("flash", "diurnal", "poisson"),
+               default="flash", help="arrival-trace shape (default flash)"),
+          _arg("--requests", type=int, default=800,
+               help="requests in the trace (default 800)"),
+          _arg("--replicas", type=int, default=1,
+               help="starting (and minimum) replica count"),
+          _arg("--max-replicas", type=int, default=6,
+               help="autoscaler ceiling (default 6)"),
+          _arg("--credits", type=int, default=256,
+               help="client send-credit window (default 256)"),
+          _arg("--slo", type=float, default=0.1,
+               help="latency SLO in seconds (default 0.1)"),
+          _arg("--deadline", type=float, default=1.0,
+               help="per-request deadline in seconds (default 1.0)"),
+          _arg("--no-autoscale", action="store_true",
+               help="pin the replica set (no elasticity)"))
+def _cmd_serve_stream(args: argparse.Namespace) -> Output:
+    from .serving.bench import run_streaming_bench
+    from .serving.config import ServingConfig, StreamConfig
+
+    config = ServingConfig(replicas=args.replicas, slo_s=args.slo,
+                           deadline_s=args.deadline)
+    stream = StreamConfig(credits=args.credits,
+                          min_replicas=args.replicas,
+                          max_replicas=args.max_replicas,
+                          autoscale=not args.no_autoscale)
+    result = run_streaming_bench(
+        seed=args.seed, trace=args.trace, num_requests=args.requests,
+        config=config, stream=stream,
+    )
+    s = result["streaming"]
+
+    def row(name: str, r: dict) -> list:
+        return [name, r["offered"], r["completed"],
+                r["cancelled"] + r["expired"], r["queue_full"],
+                f"{r['throughput_rps']:.0f}",
+                f"{r['p50_latency_s'] * 1e3:.1f}",
+                f"{r['p99_latency_s'] * 1e3:.1f}",
+                f"{r['mean_batch']:.1f}"]
+
+    return Output("\n".join([
+        format_table(
+            ["frontend", "offered", "completed", "late/expired",
+             "queue_full", "rps", "p50 (ms)", "p99 (ms)", "mean batch"],
+            [row("streaming", s), row("sync", result["sync"])],
+            title=(f"serve-stream [{result['trace']}] "
+                   f"budget {result['latency_budget_s'] * 1e3:.0f} ms"),
+        ),
+        "",
+        f"out-of-order completions: {s['out_of_order']}  "
+        f"redispatches: {s['redispatches']}",
+        f"replicas: {result['config']['replicas']} -> "
+        f"{s['final_replicas']} (peak {s['peak_replicas']}, "
+        f"+{s['scale_ups']}/-{s['scale_downs']})  "
+        f"p99 credit wait: {s['p99_credit_wait_s'] * 1e3:.1f} ms",
+    ]), result)
+
+
+@_command("shard-bench",
+          "benchmark the sharded fleet: ring placement at population "
+          "scale, fan-out vs unicast distribution, live rebalance",
+          _arg("--uploads", type=int, default=None,
+               help="trace length (default 200000)"),
+          _arg("--users", type=int, default=None,
+               help="simulated user population (default 1000000)"),
+          _arg("--shards", type=int, default=None,
+               help="fleet size (default 8)"))
+def _cmd_shard_bench(args: argparse.Namespace) -> Output:
     from .placement.bench import run_sharding_bench
 
     overrides = {}
@@ -577,13 +557,10 @@ def _cmd_shard_bench(args: argparse.Namespace) -> int:
     if args.shards is not None:
         overrides["num_shards"] = args.shards
     result = run_sharding_bench(seed=args.seed, overrides=overrides or None)
-    if args.format == "json":
-        _emit(json.dumps(result, indent=2), args.out)
-        return 0
     placement = result["placement"]
     fanout = result["fanout"]
     migration = result["migration"]
-    tables = [
+    return Output("\n\n".join([
         format_table(
             ["tenant", "offered", "admitted", "rejected", "resident MiB"],
             [[t, a["offered"], a["admitted"], a["rejected"],
@@ -630,307 +607,217 @@ def _cmd_shard_bench(args: argparse.Namespace) -> int:
             title=(f"live join -> {migration['join']['num_shards']} shards "
                    f"(within bound: {migration['within_bound']})"),
         ),
+    ]), result)
+
+
+@_command("perf",
+          "run the perf-trajectory harness; --check gates against the "
+          "committed baselines, --bless re-records them",
+          _arg("--scenario", action="append",
+               choices=("ingest", "finetune", "relabel", "serving",
+                        "serving_stream", "sharding"),
+               help="scenario to run (repeatable; default: all six)"),
+          _arg("--scale", choices=("smoke", "fast", "paper"),
+               default="smoke",
+               help="harness size (default smoke — the scale the "
+                    "committed baselines are recorded at)"),
+          _arg("--check", action="store_true",
+               help="gate the fresh results against the baselines; "
+                    "exit 1 on regression, 2 on invalid comparison"),
+          _arg("--attempts", type=_at_least(1), default=3,
+               help="with --check, a regression must reproduce in "
+                    "this many fresh runs to fail the gate "
+                    "(default 3; bursty machine noise is not a "
+                    "regression)"),
+          _arg("--bless", action="store_true",
+               help="write the fresh results over the committed "
+                    "baselines (the intentional-change workflow)"),
+          _arg("--tolerance", type=float, default=0.15,
+               help="allowed relative drift for directional metrics "
+                    "(default 0.15; 'exact' metrics get none)"),
+          _arg("--out-dir", default=None,
+               help="directory for the fresh BENCH_*.json files "
+                    "(default: the baseline dir when blessing, a "
+                    "temp dir otherwise)"),
+          _arg("--baseline-dir", default="benchmarks/results",
+               help="committed baseline directory "
+                    "(default benchmarks/results)"))
+def _cmd_perf(args: argparse.Namespace) -> Output:
+    import tempfile
+    from pathlib import Path
+
+    from .bench import (
+        SCALES,
+        SCENARIOS,
+        GateError,
+        bless_harness,
+        gate_directories,
+        render_findings,
+        run_harness,
+        write_results,
+    )
+
+    if args.bless and args.check:
+        print("--bless and --check are mutually exclusive", file=sys.stderr)
+        return Output(status=2)
+    scenarios = args.scenario or list(SCENARIOS)
+    scale = SCALES[args.scale]
+    baseline_dir = Path(args.baseline_dir)
+    if args.out_dir:
+        out_dir = Path(args.out_dir)
+    elif args.bless:
+        # blessing re-records the committed trajectory in place
+        out_dir = baseline_dir
+    else:
+        # a plain run (and --check) must not clobber the baselines it
+        # would be compared against
+        out_dir = Path(tempfile.mkdtemp(prefix="ndpipe-perf-"))
+    if args.bless:
+        # median of several runs centres the baseline in its noise band
+        payloads = bless_harness(scale, seed=args.seed, scenarios=scenarios)
+    else:
+        payloads = run_harness(scale, seed=args.seed, scenarios=scenarios)
+    write_results(payloads, out_dir)
+
+    def gate() -> int:
+        # a regression must reproduce in every attempt to fail the gate:
+        # bursty interference (scheduler preemption, host steal) can push
+        # one run's timing past tolerance without any code change
+        for attempt in range(args.attempts):
+            if attempt:
+                write_results(run_harness(scale, seed=args.seed,
+                                          scenarios=scenarios), out_dir)
+            try:
+                findings = gate_directories(baseline_dir, out_dir,
+                                            sorted(payloads),
+                                            tolerance=args.tolerance)
+            except GateError as exc:
+                print(f"perf gate error: {exc}", file=sys.stderr)
+                return 2
+            if all(f.ok for f in findings) or attempt == args.attempts - 1:
+                break
+            print(f"perf gate attempt {attempt + 1}/{args.attempts} "
+                  "failed, retrying:")
+            print(render_findings(findings))
+        print(render_findings(findings))
+        return 1 if any(not f.ok for f in findings) else 0
+
+    rows = [
+        [bench, e["metric"],
+         ",".join(f"{k}={v}" for k, v in e.get("labels", {}).items())
+         or "-",
+         f"{e['value']:g}", e["unit"], e.get("direction") or "info"]
+        for bench, payload in sorted(payloads.items())
+        for e in payload["results"]
     ]
-    _emit("\n\n".join(tables), args.out)
-    return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from .analysis.tables import format_table
-    from .serving.bench import run_serving_comparison
-    from .serving.config import ServingConfig
-
-    config = ServingConfig(replicas=args.replicas, slo_s=args.slo)
-    result = run_serving_comparison(
-        seed=args.seed, num_requests=args.requests, rate_rps=args.rate,
-        config=config,
-    )
-    if args.format == "json":
-        _emit(json.dumps(result, indent=2), args.out)
-        return 0
-    rows = []
-    for name in ("adaptive", "baseline"):
-        r = result[name]
-        rows.append([
-            name, r["offered"], r["completed"], sum(r["shed"].values()),
-            f"{r['throughput_rps']:.0f}",
-            f"{r['p50_latency_s'] * 1e3:.1f}",
-            f"{r['p99_latency_s'] * 1e3:.1f}",
-            f"{r['mean_batch']:.1f}",
-        ])
-    _emit(format_table(
-        ["frontend", "offered", "completed", "shed", "rps",
-         "p50 (ms)", "p99 (ms)", "mean batch"],
+    return Output(format_table(
+        ["bench", "metric", "labels", "value", "unit", "direction"],
         rows,
-        title=(f"serve-bench @ {args.rate:.0f} rps, "
-               f"budget {result['latency_budget_s'] * 1e3:.0f} ms "
-               f"-> {result['speedup']:.2f}x throughput"),
-    ), args.out)
-    return 0
+        title=f"repro perf @ scale={scale.name} -> {out_dir}",
+    ), {
+        "scale": scale.name,
+        "out_dir": str(out_dir),
+        "benches": payloads,
+    }, gate if args.check else 0)
 
 
-def _cmd_serve_stream(args: argparse.Namespace) -> int:
-    from .analysis.tables import format_table
-    from .serving.bench import run_streaming_bench
-    from .serving.config import ServingConfig, StreamConfig
+@_command("lint", "run the ndlint invariant rules; nonzero on findings",
+          _arg("paths", nargs="*",
+               help="files/directories to lint (default: the "
+                    "installed repro package)"),
+          _arg("--update-manifest", action="store_true",
+               help="regenerate obs/METRICS.md before linting"),
+          _arg("--check-manifests", action="store_true",
+               help="fail when obs/METRICS.md is stale"))
+def _cmd_lint(args: argparse.Namespace) -> Output:
+    from pathlib import Path
 
-    config = ServingConfig(replicas=args.replicas, slo_s=args.slo,
-                           deadline_s=args.deadline)
-    stream = StreamConfig(credits=args.credits,
-                          min_replicas=args.replicas,
-                          max_replicas=args.max_replicas,
-                          autoscale=not args.no_autoscale)
-    result = run_streaming_bench(
-        seed=args.seed, trace=args.trace, num_requests=args.requests,
-        config=config, stream=stream,
-    )
-    if args.format == "json":
-        _emit(json.dumps(result, indent=2), args.out)
-        return 0
-    s = result["streaming"]
+    from .lint.engine import LintEngine, package_root
+    from .lint.findings import render_json, render_text
 
-    def row(name: str, r: dict) -> list:
-        return [name, r["offered"], r["completed"],
-                r["cancelled"] + r["expired"], r["queue_full"],
-                f"{r['throughput_rps']:.0f}",
-                f"{r['p50_latency_s'] * 1e3:.1f}",
-                f"{r['p99_latency_s'] * 1e3:.1f}",
-                f"{r['mean_batch']:.1f}"]
+    engine = LintEngine()
+    paths = ([Path(p) for p in args.paths] if args.paths
+             else [package_root()])
+    if args.update_manifest:
+        # collect registrations with the manifest check disabled, rewrite
+        # METRICS.md, then lint for real against the fresh copy
+        probe = LintEngine()
+        probe.config.manifest_path = None
+        probe.run(paths)
+        engine.registrations = probe.registrations
+        target = engine.write_manifest()
+        print(f"wrote {target}", file=sys.stderr)
+    findings = engine.run(paths)
 
-    rows = [row("streaming", s), row("sync", result["sync"])]
-    _emit("\n".join([
-        format_table(
-            ["frontend", "offered", "completed", "late/expired",
-             "queue_full", "rps", "p50 (ms)", "p99 (ms)", "mean batch"],
-            rows,
-            title=(f"serve-stream [{result['trace']}] "
-                   f"budget {result['latency_budget_s'] * 1e3:.0f} ms"),
-        ),
-        "",
-        f"out-of-order completions: {s['out_of_order']}  "
-        f"redispatches: {s['redispatches']}",
-        f"replicas: {result['config']['replicas']} -> "
-        f"{s['final_replicas']} (peak {s['peak_replicas']}, "
-        f"+{s['scale_ups']}/-{s['scale_downs']})  "
-        f"p99 credit wait: {s['p99_credit_wait_s'] * 1e3:.1f} ms",
-    ]), args.out)
-    return 0
+    def manifest_check() -> int:
+        # runs after the report is written, so the CI gate always has
+        # its artifact, pass or fail
+        path = engine.config.manifest_path
+        stale = args.check_manifests and path is not None and (
+            path.read_text() if path.is_file() else ""
+        ) != engine.render_manifest()
+        if stale:
+            print(f"manifest drift: {path} is stale; regenerate with "
+                  "'repro lint --update-manifest'", file=sys.stderr)
+        return 1 if findings or stale else 0
+
+    return Output(render_text(findings), render_json(findings),
+                  manifest_check)
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _report_topics(parser: argparse.ArgumentParser) -> None:
+    from .report import TOPICS
+
+    which = parser.add_mutually_exclusive_group(required=True)
+    which.add_argument("topic", nargs="?", choices=list(TOPICS))
+    which.add_argument("--all", action="store_true",
+                       help="every topic, in table order")
+
+
+@_command("report", "print the numbers CI puts in its job summary "
+                    "(Markdown), for one topic or --all",
+          _report_topics, formats=("markdown",))
+def _cmd_report(args: argparse.Namespace) -> Output:
     from .report import TOPICS, render
 
-    _emit(render(TOPICS if args.all else [args.topic]), args.out)
-    return 0
+    return Output(render(TOPICS if args.all else [args.topic]))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .report import TOPICS
-
     parser = argparse.ArgumentParser(
         prog="repro", description="NDPipe reproduction CLI",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    plan = sub.add_parser("plan", help="run APO (Algorithm 1)")
-    plan.add_argument("--model", default="ResNet50")
-    plan.add_argument("--accelerator", choices=("t4", "inferentia"),
-                      default="t4")
-    plan.add_argument("--gbps", type=float, default=10.0)
-    plan.add_argument("--max-stores", type=int, default=20)
-    plan.add_argument("--images", type=int, default=1_200_000)
-    plan.add_argument("--runs", type=int, default=3)
-    _add_common_flags(plan)
-    plan.set_defaults(func=_cmd_plan)
-
-    figures = sub.add_parser("figures",
-                             help="regenerate simulator-backed figures")
-    _add_common_flags(figures)
-    figures.set_defaults(func=_cmd_figures)
-
-    demo = sub.add_parser("demo", help="run the tiny-cluster lifecycle")
-    _add_stores_flag(demo)
-    demo.add_argument("--photos", type=int, default=90)
-    _add_common_flags(demo)
-    demo.set_defaults(func=_cmd_demo)
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="run the lifecycle and export cluster metrics")
-    _add_stores_flag(metrics)
-    metrics.add_argument("--photos", type=int, default=48)
-    _add_common_flags(metrics, formats=("prometheus", "json"),
-                      default_format="prometheus")
-    metrics.set_defaults(func=_cmd_metrics)
-
-    trace = sub.add_parser(
-        "trace",
-        help="run the lifecycle and export a chrome://tracing JSON")
-    _add_stores_flag(trace)
-    trace.add_argument("--photos", type=int, default=48)
-    _add_common_flags(trace, formats=("json",), default_format="json")
-    trace.set_defaults(func=_cmd_trace)
-
-    checkpoint = sub.add_parser(
-        "checkpoint",
-        help="run the lifecycle and write a durable checkpoint blob")
-    _add_stores_flag(checkpoint)
-    checkpoint.add_argument("--photos", type=int, default=48)
-    checkpoint.add_argument("--runs", type=int, default=3)
-    checkpoint.add_argument("--replication", type=int, default=1)
-    checkpoint.add_argument(
-        "--at-run", type=int, default=None,
-        help="write the mid-fine-tune checkpoint taken after this run "
-             "(default: the final post-lifecycle state)")
-    _add_common_flags(checkpoint, out_default="ndpipe.ndcp",
-                      out_help="checkpoint file to write")
-    checkpoint.set_defaults(func=_cmd_checkpoint)
-
-    resume = sub.add_parser(
-        "resume",
-        help="restore a checkpoint and finish any pending fine-tune")
-    resume.add_argument("ckpt", help="checkpoint file written by 'checkpoint'")
-    _add_common_flags(resume)
-    resume.set_defaults(func=_cmd_resume)
-
-    nemesis = sub.add_parser(
-        "nemesis",
-        help="run a seeded chaos schedule and check HA invariants")
-    nemesis.add_argument("--steps", type=int, default=8,
-                         help="lifecycle actions to interleave (default 8)")
-    _add_stores_flag(nemesis, at_least=2)  # it crashes one and goes on
-    nemesis.add_argument("--photos", type=int, default=4,
-                         help="photos per ingest/serve step (default 4)")
-    _add_common_flags(
-        nemesis, out_help="write the event log / summary to a file "
-                          "(use --format json for the CI artifact)")
-    nemesis.set_defaults(func=_cmd_nemesis)
-
-    catalog = sub.add_parser("catalog", help="dump the hardware catalog")
-    _add_common_flags(catalog)
-    catalog.set_defaults(func=_cmd_catalog)
-
-    validate = sub.add_parser(
-        "validate", help="check the catalog against the paper's anchors")
-    _add_common_flags(validate, formats=("text",))
-    validate.set_defaults(func=_cmd_validate)
-
-    serve = sub.add_parser(
-        "serve-bench",
-        help="benchmark adaptive micro-batching vs the batch=1 baseline")
-    serve.add_argument("--requests", type=int, default=800,
-                       help="requests in the Poisson trace (default 800)")
-    serve.add_argument("--rate", type=float, default=1500.0,
-                       help="offered load in requests/s (default 1500)")
-    serve.add_argument("--replicas", type=int, default=1)
-    serve.add_argument("--slo", type=float, default=0.1,
-                       help="latency SLO in seconds (default 0.1)")
-    _add_common_flags(serve)
-    serve.set_defaults(func=_cmd_serve_bench)
-
-    serve_stream = sub.add_parser(
-        "serve-stream",
-        help="benchmark the streaming credit-window protocol vs the "
-             "synchronous front end on a bursty trace")
-    serve_stream.add_argument("--trace",
-                              choices=("flash", "diurnal", "poisson"),
-                              default="flash",
-                              help="arrival-trace shape (default flash)")
-    serve_stream.add_argument("--requests", type=int, default=800,
-                              help="requests in the trace (default 800)")
-    serve_stream.add_argument("--replicas", type=int, default=1,
-                              help="starting (and minimum) replica count")
-    serve_stream.add_argument("--max-replicas", type=int, default=6,
-                              help="autoscaler ceiling (default 6)")
-    serve_stream.add_argument("--credits", type=int, default=256,
-                              help="client send-credit window (default 256)")
-    serve_stream.add_argument("--slo", type=float, default=0.1,
-                              help="latency SLO in seconds (default 0.1)")
-    serve_stream.add_argument("--deadline", type=float, default=1.0,
-                              help="per-request deadline in seconds "
-                                   "(default 1.0)")
-    serve_stream.add_argument("--no-autoscale", action="store_true",
-                              help="pin the replica set (no elasticity)")
-    _add_common_flags(serve_stream)
-    serve_stream.set_defaults(func=_cmd_serve_stream)
-
-    shard = sub.add_parser(
-        "shard-bench",
-        help="benchmark the sharded fleet: ring placement at population "
-             "scale, fan-out vs unicast distribution, live rebalance")
-    shard.add_argument("--uploads", type=int, default=None,
-                       help="trace length (default 200000)")
-    shard.add_argument("--users", type=int, default=None,
-                       help="simulated user population (default 1000000)")
-    shard.add_argument("--shards", type=int, default=None,
-                       help="fleet size (default 8)")
-    _add_common_flags(shard)
-    shard.set_defaults(func=_cmd_shard_bench)
-
-    perf = sub.add_parser(
-        "perf",
-        help="run the perf-trajectory harness; --check gates against the "
-             "committed baselines, --bless re-records them")
-    perf.add_argument("--scenario", action="append",
-                      choices=("ingest", "finetune", "relabel", "serving",
-                               "serving_stream", "sharding"),
-                      help="scenario to run (repeatable; default: all six)")
-    perf.add_argument("--scale", choices=("smoke", "fast", "paper"),
-                      default="smoke",
-                      help="harness size (default smoke — the scale the "
-                           "committed baselines are recorded at)")
-    perf.add_argument("--check", action="store_true",
-                      help="gate the fresh results against the baselines; "
-                           "exit 1 on regression, 2 on invalid comparison")
-    perf.add_argument("--attempts", type=_at_least(1), default=3,
-                      help="with --check, a regression must reproduce in "
-                           "this many fresh runs to fail the gate "
-                           "(default 3; bursty machine noise is not a "
-                           "regression)")
-    perf.add_argument("--bless", action="store_true",
-                      help="write the fresh results over the committed "
-                           "baselines (the intentional-change workflow)")
-    perf.add_argument("--tolerance", type=float, default=0.15,
-                      help="allowed relative drift for directional metrics "
-                           "(default 0.15; 'exact' metrics get none)")
-    perf.add_argument("--out-dir", default=None,
-                      help="directory for the fresh BENCH_*.json files "
-                           "(default: the baseline dir when blessing, a "
-                           "temp dir otherwise)")
-    perf.add_argument("--baseline-dir", default="benchmarks/results",
-                      help="committed baseline directory "
-                           "(default benchmarks/results)")
-    _add_common_flags(perf)
-    perf.set_defaults(func=_cmd_perf)
-
-    lint = sub.add_parser(
-        "lint", help="run the ndlint invariant rules; nonzero on findings")
-    lint.add_argument("paths", nargs="*",
-                      help="files/directories to lint (default: the "
-                           "installed repro package)")
-    lint.add_argument("--update-manifest", action="store_true",
-                      help="regenerate obs/METRICS.md before linting")
-    lint.add_argument("--check-manifests", action="store_true",
-                      help="fail when obs/METRICS.md is stale")
-    _add_common_flags(lint)
-    lint.set_defaults(func=_cmd_lint)
-
-    report = sub.add_parser(
-        "report", help="print the numbers CI puts in its job summary "
-                       "(Markdown), for one topic or --all")
-    which = report.add_mutually_exclusive_group(required=True)
-    which.add_argument("topic", nargs="?", choices=list(TOPICS))
-    which.add_argument("--all", action="store_true",
-                       help="every topic, in table order")
-    _add_common_flags(report, formats=("markdown",),
-                      default_format="markdown")
-    report.set_defaults(func=_cmd_report)
+    for name, row in COMMANDS.items():
+        command = sub.add_parser(name, help=row.help)
+        for flag in row.flags:
+            flag(command)
+        command.add_argument("--seed", type=int, default=0,
+                             help="deterministic run seed (default 0)")
+        command.add_argument("--out", default=row.out_default,
+                             help=row.out_help)
+        command.add_argument("--format", choices=row.formats,
+                             default=row.formats[0],
+                             help=f"output format (default {row.formats[0]})")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    row = COMMANDS[args.command]
+    text, payload, status = row.body(args)
+    if args.format == "json" and payload is not None:
+        text = payload if isinstance(payload, str) else json.dumps(
+            payload, indent=2, default=str)
+    if text is not None:
+        out = None if row.out_default else args.out
+        if out:
+            with open(out, "w") as handle:
+                handle.write(text)
+            print(f"wrote {out}")
+        else:
+            print(text)
+    return status() if callable(status) else status
 
 
 if __name__ == "__main__":

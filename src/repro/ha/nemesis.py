@@ -63,20 +63,6 @@ class NemesisReport:
     photos_acknowledged: int = 0
     invariant_checks: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "steps": self.steps,
-            "num_stores": self.num_stores,
-            "schedule": list(self.schedule),
-            "events": [dict(e) for e in self.events],
-            "failovers": self.failovers,
-            "final_epoch": self.final_epoch,
-            "final_version": self.final_version,
-            "photos_acknowledged": self.photos_acknowledged,
-            "invariant_checks": self.invariant_checks,
-        }
-
 
 class NemesisHarness:
     """Runs one seeded chaos scenario against a demo-sized cluster."""

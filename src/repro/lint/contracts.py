@@ -1,13 +1,17 @@
 """Declared invariants consumed by the interprocedural rules.
 
 Two class decorators turn prose invariants into machine-checked
-contracts.  Both are near-zero-cost at runtime — they validate their
-arguments once at decoration time and stash the declaration on the
-class — and both are read *statically* from the AST by the ND006/ND007
-rules, so the checks hold even for code paths no test executes.
+contracts.  Both validate their arguments once at decoration time and
+stash the declaration on the class, and both are read *statically* from
+the AST by the ND006/ND007 rules, so the checks hold even for code paths
+no test executes.
 
 ``@conserves("granted == in_flight + available")``
-    Declares a conservation law over integer counters of the class.
+    Declares a conservation law over integer counters of the class and
+    gives the class its runtime ``check()``: compiled from every law the
+    class declares, it raises :class:`RuntimeError` naming the class,
+    the broken law and the values of its fields, and costs what the
+    same comparison written by hand costs.
     ND006 proves every mutating method keeps the law: on **every**
     branch/early-return path, the net delta applied to the left-hand
     field equals the summed deltas of the right-hand fields (``strict``
@@ -15,7 +19,7 @@ rules, so the checks hold even for code paths no test executes.
     path *consistency* — every path through a method must apply the
     same (lhs, rhs-sum) delta — for ledgers whose law closes only at
     the end of a run (each resolution bumps exactly one right-hand
-    counter; the runtime check settles the books).
+    counter; ``check()`` settles the books).
 
 ``@fenced_by("_fence", "model", "model_version")``
     Declares that the named attributes are epoch-fenced state: every
@@ -30,7 +34,7 @@ rules, so the checks hold even for code paths no test executes.
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NoReturn, Tuple
 
 __all__ = ["conserves", "fenced_by", "parse_conservation"]
 
@@ -68,9 +72,31 @@ def conserves(law: str, mode: str = "strict") -> Callable[[type], type]:
         laws.append({"law": law, "lhs": lhs, "rhs": tuple(rhs),
                      "mode": mode})
         cls.__conserves__ = laws
+        cls.check = _compile_check(laws)
         return cls
 
     return decorate
+
+
+def _compile_check(laws: List[Dict]) -> Callable[[object], None]:
+    """``check(self)`` testing each law with plain attribute reads, as
+    ``dataclasses`` builds ``__init__``: a generic reader (attrgetter
+    and ``sum``) costs twice as much on a per-request ledger."""
+    lines = ["def check(self):"]
+    for index, law in enumerate(laws):
+        terms = " + ".join(f"self.{name}" for name in law["rhs"])
+        lines += [f"    if self.{law['lhs']} != {terms}:",
+                  f"        _violated(self, _LAWS[{index}])"]
+    namespace = {"_violated": _violated, "_LAWS": laws}
+    exec("\n".join(lines), namespace)
+    return namespace["check"]
+
+
+def _violated(obj: object, law: Dict) -> NoReturn:
+    values = ", ".join(f"{name}={getattr(obj, name)}"
+                       for name in (law["lhs"], *law["rhs"]))
+    raise RuntimeError(f"{type(obj).__name__} conservation violated: "
+                       f"{law['law']} ({values})")
 
 
 def fenced_by(fence: str, *attrs: str) -> Callable[[type], type]:

@@ -262,19 +262,23 @@ def _conservation_events(index: ProjectIndex, func: FunctionInfo,
 
 def check_conservation(index: ProjectIndex) -> List[Finding]:
     findings: List[Finding] = []
-    laws = _laws(index)
+    laws = [(cls, law, {law["lhs"], *law["rhs"]})
+            for cls, law in _laws(index)]
     if not laws:
         return findings
     for func in index.functions.values():
-        for cls, law in laws:
-            fields = {law["lhs"], *law["rhs"]}
-            if func.cls == cls.name and func.name == "__init__":
+        # one walk for the attribute names the function stores into; a
+        # law none of whose fields is among them has no event here
+        stored = {attr for sub in _walk_expr(func.node)
+                  if isinstance(sub, (ast.AugAssign, ast.Assign))
+                  for _, attr in _field_targets(sub)}
+        for cls, law, fields in laws:
+            if fields.isdisjoint(stored) or \
+                    func.cls == cls.name and func.name == "__init__":
                 continue
-            events_all = _conservation_events(index, func, cls, fields,
-                                              func.node)
-            if not events_all:
-                continue
-            findings.extend(_check_one_law(index, func, cls, law, fields))
+            if _conservation_events(index, func, cls, fields, func.node):
+                findings.extend(
+                    _check_one_law(index, func, cls, law, fields))
     return findings
 
 

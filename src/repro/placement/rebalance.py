@@ -60,28 +60,19 @@ class MigrationLedger:
 
     def commit(self) -> None:
         """The destination acknowledged the copy."""
+        if self.objects_inflight == 0:
+            raise RuntimeError("migration commit/abort without a begin")
         self.objects_inflight -= 1
         self.objects_received += 1
         self.check()
 
     def abort(self) -> None:
         """Every retry failed; the source copy remains authoritative."""
+        if self.objects_inflight == 0:
+            raise RuntimeError("migration commit/abort without a begin")
         self.objects_inflight -= 1
         self.objects_failed += 1
         self.check()
-
-    def check(self) -> None:
-        if self.objects_moved != (self.objects_received
-                                  + self.objects_failed
-                                  + self.objects_inflight):
-            raise RuntimeError(
-                f"migration conservation violated: "
-                f"moved={self.objects_moved} != "
-                f"received={self.objects_received} + "
-                f"failed={self.objects_failed} + "
-                f"inflight={self.objects_inflight}")
-        if self.objects_inflight < 0:
-            raise RuntimeError("migration commit/abort without a begin")
 
     def to_dict(self) -> Dict:
         return {

@@ -4,7 +4,8 @@ Every upload belongs to a tenant; the tenant's :class:`QuotaLedger`
 decides at admission time whether it fits the byte quota declared in
 :class:`~repro.placement.config.TenantConfig`.  The ledger sits under
 two checked conservation laws (ND006 proves them statically,
-:meth:`QuotaLedger.check` settles them at runtime):
+:meth:`QuotaLedger.check`, which ``@conserves`` compiles from the
+same two laws, settles them at runtime):
 
 * ``offered == admitted + rejected`` — every offer resolves exactly one
   way;
@@ -85,17 +86,6 @@ class QuotaLedger:
         self.released += 1
         self.resident_bytes -= nbytes
         self.check()
-
-    def check(self) -> None:
-        """Settle both laws; a skew is a ledger bug, not tolerable drift."""
-        if self.offered != self.admitted + self.rejected:
-            raise RuntimeError(
-                f"quota conservation violated: offered={self.offered} != "
-                f"admitted={self.admitted} + rejected={self.rejected}")
-        if self.charged != self.resident + self.released:
-            raise RuntimeError(
-                f"residency conservation violated: charged={self.charged} "
-                f"!= resident={self.resident} + released={self.released}")
 
     def to_dict(self) -> Dict:
         return {

@@ -107,12 +107,6 @@ class CreditWindow:
         self.available += 1
         self.check()
 
-    def check(self) -> None:
-        if self.granted != self.in_flight + self.available:
-            raise RuntimeError(
-                f"credit conservation violated: granted={self.granted} != "
-                f"in_flight={self.in_flight} + available={self.available}")
-
 
 @dataclass
 class ServeOutcome:
@@ -158,7 +152,7 @@ class ServingReport:
     The ``group`` conservation mode fits a ledger that closes at
     end-of-run: every resolution path must bump exactly one terminal
     counter (ND006 proves the path consistency statically), and the
-    runtime :attr:`conserved` check settles the books when the event
+    runtime ``check()`` settles the books when the event
     loop drains.  Which terms can be non-zero depends on the protocol:
     the bounded queue sheds (``queue_full``, ``expired`` as the
     ``deadline`` shed, ``dispatch_failed``), the credit window only
@@ -209,12 +203,13 @@ class ServingReport:
         return [o for o in self.outcomes if o.status == COMPLETED]
 
     @property
-    def resolved(self) -> int:
-        return self.completed + self.cancelled + self.shed_total
-
-    @property
     def conserved(self) -> bool:
-        return self.offered == self.resolved
+        """Whether the declared law holds (``check()`` raises if not)."""
+        try:
+            self.check()
+        except RuntimeError:
+            return False
+        return True
 
     @property
     def throughput_rps(self) -> float:

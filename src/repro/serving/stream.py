@@ -166,11 +166,7 @@ class StreamingFrontend:
         report.final_replicas = self.dispatcher.num_replicas
         report.replica_busy_s = self.dispatcher.busy_s
         report.replica_stalled_s = self.dispatcher.stalled_s
-        if not report.conserved:
-            raise RuntimeError(
-                f"request conservation violated: offered={report.offered} "
-                f"!= completed={report.completed} + "
-                f"cancelled={report.cancelled} + shed={report.shed}")
+        report.check()
         return report
 
 

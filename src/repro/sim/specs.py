@@ -28,6 +28,7 @@ Calibration targets (from the paper's measurements):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
@@ -310,6 +311,11 @@ class NetworkSpec:
     gbps: float
     #: protocol efficiency (TCP/framing overhead)
     efficiency: float = 0.94
+
+    def __post_init__(self):
+        if not 0 < self.gbps < math.inf:
+            raise ValueError(
+                f"gbps must be positive and finite, got {self.gbps}")
 
     @property
     def bytes_per_s(self) -> float:

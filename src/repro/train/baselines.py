@@ -30,6 +30,7 @@ from ..sim.specs import (
     COMPRESSED_PREPROCESSED_BYTES,
     G4DN_4XLARGE,
     G4DN_4XLARGE_NOGPU,
+    LABEL_BYTES,
     P3_8XLARGE,
     PCIE,
     PREPROCESSED_BYTES,
@@ -55,6 +56,9 @@ class SystemPoint:
     throughput_ips: float
     power: PowerDraw
     bottleneck: str
+    #: bytes each image puts on the network (0: it never leaves the
+    #: server that processes it)
+    wire_bytes: int = 0
 
     @property
     def ips_per_watt(self) -> float:
@@ -82,6 +86,7 @@ def srv_inference(variant: str, graph: ModelGraph,
     gpu_rate = host.accelerator_count * accel.inference_ips(graph, batch_size)
     stages = [Stage("FE&Cl", gpu_rate)]
     decomp_cores = 0
+    payload = 0
     if variant != "SRV-I":
         payload = (COMPRESSED_PREPROCESSED_BYTES if variant == "SRV-C"
                    else PREPROCESSED_BYTES)
@@ -100,7 +105,8 @@ def srv_inference(variant: str, graph: ModelGraph,
         # the photos live on these servers either way; disks keep spinning
         draws.append(server_power(G4DN_4XLARGE_NOGPU, active_cores=1,
                                   disk_active=True))
-    return SystemPoint(variant, rate, total_power(draws), bottleneck)
+    return SystemPoint(variant, rate, total_power(draws), bottleneck,
+                       payload)
 
 
 def ndpipe_inference(graph: ModelGraph, num_stores: int,
@@ -129,7 +135,7 @@ def ndpipe_inference(graph: ModelGraph, num_stores: int,
     draw = server_power(store, gpu_util=gpu_util,
                         active_cores=decompress_cores,
                         disk_active=True).scaled(num_stores)
-    return SystemPoint("NDPipe", rate, draw, bottleneck)
+    return SystemPoint("NDPipe", rate, draw, bottleneck, LABEL_BYTES)
 
 
 def inference_crossovers(graph: ModelGraph, max_stores: int = 20,
@@ -162,6 +168,7 @@ def srv_finetune(graph: ModelGraph, network: NetworkSpec = TEN_GBE,
     gpu_rate = host.accelerator_count * accel.full_finetune_ips(graph)
     stages = [Stage("FE&CT", gpu_rate)]
     decomp_cores = 0
+    payload = 0
     if variant != "SRV-I":
         payload = (COMPRESSED_PREPROCESSED_BYTES if variant == "SRV-C"
                    else PREPROCESSED_BYTES)
@@ -180,7 +187,7 @@ def srv_finetune(graph: ModelGraph, network: NetworkSpec = TEN_GBE,
         draws.append(server_power(G4DN_4XLARGE_NOGPU, active_cores=1,
                                   disk_active=True))
     return SystemPoint(f"{variant} (fine-tune)", rate, total_power(draws),
-                       bottleneck)
+                       bottleneck, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +211,8 @@ def typical_finetune(graph: ModelGraph, network: NetworkSpec = TEN_GBE,
     draws = [server_power(host, gpu_util=min(1.0, rate / gpu_rate))]
     draws += [server_power(G4DN_4XLARGE_NOGPU, active_cores=1, disk_active=True)
               for _ in range(num_storage)]
-    return SystemPoint("Typical", rate, total_power(draws), "sequential")
+    return SystemPoint("Typical", rate, total_power(draws), "sequential",
+                       PREPROCESSED_BYTES)
 
 
 def ideal_finetune(graph: ModelGraph,
@@ -241,7 +249,8 @@ def typical_offline_inference(graph: ModelGraph,
                           active_cores=preprocess_cores)]
     draws += [server_power(G4DN_4XLARGE_NOGPU, active_cores=1, disk_active=True)
               for _ in range(num_storage)]
-    return SystemPoint("Typical", rate, total_power(draws), "sequential")
+    return SystemPoint("Typical", rate, total_power(draws), "sequential",
+                       RAW_IMAGE_BYTES)
 
 
 def ideal_offline_inference(graph: ModelGraph,

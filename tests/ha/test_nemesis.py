@@ -1,5 +1,6 @@
 """Nemesis chaos runs: invariants hold, logs replay deterministically."""
 
+import dataclasses
 import json
 
 import pytest
@@ -25,12 +26,12 @@ def test_invariants_hold_across_seeds(seed):
         assert entry["epoch"] >= 0
 
     # the log is JSON-serialisable (it is the CI artifact)
-    assert json.dumps(report.to_dict())
+    assert json.dumps(dataclasses.asdict(report))
 
 
 def test_event_log_is_deterministic():
-    a = run(1).run().to_dict()
-    b = run(1).run().to_dict()
+    a = dataclasses.asdict(run(1).run())
+    b = dataclasses.asdict(run(1).run())
     assert a == b
 
 

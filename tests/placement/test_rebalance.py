@@ -59,7 +59,8 @@ class TestMigrationLedger:
         ledger = MigrationLedger()
         ledger.begin()
         ledger.objects_received += 1  # commit bookkeeping skipped
-        with pytest.raises(RuntimeError, match="conservation violated"):
+        with pytest.raises(RuntimeError,
+                           match="MigrationLedger conservation violated"):
             ledger.check()
 
     def test_to_dict_snapshot(self):

@@ -56,7 +56,8 @@ class TestQuotaLedger:
         ledger = QuotaLedger()
         ledger.offer(1)
         ledger.admitted += 1  # skew the books
-        with pytest.raises(RuntimeError, match="conservation violated"):
+        with pytest.raises(RuntimeError,
+                           match="QuotaLedger conservation violated"):
             ledger.check()
 
     def test_to_dict_snapshot(self):

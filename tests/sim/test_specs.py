@@ -131,6 +131,13 @@ class TestCpuDiskNet:
     def test_network_zero_bytes_free(self):
         assert NetworkSpec(10).transfer_ips(0) == float("inf")
 
+    @pytest.mark.parametrize("gbps", [0.0, -1.0, float("inf"),
+                                      float("nan")])
+    def test_network_refuses_a_link_speed_that_is_not_positive(self, gbps):
+        with pytest.raises(ValueError, match="gbps must be positive and "
+                                             "finite"):
+            NetworkSpec(gbps=gbps)
+
     def test_typical_ideal_anchor(self):
         """Fig. 5b: Typical ~94 IPS, Ideal ~123 IPS (sequential stages)."""
         from repro.train.baselines import (
