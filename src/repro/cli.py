@@ -99,6 +99,15 @@ def _gbps(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_float(text: str) -> float:
+    """An argparse type: a positive, finite number (one line, exit 2)."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"need a positive finite number, got {value}")
+    return value
+
+
 def _two_column(key: str, rows: List[list], title: str) -> Output:
     """A ``key``/value table; its JSON is the rows as strings."""
     return Output(format_table([key, "value"], rows, title=title),
@@ -109,9 +118,9 @@ def _two_column(key: str, rows: List[list], title: str) -> Output:
           _arg("--model", default="ResNet50"),
           _arg("--accelerator", choices=("t4", "inferentia"), default="t4"),
           _arg("--gbps", type=_gbps, default=10.0),
-          _arg("--max-stores", type=int, default=20),
-          _arg("--images", type=int, default=1_200_000),
-          _arg("--runs", type=int, default=3))
+          _arg("--max-stores", type=_at_least(1), default=20),
+          _arg("--images", type=_at_least(1), default=1_200_000),
+          _arg("--runs", type=_at_least(1), default=3))
 def _cmd_plan(args: argparse.Namespace) -> Output:
     from .core.apo import plan_organization
     from .core.partition import FinetunePlanConfig
@@ -188,7 +197,7 @@ def _cmd_figures(args: argparse.Namespace) -> Output:
 
 
 @_command("demo", "run the tiny-cluster lifecycle",
-          _stores(), _arg("--photos", type=int, default=90))
+          _stores(), _arg("--photos", type=_at_least(1), default=90))
 def _cmd_demo(args: argparse.Namespace) -> Output:
     cluster = _make_demo_cluster(args.stores, seed=args.seed)
     _ingest_demo_photos(cluster, args.photos, args.seed)
@@ -349,7 +358,7 @@ def _cmd_resume(args: argparse.Namespace) -> Output:
 
 
 @_command("nemesis", "run a seeded chaos schedule and check HA invariants",
-          _arg("--steps", type=int, default=8,
+          _arg("--steps", type=_at_least(1), default=8,
                help="lifecycle actions to interleave (default 8)"),
           _stores(at_least=2),  # it crashes one and goes on
           _arg("--photos", type=int, default=4,
@@ -442,9 +451,9 @@ def _cmd_validate(args: argparse.Namespace) -> Output:
           "benchmark adaptive micro-batching vs the batch=1 baseline",
           _arg("--requests", type=int, default=800,
                help="requests in the Poisson trace (default 800)"),
-          _arg("--rate", type=float, default=1500.0,
+          _arg("--rate", type=_positive_float, default=1500.0,
                help="offered load in requests/s (default 1500)"),
-          _arg("--replicas", type=int, default=1),
+          _arg("--replicas", type=_at_least(1), default=1),
           _arg("--slo", type=float, default=0.1,
                help="latency SLO in seconds (default 0.1)"))
 def _cmd_serve_bench(args: argparse.Namespace) -> Output:
@@ -487,7 +496,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> Output:
                help="starting (and minimum) replica count"),
           _arg("--max-replicas", type=int, default=6,
                help="autoscaler ceiling (default 6)"),
-          _arg("--credits", type=int, default=256,
+          _arg("--credits", type=_at_least(1), default=256,
                help="client send-credit window (default 256)"),
           _arg("--slo", type=float, default=0.1,
                help="latency SLO in seconds (default 0.1)"),
@@ -544,7 +553,7 @@ def _cmd_serve_stream(args: argparse.Namespace) -> Output:
                help="trace length (default 200000)"),
           _arg("--users", type=int, default=None,
                help="simulated user population (default 1000000)"),
-          _arg("--shards", type=int, default=None,
+          _arg("--shards", type=_at_least(1), default=None,
                help="fleet size (default 8)"))
 def _cmd_shard_bench(args: argparse.Namespace) -> Output:
     from .placement.bench import run_sharding_bench

@@ -275,7 +275,7 @@ def train_tail(model: SplitModel, split: int, optimizer: Optimizer,
         for fb, yb in batch_iter(features, labels, batch_size, rng):
             logits = model.forward_from(Tensor(fb), split)
             loss = cross_entropy(logits, yb)
-            model.zero_grad()
+            optimizer.zero_grad()
             loss.backward()
             optimizer.step()
             losses.append(loss.item())

@@ -1,7 +1,8 @@
 """The fault vocabulary: scheduled events the injector can fire.
 
 Events are pinned to a *logical tick*: the injector's clock advances once
-per fabric transfer, so a schedule is deterministic regardless of
+per non-local transfer on an attached fabric and once per poll of an HA
+controller sharing it, so a schedule is deterministic regardless of
 wall-clock timing — the same schedule against the same workload always
 crashes the same store between the same two messages.  No event spends
 wall-clock time.

@@ -1,12 +1,12 @@
 """Deterministic fault injection for the runnable NDPipe cluster.
 
-A :class:`FaultInjector` owns a schedule of :mod:`~repro.faults.events`
-pinned to logical ticks and hooks into the system through injectable
-callbacks:
+A :class:`FaultInjector` keeps a schedule of :mod:`~repro.faults.events`
+on its :class:`~repro.sim.engine.Simulation` kernel, keyed by logical
+tick, and hooks into the system through injectable callbacks:
 
-* ``NetworkFabric.fault_filter`` — every transfer advances the clock one
-  tick, then may be dropped (:class:`MessageDroppedError`) or charged
-  extra latency (accounted, never slept);
+* ``NetworkFabric.fault_filter`` — every non-local transfer runs the
+  kernel one tick, then may be dropped (:class:`MessageDroppedError`) or
+  charged extra latency (accounted, never slept);
 * the attached cluster's store roster (read live, so a shard that joins
   after ``attach`` is addressable and one that left is not) and any
   separately registered ``PipeStore`` — crash/recover/slow-accelerator
@@ -19,11 +19,11 @@ what lets the chaos suite assert exact accounting under failure.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..sim.engine import Simulation
 from .errors import FaultConfigError, MessageDroppedError, TunerCrashError
 from .events import (
     AddLatency,
@@ -58,13 +58,14 @@ class _Budget:
 class FaultInjector:
     """Replays a fault schedule against an attached cluster.
 
-    The clock is advanced by fabric transfers, on the thread that drives
-    the cluster; nothing else touches the schedule state.
+    The kernel is advanced by fabric transfers and HA polls, on the
+    thread that drives the cluster; nothing else touches the schedule.
     """
 
     def __init__(self, schedule: Sequence[FaultEvent] = ()):
-        self._due = deque(sorted(schedule, key=lambda e: e.at))
-        self.clock = 0
+        self.sim = Simulation()
+        for event in schedule:
+            self.sim.at(event.at, self._fire, event)
         #: attached clusters' live rosters and one-store registrations
         self._rosters: List[Any] = []
         self._drops: List[_Budget] = []
@@ -96,7 +97,7 @@ class FaultInjector:
     def attach_fabric(self, fabric: Any) -> "FaultInjector":
         fabric.fault_filter = self.on_message
         self._fabrics.append(fabric)
-        self._fire_due()
+        self.advance(0)
         return self
 
     # ndlint: allow[ND012] -- aims a schedule at a PipeStore that no cluster roster holds
@@ -117,22 +118,21 @@ class FaultInjector:
             if fabric.fault_filter == self.on_message:
                 fabric.fault_filter = None
         self._fabrics.clear()
-        self._due.clear()
+        self.sim.clear()
         self._drops.clear()
         self._latencies.clear()
         self._tuner_crashed = False
         self._crashed_tuners.clear()
 
     # -- the logical clock -------------------------------------------------
+    @property
+    def clock(self) -> int:
+        """The kernel's time as a whole tick."""
+        return int(self.sim.now)
+
     def advance(self, ticks: int = 1) -> None:
         """Move the clock forward, firing every event that comes due."""
-        for _ in range(ticks):
-            self.clock += 1
-            self._fire_due()
-
-    def _fire_due(self) -> None:
-        while self._due and self._due[0].at <= self.clock:
-            self._fire(self._due.popleft())
+        self.sim.run(until=self.sim.now + ticks)
 
     def stores(self) -> Dict[str, Any]:
         """Every store a schedule can name right now, by id: the members
@@ -266,7 +266,7 @@ class FaultInjector:
 
     @property
     def pending(self) -> List[FaultEvent]:
-        return list(self._due)
+        return self.sim.pending
 
     def crashed_stores(self) -> List[str]:
         return sorted(sid for sid, store in self.stores().items()
@@ -274,7 +274,7 @@ class FaultInjector:
 
     def describe(self) -> str:
         lines = [e.describe() for e in self.fired]
-        lines += [f"(pending) {e.describe()}" for e in self._due]
+        lines += [f"(pending) {e.describe()}" for e in self.pending]
         return "\n".join(lines) if lines else "(empty schedule)"
 
     # -- schedule generation -----------------------------------------------

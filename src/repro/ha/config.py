@@ -11,9 +11,10 @@ from ..core.config import Config
 class HAConfig(Config):
     """Failure-detection and failover policy knobs.
 
-    All timings are **logical ticks** of the faults clock (one tick per
-    observed fabric transfer, plus one per controller poll), so suspicion thresholds replay deterministically
-    with the workload — the same property the fault schedule itself has.
+    All timings are **logical ticks**: one per controller poll, plus one
+    per non-local fabric transfer while a fault injector is attached (its
+    kernel is then the controller's clock).  So suspicion thresholds
+    replay deterministically with the workload, as the schedule does.
     """
 
     #: hard deadline: a member silent this many ticks is suspected

@@ -1,11 +1,12 @@
 """HAController — wires detector, standby, and eviction/rejoin together.
 
 One controller per cluster (built by ``NDPipeCluster.enable_ha``).  Each
-``poll()`` advances the logical clock one tick (a heartbeat round is
-itself observed work), samples every member's liveness, and reacts to
-detector transitions.  The store members are the cluster's roster, read
-live each round: a shard that joins is watched from the round that
-first sees it, one that leaves is no longer probed.
+``poll()`` runs the logical clock (the attached injector's kernel, or
+the controller's own) one tick, as a heartbeat round is itself observed
+work, samples every member's liveness, and reacts to detector
+transitions.  The store members are the cluster's roster, read live
+each round: a shard that joins is watched from the round that first
+sees it, one that leaves is no longer probed.
 
 * **store suspected** — its journalled photos are re-placed onto
   survivors (``reingest_orphans``), exactly what test code used to drive
@@ -26,6 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.tuner import Tuner
 from ..durability.checkpoint import FinetuneProgress
+from ..sim.engine import Simulation
 from .config import HAConfig
 from .detector import FailureDetector
 from .failover import TunerFailoverManager
@@ -42,10 +44,11 @@ class HAController:
                  injector: Optional[Any] = None):
         self.cluster = cluster
         self.config = config.validated()
-        self.injector = injector
+        self.injector = injector  # kept for callers; read self.sim
         self.metrics = HAMetrics(cluster.metrics)
         self.detector = FailureDetector(self.config)
-        self._tick = 0
+        #: the logical clock: the injector's, so faults fire between polls
+        self.sim = injector.sim if injector is not None else Simulation()
         #: non-store member id -> {"kind", "liveness"} (see members())
         self._members: Dict[str, Dict[str, Any]] = {}
         self._dispatchers: List[Any] = []
@@ -96,7 +99,7 @@ class HAController:
         # bootstrap: a member is presumed alive when it registers, so a
         # component that dies before the first poll is still suspectable
         # (the detector needs a last-heard tick to measure silence from)
-        self.detector.heartbeat(member_id, self._now())
+        self.detector.heartbeat(member_id, int(self.sim.now))
 
     def members(self) -> List[Tuple[str, Dict[str, Any]]]:
         """What one heartbeat round probes: the roster, then the rest."""
@@ -109,7 +112,7 @@ class HAController:
     def _presume_alive(self) -> None:
         """A store the detector has not heard of yet is presumed alive as
         of now, as a registered member is when it registers."""
-        now = self._now()
+        now = int(self.sim.now)
         for store in self.cluster.stores:
             if self.detector.last_heard(store.store_id) is None:
                 self.detector.heartbeat(store.store_id, now)
@@ -124,11 +127,6 @@ class HAController:
         if self.failover is None:
             return [self.cluster.tuner]
         return [self.failover.primary, self.failover.standby]
-
-    def _now(self) -> int:
-        if self.injector is not None:
-            return self.injector.clock
-        return self._tick
 
     def _primary_alive(self) -> bool:
         if self.failover is not None:
@@ -145,18 +143,13 @@ class HAController:
     def poll(self) -> List[Tuple[str, str]]:
         """One heartbeat round; returns ``(transition, member)`` events.
 
-        Advances the logical clock one tick (through the injector when
-        attached, so scheduled faults can fire between rounds), records
-        a heartbeat for every member whose liveness holds, and reacts to
-        alive->suspect and suspect->alive transitions.
+        Runs the logical clock one tick, so every fault event due at
+        that tick fires first, then records a heartbeat for every member
+        whose liveness holds and reacts to alive->suspect and
+        suspect->alive transitions.
         """
         self._presume_alive()  # shards that joined since the last round
-        if self.injector is not None:
-            self.injector.advance()
-            tick = self.injector.clock
-        else:
-            self._tick += 1
-            tick = self._tick
+        tick = int(self.sim.run(until=self.sim.now + 1))
         events: List[Tuple[str, str]] = []
         for member_id, info in self.members():
             if info["liveness"]():

@@ -207,9 +207,7 @@ def simulate_offline_inference(graph: ModelGraph, num_stores: int,
             _plan_batches(shard, batch_size, split=None, job="inference"),
             link=None, on_batch_done=lambda b: None,
         ))
-    gate = all_of(sim, finishers)
-    while not gate.triggered:
-        sim.run_step()
+    sim.run_until_complete(all_of(sim, finishers))
     return ClusterSimResult(makespan_s=sim.now, images=images,
                             feature_bytes=0,
                             utilization=_collect_utilization(nodes, sim))

@@ -8,7 +8,9 @@ This powers the datacenter experiments: PipeStore/Tuner pipelines, network
 links, disks and CPU pools are processes contending for
 :class:`~repro.sim.resources` wrappers built on the primitives here.  The
 serving front end (:mod:`repro.serving.stream`) runs on the same kernel
-through :meth:`Simulation.at`, scheduling callbacks at absolute times.
+through :meth:`Simulation.at`, scheduling callbacks at absolute times,
+and so does the fault schedule (:mod:`repro.faults.injector`), whose
+kernel counts one time unit per logical tick.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class Process(Event):
     def __init__(self, sim: "Simulation", generator: Generator):
         super().__init__(sim)
         self._generator = generator
-        sim._schedule(0.0, self._resume, None)
+        sim.at(sim.now, self._resume)
 
     def _resume(self, event: Optional[Event]) -> None:
         value = event.value if event is not None else None
@@ -77,11 +79,6 @@ class Simulation:
         self._seq = 0
 
     # -- scheduling -------------------------------------------------------
-    def _schedule(self, delay: float, callback, value) -> None:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        self.at(self.now + delay, callback, value)
-
     def at(self, time: float, callback: Callable[[Any], None],
            value: Any = None) -> None:
         """Call ``callback(value)`` at absolute ``time``.
@@ -94,8 +91,10 @@ class Simulation:
         heapq.heappush(self._heap, (time, self._seq, callback, value))
 
     def timeout(self, delay: float, value: Any = None) -> Event:
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
         event = Event(self)
-        self._schedule(delay, lambda _: event.trigger(value), None)
+        self.at(self.now + delay, lambda _: event.trigger(value))
         return event
 
     def event(self) -> Event:
@@ -106,29 +105,35 @@ class Simulation:
 
     # -- execution ----------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
-        """Drain the event heap; returns the final clock value."""
-        while self._heap:
-            time, _seq, callback, value = self._heap[0]
-            if until is not None and time > until:
-                self.now = until
-                return self.now
-            heapq.heappop(self._heap)
+        """Drain the event heap, or run it up to and including ``until``
+        and leave the clock there; returns the final clock value."""
+        heap = self._heap
+        while heap and (until is None or heap[0][0] <= until):
+            time, _seq, callback, value = heapq.heappop(heap)
             self.now = max(self.now, time)
             callback(value)
+        if until is not None:
+            self.now = max(self.now, until)
         return self.now
 
-    def run_until_complete(self, process: Process) -> Any:
-        """Run until ``process`` finishes; returns its return value."""
+    def run_until_complete(self, process: Event) -> Any:
+        """Run until ``process`` (or any event) triggers; returns its value."""
         while not process.triggered:
             if not self._heap:
                 raise RuntimeError("simulation starved: process never completes")
-            self.run_step()
+            time, _seq, callback, value = heapq.heappop(self._heap)
+            self.now = max(self.now, time)
+            callback(value)
         return process.value
 
-    def run_step(self) -> None:
-        time, _seq, callback, value = heapq.heappop(self._heap)
-        self.now = max(self.now, time)
-        callback(value)
+    @property
+    def pending(self) -> List[Any]:
+        """The value of every callback still scheduled, in firing order."""
+        return [value for _t, _seq, _cb, value in sorted(self._heap)]
+
+    def clear(self) -> None:
+        """Cancel every scheduled callback; the clock stays put."""
+        self._heap.clear()
 
 
 class Resource:

@@ -2,10 +2,16 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.ha import InvariantViolation, NemesisHarness
+
+#: ``repro nemesis --seed S --steps 8 --format json --out F`` logs for
+#: S = 0, 1, 2, pinned byte for byte
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(seed, steps=6):
@@ -71,3 +77,29 @@ def test_harness_validates_inputs():
         NemesisHarness(steps=0)
     with pytest.raises(ValueError):
         NemesisHarness(num_stores=1)
+
+
+def first_difference(got, want):
+    """Where two nemesis logs part: the first step that differs, else the
+    first top-level field."""
+    for step, (ours, theirs) in enumerate(zip(got["events"], want["events"])):
+        if ours != theirs:
+            keys = sorted(k for k in set(ours) | set(theirs)
+                          if ours.get(k) != theirs.get(k))
+            return f"step {step} differs in {keys}: {ours} != {theirs}"
+    if len(got["events"]) != len(want["events"]):
+        return (f"step {min(len(got['events']), len(want['events']))} "
+                f"is missing from one log")
+    keys = sorted(k for k in set(got) | set(want) if got.get(k) != want.get(k))
+    return f"no step differs; fields {keys} do"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cli_event_log_matches_the_golden_bytes(tmp_path, capsys, seed):
+    out = tmp_path / "nemesis.json"
+    assert main(["nemesis", "--seed", str(seed), "--steps", "8",
+                 "--format", "json", "--out", str(out)]) == 0
+    golden = GOLDEN / f"nemesis_seed{seed}.json"
+    if out.read_bytes() != golden.read_bytes():
+        pytest.fail(f"seed {seed}: " + first_difference(
+            json.loads(out.read_text()), json.loads(golden.read_text())))

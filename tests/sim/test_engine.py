@@ -48,6 +48,25 @@ class TestClock:
         sim.process(proc())
         assert sim.run(until=10.0) == 10.0
 
+    def test_run_until_past_a_drained_heap_still_reaches_until(self):
+        """A tick clock runs to ``until`` whether or not anything was due."""
+        sim = Simulation()
+        assert sim.run(until=5.0) == 5.0
+        fired = []
+        sim.at(6.0, fired.append, "due")
+        assert sim.run(until=9.0) == 9.0
+        assert fired == ["due"] and sim.now == 9.0
+
+    def test_pending_lists_values_in_firing_order_until_cleared(self):
+        sim = Simulation()
+        for time, value in ((2.0, "b"), (1.0, "a"), (2.0, "c")):
+            sim.at(time, lambda _: None, value)
+        assert sim.pending == ["a", "b", "c"]
+        sim.run(until=1.0)
+        assert sim.pending == ["b", "c"]
+        sim.clear()
+        assert sim.pending == [] and sim.run(until=3.0) == 3.0
+
     def test_ties_break_in_schedule_order(self):
         sim = Simulation()
         log = []

@@ -48,6 +48,35 @@ class TestParser:
         assert (f"argument --attempts: need at least 1, got {attempts}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command, flag, message", [
+        ("plan", "--max-stores", "need at least 1, got 0"),
+        ("plan", "--runs", "need at least 1, got 0"),
+        ("plan", "--images", "need at least 1, got 0"),
+        ("serve-bench", "--rate", "need a positive finite number, got 0.0"),
+        ("serve-bench", "--replicas", "need at least 1, got 0"),
+        ("serve-stream", "--credits", "need at least 1, got 0"),
+        ("nemesis", "--steps", "need at least 1, got 0"),
+        ("demo", "--photos", "need at least 1, got 0"),
+        ("shard-bench", "--shards", "need at least 1, got 0"),
+    ])
+    def test_zero_size_is_a_usage_error(self, capsys, command, flag,
+                                        message):
+        """Not a traceback from deep inside the run it would have sized."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, "0"])
+        assert exit_info.value.code == 2
+        assert (f"argument {flag}: {message}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("rate", ["-1", "nan", "inf"])
+    def test_rate_not_positive_and_finite_is_a_usage_error(self, capsys,
+                                                           rate):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-bench", "--rate", rate])
+        assert exit_info.value.code == 2
+        assert (f"argument --rate: need a positive finite number, "
+                f"got {float(rate)}" in capsys.readouterr().err)
+
     @pytest.mark.parametrize("name", list(COMMANDS))
     def test_each_command_answers_help(self, capsys, name):
         """``repro <cmd> --help`` exits 0, and ``repro --help`` lists the
