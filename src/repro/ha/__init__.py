@@ -3,7 +3,7 @@
 This package turns the fault-injection substrate (`repro.faults`) into
 an *automated* control plane:
 
-* :class:`FailureDetector` — deadline/phi heartbeat suspicion on the
+* :class:`FailureDetector` — deadline heartbeat suspicion on the
   deterministic logical clock;
 * :class:`TunerFailoverManager` — warm-standby Tuner kept current with
   tuner-scoped NDCP frames, epoch-fenced promotion on suspicion;

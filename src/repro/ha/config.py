@@ -9,19 +9,19 @@ from ..core.config import Config
 
 @dataclass(frozen=True)
 class HAConfig(Config):
-    """Failure-detection and failover policy knobs.
+    """Failure-detection and failover policy.
 
-    All timings are **logical ticks**: one per controller poll, plus one
-    per non-local fabric transfer while a fault injector is attached (its
-    kernel is then the controller's clock).  So suspicion thresholds
-    replay deterministically with the workload, as the schedule does.
+    The deadline is in **logical ticks**: one per controller poll, plus
+    one per non-local fabric transfer while a fault injector is attached
+    (its kernel is then the controller's clock).  So suspicion replays
+    deterministically with the workload, as the schedule does.  Entry
+    points run the defaults, except that ``repro report fleet-roster``
+    runs without a standby; tests shrink the deadline, and switch the
+    reactions off to watch detection alone.
     """
 
-    #: hard deadline: a member silent this many ticks is suspected
+    #: deadline: a member silent this many ticks is suspected
     suspect_after_ticks: int = 3
-    #: phi-accrual threshold: elapsed / mean-inter-arrival ratio at which
-    #: a member is suspected even before the hard deadline
-    phi_threshold: float = 8.0
     #: on store suspicion, re-place its journalled photos automatically
     auto_evict: bool = True
     #: on a suspected store's heartbeat resuming, run recover/reconcile
@@ -32,6 +32,4 @@ class HAConfig(Config):
     def validated(self) -> "HAConfig":
         if self.suspect_after_ticks < 1:
             raise ValueError("suspect_after_ticks must be >= 1")
-        if self.phi_threshold <= 0:
-            raise ValueError("phi_threshold must be positive")
         return self

@@ -44,7 +44,6 @@ class HAController:
                  injector: Optional[Any] = None):
         self.cluster = cluster
         self.config = config.validated()
-        self.injector = injector  # kept for callers; read self.sim
         self.metrics = HAMetrics(cluster.metrics)
         self.detector = FailureDetector(self.config)
         #: the logical clock: the injector's, so faults fire between polls
@@ -121,12 +120,6 @@ class HAController:
     def attach_dispatcher(self, dispatcher: Any) -> None:
         """Drain/undrain this dispatcher's replicas on suspicion."""
         self._dispatchers.append(dispatcher)
-
-    def tuners(self) -> List[Tuner]:
-        """Every Tuner this controller manages (for injector wiring)."""
-        if self.failover is None:
-            return [self.cluster.tuner]
-        return [self.failover.primary, self.failover.standby]
 
     def _primary_alive(self) -> bool:
         if self.failover is not None:

@@ -8,8 +8,12 @@ script under the checkout's ``benchmarks/`` and ``examples/``.  A
 properties too; dunders aside) is reached when its name is read — as a
 ``Name``, an ``Attribute`` or an identifier string — anywhere in the
 package outside its own body, when a decorator call of the package
-registers it (``report.py``'s ``@_topic``), or when it is in
-``repro.__all__`` or named in ``benchmarks/`` or ``examples/``.  A
+registers it (``report.py``'s ``@_topic``), when it is in
+``repro.__all__``, or when a script in ``benchmarks/`` or ``examples/``
+uses it: imports it, reads it as an attribute, passes it as a keyword
+or spells it in an identifier string (a dotted one such as
+``"InferenceServer.classify"`` counts as each part).  A script's own
+bare variable of the same name reaches nothing.  A
 ``self.x`` or ``cls.x`` read reaches only a definition of ``x`` in the
 reading class, its bases or its subclasses (bases matched by name), so
 a method is not kept alive by an unrelated class's method of the same
@@ -26,7 +30,6 @@ package: a subtree or a fixture has no entry points to be reached from.
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -45,16 +48,34 @@ def _is_all(node: ast.stmt) -> bool:
         for target in node.targets)
 
 
+def _script_uses(tree: ast.Module) -> Iterator[str]:
+    """Each name a script uses: an imported name, an attribute, a keyword
+    and each part of a dotted identifier string.  A bare ``Name`` is the
+    script's own variable, not a use of the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield from alias.name.split(".")
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                yield from parts
+
+
 def entry_names(root: Path, init: ModuleContext) -> Set[str]:
     """Names ``repro.__all__`` lists (``init`` is the package's
-    ``__init__``) plus every word of the scripts in the checkout's
-    ``benchmarks/`` and ``examples/`` beside ``src/`` (``root`` is the
-    package directory)."""
+    ``__init__``) plus what the scripts in the checkout's ``benchmarks/``
+    and ``examples/`` beside ``src/`` use (``root`` is the package
+    directory)."""
     named = {name for statement in init.tree.body if _is_all(statement)
              for name in ast.literal_eval(statement.value)}
     for folder in _ENTRY_FOLDERS:
         for path in (root.parents[1] / folder).rglob("*.py"):
-            named.update(re.findall(r"\w+", path.read_text()))
+            named.update(_script_uses(ast.parse(path.read_text())))
     return named
 
 

@@ -128,8 +128,7 @@ def _build_fleet(seed: int, p: Dict, metrics=None) -> ShardedCluster:
         ShardConfig(num_shards=p["num_shards"], vnodes=p["vnodes"],
                     ring_seed=seed, replication=p["replication"],
                     fanout=p["fanout"]),
-        tenants=[TenantConfig(name=n, weight=w)
-                 for n, w in sorted(p["tenants"].items())],
+        tenants=[TenantConfig(name=n) for n in sorted(p["tenants"])],
         metrics=metrics)
 
 

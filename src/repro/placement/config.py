@@ -15,7 +15,6 @@ a fleet takes a tuple of them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,17 +61,15 @@ class TenantConfig(Config):
 
     The quota is an admission-time limit enforced by the fleet's
     :class:`~repro.placement.tenants.TenantNamespace` ledger; ``None``
-    means unmetered.  ``weight`` scales the tenant's share of synthetic
-    multi-tenant traces (:func:`repro.workloads.continuous
-    .multi_tenant_trace`), not its quota.
+    means unmetered.  A tenant's share of a synthetic trace is the
+    trace's own argument (:func:`repro.workloads.continuous
+    .multi_tenant_trace` takes the weights), not a field here.
     """
 
     #: namespace name; prefixes every photo key the tenant owns
     name: str = "default"
     #: resident-byte ceiling across the tenant's photos (None = unmetered)
     byte_quota: Optional[int] = None
-    #: relative share of synthetic trace traffic
-    weight: float = 1.0
 
     def validated(self) -> "TenantConfig":
         if not self.name or "/" in self.name or self.name.strip() != self.name:
@@ -82,7 +79,4 @@ class TenantConfig(Config):
         if self.byte_quota is not None and self.byte_quota < 1:
             raise ValueError(
                 f"byte_quota must be >= 1 or None, got {self.byte_quota}")
-        if not math.isfinite(self.weight) or self.weight <= 0:
-            raise ValueError(
-                f"weight must be a positive finite float, got {self.weight}")
         return self

@@ -53,16 +53,6 @@ class FanoutTree:
                 out[sid] = self.store_ids[k // self.fanout - 1]
         return out
 
-    def children(self, store_id: str) -> List[str]:
-        """Stores this one relays to (empty for leaves)."""
-        j = self.store_ids.index(store_id)
-        lo = self.fanout * (j + 1)
-        return self.store_ids[lo:lo + self.fanout]
-
-    def roots(self) -> List[str]:
-        """Stores fed directly from the Tuner."""
-        return self.store_ids[:self.fanout]
-
     @property
     def depth(self) -> int:
         """Relay generations from the Tuner to the deepest leaf."""

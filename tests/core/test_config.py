@@ -31,7 +31,8 @@ class Case(NamedTuple):
     #: ``(dict, match)``: a value ``from_dict`` validates and refuses
     invalid: tuple
     #: fields that became module constants (their values are a constant
-    #: of the design, not a knob)
+    #: of the design, not a knob) or went with the only code that read
+    #: them
     removed: tuple
 
 
@@ -64,17 +65,17 @@ CONFIGS = {
         (NO_SUCH_KNOB, {"nope": 1}),
         ({"suspect_after_ticks": 0}, "suspect_after_ticks"),
         ("account_heartbeats", "heartbeat_bytes",
-         "heartbeat_interval_ticks", "window")),
+         "heartbeat_interval_ticks", "window", "phi_threshold")),
     ShardConfig: Case(
         (ShardConfig(num_shards=4, replication=2, ring_seed=9),),
         (NO_SUCH_KNOB, {"num_shards": 4, "shards": 4}),
         ({"fanout": 0}, "fanout"),
         ("load_factor", "rebalance_batch")),
     TenantConfig: Case(
-        (TenantConfig(name="acme", byte_quota=1 << 20, weight=2.5),),
+        (TenantConfig(name="acme", byte_quota=1 << 20),),
         (NO_SUCH_KNOB, {"name": "acme", "quota": 1}),
-        ({"weight": 0.0}, "weight"),
-        ("request_quota",)),
+        ({"byte_quota": 0}, "byte_quota"),
+        ("request_quota", "weight")),
 }
 
 REMOVED = [(cls, name) for cls, case in CONFIGS.items()

@@ -155,7 +155,7 @@ class TestEveryReplicaKind:
     def test_ha_standby_after_failover(self):
         from tests.ha.test_failover import crash_mid_finetune
 
-        cluster, ha, _ids, report = crash_mid_finetune()
+        cluster, ha, _ids, report, _ = crash_mid_finetune()
         assert report is not None and cluster.tuner.name == "tuner-standby"
         assert ha.failover.primary is cluster.tuner
         # the stores kept the deposed primary's front; the new primary

@@ -92,7 +92,7 @@ class TestEveryReplicaIsHalfWidth:
     def test_after_ha_failover(self):
         from tests.ha.test_failover import crash_mid_finetune
 
-        cluster, ha, _ids, report = crash_mid_finetune()
+        cluster, ha, _ids, report, _ = crash_mid_finetune()
         assert report is not None and cluster.tuner.name == "tuner-standby"
         assert_half_width(replicas(cluster) + [ha.failover.primary.model])
 

@@ -45,6 +45,7 @@ def crash_mid_finetune(seed=0):
     Ingest happens before the injector attaches, so the clock counts
     only HA + training traffic: the initial standby seed is tick 1 and
     run boundaries ship at ticks 5/9/13 — tick 7 lands mid-run-1.
+    Returns ``(cluster, ha, ids, report, injector)``.
     """
     cluster, ids = build_cluster(seed)
     injector = FaultInjector(
@@ -55,7 +56,7 @@ def crash_mid_finetune(seed=0):
     events = ha.poll_until_quiet()
     assert ("suspect", PRIMARY_MEMBER) in events
     report = ha.resume_pending()
-    return cluster, ha, ids, report
+    return cluster, ha, ids, report, injector
 
 
 class TestFailover:
@@ -64,7 +65,7 @@ class TestFailover:
         baseline.finetune(epochs=1, num_runs=3)
         expected = baseline.tuner.model.state_dict()
 
-        cluster, ha, ids, report = crash_mid_finetune()
+        cluster, ha, ids, report, _ = crash_mid_finetune()
         assert report is not None  # the interrupted lifecycle finished
         assert cluster.tuner.name == "tuner-standby"
         assert cluster.tuner.epoch == 1
@@ -83,7 +84,7 @@ class TestFailover:
             assert np.array_equal(w1[key], w2[key]), key
 
     def test_zero_acknowledged_upload_loss(self):
-        cluster, _, ids, _ = crash_mid_finetune()
+        cluster, _, ids, _, _ = crash_mid_finetune()
         assert len(ids) == NUM_PHOTOS
         for pid in ids:
             assert pid in cluster.database
@@ -91,7 +92,7 @@ class TestFailover:
             assert store.objects.exists(store.objects.raw_key(pid))
 
     def test_resume_is_pending_from_the_last_shipped_boundary(self):
-        _, ha, _, _ = crash_mid_finetune()
+        _, ha, _, _, _ = crash_mid_finetune()
         assert ha.pending_resume is None  # consumed by resume_pending
 
     def test_promotion_requires_a_shipped_frame(self):
@@ -105,10 +106,10 @@ class TestFailover:
 
 class TestFencing:
     def finished_failover(self):
-        cluster, ha, _, _ = crash_mid_finetune()
+        cluster, ha, _, _, injector = crash_mid_finetune()
         # recover the deposed primary's node so its traffic flows again
-        ha.injector.advance(60)  # past nothing: schedule is spent
-        ha.injector._fire(TunerRecover(at=0, tuner_id="tuner"))
+        injector.advance(60)  # past nothing: schedule is spent
+        injector._fire(TunerRecover(at=0, tuner_id="tuner"))
         old_primary = ha.failover.standby  # demoted at promotion
         assert old_primary.name == "tuner"
         return cluster, ha, old_primary
@@ -158,5 +159,4 @@ class TestCheckpointShipping:
         cluster, _ = build_cluster()
         ha = cluster.enable_ha(HAConfig(standby=False))
         assert ha.failover is None
-        assert ha.tuners() == [cluster.tuner]
         cluster.finetune(epochs=1, num_runs=1)  # ship hook is a no-op

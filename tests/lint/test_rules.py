@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from repro.lint.census import unreached
+from repro.lint.census import entry_names, unreached
 from repro.lint.engine import LintConfig, LintEngine, package_root
 from repro.lint.rules import ModuleContext
 
@@ -89,6 +89,34 @@ def test_a_self_read_reaches_only_its_own_class_family():
         "    def reset(self): pass\n")
     assert [(qualname, line) for qualname, _, line
             in unreached({"m": module}, {"A", "B"})] == [("m.A.reset", 2)]
+
+
+def test_the_census_reads_what_scripts_use(tmp_path):
+    """A script reaches a package name by importing it, reading it as an
+    attribute, passing it as a keyword or spelling it in an identifier
+    string (each part of a dotted one); a local variable that happens to
+    share the name reaches nothing."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('__all__ = ["main"]\n')
+    (package / "m.py").write_text(
+        "class Fleet:\n"
+        "    def tuners(self): pass\n"
+        "    def pick(self): pass\n"
+        "    def classify(self): pass\n"
+        "def run(): pass\n")
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "x.py").write_text(
+        "from repro.m import run\n"
+        "tuners = [1, 2]\n"
+        "fleet.pick()\n"
+        "SEAMS = ['Fleet.classify']\n"
+        "f(fanout=2)\n")
+    init = ModuleContext.parse(str(package / "__init__.py"),
+                               (package / "__init__.py").read_text())
+    named = entry_names(package, init)
+    assert {"main", "pick", "Fleet", "classify", "run", "fanout"} <= named
+    assert "tuners" not in named
 
 
 def test_census_runs_only_over_the_whole_package():

@@ -19,18 +19,29 @@ def tree_of(n, fanout=2):
     return FanoutTree([f"store-{i}" for i in range(n)], fanout=fanout)
 
 
+def roots(tree):
+    """The stores the Tuner feeds: those with no sender."""
+    return [sid for sid in tree.store_ids if sid not in tree.senders]
+
+
+def children(tree, store_id):
+    """The stores ``store_id`` relays to: those it is the sender of."""
+    return [sid for sid, parent in tree.senders.items()
+            if parent == store_id]
+
+
 class TestLayout:
     def test_known_binary_layout(self):
         tree = tree_of(7)
-        assert tree.roots() == ["store-0", "store-1"]
+        assert roots(tree) == ["store-0", "store-1"]
         assert tree.senders == {
             "store-2": "store-0", "store-3": "store-0",
             "store-4": "store-1", "store-5": "store-1",
             "store-6": "store-2",
         }
-        assert tree.children("store-0") == ["store-2", "store-3"]
-        assert tree.children("store-2") == ["store-6"]
-        assert tree.children("store-6") == []
+        assert children(tree, "store-0") == ["store-2", "store-3"]
+        assert children(tree, "store-2") == ["store-6"]
+        assert children(tree, "store-6") == []
         assert tree.depth == 3
 
     @given(n=st.integers(1, 40), fanout=st.integers(1, 5))
@@ -46,14 +57,13 @@ class TestLayout:
     @settings(max_examples=60, deadline=None)
     def test_every_store_is_root_or_has_one_parent(self, n, fanout):
         tree = tree_of(n, fanout)
-        senders = tree.senders
-        roots = tree.roots()
-        assert len(roots) == min(fanout, n)
-        for sid in tree.store_ids:
-            assert (sid in roots) != (sid in senders)
+        # the Tuner feeds the first min(fanout, n) stores; every other
+        # store has exactly one parent, itself a store of the tree
+        assert roots(tree) == tree.store_ids[:min(fanout, n)]
+        assert set(tree.senders.values()) <= set(tree.store_ids)
         # relay out-degree never exceeds the branching factor
         for sid in tree.store_ids:
-            assert len(tree.children(sid)) <= fanout
+            assert len(children(tree, sid)) <= fanout
 
     @given(n=st.integers(1, 64), fanout=st.integers(2, 5))
     @settings(max_examples=60, deadline=None)
@@ -66,7 +76,7 @@ class TestLayout:
 
     def test_fanout_one_degenerates_to_a_chain(self):
         tree = tree_of(4, fanout=1)
-        assert tree.roots() == ["store-0"]
+        assert roots(tree) == ["store-0"]
         assert tree.senders == {
             "store-1": "store-0",
             "store-2": "store-1",

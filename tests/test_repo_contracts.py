@@ -22,8 +22,9 @@ sites in ``tests/lint/``):
   holds a heredoc or ``python -c``, so each check CI makes is a test or
   a ``repro`` command that a local run executes too; and it runs each
   command once: no ``run:`` but a ``pip install`` appears in two jobs;
-- every name in a ``repro`` package's ``__all__`` resolves, and every
-  repository path the top-level docs name exists.
+- every name in a ``repro`` package's ``__all__`` resolves, every
+  repository path the top-level docs name exists, and every ``DESIGN
+  §n``, ``ROADMAP item n`` and ``path.py:line`` reference resolves.
 """
 
 import importlib
@@ -169,3 +170,58 @@ def test_every_path_the_docs_name_exists():
     assert [(doc, path) for doc, path in named
             if not any((base / path).exists() for base in (
                 ROOT, SRC, ROOT / "src", ROOT / "benchmarks"))] == []
+
+
+#: cross-references the tree writes: a DESIGN section, a ROADMAP item and
+#: a line of a python file
+DESIGN_REF = re.compile(r"DESIGN(?:\.md)?`?\s+§(\d+)")
+ROADMAP_REF = re.compile(r"ROADMAP(?:\.md)?`?\s+items?\s+(\d+)")
+LINE_REF = re.compile(r"(?<![\w/.-])((?:[\w-]+/)+[\w.-]+\.py):(\d+)\b")
+#: "item 7", "items 33 and 37", "items 2, 11 and 31": every number named
+ITEM_LIST = re.compile(r"\bitems?\s+\d+(?:\([a-z]\))?"
+                       r"(?:(?:,\s*|\s+and\s+|/)\d+(?:\([a-z]\))?)*")
+
+
+def _referring_files():
+    """The root docs, the skills, the package, the tests and the
+    benchmark scripts outside the frozen end-to-end benchmark."""
+    yield from sorted(ROOT.glob("*.md"))
+    yield from sorted((ROOT / ".claude" / "skills").rglob("*.md"))
+    for tree in (ROOT / "src", ROOT / "tests"):
+        yield from sorted(tree.rglob("*.py"))
+    yield from sorted((ROOT / "benchmarks").glob("*.py"))
+
+
+def test_every_cross_reference_resolves():
+    """Each ``DESIGN §n`` names a ``## n.`` heading; each ``ROADMAP item
+    n`` names an open item, or a landed one that ROADMAP's Recent section
+    or CHANGES.md names; each ``path.py:line`` names a file at least that
+    long."""
+    texts = [(path.relative_to(ROOT).as_posix(), path.read_text())
+             for path in _referring_files()]
+    sections = set(re.findall(r"^## (\d+)\.",
+                              (ROOT / "DESIGN.md").read_text(), re.M))
+    roadmap = (ROOT / "ROADMAP.md").read_text()
+    items, recent = roadmap.split("\n## Open items", 1)[1].split(
+        "\n## Recent", 1)
+    known = set(re.findall(r"^(\d+)\. \*\*", items, re.M)) | {
+        number for text in (recent, (ROOT / "CHANGES.md").read_text())
+        for match in ITEM_LIST.finditer(text)
+        for number in re.findall(r"\d+", match.group(0))}
+
+    def lines(path):
+        for base in (ROOT, SRC, ROOT / "src", ROOT / "benchmarks"):
+            if (base / path).is_file():
+                return len((base / path).read_text().splitlines())
+        return 0
+
+    refs = {pattern: [(doc, match.groups()) for doc, text in texts
+                      for match in pattern.finditer(text)]
+            for pattern in (DESIGN_REF, ROADMAP_REF, LINE_REF)}
+    assert all(refs.values())
+    assert [(doc, n) for doc, (n,) in refs[DESIGN_REF]
+            if n not in sections] == []
+    assert [(doc, n) for doc, (n,) in refs[ROADMAP_REF]
+            if n not in known] == []
+    assert [(doc, path, line) for doc, (path, line) in refs[LINE_REF]
+            if lines(path) < int(line)] == []
