@@ -155,26 +155,21 @@ def compare_payloads(baseline: Dict, current: Dict,
 
 
 def gate_directories(baseline_dir: Union[str, Path],
-                     current_dir: Union[str, Path],
-                     benches: Sequence[str],
+                     payloads: Dict[str, Dict],
                      tolerance: float = DEFAULT_TOLERANCE,
                      ) -> List[GateFinding]:
-    """Gate every named bench file in ``current_dir`` against baselines."""
-    baseline_dir, current_dir = Path(baseline_dir), Path(current_dir)
+    """Gate each fresh payload, by bench name, against its baseline
+    file ``<baseline_dir>/<bench>.json``."""
     findings: List[GateFinding] = []
-    for bench in benches:
-        baseline_path = baseline_dir / f"{bench}.json"
-        current_path = current_dir / f"{bench}.json"
+    for bench, payload in sorted(payloads.items()):
+        baseline_path = Path(baseline_dir) / f"{bench}.json"
         if not baseline_path.exists():
             raise GateError(
                 f"no committed baseline {baseline_path} — record one with "
                 "'repro perf --bless'"
             )
-        if not current_path.exists():
-            raise GateError(f"fresh results missing {current_path}")
         findings += compare_payloads(load_bench_payload(baseline_path),
-                                     load_bench_payload(current_path),
-                                     tolerance)
+                                     payload, tolerance)
     return findings
 
 

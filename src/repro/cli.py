@@ -646,13 +646,12 @@ def _cmd_shard_bench(args: argparse.Namespace) -> Output:
                     "(default 0.15; 'exact' metrics get none)"),
           _arg("--out-dir", default=None,
                help="directory for the fresh BENCH_*.json files "
-                    "(default: the baseline dir when blessing, a "
-                    "temp dir otherwise)"),
+                    "(default: the baseline dir when blessing; "
+                    "otherwise none is written)"),
           _arg("--baseline-dir", default="benchmarks/results",
                help="committed baseline directory "
                     "(default benchmarks/results)"))
 def _cmd_perf(args: argparse.Namespace) -> Output:
-    import tempfile
     from pathlib import Path
 
     from .bench import (
@@ -672,33 +671,31 @@ def _cmd_perf(args: argparse.Namespace) -> Output:
     scenarios = args.scenario or list(SCENARIOS)
     scale = SCALES[args.scale]
     baseline_dir = Path(args.baseline_dir)
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-    elif args.bless:
-        # blessing re-records the committed trajectory in place
-        out_dir = baseline_dir
-    else:
-        # a plain run (and --check) must not clobber the baselines it
-        # would be compared against
-        out_dir = Path(tempfile.mkdtemp(prefix="ndpipe-perf-"))
+    # blessing re-records the committed trajectory in place; a plain run
+    # (and --check) writes only where --out-dir says
+    out_dir = (Path(args.out_dir) if args.out_dir
+               else baseline_dir if args.bless else None)
     if args.bless:
         # median of several runs centres the baseline in its noise band
         payloads = bless_harness(scale, seed=args.seed, scenarios=scenarios)
     else:
         payloads = run_harness(scale, seed=args.seed, scenarios=scenarios)
-    write_results(payloads, out_dir)
+    if out_dir is not None:
+        write_results(payloads, out_dir)
 
     def gate() -> int:
         # a regression must reproduce in every attempt to fail the gate:
         # bursty interference (scheduler preemption, host steal) can push
         # one run's timing past tolerance without any code change
+        fresh = payloads
         for attempt in range(args.attempts):
             if attempt:
-                write_results(run_harness(scale, seed=args.seed,
-                                          scenarios=scenarios), out_dir)
+                fresh = run_harness(scale, seed=args.seed,
+                                    scenarios=scenarios)
+                if out_dir is not None:
+                    write_results(fresh, out_dir)
             try:
-                findings = gate_directories(baseline_dir, out_dir,
-                                            sorted(payloads),
+                findings = gate_directories(baseline_dir, fresh,
                                             tolerance=args.tolerance)
             except GateError as exc:
                 print(f"perf gate error: {exc}", file=sys.stderr)
@@ -722,10 +719,11 @@ def _cmd_perf(args: argparse.Namespace) -> Output:
     return Output(format_table(
         ["bench", "metric", "labels", "value", "unit", "direction"],
         rows,
-        title=f"repro perf @ scale={scale.name} -> {out_dir}",
+        title=(f"repro perf @ scale={scale.name}"
+               + (f" -> {out_dir}" if out_dir else "")),
     ), {
         "scale": scale.name,
-        "out_dir": str(out_dir),
+        "out_dir": str(out_dir) if out_dir else None,
         "benches": payloads,
     }, gate if args.check else 0)
 

@@ -133,23 +133,20 @@ class TornWrite(FaultEvent):
 
 @dataclass(frozen=True)
 class TunerCrash(FaultEvent):
-    """Kill a Tuner process.
+    """Kill one Tuner process, named by its node.
 
-    With the legacy ``tuner_id=None`` form every subsequent observed
-    operation raises :class:`~repro.faults.errors.TunerCrashError`
-    until the injector is detached — recovery means restoring from a
-    checkpoint.  With an explicit ``tuner_id`` the crash is *targeted*:
-    only fabric traffic to or from that node raises, the registered
-    tuner object is failed (its heartbeats stop), and the rest of the
-    cluster keeps running — which is what lets the HA layer fail over
-    to a warm standby while the primary is down.
+    Only fabric traffic to or from that node raises
+    :class:`~repro.faults.errors.TunerCrashError`, the registered tuner
+    object is failed (its heartbeats stop), and the rest of the cluster
+    keeps running — which is what lets the HA layer fail over to a warm
+    standby while the primary is down.  Without a standby, the operator
+    restores the latest checkpoint into a fresh cluster.
     """
 
-    tuner_id: Optional[str] = None
+    tuner_id: str
 
     def describe(self) -> str:
-        who = self.tuner_id or "tuner (global)"
-        return f"t={self.at} tuner crash {who}"
+        return f"t={self.at} tuner crash {self.tuner_id}"
 
 
 @dataclass(frozen=True)
@@ -158,12 +155,10 @@ class TunerRecover(FaultEvent):
 
     A revived Tuner still holds the epoch it crashed with; if the HA
     layer promoted a standby in the meantime, every update the zombie
-    distributes is rejected by epoch fencing.  ``tuner_id=None``
-    clears the legacy global crash flag.
+    distributes is rejected by epoch fencing.
     """
 
-    tuner_id: Optional[str] = None
+    tuner_id: str
 
     def describe(self) -> str:
-        who = self.tuner_id or "tuner (global)"
-        return f"t={self.at} tuner recover {who}"
+        return f"t={self.at} tuner recover {self.tuner_id}"

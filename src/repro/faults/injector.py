@@ -77,8 +77,7 @@ class FaultInjector:
         #: objects damaged by bit-rot / torn-write events:
         #: (store_id, key) in corruption order
         self.corrupted: List[Any] = []
-        self._tuner_crashed = False
-        #: node names of tuners downed by *targeted* TunerCrash events
+        #: node names of tuners downed by TunerCrash events
         self._crashed_tuners: set = set()
         self.injected_latency_s = 0.0
         self._fabrics: List[Any] = []
@@ -106,7 +105,7 @@ class FaultInjector:
         return self
 
     def register_tuner(self, tuner: Any) -> "FaultInjector":
-        """Make a tuner addressable by targeted TunerCrash/TunerRecover."""
+        """Make a tuner addressable by TunerCrash/TunerRecover."""
         self._tuners[tuner.name] = tuner
         return self
 
@@ -121,7 +120,6 @@ class FaultInjector:
         self.sim.clear()
         self._drops.clear()
         self._latencies.clear()
-        self._tuner_crashed = False
         self._crashed_tuners.clear()
 
     # -- the logical clock -------------------------------------------------
@@ -167,22 +165,15 @@ class FaultInjector:
         elif isinstance(event, (BitRot, TornWrite)):
             self._corrupt(event)
         elif isinstance(event, TunerCrash):
-            if event.tuner_id is None:
-                # legacy global crash: every observed operation raises
-                self._tuner_crashed = True
-            else:
-                self._crashed_tuners.add(event.tuner_id)
-                tuner = self._tuners.get(event.tuner_id)
-                if tuner is not None:
-                    tuner.fail()
+            self._crashed_tuners.add(event.tuner_id)
+            tuner = self._tuners.get(event.tuner_id)
+            if tuner is not None:
+                tuner.fail()
         elif isinstance(event, TunerRecover):
-            if event.tuner_id is None:
-                self._tuner_crashed = False
-            else:
-                self._crashed_tuners.discard(event.tuner_id)
-                tuner = self._tuners.get(event.tuner_id)
-                if tuner is not None:
-                    tuner.repair()
+            self._crashed_tuners.discard(event.tuner_id)
+            tuner = self._tuners.get(event.tuner_id)
+            if tuner is not None:
+                tuner.repair()
         else:
             raise FaultConfigError(f"unknown fault event {event!r}")
         self.fired.append(event)
@@ -223,7 +214,6 @@ class FaultInjector:
     def on_message(self, record: Any) -> float:
         """Fabric filter: returns extra latency seconds or raises a drop."""
         self.advance()
-        self._check_tuner_alive()
         if self._crashed_tuners and (record.src in self._crashed_tuners
                                      or record.dst in self._crashed_tuners):
             raise TunerCrashError(
@@ -246,22 +236,10 @@ class FaultInjector:
         self.injected_latency_s += delay
         return delay
 
-    def _check_tuner_alive(self) -> None:
-        if self._tuner_crashed:
-            raise TunerCrashError(
-                "injected tuner crash: the process is gone until the "
-                "operator restores from a checkpoint"
-            )
-
     # -- introspection -----------------------------------------------------
     # ndlint: allow[ND012] -- test oracle over private state
-    @property
-    def tuner_crashed(self) -> bool:
-        return self._tuner_crashed
-
-    # ndlint: allow[ND012] -- test oracle over private state
     def crashed_tuners(self) -> List[str]:
-        """Tuner node names currently downed by targeted crashes."""
+        """Tuner node names currently downed by crashes."""
         return sorted(self._crashed_tuners)
 
     @property
@@ -294,7 +272,7 @@ class FaultInjector:
         capped at 2 so the default :class:`RetryPolicy` can absorb them.
 
         With ``tuner_id`` set, a ~15% band of events becomes paired
-        targeted :class:`TunerCrash`/:class:`TunerRecover` events (at
+        :class:`TunerCrash`/:class:`TunerRecover` events on that node (at
         most one tuner outage outstanding, always recovered inside the
         horizon) so chaos suites exercise failover.  The default
         ``tuner_id=None`` draws the exact same RNG sequence as before,
@@ -320,7 +298,7 @@ class FaultInjector:
                        if a < end and start < b
                        and (store is None or s == store))
 
-        # down intervals for the (single) targeted tuner, same pairing rule
+        # down intervals for the (single) named tuner, same pairing rule
         tuner_intervals: List = []  # (start, end)
 
         for _ in range(num_events):

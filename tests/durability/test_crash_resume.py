@@ -1,11 +1,11 @@
 """Crash-resume chaos suite — the issue's acceptance scenario.
 
 A :class:`TunerCrash` event kills the Tuner mid-lifecycle (every
-subsequent operation raises the non-transient ``TunerCrashError``, so
-retries cannot absorb it).  The operator restores the latest run-boundary
-checkpoint into a fresh cluster and finishes the lifecycle; the result
-must match an uninterrupted run bit for bit — same final model version,
-same weights, same label counts.
+transfer to or from its node raises the non-transient
+``TunerCrashError``, so retries cannot absorb it).  The operator
+restores the latest run-boundary checkpoint into a fresh cluster and
+finishes the lifecycle; the result must match an uninterrupted run bit
+for bit — same final model version, same weights, same label counts.
 
 ``NDPIPE_CHAOS_SEED`` varies the schedule in CI; ``NDPIPE_CKPT_DIR``
 redirects the ``.ndcp`` blobs somewhere the CI job can upload them as
@@ -86,7 +86,8 @@ def run_until_crash(small_world, seed, crash_tick, out_dir):
     Returns the on-disk checkpoints written before the crash."""
     cluster = fresh_cluster()
     ingest_world(cluster, small_world, seed)
-    injector = FaultInjector([TunerCrash(at=crash_tick)]).attach(cluster)
+    injector = FaultInjector(
+        [TunerCrash(at=crash_tick, tuner_id="tuner")]).attach(cluster)
     written = {}
 
     def sink(run_index, blob):
@@ -98,7 +99,7 @@ def run_until_crash(small_world, seed, crash_tick, out_dir):
 
     with pytest.raises(TunerCrashError):
         cluster.finetune(epochs=1, num_runs=NUM_RUNS, checkpoint_sink=sink)
-    assert injector.tuner_crashed
+    assert injector.crashed_tuners() == ["tuner"]
     injector.detach()
     return written
 
@@ -187,7 +188,8 @@ class TestCrashAtOtherPoints:
         restarts the lifecycle from scratch — no silent partial state."""
         cluster = fresh_cluster()
         ingest_world(cluster, small_world, CHAOS_SEED)
-        injector = FaultInjector([TunerCrash(at=1)]).attach(cluster)
+        injector = FaultInjector(
+            [TunerCrash(at=1, tuner_id="tuner")]).attach(cluster)
         sink_calls = []
         with pytest.raises(TunerCrashError):
             cluster.finetune(epochs=1, num_runs=NUM_RUNS,
@@ -200,6 +202,6 @@ class TestCrashAtOtherPoints:
         through instead of spinning against a dead process."""
         cluster = fresh_cluster()
         ingest_world(cluster, small_world, CHAOS_SEED)
-        FaultInjector([TunerCrash(at=1)]).attach(cluster)
+        FaultInjector([TunerCrash(at=1, tuner_id="tuner")]).attach(cluster)
         with pytest.raises(TunerCrashError):
             cluster.finetune(epochs=1)

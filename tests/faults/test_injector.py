@@ -156,15 +156,6 @@ class TestTunerEvents:
         with pytest.raises(TunerCrashError):
             fabric.send("pipestore-0", "tuner", 8, "features")
 
-    def test_legacy_global_crash_raises_on_everything(self):
-        fabric = NetworkFabric()
-        injector = FaultInjector([TunerCrash(at=1)]).attach_fabric(fabric)
-        with pytest.raises(TunerCrashError):
-            fabric.send("a", "b", 8, "x")
-        assert injector.tuner_crashed
-        with pytest.raises(TunerCrashError):
-            fabric.send("c", "d", 8, "y")  # even traffic far from the tuner
-
     def test_detach_clears_targeted_crashes(self):
         fabric = NetworkFabric()
         injector = FaultInjector([

@@ -234,6 +234,22 @@ class TestPerfCommand:
                      "--baseline-dir", str(base)]) == 0
         assert "perf gate" in capsys.readouterr().out
 
+    def test_check_writes_no_file_without_an_out_dir(self, tmp_path,
+                                                     monkeypatch, capsys):
+        import tempfile
+
+        base = tmp_path / "results"
+        assert main(["perf", "--scenario", "ingest", "--bless",
+                     "--baseline-dir", str(base)]) == 0
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        assert main(["perf", "--scenario", "ingest", "--check",
+                     "--tolerance", "2.0",
+                     "--baseline-dir", str(base)]) == 0
+        assert list(scratch.glob("ndpipe-perf-*")) == []
+        assert [p.name for p in base.iterdir()] == ["BENCH_ingest.json"]
+
     def test_check_without_baselines_errors(self, tmp_path, capsys):
         assert main(["perf", "--scenario", "ingest", "--check",
                      "--baseline-dir", str(tmp_path / "void")]) == 2

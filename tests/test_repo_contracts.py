@@ -24,9 +24,13 @@ sites in ``tests/lint/``):
   command once: no ``run:`` but a ``pip install`` appears in two jobs;
 - every name in a ``repro`` package's ``__all__`` resolves, every
   repository path the top-level docs name exists, and every ``DESIGN
-  §n``, ``ROADMAP item n`` and ``path.py:line`` reference resolves.
+  §n``, ``ROADMAP item n``, ``path.py:line`` and ``path.py::Name``
+  reference resolves;
+- every DESIGN section names a test that checks it, and DESIGN §3's
+  module map names every package and top-level module of ``repro``.
 """
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -225,3 +229,109 @@ def test_every_cross_reference_resolves():
             if n not in known] == []
     assert [(doc, path, line) for doc, (path, line) in refs[LINE_REF]
             if lines(path) < int(line)] == []
+
+
+#: a definition the docs name: ``path.py::Name`` or ``path.py::Class::name``
+DEF_REF = re.compile(
+    r"(?<![\w/.-])((?:[\w-]+/)+[\w.-]+\.py)::(\w+)(?:::(\w+))?")
+
+
+def _defined_names(body):
+    """Names a module or class body binds: its ``def``s, ``class``es and
+    assigned names."""
+    names = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update((t.id, node) for t in targets
+                         if isinstance(t, ast.Name))
+    return names
+
+
+def unresolved_definitions(texts):
+    """``(doc, reference)`` for each ``path.py::Name[::Name]`` in
+    ``texts`` (``(doc, text)`` pairs) that names no file, no top-level
+    definition of that file, or no definition in that class's body."""
+    missing = []
+    for doc, text in texts:
+        for match in DEF_REF.finditer(text):
+            path, name, member = match.groups()
+            source = next((base / path for base in (
+                ROOT, SRC, ROOT / "src", ROOT / "benchmarks")
+                if (base / path).is_file()), None)
+            found = source and _defined_names(
+                ast.parse(source.read_text()).body).get(name)
+            if found and member:
+                found = isinstance(found, ast.ClassDef) and \
+                    _defined_names(found.body).get(member)
+            if not found:
+                missing.append((doc, match.group(0)))
+    return missing
+
+
+def _definition_texts():
+    docs = [ROOT / name for name in ("DESIGN.md", "README.md",
+                                     "ROADMAP.md", "EXPERIMENTS.md")]
+    docs += sorted((ROOT / ".claude" / "skills").rglob("*.md"))
+    return [(path.relative_to(ROOT).as_posix(), path.read_text())
+            for path in docs]
+
+
+def test_every_named_definition_resolves():
+    texts = _definition_texts()
+    assert sum(len(DEF_REF.findall(text)) for _, text in texts) >= 17
+    assert unresolved_definitions(texts) == []
+    broken = [("x.md", "`tests/test_repo_contracts.py::no_such_test`, "
+               "`tests/test_repo_contracts.py::DEF_REF::pattern`, "
+               "`tests/no_such_file.py::test_x`")]
+    assert [ref for _, ref in unresolved_definitions(broken)] == [
+        "tests/test_repo_contracts.py::no_such_test",
+        "tests/test_repo_contracts.py::DEF_REF::pattern",
+        "tests/no_such_file.py::test_x"]
+
+
+def design_sections(text):
+    """``{n: body}`` for each ``## n.`` section of a DESIGN text."""
+    parts = re.split(r"^## (\d+)\.", text, flags=re.M)[1:]
+    return dict(zip(parts[::2], parts[1::2]))
+
+
+def sections_without_a_test(text):
+    """The DESIGN sections that name no ``tests/...py::name`` node."""
+    return [n for n, body in design_sections(text).items()
+            if not re.search(r"\btests/(?:[\w-]+/)*test_\w+\.py::\w", body)]
+
+
+def test_every_design_section_names_a_test():
+    text = (ROOT / "DESIGN.md").read_text()
+    assert len(design_sections(text)) == 16
+    assert sections_without_a_test(text) == []
+    assert sections_without_a_test(
+        "## 1. A\n`tests/test_cli.py::TestParser`\n"
+        "## 2. B\n`tests/test_cli.py` alone\n") == ["2"]
+
+
+def modules_missing_from_the_map(text):
+    """Each package (``name/``) and top-level module (``name.py``) of
+    ``repro`` that no line of DESIGN §3 starts with."""
+    named = set(re.findall(r"^\s*([\w.]+/?)\s", design_sections(text)["3"],
+                           re.M))
+    modules = [f"{path.name}/" for path in sorted(SRC.iterdir())
+               if (path / "__init__.py").is_file()]
+    modules += [path.name for path in sorted(SRC.glob("*.py"))
+                if path.name != "__init__.py"]
+    return [name for name in modules if name not in named]
+
+
+def test_the_module_map_names_every_module():
+    text = (ROOT / "DESIGN.md").read_text()
+    assert modules_missing_from_the_map(text) == []
+    map_lines = design_sections(text)["3"].splitlines()
+    without_obs = "\n".join(line for line in map_lines
+                            if not line.lstrip().startswith("obs/"))
+    assert modules_missing_from_the_map(
+        "## 3. Map\n" + without_obs + "\n") == ["obs/"]
