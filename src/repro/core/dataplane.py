@@ -344,13 +344,16 @@ class RoundRobinPlacement:
 class RingPlacement:
     """Consistent-hash placement with bounded-load routing.
 
-    Both orders come from one successor lookup each: the photo's distinct
-    ring successors, clockwise, filtered to the stores that are up.  The
-    first candidate is the bounded-load choice among them (:meth:`~repro.
-    placement.ring.ConsistentHashRing.within_bound`) — a shard whose
-    observed ingest queue (placements plus injected transfer latency)
-    exceeds :data:`~repro.placement.ring.LOAD_FACTOR` x the fleet mean
-    is skipped for its ring successor.  Fallback candidates on write
+    Both orders come from one ring walk per landed photo: the photo's
+    distinct ring successors, clockwise, walked once by
+    :meth:`candidates` and kept for the :meth:`replica_candidates` that
+    follows it.  Availability is read when each candidate is tried, not
+    when the ring is walked.  The first candidate is the bounded-load
+    choice among the successors that are up (:meth:`~repro.placement.
+    ring.ConsistentHashRing.within_bound`) — a shard whose observed
+    ingest queue (placements plus injected transfer latency) exceeds
+    :data:`~repro.placement.ring.LOAD_FACTOR` x the fleet mean is
+    skipped for its ring successor.  Fallback candidates on write
     failure are the remaining successors in clockwise order, so retries
     stay deterministic.
     """
@@ -359,20 +362,28 @@ class RingPlacement:
         # weak: the plane holds its placement policy
         self._plane = weakref.ref(plane)
         self.ring = ring
+        #: (photo id, its clockwise successors) of the last walk, until
+        #: the replica choice of that photo takes it
+        self._walk: Optional[Tuple[str, List[str]]] = None
 
     @property
     def plane(self) -> "IngestDataPlane":
         return self._plane()
 
-    def _live_successors(self, photo_id: str) -> List[str]:
-        stores = self.plane.stores
-        return [shard for shard
-                in self.ring.replica_set(photo_id, len(self.ring))
-                if stores[shard].is_available]
+    def _successors(self, photo_id: str) -> List[str]:
+        """The photo's ring order: the walk :meth:`candidates` kept for
+        it, taken once, or a fresh walk."""
+        walk, self._walk = self._walk, None
+        if walk is not None and walk[0] == photo_id:
+            return walk[1]
+        return self.ring.replica_set(photo_id, len(self.ring))
 
     def candidates(self, photo_id: str) -> Iterator[PipeStore]:
         plane = self.plane
-        live = self._live_successors(photo_id)
+        successors = self.ring.replica_set(photo_id, len(self.ring))
+        self._walk = (photo_id, successors)
+        live = [shard for shard in successors
+                if plane.stores[shard].is_available]
         if not live:
             return  # place_photo turns "nobody accepted" into its typed error
         first = self.ring.within_bound(live, plane.queue_depth)
@@ -394,9 +405,10 @@ class RingPlacement:
         holder set is exactly the ring's desired set and a later
         membership change migrates only the keyspace that actually moved.
         """
-        for shard in self._live_successors(photo_id):
-            if shard not in taken:
-                yield self.plane.stores[shard]
+        stores = self.plane.stores
+        for shard in self._successors(photo_id):
+            if shard not in taken and stores[shard].is_available:
+                yield stores[shard]
 
 
 class IngestDataPlane:

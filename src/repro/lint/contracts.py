@@ -19,7 +19,13 @@ no test executes.
     path *consistency* — every path through a method must apply the
     same (lhs, rhs-sum) delta — for ledgers whose law closes only at
     the end of a run (each resolution bumps exactly one right-hand
-    counter; ``check()`` settles the books).
+    counter; ``check()`` settles the books).  ``mode="measure"`` is for
+    ledgers of measured seconds, whose deltas are values, not counts:
+    ND006 reads each delta as the sum of the terms it is written as and
+    proves every path gives the left-hand field exactly the right-hand
+    fields' terms, and ``check()`` compares within float rounding
+    (``math.isclose``), since ``(a + b) + (c + d)`` need not equal
+    ``(a + c) + (b + d)`` in the last bit.
 
 ``@fenced_by("_fence", "model", "model_version")``
     Declares that the named attributes are epoch-fenced state: every
@@ -33,6 +39,7 @@ no test executes.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Callable, Dict, List, NoReturn, Tuple
 
@@ -43,7 +50,7 @@ _CONSERVATION = re.compile(
     r"^\s*(?P<lhs>[A-Za-z_]\w*)\s*==\s*"
     r"(?P<rhs>[A-Za-z_]\w*(?:\s*\+\s*[A-Za-z_]\w*)*)\s*$")
 
-_MODES = ("strict", "group")
+_MODES = ("strict", "group", "measure")
 
 
 def parse_conservation(law: str) -> Tuple[str, List[str]]:
@@ -85,9 +92,13 @@ def _compile_check(laws: List[Dict]) -> Callable[[object], None]:
     lines = ["def check(self):"]
     for index, law in enumerate(laws):
         terms = " + ".join(f"self.{name}" for name in law["rhs"])
-        lines += [f"    if self.{law['lhs']} != {terms}:",
+        broken = (f"not _isclose(self.{law['lhs']}, {terms})"
+                  if law["mode"] == "measure"
+                  else f"self.{law['lhs']} != {terms}")
+        lines += [f"    if {broken}:",
                   f"        _violated(self, _LAWS[{index}])"]
-    namespace = {"_violated": _violated, "_LAWS": laws}
+    namespace = {"_violated": _violated, "_LAWS": laws,
+                 "_isclose": math.isclose}
     exec("\n".join(lines), namespace)
     return namespace["check"]
 

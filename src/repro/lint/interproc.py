@@ -14,7 +14,11 @@ then reason about event *order* (ND007 dominance) or event *sums*
   completing path must apply the *same* (lhs, rhs-sum) delta pair (for
   ledgers whose law closes only at end-of-run).  Mutations through a
   typed receiver (``self.report.completed += 1`` where ``self.report``
-  holds a conserved class) are checked in the mutating function.
+  holds a conserved class) are checked in the mutating function.  In
+  ``measure`` mode (ledgers of measured seconds) a delta may be any
+  value: each reads as the signed sum of the terms it is written as
+  (``busy_s += cpu_s + accelerator_s``), and every path must give the
+  left-hand field exactly the right-hand fields' terms.
 * **ND007 epoch fencing** — ``@fenced_by("_fence", ...)`` attributes may
   only be mutated on paths dominated by a ``self._fence(...)`` call, so
   a stale-epoch frame can never slip past the
@@ -31,6 +35,7 @@ then reason about event *order* (ND007 dominance) or event *sums*
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .callgraph import ClassInfo, FunctionInfo, ProjectIndex
@@ -240,17 +245,38 @@ def _aug_delta(node: ast.AugAssign) -> Optional[int]:
     return None
 
 
+def _linear_terms(node: ast.AugAssign) -> Optional[Counter]:
+    """``x += a + b - c`` as its signed terms ``{a: 1, b: 1, c: -1}``,
+    each term as written (a constant is a term too); None for any
+    operator but ``+=`` / ``-=``."""
+    if not isinstance(node.op, (ast.Add, ast.Sub)):
+        return None
+    terms: Counter = Counter()
+    stack = [(node.value, 1 if isinstance(node.op, ast.Add) else -1)]
+    while stack:
+        expr, sign = stack.pop()
+        if isinstance(expr, ast.BinOp) and \
+                isinstance(expr.op, (ast.Add, ast.Sub)):
+            stack.append((expr.left, sign))
+            stack.append((expr.right,
+                          sign if isinstance(expr.op, ast.Add) else -sign))
+        else:
+            terms[ast.unparse(expr)] += sign
+    return terms
+
+
 def _conservation_events(index: ProjectIndex, func: FunctionInfo,
                          cls: ClassInfo, fields: Set[str],
-                         node: ast.AST) -> list:
-    """(kind, field, delta, line) events one statement contributes."""
+                         node: ast.AST, delta_of=_aug_delta) -> list:
+    """(kind, field, delta, line) events one statement contributes;
+    ``delta_of`` reads an augmented assignment's delta."""
     events: list = []
     for sub in _walk_expr(node):
         if isinstance(sub, ast.AugAssign):
             for recv, attr in _field_targets(sub):
                 if attr in fields and \
                         index.receiver_class(func, recv) is cls:
-                    events.append(("delta", attr, _aug_delta(sub),
+                    events.append(("delta", attr, delta_of(sub),
                                    sub.lineno))
         elif isinstance(sub, ast.Assign):
             for recv, attr in _field_targets(sub):
@@ -286,9 +312,12 @@ def _check_one_law(index: ProjectIndex, func: FunctionInfo, cls: ClassInfo,
                    law: Dict, fields: Set[str]) -> List[Finding]:
     findings: List[Finding] = []
     flagged_lines: Set[int] = set()
+    measure = law["mode"] == "measure"
+    delta_of = _linear_terms if measure else _aug_delta
 
     def events_of(node: ast.AST) -> list:
-        return _conservation_events(index, func, cls, fields, node)
+        return _conservation_events(index, func, cls, fields, node,
+                                    delta_of)
 
     body = func.node.body
     try:
@@ -320,6 +349,8 @@ def _check_one_law(index: ProjectIndex, func: FunctionInfo, cls: ClassInfo,
                             f"delta; '{law['law']}' cannot be proven"))
     if flagged_lines:
         return findings
+    if measure:
+        return findings + _check_measure(func, law, paths)
 
     def signature(path: _Path) -> Tuple[int, int]:
         lhs = sum(d for _, f, d, _ in path.events if f == law["lhs"])
@@ -359,6 +390,33 @@ def _check_one_law(index: ProjectIndex, func: FunctionInfo, cls: ClassInfo,
                         "completing path must account the outcome "
                         "exactly once"))
     return findings
+
+
+def _check_measure(func: FunctionInfo, law: Dict,
+                   paths: List[_Path]) -> List[Finding]:
+    """``measure`` mode: on every path the left-hand field's terms equal
+    the right-hand fields' terms together."""
+    for path in paths:
+        lhs: Counter = Counter()
+        rhs: Counter = Counter()
+        for _, fieldname, terms, _ in path.events:
+            (lhs if fieldname == law["lhs"] else rhs).update(terms)
+        unbalanced = Counter(lhs)
+        unbalanced.subtract(rhs)
+        if any(unbalanced.values()):
+            return [Finding(
+                path=func.path, line=func.node.lineno, col=1, rule="ND006",
+                message=f"{func.name}() has a path leaving "
+                        f"'{law['law']}' unbalanced (lhs "
+                        f"{_render_terms(lhs)}, rhs {_render_terms(rhs)}); "
+                        "every path must give the left-hand field "
+                        "exactly the terms it gives the right")]
+    return []
+
+
+def _render_terms(terms: Counter) -> str:
+    return " ".join(f"{count:+d}*{term}" for term, count
+                    in sorted(terms.items()) if count) or "0"
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ timely requests into late ones.  So admission is where load is shed:
 * **queue_full** — an arrival finds the bounded queue at capacity and is
   rejected immediately (the client sees fast failure, not slow success);
 * **deadline** — at batch-formation time, a queued request that can no
-  longer finish inside its deadline (wait already exceeds
-  ``deadline - min_service``) is dropped instead of wasting accelerator
-  time on an answer nobody is waiting for.
+  longer finish inside its deadline (wait already exceeds ``deadline -
+  floor``, the floor being how long a one-miss batch dispatched now
+  takes on the replica it would land on) is dropped instead of wasting
+  accelerator time on an answer nobody is waiting for.
 
 Every shed is counted by reason; the serving report's accounting
 invariant ``offered == completed + cancelled + shed`` is exact.  The

@@ -176,6 +176,8 @@ class ServingReport:
     peak_replicas: int = 0
     final_batch_target: int = 0
     replica_busy_s: float = 0.0
+    #: the accelerator stage's share of ``replica_busy_s``
+    accelerator_busy_s: float = 0.0
     replica_stalled_s: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -262,6 +264,7 @@ class ServingReport:
             "peak_replicas": self.peak_replicas,
             "final_batch_target": self.final_batch_target,
             "replica_busy_s": self.replica_busy_s,
+            "accelerator_busy_s": self.accelerator_busy_s,
             "replica_stalled_s": self.replica_stalled_s,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,

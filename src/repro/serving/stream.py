@@ -165,6 +165,7 @@ class StreamingFrontend:
         self.batcher.close(report)
         report.final_replicas = self.dispatcher.num_replicas
         report.replica_busy_s = self.dispatcher.busy_s
+        report.accelerator_busy_s = self.dispatcher.accelerator_busy_s
         report.replica_stalled_s = self.dispatcher.stalled_s
         report.check()
         return report
@@ -209,7 +210,6 @@ class _ServeRun:
             config.effective_deadline_s)
         self.state: Dict[str, str] = {}
         self.backlog: Deque[ServeRequest] = deque()
-        self.min_service_s = frontend.dispatcher.min_service_s()
         # arrivals are scheduled before cancels before anything later,
         # so ties at one instant break in that order
         self.sim = Simulation()
@@ -312,7 +312,7 @@ class _ServeRun:
                 return
             ready, expired = self.queue.take(
                 self.f.controller.batch_size, self.sim.now,
-                self.min_service_s)
+                self.f.dispatcher.deadline_floor_s(self.sim.now))
             for request in expired:
                 self._resolve(ServeOutcome(request, EXPIRED, self.sim.now))
             if expired:

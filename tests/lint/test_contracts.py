@@ -34,7 +34,7 @@ def test_every_conserved_class_is_found():
     assert sorted(cls.__name__ for cls in CLASSES) == [
         "AdmissionQueue", "CreditWindow", "MigrationLedger", "QuotaLedger",
         "ReplicaDispatcher", "ServingReport"]
-    assert len(LAWS) == 7
+    assert len(LAWS) == 8
 
 
 @pytest.mark.parametrize("cls, law", LAWS, ids=[

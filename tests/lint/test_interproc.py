@@ -61,6 +61,35 @@ def test_nd006_group_mode_accepts_branch_terminal_counters(tmp_path):
     assert lint_paths(target) == []
 
 
+def test_nd006_measure_mode_balances_terms_not_constants(tmp_path):
+    """Measure mode: seconds are values, so a delta is the sum of the
+    terms it is written as, and every path must give the left-hand
+    field exactly the right-hand fields' terms."""
+    target = tmp_path / "books.py"
+    target.write_text(
+        '@conserves("busy == cpu + accel", mode="measure")\n'
+        "class Books:\n"
+        "    def __init__(self):\n"
+        "        self.busy = self.cpu = self.accel = 0.0\n"
+        "\n"
+        "    def charge(self, cpu_s, accel_s, ok):\n"
+        "        if not ok:\n"
+        "            return\n"
+        "        self.busy += cpu_s + accel_s\n"
+        "        self.cpu += cpu_s\n"
+        "        self.accel += accel_s\n"
+        "\n"
+        "    def skew(self, cpu_s, accel_s):\n"
+        "        self.busy += cpu_s - accel_s\n"
+        "        self.cpu += cpu_s\n"
+        "        self.accel += accel_s\n"
+    )
+    findings = lint_paths(target)
+    assert [(f.rule, f.line) for f in findings] == [("ND006", 13)]
+    assert "(lhs -1*accel_s +1*cpu_s, rhs +1*accel_s +1*cpu_s)" in \
+        findings[0].message
+
+
 # -- ND007 epoch fencing ------------------------------------------------------
 def test_nd007_fence_dominance_exact_sites():
     findings = lint_fixture("bad_nd007.py")
@@ -141,6 +170,26 @@ def test_deleting_a_stream_outcome_counter_fails_the_gate(tmp_path):
                 if f.rule == "ND006"]
     assert findings, "deleting a terminal counter must trip ND006"
     assert any("inconsistent deltas" in f.message for f in findings)
+
+
+def test_real_dispatcher_module_is_conservation_clean(tmp_path):
+    copy = tmp_path / "dispatcher.py"
+    copy.write_text((SRC / "serving" / "dispatcher.py").read_text())
+    assert [f for f in lint_paths(copy) if f.rule == "ND006"] == []
+
+
+def test_deleting_a_stage_busy_update_fails_the_gate(tmp_path):
+    """The measure-mode ledger: a dispatch that charges ``busy_s`` but
+    not the accelerator's share leaves its path unbalanced."""
+    source = (SRC / "serving" / "dispatcher.py").read_text()
+    line = "self.accelerator_busy_s += accelerator_s"
+    assert line + "\n" in source
+    copy = tmp_path / "dispatcher.py"
+    copy.write_text(source.replace(line, "pass", 1))
+    findings = [f for f in lint_paths(copy) if f.rule == "ND006"]
+    assert findings, "deleting the accelerator's share must trip ND006"
+    assert "busy_s == cpu_busy_s + accelerator_busy_s" in \
+        findings[0].message
 
 
 def test_runtime_modules_load_only_the_decorators():

@@ -19,6 +19,11 @@ replica served in both runs; the replicas here are built from distinct
 seeds, so a request that moved to the other replica takes that model's
 label.
 
+Re-pinned a second time when each replica became a two-stage pipeline
+(host CPU, then accelerator, overlapped across batches): batch service
+times, and so the logical clock, moved.  Each test names what it pinned
+before that too.
+
 The one place the loops' behaviour differs on purpose is tied arrivals:
 the one loop dispatches on each arrival, where the bounded-queue pull
 loop batched every arrival of one instant (the last test).
@@ -89,38 +94,47 @@ def test_bounded_queue_under_drops_and_latency():
     misses, 27 batches ``[1, 4, 12, 21, 44, 2, 12, 29, 10, 9, 1, 6, 2,
     10, 1, 5, 1, 5, 2, 6, 1, 7, 4, 1, 1, 1, 1]``, batch index
     2a0d3f7cfd5a72d8, latencies 6e4cd52b36f061f5, busy
-    0.18411937617683374 s, metrics 1c18ef1626606fc2."""
+    0.18411937617683374 s, metrics 1c18ef1626606fc2.  Before the two
+    stages: p50/p99 0.02114820914054323 / 0.07600200118832576, makespan
+    0.14869634741904697, mean batch 7.653846153846154, 26 batches
+    ``[1, 4, 12, 21, 44, 2, 12, 29, 10, 8, 2, 6, 3, 6, 4, 5, 5, 2, 7, 1,
+    7, 2, 3, 1, 1, 1]``, batch index 56cc127e6877321c, latencies
+    ed994058f70e12d1, busy 0.18323747713578228 s, metrics
+    b97db2633a3d241b."""
     frontend = _bounded(ServingConfig(replicas=2))
     _faults(frontend)
     got = _bounded_run(frontend, open_loop_requests(200, 1500.0, seed=0,
                                                     pool_size=16))
     assert got["report"] == [
         200, 199, {"queue_full": 0, "deadline": 0, "dispatch_failed": 1},
-        0.14869634741904697, 0.02114820914054323, 0.07600200118832576,
-        7.653846153846154, 256, 169, 31]
+        0.14869547592968527, 0.016220267911583958, 0.07159532123475812,
+        6.633333333333334, 256, 169, 31]
     assert got["batch_sizes"] == [
-        1, 4, 12, 21, 44, 2, 12, 29, 10, 8, 2, 6, 3, 6, 4, 5, 5, 2, 7, 1,
-        7, 2, 3, 1, 1, 1]
+        1, 3, 5, 7, 33, 35, 10, 24, 4, 6, 5, 4, 7, 1, 5, 2, 7, 1, 9, 1, 6,
+        1, 7, 4, 4, 1, 3, 1, 1, 1]
     # the failed first batch was numbered 1: it used up its index
     assert got["batch_index"][:3] == [2, 3, 3]
-    assert _digest(got["batch_index"]) == "56cc127e6877321c"
-    assert got["latencies"] == "ed994058f70e12d1"
-    assert got["dispatcher"] == [0.18323747713578228, 0.11000000000000001]
-    assert got["metrics"] == "b97db2633a3d241b"
+    assert _digest(got["batch_index"]) == "5f7b7dfe3c3184e9"
+    assert got["latencies"] == "30a554a1ce32edb6"
+    assert got["dispatcher"] == [0.19522701926344185, 0.11000000000000001]
+    assert got["metrics"] == "64cbc3c90ebd5ec1"
 
 
 def test_bounded_queue_sheds_on_a_full_queue_at_20000_rps():
     """Before the codes wire: busy 0.026047602132224852 s, metrics
-    ff16360a7449294e."""
+    ff16360a7449294e.  Before the two stages: 9 completed, 291 shed
+    ``queue_full``, batches ``[1, 4, 4]``, busy 0.026033876174778047 s,
+    metrics 3a967a4352e8ad98."""
     frontend = _bounded(ServingConfig(queue_capacity=4))
     got = _bounded_run(frontend, open_loop_requests(300, 20000.0, seed=1,
                                                     pool_size=32))
     assert got["report"][:3] == [
-        300, 9, {"queue_full": 291, "deadline": 0, "dispatch_failed": 0}]
-    assert got["batch_sizes"] == [1, 4, 4]
-    assert got["batch_index"] == [1, 2, 2, 2, 2, 3, 3, 3, 3]
-    assert got["dispatcher"] == [0.026033876174778047, 0.0]
-    assert got["metrics"] == "3a967a4352e8ad98"
+        300, 17, {"queue_full": 283, "deadline": 0, "dispatch_failed": 0}]
+    assert got["batch_sizes"] == [1, 4, 4, 4, 4]
+    assert got["batch_index"] == [1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4,
+                                  5, 5, 5, 5]
+    assert got["dispatcher"] == [0.03581694554451613, 0.0]
+    assert got["metrics"] == "e629d1ee5ee79cbd"
 
 
 def test_serve_uploads_ladder_places_and_labels_as_before():
@@ -129,7 +143,8 @@ def test_serve_uploads_ladder_places_and_labels_as_before():
     re-pinned when uploads began passing the front door (labels of the
     rounded codes; 0b7336da1c7ee031 before) and did not move when misses
     began crossing as codes; the rungs' p99s did (8f200d3f066b0079
-    before)."""
+    before), and again with the two stages (130df1ce425ef0ee before):
+    the photos did not move."""
     cluster = NDPipeCluster(lambda: tiny_model("ResNet50"),
                             ClusterConfig(num_stores=4, replication=2))
     photos, reports = [], []
@@ -142,7 +157,7 @@ def test_serve_uploads_ladder_places_and_labels_as_before():
         photos += [(pid, cluster.database.lookup(pid).label,
                     cluster.database.lookup(pid).location) for pid in ids]
     assert [r[0] for r in reports] == [120, 120, 120, 120]
-    assert _digest(reports) == "130df1ce425ef0ee"
+    assert _digest(reports) == "b03552743fccd9d5"
     assert _digest(photos) == "156e61d79fa6f575"
 
 
@@ -155,7 +170,10 @@ def _stream_outcome(o):
 def test_credit_window_under_drops_latency_and_cancels():
     """Before the codes wire: 117 completed, 83 expired, 24 out of order;
     outcomes 1b4117a77c59a879, completion order 66d2d2b98c66a1c7, credit
-    waits f8073f8c2d59df1f, metrics 0aab6598764af3c1."""
+    waits f8073f8c2d59df1f, metrics 0aab6598764af3c1.  Before the two
+    stages: 114 completed, 86 expired, 27 out of order, one scale-up;
+    outcomes 961d20345f05ae4b, completion order 82329b0a707c84a9, credit
+    waits f2080a926db59880, metrics a271b189119f6fb5."""
     config = ServingConfig(replicas=2, max_batch=16)
     stream = StreamConfig(credits=8, min_replicas=1, max_replicas=3,
                           window=4, cooldown=4)
@@ -169,19 +187,20 @@ def test_credit_window_under_drops_latency_and_cancels():
     assert [report.completed, report.cancelled, report.expired,
             report.queue_full, report.redispatches, report.out_of_order,
             report.scale_ups, report.scale_downs] == [
-        114, 0, 86, 0, 1, 27, 1, 0]
+        129, 0, 71, 0, 1, 39, 0, 0]
     assert _digest([_stream_outcome(o) for o in report.outcomes]) == \
-        "961d20345f05ae4b"
-    assert _digest(report.completion_order) == "82329b0a707c84a9"
-    assert _digest(report.credit_waits_s) == "f2080a926db59880"
-    assert _digest(frontend.metrics.export_json()) == "a271b189119f6fb5"
+        "1fe9dbd0e559641e"
+    assert _digest(report.completion_order) == "4f6e3ee62a676ce8"
+    assert _digest(report.credit_waits_s) == "81ac513df0878b31"
+    assert _digest(frontend.metrics.export_json()) == "2d14439f0576b8a5"
 
 
 def test_negative_arrival_and_cancel_times_are_accepted():
     """Times below 0 run at clock 0, in time order: a cancel at -0.02
     runs before the arrival it names and is a no-op, one at -0.001
     catches its request waiting for a credit.  Outcomes ea919c2b6f4b2f5c
-    before the codes wire (their times moved, nothing else)."""
+    before the codes wire (their times moved, nothing else), and
+    16dac3f7db009c1c before the two stages (times again)."""
     trace = [r._replace(arrival_s=r.arrival_s - 0.01)
              for r in open_loop_requests(40, 2000.0, seed=5, pool_size=8)]
     assert trace[0].arrival_s < 0
@@ -194,7 +213,7 @@ def test_negative_arrival_and_cancel_times_are_accepted():
     assert (report.completed, report.cancelled) == (39, 1)
     assert report.conserved
     assert _digest([_stream_outcome(o) for o in report.outcomes]) == \
-        "16dac3f7db009c1c"
+        "92857b24114acfbe"
     bounded = _bounded(ServingConfig(replicas=1)).serve(trace)
     assert bounded.completed == 40 and bounded.conserved
 
@@ -229,5 +248,6 @@ def test_tied_arrivals_dispatch_on_each_arrival():
     assert [o.request_id for o in report.completed_requests][:2] == \
         ["t0", "t1"]
     assert report.completed == 12 and report.conserved
-    # 0.010388069119528841 before the codes wire
-    assert report.p99_latency_s == pytest.approx(0.010386108268465012)
+    # 0.010388069119528841 before the codes wire, 0.010386108268465012
+    # before the two stages
+    assert report.p99_latency_s == pytest.approx(0.010377393374847992)

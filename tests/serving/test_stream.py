@@ -189,12 +189,14 @@ def test_dropped_dispatch_redispatches_instead_of_shedding():
 
 
 def test_autoscaler_grows_the_replica_set_under_flash():
+    """A pipelined replica absorbs a 6 000 rps flash (p99 83 ms, no
+    scale-up), so the flash runs at 12 000 rps."""
     config = ServingConfig(replicas=1, deadline_s=1.0)
     frontend = _stream(config,
                        StreamConfig(min_replicas=1, max_replicas=4,
                                     window=4, cooldown=4))
     trace = flash_crowd_requests(num_requests=800, base_rps=500.0,
-                                 flash_rps=6000.0, flash_start_s=0.2,
+                                 flash_rps=12000.0, flash_start_s=0.2,
                                  flash_duration_s=0.5)
     report = frontend.serve(trace)
     assert report.scale_ups >= 1
@@ -206,13 +208,15 @@ def test_autoscaler_grows_the_replica_set_under_flash():
 
 
 def test_autoscaler_retires_replicas_when_calm_returns():
-    """A flash followed by a long calm tail scales up then back down."""
+    """A flash followed by a long calm tail scales up then back down.
+    A pipelined replica absorbs a 0.1 s flash at 6 000 rps (p99 91 ms,
+    no scale-up), so the flash runs at 8 000 rps."""
     config = ServingConfig(replicas=1, deadline_s=2.0)
     frontend = _stream(config,
                        StreamConfig(min_replicas=1, max_replicas=4,
                                     window=4, cooldown=4))
     trace = flash_crowd_requests(num_requests=900, base_rps=150.0,
-                                 flash_rps=6000.0, flash_start_s=0.2,
+                                 flash_rps=8000.0, flash_start_s=0.2,
                                  flash_duration_s=0.1)
     report = frontend.serve(trace)
     assert report.scale_ups >= 1

@@ -315,6 +315,39 @@ def test_every_design_section_names_a_test():
         "## 2. B\n`tests/test_cli.py` alone\n") == ["2"]
 
 
+#: a DESIGN subsection quoted by name, as in the next test's texts
+DESIGN_QUOTE = re.compile(r'DESIGN(?:\.md)?`?\s+§(\d+),?\s+"([^"]+)"')
+
+
+def misquoted_sections(texts, design):
+    """``(doc, n, name)`` for each subsection name ``texts`` quote from
+    DESIGN §n that the section does not contain, case and line breaks
+    aside."""
+    sections = design_sections(design)
+
+    def folded(text):
+        return " ".join(text.split()).casefold()
+
+    return [(doc, n, name) for doc, text in texts
+            for n, name in (m.groups() for m in DESIGN_QUOTE.finditer(text))
+            if folded(name) not in folded(sections.get(n, ""))]
+
+
+def test_every_quoted_design_name_is_in_its_section():
+    texts = [(path.relative_to(ROOT).as_posix(), path.read_text())
+             for path in _referring_files()]
+    design = (ROOT / "DESIGN.md").read_text()
+    assert sum(len(DESIGN_QUOTE.findall(text)) for _, text in texts) >= 20
+    assert misquoted_sections(texts, design) == []
+    # spelt apart so that this file quotes nothing itself
+    broken = [("x.md", "DESIGN" ' §11, "Logical batch vs host\nbatch", '
+               "DESIGN" ' §12 "Logical batch vs host batch" and '
+               "DESIGN" ' §99 "Anything"')]
+    assert misquoted_sections(broken, design) == [
+        ("x.md", "12", "Logical batch vs host batch"),
+        ("x.md", "99", "Anything")]
+
+
 def modules_missing_from_the_map(text):
     """Each package (``name/``) and top-level module (``name.py``) of
     ``repro`` that no line of DESIGN §3 starts with."""
