@@ -436,6 +436,10 @@ def serving_stream_payload(result: Dict) -> Dict:
                     direction=EXACT),
         BenchResult("stream_peak_replicas", s["peak_replicas"], "replicas",
                     direction=EXACT),
+        # what the tail cost: the replica count integrated to makespan
+        BenchResult("stream_provisioned_replica_s",
+                    s["provisioned_replica_s"], "replica-s",
+                    direction=EXACT),
         BenchResult("stream_mean_batch", s["mean_batch"], "images"),
         # the synchronous PR 5 front end on the same trace: it must shed
         # where the credit window merely delays
@@ -470,8 +474,10 @@ def sharding_payload(result: Dict) -> Dict:
     integer counter for a given seed, so the gate pins them ``exact``:
     the ring's join/leave movement, the quota ledger's admission split,
     both distribution strategies' Tuner-egress bytes (fan-out strictly
-    below unicast at equal freshness), and the migration ledger's
-    moved/received/inflight books.  Wall-clock placement throughput is
+    below unicast at equal freshness), the migration ledger's
+    moved/received/inflight books, and what landing one photo through
+    the ring costs in ring walks, availability probes, object-store
+    puts and database upserts.  Wall-clock placement throughput is
     recorded but informational.
     """
     placement = result["placement"]
@@ -536,6 +542,10 @@ def sharding_payload(result: Dict) -> Dict:
         BenchResult("shard_unrecoverable", migration["unrecoverable"],
                     "photos", direction=EXACT),
     ]
+    # what landing one photo through the ring costs
+    rows += [BenchResult(f"shard_landing_{name}_per_photo", count,
+                         "calls/photo", direction=EXACT)
+             for name, count in migration["landing"].items()]
     return bench_payload("BENCH_sharding", rows, config={
         **{k: v for k, v in SHARDING_BENCH_DEFAULTS.items()
            if k != "tenants"},

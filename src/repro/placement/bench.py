@@ -14,7 +14,10 @@ the recorded ``BENCH_sharding.json`` trajectory can never drift apart):
   bytes at equal model freshness;
 * **migration** — a live ``join_shard`` on a replicated fleet, with the
   migration ledger's exact moved/received/inflight accounting and a
-  post-join scrub proving zero unrecoverable photos.
+  post-join scrub proving zero unrecoverable photos.  Landing that
+  fleet's corpus through :class:`~repro.core.dataplane.RingPlacement`
+  is counted too: ring walks, availability probes, object-store puts
+  and database upserts, each per landed photo.
 
 Every headline number is a deterministic integer counter for a given
 seed, so the perf gate pins them ``exact``.
@@ -22,12 +25,17 @@ seed, so the perf gate pins them ``exact``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import inspect
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.pipestore import PipeStore
 from ..models.registry import tiny_model
 from ..obs.tracing import wall_clock
+from ..storage.objectstore import ObjectStore
+from ..storage.photodb import PhotoDatabase
 from ..workloads.continuous import multi_tenant_trace
 from .config import ShardConfig, TenantConfig
 from .fleet import ShardedCluster
@@ -183,10 +191,47 @@ def _fanout_part(seed: int, p: Dict) -> Dict:
     }
 
 
+@contextmanager
+def _counting(targets: Dict[str, Tuple[type, str]],
+              ) -> Iterator[Dict[str, int]]:
+    """Count calls to each ``(class, method)`` — reads, for a property —
+    while the block runs; every class is restored on the way out."""
+    counts = dict.fromkeys(targets, 0)
+    restore: List[Tuple[type, str, object]] = []
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    try:
+        for name, (cls, attr) in targets.items():
+            original = inspect.getattr_static(cls, attr)
+            restore.append((cls, attr, cls.__dict__.get(attr)))
+            setattr(cls, attr,
+                    property(counted(name, original.fget))
+                    if isinstance(original, property)
+                    else counted(name, original))
+        yield counts
+    finally:
+        for cls, attr, original in restore:
+            if original is None:
+                delattr(cls, attr)
+            else:
+                setattr(cls, attr, original)
+
+
 def _migration_part(seed: int, p: Dict) -> Dict:
-    """Part C: live join on a replicated fleet, ledger-exact."""
+    """Part C: live join on a replicated fleet, ledger-exact; its corpus
+    landing is counted first."""
     fleet = _build_fleet(seed, p)
-    _seed_corpus(fleet, seed, p)
+    with _counting({"ring_walks": (ConsistentHashRing, "replica_set"),
+                    "availability_probes": (PipeStore, "is_available"),
+                    "object_puts": (ObjectStore, "put"),
+                    "db_upserts": (PhotoDatabase, "upsert")}) as counts:
+        _seed_corpus(fleet, seed, p)
+    landed = len(fleet.cluster.database)
     summary = fleet.join_shard()
     scrub = fleet.scrub_and_repair()
     ledger = fleet.ledger().to_dict()
@@ -201,6 +246,7 @@ def _migration_part(seed: int, p: Dict) -> Dict:
         "ledger": ledger,
         "rebalance_bytes": int(fleet.metrics.rebalance_bytes.total()),
         "unrecoverable": len(scrub.unrecoverable),
+        "landing": {name: count / landed for name, count in counts.items()},
     }
 
 

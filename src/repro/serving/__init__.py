@@ -14,7 +14,7 @@ One event loop (:mod:`~repro.serving.stream`, on the
 With a :class:`StreamConfig` it runs the streaming one: request-id'd
 out-of-order completion, per-request cancellation and deadlines,
 credit-window backpressure in place of queue-full shedding, and
-SLO-headroom replica autoscaling (:mod:`~repro.serving.autoscale`).
+line-drain replica autoscaling (:mod:`~repro.serving.autoscale`).
 Without one — :class:`ServingFrontend` — the pending line is the bounded
 queue that sheds, and each batch is delivered at dispatch, in order.
 Both report one :class:`ServingReport` of :class:`ServeOutcome`\\ s.

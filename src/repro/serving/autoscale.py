@@ -1,24 +1,27 @@
-"""ElasticityController — replica-set sizing from SLO headroom.
+"""ElasticityController — replica-set sizing from the waiting line.
 
-Consumes the worst request *sojourn* (arrival to answer, queueing and
-credit wait included) of each delivered micro-batch — not the batch
-service time :class:`~repro.serving.batcher.SloController` steers batch
-size on — and turns sustained SLO pressure into replica-count decisions:
+The front end prices the line still waiting (pending plus credit
+backlog) as the seconds one replica needs to drain it, and the
+controller compares that with the *service budget* ``slo_s *
+SERVICE_BUDGET_FRACTION`` the batch controller steers each batch into
+(:mod:`~repro.serving.batcher`):
 
-* **scale up** (+1) when the windowed *median* worst-batch latency
-  exceeds ``slo_s * SCALE_UP_HEADROOM`` — one bad batch is the batch
-  controller's problem; a violated median means batching alone cannot
-  absorb the load;
-* **scale down** (-1) when *every* latency in the window sits under
-  ``slo_s * SCALE_DOWN_HEADROOM`` — the whole window must be
-  comfortable before capacity is taken away.
+* **scale up** (+1), checked after every dispatched batch
+  (:meth:`ElasticityController.observe_line`), when ``n`` replicas
+  cannot drain the line inside the budget — a leading signal: the line
+  grows before any request's sojourn crosses the SLO, so the new
+  replica lands while the burst is still young;
+* **scale down** (-1), checked after every delivered batch
+  (:meth:`ElasticityController.observe`), when *every* worst-request
+  sojourn in the window sits under ``slo_s * SCALE_DOWN_HEADROOM`` —
+  the whole window must be comfortable before capacity is taken away —
+  and ``n - 1`` replicas could still drain the line inside the budget.
 
-Decisions are rate-limited: the window must be full, a ``cooldown``
-number of observations must separate actions, and the window resets
-after each action so a single burst cannot trigger a staircase of
-scale-ups.  The controller only *recommends* a delta; the front end
-applies it subject to the replica bounds and to having an idle replica
-to retire.
+Decisions are rate-limited: a ``cooldown`` number of delivered batches
+must separate actions, and the sojourn window resets after each action
+so a single burst cannot trigger a staircase of scale-ups.  The
+controller only *recommends* a delta; the front end applies it subject
+to the replica bounds and to having an idle replica to retire.
 """
 
 from __future__ import annotations
@@ -27,18 +30,17 @@ import math
 from collections import deque
 from typing import Deque
 
+from .batcher import SERVICE_BUDGET_FRACTION
+
 __all__ = ["ElasticityController"]
 
-#: scale up when the windowed median worst-batch latency exceeds
-#: ``slo_s * SCALE_UP_HEADROOM``
-SCALE_UP_HEADROOM = 1.0
-#: scale down when every latency in the window sits under
+#: scale down only when every latency in the window sits under
 #: ``slo_s * SCALE_DOWN_HEADROOM``
 SCALE_DOWN_HEADROOM = 0.4
 
 
 class ElasticityController:
-    """SLO-headroom autoscaler companion to the AIMD batch controller."""
+    """Line-drain autoscaler companion to the AIMD batch controller."""
 
     def __init__(self, slo_s: float, min_replicas: int, max_replicas: int, *,
                  window: int = 8, cooldown: int = 16):
@@ -53,6 +55,8 @@ class ElasticityController:
         if cooldown < 0:
             raise ValueError(f"cooldown must be >= 0, got {cooldown}")
         self.slo_s = slo_s
+        #: what one replica may spend draining the line
+        self.budget_s = slo_s * SERVICE_BUDGET_FRACTION
         self.min_replicas = min_replicas
         self.max_replicas = max_replicas
         self.window = window
@@ -60,35 +64,51 @@ class ElasticityController:
         self.scale_ups = 0
         self.scale_downs = 0
         self._latencies: Deque[float] = deque(maxlen=window)
-        # start past the cooldown so the first full window may act
+        # start past the cooldown so the first signal may act
         self._since_action = cooldown
 
-    def observe(self, worst_latency_s: float, replicas: int) -> int:
-        """Feed one batch's worst latency; returns -1, 0, or +1."""
+    def observe_line(self, line_s: float, replicas: int) -> int:
+        """After a dispatched batch: ``line_s`` is the seconds one
+        replica needs to drain the line still waiting.  Returns +1 when
+        ``replicas`` cannot drain it inside the budget, else 0."""
+        _check(line_s, replicas)
+        if self._since_action < self.cooldown or \
+                replicas >= self.max_replicas or \
+                line_s <= replicas * self.budget_s:
+            return 0
+        self.scale_ups += 1
+        self._acted()
+        return 1
+
+    def observe(self, worst_latency_s: float, replicas: int,
+                line_s: float) -> int:
+        """After a delivered batch: its worst request sojourn, and the
+        line priced as in :meth:`observe_line`.  Returns -1 when the
+        whole window was comfortable and ``replicas - 1`` could still
+        drain the line inside the budget, else 0."""
         if worst_latency_s < 0:
             raise ValueError(
                 f"worst_latency_s must be >= 0, got {worst_latency_s}")
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
+        _check(line_s, replicas)
         self._latencies.append(worst_latency_s)
         self._since_action += 1
         if len(self._latencies) < self.window or \
-                self._since_action < self.cooldown:
+                self._since_action < self.cooldown or \
+                replicas <= self.min_replicas or \
+                line_s > (replicas - 1) * self.budget_s or \
+                max(self._latencies) >= self.slo_s * SCALE_DOWN_HEADROOM:
             return 0
-        ordered = sorted(self._latencies)
-        median = ordered[len(ordered) // 2]
-        if median > self.slo_s * SCALE_UP_HEADROOM and \
-                replicas < self.max_replicas:
-            self.scale_ups += 1
-            self._acted()
-            return 1
-        if ordered[-1] < self.slo_s * SCALE_DOWN_HEADROOM and \
-                replicas > self.min_replicas:
-            self.scale_downs += 1
-            self._acted()
-            return -1
-        return 0
+        self.scale_downs += 1
+        self._acted()
+        return -1
 
     def _acted(self) -> None:
         self._latencies.clear()
         self._since_action = 0
+
+
+def _check(line_s: float, replicas: int) -> None:
+    if line_s < 0:
+        raise ValueError(f"line_s must be >= 0, got {line_s}")
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")

@@ -12,9 +12,9 @@
   over budget halves the target, under ``budget * SLO_HEADROOM`` earns
   an ``ADDITIVE_STEP`` increase.  Request sojourn time is deliberately
   not the signal — under overload it grows with the pending line, and
-  shrinking the batch then is positive feedback toward batch 1; sojourn
-  steers the replica count (:mod:`~repro.serving.autoscale`) and admission
-  (deadline shedding) instead.
+  shrinking the batch then is positive feedback toward batch 1; the
+  waiting line steers the replica count (:mod:`~repro.serving.autoscale`)
+  and the deadline steers admission (deadline shedding) instead.
 * :class:`MicroBatcher` — the one batch body behind both front ends:
   the batch passes the front door once, the cache is probed with its
   8-bit codes, hits bring their split-point feature row, the distinct
@@ -30,7 +30,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -194,9 +194,10 @@ class MicroBatcher:
         self._delivered: List[PendingAnswers] = []
         self._owed: List[Tuple[object, PendingAnswers, int]] = []
 
-    def run(self, ready: Sequence[ServeRequest],
-            t_start: float) -> DeliveredBatch:
-        """Serve ``ready`` as one batch dispatched at ``t_start``.
+    def run(self, ready: Sequence[ServeRequest], t_start: float,
+            index: Optional[int] = None) -> DeliveredBatch:
+        """Serve ``ready`` as one batch dispatched at ``t_start`` on
+        replica ``index`` (``None``: the one the dispatcher picks).
 
         The whole batch passes the front door
         (:func:`~repro.storage.imageformat.quantise`) together, hits and
@@ -211,7 +212,8 @@ class MicroBatcher:
         probes, and misses, again.
         """
         codes = quantise(np.stack([request.pixels for request in ready]))
-        index = self.dispatcher.pick_replica()
+        if index is None:
+            index = self.dispatcher.pick_replica()
         keys, rows = self.cache.lookup(
             codes, self.dispatcher.replicas[index].front_digest())
         hits: List[bool] = []

@@ -103,11 +103,12 @@ class StreamConfig(Config):
     #: replica-set bounds for the elasticity controller
     min_replicas: int = 1
     max_replicas: int = 8
-    #: grow/shrink the replica set from SLO headroom (False = static set)
+    #: grow the replica set when the waiting line outgrows it, shrink it
+    #: on SLO headroom (False = static set)
     autoscale: bool = True
-    #: batches of signal required before the autoscaler may act
+    #: delivered batches of sojourn signal required before a scale-down
     window: int = 8
-    #: batches that must pass between two scaling actions
+    #: delivered batches that must pass between two scaling actions
     cooldown: int = 16
 
     def validated(self) -> "StreamConfig":

@@ -119,15 +119,17 @@ class ReplicaDispatcher:
                 if replica.name not in self._drained]
         return live or list(range(len(self.replicas)))
 
-    def earliest_free_s(self) -> float:
-        """When the replica :meth:`pick_replica` names may take a batch:
-        the same candidate set, so a batch never starts before its
-        replica's CPU stage is free."""
-        return self._free_at[self.pick_replica()]
+    def free_s(self, index: int) -> float:
+        """When replica ``index``'s CPU stage may take a batch; read for
+        the index :meth:`pick_replica` names, a batch never starts
+        before its replica's CPU stage is free."""
+        return self._free_at[index]
 
     def pick_replica(self) -> int:
         """Index of the replica the next :meth:`dispatch` should use."""
-        return min(self._candidates(), key=self._free_at.__getitem__)
+        candidates = (self._candidates() if self._drained
+                      else range(len(self._free_at)))
+        return min(candidates, key=self._free_at.__getitem__)
 
     # -- membership (driven by the HA failure detector) ---------------------
     def drain(self, name: str) -> bool:
@@ -213,18 +215,17 @@ class ReplicaDispatcher:
         a weightless wire: the least :meth:`deadline_floor_s` reads."""
         return self.service_s(num_requests=1, num_misses=1)
 
-    def deadline_floor_s(self, now_s: float) -> float:
+    def deadline_floor_s(self, now_s: float, index: int) -> float:
         """Deadline-feasibility floor at ``now_s``: how long a batch of
-        one that misses the cache, dispatched now on the replica
-        :meth:`pick_replica` names, takes to finish — its CPU stage (the
-        miss's codes on the wire and its preprocessing), then its
-        accelerator stage once that replica's accelerator is free.
+        one that misses the cache, dispatched now on replica ``index``
+        (the one :meth:`pick_replica` names), takes to finish — its CPU
+        stage (the miss's codes on the wire and its preprocessing), then
+        its accelerator stage once that replica's accelerator is free.
 
         Admission drops requests that cannot finish in time even if
         served alone next, so completed batch=1 requests stay inside
         the deadline.
         """
-        index = self.pick_replica()
         cpu_s, accelerator_s = self.stage_s(1, 1)
         cpu_s += (math.prod(self.replicas[index].model.input_shape)
                   / self.network.spec.bytes_per_s)

@@ -179,6 +179,9 @@ class ServingReport:
     #: the accelerator stage's share of ``replica_busy_s``
     accelerator_busy_s: float = 0.0
     replica_stalled_s: float = 0.0
+    #: the replica count integrated over logical time up to
+    #: ``makespan_s``: what the fleet cost, busy or not
+    provisioned_replica_s: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
@@ -266,6 +269,7 @@ class ServingReport:
             "replica_busy_s": self.replica_busy_s,
             "accelerator_busy_s": self.accelerator_busy_s,
             "replica_stalled_s": self.replica_stalled_s,
+            "provisioned_replica_s": self.provisioned_replica_s,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_evictions": self.cache_evictions,

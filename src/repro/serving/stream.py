@@ -50,11 +50,13 @@ Both protocols share the rest:
   cancel-latched answer is still discarded;
 * **three signals, three actuators** — each delivered batch's *service
   time* (dispatch to done) feeds the AIMD
-  :class:`~repro.serving.batcher.SloController` (batch size); its worst
-  request *sojourn* feeds the :class:`~repro.serving.autoscale.
-  ElasticityController` (credit window only), which grows/shrinks the
-  replica set inside the configured bounds; the *deadline* drives
-  expiry at batch formation.
+  :class:`~repro.serving.batcher.SloController` (batch size); the
+  *line* still waiting after each dispatched batch, priced as the
+  seconds one replica needs to drain it, grows the replica set through
+  the :class:`~repro.serving.autoscale.ElasticityController` (credit
+  window only), and each delivered batch's worst request *sojourn* lets
+  it shrink, inside the configured bounds; the *deadline* drives expiry
+  at batch formation.
 
 Identical traces (arrivals + cancellations) produce identical reports.
 """
@@ -221,6 +223,12 @@ class _ServeRun:
         self.inflight = 0
         self.max_completed_seq = -1
         self.wake_times: set = set()
+        #: the last dispatched batch's share of cache misses, which the
+        #: autoscaler prices the line at
+        self.miss_share = 0.0
+        #: when the replica count last changed (provisioned replica-seconds
+        #: are integrated up to there)
+        self.count_since_s = 0.0
         self.report.peak_replicas = frontend.dispatcher.num_replicas
 
     def _schedule_wake(self, t: float) -> None:
@@ -237,6 +245,7 @@ class _ServeRun:
                 f"inflight={self.inflight}")
         if self.credits is not None:
             self.credits.check()
+        self._provision(self.report.makespan_s)
         return self.report
 
     # -- events --------------------------------------------------------------
@@ -305,29 +314,34 @@ class _ServeRun:
         """Form and dispatch batches while the line is non-empty and a
         replica is free; what still waits gets a wake for when one frees
         (a replica stalled by a failed dispatch frees with no event)."""
+        dispatcher = self.f.dispatcher
         while self.queue.depth():
-            free_s = self.f.dispatcher.earliest_free_s()
+            # one pick per decision: the start time, the deadline floor
+            # and the batch all read this replica
+            index = dispatcher.pick_replica()
+            free_s = dispatcher.free_s(index)
             if free_s > self.sim.now:
                 self._schedule_wake(free_s)
                 return
             ready, expired = self.queue.take(
                 self.f.controller.batch_size, self.sim.now,
-                self.f.dispatcher.deadline_floor_s(self.sim.now))
+                dispatcher.deadline_floor_s(self.sim.now, index))
             for request in expired:
                 self._resolve(ServeOutcome(request, EXPIRED, self.sim.now))
             if expired:
                 self._release(len(expired))
-            if ready and not self._dispatch(ready):
+            if ready and not self._dispatch(ready, index):
                 # back at the head; a replica free since before now (the
                 # stalled one is not) is due now
-                self._schedule_wake(self.f.dispatcher.earliest_free_s())
+                self._schedule_wake(
+                    dispatcher.free_s(dispatcher.pick_replica()))
                 return
 
-    def _dispatch(self, ready: List[ServeRequest]) -> bool:
-        """Run one batch; False when it went back to the head of the
-        line (the caller waits for a replica to free)."""
+    def _dispatch(self, ready: List[ServeRequest], index: int) -> bool:
+        """Run one batch on replica ``index``; False when it went back to
+        the head of the line (the caller waits for a replica to free)."""
         try:
-            batch = self.f.batcher.run(ready, self.sim.now)
+            batch = self.f.batcher.run(ready, self.sim.now, index)
         except TransientFaultError:
             if self.credits is not None:
                 # degrade to delayed, never dropped: retried once the
@@ -354,6 +368,11 @@ class _ServeRun:
             self.m.stream_inflight.set(self.inflight)
             self.sim.at(batch.t_done, self._on_complete,
                         (ready, batch, self.batch_index))
+            if self.f.autoscaler is not None:
+                self.miss_share = batch.hits.count(False) / len(ready)
+                if self.f.autoscaler.observe_line(
+                        self._line_s(), self.f.dispatcher.num_replicas):
+                    self._apply_scale(1)
         if self.credits is None:
             self.m.queue_depth.set(self.queue.depth())
         return True
@@ -398,11 +417,31 @@ class _ServeRun:
         # discarded; only the autoscaler needs a sojourn sample
         self.f.batcher.settle(batch)
         if worst_latency_s > 0.0 and self.f.autoscaler is not None:
+            # what n - 1 replicas would inherit: the batches in flight as
+            # well as the line
             self._apply_scale(self.f.autoscaler.observe(
-                worst_latency_s, self.f.dispatcher.num_replicas))
+                worst_latency_s, self.f.dispatcher.num_replicas,
+                self._line_s(self.inflight)))
+
+    def _line_s(self, inflight: int = 0) -> float:
+        """Seconds one replica needs to serve the line still waiting —
+        pending plus credit backlog — and ``inflight`` more requests:
+        whole batches of the controller's target, each priced by
+        :meth:`~repro.serving.dispatcher.ReplicaDispatcher.stage_s` at
+        the last dispatched batch's miss share and at its slower stage
+        (what a pipelined replica spends a batch in steady state)."""
+        line = self.queue.depth() + len(self.backlog) + inflight
+        if not line:
+            return 0.0
+        target = self.f.controller.batch_size
+        cpu_s, accelerator_s = self.f.dispatcher.stage_s(
+            target, round(target * self.miss_share))
+        return -(-line // target) * max(cpu_s, accelerator_s)
 
     def _apply_scale(self, delta: int) -> None:
         now = self.sim.now
+        if delta:
+            self._provision(now)
         if delta > 0:
             self.f.dispatcher.add_replica(self.f._new_replica(), now)
             self.report.scale_ups += 1
@@ -414,6 +453,13 @@ class _ServeRun:
         count = self.f.dispatcher.num_replicas
         self.report.peak_replicas = max(self.report.peak_replicas, count)
         self.m.replica_count.set(count)
+
+    def _provision(self, until_s: float) -> None:
+        """Charge the current replica count from the last change until
+        ``until_s`` to the provisioned replica-seconds."""
+        self.report.provisioned_replica_s += (
+            self.f.dispatcher.num_replicas * (until_s - self.count_since_s))
+        self.count_since_s = until_s
 
     def _resolve(self, outcome: ServeOutcome) -> None:
         """The one place a request reaches its terminal status."""

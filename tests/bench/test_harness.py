@@ -278,7 +278,7 @@ class TestHarnessPieces:
             "completed": 3000, "cancelled": 0, "expired": 0,
             "queue_full": 0, "out_of_order": 0, "redispatches": 0,
             "scale_ups": 1, "scale_downs": 0, "peak_replicas": 2,
-            "mean_batch": 13.0,
+            "provisioned_replica_s": 1.75, "mean_batch": 13.0,
         }
         sync_report = {
             "completed": 1996, "shed": {"queue_full": 1004, "deadline": 0,
@@ -299,6 +299,7 @@ class TestHarnessPieces:
                       for e in payload["results"]}
         assert directions["stream_queue_full"] == "exact"
         assert directions["stream_out_of_order"] == "exact"
+        assert directions["stream_provisioned_replica_s"] == "exact"
         assert directions["stream_throughput_rps"] == "higher_is_better"
         assert directions["stream_p99_credit_wait_s"] == "lower_is_better"
         assert directions["sync_queue_full"] == "exact"

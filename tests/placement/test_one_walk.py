@@ -14,9 +14,13 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.pipestore import PipeStore
 from repro.faults import AddLatency, FaultInjector
 from repro.models.registry import tiny_model
-from repro.placement import ShardConfig, ShardedCluster
+from repro.placement import ConsistentHashRing, ShardConfig, ShardedCluster
+from repro.placement.bench import SHARDING_BENCH_DEFAULTS, _migration_part
+from repro.storage.objectstore import ObjectStore
+from repro.storage.photodb import PhotoDatabase
 
 PHOTOS = 64
 
@@ -101,3 +105,16 @@ def test_a_store_failing_after_the_primary_write_is_skipped(monkeypatch):
     held = fleet.cluster.replicas.holders(pid)
     assert victim not in held and len(held) == 3
     assert all(victim not in h for _, h in _holders(fleet, ids))
+
+
+def test_the_sharding_bench_counts_the_landing_per_photo():
+    """``BENCH_sharding``'s landing rows: one walk a photo, every
+    successor probed, two objects on each of two replicas, one upsert;
+    the counted classes are whole again afterwards."""
+    before = {cls: dict(vars(cls)) for cls in
+              (ConsistentHashRing, PipeStore, ObjectStore, PhotoDatabase)}
+    landing = _migration_part(0, dict(SHARDING_BENCH_DEFAULTS,
+                                      fleet_photos=24))["landing"]
+    assert landing == {"ring_walks": 1.0, "availability_probes": 11.0,
+                       "object_puts": 4.0, "db_upserts": 1.0}
+    assert {cls: dict(vars(cls)) for cls in before} == before

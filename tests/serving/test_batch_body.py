@@ -240,10 +240,10 @@ def _spy_on_dispatch(monkeypatch):
     instants = []
     dispatch = _ServeRun._dispatch
 
-    def spying(run, ready):
+    def spying(run, ready, index):
         instants.append((run.f.controller.batch_size,
                          len(ready) + run.queue.depth(), len(ready)))
-        return dispatch(run, ready)
+        return dispatch(run, ready, index)
 
     monkeypatch.setattr(_ServeRun, "_dispatch", spying)
     return instants

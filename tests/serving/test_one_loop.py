@@ -173,7 +173,11 @@ def test_credit_window_under_drops_latency_and_cancels():
     waits f8073f8c2d59df1f, metrics 0aab6598764af3c1.  Before the two
     stages: 114 completed, 86 expired, 27 out of order, one scale-up;
     outcomes 961d20345f05ae4b, completion order 82329b0a707c84a9, credit
-    waits f2080a926db59880, metrics a271b189119f6fb5."""
+    waits f2080a926db59880, metrics a271b189119f6fb5.  Before the
+    autoscaler priced the line: 129 completed, 71 expired, 39 out of
+    order, no scale-up; outcomes 1fe9dbd0e559641e, completion order
+    4f6e3ee62a676ce8, credit waits 81ac513df0878b31, metrics
+    2d14439f0576b8a5."""
     config = ServingConfig(replicas=2, max_batch=16)
     stream = StreamConfig(credits=8, min_replicas=1, max_replicas=3,
                           window=4, cooldown=4)
@@ -187,20 +191,23 @@ def test_credit_window_under_drops_latency_and_cancels():
     assert [report.completed, report.cancelled, report.expired,
             report.queue_full, report.redispatches, report.out_of_order,
             report.scale_ups, report.scale_downs] == [
-        129, 0, 71, 0, 1, 39, 0, 0]
+        157, 0, 43, 0, 1, 45, 1, 0]
     assert _digest([_stream_outcome(o) for o in report.outcomes]) == \
-        "1fe9dbd0e559641e"
-    assert _digest(report.completion_order) == "4f6e3ee62a676ce8"
-    assert _digest(report.credit_waits_s) == "81ac513df0878b31"
-    assert _digest(frontend.metrics.export_json()) == "2d14439f0576b8a5"
+        "8b0eab471d076628"
+    assert _digest(report.completion_order) == "48f18d560133349d"
+    assert _digest(report.credit_waits_s) == "02299f100e544a6c"
+    assert _digest(frontend.metrics.export_json()) == "8d900407e361e5f8"
 
 
 def test_negative_arrival_and_cancel_times_are_accepted():
     """Times below 0 run at clock 0, in time order: a cancel at -0.02
     runs before the arrival it names and is a no-op, one at -0.001
     catches its request waiting for a credit.  Outcomes ea919c2b6f4b2f5c
-    before the codes wire (their times moved, nothing else), and
-    16dac3f7db009c1c before the two stages (times again)."""
+    before the codes wire (their times moved, nothing else),
+    16dac3f7db009c1c before the two stages (times again), and
+    92857b24114acfbe before the autoscaler priced the line (one scale-up
+    now: four credits cap batches at four, which one replica serves
+    slower than 2 000 rps arrive; p99 69.0 -> 44.5 ms)."""
     trace = [r._replace(arrival_s=r.arrival_s - 0.01)
              for r in open_loop_requests(40, 2000.0, seed=5, pool_size=8)]
     assert trace[0].arrival_s < 0
@@ -213,7 +220,7 @@ def test_negative_arrival_and_cancel_times_are_accepted():
     assert (report.completed, report.cancelled) == (39, 1)
     assert report.conserved
     assert _digest([_stream_outcome(o) for o in report.outcomes]) == \
-        "92857b24114acfbe"
+        "4abcef2818739d7e"
     bounded = _bounded(ServingConfig(replicas=1)).serve(trace)
     assert bounded.completed == 40 and bounded.conserved
 

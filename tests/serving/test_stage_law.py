@@ -61,7 +61,7 @@ def _wire_s(dispatcher, misses, rows):
 def test_an_isolated_batch_costs_the_serial_sum_plus_wire():
     dispatcher = _dispatcher()
     for seed, (num_misses, num_hits) in enumerate(((1, 0), (5, 3), (0, 4))):
-        t_start = dispatcher.earliest_free_s() + 1.0  # idle in both stages
+        t_start = dispatcher.free_s(0) + 1.0  # idle in both stages
         misses = _codes(num_misses, seed) if num_misses else None
         row = np.zeros(dispatcher.replicas[0].model.feature_dim_after(
             dispatcher.replicas[0].split), np.float32)
@@ -86,7 +86,7 @@ def test_the_next_batch_preprocesses_while_the_previous_one_runs():
     assert accelerator_s < cpu_s  # misses are preprocess-bound
     _, _, first_done, _ = dispatcher.dispatch(0, misses, rows, 0.0)
     assert first_done == pytest.approx(cpu_s + accelerator_s)
-    second_start = dispatcher.earliest_free_s()
+    second_start = dispatcher.free_s(0)
     # released at max(cpu_done, t_done - cpu_s): here cpu_done
     assert second_start == pytest.approx(cpu_s)
     _, _, second_done, _ = dispatcher.dispatch(0, misses, rows,
@@ -104,13 +104,13 @@ def test_an_all_hit_batch_waits_for_the_accelerator_not_the_wire():
         dispatcher.replicas[0].split), np.float32)
     rows = [row] * 16
     _, _, t_done, _ = dispatcher.dispatch(0, None, rows, 0.0)
-    assert dispatcher.earliest_free_s() == pytest.approx(
+    assert dispatcher.free_s(0) == pytest.approx(
         t_done - _wire_s(dispatcher, None, rows))
 
 
 def test_deadline_floor_reads_the_picked_replicas_accelerator():
     dispatcher = _dispatcher()
-    idle = dispatcher.deadline_floor_s(0.0)
+    idle = dispatcher.deadline_floor_s(0.0, dispatcher.pick_replica())
     one_miss = _wire_s(dispatcher, _codes(1), [0])
     assert idle == pytest.approx(dispatcher.min_service_s() + one_miss)
     row = np.zeros(dispatcher.replicas[0].model.feature_dim_after(
@@ -119,7 +119,7 @@ def test_deadline_floor_reads_the_picked_replicas_accelerator():
     # the accelerator holds the batch past one miss's CPU stage: the
     # floor waits for it
     assert t_done > idle
-    assert dispatcher.deadline_floor_s(0.0) == pytest.approx(
+    assert dispatcher.deadline_floor_s(0.0, 0) == pytest.approx(
         t_done + dispatcher.stage_s(1, 1)[1])
 
 

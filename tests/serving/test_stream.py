@@ -10,12 +10,14 @@ from repro.serving import (
     CANCELLED,
     COMPLETED,
     EXPIRED,
+    ElasticityController,
     ServingConfig,
     StreamConfig,
     StreamingFrontend,
 )
 from repro.serving.admission import ServeRequest
 from repro.serving.bench import run_streaming_bench
+from repro.serving.stream import _ServeRun
 from repro.workloads.continuous import (
     diurnal_requests,
     flash_crowd_requests,
@@ -189,8 +191,8 @@ def test_dropped_dispatch_redispatches_instead_of_shedding():
 
 
 def test_autoscaler_grows_the_replica_set_under_flash():
-    """A pipelined replica absorbs a 6 000 rps flash (p99 83 ms, no
-    scale-up), so the flash runs at 12 000 rps."""
+    """Under the sojourn rule a pipelined replica absorbed a 6 000 rps
+    flash (p99 83 ms, no scale-up), so the flash runs at 12 000 rps."""
     config = ServingConfig(replicas=1, deadline_s=1.0)
     frontend = _stream(config,
                        StreamConfig(min_replicas=1, max_replicas=4,
@@ -209,8 +211,8 @@ def test_autoscaler_grows_the_replica_set_under_flash():
 
 def test_autoscaler_retires_replicas_when_calm_returns():
     """A flash followed by a long calm tail scales up then back down.
-    A pipelined replica absorbs a 0.1 s flash at 6 000 rps (p99 91 ms,
-    no scale-up), so the flash runs at 8 000 rps."""
+    Under the sojourn rule a pipelined replica absorbed a 0.1 s flash at
+    6 000 rps (p99 91 ms, no scale-up), so the flash runs at 8 000 rps."""
     config = ServingConfig(replicas=1, deadline_s=2.0)
     frontend = _stream(config,
                        StreamConfig(min_replicas=1, max_replicas=4,
@@ -223,6 +225,123 @@ def test_autoscaler_retires_replicas_when_calm_returns():
     assert report.scale_downs >= 1
     assert report.final_replicas < report.peak_replicas
     assert report.conserved
+
+
+def _same_front(index):
+    """Replicas that share one front, so a new one starts with a warm
+    cache (as ``serve_stream_flash``'s do)."""
+    return InferenceServer(tiny_model("ResNet50"),
+                           name=f"stream-replica-{index}")
+
+
+def _scale_events(monkeypatch):
+    """Record ``(now, delta, oldest sojourn)`` at every replica-count
+    change; the oldest sojourn covers delivered requests and those
+    still waiting or in flight."""
+    events = []
+    apply = _ServeRun._apply_scale
+
+    def spying(run, delta):
+        before = run.f.dispatcher.num_replicas
+        apply(run, delta)
+        if run.f.dispatcher.num_replicas != before:
+            now = run.sim.now
+            waiting = [now - run.by_id[rid].arrival_s
+                       for rid, status in run.state.items()
+                       if status in ("backlog", "pending", "inflight")]
+            events.append((now, run.f.dispatcher.num_replicas - before,
+                           max(run.report.latencies_s + waiting)))
+
+    monkeypatch.setattr(_ServeRun, "_apply_scale", spying)
+    return events
+
+
+#: a short 6 000 rps burst between calm stretches at 500 rps
+_BURST = dict(num_requests=1300, base_rps=500.0, flash_rps=6000.0,
+              flash_start_s=0.1, flash_duration_s=0.2)
+
+
+def _burst_frontend():
+    return StreamingFrontend(_same_front,
+                             ServingConfig(replicas=1, deadline_s=1.0),
+                             StreamConfig(min_replicas=1, max_replicas=6))
+
+
+def test_line_signal_scales_up_before_any_sojourn_crosses_the_slo(
+        monkeypatch):
+    """The sojourn rule waited for late requests: on this trace it
+    scaled up once, at 0.336 s (after the burst), with the oldest
+    request 126.7 ms old; the line signal scales at 0.156 s, 52.7 ms."""
+    events = _scale_events(monkeypatch)
+    report = _burst_frontend().serve(flash_crowd_requests(**_BURST))
+    assert report.scale_ups >= 1 and report.conserved
+    _now, delta, oldest_s = events[0]
+    assert delta == 1
+    assert oldest_s < SLO_S
+
+
+def test_first_scale_up_lands_in_the_bursts_first_half(monkeypatch):
+    """The sojourn rule's one scale-up came after the burst (0.336 s)."""
+    events = _scale_events(monkeypatch)
+    _burst_frontend().serve(flash_crowd_requests(**_BURST))
+    first_up = next(now for now, delta, _ in events if delta > 0)
+    start = _BURST["flash_start_s"]
+    assert start < first_up < start + _BURST["flash_duration_s"] / 2
+
+
+@pytest.mark.parametrize("pool_size, rate_rps", [(64, 2000.0), (2000, 300.0)])
+def test_steady_load_under_one_replicas_capacity_never_scales(
+        monkeypatch, pool_size, rate_rps):
+    """Cache hits at 2 000 rps and misses at 300 rps: one replica keeps
+    up (about 4 500 and 490 requests/s), so the line stays short."""
+    events = _scale_events(monkeypatch)
+    frontend = StreamingFrontend(_same_front, ServingConfig(replicas=1),
+                                 StreamConfig(min_replicas=1,
+                                              max_replicas=4))
+    report = frontend.serve(_trace(num_requests=1500, rate_rps=rate_rps,
+                                   seed=3, pool_size=pool_size))
+    assert report.completed == 1500
+    assert events == [] and report.peak_replicas == 1
+    assert report.provisioned_replica_s == pytest.approx(report.makespan_s)
+
+
+def test_scale_down_waits_while_one_fewer_replica_could_not_drain(
+        monkeypatch):
+    """``serve_stream_flash``'s second trace at seed 8301.  Two replicas
+    keep its burst's line short, so the sojourn window turns comfortable
+    mid-burst; without the drain guard the fleet shrank at 1.244 s,
+    before the burst's last arrival, and its p99 rose to 78.8 ms."""
+    trace = flash_crowd_requests(3000, 600.0, 6000.0, flash_start_s=1.0,
+                                 flash_duration_s=0.5, seed=8302)
+    last_arrival = trace[-1].arrival_s
+    events = _scale_events(monkeypatch)
+    guarded = _burst_frontend().serve(trace)
+    assert guarded.scale_ups == 1
+    assert all(now > last_arrival for now, delta, _ in events if delta < 0)
+
+    observe = ElasticityController.observe
+    monkeypatch.setattr(
+        ElasticityController, "observe",
+        lambda self, worst, replicas, line_s: observe(self, worst, replicas,
+                                                      0.0))
+    events.clear()
+    unguarded = _burst_frontend().serve(trace)
+    assert any(delta < 0 and now < last_arrival for now, delta, _ in events)
+    assert unguarded.p99_latency_s > guarded.p99_latency_s
+
+
+def test_provisioned_replica_seconds_integrate_the_count(monkeypatch):
+    events = _scale_events(monkeypatch)
+    report = _burst_frontend().serve(flash_crowd_requests(**_BURST))
+    assert events
+    count, since, total = 1, 0.0, 0.0
+    for now, delta, _ in events:
+        total += count * (now - since)
+        count, since = count + delta, now
+    total += count * (report.makespan_s - since)
+    assert report.provisioned_replica_s == pytest.approx(total)
+    assert report.makespan_s < total <= report.peak_replicas * \
+        report.makespan_s
 
 
 def test_makespan_is_last_completion_time():
